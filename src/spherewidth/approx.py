@@ -176,9 +176,8 @@ def _rel_azimuth(piece: SmallCircleArc, p: Vec, tol: float) -> Optional[float]:
 
 
 def _locate_chord(body: ConvexBody, p1: Vec, p2: Vec):
-    for i, piece in enumerate(body.pieces):
-        if not isinstance(piece, SmallCircleArc):
-            continue
+    for i in body.circle_piece_indices():
+        piece = body.pieces[i]
         r1 = _rel_azimuth(piece, p1, 1e-9)
         r2 = _rel_azimuth(piece, p2, 1e-9)
         if r1 is None or r2 is None:
@@ -198,9 +197,8 @@ def _find_dual_piece(body: ConvexBody, primal: SmallCircleArc, a1: float, a2: fl
     z = primal.center
     r_dual = 0.5 * math.pi - primal.radius
     fallback = None
-    for j, piece in enumerate(body.pieces):
-        if not isinstance(piece, SmallCircleArc):
-            continue
+    for j in body.circle_piece_indices():
+        piece = body.pieces[j]
         if dot(piece.center, z) < 1.0 - 1e-12 or abs(piece.radius - r_dual) > 1e-9:
             continue
         fallback = j

@@ -1,14 +1,18 @@
 """Hemispherical convex bodies with piecewise-circular boundaries.
 
-A body is a closed cyclic chain of boundary pieces (great arcs and
-small-circle arcs) plus an interior witness point.  The chain is traversed
+A body is a closed cyclic chain of boundary pieces plus an interior witness
+point.  Every piece is a circle arc in the one parametrisation of ``sphere``
+(centre z, radius r, tangent frame, parameter range), a great arc being the
+r = pi/2 case, so membership and boundary distance evaluate all pieces of a
+body in one numpy expression over its stacked arrays (``ConvexBody.arcs``),
+in blocks of at most ``BLOCK_ELEMENTS`` rows x pieces.  The chain is traversed
 counterclockwise as seen from the interior side: at every smooth boundary
 point P with unit tangent T, the support pole of the body is P x T.  Under
 that convention polar duality maps pieces to pieces in traversal order:
 
-* small-circle arc (Z, r, span)  ->  small-circle arc (Z, pi/2 - r, span + pi)
-* great-arc edge                 ->  its pole, as a dual vertex
-* junction vertex                ->  great arc between the adjacent poles
+* circle arc (Z, r < pi/2, span)  ->  circle arc (Z, pi/2 - r, span + pi)
+* great arc (r = pi/2)            ->  its pole, as a dual vertex
+* junction vertex                 ->  great arc between the adjacent poles
 
 so the dual of a valid body is again a valid body and the double dual
 reproduces the original representation exactly up to roundoff.
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -27,8 +32,9 @@ from .sphere import (
     BOUNDARY_EPS,
     DOT_EPS,
     TWO_PI,
+    ArcStack,
+    CircleArc,
     GreatArc,
-    Piece,
     SmallCircleArc,
     Vec,
     acos_clamped_np,
@@ -37,8 +43,10 @@ from .sphere import (
     distance_to_piece,
     dot,
     sample_piece,
+    stack_arcs,
     unit,
     unit_rows,
+    wrap_angle,
 )
 
 # Junction poles closer than this chord distance are treated as one smooth
@@ -48,13 +56,16 @@ from .sphere import (
 POLE_MERGE_EPS = 1e-5
 # Default residual tolerance when an operation requires a self-dual body.
 SELF_DUAL_EPS = 1e-6
+# Rows x pieces evaluated per numpy expression by the batched kernels, which
+# bounds their temporaries whatever the number of query points.
+BLOCK_ELEMENTS = 8192
 
 
 @dataclass(eq=False)
 class ConvexBody:
     """Spherical convex body bounded by a closed chain of pieces."""
 
-    pieces: list[Piece]
+    pieces: list[CircleArc]
     interior: Vec
 
     def __post_init__(self):
@@ -65,7 +76,12 @@ class ConvexBody:
         return [i for i, p in enumerate(self.pieces) if isinstance(p, SmallCircleArc)]
 
     def is_polytope(self) -> bool:
-        return all(isinstance(p, GreatArc) for p in self.pieces)
+        return not self.circle_piece_indices()
+
+    @cached_property
+    def arcs(self) -> ArcStack:
+        """The pieces as stacked arrays; ``pieces`` must not change afterwards."""
+        return stack_arcs(self.pieces)
 
     def boundary_samples(self, per_piece: int = 16) -> np.ndarray:
         return np.vstack([sample_piece(p, per_piece) for p in self.pieces])
@@ -109,40 +125,10 @@ def to_polytope(body: ConvexBody) -> Polytope:
     return Polytope(np.vstack([p.start for p in body.pieces]))
 
 
-def interior_witness(pieces: list[Piece]) -> Vec:
+def interior_witness(pieces: list[CircleArc]) -> Vec:
     """Normalized mean of boundary samples; interior for any valid chain."""
     pts = np.vstack([sample_piece(p, 5) for p in pieces])
     return unit(pts.mean(axis=0))
-
-
-# ------------------------------------------------------------------ tangents
-
-
-def piece_start_tangent(p: Piece) -> Vec:
-    if isinstance(p, GreatArc):
-        _, b = p.frame()
-        return b
-    u, v = p.frame()
-    a = p.az_from
-    return -math.sin(a) * u + math.cos(a) * v
-
-
-def piece_end_tangent(p: Piece) -> Vec:
-    if isinstance(p, GreatArc):
-        a, b = p.frame()
-        t = p.length
-        return -math.sin(t) * a + math.cos(t) * b
-    u, v = p.frame()
-    a = p.az_to
-    return -math.sin(a) * u + math.cos(a) * v
-
-
-def piece_start_pole(p: Piece) -> Vec:
-    return p.pole if isinstance(p, GreatArc) else p.support_pole_at(p.az_from)[0]
-
-
-def piece_end_pole(p: Piece) -> Vec:
-    return p.pole if isinstance(p, GreatArc) else p.support_pole_at(p.az_to)[0]
 
 
 # ---------------------------------------------------------------- validation
@@ -203,12 +189,7 @@ def validate(body: ConvexBody) -> ValidationReport:
     samples = body.boundary_samples(16)
     # candidate hemisphere poles: the witness, and the mean support pole
     # (an interior point of the polar dual certifies containment exactly)
-    poles = []
-    for p in pcs:
-        if isinstance(p, GreatArc):
-            poles.append(p.pole)
-        else:
-            poles.append(p.support_pole_at(np.linspace(p.az_from, p.az_to, 5)).mean(axis=0))
+    poles = [p.support_pole_at(np.linspace(p.t0, p.t1, 5)).mean(axis=0) for p in pcs]
     pole_mean = np.sum(poles, axis=0)
     candidates = [w]
     if np.linalg.norm(pole_mean) > DOT_EPS:
@@ -216,13 +197,9 @@ def validate(body: ConvexBody) -> ValidationReport:
     min_dot = max(float(np.min(samples @ k)) for k in candidates)
     checks.append(ValidationCheck("hemispherical", min_dot >= -BOUNDARY_EPS, -min_dot))
 
-    worst_support = 1.0
-    for p in pcs:
-        if isinstance(p, GreatArc):
-            worst_support = min(worst_support, dot(p.pole, w))
-        else:
-            az = np.linspace(p.az_from, p.az_to, 9)
-            worst_support = min(worst_support, float(np.min(p.support_pole_at(az) @ w)))
+    worst_support = min(
+        1.0, *(float(np.min(p.support_pole_at(np.linspace(p.t0, p.t1, 9)) @ w)) for p in pcs)
+    )
     checks.append(
         ValidationCheck("support-orientation", worst_support > DOT_EPS, -worst_support)
     )
@@ -230,8 +207,8 @@ def validate(body: ConvexBody) -> ValidationReport:
     turns = []
     for i, p in enumerate(pcs):
         q = pcs[(i + 1) % n]
-        t_in = piece_end_tangent(p)
-        t_out = piece_start_tangent(q)
+        t_in = p.tangent_at(p.t1)
+        t_out = q.tangent_at(q.t0)
         turns.append(math.atan2(dot(cross(t_in, t_out), p.end), dot(t_in, t_out)))
     min_turn = min(turns)
     max_turn = max(turns)
@@ -278,12 +255,28 @@ def require_valid(body: ConvexBody):
 # -------------------------------------------------------------- membership
 
 
+def _blocks(rows: int, pieces: int) -> list[tuple[slice, slice]]:
+    """(rows, pieces) blocks of at most ``BLOCK_ELEMENTS`` elements, widest in pieces."""
+    r = max(1, min(rows, BLOCK_ELEMENTS))
+    k = max(1, BLOCK_ELEMENTS // r)
+    return [
+        (slice(i, i + r), slice(j, j + k))
+        for i in range(0, rows, r)
+        for j in range(0, pieces, k)
+    ]
+
+
 def _ray_first_hits(body: ConvexBody, points: np.ndarray) -> np.ndarray:
     """Distance from the witness to the first boundary crossing toward each point.
 
     The ray from the interior witness w through x crosses the boundary of a
     convex body exactly once on the way out; points are inside iff their
-    distance from w does not exceed that crossing distance.
+    distance from w does not exceed that crossing distance.  The ray
+    q(t) = cos t w + sin t d meets the circle q . z = cos r where
+    alpha cos t + beta sin t = cos r (alpha = w . z, beta = d . z), that is at
+    t = atan2(beta, alpha) +- acos(cos r / rho) with rho = hypot(alpha, beta);
+    cos t and sin t of both crossings, scaled by rho^2, are
+    alpha cos r -+ beta s and beta cos r +- alpha s, s = sqrt(rho^2 - cos^2 r).
     """
     w = body.interior
     x = np.asarray(points, dtype=float)
@@ -294,45 +287,26 @@ def _ray_first_hits(body: ConvexBody, points: np.ndarray) -> np.ndarray:
     dirs = np.where(ok[:, None], tang / np.where(ok, tn, 1.0)[:, None], 0.0)
 
     best = np.full(len(x), np.inf)
-    for p in body.pieces:
-        if isinstance(p, GreatArc):
-            nrm = p.pole
-            a, b = p.frame()
-            alpha = dot(w, nrm)
-            beta = dirs @ nrm
-            t0 = np.arctan2(beta, alpha)
-            for shift in (0.5 * math.pi, 1.5 * math.pi):
-                t = np.mod(t0 + shift, TWO_PI)
-                q = np.outer(np.cos(t), w) + np.sin(t)[:, None] * dirs
-                s = np.arctan2(q @ b, q @ a)
-                hit = (
-                    (s >= -BOUNDARY_EPS)
-                    & (s <= p.length + BOUNDARY_EPS)
-                    & (t > 1e-12)
-                    & ok
-                )
-                best = np.where(hit & (t < best), t, best)
-        else:
-            alpha = dot(w, p.center)
-            beta = dirs @ p.center
-            rr = np.hypot(alpha, beta)
-            cr = math.cos(p.radius)
-            feas = rr >= abs(cr) - 1e-15
-            t0 = np.arctan2(beta, alpha)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                off = np.arccos(np.clip(cr / np.where(feas, rr, 1.0), -1.0, 1.0))
-            for sign in (1.0, -1.0):
-                t = np.mod(t0 + sign * off, TWO_PI)
-                q = np.outer(np.cos(t), w) + np.sin(t)[:, None] * dirs
-                az = p.azimuth_of(q)
-                da = np.mod(az - p.az_from, TWO_PI)
-                hit = (
-                    feas
-                    & ((da <= p.span + BOUNDARY_EPS) | (da >= TWO_PI - BOUNDARY_EPS))
-                    & (t > 1e-12)
-                    & ok
-                )
-                best = np.where(hit & (t < best), t, best)
+    for rows, cols in _blocks(len(x), len(body.pieces)):
+        a = body.arcs[cols]
+        d = dirs[rows]
+        alpha, beta = a.z @ w, d @ a.z.T
+        rho2 = alpha * alpha + beta * beta
+        feas = np.sqrt(rho2) >= np.abs(a.cos_r) - 1e-15
+        s = np.sqrt(np.maximum(rho2 - a.cos_r * a.cos_r, 0.0))
+        wu, wv, du, dv = a.u @ w, a.v @ w, d @ a.u.T, d @ a.v.T
+        for sign in (1.0, -1.0):
+            ct = alpha * a.cos_r - sign * beta * s
+            st = beta * a.cos_r + sign * alpha * s
+            t = wrap_angle(np.arctan2(st, ct))
+            rel = wrap_angle(np.arctan2(ct * wv + st * dv, ct * wu + st * du) - a.t0)
+            hit = (
+                feas
+                & ((rel <= a.span + BOUNDARY_EPS) | (rel >= TWO_PI - BOUNDARY_EPS))
+                & (t > 1e-12)
+                & ok[rows, None]
+            )
+            best[rows] = np.minimum(best[rows], np.where(hit, t, np.inf).min(axis=1))
     return best
 
 
@@ -359,8 +333,8 @@ def contains(body: ConvexBody, p: Vec, tol: float = BOUNDARY_EPS) -> bool:
 def boundary_distance_many(body: ConvexBody, points: np.ndarray) -> np.ndarray:
     x = np.asarray(points, dtype=float)
     d = np.full(len(x), np.inf)
-    for p in body.pieces:
-        d = np.minimum(d, distance_to_piece(x, p))
+    for rows, cols in _blocks(len(x), len(body.pieces)):
+        d[rows] = np.minimum(d[rows], distance_to_piece(x[rows], body.arcs[cols]).min(axis=1))
     return d
 
 
@@ -390,7 +364,7 @@ def polar_dual(body: ConvexBody, check: bool = True) -> ConvexBody:
         require_valid(body)
     pcs = body.pieces
     n = len(pcs)
-    out: list[Piece] = []
+    out: list[CircleArc] = []
     for i, p in enumerate(pcs):
         if isinstance(p, SmallCircleArc):
             out.append(
@@ -401,8 +375,9 @@ def polar_dual(body: ConvexBody, check: bool = True) -> ConvexBody:
                     p.az_to + math.pi,
                 )
             )
-        k_end = piece_end_pole(p)
-        k_next = piece_start_pole(pcs[(i + 1) % n])
+        q = pcs[(i + 1) % n]
+        k_end = p.support_pole_at(p.t1)[0]
+        k_next = q.support_pole_at(q.t0)[0]
         if chord_distance(k_end, k_next) > POLE_MERGE_EPS:
             out.append(GreatArc(k_end, k_next))
     if not out:
@@ -432,7 +407,7 @@ class SupportSet:
 
 
 def _locate(body: ConvexBody, p: Vec, tol: float):
-    dists = [float(distance_to_piece(p[None, :], pc)[0]) for pc in body.pieces]
+    dists = distance_to_piece(p[None, :], body.arcs)[0]
     i = int(np.argmin(dists))
     if dists[i] > tol:
         raise NotOnBoundary(
@@ -453,18 +428,15 @@ def support_poles_at(body: ConvexBody, p, tol: float = BOUNDARY_EPS) -> SupportS
     n = len(pcs)
     for i, pc in enumerate(pcs):
         if chord_distance(p, pc.end) <= tol:
-            k_in = piece_end_pole(pc)
-            k_out = piece_start_pole(pcs[(i + 1) % n])
+            q = pcs[(i + 1) % n]
+            k_in = pc.support_pole_at(pc.t1)[0]
+            k_out = q.support_pole_at(q.t0)[0]
             if chord_distance(k_in, k_out) <= POLE_MERGE_EPS:
                 return SupportSet(at=p, poles=k_in, is_vertex=False)
             return SupportSet(at=p, poles=GreatArc(k_in, k_out), is_vertex=True)
     i = _locate(body, p, tol)
     pc = pcs[i]
-    if isinstance(pc, GreatArc):
-        return SupportSet(at=p, poles=pc.pole, is_vertex=False)
-    z = pc.center
-    k = unit(z - dot(z, p) * p)
-    return SupportSet(at=p, poles=k, is_vertex=False)
+    return SupportSet(at=p, poles=pc.support_pole_at(pc.azimuth_of(p))[0], is_vertex=False)
 
 
 def diametral_partner(
@@ -490,11 +462,7 @@ def diametral_partner(
 # ------------------------------------------------------------- construction
 
 
-def polytope_body(vertices) -> ConvexBody:
-    return Polytope(np.asarray(vertices, dtype=float)).to_body()
-
-
-def merge_flat_junctions(pieces: list[Piece]) -> list[Piece]:
+def merge_flat_junctions(pieces: list[CircleArc]) -> list[CircleArc]:
     """Merge consecutive great arcs lying on one supporting circle.
 
     Boundary edits can produce junctions with exactly matching support poles
@@ -526,4 +494,4 @@ def merge_flat_junctions(pieces: list[Piece]) -> list[Piece]:
 
 def strictly_convex_arc_length(body: ConvexBody) -> float:
     """Total length of the small-circle (strictly convex) boundary arcs."""
-    return sum(p.length for p in body.pieces if isinstance(p, SmallCircleArc))
+    return sum(body.pieces[i].length for i in body.circle_piece_indices())

@@ -19,7 +19,7 @@ from .body import as_body, polar_dual, validate, validate_polytope, Polytope
 from .errors import CertificationFailed, SphereGeomError
 from .formats import dumps_body, dumps_certificate, dumps_step_log, loads_body
 from .generators import cap, complete_selfdual, octant, random_selfdual_polytope
-from .metrics import diameter, is_constant_width, thickness
+from .metrics import is_constant_width
 from .render import render_svg
 from .sphere import unit
 
@@ -72,8 +72,8 @@ def cmd_metrics(args) -> int:
         '{"thickness":%.17g,"diameter":%.17g,"width_min":%.17g,'
         '"width_max":%.17g,"self_duality_residual":%.17g}'
         % (
-            thickness(body),
-            diameter(body),
+            rep.thickness,
+            rep.diameter,
             rep.width_min,
             rep.width_max,
             rep.self_duality_residual,

@@ -21,6 +21,7 @@ from .sphere import (
     SmallCircleArc,
     Vec,
     dot,
+    length_weighted_params,
     tangent_basis,
     unit,
 )
@@ -109,22 +110,6 @@ def _support_dot_roots(piece: SmallCircleArc, x: Vec) -> list[float]:
     return sorted(roots)
 
 
-def _sub_piece(piece, lo: float, hi: float):
-    if isinstance(piece, GreatArc):
-        return GreatArc(piece.point_at(lo)[0], piece.point_at(hi)[0])
-    return SmallCircleArc(piece.center, piece.radius, piece.az_from + lo, piece.az_from + hi)
-
-
-def _piece_param_span(piece) -> float:
-    return piece.length if isinstance(piece, GreatArc) else piece.span
-
-
-def _support_dot_at(piece, rel: float, x: Vec) -> float:
-    if isinstance(piece, GreatArc):
-        return dot(piece.pole, x)
-    return float(piece.support_pole_at(piece.az_from + rel)[0] @ x)
-
-
 def convex_hull_with_point(body: ConvexBody, x: Vec) -> ConvexBody:
     """Spherical convex hull of the body and one exterior point.
 
@@ -136,16 +121,16 @@ def convex_hull_with_point(body: ConvexBody, x: Vec) -> ConvexBody:
     # split every piece at the azimuths where visibility can flip
     segments = []  # (point_start, point_end, piece, visible)
     for piece in body.pieces:
-        span = _piece_param_span(piece)
         cuts = [0.0]
         if isinstance(piece, SmallCircleArc):
             cuts.extend(_support_dot_roots(piece, x))
-        cuts.append(span)
+        cuts.append(piece.span)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi - lo <= 1e-12:
+            seg = piece.sub(piece.t0 + lo, piece.t0 + hi)
+            if seg is None:
                 continue
-            vis = _support_dot_at(piece, 0.5 * (lo + hi), x) < 0.0
-            segments.append((_sub_piece(piece, lo, hi), vis))
+            vis = dot(piece.support_pole_at(piece.t0 + 0.5 * (lo + hi))[0], x) < 0.0
+            segments.append((seg, vis))
     m = len(segments)
     if all(vis for _, vis in segments):
         raise ValueError("point sees the whole boundary; body is degenerate")
@@ -197,19 +182,10 @@ def complete_selfdual(
     rng = np.random.default_rng(rng_seed)
     for _ in range(max_insertions):
         dual = polar_dual(body, check=False)
-        total = sum(p.length for p in dual.pieces)
         pts = []
-        for p in dual.pieces:
-            n = max(4, int(round(sweep * p.length / max(total, 1e-12))))
-            if isinstance(p, GreatArc):
-                ts = np.linspace(0.0, p.length, n)
-                jitter = rng.uniform(0, p.length / n)
-                ts = np.clip(ts + jitter, 0.0, p.length)
-            else:
-                ts = np.linspace(p.az_from, p.az_to, n)
-                jitter = rng.uniform(0, p.span / n)
-                ts = np.clip(ts + jitter, p.az_from, p.az_to)
-            pts.append(p.point_at(ts))
+        for p, ts in zip(dual.pieces, length_weighted_params(dual.pieces, sweep)):
+            jitter = rng.uniform(0, p.span / len(ts))
+            pts.append(p.point_at(np.clip(ts + jitter, p.t0, p.t1)))
         pts = np.vstack(pts)
         gaps = body_distance_many(body, pts)
         i = int(np.argmax(gaps))

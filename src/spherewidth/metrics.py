@@ -28,16 +28,15 @@ import numpy as np
 from .errors import NotSupporting
 from .sphere import (
     BOUNDARY_EPS,
-    DOT_EPS,
     TWO_PI,
+    CircleArc,
     GreatArc,
-    Piece,
     SmallCircleArc,
     Vec,
     acos_clamped,
-    acos_clamped_np,
-    angle_in_span,
     dot,
+    farthest_on_piece,
+    length_weighted_params,
     max_distance_to_piece,
     sample_piece,
     unit,
@@ -58,53 +57,13 @@ HAUSDORFF_TOL = 1e-7
 # ----------------------------------------------------------- farthest points
 
 
-def _farthest_on_piece(points: np.ndarray, piece: Piece):
-    """Vectorized farthest point of ``piece`` from each query row."""
-    x = np.asarray(points, dtype=float)
-    n = len(x)
-    d_start = acos_clamped_np(x @ piece.start)
-    d_end = acos_clamped_np(x @ piece.end)
-    if isinstance(piece, GreatArc):
-        a, b = piece.frame()
-        t0 = np.arctan2(x @ b, x @ a)
-        t_far = np.mod(t0 + math.pi, TWO_PI)
-        on = t_far <= piece.length + BOUNDARY_EPS
-        t_far = np.minimum(t_far, piece.length)
-        cand = piece.point_at(t_far)
-    else:
-        az = piece.azimuth_of(x)
-        az_far = np.mod(az + math.pi, TWO_PI)
-        on = angle_in_span(az_far, piece.az_from, piece.span)
-        rel = np.mod(az_far - piece.az_from, TWO_PI)
-        cand = piece.point_at(piece.az_from + np.minimum(rel, piece.span))
-    d_cand = np.where(on, acos_clamped_np(np.sum(x * cand, axis=1)), -1.0)
-    out = np.where(
-        (d_cand >= d_start) & (d_cand >= d_end),
-        2,
-        np.where(d_start >= d_end, 0, 1),
-    )
-    pts = np.empty_like(x)
-    dist = np.empty(n)
-    for code, choice, dd in (
-        (0, piece.start, d_start),
-        (1, piece.end, d_end),
-    ):
-        m = out == code
-        pts[m] = choice
-        dist[m] = dd[m]
-    m = out == 2
-    pts[m] = cand[m]
-    dist[m] = d_cand[m]
-    return pts, dist
-
-
-def _pair_max_distance(pa: Piece, pb: Piece, seeds: int = 9, iters: int = 80) -> float:
+def _pair_max_distance(pa: CircleArc, pb: CircleArc, seeds: int = 9, iters: int = 80) -> float:
     """Maximum geodesic distance between two pieces via alternating ascent."""
     x = sample_piece(pa, seeds)
     best = 0.0
     for _ in range(iters):
-        y, dy = _farthest_on_piece(x, pb)
-        x, dx = _farthest_on_piece(y, pa)
+        y, dy = farthest_on_piece(x, pb)
+        x, dx = farthest_on_piece(y, pa)
         top = float(dx.max())
         if top <= best + 1e-14:
             best = max(best, top)
@@ -172,34 +131,25 @@ def thickness(body: BodyLike) -> float:
 # ---------------------------------------------------------------- Hausdorff
 
 
-def _dot_range_along_piece(pa: Piece, z: Vec) -> tuple[float, float]:
-    """Exact range of x . z as x runs over the piece (closed form)."""
-    if isinstance(pa, GreatArc):
-        a, b = pa.frame()
-        alpha, beta = dot(a, z), dot(b, z)
-        t0, t1 = 0.0, pa.length
-        cands = [alpha * math.cos(t) + beta * math.sin(t) for t in (t0, t1)]
-        tc = math.atan2(beta, alpha)
-        for t in (tc, tc + math.pi, tc - math.pi):
-            if t0 <= t <= t1:
-                cands.append(alpha * math.cos(t) + beta * math.sin(t))
-        return min(cands), max(cands)
-    u, v = pa.frame()
-    g = math.cos(pa.radius) * dot(pa.center, z)
-    au, av = dot(u, z), dot(v, z)
-    s = math.sin(pa.radius)
-    cands = []
-    for az in (pa.az_from, pa.az_to):
-        cands.append(g + s * (au * math.cos(az) + av * math.sin(az)))
+def _dot_range_along_piece(pa: CircleArc, z: Vec) -> tuple[float, float]:
+    """Exact range of x . z as x runs over the piece (closed form).
+
+    x(t) . z = cos r (pa.z . z) + sin r (au cos t + av sin t), extreme at
+    the ends and where t - atan2(av, au) is a multiple of pi.
+    """
+    g = pa.cos_r * dot(pa.z, z)
+    au, av = dot(pa.u, z), dot(pa.v, z)
     tc = math.atan2(av, au)
-    for az in (tc, tc + math.pi, tc + TWO_PI, tc - math.pi):
-        rel = (az - pa.az_from) % TWO_PI
+    ts = [pa.t0, pa.t1]
+    for t in (tc, tc + math.pi):
+        rel = (t - pa.t0) % TWO_PI
         if rel <= pa.span:
-            cands.append(g + s * (au * math.cos(az) + av * math.sin(az)))
+            ts.append(pa.t0 + rel)
+    cands = [g + pa.sin_r * (au * math.cos(t) + av * math.sin(t)) for t in ts]
     return min(cands), max(cands)
 
 
-def _structural_cap(pa: Piece, b: ConvexBody) -> float:
+def _structural_cap(pa: CircleArc, b: ConvexBody) -> float:
     """Closed-form upper bound on sup over pa of the distance to one piece of b.
 
     Covers two families: a full-circle piece of ``b`` (the distance to a full
@@ -216,7 +166,7 @@ def _structural_cap(pa: Piece, b: ConvexBody) -> float:
         for v in (pb.start, pb.end):
             cmin, _ = _dot_range_along_piece(pa, v)
             best = min(best, acos_clamped(cmin))
-        if isinstance(pb, SmallCircleArc) and pb.is_full:
+        if pb.is_full:
             cmin, cmax = _dot_range_along_piece(pa, pb.center)
             dmin, dmax = acos_clamped(cmax), acos_clamped(cmin)
             best = min(best, max(abs(dmin - pb.radius), abs(dmax - pb.radius)))
@@ -282,19 +232,6 @@ def _structural_cap(pa: Piece, b: ConvexBody) -> float:
     return best
 
 
-def _trim_piece(piece: Piece, lo: float, hi: float) -> Optional[Piece]:
-    """Sub-piece over the parameter range [lo, hi], or None when degenerate."""
-    if hi - lo <= 1e-9:
-        return None
-    if isinstance(piece, GreatArc):
-        p0 = piece.point_at(lo)[0]
-        p1 = piece.point_at(hi)[0]
-        if abs(dot(p0, p1)) >= 1.0 - DOT_EPS:
-            return None
-        return GreatArc(p0, p1)
-    return SmallCircleArc(piece.center, piece.radius, lo, hi)
-
-
 class _Direction:
     """Refinement state for sup over the boundary of ``a`` of dist(., b).
 
@@ -311,13 +248,9 @@ class _Direction:
         self.lb = 0.0
         self.level = 0
         for pa in a.pieces:
-            lam = 1.0 if isinstance(pa, GreatArc) else math.sin(pa.radius)
-            if isinstance(pa, GreatArc):
-                t0, t1 = 0.0, pa.length
-            else:
-                t0, t1 = pa.az_from, pa.az_to
-            n = int(np.clip(math.ceil((t1 - t0) * lam / 0.05), 4, 512))
-            ts = np.linspace(t0, t1, n + 1)
+            lam = pa.sin_r
+            n = int(np.clip(math.ceil(pa.span * lam / 0.05), 4, 512))
+            ts = np.linspace(pa.t0, pa.t1, n + 1)
             fs = body_distance_many(b, pa.point_at(ts))
             self.lb = max(self.lb, float(fs.max()))
             cap = _structural_cap(pa, b)
@@ -353,7 +286,7 @@ class _Direction:
             cap = q["cap"][alive]
             if recap and len(tl) <= 65536:
                 for i in range(len(tl)):
-                    sub = _trim_piece(q["piece"], tl[i], tr[i])
+                    sub = q["piece"].sub(tl[i], tr[i])
                     if sub is not None:
                         cap[i] = min(cap[i], _structural_cap(sub, self.b))
             tm = 0.5 * (tl + tr)
@@ -427,6 +360,7 @@ class WidthReport:
     width_min: float
     width_max: float
     diameter: float
+    thickness: float
     self_duality_residual: Optional[float]
     passed: bool
 
@@ -448,18 +382,14 @@ def is_constant_width(
     b = as_body(body)
     require_valid(b)
     dual = polar_dual(b, check=False)
-    total = sum(p.length for p in dual.pieces)
-    poles = []
-    for p in dual.pieces:
-        n = max(4, int(round(sweep * p.length / max(total, 1e-12))))
-        poles.append(sample_piece(p, n))
-    k = np.vstack(poles)
+    params = length_weighted_params(dual.pieces, sweep)
+    k = np.vstack([p.point_at(ts) for p, ts in zip(dual.pieces, params)])
     far = np.full(len(k), 0.0)
     for p in dual.pieces:
         far = np.maximum(far, max_distance_to_piece(k, p))
     widths = math.pi - far
-    dual_diam = diameter(dual)
-    wmin = min(float(widths.min()), math.pi - dual_diam)
+    thick = math.pi - diameter(dual)
+    wmin = min(float(widths.min()), thick)
     wmax = float(widths.max())
     body_diam = diameter(b)
     residual = None
@@ -472,6 +402,7 @@ def is_constant_width(
         width_min=wmin,
         width_max=wmax,
         diameter=body_diam,
+        thickness=thick,
         self_duality_residual=residual,
         passed=passed,
     )

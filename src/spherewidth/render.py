@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .body import BodyLike, as_body
-from .sphere import GreatArc, tangent_basis, unit
+from .sphere import tangent_basis, unit
 
 VIEWBOX = 1000.0
 FILL_FRACTION = 0.9
@@ -31,26 +31,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _piece_params(piece):
-    """(point_fn, t0, t1) in the piece's natural angle parameter."""
-    if isinstance(piece, GreatArc):
-        return piece.point_at, 0.0, piece.length
-    return piece.point_at, piece.az_from, piece.az_to
-
-
 def _conjugate_frame(piece, a, b):
     """2D center and conjugate radii of the orthographic piece image."""
-    if isinstance(piece, GreatArc):
-        fa, fb = piece.frame()
-        c2 = np.zeros(2)
-        e = np.array([fa @ a, fa @ b])
-        f = np.array([fb @ a, fb @ b])
-    else:
-        u, v = piece.frame()
-        z = piece.center
-        c2 = math.cos(piece.radius) * np.array([z @ a, z @ b])
-        e = math.sin(piece.radius) * np.array([u @ a, u @ b])
-        f = math.sin(piece.radius) * np.array([v @ a, v @ b])
+    c2 = piece.cos_r * np.array([piece.z @ a, piece.z @ b])
+    e = piece.sin_r * np.array([piece.u @ a, piece.u @ b])
+    f = piece.sin_r * np.array([piece.v @ a, piece.v @ b])
     return c2, e, f
 
 
@@ -139,9 +124,8 @@ def _stereo_segment(piece, t0, t1, v, a, b, frame: _Frame) -> str:
 
 
 def _segment_list(piece):
-    _, t0, t1 = _piece_params(piece)
-    n = max(1, int(math.ceil((t1 - t0) / MAX_SEG_SPAN)))
-    ts = np.linspace(t0, t1, n + 1)
+    n = max(1, int(math.ceil(piece.span / MAX_SEG_SPAN)))
+    ts = np.linspace(piece.t0, piece.t1, n + 1)
     return list(zip(ts[:-1], ts[1:]))
 
 

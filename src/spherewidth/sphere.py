@@ -1,18 +1,24 @@
 """Spherical primitives on the unit sphere.
 
-Points are unit 3-vectors (numpy arrays of shape (3,)).  Boundary pieces are
-either minor great-circle arcs or small-circle arcs; both carry a natural
-angle parameter used for sampling and for all closed-form distance queries.
-Everything here is a pure function over immutable values and is safe to call
-concurrently.
+Points are unit 3-vectors (numpy arrays of shape (3,)).  Every boundary piece
+is an arc of a circle in one parametrisation,
+
+    point(t) = cos r * z + sin r * (cos t * u + sin t * v),   t0 <= t <= t1,
+
+with centre z, angular radius r in (0, pi/2] and a tangent frame (u, v) at z.
+A ``SmallCircleArc`` has r < pi/2 and the canonical ``tangent_basis`` frame; a
+``GreatArc`` is the r = pi/2 case about its pole.  Sampling, support poles,
+distance and farthest-point queries are therefore one closed form for both,
+and ``stack_arcs`` lays out a whole boundary as arrays so that the kernels
+evaluate every piece in one numpy expression.  Everything here is a pure
+function over immutable values and is safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -74,6 +80,11 @@ def acos_clamped_np(x) -> np.ndarray:
     return np.arccos(np.clip(x, -1.0, 1.0))
 
 
+def wrap_angle(a) -> np.ndarray:
+    """Angle(s) ``a`` reduced into [0, 2*pi]; several times cheaper than np.mod."""
+    return a - TWO_PI * np.floor(a / TWO_PI)
+
+
 def geodesic_distance(p: Vec, q: Vec) -> float:
     """Great-circle distance arccos(p . q) in [0, pi]."""
     return acos_clamped(dot(p, q))
@@ -87,10 +98,6 @@ def chord_distance(p: Vec, q: Vec) -> float:
     tolerances below 1e-8.
     """
     return float(np.linalg.norm(p - q))
-
-
-def geodesic_distance_np(points: np.ndarray, q: Vec) -> np.ndarray:
-    return acos_clamped_np(points @ q)
 
 
 def lune_thickness(pole_a: Vec, pole_b: Vec) -> float:
@@ -132,28 +139,6 @@ def tangent_basis(z: Vec) -> tuple[Vec, Vec]:
     return u, v
 
 
-def azimuth_about(z: Vec, u: Vec, v: Vec, p) -> np.ndarray:
-    """Azimuth of point(s) ``p`` about ``z`` in [0, 2*pi), measured from u."""
-    p = np.asarray(p, dtype=float)
-    return np.mod(np.arctan2(p @ v, p @ u), TWO_PI)
-
-
-def angle_in_span(az, az_from: float, span: float, tol: float = BOUNDARY_EPS):
-    """True where azimuth ``az`` lies within [az_from, az_from + span]."""
-    d = np.mod(np.asarray(az) - az_from, TWO_PI)
-    return (d <= span + tol) | (d >= TWO_PI - tol)
-
-
-def slerp(a: Vec, b: Vec, t) -> np.ndarray:
-    """Geodesic interpolation between non-antipodal unit vectors."""
-    ang = geodesic_distance(a, b)
-    if ang < DOT_EPS:
-        return np.broadcast_to(a, (np.size(t), 3)).copy()
-    t = np.asarray(t, dtype=float)
-    s = np.sin(ang)
-    return (np.outer(np.sin((1.0 - t) * ang), a) + np.outer(np.sin(t * ang), b)) / s
-
-
 @dataclass(frozen=True, eq=False)
 class Hemisphere:
     """Closed half-sphere ``{q : pole . q >= 0}``."""
@@ -185,12 +170,79 @@ class Lune:
         return lune_thickness(self.pole_a, self.pole_b)
 
 
+class CircleArc:
+    """Arc of the circle of angular radius r about the centre z.
+
+    point(t) = cos r * z + sin r * (cos t * u + sin t * v) for t in [t0, t1],
+    where (u, v) is a right-handed tangent frame at z (v = z x u), so t runs
+    counterclockwise about z seen from outside the sphere.  Subclasses set
+    ``z``, ``radius``, ``cos_r``, ``sin_r``, ``u``, ``v``, ``t0`` and ``t1``
+    on construction and provide ``start`` and ``end``.
+    """
+
+    def _set_circle(self, z, radius, cos_r, sin_r, u, v, t0, t1):
+        self.__dict__.update(
+            z=z, radius=radius, cos_r=cos_r, sin_r=sin_r, u=u, v=v, t0=t0, t1=t1
+        )
+
+    @property
+    def span(self) -> float:
+        return self.t1 - self.t0
+
+    @property
+    def length(self) -> float:
+        return self.span * self.sin_r
+
+    @property
+    def is_full(self) -> bool:
+        return self.span >= TWO_PI - DOT_EPS
+
+    def frame(self) -> tuple[Vec, Vec]:
+        return self.u, self.v
+
+    def _ring(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return np.outer(np.cos(t), self.u) + np.outer(np.sin(t), self.v)
+
+    def point_at(self, t) -> np.ndarray:
+        return self.cos_r * self.z + self.sin_r * self._ring(t)
+
+    def support_pole_at(self, t) -> np.ndarray:
+        """Pole of the tangent great circle at parameter ``t``.
+
+        The pole lies in span{z, point} orthogonal to the point, on the
+        centre side, so H(pole) contains the local cap; on a great arc it is
+        the arc's pole everywhere.
+        """
+        return self.sin_r * self.z - self.cos_r * self._ring(t)
+
+    def tangent_at(self, t: float) -> Vec:
+        """Unit tangent in the direction of increasing ``t``."""
+        return -math.sin(t) * self.u + math.cos(t) * self.v
+
+    def azimuth_of(self, p) -> np.ndarray:
+        """Azimuth of point(s) ``p`` about z in [0, 2*pi), measured from u."""
+        p = np.asarray(p, dtype=float)
+        return np.mod(np.arctan2(p @ self.v, p @ self.u), TWO_PI)
+
+    def midpoint(self) -> Vec:
+        return self.point_at(0.5 * (self.t0 + self.t1))[0]
+
+    def sub(self, lo: float, hi: float):
+        """Sub-arc over the parameter range [lo, hi], or None when degenerate."""
+        if hi - lo <= 1e-9:
+            return None
+        return self._over(lo, hi)
+
+
 @dataclass(frozen=True, eq=False)
-class GreatArc:
+class GreatArc(CircleArc):
     """Minor geodesic arc between two non-antipodal endpoints.
 
-    Spans of pi or more must be split by callers; the arc never contains the
-    antipodes of its endpoints.
+    The r = pi/2 circle arc about its pole: the frame is (start, b) with b
+    the unit tangent at start toward end, t runs over [0, length], and
+    cos r and sin r are exactly 0 and 1.  Spans of pi or more must be split
+    by callers; the arc never contains the antipodes of its endpoints.
     """
 
     start: Vec
@@ -199,54 +251,43 @@ class GreatArc:
     def __post_init__(self):
         s = unit(self.start)
         e = unit(self.end)
-        if abs(dot(s, e)) >= 1.0 - DOT_EPS:
+        c = dot(s, e)
+        if abs(c) >= 1.0 - DOT_EPS:
             raise DegenerateArc("great arc endpoints equal or antipodal")
         object.__setattr__(self, "start", s)
         object.__setattr__(self, "end", e)
+        b = unit(e - c * s)
+        self._set_circle(unit(cross(s, e)), 0.5 * math.pi, 0.0, 1.0, s, b, 0.0, acos_clamped(c))
 
-    @cached_property
-    def length(self) -> float:
-        return geodesic_distance(self.start, self.end)
-
-    @cached_property
+    @property
     def pole(self) -> Vec:
         """Pole of the supporting great circle, oriented start x end."""
-        return unit(cross(self.start, self.end))
-
-    @cached_property
-    def _frame(self) -> tuple[Vec, Vec]:
-        a = self.start
-        b = unit(self.end - dot(a, self.end) * a)
-        return a, b
-
-    def frame(self) -> tuple[Vec, Vec]:
-        """(a, b) with point(t) = cos(t) a + sin(t) b for t in [0, length]."""
-        return self._frame
-
-    def point_at(self, t) -> np.ndarray:
-        a, b = self.frame()
-        t = np.asarray(t, dtype=float)
-        return np.outer(np.cos(t), a) + np.outer(np.sin(t), b)
+        return self.z
 
     def param_of(self, p) -> np.ndarray:
         """Signed angle parameter of point(s) on the supporting circle."""
-        a, b = self.frame()
         p = np.asarray(p, dtype=float)
-        return np.arctan2(p @ b, p @ a)
+        return np.arctan2(p @ self.v, p @ self.u)
 
     def midpoint(self) -> Vec:
         return unit(self.start + self.end)
 
+    def _over(self, lo: float, hi: float):
+        p0 = self.point_at(lo)[0]
+        p1 = self.point_at(hi)[0]
+        if abs(dot(p0, p1)) >= 1.0 - DOT_EPS:
+            return None
+        return GreatArc(p0, p1)
+
 
 @dataclass(frozen=True, eq=False)
-class SmallCircleArc:
-    """Arc of the circle at angular radius ``radius`` about ``center``.
+class SmallCircleArc(CircleArc):
+    """Arc of the circle at angular radius ``radius`` in (0, pi/2) about ``center``.
 
-    The azimuth span runs counterclockwise about the center (seen from
-    outside the sphere along the center) in the deterministic frame of
-    ``tangent_basis``; ``az_from`` is normalized into [0, 2*pi) and
-    ``az_to - az_from`` must lie in (0, 2*pi].  Radius pi/2 is not allowed
-    here: such arcs are great arcs and must be stored as ``GreatArc``.
+    The frame is the deterministic ``tangent_basis`` of the centre and the
+    parameter is the azimuth: ``az_from`` is normalized into [0, 2*pi) and
+    ``az_to - az_from`` must lie in (0, 2*pi].  Radius pi/2 is the great-arc
+    case, which is built from its endpoints as ``GreatArc``.
     """
 
     center: Vec
@@ -267,166 +308,150 @@ class SmallCircleArc:
         if a0 < 0:
             a0 += TWO_PI
         object.__setattr__(self, "center", z)
-        object.__setattr__(self, "radius", r)
         object.__setattr__(self, "az_from", a0)
         object.__setattr__(self, "az_to", a0 + span)
-
-    @property
-    def span(self) -> float:
-        return self.az_to - self.az_from
-
-    @property
-    def is_full(self) -> bool:
-        return self.span >= TWO_PI - DOT_EPS
-
-    @property
-    def length(self) -> float:
-        return self.span * math.sin(self.radius)
-
-    @cached_property
-    def _frame(self) -> tuple[Vec, Vec]:
-        return tangent_basis(self.center)
-
-    def frame(self) -> tuple[Vec, Vec]:
-        return self._frame
-
-    def point_at(self, az) -> np.ndarray:
-        u, v = self.frame()
-        az = np.asarray(az, dtype=float)
-        w = np.outer(np.cos(az), u) + np.outer(np.sin(az), v)
-        return math.cos(self.radius) * self.center + math.sin(self.radius) * w
-
-    def support_pole_at(self, az) -> np.ndarray:
-        """Pole of the tangent great circle at azimuth ``az``.
-
-        The pole lies in span{center, point} orthogonal to the point, on the
-        center side, so H(pole) contains the local cap.
-        """
-        u, v = self.frame()
-        az = np.asarray(az, dtype=float)
-        w = np.outer(np.cos(az), u) + np.outer(np.sin(az), v)
-        return math.sin(self.radius) * self.center - math.cos(self.radius) * w
-
-    def azimuth_of(self, p) -> np.ndarray:
-        u, v = self.frame()
-        return azimuth_about(self.center, u, v, p)
+        self._set_circle(z, r, math.cos(r), math.sin(r), *tangent_basis(z), a0, a0 + span)
 
     @cached_property
     def start(self) -> Vec:
-        return self.point_at(self.az_from)[0]
+        return self.point_at(self.t0)[0]
 
     @cached_property
     def end(self) -> Vec:
-        return self.point_at(self.az_to)[0]
+        return self.point_at(self.t1)[0]
 
-    def midpoint(self) -> Vec:
-        return self.point_at(0.5 * (self.az_from + self.az_to))[0]
-
-
-Piece = Union[GreatArc, SmallCircleArc]
+    def _over(self, lo: float, hi: float):
+        return SmallCircleArc(self.center, self.radius, lo, hi)
 
 
-def piece_length(piece: Piece) -> float:
-    return piece.length
+@dataclass(frozen=True, eq=False)
+class ArcStack:
+    """The pieces of one boundary as stacked arrays, row i for piece i.
+
+    The field names match the ``CircleArc`` attributes, so
+    ``distance_to_piece`` takes either one piece (one distance per row) or a
+    stack (rows x pieces); slicing gives the stack of a run of pieces.
+    """
+
+    z: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    radius: np.ndarray
+    cos_r: np.ndarray
+    sin_r: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+    span: np.ndarray
+
+    def __getitem__(self, key) -> ArcStack:
+        return ArcStack(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
 
 
-def sample_piece(piece: Piece, n: int) -> np.ndarray:
+def stack_arcs(pieces) -> ArcStack:
+    return ArcStack(
+        **{f.name: np.array([getattr(p, f.name) for p in pieces], dtype=float) for f in fields(ArcStack)}
+    )
+
+
+def sample_piece(piece: CircleArc, n: int) -> np.ndarray:
     """``n`` points evenly spaced in the piece's angle parameter, endpoints included."""
     if n < 2:
         raise ValueError("need at least two sample points")
-    if isinstance(piece, GreatArc):
-        return piece.point_at(np.linspace(0.0, piece.length, n))
-    return piece.point_at(np.linspace(piece.az_from, piece.az_to, n))
+    return piece.point_at(np.linspace(piece.t0, piece.t1, n))
 
 
-def point_to_piece_distance(p: Vec, piece: Piece) -> float:
+def length_weighted_params(pieces, count: int) -> list[np.ndarray]:
+    """Evenly spaced parameters on each piece, about ``count`` in all.
+
+    Each piece gets a share proportional to its length, and at least four.
+    """
+    total = max(sum(p.length for p in pieces), 1e-12)
+    return [
+        np.linspace(p.t0, p.t1, max(4, int(round(count * p.length / total))))
+        for p in pieces
+    ]
+
+
+def point_to_piece_distance(p: Vec, piece: CircleArc) -> float:
     """Minimum geodesic distance from ``p`` to any point of the piece."""
     return float(distance_to_piece(np.asarray(p, dtype=float)[None, :], piece)[0])
 
 
-def distance_to_piece(points: np.ndarray, piece: Piece) -> np.ndarray:
+def _dots(x: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``x @ vecs.T`` as one matrix-vector product per row of ``vecs``.
+
+    Each column then equals ``x @ vec`` bit for bit, so a piece gets the
+    same values alone as inside a stack of any size.
+    """
+    if vecs.ndim == 1:
+        return x @ vecs
+    return np.matmul(x, vecs[:, :, None])[..., 0].T
+
+
+def _far_param(xu: np.ndarray, xv: np.ndarray, piece: CircleArc) -> np.ndarray:
+    """How far past t0, in [0, 2*pi), lies the azimuth opposite atan2(xv, xu)."""
+    return np.mod(np.arctan2(xv, xu) + math.pi - piece.t0, TWO_PI)
+
+
+def distance_to_piece(points: np.ndarray, piece) -> np.ndarray:
     """Vectorized minimum geodesic distance from each row of ``points``.
 
-    Projects onto the supporting circle, clamps to the angular span, and
-    measures the geodesic distance; endpoints take over when the projection
-    falls outside the span.
+    ``piece`` is one piece, or an ``ArcStack`` for one column per piece.
+    When the azimuth lies in the span the distance is |d(x, z) - r| to the
+    supporting circle, whose sine is |rho cos r - (x . z) sin r| with
+    rho = sin d(x, z); the endpoints take over when it falls outside.
     """
     x = np.asarray(points, dtype=float)
-    if isinstance(piece, GreatArc):
-        n = piece.pole
-        a, b = piece.frame()
-        s = x @ n
-        circ = np.arcsin(np.clip(np.abs(s), 0.0, 1.0))
-        t = np.arctan2(x @ b, x @ a)
-        on = (t >= -BOUNDARY_EPS) & (t <= piece.length + BOUNDARY_EPS)
-        d_ends = np.minimum(
-            acos_clamped_np(x @ piece.start), acos_clamped_np(x @ piece.end)
-        )
-        return np.where(on, circ, d_ends)
-    delta = acos_clamped_np(x @ piece.center)
-    circ = np.abs(delta - piece.radius)
-    az = piece.azimuth_of(x)
-    on = angle_in_span(az, piece.az_from, piece.span)
-    d_ends = np.minimum(
-        acos_clamped_np(x @ piece.start), acos_clamped_np(x @ piece.end)
-    )
+    xu, xv, xz = _dots(x, piece.u), _dots(x, piece.v), _dots(x, piece.z)
+    rho = np.sqrt(xu * xu + xv * xv)
+    rel = wrap_angle(np.arctan2(xv, xu) - piece.t0)
+    on = (rel <= piece.span + BOUNDARY_EPS) | (rel >= TWO_PI - BOUNDARY_EPS)
+    circ = np.arcsin(np.clip(np.abs(rho * piece.cos_r - xz * piece.sin_r), 0.0, 1.0))
+    circ = np.where(xz * piece.cos_r + rho * piece.sin_r < 0.0, math.pi - circ, circ)
+    d_ends = np.minimum(acos_clamped_np(_dots(x, piece.start)), acos_clamped_np(_dots(x, piece.end)))
     return np.where(on, circ, d_ends)
 
 
-def max_distance_to_piece(points: np.ndarray, piece: Piece) -> np.ndarray:
+def max_distance_to_piece(points: np.ndarray, piece: CircleArc) -> np.ndarray:
     """Vectorized maximum geodesic distance from each row of ``points``.
 
     The maximum over a circular arc is attained either at the azimuth
-    opposite the query point (when inside the span) or at an endpoint.
+    opposite the query point (when inside the span), at distance
+    arccos(cos d(x, z) cos r - sin d(x, z) sin r), or at an endpoint.
     """
     x = np.asarray(points, dtype=float)
-    d_ends = np.maximum(
-        acos_clamped_np(x @ piece.start), acos_clamped_np(x @ piece.end)
-    )
-    if isinstance(piece, GreatArc):
-        a, b = piece.frame()
-        t0 = np.arctan2(x @ b, x @ a)
-        t_far = np.mod(t0 + math.pi, TWO_PI)
-        on = t_far <= piece.length + BOUNDARY_EPS
-        r = np.hypot(x @ a, x @ b)
-        d_far = acos_clamped_np(-r)
-        return np.where(on, np.maximum(d_far, d_ends), d_ends)
-    az = piece.azimuth_of(x)
-    az_far = np.mod(az + math.pi, TWO_PI)
-    on = angle_in_span(az_far, piece.az_from, piece.span)
-    delta = acos_clamped_np(x @ piece.center)
-    d_far = acos_clamped_np(
-        np.cos(delta) * math.cos(piece.radius)
-        - np.sin(delta) * math.sin(piece.radius)
-    )
+    d_ends = np.maximum(acos_clamped_np(x @ piece.start), acos_clamped_np(x @ piece.end))
+    xu, xv = x @ piece.u, x @ piece.v
+    on = _far_param(xu, xv, piece) <= piece.span + BOUNDARY_EPS
+    d_far = acos_clamped_np((x @ piece.z) * piece.cos_r - np.hypot(xu, xv) * piece.sin_r)
     return np.where(on, np.maximum(d_far, d_ends), d_ends)
 
 
-def farthest_point_on_piece(p: Vec, piece: Piece) -> tuple[Vec, float]:
+def farthest_on_piece(points: np.ndarray, piece: CircleArc):
+    """Vectorized farthest point of the piece from each row, with its distance.
+
+    The candidates are the point at the opposite azimuth (when inside the
+    span) and the endpoints; ties go to that point, then to the start.
+    """
+    x = np.asarray(points, dtype=float)
+    far = _far_param(x @ piece.u, x @ piece.v, piece)
+    cand = piece.point_at(piece.t0 + np.minimum(far, piece.span))
+    d_cand = np.where(
+        far <= piece.span + BOUNDARY_EPS, acos_clamped_np(np.sum(x * cand, axis=1)), -1.0
+    )
+    d_start = acos_clamped_np(x @ piece.start)
+    d_end = acos_clamped_np(x @ piece.end)
+    take = (d_cand >= d_start) & (d_cand >= d_end)
+    end = np.where((d_start >= d_end)[:, None], piece.start, piece.end)
+    return np.where(take[:, None], cand, end), np.where(take, d_cand, np.maximum(d_start, d_end))
+
+
+def farthest_point_on_piece(p: Vec, piece: CircleArc) -> tuple[Vec, float]:
     """Farthest point of the piece from ``p`` with its distance (closed form)."""
-    cands = [piece.start, piece.end]
-    if isinstance(piece, GreatArc):
-        a, b = piece.frame()
-        t_far = math.fmod(math.atan2(dot(p, b), dot(p, a)) + math.pi, TWO_PI)
-        if t_far < 0:
-            t_far += TWO_PI
-        if t_far <= piece.length + BOUNDARY_EPS:
-            cands.append(piece.point_at(min(t_far, piece.length))[0])
-    else:
-        az = float(piece.azimuth_of(p))
-        az_far = math.fmod(az + math.pi, TWO_PI)
-        if angle_in_span(az_far, piece.az_from, piece.span):
-            d = math.fmod(az_far - piece.az_from, TWO_PI)
-            if d < 0:
-                d += TWO_PI
-            d = min(d, piece.span)
-            cands.append(piece.point_at(piece.az_from + d)[0])
-    best, best_d = None, -1.0
-    for c in cands:
-        dd = geodesic_distance(p, c)
-        if dd > best_d:
-            best, best_d = c, dd
-    return best, best_d
+    pts, dist = farthest_on_piece(np.asarray(p, dtype=float)[None, :], piece)
+    return pts[0], float(dist[0])
 
 
 def arcs_intersect(a: GreatArc, b: GreatArc, tol: float = BOUNDARY_EPS) -> bool:

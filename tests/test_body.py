@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from spherewidth import body as bd
@@ -105,6 +106,24 @@ def test_contains_cap_matches_closed_form():
     got = contains_many(b, pts)
     want = sphere.acos_clamped_np(pts @ z) <= r + 1e-9
     assert np.array_equal(got, want)
+    # more rows than one block of the batched kernels holds for two pieces
+    from fixtures import lens
+
+    z1, z2, r1, r2 = unit([0.0, 0.0, 1.0]), unit([0.5, 0.0, 1.0]), 0.7, 0.6
+    pts = np.random.default_rng(5).permutation(fib_sphere(3 * bd.BLOCK_ELEMENTS // 2))
+    got = contains_many(lens(z1, z2, r1, r2), pts)
+    want = (sphere.acos_clamped_np(pts @ z1) <= r1 + 1e-9) & (
+        sphere.acos_clamped_np(pts @ z2) <= r2 + 1e-9
+    )
+    assert np.array_equal(got, want)
+    # a circular segment: one circle arc closed by one great arc
+    arc = SmallCircleArc(z, r, 0.5, 4.5)
+    chord = GreatArc(arc.end, arc.start)
+    seg = ConvexBody([arc, chord], bd.interior_witness([arc, chord]))
+    assert validate(seg).ok
+    got = contains_many(seg, pts)
+    want = (sphere.acos_clamped_np(pts @ z) <= r + 1e-9) & (pts @ chord.pole >= -1e-9)
+    assert np.array_equal(got, want)
 
 
 def test_contains_octant_matches_vertex_dots():
@@ -112,6 +131,14 @@ def test_contains_octant_matches_vertex_dots():
     pts = fib_sphere(4000)
     got = contains_many(b, pts)
     want = np.all(pts @ np.eye(3).T >= -1e-9, axis=1)
+    assert np.array_equal(got, want)
+    # a many-edge polytope, so the rows span many blocks of the batched kernels
+    from spherewidth.approx import ApproximationConfig, approximate_polytope
+
+    poly, _, _ = approximate_polytope(cap(unit([1, 2, 3]), math.pi / 4), ApproximationConfig(0.01))
+    assert len(poly) * len(pts) > 8 * bd.BLOCK_ELEMENTS
+    got = contains_many(poly.to_body(), pts)
+    want = oracles.polytope_inside(poly.vertices, tol=1e-9)(pts)
     assert np.array_equal(got, want)
 
 

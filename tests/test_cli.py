@@ -109,6 +109,22 @@ def test_metrics_of_approximation_output(tmp_path, capsys):
     assert rec["self_duality_residual"] <= 1e-6
 
 
+def test_metrics_prints_thickness_and_diameter_exactly(tmp_path, capsys):
+    from spherewidth.metrics import diameter, thickness
+
+    src = tmp_path / "cap.json"
+    out = tmp_path / "poly.json"
+    run(capsys, "generate", "cap", "--center", "1,2,3", "-o", str(src))
+    run(capsys, "approximate", str(src), "--epsilon", "0.05", "-o", str(out))
+    for path in (src, out):
+        code, stdout, _ = run(capsys, "metrics", str(path))
+        assert code == 0
+        rec = json.loads(stdout.strip().splitlines()[-1])
+        body = loads_body(path.read_text())
+        assert rec["thickness"] == thickness(body)
+        assert rec["diameter"] == diameter(body)
+
+
 def test_approximate_rejects_wrong_width(tmp_path, capsys):
     src = tmp_path / "cap6.json"
     run(capsys, "generate", "cap", "--radius", repr(math.pi / 6), "-o", str(src))

@@ -240,6 +240,12 @@ def test_piece_distance_matches_dense_sampling(seed):
             fp, fd = sphere.farthest_point_on_piece(p, piece)
             assert fd == pytest.approx(far, abs=1e-4)
             assert point_to_piece_distance(fp, piece) < 1e-9
+    if isinstance(pieces[-1], GreatArc):
+        # the great arc is the radius-pi/2 circle about its pole
+        arc = pieces[-1]
+        ts = np.linspace(0.0, arc.length, 7)
+        assert np.array_equal(arc.support_pole_at(ts), np.broadcast_to(arc.pole, (7, 3)))
+        assert np.all(np.abs(arc.point_at(ts) @ arc.pole) < 1e-14)
 
 
 # ------------------------------------------------------------ intersection
