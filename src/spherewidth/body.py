@@ -42,6 +42,7 @@ from .sphere import (
     cross,
     distance_to_piece,
     dot,
+    max_distance_to_piece,
     sample_piece,
     stack_arcs,
     unit,
@@ -330,12 +331,21 @@ def contains(body: ConvexBody, p: Vec, tol: float = BOUNDARY_EPS) -> bool:
     return bool(contains_many(body, np.asarray(p, dtype=float)[None, :], tol)[0])
 
 
-def boundary_distance_many(body: ConvexBody, points: np.ndarray) -> np.ndarray:
+def _reduce_pieces(body: ConvexBody, points: np.ndarray, kernel, reduce, start: float) -> np.ndarray:
+    """``reduce`` (``np.minimum`` or ``np.maximum``) of ``kernel`` over all pieces, per row."""
     x = np.asarray(points, dtype=float)
-    d = np.full(len(x), np.inf)
+    d = np.full(len(x), start)
     for rows, cols in _blocks(len(x), len(body.pieces)):
-        d[rows] = np.minimum(d[rows], distance_to_piece(x[rows], body.arcs[cols]).min(axis=1))
+        d[rows] = reduce(d[rows], reduce.reduce(kernel(x[rows], body.arcs[cols]), axis=1))
     return d
+
+
+def boundary_distance_many(body: ConvexBody, points: np.ndarray) -> np.ndarray:
+    return _reduce_pieces(body, points, distance_to_piece, np.minimum, np.inf)
+
+
+def boundary_max_distance_many(body: ConvexBody, points: np.ndarray) -> np.ndarray:
+    return _reduce_pieces(body, points, max_distance_to_piece, np.maximum, 0.0)
 
 
 def body_distance_many(body: ConvexBody, points: np.ndarray, tol: float = BOUNDARY_EPS) -> np.ndarray:

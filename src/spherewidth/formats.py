@@ -13,6 +13,7 @@ import numpy as np
 
 from .approx import Certificate, StepRecord
 from .body import BodyLike, ConvexBody, Polytope
+from .errors import InvalidBody
 from .sphere import GreatArc, SmallCircleArc
 
 
@@ -46,31 +47,57 @@ def dumps_body(body: BodyLike) -> str:
     )
 
 
+def _field(obj, key: str, convert):
+    """``convert(obj[key])``, or ``InvalidBody`` naming a missing or ill-typed field."""
+    if not isinstance(obj, dict):
+        raise InvalidBody("expected a JSON object, got %s" % type(obj).__name__)
+    if key not in obj:
+        raise InvalidBody("missing field %r" % key)
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise InvalidBody("ill-typed field %r: %s" % (key, exc)) from None
+
+
+def _vec3(v) -> np.ndarray:
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise ValueError("expected a 3-vector, got shape %s" % (a.shape,))
+    return a
+
+
+def _vertices(v) -> np.ndarray:
+    a = np.asarray(v, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError("expected an (n, 3) array, got shape %s" % (a.shape,))
+    return a
+
+
 def loads_body(text: str) -> BodyLike:
+    """Parse a body; malformed records raise ``InvalidBody`` naming the field."""
     obj = json.loads(text)
-    kind = obj.get("kind")
+    kind = _field(obj, "kind", str)
     if kind == "polytope":
-        return Polytope(np.asarray(obj["vertices"], dtype=float))
+        return Polytope(_field(obj, "vertices", _vertices))
     if kind == "pc-body":
         pieces = []
-        for rec in obj["pieces"]:
-            if rec["type"] == "great":
-                pieces.append(
-                    GreatArc(np.asarray(rec["from"], float), np.asarray(rec["to"], float))
-                )
-            elif rec["type"] == "circle":
+        for rec in _field(obj, "pieces", list):
+            tag = _field(rec, "type", str)
+            if tag == "great":
+                pieces.append(GreatArc(_field(rec, "from", _vec3), _field(rec, "to", _vec3)))
+            elif tag == "circle":
                 pieces.append(
                     SmallCircleArc(
-                        np.asarray(rec["center"], float),
-                        float(rec["radius"]),
-                        float(rec["az_from"]),
-                        float(rec["az_to"]),
+                        _field(rec, "center", _vec3),
+                        _field(rec, "radius", float),
+                        _field(rec, "az_from", float),
+                        _field(rec, "az_to", float),
                     )
                 )
             else:
-                raise ValueError("unknown piece type %r" % rec.get("type"))
-        return ConvexBody(pieces, np.asarray(obj["interior"], float))
-    raise ValueError("unknown body kind %r" % kind)
+                raise InvalidBody("unknown piece type %r" % tag)
+        return ConvexBody(pieces, _field(obj, "interior", _vec3))
+    raise InvalidBody("unknown body kind %r" % kind)
 
 
 def dumps_certificate(cert: Certificate, passed: bool = True) -> str:

@@ -7,11 +7,12 @@ the dual boundary:
     width_wrt(C, K) = pi - max { dist(K, K') : K' on boundary of dual(C) }
     thickness(C)    = pi - diameter(dual(C))
 
-Farthest distance from a point to one piece is closed form; diameters use
-alternating farthest-point iteration over piece pairs.  The Hausdorff
-distance runs a per-piece Lipschitz branch-and-bound (the distance to a
-convex body is 1-Lipschitz along the boundary) plus closed-form caps for
-pieces lying on a shared supporting circle, and certifies its error bound.
+Farthest distances to a whole boundary are one batched closed-form query
+(``boundary_max_distance_many``); the diameter runs one alternating
+farthest-point ascent for all piece pairs at once.  The Hausdorff distance
+runs a per-piece Lipschitz branch-and-bound (the distance to a convex body
+is 1-Lipschitz along the boundary) plus closed-form caps for pieces lying on
+a shared supporting circle, refined until the bounds meet within ``tol``.
 
 Everything here is pure and safe to call concurrently; all reductions are
 max/min over samples and independent of evaluation order.
@@ -37,17 +38,16 @@ from .sphere import (
     dot,
     farthest_on_piece,
     length_weighted_params,
-    max_distance_to_piece,
-    sample_piece,
     unit,
 )
 from .body import (
+    BLOCK_ELEMENTS,
     BodyLike,
     ConvexBody,
     as_body,
     body_distance_many,
+    boundary_max_distance_many,
     polar_dual,
-    require_valid,
 )
 
 # Default certified accuracy of the Hausdorff refinement.
@@ -57,42 +57,39 @@ HAUSDORFF_TOL = 1e-7
 # ----------------------------------------------------------- farthest points
 
 
-def _pair_max_distance(pa: CircleArc, pb: CircleArc, seeds: int = 9, iters: int = 80) -> float:
-    """Maximum geodesic distance between two pieces via alternating ascent."""
-    x = sample_piece(pa, seeds)
-    best = 0.0
-    for _ in range(iters):
-        y, dy = farthest_on_piece(x, pb)
-        x, dx = farthest_on_piece(y, pa)
-        top = float(dx.max())
-        if top <= best + 1e-14:
-            best = max(best, top)
-            break
-        best = top
-    return best
-
-
 def diameter(body: BodyLike) -> float:
-    """Maximum geodesic distance between boundary points."""
+    """Maximum geodesic distance between boundary points.
+
+    Alternating farthest-point ascent from nine seeds on every piece pair
+    i <= j, a block of pairs at once; a pair stops after 80 rounds or once
+    its maximum grows by at most 1e-14.
+    """
     b = as_body(body)
-    pcs = b.pieces
+    arcs = b.arcs
+    seeds = np.linspace(arcs.t0, arcs.t1, 9, axis=-1)
+    ia, ja = np.triu_indices(len(b.pieces))
+    per = BLOCK_ELEMENTS // (3 * 9)  # (pairs, 9, 3) arrays of BLOCK_ELEMENTS values
     best = 0.0
-    for i in range(len(pcs)):
-        for j in range(i, len(pcs)):
-            best = max(best, _pair_max_distance(pcs[i], pcs[j]))
+    for lo in range(0, len(ia), per):
+        i, j = ia[lo : lo + per], ja[lo : lo + per]
+        pa, pb = arcs[i[:, None]], arcs[j[:, None]]
+        x = pa.point_at(seeds[i])
+        top = np.zeros(len(i))
+        live = np.arange(len(i))
+        for _ in range(80):
+            y = farthest_on_piece(x[live], pb[live])[0]
+            x[live], dx = farthest_on_piece(y, pa[live])
+            got = dx.max(axis=1)
+            stop = got <= top[live] + 1e-14
+            top[live] = np.where(stop, np.maximum(top[live], got), got)
+            live = live[~stop]
+            if not len(live):
+                break
+        best = max(best, float(top.max()))
     return best
 
 
 # ------------------------------------------------------------------- widths
-
-
-def _support_gap(body: ConvexBody, k: Vec) -> float:
-    """min over the boundary of k . x  (cosine of the farthest distance)."""
-    far = 0.0
-    kk = np.asarray(k, dtype=float)[None, :]
-    for p in body.pieces:
-        far = max(far, float(max_distance_to_piece(kk, p)[0]))
-    return math.cos(far)
 
 
 def width_wrt(
@@ -108,24 +105,21 @@ def width_wrt(
     form per piece.
     """
     b = as_body(body)
-    k = unit(k)
-    gap = _support_gap(b, k)
+    k = unit(k)[None, :]
+    # min over the boundary of k . x, the cosine of the farthest distance
+    gap = math.cos(float(boundary_max_distance_many(b, k)[0]))
     if gap < -BOUNDARY_EPS:
         raise NotSupporting("hemisphere cuts into the body (min dot %.3e)" % gap)
     if gap > touch_tol:
         raise NotSupporting("hemisphere does not touch the body (min dot %.3e)" % gap)
     if dual is None:
         dual = polar_dual(b, check=False)
-    kk = k[None, :]
-    far = max(float(max_distance_to_piece(kk, p)[0]) for p in dual.pieces)
-    return math.pi - far
+    return math.pi - float(boundary_max_distance_many(dual, k)[0])
 
 
 def thickness(body: BodyLike) -> float:
     """Minimum width over all supporting hemispheres: pi - diameter(dual)."""
-    b = as_body(body)
-    require_valid(b)
-    return math.pi - diameter(polar_dual(b, check=False))
+    return math.pi - diameter(polar_dual(as_body(body)))
 
 
 # ---------------------------------------------------------------- Hausdorff
@@ -306,15 +300,21 @@ class _Direction:
         return False
 
 
+def _refine(directions: list[_Direction], tol: float) -> float:
+    """Refine the directed suprema against one shared lower bound, in order."""
+    lb = max(d.lb for d in directions)
+    for _ in range(64):
+        alive = [d for d in directions if d.alive(lb, tol)]
+        if not alive:
+            return lb
+        for d in alive:
+            lb = d.refine_once(lb, tol)
+    return lb
+
+
 def boundary_sup_distance(a: BodyLike, b: BodyLike, tol: float = HAUSDORFF_TOL) -> float:
     """sup over the boundary of ``a`` of the distance to ``b``, within ``tol``."""
-    d = _Direction(as_body(a), as_body(b))
-    lb = d.lb
-    for _ in range(64):
-        if not d.alive(lb, tol):
-            return lb
-        lb = d.refine_once(lb, tol)
-    return lb
+    return _refine([_Direction(as_body(a), as_body(b))], tol)
 
 
 def hausdorff(a: BodyLike, b: BodyLike, tol: float = HAUSDORFF_TOL) -> float:
@@ -326,26 +326,13 @@ def hausdorff(a: BodyLike, b: BodyLike, tol: float = HAUSDORFF_TOL) -> float:
     """
     a = as_body(a)
     b = as_body(b)
-    d1 = _Direction(a, b)
-    d2 = _Direction(b, a)
-    lb = max(d1.lb, d2.lb)
-    for _ in range(64):
-        a1 = d1.alive(lb, tol)
-        a2 = d2.alive(lb, tol)
-        if not (a1 or a2):
-            return lb
-        if a1:
-            lb = d1.refine_once(lb, tol)
-        if a2:
-            lb = d2.refine_once(lb, tol)
-    return lb
+    return _refine([_Direction(a, b), _Direction(b, a)], tol)
 
 
 def self_duality_residual(body: BodyLike, tol: float = HAUSDORFF_TOL) -> float:
     """Hausdorff distance between the body and its polar dual."""
     b = as_body(body)
-    require_valid(b)
-    return hausdorff(b, polar_dual(b, check=False), tol=tol)
+    return hausdorff(b, polar_dual(b), tol=tol)
 
 
 # ------------------------------------------------------------- width report
@@ -380,14 +367,10 @@ def is_constant_width(
     is reported as well.
     """
     b = as_body(body)
-    require_valid(b)
-    dual = polar_dual(b, check=False)
+    dual = polar_dual(b)
     params = length_weighted_params(dual.pieces, sweep)
     k = np.vstack([p.point_at(ts) for p, ts in zip(dual.pieces, params)])
-    far = np.full(len(k), 0.0)
-    for p in dual.pieces:
-        far = np.maximum(far, max_distance_to_piece(k, p))
-    widths = math.pi - far
+    widths = math.pi - boundary_max_distance_many(dual, k)
     thick = math.pi - diameter(dual)
     wmin = min(float(widths.min()), thick)
     wmax = float(widths.max())

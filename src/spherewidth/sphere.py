@@ -8,9 +8,10 @@ is an arc of a circle in one parametrisation,
 with centre z, angular radius r in (0, pi/2] and a tangent frame (u, v) at z.
 A ``SmallCircleArc`` has r < pi/2 and the canonical ``tangent_basis`` frame; a
 ``GreatArc`` is the r = pi/2 case about its pole.  Sampling, support poles,
-distance and farthest-point queries are therefore one closed form for both,
-and ``stack_arcs`` lays out a whole boundary as arrays so that the kernels
-evaluate every piece in one numpy expression.  Everything here is a pure
+distance and farthest-point queries are therefore one closed form for both.
+``stack_arcs`` lays out a whole boundary as arrays: the nearest and farthest
+distance kernels take it for one column per piece, and ``farthest_on_piece``
+takes a stack with one piece per block of points.  Everything here is a pure
 function over immutable values and is safe to call concurrently.
 """
 
@@ -338,7 +339,6 @@ class ArcStack:
     v: np.ndarray
     start: np.ndarray
     end: np.ndarray
-    radius: np.ndarray
     cos_r: np.ndarray
     sin_r: np.ndarray
     t0: np.ndarray
@@ -347,6 +347,12 @@ class ArcStack:
 
     def __getitem__(self, key) -> ArcStack:
         return ArcStack(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
+
+    def point_at(self, t) -> np.ndarray:
+        """Points at ``t``, which broadcasts against the stack's shape."""
+        t = np.asarray(t, dtype=float)[..., None]
+        ring = np.cos(t) * self.u + np.sin(t) * self.v
+        return self.cos_r[..., None] * self.z + self.sin_r[..., None] * ring
 
 
 def stack_arcs(pieces) -> ArcStack:
@@ -383,10 +389,13 @@ def _dots(x: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """``x @ vecs.T`` as one matrix-vector product per row of ``vecs``.
 
     Each column then equals ``x @ vec`` bit for bit, so a piece gets the
-    same values alone as inside a stack of any size.
+    same values alone as inside a stack of any size.  Vectors of shape
+    (pieces, 1, 3) pair piece i with the rows ``x[i]`` of x (pieces, m, 3).
     """
     if vecs.ndim == 1:
         return x @ vecs
+    if vecs.ndim == 3:
+        return np.matmul(x, np.swapaxes(vecs, 1, 2))[..., 0]
     return np.matmul(x, vecs[:, :, None])[..., 0].T
 
 
@@ -414,44 +423,41 @@ def distance_to_piece(points: np.ndarray, piece) -> np.ndarray:
     return np.where(on, circ, d_ends)
 
 
-def max_distance_to_piece(points: np.ndarray, piece: CircleArc) -> np.ndarray:
+def max_distance_to_piece(points: np.ndarray, piece) -> np.ndarray:
     """Vectorized maximum geodesic distance from each row of ``points``.
 
+    ``piece`` is one piece, or an ``ArcStack`` for one column per piece.
     The maximum over a circular arc is attained either at the azimuth
     opposite the query point (when inside the span), at distance
     arccos(cos d(x, z) cos r - sin d(x, z) sin r), or at an endpoint.
     """
     x = np.asarray(points, dtype=float)
-    d_ends = np.maximum(acos_clamped_np(x @ piece.start), acos_clamped_np(x @ piece.end))
-    xu, xv = x @ piece.u, x @ piece.v
+    d_ends = np.maximum(acos_clamped_np(_dots(x, piece.start)), acos_clamped_np(_dots(x, piece.end)))
+    xu, xv = _dots(x, piece.u), _dots(x, piece.v)
     on = _far_param(xu, xv, piece) <= piece.span + BOUNDARY_EPS
-    d_far = acos_clamped_np((x @ piece.z) * piece.cos_r - np.hypot(xu, xv) * piece.sin_r)
+    d_far = acos_clamped_np(_dots(x, piece.z) * piece.cos_r - np.hypot(xu, xv) * piece.sin_r)
     return np.where(on, np.maximum(d_far, d_ends), d_ends)
 
 
-def farthest_on_piece(points: np.ndarray, piece: CircleArc):
+def farthest_on_piece(points: np.ndarray, piece):
     """Vectorized farthest point of the piece from each row, with its distance.
 
-    The candidates are the point at the opposite azimuth (when inside the
-    span) and the endpoints; ties go to that point, then to the start.
+    ``piece`` is one piece for (rows, 3) points, or ``arcs[idx[:, None]]`` for
+    (pieces, m, 3) points.  The candidates are the point at the opposite
+    azimuth (when inside the span) and the endpoints; ties go to that point,
+    then to the start.
     """
     x = np.asarray(points, dtype=float)
-    far = _far_param(x @ piece.u, x @ piece.v, piece)
+    far = _far_param(_dots(x, piece.u), _dots(x, piece.v), piece)
     cand = piece.point_at(piece.t0 + np.minimum(far, piece.span))
     d_cand = np.where(
-        far <= piece.span + BOUNDARY_EPS, acos_clamped_np(np.sum(x * cand, axis=1)), -1.0
+        far <= piece.span + BOUNDARY_EPS, acos_clamped_np(np.sum(x * cand, axis=-1)), -1.0
     )
-    d_start = acos_clamped_np(x @ piece.start)
-    d_end = acos_clamped_np(x @ piece.end)
+    d_start = acos_clamped_np(_dots(x, piece.start))
+    d_end = acos_clamped_np(_dots(x, piece.end))
     take = (d_cand >= d_start) & (d_cand >= d_end)
-    end = np.where((d_start >= d_end)[:, None], piece.start, piece.end)
-    return np.where(take[:, None], cand, end), np.where(take, d_cand, np.maximum(d_start, d_end))
-
-
-def farthest_point_on_piece(p: Vec, piece: CircleArc) -> tuple[Vec, float]:
-    """Farthest point of the piece from ``p`` with its distance (closed form)."""
-    pts, dist = farthest_on_piece(np.asarray(p, dtype=float)[None, :], piece)
-    return pts[0], float(dist[0])
+    end = np.where((d_start >= d_end)[..., None], piece.start, piece.end)
+    return np.where(take[..., None], cand, end), np.where(take, d_cand, np.maximum(d_start, d_end))
 
 
 def arcs_intersect(a: GreatArc, b: GreatArc, tol: float = BOUNDARY_EPS) -> bool:

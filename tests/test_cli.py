@@ -182,3 +182,21 @@ def test_render_bad_view(tmp_path, capsys):
 def test_bad_arguments_exit_one(capsys):
     code, _, _ = run(capsys, "generate", "nonsense", "-o", "x.json")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind":"polytope"}',
+        '{"kind":"pc-body","interior":[0,0,1],"pieces":'
+        '[{"type":"circle","center":[0,0,1],"radius":0.7,"az_from":0}]}',
+        '[{"kind":"polytope","vertices":[[1,0,0],[0,1,0],[0,0,1]]}]',
+    ],
+    ids=["polytope-without-vertices", "circle-without-az_to", "array-root"],
+)
+def test_malformed_body_file_exits_one(tmp_path, capsys, text):
+    src = tmp_path / "bad.json"
+    src.write_text(text)
+    code, _, err = run(capsys, "metrics", str(src))
+    assert code == 1
+    assert "InvalidBody" in err

@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from fixtures import lens, truncated_octant
-from spherewidth.body import polar_dual
+from spherewidth.approx import ApproximationConfig, approximate_polytope
+from spherewidth.body import BLOCK_ELEMENTS, Polytope, polar_dual, validate_polytope
 from spherewidth.errors import NotSupporting
 from spherewidth.generators import cap, octant
 from spherewidth.metrics import (
@@ -16,7 +17,7 @@ from spherewidth.metrics import (
     thickness,
     width_wrt,
 )
-from spherewidth.sphere import lune_thickness, sample_piece, unit
+from spherewidth.sphere import acos_clamped_np, lune_thickness, sample_piece, unit
 
 E1, E2, E3 = np.eye(3)
 PI = math.pi
@@ -40,6 +41,16 @@ def test_width_selfdual_cap_any_support_pole():
     for az in np.linspace(0, 2 * PI, 7)[:-1]:
         k = piece.support_pole_at(az)[0]
         assert width_wrt(b, k) == pytest.approx(PI / 2, abs=1e-9)
+    # a self-dual polytope: every vertex is a support pole; its width sweep
+    # spans many piece blocks of the batched farthest-distance kernel
+    poly, _, _ = approximate_polytope(cap(unit([1, 2, 3]), PI / 4), ApproximationConfig(0.01))
+    dual = polar_dual(poly.to_body())
+    for k in poly.vertices:
+        assert width_wrt(poly, k, dual=dual) == pytest.approx(PI / 2, abs=1e-9)
+    rep = is_constant_width(poly, PI / 2)
+    assert len(poly) * 4096 > 8 * BLOCK_ELEMENTS
+    assert rep.width_min == pytest.approx(PI / 2, abs=1e-9)
+    assert rep.width_max == pytest.approx(PI / 2, abs=1e-9)
 
 
 def test_width_requires_support():
@@ -98,6 +109,22 @@ def test_lens_diameter_matches_oracle(lens_body):
 
 def test_diameter_octant():
     assert diameter(octant()) == pytest.approx(PI / 2, abs=1e-12)
+    # random hulls of 40 points on a circle of radius 0.7 (diameter < pi/2)
+    # attain their diameter at a vertex pair; rotating the vertex order moves
+    # that pair through the blocks of piece pairs
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        c = unit(rng.normal(size=3))
+        u = unit(np.cross(c, rng.normal(size=3)))
+        az = np.sort(rng.uniform(0, 2 * PI, 40))
+        ring = np.outer(np.cos(az), u) + np.outer(np.sin(az), np.cross(c, u))
+        verts = math.cos(0.7) * c + math.sin(0.7) * ring
+        want = float(np.max(acos_clamped_np(verts @ verts.T)))
+        assert want < PI / 2
+        for shift in range(0, 40, 5):
+            poly = Polytope(np.roll(verts, shift, axis=0))
+            assert validate_polytope(poly).ok
+            assert diameter(poly) == pytest.approx(want, abs=1e-12)
 
 
 # ------------------------------------------------------------ width reports
