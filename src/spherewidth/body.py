@@ -95,9 +95,17 @@ class Polytope:
     vertices: np.ndarray
 
     def __post_init__(self):
-        self.vertices = unit_rows(np.asarray(self.vertices, dtype=float))
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+        v = np.asarray(self.vertices, dtype=float)
+        if v.ndim != 2 or v.shape[1] != 3:
             raise ValueError("vertices must be an (n, 3) array")
+        norms = np.linalg.norm(v, axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms) | (norms < DOT_EPS))
+        if len(bad):
+            raise InvalidBody(
+                "vertex rows with zero or non-finite norm: "
+                + "; ".join("%d %s" % (i, v[i].tolist()) for i in bad)
+            )
+        self.vertices = unit_rows(v)
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -10,9 +10,12 @@ the dual boundary:
 Farthest distances to a whole boundary are one batched closed-form query
 (``boundary_max_distance_many``); the diameter runs one alternating
 farthest-point ascent for all piece pairs at once.  The Hausdorff distance
-runs a per-piece Lipschitz branch-and-bound (the distance to a convex body
-is 1-Lipschitz along the boundary) plus closed-form caps for pieces lying on
-a shared supporting circle, refined until the bounds meet within ``tol``.
+runs a Lipschitz branch-and-bound over parameter intervals of each piece (the
+distance to a convex body is 1-Lipschitz along the boundary), refined until
+the bounds meet within ``tol``.  Each interval also carries a closed-form
+structural cap, the least over all pieces of the other body of a vertex,
+full-circle, concentric-arc, coplanar-great-arc or nearby-edge bound; one
+stacked numpy kernel caps a whole set of intervals against all pieces.
 
 Everything here is pure and safe to call concurrently; all reductions are
 max/min over samples and independent of evaluation order.
@@ -29,16 +32,15 @@ import numpy as np
 from .errors import NotSupporting
 from .sphere import (
     BOUNDARY_EPS,
+    DOT_EPS,
     TWO_PI,
-    CircleArc,
-    GreatArc,
-    SmallCircleArc,
+    ArcStack,
     Vec,
-    acos_clamped,
-    dot,
+    acos_clamped_np,
     farthest_on_piece,
     length_weighted_params,
     unit,
+    wrap_angle,
 )
 from .body import (
     BLOCK_ELEMENTS,
@@ -125,134 +127,146 @@ def thickness(body: BodyLike) -> float:
 # ---------------------------------------------------------------- Hausdorff
 
 
-def _dot_range_along_piece(pa: CircleArc, z: Vec) -> tuple[float, float]:
-    """Exact range of x . z as x runs over the piece (closed form).
+def _dot_ranges(pa: ArcStack, tl, tr, w: np.ndarray):
+    """Exact range of x . w over arcs, one row per arc and one column per vector.
 
-    x(t) . z = cos r (pa.z . z) + sin r (au cos t + av sin t), extreme at
-    the ends and where t - atan2(av, au) is a multiple of pi.
+    Row i is the arc of ``pa[i]`` over the parameters [tl[i], tr[i]], where
+    x(t) . w = cos r (z . w) + sin r (au cos t + av sin t).  That is extreme
+    at the ends, and at t = atan2(av, au) (value rho = hypot(au, av)) or
+    t + pi (value -rho) when those lie inside the range.  Returns the minimum,
+    the maximum and rho.
     """
-    g = pa.cos_r * dot(pa.z, z)
-    au, av = dot(pa.u, z), dot(pa.v, z)
-    tc = math.atan2(av, au)
-    ts = [pa.t0, pa.t1]
-    for t in (tc, tc + math.pi):
-        rel = (t - pa.t0) % TWO_PI
-        if rel <= pa.span:
-            ts.append(pa.t0 + rel)
-    cands = [g + pa.sin_r * (au * math.cos(t) + av * math.sin(t)) for t in ts]
-    return min(cands), max(cands)
+    tl, tr = tl[:, None], tr[:, None]
+    au, av = pa.u @ w.T, pa.v @ w.T
+    rho = np.hypot(au, av)
+    rel = np.arctan2(av, au) - tl
+    e0 = au * np.cos(tl) + av * np.sin(tl)
+    e1 = au * np.cos(tr) + av * np.sin(tr)
+    lo, hi = np.minimum(e0, e1), np.maximum(e0, e1)
+    hi = np.where(wrap_angle(rel) <= tr - tl, np.maximum(hi, rho), hi)
+    lo = np.where(wrap_angle(rel + math.pi) <= tr - tl, np.minimum(lo, -rho), lo)
+    g, s = pa.cos_r[:, None] * (pa.z @ w.T), pa.sin_r[:, None]
+    return g + s * lo, g + s * hi, rho
 
 
-def _structural_cap(pa: CircleArc, b: ConvexBody) -> float:
-    """Closed-form upper bound on sup over pa of the distance to one piece of b.
+def _caps_block(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
+    """Structural caps of a block of arcs (rows) against all pieces of ``b`` (columns)."""
+    span = (tr - tl)[:, None]
+    length = span * pa.sin_r[:, None]
+    small_a = (pa.cos_r > 0.0)[:, None]
+    great_b = b.cos_r == 0.0
+    full_b = b.span >= TWO_PI - DOT_EPS
+    # any single boundary point v gives sup dist(., b) <= sup d(., v), exact
+    # on plateaus where a vertex is the nearest feature
+    caps = [acos_clamped_np(_dot_ranges(pa, tl, tr, v)[0]).min(axis=1) for v in (b.start, b.end)]
 
-    Covers two families: a full-circle piece of ``b`` (the distance to a full
-    circle is |d(x, Z) - r| whose range over pa is closed form) and a piece
-    sharing pa's supporting circle with a covering span.  Everything else is
-    left to the Lipschitz refinement.  These caps collapse the plateau
-    landscapes, e.g. concentric caps, a polytope edge equidistant from a cap,
-    or a body compared against its own double dual.
+    # the distance to a full circle is |d(x, z) - r|, whose range over the
+    # arc is closed form; it also serves concentric small arcs below
+    cmin, cmax, rho = _dot_ranges(pa, tl, tr, b.z)
+    ring = np.maximum(
+        np.abs(acos_clamped_np(cmax) - b.radius), np.abs(acos_clamped_np(cmin) - b.radius)
+    )
+    caps.append(np.where(full_b, ring, np.inf).min(axis=1))
+
+    # small arcs about near-bit-identical centres share the canonical frame,
+    # so the azimuth containment is meaningful; the centre mismatch enters
+    # the bound as the chord gamma
+    cc = pa.z @ b.z.T
+    off = np.fmod(tl[:, None] - b.t0, TWO_PI)
+    off = np.where(off < 0.0, off + TWO_PI, off)
+    off = np.where(off >= TWO_PI - 1e-6, 0.0, off)
+    overhang = np.maximum(0.0, off + span - b.span)
+    gamma = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - cc)))
+    ok = small_a & ~great_b & ~full_b & (cc >= 1.0 - 1e-15) & (overhang <= 1e-6)
+    caps.append(np.where(ok, ring + overhang * b.sin_r + 2.0 * gamma, np.inf).min(axis=1))
+
+    # foot parameters of the arc's start, middle and end on each great circle
+    ends = [pa.point_at(t) for t in (tl, 0.5 * (tl + tr), tr)]
+    ts, tm, te = (np.arctan2(x @ b.v.T, x @ b.u.T) for x in ends)
+    length_b = b.span * b.sin_r
+
+    # a great arc on pb's great circle: rho is the exact sup of |x . pole|
+    # over its circle; every point is that close to pb's full circle, and
+    # its foot drifts by at most the same angle
+    coplanar = ~small_a & great_b & (np.abs(cc) >= 1.0 - 1e-9)
+    amp = np.arcsin(np.minimum(1.0, rho))
+    overhang = np.maximum.reduce(
+        [-np.minimum(ts, te), np.maximum(ts, te) - length_b, np.abs(np.abs(te - ts) - length)]
+    ).clip(min=0.0)
+    ok = coplanar & (overhang <= 1e-3 + 2.0 * amp)
+    caps.append(np.where(ok, 1.01 * amp + overhang + 1e-12, np.inf).min(axis=1))
+
+    # a short arc against one edge: the sup of |asin(x . pole)| is closed
+    # form and tight at the peak of a chord sliver; the foot map onto the
+    # supporting circle stretches arc length by at most 1/cos(amp) < 1.1
+    amp = np.arcsin(np.minimum(1.0, np.maximum(np.abs(cmin), np.abs(cmax))))
+    reach = 1.1 * length
+    lo = np.minimum(np.minimum(ts, tm), te) - reach
+    hi = np.maximum(np.maximum(ts, tm), te) + reach
+    overhang = np.maximum(-lo, hi - length_b).clip(min=0.0)
+    ok = great_b & ~coplanar & (amp < 0.3)
+    caps.append(np.where(ok, amp + overhang, np.inf).min(axis=1))
+
+    # arcs too short to stand alone (``CircleArc.sub`` gives None) get no cap
+    short = (tr - tl <= 1e-9) | (
+        (pa.cos_r == 0.0) & (np.abs(np.sum(ends[0] * ends[2], axis=1)) >= 1.0 - DOT_EPS)
+    )
+    return np.where(short, np.inf, np.minimum.reduce(caps))
+
+
+def _structural_caps(arcs: ArcStack, idx, tl, tr, b: ConvexBody) -> np.ndarray:
+    """Closed-form upper bound on the sup over each arc of the distance to ``b``.
+
+    Row i is the arc of piece ``arcs[idx[i]]`` over the parameters
+    [tl[i], tr[i]] in its own frame.  Its cap is the least, over all pieces
+    of ``b``, of a vertex cap for each piece endpoint and of caps against a
+    full-circle piece (the distance to a full circle is |d(x, Z) - r|), a
+    small arc about the same centre with a covering span, a great arc on the
+    same great circle, and an edge near a short arc.  Everything else is
+    left to the Lipschitz refinement (cap inf).  These caps collapse the
+    plateau landscapes, e.g. concentric caps, a polytope edge equidistant
+    from a cap, or a body compared against its own double dual.  Evaluated
+    in blocks of at most ``BLOCK_ELEMENTS`` arcs x pieces.
     """
-    best = math.inf
-    for pb in b.pieces:
-        # any single boundary point v gives sup dist(., b) <= sup d(., v),
-        # exact on plateaus where a vertex is the nearest feature
-        for v in (pb.start, pb.end):
-            cmin, _ = _dot_range_along_piece(pa, v)
-            best = min(best, acos_clamped(cmin))
-        if pb.is_full:
-            cmin, cmax = _dot_range_along_piece(pa, pb.center)
-            dmin, dmax = acos_clamped(cmax), acos_clamped(cmin)
-            best = min(best, max(abs(dmin - pb.radius), abs(dmax - pb.radius)))
-        elif isinstance(pa, SmallCircleArc) and isinstance(pb, SmallCircleArc):
-            # near-bit-identical centers share the canonical frame, so the
-            # azimuth containment below is meaningful; the center mismatch
-            # enters the bound as the chord gamma
-            cc = dot(pa.center, pb.center)
-            if cc < 1.0 - 1e-15:
-                continue
-            gamma = math.sqrt(max(0.0, 2.0 * (1.0 - cc)))
-            off = math.fmod(pa.az_from - pb.az_from, TWO_PI)
-            if off < 0:
-                off += TWO_PI
-            if off >= TWO_PI - 1e-6:
-                off = 0.0
-            overhang = max(0.0, off + pa.span - pb.span)
-            if overhang > 1e-6:
-                continue
-            cmin, cmax = _dot_range_along_piece(pa, pb.center)
-            dmin, dmax = acos_clamped(cmax), acos_clamped(cmin)
-            val = max(abs(dmin - pb.radius), abs(dmax - pb.radius))
-            best = min(best, val + overhang * math.sin(pb.radius) + 2.0 * gamma)
-        elif isinstance(pa, GreatArc) and isinstance(pb, GreatArc) and abs(
-            dot(pa.pole, pb.pole)
-        ) >= 1.0 - 1e-9:
-            nb = pb.pole
-            a, bb = pa.frame()
-            # exact sup of |x . nb| over pa; every pa point is that close to
-            # pb's full circle, and its foot drifts by at most the same angle
-            amp = math.asin(min(1.0, math.hypot(dot(a, nb), dot(bb, nb))))
-            ts = float(pb.param_of(pa.start))
-            te = float(pb.param_of(pa.end))
-            overhang = max(
-                0.0,
-                -min(ts, te),
-                max(ts, te) - pb.length,
-                abs(abs(te - ts) - pa.length),
-            )
-            if overhang > 1e-3 + 2.0 * amp:
-                continue
-            best = min(best, 1.01 * amp + overhang + 1e-12)
-        elif isinstance(pb, GreatArc):
-            # short pa sub-arc against one edge: the sup of |asin(x . pole)|
-            # is closed form and tight at the peak of a chord sliver
-            nb = pb.pole
-            cmin, cmax = _dot_range_along_piece(pa, nb)
-            amp = math.asin(min(1.0, max(abs(cmin), abs(cmax))))
-            if amp >= 0.3:
-                continue
-            # the foot map onto the supporting circle stretches arc length by
-            # at most 1/cos(amp) < 1.1 here, bounding the foot param range
-            aa, ab = pb.frame()
-            params = [
-                math.atan2(dot(x, ab), dot(x, aa))
-                for x in (pa.start, pa.midpoint(), pa.end)
-            ]
-            reach = 1.1 * pa.length
-            lo = min(params) - reach
-            hi = max(params) + reach
-            overhang = max(0.0, -lo, hi - pb.length)
-            best = min(best, amp + overhang)
-    return best
+    caps = np.empty(len(tl))
+    per = max(1, BLOCK_ELEMENTS // len(b.pieces))
+    for lo in range(0, len(tl), per):
+        i = slice(lo, lo + per)
+        caps[i] = _caps_block(arcs[idx[i]], tl[i], tr[i], b.arcs)
+    return caps
 
 
 class _Direction:
     """Refinement state for sup over the boundary of ``a`` of dist(., b).
 
-    Intervals carry both the Lipschitz bound and a closed-form structural
-    cap; caps are recomputed on the surviving sub-intervals every few levels
-    so plateaus straddling a feature of ``b`` still collapse.
+    One queue of parameter intervals per piece of ``a``.  Intervals carry
+    both the Lipschitz bound and a structural cap: the whole pieces are
+    capped in one ``_structural_caps`` call, and every few levels one call
+    per queue recaps all surviving sub-intervals, so plateaus straddling a
+    feature of ``b`` still collapse.
     """
 
     RECAP_LEVELS = frozenset({6, 10, 14, 18, 22})
 
     def __init__(self, a: ConvexBody, b: ConvexBody):
         self.b = b
+        self.arcs = a.arcs
         self.queues = []
         self.lb = 0.0
         self.level = 0
-        for pa in a.pieces:
+        caps = _structural_caps(a.arcs, np.arange(len(a.pieces)), a.arcs.t0, a.arcs.t1, b)
+        for i, pa in enumerate(a.pieces):
             lam = pa.sin_r
             n = int(np.clip(math.ceil(pa.span * lam / 0.05), 4, 512))
             ts = np.linspace(pa.t0, pa.t1, n + 1)
             fs = body_distance_many(b, pa.point_at(ts))
             self.lb = max(self.lb, float(fs.max()))
-            cap = _structural_cap(pa, b)
             self.queues.append(
                 {
+                    "index": i,
                     "piece": pa,
                     "lam": lam,
-                    "cap": np.full(n, cap),
+                    "cap": np.full(n, caps[i]),
                     "tl": ts[:-1],
                     "tr": ts[1:],
                     "fl": fs[:-1],
@@ -279,10 +293,8 @@ class _Direction:
             fl, fr = q["fl"][alive], q["fr"][alive]
             cap = q["cap"][alive]
             if recap and len(tl) <= 65536:
-                for i in range(len(tl)):
-                    sub = q["piece"].sub(tl[i], tr[i])
-                    if sub is not None:
-                        cap[i] = min(cap[i], _structural_cap(sub, self.b))
+                idx = np.full(len(tl), q["index"])
+                cap = np.minimum(cap, _structural_caps(self.arcs, idx, tl, tr, self.b))
             tm = 0.5 * (tl + tr)
             fm = body_distance_many(self.b, q["piece"].point_at(tm))
             lb = max(lb, float(fm.max()))

@@ -10,8 +10,9 @@ A ``SmallCircleArc`` has r < pi/2 and the canonical ``tangent_basis`` frame; a
 ``GreatArc`` is the r = pi/2 case about its pole.  Sampling, support poles,
 distance and farthest-point queries are therefore one closed form for both.
 ``stack_arcs`` lays out a whole boundary as arrays: the nearest and farthest
-distance kernels take it for one column per piece, and ``farthest_on_piece``
-takes a stack with one piece per block of points.  Everything here is a pure
+distance kernels take it for one column per piece, ``farthest_on_piece``
+takes a stack with one piece per block of points, and the Hausdorff
+structural caps take one stack per body.  Everything here is a pure
 function over immutable values and is safe to call concurrently.
 """
 
@@ -339,6 +340,7 @@ class ArcStack:
     v: np.ndarray
     start: np.ndarray
     end: np.ndarray
+    radius: np.ndarray
     cos_r: np.ndarray
     sin_r: np.ndarray
     t0: np.ndarray

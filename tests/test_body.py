@@ -6,7 +6,7 @@ import pytest
 
 from spherewidth import body as bd
 from spherewidth import sphere
-from spherewidth.errors import NotOnBoundary, NotSelfDual
+from spherewidth.errors import InvalidBody, NotOnBoundary, NotSelfDual
 from spherewidth.body import (
     ConvexBody,
     Polytope,
@@ -53,6 +53,13 @@ def test_two_vertex_polytope_fails():
     rep = validate_polytope(Polytope(np.array([E1, E2])))
     assert not rep.ok
     assert "vertex-count" in rep.failed()
+
+
+def test_zero_or_nonfinite_vertex_rows_raise():
+    with pytest.raises(InvalidBody, match=r"zero or non-finite norm: 0 \[0\.0, 0\.0, 0\.0\]$"):
+        Polytope(np.array([[0.0, 0.0, 0.0], E1, E2]))
+    with pytest.raises(InvalidBody, match=r"norm: 1 \[nan, 0\.0, 1\.0\]; 3 \[0\.0, inf, 0\.0\]$"):
+        Polytope(np.array([E1, [math.nan, 0.0, 1.0], E2, [0.0, math.inf, 0.0]]))
 
 
 def test_inward_bulge_fails_convexity():

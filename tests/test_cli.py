@@ -191,8 +191,9 @@ def test_bad_arguments_exit_one(capsys):
         '{"kind":"pc-body","interior":[0,0,1],"pieces":'
         '[{"type":"circle","center":[0,0,1],"radius":0.7,"az_from":0}]}',
         '[{"kind":"polytope","vertices":[[1,0,0],[0,1,0],[0,0,1]]}]',
+        '{"kind":"polytope","vertices":[[0,0,0],[1,0,0],[0,1,0]]}',
     ],
-    ids=["polytope-without-vertices", "circle-without-az_to", "array-root"],
+    ids=["polytope-without-vertices", "circle-without-az_to", "array-root", "zero-vertex"],
 )
 def test_malformed_body_file_exits_one(tmp_path, capsys, text):
     src = tmp_path / "bad.json"

@@ -6,10 +6,18 @@ import pytest
 import oracles
 from fixtures import lens, truncated_octant
 from spherewidth.approx import ApproximationConfig, approximate_polytope
-from spherewidth.body import BLOCK_ELEMENTS, Polytope, polar_dual, validate_polytope
+from spherewidth.body import (
+    BLOCK_ELEMENTS,
+    Polytope,
+    as_body,
+    body_distance_many,
+    polar_dual,
+    validate_polytope,
+)
 from spherewidth.errors import NotSupporting
-from spherewidth.generators import cap, octant
+from spherewidth.generators import cap, octant, rotated, rotation_from_seed
 from spherewidth.metrics import (
+    _structural_caps,
     diameter,
     hausdorff,
     is_constant_width,
@@ -26,6 +34,22 @@ PI = math.pi
 @pytest.fixture(scope="module")
 def lens_body():
     return lens(E3, unit([0.6, 0.2, 1.0]), 0.8, 0.55)
+
+
+@pytest.fixture(scope="module")
+def cap_polytopes():
+    """A rotated pi/4 cap and its eps = 0.01 and eps = 0.002 polytopes."""
+    c = rotated(cap(E3, PI / 4), rotation_from_seed(7))
+    return c, [approximate_polytope(c, ApproximationConfig(eps))[0] for eps in (0.01, 0.002)]
+
+
+def sub_arcs(body, per_piece, rng):
+    """``per_piece`` random parameter ranges on every piece, of 1e-6 to 1 of its span."""
+    arcs = body.arcs
+    idx = np.repeat(np.arange(len(body.pieces)), per_piece)
+    frac = 10.0 ** rng.uniform(-6.0, 0.0, len(idx))
+    tl = arcs.t0[idx] + rng.uniform(0.0, 1.0 - frac) * arcs.span[idx]
+    return idx, tl, tl + frac * arcs.span[idx]
 
 
 # ------------------------------------------------------------------- widths
@@ -162,7 +186,7 @@ def test_hausdorff_concentric_caps():
     assert d == pytest.approx(0.1, abs=1e-9)
 
 
-def test_hausdorff_octant_vs_cap_matches_oracle():
+def test_hausdorff_octant_vs_cap_matches_oracle(cap_polytopes):
     z = unit([1, 1, 1])
     a = octant().to_body()
     c = cap(z, PI / 4)
@@ -172,6 +196,19 @@ def test_hausdorff_octant_vs_cap_matches_oracle():
         c,
         oracles.polytope_inside(octant().vertices),
         oracles.cap_inside(z, PI / 4),
+        per_piece=30000,
+    )
+    assert got == pytest.approx(want, abs=1e-4)
+    # a cap against its 51-vertex polytope: one recap caps over 1000
+    # intervals against the 51 edges, several blocks of the structural caps
+    c, polys = cap_polytopes
+    poly = polys[1]
+    got = hausdorff(c, poly)
+    want = oracles.hausdorff_oracle(
+        c,
+        poly.to_body(),
+        oracles.cap_inside(c.pieces[0].center, PI / 4),
+        oracles.polytope_inside(poly.vertices),
         per_piece=30000,
     )
     assert got == pytest.approx(want, abs=1e-4)
@@ -209,3 +246,38 @@ def test_residual_shifted_cap():
 def test_polar_involution_small():
     for b in [cap(unit([1, 2, -1]), 0.6), octant().to_body()]:
         assert hausdorff(polar_dual(polar_dual(b)), b) <= 1e-9
+
+
+# ------------------------------------------------------------ structural caps
+
+
+def test_structural_caps_bound_sampled_sup(cap_polytopes):
+    # every cap is an upper bound on the sup over its arc of the distance to
+    # b: cap against polytope, polytope against cap, polytope against its dual
+    c, polys = cap_polytopes
+    rng = np.random.default_rng(2)
+    checked = 0
+    for poly in polys:
+        p = as_body(poly)
+        dual = polar_dual(p)
+        for a, b in ((c, p), (p, c), (p, dual), (dual, p)):
+            idx, tl, tr = sub_arcs(a, 20, rng)
+            caps = _structural_caps(a.arcs, idx, tl, tr, b)
+            ts = np.linspace(tl, tr, 400, axis=-1)
+            x = a.arcs[idx[:, None]].point_at(ts).reshape(-1, 3)
+            sup = body_distance_many(b, x).reshape(len(tl), -1).max(axis=1)
+            assert np.all(caps >= sup - 1e-12), float(np.max(sup - caps))
+            checked += int(np.isfinite(caps).sum())
+    # great sub-arcs too short to stand alone get no cap (inf); the rest do
+    assert checked > 3000
+
+
+def test_structural_caps_blocks_match_single_arcs(cap_polytopes):
+    c, polys = cap_polytopes
+    b = as_body(polys[1])
+    idx, tl, tr = sub_arcs(c, 400, np.random.default_rng(4))
+    assert len(tl) * len(b.pieces) > 2 * BLOCK_ELEMENTS
+    caps = _structural_caps(c.arcs, idx, tl, tr, b)
+    one = [_structural_caps(c.arcs, idx[[i]], tl[[i]], tr[[i]], b)[0] for i in range(len(tl))]
+    # a lone row takes another matrix-product path, so the last bits may differ
+    np.testing.assert_allclose(caps, one, rtol=0, atol=1e-12)
