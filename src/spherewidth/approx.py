@@ -56,22 +56,21 @@ from .body import (
 from .metrics import hausdorff, is_constant_width
 
 
+MAX_ROUNDS = 64  # rounds of halving budgets before ``BudgetExhausted``
+SUBDIVISION_SAFETY = 0.5  # share of the round's budget a chord pole may use
+
+
 @dataclass(frozen=True)
 class ApproximationConfig:
-    """Parameters of the approximation run."""
+    """The Hausdorff budget ``epsilon`` (certified against 2 * epsilon) and
+    the tolerance ``self_dual_tol`` on widths and the self-duality residual."""
 
     epsilon: float
     self_dual_tol: float = 1e-6
-    max_rounds: int = 64
-    subdivision_safety: float = 0.5
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
-        if not (0.0 < self.subdivision_safety < 1.0):
-            raise ValueError("subdivision_safety must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,13 +117,14 @@ def _chord_pole_distance(body: ConvexBody, piece: SmallCircleArc, step: float) -
 
 
 def subdivide_piece(
-    body: ConvexBody, piece_id: int, eps: float, safety: float = 0.5
+    body: ConvexBody, piece_id: int, eps: float, safety: float = SUBDIVISION_SAFETY
 ) -> np.ndarray:
     """Subdivision points of a strictly convex piece for the budget ``eps``.
 
-    Returns evenly spaced points (endpoints included) such that the pole of
-    each consecutive chord lies closer to the body than ``eps * safety``.
-    The admissible azimuth step is located by doubling and bisection.
+    Returns the points (endpoints included) of the fewest equal sub-arcs
+    whose chord pole lies closer to the body than ``eps * safety``.  The
+    count doubles from its least value until it is admissible, then is
+    bisected between the last inadmissible and the first admissible count.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -137,27 +137,23 @@ def subdivide_piece(
     # itself) and no sub-arc may exceed half the circle
     min_subs = max(2 if piece.is_full else 1, int(math.ceil(span / math.pi - 1e-12)))
 
-    def admissible(step: float) -> bool:
-        return _chord_pole_distance(body, piece, step) < target
+    def admissible(n: int) -> bool:
+        return _chord_pole_distance(body, piece, span / n) < target
 
-    n = min_subs
-    while not admissible(span / n):
-        n *= 2
-        if n > 1 << 22:
+    hi = min_subs
+    while not admissible(hi):
+        hi *= 2
+        if hi > 1 << 22:
             raise ValueError("subdivision did not converge; eps too small")
-    if n > min_subs:
-        # bisect the step between the last inadmissible and first admissible
-        lo, hi = span / n, span / (n // 2)
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if admissible(mid):
-                lo = mid
-            else:
-                hi = mid
-        n = max(min_subs, int(math.ceil(span / lo - 1e-12)))
-        while not admissible(span / n):
-            n += 1
-    return piece.point_at(np.linspace(piece.az_from, piece.az_to, n + 1))
+    # keep lo inadmissible (or below the least count) and hi admissible
+    lo = max(min_subs - 1, hi // 2)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if admissible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return piece.point_at(np.linspace(piece.az_from, piece.az_to, hi + 1))
 
 
 # ----------------------------------------------------------------- cut step
@@ -332,7 +328,7 @@ def approximate_polytope(
     steps: list[StepRecord] = []
     rounds = 0
     current = b
-    for k in range(config.max_rounds):
+    for k in range(MAX_ROUNDS):
         if not current.circle_piece_indices():
             break
         rounds = k + 1
@@ -341,7 +337,7 @@ def approximate_polytope(
             idxs = current.circle_piece_indices()
             if not idxs:
                 break
-            pts = subdivide_piece(current, idxs[0], budget, config.subdivision_safety)
+            pts = subdivide_piece(current, idxs[0], budget)
             try:
                 current, rec = cut_step(current, pts[0], pts[1])
             except DualOverlap:
@@ -380,12 +376,12 @@ def certify(
     require_valid(res)
     h = hausdorff(orig, res)
     rep = is_constant_width(res, 0.5 * math.pi, config.self_dual_tol)
-    residual = rep.self_duality_residual
+    wmin, wmax, residual = rep.width_min, rep.width_max, rep.self_duality_residual
     cert = Certificate(
         epsilon=config.epsilon,
         hausdorff_bound=h,
-        width_min=rep.width_min,
-        width_max=rep.width_max,
+        width_min=wmin,
+        width_max=wmax,
         self_duality_residual=residual,
         steps=steps,
         rounds=rounds,
@@ -395,12 +391,12 @@ def certify(
             "hausdorff %.6g exceeds 2*epsilon = %.6g" % (h, 2 * config.epsilon),
             bound="hausdorff_bound",
         )
-    if abs(rep.width_min - 0.5 * math.pi) > config.self_dual_tol or abs(
-        rep.width_max - 0.5 * math.pi
+    if abs(wmin - 0.5 * math.pi) > config.self_dual_tol or abs(
+        wmax - 0.5 * math.pi
     ) > config.self_dual_tol:
         raise CertificationFailed(
             "width range [%.9f, %.9f] is not pi/2 within %.1e"
-            % (rep.width_min, rep.width_max, config.self_dual_tol),
+            % (wmin, wmax, config.self_dual_tol),
             bound="width_range",
         )
     if residual > config.self_dual_tol:

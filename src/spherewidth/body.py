@@ -98,7 +98,8 @@ class Polytope:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValueError("vertices must be an (n, 3) array")
-        norms = np.linalg.norm(v, axis=1)
+        with np.errstate(over="ignore"):  # inf only past the float range
+            norms = np.hypot.reduce(v, axis=1)
         bad = np.flatnonzero(~np.isfinite(norms) | (norms < DOT_EPS))
         if len(bad):
             raise InvalidBody(

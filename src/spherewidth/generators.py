@@ -22,7 +22,6 @@ from .sphere import (
     Vec,
     dot,
     length_weighted_params,
-    tangent_basis,
     unit,
 )
 from .body import (
@@ -204,36 +203,6 @@ def complete_selfdual(
 
 
 # --------------------------------------------------------------- randomized
-
-
-def _gnomonic_hull(points: np.ndarray) -> Polytope:
-    """Spherical convex hull of points inside one open hemisphere."""
-    m = unit(points.sum(axis=0))
-    a, b = tangent_basis(m)
-    w = points @ m
-    if np.any(w <= 1e-9):
-        raise ValueError("points do not fit in the gnomonic chart")
-    xy = np.column_stack([points @ a / w, points @ b / w])
-    order = np.lexsort((xy[:, 1], xy[:, 0]))
-
-    def turn(o, p, q):
-        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-    hull = []
-    for idx in order:
-        while len(hull) >= 2 and turn(xy[hull[-2]], xy[hull[-1]], xy[idx]) <= 1e-15:
-            hull.pop()
-        hull.append(int(idx))
-    lower = len(hull) + 1
-    for idx in order[::-1]:
-        while len(hull) >= lower and turn(xy[hull[-2]], xy[hull[-1]], xy[idx]) <= 1e-15:
-            hull.pop()
-        hull.append(int(idx))
-    hull = hull[:-1]
-    poly = Polytope(points[hull])
-    if not validate_polytope(poly).ok:
-        poly = Polytope(points[hull[::-1]])
-    return poly
 
 
 def random_subdual_polytope_seed(n_target: int, rng_seed: int) -> Polytope:

@@ -24,7 +24,8 @@ max/min over samples and independent of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -352,20 +353,35 @@ def self_duality_residual(body: BodyLike, tol: float = HAUSDORFF_TOL) -> float:
 
 @dataclass(frozen=True)
 class WidthReport:
-    """Result of a constant-width verification sweep."""
+    """Result of a constant-width verification sweep.
+
+    The body diameter and the self-duality residual are measured on first
+    read, so a caller that reads only the widths pays for the sweep alone.
+    """
 
     tau: float
     tol: float
     width_min: float
     width_max: float
-    diameter: float
     thickness: float
-    self_duality_residual: Optional[float]
     passed: bool
+    body: ConvexBody = field(repr=False, compare=False)
+    dual: ConvexBody = field(repr=False, compare=False)
 
     @property
     def spread(self) -> float:
         return self.width_max - self.width_min
+
+    @cached_property
+    def diameter(self) -> float:
+        return diameter(self.body)
+
+    @cached_property
+    def self_duality_residual(self) -> Optional[float]:
+        """Hausdorff distance of the body to its dual, for tau = pi/2 only."""
+        if abs(self.tau - 0.5 * math.pi) >= 1e-9:
+            return None
+        return hausdorff(self.body, self.dual)
 
 
 def is_constant_width(
@@ -386,18 +402,5 @@ def is_constant_width(
     thick = math.pi - diameter(dual)
     wmin = min(float(widths.min()), thick)
     wmax = float(widths.max())
-    body_diam = diameter(b)
-    residual = None
-    if abs(tau - 0.5 * math.pi) < 1e-9:
-        residual = hausdorff(b, dual)
     passed = (wmax - wmin <= tol) and abs(wmin - tau) <= tol
-    return WidthReport(
-        tau=tau,
-        tol=tol,
-        width_min=wmin,
-        width_max=wmax,
-        diameter=body_diam,
-        thickness=thick,
-        self_duality_residual=residual,
-        passed=passed,
-    )
+    return WidthReport(tau, tol, wmin, wmax, thick, passed, b, dual)

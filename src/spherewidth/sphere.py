@@ -48,10 +48,14 @@ def unit(v) -> Vec:
 
 
 def unit_rows(m) -> np.ndarray:
-    """Normalize each row of an (n, 3) array."""
+    """Normalize each row of an (n, 3) array.
+
+    Each row is first scaled by the power of two that puts its largest
+    |component| in [0.5, 1); the scaling is exact, so no finite row overflows
+    or underflows in its norm."""
     a = np.asarray(m, dtype=float)
-    n = np.linalg.norm(a, axis=-1, keepdims=True)
-    return a / n
+    a = np.ldexp(a, -np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1])
+    return a / np.linalg.norm(a, axis=-1, keepdims=True)
 
 
 def dot(a: Vec, b: Vec) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spherewidth import approx, metrics
 from spherewidth.approx import (
     ApproximationConfig,
     approximate_polytope,
@@ -47,18 +48,28 @@ def test_chord_pole_distance_quarter_gap():
     assert chord_pole_distance_cap(PI / 4, PI / 2) == pytest.approx(0.16995, abs=1e-4)
 
 
-def test_subdivide_cap_budget():
+def _cap_after_one_cut():
     b = cap(E3, PI / 4)
-    pts = subdivide_piece(b, 0, 0.2, safety=0.5)
-    gaps = np.diff(
-        [float(b.pieces[0].azimuth_of(p)) if i else 0.0 for i, p in enumerate(pts[:-1])]
-        + [2 * PI]
-    )
-    assert np.all(gaps < PI / 2)
-    step = 2 * PI / (len(pts) - 1)
-    assert chord_pole_distance_cap(PI / 4, step) < 0.1
-    # the next coarser even split must violate the budget (tight subdivision)
-    assert chord_pole_distance_cap(PI / 4, 2 * PI / max(2, len(pts) - 3)) > 0.0
+    pts = subdivide_piece(b, 0, 0.3)
+    cut, _ = cut_step(b, pts[0], pts[1])
+    return cut, cut.circle_piece_indices()[0]
+
+
+def test_subdivide_cap_budget():
+    cut, idx = _cap_after_one_cut()
+    for b, i in [(cap(E3, PI / 4), 0), (cut, idx)]:
+        piece = b.pieces[i]
+        for eps in [0.2, 0.05, 0.01, 0.002]:
+            pts = subdivide_piece(b, i, eps, safety=0.5)
+            rel = [float(piece.azimuth_of(p)) - piece.az_from for p in pts[1:-1]]
+            gaps = np.diff([0.0] + list(np.mod(rel, 2 * PI)) + [piece.span])
+            assert np.all(gaps < PI / 2)
+            n = len(pts) - 1
+            assert chord_pole_distance_cap(PI / 4, piece.span / n) < 0.5 * eps
+            # the next coarser split must violate the budget (tight subdivision)
+            min_subs = max(2 if piece.is_full else 1, math.ceil(piece.span / PI - 1e-12))
+            if n - 1 >= min_subs:
+                assert chord_pole_distance_cap(PI / 4, piece.span / (n - 1)) >= 0.5 * eps
 
 
 def test_subdivide_huge_eps_full_circle():
@@ -227,6 +238,24 @@ def test_certify_rejects_bad_pair():
 def test_certify_octant_pair_zero():
     cert = certify(octant(), octant(), ApproximationConfig(epsilon=0.05))
     assert cert.hausdorff_bound <= 1e-12
+
+
+def test_approximation_measures_each_body_once(monkeypatch):
+    # the gate reads only the input's widths, the certificate only the
+    # output's widths, its self-duality residual and its distance to the input
+    calls = {"hausdorff": 0, "diameter": 0}
+    for name in calls:
+        fn = getattr(metrics, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in (metrics, approx):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    approximate_polytope(cap(E3, PI / 4), ApproximationConfig(0.05))
+    assert calls == {"hausdorff": 2, "diameter": 2}
 
 
 # -------------------------------------------------- output polytope duality

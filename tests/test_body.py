@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import oracles
@@ -60,6 +61,16 @@ def test_zero_or_nonfinite_vertex_rows_raise():
         Polytope(np.array([[0.0, 0.0, 0.0], E1, E2]))
     with pytest.raises(InvalidBody, match=r"norm: 1 \[nan, 0\.0, 1\.0\]; 3 \[0\.0, inf, 0\.0\]$"):
         Polytope(np.array([E1, [math.nan, 0.0, 1.0], E2, [0.0, math.inf, 0.0]]))
+
+
+def test_huge_vertex_rows_normalise_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = Polytope(np.array([[1e200, 0.0, 0.0], E2, E3]))
+        rows = sphere.unit_rows([[0.0, -1e300, 1e300], [3e-310, 0.0, 0.0]])
+    assert np.array_equal(p.vertices, np.eye(3))
+    half = math.sqrt(0.5)
+    np.testing.assert_allclose(rows, [[0.0, -half, half], E1], rtol=0.0, atol=2e-16)
 
 
 def test_inward_bulge_fails_convexity():
