@@ -318,7 +318,7 @@ def approximate_polytope(
     distance between input and output is certified against 2 * epsilon.
     """
     b = as_body(body)
-    require_valid(b)
+    # the gate validates the input, through polar_dual
     gate = is_constant_width(b, 0.5 * math.pi, config.self_dual_tol)
     if not gate.passed:
         raise NotConstantWidth(
@@ -373,9 +373,9 @@ def certify(
     orig = as_body(original)
     res = as_body(result)
     require_valid(orig)
-    require_valid(res)
-    h = hausdorff(orig, res)
+    # the width sweep validates the result, through polar_dual
     rep = is_constant_width(res, 0.5 * math.pi, config.self_dual_tol)
+    h = hausdorff(orig, res)
     wmin, wmax, residual = rep.width_min, rep.width_max, rep.self_duality_residual
     cert = Certificate(
         epsilon=config.epsilon,

@@ -3,9 +3,11 @@
 A body is a closed cyclic chain of boundary pieces plus an interior witness
 point.  Every piece is a circle arc in the one parametrisation of ``sphere``
 (centre z, radius r, tangent frame, parameter range), a great arc being the
-r = pi/2 case, so membership and boundary distance evaluate all pieces of a
-body in one numpy expression over its stacked arrays (``ConvexBody.arcs``),
-in blocks of at most ``BLOCK_ELEMENTS`` rows x pieces.  The chain is traversed
+r = pi/2 case.  A convex body is the intersection of its supporting
+hemispheres, so a point x is a member when x . K >= -tol for every support
+pole K; membership and boundary distance evaluate all pieces of a body in
+one numpy expression over its stacked arrays (``ConvexBody.arcs``), in
+blocks of at most ``BLOCK_ELEMENTS`` rows x pieces.  The chain is traversed
 counterclockwise as seen from the interior side: at every smooth boundary
 point P with unit tangent T, the support pole of the body is P x T.  Under
 that convention polar duality maps pieces to pieces in traversal order:
@@ -31,23 +33,21 @@ from .errors import DegenerateArc, InvalidBody, NotOnBoundary, NotSelfDual
 from .sphere import (
     BOUNDARY_EPS,
     DOT_EPS,
-    TWO_PI,
     ArcStack,
     CircleArc,
     GreatArc,
     SmallCircleArc,
     Vec,
-    acos_clamped_np,
     chord_distance,
     cross,
     distance_to_piece,
     dot,
     max_distance_to_piece,
+    min_support_dot,
     sample_piece,
     stack_arcs,
     unit,
     unit_rows,
-    wrap_angle,
 )
 
 # Junction poles closer than this chord distance are treated as one smooth
@@ -276,70 +276,6 @@ def _blocks(rows: int, pieces: int) -> list[tuple[slice, slice]]:
     ]
 
 
-def _ray_first_hits(body: ConvexBody, points: np.ndarray) -> np.ndarray:
-    """Distance from the witness to the first boundary crossing toward each point.
-
-    The ray from the interior witness w through x crosses the boundary of a
-    convex body exactly once on the way out; points are inside iff their
-    distance from w does not exceed that crossing distance.  The ray
-    q(t) = cos t w + sin t d meets the circle q . z = cos r where
-    alpha cos t + beta sin t = cos r (alpha = w . z, beta = d . z), that is at
-    t = atan2(beta, alpha) +- acos(cos r / rho) with rho = hypot(alpha, beta);
-    cos t and sin t of both crossings, scaled by rho^2, are
-    alpha cos r -+ beta s and beta cos r +- alpha s, s = sqrt(rho^2 - cos^2 r).
-    """
-    w = body.interior
-    x = np.asarray(points, dtype=float)
-    c = x @ w
-    tang = x - np.outer(c, w)
-    tn = np.linalg.norm(tang, axis=1)
-    ok = tn > DOT_EPS
-    dirs = np.where(ok[:, None], tang / np.where(ok, tn, 1.0)[:, None], 0.0)
-
-    best = np.full(len(x), np.inf)
-    for rows, cols in _blocks(len(x), len(body.pieces)):
-        a = body.arcs[cols]
-        d = dirs[rows]
-        alpha, beta = a.z @ w, d @ a.z.T
-        rho2 = alpha * alpha + beta * beta
-        feas = np.sqrt(rho2) >= np.abs(a.cos_r) - 1e-15
-        s = np.sqrt(np.maximum(rho2 - a.cos_r * a.cos_r, 0.0))
-        wu, wv, du, dv = a.u @ w, a.v @ w, d @ a.u.T, d @ a.v.T
-        for sign in (1.0, -1.0):
-            ct = alpha * a.cos_r - sign * beta * s
-            st = beta * a.cos_r + sign * alpha * s
-            t = wrap_angle(np.arctan2(st, ct))
-            rel = wrap_angle(np.arctan2(ct * wv + st * dv, ct * wu + st * du) - a.t0)
-            hit = (
-                feas
-                & ((rel <= a.span + BOUNDARY_EPS) | (rel >= TWO_PI - BOUNDARY_EPS))
-                & (t > 1e-12)
-                & ok[rows, None]
-            )
-            best[rows] = np.minimum(best[rows], np.where(hit, t, np.inf).min(axis=1))
-    return best
-
-
-def contains_many(body: ConvexBody, points: np.ndarray, tol: float = BOUNDARY_EPS) -> np.ndarray:
-    x = np.asarray(points, dtype=float)
-    dist_w = acos_clamped_np(x @ body.interior)
-    hits = _ray_first_hits(body, x)
-    inside = dist_w <= hits + tol
-    # Degenerate directions (point at the witness or its antipode).
-    inside = np.where(dist_w < 1e-9, True, inside)
-    inside = np.where(dist_w > math.pi - 1e-9, False, inside)
-    # Rays that numerically missed every piece: decide by boundary distance.
-    missed = ~np.isfinite(hits) & (dist_w >= 1e-9) & (dist_w <= math.pi - 1e-9)
-    if np.any(missed):
-        bd = boundary_distance_many(body, x[missed])
-        inside[missed] = bd <= tol
-    return inside
-
-
-def contains(body: ConvexBody, p: Vec, tol: float = BOUNDARY_EPS) -> bool:
-    return bool(contains_many(body, np.asarray(p, dtype=float)[None, :], tol)[0])
-
-
 def _reduce_pieces(body: ConvexBody, points: np.ndarray, kernel, reduce, start: float) -> np.ndarray:
     """``reduce`` (``np.minimum`` or ``np.maximum``) of ``kernel`` over all pieces, per row."""
     x = np.asarray(points, dtype=float)
@@ -347,6 +283,29 @@ def _reduce_pieces(body: ConvexBody, points: np.ndarray, kernel, reduce, start: 
     for rows, cols in _blocks(len(x), len(body.pieces)):
         d[rows] = reduce(d[rows], reduce.reduce(kernel(x[rows], body.arcs[cols]), axis=1))
     return d
+
+
+def contains_many(body: ConvexBody, points: np.ndarray, tol: float = BOUNDARY_EPS) -> np.ndarray:
+    """Whether each row lies in the body: x . K >= -tol for every support pole K.
+
+    A convex body is the intersection of its supporting hemispheres, so this
+    is exact membership with ``tol`` a tolerance on dot products (the sine
+    of a distance to a supporting great circle).  One blocked minimum of
+    ``min_support_dot`` runs over the pieces.  Junctions need no term of
+    their own: the corner poles sweep a great arc from the incoming to the
+    outgoing piece's end pole, shorter than pi (the ``corner-not-cusp``
+    check), and x . K is a sinusoid along it, which is nonnegative on all
+    of an arc shorter than pi when it is nonnegative at both ends.  With
+    ``tol > 0`` the accepted band at a corner of turn theta widens to
+    tol / cos(theta / 2).  The witness w is inside, and its antipode
+    outside, whenever ``tol`` is below the least w . K, which the
+    ``support-orientation`` check keeps positive.
+    """
+    return _reduce_pieces(body, points, min_support_dot, np.minimum, np.inf) >= -tol
+
+
+def contains(body: ConvexBody, p: Vec, tol: float = BOUNDARY_EPS) -> bool:
+    return bool(contains_many(body, np.asarray(p, dtype=float)[None, :], tol)[0])
 
 
 def boundary_distance_many(body: ConvexBody, points: np.ndarray) -> np.ndarray:
@@ -360,9 +319,10 @@ def boundary_max_distance_many(body: ConvexBody, points: np.ndarray) -> np.ndarr
 def body_distance_many(body: ConvexBody, points: np.ndarray, tol: float = BOUNDARY_EPS) -> np.ndarray:
     """Geodesic distance to the body (zero inside)."""
     x = np.asarray(points, dtype=float)
-    d = boundary_distance_many(body, x)
-    inside = contains_many(body, x, tol)
-    return np.where(inside, 0.0, d)
+    out = ~contains_many(body, x, tol)
+    d = np.zeros(len(x))
+    d[out] = boundary_distance_many(body, x[out])
+    return d
 
 
 def body_distance(body: ConvexBody, p: Vec) -> float:

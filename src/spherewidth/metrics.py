@@ -40,8 +40,8 @@ from .sphere import (
     acos_clamped_np,
     farthest_on_piece,
     length_weighted_params,
+    sinusoid_range,
     unit,
-    wrap_angle,
 )
 from .body import (
     BLOCK_ELEMENTS,
@@ -132,20 +132,11 @@ def _dot_ranges(pa: ArcStack, tl, tr, w: np.ndarray):
     """Exact range of x . w over arcs, one row per arc and one column per vector.
 
     Row i is the arc of ``pa[i]`` over the parameters [tl[i], tr[i]], where
-    x(t) . w = cos r (z . w) + sin r (au cos t + av sin t).  That is extreme
-    at the ends, and at t = atan2(av, au) (value rho = hypot(au, av)) or
-    t + pi (value -rho) when those lie inside the range.  Returns the minimum,
-    the maximum and rho.
+    x(t) . w = cos r (z . w) + sin r (au cos t + av sin t), whose sinusoid
+    ``sinusoid_range`` bounds.  Returns the minimum, the maximum and the
+    sinusoid's amplitude rho = hypot(au, av).
     """
-    tl, tr = tl[:, None], tr[:, None]
-    au, av = pa.u @ w.T, pa.v @ w.T
-    rho = np.hypot(au, av)
-    rel = np.arctan2(av, au) - tl
-    e0 = au * np.cos(tl) + av * np.sin(tl)
-    e1 = au * np.cos(tr) + av * np.sin(tr)
-    lo, hi = np.minimum(e0, e1), np.maximum(e0, e1)
-    hi = np.where(wrap_angle(rel) <= tr - tl, np.maximum(hi, rho), hi)
-    lo = np.where(wrap_angle(rel + math.pi) <= tr - tl, np.minimum(lo, -rho), lo)
+    lo, hi, rho = sinusoid_range(pa.u @ w.T, pa.v @ w.T, tl[:, None], tr[:, None])
     g, s = pa.cos_r[:, None] * (pa.z @ w.T), pa.sin_r[:, None]
     return g + s * lo, g + s * hi, rho
 

@@ -10,10 +10,11 @@ A ``SmallCircleArc`` has r < pi/2 and the canonical ``tangent_basis`` frame; a
 ``GreatArc`` is the r = pi/2 case about its pole.  Sampling, support poles,
 distance and farthest-point queries are therefore one closed form for both.
 ``stack_arcs`` lays out a whole boundary as arrays: the nearest and farthest
-distance kernels take it for one column per piece, ``farthest_on_piece``
-takes a stack with one piece per block of points, and the Hausdorff
-structural caps take one stack per body.  Everything here is a pure
-function over immutable values and is safe to call concurrently.
+distance kernels and the least support-pole dot take it for one column per
+piece, ``farthest_on_piece`` takes a stack with one piece per block of
+points, and the Hausdorff structural caps take one stack per body.
+Everything here is a pure function over immutable values and is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -405,6 +406,24 @@ def _dots(x: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.matmul(x, vecs[:, :, None])[..., 0].T
 
 
+def sinusoid_range(a, b, tl, tr):
+    """Exact range of a cos t + b sin t over t in [tl, tr], elementwise.
+
+    The sinusoid has amplitude rho = hypot(a, b) and is extreme at the ends,
+    and at t = atan2(b, a) (value rho) or t + pi (value -rho) when those lie
+    inside the range.  The arguments broadcast; returns the minimum, the
+    maximum and rho.
+    """
+    rho = np.hypot(a, b)
+    rel = np.arctan2(b, a) - tl
+    e0 = a * np.cos(tl) + b * np.sin(tl)
+    e1 = a * np.cos(tr) + b * np.sin(tr)
+    lo, hi = np.minimum(e0, e1), np.maximum(e0, e1)
+    hi = np.where(wrap_angle(rel) <= tr - tl, np.maximum(hi, rho), hi)
+    lo = np.where(wrap_angle(rel + math.pi) <= tr - tl, np.minimum(lo, -rho), lo)
+    return lo, hi, rho
+
+
 def _far_param(xu: np.ndarray, xv: np.ndarray, piece: CircleArc) -> np.ndarray:
     """How far past t0, in [0, 2*pi), lies the azimuth opposite atan2(xv, xu)."""
     return np.mod(np.arctan2(xv, xu) + math.pi - piece.t0, TWO_PI)
@@ -443,6 +462,20 @@ def max_distance_to_piece(points: np.ndarray, piece) -> np.ndarray:
     on = _far_param(xu, xv, piece) <= piece.span + BOUNDARY_EPS
     d_far = acos_clamped_np(_dots(x, piece.z) * piece.cos_r - np.hypot(xu, xv) * piece.sin_r)
     return np.where(on, np.maximum(d_far, d_ends), d_ends)
+
+
+def min_support_dot(points: np.ndarray, piece) -> np.ndarray:
+    """Vectorized least x . K over the support poles K of the piece, per row.
+
+    ``piece`` is one piece, or an ``ArcStack`` for one column per piece.
+    Along the piece K(t) = sin r z - cos r (cos t u + sin t v), so
+    x . K(t) = sin r (x . z) - cos r (x_u cos t + x_v sin t) is least where
+    the sinusoid is greatest (``sinusoid_range``); on a great arc cos r = 0
+    and it is the constant x . pole.
+    """
+    x = np.asarray(points, dtype=float)
+    _, hi, _ = sinusoid_range(_dots(x, piece.u), _dots(x, piece.v), piece.t0, piece.t1)
+    return piece.sin_r * _dots(x, piece.z) - piece.cos_r * hi
 
 
 def farthest_on_piece(points: np.ndarray, piece):

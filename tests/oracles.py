@@ -17,15 +17,36 @@ def boundary_cloud(body, per_piece=2000):
     return np.vstack([sample_piece(p, per_piece) for p in body.pieces])
 
 
+def _piece_poles(piece, per_piece):
+    pts = sample_piece(piece, per_piece)
+    return unit_rows(np.cross(pts[1:-1], pts[2:] - pts[:-2]))
+
+
 def polyline_support_poles(body, per_piece=2000):
     """Support poles estimated from finite differences of a dense polyline."""
-    poles = []
-    for p in body.pieces:
-        pts = sample_piece(p, per_piece)
-        t = pts[2:] - pts[:-2]
-        k = np.cross(pts[1:-1], t)
-        poles.append(unit_rows(k))
-    return np.vstack(poles)
+    return np.vstack([_piece_poles(p, per_piece) for p in body.pieces])
+
+
+def dense_support_dot(body, per_piece=2000, per_corner=64):
+    """Least x . K over dense finite-difference support poles K, per point.
+
+    A convex body is the intersection of its supporting hemispheres, so a
+    point is inside iff this is non-negative.  The poles are those of
+    ``polyline_support_poles`` plus, at every junction, points of the great
+    arc between the poles on either side, so corners get their hemispheres
+    too.  Between samples x . K can dip below the sampled least by about
+    (2 pi / per_piece)**2, so the sign is only decisive beyond that.
+    """
+    per = [_piece_poles(p, per_piece) for p in body.pieces]
+    s = np.linspace(0.0, 1.0, per_corner)[:, None]
+    corners = [unit_rows((1.0 - s) * a[-1] + s * b[0]) for a, b in zip(per, per[1:] + per[:1])]
+    poles = np.vstack(per + corners)
+
+    def f(points):
+        chunks = np.array_split(points, max(1, len(points) // 64))
+        return np.concatenate([(c @ poles.T).min(axis=1) for c in chunks])
+
+    return f
 
 
 def diameter_oracle(body, per_piece=1500):

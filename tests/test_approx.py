@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spherewidth import approx, metrics
+from spherewidth import body as bd
 from spherewidth.approx import (
     ApproximationConfig,
     approximate_polytope,
@@ -12,6 +13,8 @@ from spherewidth.approx import (
     subdivide_piece,
 )
 from spherewidth.body import (
+    ConvexBody,
+    Polytope,
     strictly_convex_arc_length,
     to_polytope,
     validate,
@@ -19,12 +22,13 @@ from spherewidth.body import (
 from spherewidth.errors import (
     CertificationFailed,
     DualOverlap,
+    InvalidBody,
     NotConstantWidth,
     NotStrictlyConvex,
 )
 from spherewidth.generators import cap, octant
 from spherewidth.metrics import is_constant_width, self_duality_residual
-from spherewidth.sphere import GreatArc, SmallCircleArc
+from spherewidth.sphere import GreatArc, SmallCircleArc, unit
 
 E1, E2, E3 = np.eye(3)
 PI = math.pi
@@ -242,20 +246,36 @@ def test_certify_octant_pair_zero():
 
 def test_approximation_measures_each_body_once(monkeypatch):
     # the gate reads only the input's widths, the certificate only the
-    # output's widths, its self-duality residual and its distance to the input
-    calls = {"hausdorff": 0, "diameter": 0}
+    # output's widths, its self-duality residual and its distance to the
+    # input; the input is validated by the gate and again by the
+    # certificate, the output once by its width sweep
+    calls = {"hausdorff": 0, "diameter": 0, "validate": 0}
+    homes = {"hausdorff": metrics, "diameter": metrics, "validate": bd}
     for name in calls:
-        fn = getattr(metrics, name)
+        fn = getattr(homes[name], name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        for module in (metrics, approx):
+        for module in (bd, metrics, approx):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted)
     approximate_polytope(cap(E3, PI / 4), ApproximationConfig(0.05))
-    assert calls == {"hausdorff": 2, "diameter": 2}
+    assert calls == {"hausdorff": 2, "diameter": 2, "validate": 3}
+
+
+def test_invalid_bodies_still_raise():
+    # the circle traversed against its orientation claims the far side
+    inverted = ConvexBody([SmallCircleArc(E3, PI / 4, 0.0, 2 * PI)], unit([0.2, 0.0, -1.0]))
+    # two vertices of a convex quadrilateral swapped: reflex turns
+    reflex = Polytope(np.array([E1, E2, unit(0.75 * E3 + 0.25 * E1), unit(0.75 * E3 + 0.25 * E2)]))
+    config = ApproximationConfig(0.05)
+    for bad in (inverted, reflex):
+        with pytest.raises(InvalidBody):
+            approximate_polytope(bad, config)
+        with pytest.raises(InvalidBody):
+            certify(cap(E3, PI / 4), bad, config)
 
 
 # -------------------------------------------------- output polytope duality
