@@ -78,3 +78,16 @@ class SeedNotSubdual(SphereGeomError):
 
 class BadRadius(SphereGeomError):
     """Cap radius outside the open interval (0, pi/2)."""
+
+
+class RefinementStalled(SphereGeomError):
+    """A Lipschitz refinement still had live intervals at its level limit.
+
+    The sought supremum lies in [``lo``, ``hi``]: ``lo`` is the largest
+    value evaluated, ``hi`` the largest surviving upper bound.
+    """
+
+    def __init__(self, message, lo=None, hi=None):
+        super().__init__(message)
+        self.lo = lo
+        self.hi = hi

@@ -21,7 +21,8 @@ from .sphere import (
     SmallCircleArc,
     Vec,
     dot,
-    length_weighted_params,
+    length_weighted_counts,
+    linspace_grid,
     unit,
 )
 from .body import (
@@ -91,8 +92,7 @@ def rotated(b: BodyLike, rot: np.ndarray) -> BodyLike:
 def _support_dot_roots(piece: SmallCircleArc, x: Vec) -> list[float]:
     """Interior azimuths where the support pole of the piece is orthogonal to x."""
     z = piece.center
-    u, v = piece.frame()
-    xu, xv = dot(x, u), dot(x, v)
+    xu, xv = dot(x, piece.u), dot(x, piece.v)
     rho = math.hypot(xu, xv)
     if rho < 1e-15:
         return []
@@ -181,11 +181,11 @@ def complete_selfdual(
     rng = np.random.default_rng(rng_seed)
     for _ in range(max_insertions):
         dual = polar_dual(body, check=False)
-        pts = []
-        for p, ts in zip(dual.pieces, length_weighted_params(dual.pieces, sweep)):
-            jitter = rng.uniform(0, p.span / len(ts))
-            pts.append(p.point_at(np.clip(ts + jitter, p.t0, p.t1)))
-        pts = np.vstack(pts)
+        arcs = dual.arcs
+        counts = length_weighted_counts(dual.pieces, sweep)
+        idx, ts = linspace_grid(arcs.t0, arcs.t1, counts)
+        jitter = rng.uniform(0, arcs.span / counts)[idx]
+        pts = arcs[idx].point_at(np.clip(ts + jitter, arcs.t0[idx], arcs.t1[idx]))
         gaps = body_distance_many(body, pts)
         i = int(np.argmax(gaps))
         if gaps[i] <= 0.9 * tol:

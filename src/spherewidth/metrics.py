@@ -10,12 +10,15 @@ the dual boundary:
 Farthest distances to a whole boundary are one batched closed-form query
 (``boundary_max_distance_many``); the diameter runs one alternating
 farthest-point ascent for all piece pairs at once.  The Hausdorff distance
-runs a Lipschitz branch-and-bound over parameter intervals of each piece (the
-distance to a convex body is 1-Lipschitz along the boundary), refined until
-the bounds meet within ``tol``.  Each interval also carries a closed-form
-structural cap, the least over all pieces of the other body of a vertex,
-full-circle, concentric-arc, coplanar-great-arc or nearby-edge bound; one
-stacked numpy kernel caps a whole set of intervals against all pieces.
+runs a Lipschitz branch-and-bound (the distance to a convex body is
+1-Lipschitz along the boundary) over one flat table of parameter intervals
+per direction, all pieces together, refined until the bounds meet within
+``tol``; each level is one prune and one evaluator call over the whole
+table, and a refinement still open after ``REFINE_LEVELS`` levels raises
+``RefinementStalled``.  Each interval also carries a closed-form structural
+cap, the least over all pieces of the other body of a vertex, full-circle,
+concentric-arc, coplanar-great-arc or nearby-edge bound; one stacked numpy
+kernel caps a whole set of intervals against all pieces.
 
 Everything here is pure and safe to call concurrently; all reductions are
 max/min over samples and independent of evaluation order.
@@ -30,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotSupporting
+from .errors import NotSupporting, RefinementStalled
 from .sphere import (
     BOUNDARY_EPS,
     DOT_EPS,
@@ -39,7 +42,8 @@ from .sphere import (
     Vec,
     acos_clamped_np,
     farthest_on_piece,
-    length_weighted_params,
+    length_weighted_counts,
+    linspace_grid,
     sinusoid_range,
     unit,
 )
@@ -55,6 +59,8 @@ from .body import (
 
 # Default certified accuracy of the Hausdorff refinement.
 HAUSDORFF_TOL = 1e-7
+# Split levels after which a refinement with live intervals is an error.
+REFINE_LEVELS = 64
 
 
 # ----------------------------------------------------------- farthest points
@@ -231,89 +237,77 @@ def _structural_caps(arcs: ArcStack, idx, tl, tr, b: ConvexBody) -> np.ndarray:
 class _Direction:
     """Refinement state for sup over the boundary of ``a`` of dist(., b).
 
-    One queue of parameter intervals per piece of ``a``.  Intervals carry
-    both the Lipschitz bound and a structural cap: the whole pieces are
-    capped in one ``_structural_caps`` call, and every few levels one call
-    per queue recaps all surviving sub-intervals, so plateaus straddling a
-    feature of ``b`` still collapse.
+    One flat table of parameter intervals over all pieces of ``a``: six
+    parallel arrays with one row per interval, the piece index ``idx``, the
+    ends ``tl`` and ``tr``, the distances ``fl`` and ``fr`` there, and a
+    structural cap ``cap``.  A row's upper bound is the least of its cap and
+    its Lipschitz bound (the distance moves by at most sin r per unit of
+    the parameter).  Each level prunes the table once, recaps all surviving
+    rows every few levels, so plateaus straddling a feature of ``b`` still
+    collapse, and evaluates all midpoints in one ``body_distance_many`` call.
     """
 
     RECAP_LEVELS = frozenset({6, 10, 14, 18, 22})
 
     def __init__(self, a: ConvexBody, b: ConvexBody):
         self.b = b
-        self.arcs = a.arcs
-        self.queues = []
-        self.lb = 0.0
+        self.arcs = arcs = a.arcs
         self.level = 0
-        caps = _structural_caps(a.arcs, np.arange(len(a.pieces)), a.arcs.t0, a.arcs.t1, b)
-        for i, pa in enumerate(a.pieces):
-            lam = pa.sin_r
-            n = int(np.clip(math.ceil(pa.span * lam / 0.05), 4, 512))
-            ts = np.linspace(pa.t0, pa.t1, n + 1)
-            fs = body_distance_many(b, pa.point_at(ts))
-            self.lb = max(self.lb, float(fs.max()))
-            self.queues.append(
-                {
-                    "index": i,
-                    "piece": pa,
-                    "lam": lam,
-                    "cap": np.full(n, caps[i]),
-                    "tl": ts[:-1],
-                    "tr": ts[1:],
-                    "fl": fs[:-1],
-                    "fr": fs[1:],
-                }
-            )
+        n = np.clip(np.ceil(arcs.span * arcs.sin_r / 0.05), 4, 512).astype(int)
+        idx, ts = linspace_grid(arcs.t0, arcs.t1, n + 1)
+        fs = body_distance_many(b, arcs[idx].point_at(ts))
+        self.lb = float(fs.max())
+        # left ends are all rows but each piece's last, right ends all but its first
+        last = np.cumsum(n + 1) - 1
+        self.idx, self.tl, self.tr = np.delete(idx, last), np.delete(ts, last), np.delete(ts, last - n)
+        self.fl, self.fr = np.delete(fs, last), np.delete(fs, last - n)
+        self.cap = _structural_caps(arcs, np.arange(len(n)), arcs.t0, arcs.t1, b)[self.idx]
 
-    def _ubs(self, q) -> np.ndarray:
-        lip = 0.5 * (q["fl"] + q["fr"]) + 0.5 * q["lam"] * (q["tr"] - q["tl"])
-        return np.minimum(lip, q["cap"])
+    def _ubs(self) -> np.ndarray:
+        lip = 0.5 * (self.fl + self.fr) + 0.5 * self.arcs.sin_r[self.idx] * (self.tr - self.tl)
+        return np.minimum(lip, self.cap)
 
     def refine_once(self, lb: float, tol: float) -> float:
         """One split level; returns the updated global lower bound."""
         self.level += 1
-        recap = self.level in self.RECAP_LEVELS
-        for q in self.queues:
-            if len(q["tl"]) == 0:
-                continue
-            alive = self._ubs(q) > lb + tol
-            if not np.any(alive):
-                q["tl"] = q["tl"][:0]
-                continue
-            tl, tr = q["tl"][alive], q["tr"][alive]
-            fl, fr = q["fl"][alive], q["fr"][alive]
-            cap = q["cap"][alive]
-            if recap and len(tl) <= 65536:
-                idx = np.full(len(tl), q["index"])
-                cap = np.minimum(cap, _structural_caps(self.arcs, idx, tl, tr, self.b))
-            tm = 0.5 * (tl + tr)
-            fm = body_distance_many(self.b, q["piece"].point_at(tm))
-            lb = max(lb, float(fm.max()))
-            q["tl"] = np.concatenate([tl, tm])
-            q["tr"] = np.concatenate([tm, tr])
-            q["fl"] = np.concatenate([fl, fm])
-            q["fr"] = np.concatenate([fm, fr])
-            q["cap"] = np.concatenate([cap, cap])
+        keep = self._ubs() > lb + tol
+        if not np.any(keep):  # lb only grows, so these rows stay dead
+            return lb
+        idx, tl, tr = self.idx[keep], self.tl[keep], self.tr[keep]
+        fl, fr, cap = self.fl[keep], self.fr[keep], self.cap[keep]
+        if self.level in self.RECAP_LEVELS and len(tl) <= 65536:
+            cap = np.minimum(cap, _structural_caps(self.arcs, idx, tl, tr, self.b))
+        tm = 0.5 * (tl + tr)
+        fm = body_distance_many(self.b, self.arcs[idx].point_at(tm))
+        lb = max(lb, float(fm.max()))
+        self.idx = np.concatenate([idx, idx])
+        self.tl, self.tr = np.concatenate([tl, tm]), np.concatenate([tm, tr])
+        self.fl, self.fr = np.concatenate([fl, fm]), np.concatenate([fm, fr])
+        self.cap = np.concatenate([cap, cap])
         return lb
 
     def alive(self, lb: float, tol: float) -> bool:
-        for q in self.queues:
-            if len(q["tl"]) and np.any(self._ubs(q) > lb + tol):
-                return True
-        return False
+        return bool(np.any(self._ubs() > lb + tol))
 
 
 def _refine(directions: list[_Direction], tol: float) -> float:
-    """Refine the directed suprema against one shared lower bound, in order."""
+    """Refine the directed suprema against one shared lower bound, in order.
+
+    Raises ``RefinementStalled`` when rows are still alive after
+    ``REFINE_LEVELS`` levels.
+    """
     lb = max(d.lb for d in directions)
-    for _ in range(64):
+    for _ in range(REFINE_LEVELS):
         alive = [d for d in directions if d.alive(lb, tol)]
         if not alive:
             return lb
         for d in alive:
             lb = d.refine_once(lb, tol)
-    return lb
+    hi = max(float(d._ubs().max()) for d in directions)
+    if hi <= lb + tol:
+        return lb
+    msg = "Hausdorff refinement open after %d levels: [%.17g, %.17g]" % (REFINE_LEVELS, lb, hi)
+    raise RefinementStalled(msg, lo=lb, hi=hi)
 
 
 def boundary_sup_distance(a: BodyLike, b: BodyLike, tol: float = HAUSDORFF_TOL) -> float:
@@ -387,8 +381,8 @@ def is_constant_width(
     """
     b = as_body(body)
     dual = polar_dual(b)
-    params = length_weighted_params(dual.pieces, sweep)
-    k = np.vstack([p.point_at(ts) for p, ts in zip(dual.pieces, params)])
+    idx, ts = linspace_grid(dual.arcs.t0, dual.arcs.t1, length_weighted_counts(dual.pieces, sweep))
+    k = dual.arcs[idx].point_at(ts)
     widths = math.pi - boundary_max_distance_many(dual, k)
     thick = math.pi - diameter(dual)
     wmin = min(float(widths.min()), thick)

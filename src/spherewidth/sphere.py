@@ -204,9 +204,6 @@ class CircleArc:
     def is_full(self) -> bool:
         return self.span >= TWO_PI - DOT_EPS
 
-    def frame(self) -> tuple[Vec, Vec]:
-        return self.u, self.v
-
     def _ring(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return np.outer(np.cos(t), self.u) + np.outer(np.sin(t), self.v)
@@ -375,16 +372,29 @@ def sample_piece(piece: CircleArc, n: int) -> np.ndarray:
     return piece.point_at(np.linspace(piece.t0, piece.t1, n))
 
 
-def length_weighted_params(pieces, count: int) -> list[np.ndarray]:
-    """Evenly spaced parameters on each piece, about ``count`` in all.
+def length_weighted_counts(pieces, count: int) -> np.ndarray:
+    """Sample counts per piece, about ``count`` in all.
 
     Each piece gets a share proportional to its length, and at least four.
     """
     total = max(sum(p.length for p in pieces), 1e-12)
-    return [
-        np.linspace(p.t0, p.t1, max(4, int(round(count * p.length / total))))
-        for p in pieces
-    ]
+    return np.array([max(4, int(round(count * p.length / total))) for p in pieces])
+
+
+def linspace_grid(t0, t1, counts) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linspace(t0[i], t1[i], counts[i])`` for every piece i, stacked.
+
+    Returns the piece index and the parameter of each row, bit for bit the
+    values of the per-piece ``linspace`` calls: k * step + t0 with
+    step = (t1 - t0) / (counts - 1), and each piece's last row exactly t1.
+    Every count must be at least two.
+    """
+    idx = np.repeat(np.arange(len(counts)), counts)
+    last = np.cumsum(counts) - 1
+    k = np.arange(len(idx)) - (last - counts + 1)[idx]
+    t = k * ((t1 - t0) / (counts - 1))[idx] + t0[idx]
+    t[last] = t1
+    return idx, t
 
 
 def point_to_piece_distance(p: Vec, piece: CircleArc) -> float:

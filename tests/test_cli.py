@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spherewidth import metrics
 from spherewidth.cli import main
 from spherewidth.formats import loads_body, loads_certificate
 from spherewidth.body import Polytope
@@ -146,6 +147,20 @@ def test_certify_failure_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "hausdorff_bound" in err
+
+
+def test_stalled_refinement_exits_one(tmp_path, capsys, monkeypatch):
+    # the cap against its eps = 0.002 polytope needs six levels
+    src = tmp_path / "cap.json"
+    poly = tmp_path / "poly.json"
+    run(capsys, "generate", "cap", "-o", str(src))
+    run(capsys, "approximate", str(src), "--epsilon", "0.002", "-o", str(poly))
+    monkeypatch.setattr(metrics, "REFINE_LEVELS", 1)
+    code, _, err = run(
+        capsys, "certify", str(src), str(poly), "--epsilon", "0.002"
+    )
+    assert code == 1
+    assert "RefinementStalled" in err
 
 
 def test_certify_octant_pair(tmp_path, capsys):

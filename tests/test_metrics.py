@@ -14,9 +14,11 @@ from spherewidth.body import (
     polar_dual,
     validate_polytope,
 )
-from spherewidth.errors import NotSupporting
+from spherewidth import metrics
+from spherewidth.errors import NotSupporting, RefinementStalled
 from spherewidth.generators import cap, octant, rotated, rotation_from_seed
 from spherewidth.metrics import (
+    HAUSDORFF_TOL,
     _structural_caps,
     diameter,
     hausdorff,
@@ -225,6 +227,43 @@ def test_hausdorff_symmetry_and_triangle():
     h12 = hausdorff(bodies[1], bodies[2])
     h02 = hausdorff(bodies[0], bodies[2])
     assert h02 <= h01 + h12 + 1e-7
+
+
+def test_hausdorff_evaluates_each_level_in_one_call(monkeypatch, cap_polytopes):
+    # the cap against its 51-vertex polytope: every direction evaluates its
+    # whole set-up grid in one call and every level's midpoints in one more,
+    # over the same rows as one call per piece and level
+    c, polys = cap_polytopes
+    n = {"calls": 0, "rows": 0, "levels": 0}
+
+    def counted(b, x, *args, **kwargs):
+        n["calls"] += 1
+        n["rows"] += len(x)
+        return body_distance_many(b, x, *args, **kwargs)
+
+    refine_once = metrics._Direction.refine_once
+
+    def level(self, *args):
+        n["levels"] += 1
+        return refine_once(self, *args)
+
+    monkeypatch.setattr(metrics, "body_distance_many", counted)
+    monkeypatch.setattr(metrics._Direction, "refine_once", level)
+    hausdorff(c, polys[1])
+    assert n["levels"] == 6
+    assert n["calls"] <= 2 * 2 + n["levels"]
+    assert n["rows"] == 4370
+
+
+def test_stalled_refinement_raises_with_its_bracket(monkeypatch, cap_polytopes):
+    # the cap against its eps = 0.002 polytope needs six levels
+    c, polys = cap_polytopes
+    h = hausdorff(c, polys[1])
+    monkeypatch.setattr(metrics, "REFINE_LEVELS", 1)
+    with pytest.raises(RefinementStalled) as err:
+        hausdorff(c, polys[1])
+    assert err.value.lo <= h <= err.value.hi
+    assert err.value.hi - err.value.lo > HAUSDORFF_TOL
 
 
 # ----------------------------------------------------------------- residual

@@ -15,10 +15,12 @@ from spherewidth.sphere import (
     arc_pole,
     arcs_intersect,
     geodesic_distance,
+    linspace_grid,
     lune_thickness,
     max_distance_to_piece,
     point_to_piece_distance,
     sample_piece,
+    stack_arcs,
     unit,
 )
 
@@ -198,6 +200,22 @@ def test_sample_small_circle_closed_form():
     assert np.allclose(pts[0], [s, 0, s], atol=1e-15)
     assert np.allclose(pts[1], [0, s, s], atol=1e-15)
     assert np.allclose(pts[2], [-s, 0, s], atol=1e-15)
+
+
+def test_linspace_grid_is_per_piece_linspace_bit_for_bit():
+    rng = np.random.default_rng(5)
+    pieces = [GreatArc(unit(rng.normal(size=3)), unit(rng.normal(size=3))) for _ in range(3)]
+    pieces += [
+        SmallCircleArc(unit(rng.normal(size=3)), 0.7, a, a + s)
+        for a, s in rng.uniform(0.1, 6.0, (4, 2))
+    ]
+    arcs = stack_arcs(pieces)
+    counts = np.array([2, 3, 4, 17, 5, 512, 9])
+    idx, t = linspace_grid(arcs.t0, arcs.t1, counts)
+    want = [np.linspace(p.t0, p.t1, n) for p, n in zip(pieces, counts)]
+    assert np.array_equal(t, np.concatenate(want))
+    points = np.vstack([p.point_at(w) for p, w in zip(pieces, want)])
+    assert np.array_equal(arcs[idx].point_at(t), points)
 
 
 # -------------------------------------------------------- piece distances
