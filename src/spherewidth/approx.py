@@ -48,7 +48,7 @@ from .body import (
     as_body,
     body_distance,
     boundary_distance_many,
-    interior_witness,
+    chain_body,
     merge_flat_junctions,
     require_valid,
     to_polytope,
@@ -289,7 +289,7 @@ def cut_step(body: ConvexBody, p1: Vec, p2: Vec) -> tuple[ConvexBody, StepRecord
                 new_pieces.append(piece)
 
     new_pieces = merge_flat_junctions(new_pieces)
-    out = ConvexBody(new_pieces, interior_witness(new_pieces))
+    out = chain_body(new_pieces)
     rec = StepRecord(
         p1=p1,
         p2=p2,

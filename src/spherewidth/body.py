@@ -7,10 +7,13 @@ r = pi/2 case.  A convex body is the intersection of its supporting
 hemispheres, so a point x is a member when x . K >= -tol for every support
 pole K; membership and boundary distance evaluate all pieces of a body in
 one numpy expression over its stacked arrays (``ConvexBody.arcs``), in
-blocks of at most ``BLOCK_ELEMENTS`` rows x pieces.  The chain is traversed
-counterclockwise as seen from the interior side: at every smooth boundary
-point P with unit tangent T, the support pole of the body is P x T.  Under
-that convention polar duality maps pieces to pieces in traversal order:
+blocks of at most ``BLOCK_ELEMENTS`` rows x pieces; so do validation, the
+interior witness and the dual's corner poles.  A ``Polytope`` builds its
+edge body once, so its ``vertices``, like ``pieces``, must not change after.
+The chain is traversed counterclockwise as seen from the interior side: at
+every smooth boundary point P with unit tangent T, the support pole of the
+body is P x T.  Under that convention polar duality maps pieces to pieces
+in traversal order:
 
 * circle arc (Z, r < pi/2, span)  ->  circle arc (Z, pi/2 - r, span + pi)
 * great arc (r = pi/2)            ->  its pole, as a dual vertex
@@ -39,9 +42,7 @@ from .sphere import (
     SmallCircleArc,
     Vec,
     chord_distance,
-    cross,
     distance_to_piece,
-    dot,
     max_distance_to_piece,
     min_support_dot,
     sample_piece,
@@ -111,15 +112,18 @@ class Polytope:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def edges(self) -> list[GreatArc]:
-        v = self.vertices
-        return [GreatArc(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-
     def edge_poles(self) -> np.ndarray:
-        return np.vstack([e.pole for e in self.edges()])
+        return self.to_body().arcs.z.copy()
 
     def to_body(self) -> ConvexBody:
-        return ConvexBody(self.edges(), unit(self.vertices.mean(axis=0)))
+        """The edge body, built once; ``vertices`` must not change afterwards."""
+        return self._body
+
+    @cached_property
+    def _body(self) -> ConvexBody:
+        v = self.vertices
+        edges = [GreatArc(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+        return ConvexBody(edges, unit(v.mean(axis=0)))
 
 
 BodyLike = Union[ConvexBody, Polytope]
@@ -135,10 +139,18 @@ def to_polytope(body: ConvexBody) -> Polytope:
     return Polytope(np.vstack([p.start for p in body.pieces]))
 
 
-def interior_witness(pieces: list[CircleArc]) -> Vec:
-    """Normalized mean of boundary samples; interior for any valid chain."""
-    pts = np.vstack([sample_piece(p, 5) for p in pieces])
+def interior_witness(arcs: ArcStack) -> Vec:
+    """Normalized mean of five samples a piece, in chain order; interior for any valid chain."""
+    pts = arcs.point_at(np.linspace(arcs.t0, arcs.t1, 5)).swapaxes(0, 1).reshape(-1, 3)
     return unit(pts.mean(axis=0))
+
+
+def chain_body(pieces: list[CircleArc]) -> ConvexBody:
+    """The body of the chain ``pieces``, its witness taken from the stacked arcs it keeps."""
+    arcs = stack_arcs(pieces)
+    body = ConvexBody(pieces, interior_witness(arcs))
+    body.arcs = arcs
+    return body
 
 
 # ---------------------------------------------------------------- validation
@@ -182,63 +194,46 @@ def validate(body: ConvexBody) -> ValidationReport:
     small-circle arcs to bulge outward), junction convexity and piece
     non-degeneracy.  A body should only be used when all pass.
     """
-    checks: list[ValidationCheck] = []
-    pcs = body.pieces
-    n = len(pcs)
-    checks.append(ValidationCheck("piece-count", n >= 1, float(max(0, 1 - n))))
+    n = len(body.pieces)
+    checks = [ValidationCheck("piece-count", n >= 1, float(max(0, 1 - n)))]
     if n == 0:
         return ValidationReport(checks)
+    a = body.arcs
 
-    gap = 0.0
-    for i, p in enumerate(pcs):
-        q = pcs[(i + 1) % n]
-        gap = max(gap, chord_distance(p.end, q.start))
+    # row i of a rolled array belongs to piece i + 1, across junction i
+    gap = float(np.max(np.linalg.norm(a.end - np.roll(a.start, -1, axis=0), axis=1)))
     checks.append(ValidationCheck("closure", gap <= BOUNDARY_EPS, gap))
 
     w = body.interior
-    samples = body.boundary_samples(16)
+    samples = a.point_at(np.linspace(a.t0, a.t1, 16))
     # candidate hemisphere poles: the witness, and the mean support pole
     # (an interior point of the polar dual certifies containment exactly)
-    poles = [p.support_pole_at(np.linspace(p.t0, p.t1, 5)).mean(axis=0) for p in pcs]
-    pole_mean = np.sum(poles, axis=0)
+    pole_mean = a.support_pole_at(np.linspace(a.t0, a.t1, 5)).mean(axis=0).sum(axis=0)
     candidates = [w]
     if np.linalg.norm(pole_mean) > DOT_EPS:
         candidates.append(unit(pole_mean))
     min_dot = max(float(np.min(samples @ k)) for k in candidates)
     checks.append(ValidationCheck("hemispherical", min_dot >= -BOUNDARY_EPS, -min_dot))
 
-    worst_support = min(
-        1.0, *(float(np.min(p.support_pole_at(np.linspace(p.t0, p.t1, 9)) @ w)) for p in pcs)
-    )
-    checks.append(
-        ValidationCheck("support-orientation", worst_support > DOT_EPS, -worst_support)
-    )
+    worst_support = min(1.0, float(np.min(a.support_pole_at(np.linspace(a.t0, a.t1, 9)) @ w)))
+    checks.append(ValidationCheck("support-orientation", worst_support > DOT_EPS, -worst_support))
 
-    turns = []
-    for i, p in enumerate(pcs):
-        q = pcs[(i + 1) % n]
-        t_in = p.tangent_at(p.t1)
-        t_out = q.tangent_at(q.t0)
-        turns.append(math.atan2(dot(cross(t_in, t_out), p.end), dot(t_in, t_out)))
-    min_turn = min(turns)
-    max_turn = max(turns)
+    t_in = a.tangent_at(a.t1)
+    t_out = np.roll(a.tangent_at(a.t0), -1, axis=0)
+    turns = np.arctan2(np.sum(np.cross(t_in, t_out) * a.end, axis=1), np.sum(t_in * t_out, axis=1))
+    min_turn = float(np.min(turns))
+    max_turn = float(np.max(turns))
     checks.append(ValidationCheck("convex-turns", min_turn >= -BOUNDARY_EPS, -min_turn))
-    checks.append(
-        ValidationCheck("corner-not-cusp", max_turn <= math.pi - 1e-9, max_turn)
-    )
+    checks.append(ValidationCheck("corner-not-cusp", max_turn <= math.pi - 1e-9, max_turn))
 
-    min_len = min(p.length for p in pcs)
+    min_len = float(np.min(a.span * a.sin_r))
     checks.append(ValidationCheck("piece-nondegenerate", min_len > 1e-12, -min_len))
     return ValidationReport(checks)
 
 
 def validate_polytope(poly: Polytope) -> ValidationReport:
     """Polytope-specific checks on top of the generic body validation."""
-    checks = [
-        ValidationCheck(
-            "vertex-count", len(poly) >= 3, float(max(0, 3 - len(poly)))
-        )
-    ]
+    checks = [ValidationCheck("vertex-count", len(poly) >= 3, float(max(0, 3 - len(poly))))]
     if len(poly) >= 3:
         try:
             body = poly.to_body()
@@ -246,12 +241,8 @@ def validate_polytope(poly: Polytope) -> ValidationReport:
             checks.append(ValidationCheck("edges-nondegenerate", False, 1.0))
             return ValidationReport(checks)
         checks.extend(validate(body).checks)
-        poles = poly.edge_poles()
-        sep = [
-            chord_distance(poles[i], poles[(i + 1) % len(poles)])
-            for i in range(len(poles))
-        ]
-        m = min(sep)
+        poles = body.arcs.z
+        m = float(np.min(np.linalg.norm(poles - np.roll(poles, -1, axis=0), axis=1)))
         checks.append(ValidationCheck("no-redundant-vertices", m > BOUNDARY_EPS, -m))
     return ValidationReport(checks)
 
@@ -270,7 +261,7 @@ def _blocks(rows: int, pieces: int) -> list[tuple[slice, slice]]:
     r = max(1, min(rows, BLOCK_ELEMENTS))
     k = max(1, BLOCK_ELEMENTS // r)
     return [
-        (slice(i, i + r), slice(j, j + k))
+        (slice(i, i + r), slice(j, min(j + k, pieces)))
         for i in range(0, rows, r)
         for j in range(0, pieces, k)
     ]
@@ -280,8 +271,10 @@ def _reduce_pieces(body: ConvexBody, points: np.ndarray, kernel, reduce, start: 
     """``reduce`` (``np.minimum`` or ``np.maximum``) of ``kernel`` over all pieces, per row."""
     x = np.asarray(points, dtype=float)
     d = np.full(len(x), start)
+    every = slice(0, len(body.pieces))
     for rows, cols in _blocks(len(x), len(body.pieces)):
-        d[rows] = reduce(d[rows], reduce.reduce(kernel(x[rows], body.arcs[cols]), axis=1))
+        arcs = body.arcs if cols == every else body.arcs[cols]
+        d[rows] = reduce(d[rows], reduce.reduce(kernel(x[rows], arcs), axis=1))
     return d
 
 
@@ -341,27 +334,21 @@ def polar_dual(body: ConvexBody, check: bool = True) -> ConvexBody:
     """
     if check:
         require_valid(body)
-    pcs = body.pieces
-    n = len(pcs)
+    a = body.arcs
+    k_end = a.support_pole_at(a.t1)
+    k_next = np.roll(a.support_pole_at(a.t0), -1, axis=0)
+    corner = np.linalg.norm(k_end - k_next, axis=1) > POLE_MERGE_EPS
     out: list[CircleArc] = []
-    for i, p in enumerate(pcs):
+    for p, k0, k1, c in zip(body.pieces, k_end, k_next, corner):
         if isinstance(p, SmallCircleArc):
             out.append(
-                SmallCircleArc(
-                    p.center,
-                    0.5 * math.pi - p.radius,
-                    p.az_from + math.pi,
-                    p.az_to + math.pi,
-                )
+                SmallCircleArc(p.center, 0.5 * math.pi - p.radius, p.az_from + math.pi, p.az_to + math.pi)
             )
-        q = pcs[(i + 1) % n]
-        k_end = p.support_pole_at(p.t1)[0]
-        k_next = q.support_pole_at(q.t0)[0]
-        if chord_distance(k_end, k_next) > POLE_MERGE_EPS:
-            out.append(GreatArc(k_end, k_next))
+        if c:
+            out.append(GreatArc(k0, k1))
     if not out:
         raise InvalidBody("dual boundary is empty")
-    return ConvexBody(out, interior_witness(out))
+    return chain_body(out)
 
 
 # ------------------------------------------------------------------ support

@@ -31,7 +31,7 @@ from .body import (
     Polytope,
     as_body,
     body_distance_many,
-    interior_witness,
+    chain_body,
     merge_flat_junctions,
     polar_dual,
     require_valid,
@@ -153,7 +153,7 @@ def convex_hull_with_point(body: ConvexBody, x: Vec) -> ConvexBody:
     new_pieces.append(GreatArc(x, t_out))
     new_pieces.extend(seg for seg, _ in segments[leave + 1 :])
     new_pieces = merge_flat_junctions(new_pieces)
-    return ConvexBody(new_pieces, interior_witness(new_pieces))
+    return chain_body(new_pieces)
 
 
 # ------------------------------------------------------------- completion

@@ -222,7 +222,7 @@ class CircleArc:
 
     def tangent_at(self, t: float) -> Vec:
         """Unit tangent in the direction of increasing ``t``."""
-        return -math.sin(t) * self.u + math.cos(t) * self.v
+        return -np.sin(t) * self.u + np.cos(t) * self.v
 
     def azimuth_of(self, p) -> np.ndarray:
         """Azimuth of point(s) ``p`` about z in [0, 2*pi), measured from u."""
@@ -334,7 +334,9 @@ class ArcStack:
 
     The field names match the ``CircleArc`` attributes, so
     ``distance_to_piece`` takes either one piece (one distance per row) or a
-    stack (rows x pieces); slicing gives the stack of a run of pieces.
+    stack (rows x pieces); slicing gives the stack of a run of pieces.  The
+    methods are the ``CircleArc`` formulas elementwise (bit for bit per row);
+    ``t`` broadcasts, so ``np.linspace(t0, t1, k)`` gives k values a piece.
     """
 
     z: np.ndarray
@@ -352,11 +354,19 @@ class ArcStack:
     def __getitem__(self, key) -> ArcStack:
         return ArcStack(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
 
-    def point_at(self, t) -> np.ndarray:
-        """Points at ``t``, which broadcasts against the stack's shape."""
+    def _ring(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)[..., None]
-        ring = np.cos(t) * self.u + np.sin(t) * self.v
-        return self.cos_r[..., None] * self.z + self.sin_r[..., None] * ring
+        return np.cos(t) * self.u + np.sin(t) * self.v
+
+    def point_at(self, t) -> np.ndarray:
+        return self.cos_r[..., None] * self.z + self.sin_r[..., None] * self._ring(t)
+
+    def support_pole_at(self, t) -> np.ndarray:
+        return self.sin_r[..., None] * self.z - self.cos_r[..., None] * self._ring(t)
+
+    def tangent_at(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)[..., None]
+        return -np.sin(t) * self.u + np.cos(t) * self.v
 
 
 def stack_arcs(pieces) -> ArcStack:

@@ -2,7 +2,8 @@
 
 Everything here works on dense boundary samples and explicit closed-form
 membership rules only; none of the adaptive or closed-form machinery under
-test is reused for the quantities being checked.
+test is reused for the quantities being checked.  ``validate_per_piece`` is
+the per-piece reference that the stacked ``body.validate`` must reproduce.
 """
 
 import math
@@ -10,7 +11,18 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from spherewidth.sphere import acos_clamped_np, sample_piece, unit_rows
+from spherewidth.body import ValidationCheck
+from spherewidth.sphere import (
+    BOUNDARY_EPS,
+    DOT_EPS,
+    acos_clamped_np,
+    chord_distance,
+    cross,
+    dot,
+    sample_piece,
+    unit,
+    unit_rows,
+)
 
 
 def boundary_cloud(body, per_piece=2000):
@@ -110,3 +122,48 @@ def polytope_inside(vertices, tol=1e-12):
         return np.all(points @ poles.T >= -tol, axis=1)
 
     return f
+
+
+def validate_per_piece(body):
+    """The checks of ``body.validate``, evaluated piece by piece in Python.
+
+    The same names, samples and thresholds as the stacked ``validate``, one
+    ``support_pole_at`` / ``tangent_at`` call per piece and junction.
+    """
+    pcs = body.pieces
+    n = len(pcs)
+    checks = [ValidationCheck("piece-count", n >= 1, float(max(0, 1 - n)))]
+    if n == 0:
+        return checks
+    gap = 0.0
+    for i, p in enumerate(pcs):
+        gap = max(gap, chord_distance(p.end, pcs[(i + 1) % n].start))
+    checks.append(ValidationCheck("closure", gap <= BOUNDARY_EPS, gap))
+
+    w = body.interior
+    samples = np.vstack([sample_piece(p, 16) for p in pcs])
+    poles = [p.support_pole_at(np.linspace(p.t0, p.t1, 5)).mean(axis=0) for p in pcs]
+    pole_mean = np.sum(poles, axis=0)
+    candidates = [w]
+    if np.linalg.norm(pole_mean) > DOT_EPS:
+        candidates.append(unit(pole_mean))
+    min_dot = max(float(np.min(samples @ k)) for k in candidates)
+    checks.append(ValidationCheck("hemispherical", min_dot >= -BOUNDARY_EPS, -min_dot))
+
+    worst_support = min(
+        1.0, *(float(np.min(p.support_pole_at(np.linspace(p.t0, p.t1, 9)) @ w)) for p in pcs)
+    )
+    checks.append(ValidationCheck("support-orientation", worst_support > DOT_EPS, -worst_support))
+
+    turns = []
+    for i, p in enumerate(pcs):
+        q = pcs[(i + 1) % n]
+        t_in = p.tangent_at(p.t1)
+        t_out = q.tangent_at(q.t0)
+        turns.append(math.atan2(dot(cross(t_in, t_out), p.end), dot(t_in, t_out)))
+    checks.append(ValidationCheck("convex-turns", min(turns) >= -BOUNDARY_EPS, -min(turns)))
+    checks.append(ValidationCheck("corner-not-cusp", max(turns) <= math.pi - 1e-9, max(turns)))
+
+    min_len = min(p.length for p in pcs)
+    checks.append(ValidationCheck("piece-nondegenerate", min_len > 1e-12, -min_len))
+    return checks

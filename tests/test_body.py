@@ -105,6 +105,74 @@ def test_reflex_junction_fails_convexity():
     assert "convex-turns" in bad.failed()
 
 
+@functools.lru_cache(maxsize=None)
+def _cap_polytope_at(eps):
+    from spherewidth.approx import ApproximationConfig, approximate_polytope
+
+    return approximate_polytope(cap(E3, math.pi / 4), ApproximationConfig(eps))[0]
+
+
+def _validation_corpus():
+    valid = [
+        cap(unit([0.3, -0.5, 0.8]), 0.6),
+        lens(E3, unit([0.5, 0.0, 1.0]), 0.7, 0.6),
+        octant().to_body(),
+        _cap_polytope_at(0.01).to_body(),
+        _cap_polytope_at(0.002).to_body(),
+    ]
+    # a piece far shorter than the 1e-12 floor, inserted at the vertex e3
+    z = unit([0.2, 0.3, 1.0])
+    probe = SmallCircleArc(z, math.acos(z @ E3), 0.0, 2 * math.pi)
+    a0 = float(probe.azimuth_of(E3))
+    tiny = SmallCircleArc(z, probe.radius, a0, a0 + 2e-12)
+    a, b = unit([0.3, 0.2, 0.9]), unit([-0.4, 0.5, 0.7])
+    failing = {
+        "closure": ConvexBody([GreatArc(E1, E2), GreatArc(E2, E3)], unit([1.0, 1.0, 1.0])),
+        "support-orientation": ConvexBody(
+            [SmallCircleArc(E3, math.pi / 4, 0.0, 2 * math.pi)], unit([0.2, 0.0, -1.0])
+        ),
+        "convex-turns": Polytope(
+            np.array([E1, E2, unit(0.75 * E3 + 0.25 * E1), unit(0.75 * E3 + 0.25 * E2)])
+        ).to_body(),
+        # a digon that runs back along its own edge
+        "corner-not-cusp": bd.chain_body([GreatArc(a, b), GreatArc(b, a)]),
+        "piece-nondegenerate": ConvexBody(
+            [GreatArc(E1, E2), GreatArc(E2, E3), tiny, GreatArc(tiny.end, E1)], unit([1.0, 1.0, 1.0])
+        ),
+    }
+    return valid + [polar_dual(c) for c in valid], failing
+
+
+def test_validate_matches_per_piece_reference():
+    valid, failing = _validation_corpus()
+    for c in valid:
+        assert validate(c).ok
+    for name, c in failing.items():
+        assert name in validate(c).failed()
+    for c in valid + list(failing.values()):
+        got = validate(c).checks
+        want = oracles.validate_per_piece(c)
+        assert [g.name for g in got] == [w.name for w in want]
+        assert [g.passed for g in got] == [w.passed for w in want]
+        np.testing.assert_allclose(
+            [g.magnitude for g in got], [w.magnitude for w in want], rtol=0.0, atol=1e-12
+        )
+
+
+def test_polytope_builds_its_edge_body_once():
+    poly = _cap_polytope_at(0.01)
+    body = poly.to_body()
+    assert poly.to_body() is body
+    assert bd.as_body(poly) is body
+    v = poly.vertices
+    want = np.array([GreatArc(v[i], v[(i + 1) % len(v)]).pole for i in range(len(v))])
+    poles = poly.edge_poles()
+    assert np.array_equal(poles, want)
+    poles[:] = 0.0
+    assert np.array_equal(body.arcs.z, want)
+    assert np.array_equal(poly.edge_poles(), want)
+
+
 # --------------------------------------------------------------- membership
 
 
@@ -139,7 +207,7 @@ def test_contains_cap_matches_closed_form():
     # a circular segment: one circle arc closed by one great arc
     arc = SmallCircleArc(z, r, 0.5, 4.5)
     chord = GreatArc(arc.end, arc.start)
-    seg = ConvexBody([arc, chord], bd.interior_witness([arc, chord]))
+    seg = bd.chain_body([arc, chord])
     assert validate(seg).ok
     got = contains_many(seg, pts)
     want = (sphere.acos_clamped_np(pts @ z) <= r + 1e-9) & (pts @ chord.pole >= -1e-9)
@@ -186,7 +254,7 @@ def _membership_case(shape, rot, radius):
         z = rot @ unit([0.3, -0.4, 0.9])
         arc = SmallCircleArc(z, 0.8, 0.5, 4.5)
         chord = GreatArc(arc.end, arc.start)
-        body = ConvexBody([arc, chord], bd.interior_witness([arc, chord]))
+        body = bd.chain_body([arc, chord])
         return body, lambda x, tol: oracles.cap_inside(z, 0.8, tol)(x) & (x @ chord.pole >= -tol)
     poly = rotated(octant() if shape == "octant" else _cap_polytope(), rot)
     return poly.to_body(), lambda x, tol: oracles.polytope_inside(poly.vertices, tol)(x)
