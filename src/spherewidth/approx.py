@@ -11,6 +11,16 @@ terminates in a polytope.
 
 Each round works with a halved distance budget; a cut is admissible when its
 new vertex sits closer to the body than the budget times a safety factor.
+
+For a sub-arc of width s on the circle (Z, r), the right spherical triangle
+Z-M-P1 gives tan m = tan r cos(s/2), M the chord midpoint at distance m from
+Z, so the chord's sagitta is d(s) = r - atan(tan r cos(s/2)).  The new
+vertex R1 lies at pi/2 - m from Z on the dual side, so while the dual
+sub-arc (radius pi/2 - r) is intact, R1 sits d(s) outside it and d(s) is its
+distance to the body; the subdivision solves d(s) < budget * safety for s
+in closed form.  Where the dual sub-arc is not intact, ``cut_step`` raises
+``DualOverlap`` and the piece waits for the next round.
+
 The certificate never trusts the step chain: it re-measures the Hausdorff
 distance, the width range and the self-duality residual on the final pair.
 """
@@ -57,7 +67,7 @@ from .metrics import hausdorff, is_constant_width
 
 
 MAX_ROUNDS = 64  # rounds of halving budgets before ``BudgetExhausted``
-SUBDIVISION_SAFETY = 0.5  # share of the round's budget a chord pole may use
+SUBDIVISION_SAFETY = 0.5  # share of the round's budget the sagitta d(s) may use
 
 
 @dataclass(frozen=True)
@@ -103,28 +113,14 @@ class Certificate:
 # ---------------------------------------------------------------- subdivide
 
 
-def _chord_pole_distance(body: ConvexBody, piece: SmallCircleArc, step: float) -> float:
-    """Distance from the pole of the first sub-chord of width ``step`` to the body.
-
-    The chord pole on the dual side has positive dot with the support pole at
-    the sub-arc midpoint, which serves as the side hint.
-    """
-    a = piece.az_from
-    p1 = piece.point_at(a)[0]
-    p2 = piece.point_at(a + step)[0]
-    r = arc_pole(p1, p2, piece.support_pole_at(a + 0.5 * step)[0])
-    return body_distance(body, r)
-
-
 def subdivide_piece(
     body: ConvexBody, piece_id: int, eps: float, safety: float = SUBDIVISION_SAFETY
 ) -> np.ndarray:
     """Subdivision points of a strictly convex piece for the budget ``eps``.
 
     Returns the points (endpoints included) of the fewest equal sub-arcs
-    whose chord pole lies closer to the body than ``eps * safety``.  The
-    count doubles from its least value until it is admissible, then is
-    bisected between the last inadmissible and the first admissible count.
+    whose chord pole lies closer to the body than ``eps * safety``, the
+    distance being the sagitta ``d(s)`` of the module docstring.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -132,28 +128,18 @@ def subdivide_piece(
     if not isinstance(piece, SmallCircleArc):
         raise NotStrictlyConvex("piece %d is a great arc" % piece_id)
     target = eps * safety
+    r = piece.radius
     span = piece.span
     # full circles need at least two sub-arcs (a single chord would close on
     # itself) and no sub-arc may exceed half the circle
-    min_subs = max(2 if piece.is_full else 1, int(math.ceil(span / math.pi - 1e-12)))
-
-    def admissible(n: int) -> bool:
-        return _chord_pole_distance(body, piece, span / n) < target
-
-    hi = min_subs
-    while not admissible(hi):
-        hi *= 2
-        if hi > 1 << 22:
+    n = max(2 if piece.is_full else 1, int(math.ceil(span / math.pi - 1e-12)))
+    if target < r:
+        # d(s) < target exactly for widths s below s_max
+        s_max = 2.0 * math.acos(math.tan(r - target) / math.tan(r))
+        if span >= s_max * (1 << 22):
             raise ValueError("subdivision did not converge; eps too small")
-    # keep lo inadmissible (or below the least count) and hi admissible
-    lo = max(min_subs - 1, hi // 2)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if admissible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return piece.point_at(np.linspace(piece.az_from, piece.az_to, hi + 1))
+        n = max(n, int(span / s_max) + 1)
+    return piece.point_at(np.linspace(piece.az_from, piece.az_to, n + 1))
 
 
 # ----------------------------------------------------------------- cut step

@@ -109,7 +109,8 @@ def cmd_certify(args) -> int:
 
 def cmd_render(args) -> int:
     bodies = [_read_body(p) for p in args.inputs]
-    svg = render_svg(bodies, projection=args.projection, view=_parse_vec(args.view))
+    view = None if args.view is None else _parse_vec(args.view)
+    svg = render_svg(bodies, projection=args.projection, view=view)
     Path(args.out).write_text(svg)
     print("wrote %s" % args.out)
     return 0
@@ -167,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("inputs", nargs="+")
     r.add_argument("--projection", choices=["orthographic", "stereographic"],
                    default="orthographic")
-    r.add_argument("--view", default="1,1,1", help="view direction x,y,z")
+    r.add_argument("--view", help="view direction x,y,z (default: the mean of the "
+                   "bodies' interior witnesses)")
     r.add_argument("-o", "--out", required=True)
     common(r)
     r.set_defaults(func=cmd_render)

@@ -132,19 +132,22 @@ def _segment_list(piece):
 def render_svg(
     bodies: Sequence[BodyLike],
     projection: str = "orthographic",
-    view=(1.0, 1.0, 1.0),
+    view=None,
     samples: int = 256,
 ) -> str:
     """Render bodies to an SVG document string.
 
-    Orthographic projection requires every body to lie in the open front
-    hemisphere of the view direction.
+    The view direction defaults to the unit mean of the bodies' interior
+    witnesses.  Orthographic projection requires every body to lie in the
+    open front hemisphere of the view direction.
     """
     if projection not in ("orthographic", "stereographic"):
         raise ValueError("projection must be orthographic or stereographic")
+    shapes = [as_body(body) for body in bodies]
+    if view is None:
+        view = np.mean([body.interior for body in shapes], axis=0)
     v = unit(np.asarray(view, dtype=float))
     a, b = tangent_basis(v)
-    shapes = [as_body(body) for body in bodies]
 
     cloud = []
     for body in shapes:

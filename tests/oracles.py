@@ -3,7 +3,9 @@
 Everything here works on dense boundary samples and explicit closed-form
 membership rules only; none of the adaptive or closed-form machinery under
 test is reused for the quantities being checked.  ``validate_per_piece`` is
-the per-piece reference that the stacked ``body.validate`` must reproduce.
+the per-piece reference that the stacked ``body.validate`` must reproduce,
+and ``chord_pole_distance`` the measured distance that the closed-form
+subdivision of ``approx.subdivide_piece`` must reproduce.
 """
 
 import math
@@ -11,11 +13,12 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from spherewidth.body import ValidationCheck
+from spherewidth.body import ValidationCheck, body_distance
 from spherewidth.sphere import (
     BOUNDARY_EPS,
     DOT_EPS,
     acos_clamped_np,
+    arc_pole,
     chord_distance,
     cross,
     dot,
@@ -167,3 +170,16 @@ def validate_per_piece(body):
     min_len = min(p.length for p in pcs)
     checks.append(ValidationCheck("piece-nondegenerate", min_len > 1e-12, -min_len))
     return checks
+
+
+def chord_pole_distance(body, piece, step):
+    """Distance to ``body`` of the pole of ``piece``'s first sub-chord of width ``step``.
+
+    The pole is taken on the dual side: it has positive dot with the support
+    pole at the sub-arc midpoint, which serves as the side hint.
+    """
+    a = piece.az_from
+    p1 = piece.point_at(a)[0]
+    p2 = piece.point_at(a + step)[0]
+    r = arc_pole(p1, p2, piece.support_pole_at(a + 0.5 * step)[0])
+    return body_distance(body, r)

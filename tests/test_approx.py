@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from spherewidth import approx, metrics
 from spherewidth import body as bd
 from spherewidth.approx import (
@@ -26,7 +27,7 @@ from spherewidth.errors import (
     NotConstantWidth,
     NotStrictlyConvex,
 )
-from spherewidth.generators import cap, octant
+from spherewidth.generators import cap, complete_selfdual, octant
 from spherewidth.metrics import is_constant_width, self_duality_residual
 from spherewidth.sphere import GreatArc, SmallCircleArc, unit
 
@@ -74,6 +75,42 @@ def test_subdivide_cap_budget():
             min_subs = max(2 if piece.is_full else 1, math.ceil(piece.span / PI - 1e-12))
             if n - 1 >= min_subs:
                 assert chord_pole_distance_cap(PI / 4, piece.span / (n - 1)) >= 0.5 * eps
+
+
+def _two_arc_completion(r):
+    """Completion of the hull of the arcs of (E3, r) and (E3, pi/2 - r) on opposite azimuths.
+
+    Every point of one arc is pi/2 from the opposite point of the other, so
+    both arcs stay on the boundary of the self-dual completion.
+    """
+    arc = SmallCircleArc(E3, r, -0.5, 0.5)
+    dual = SmallCircleArc(E3, PI / 2 - r, PI - 0.5, PI + 0.5)
+    seed = bd.chain_body([arc, GreatArc(arc.end, dual.start), dual, GreatArc(dual.end, arc.start)])
+    return complete_selfdual(seed, tol=1e-7)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.01, 0.002])
+def test_subdivision_matches_measured_chord_pole(eps):
+    # the sagitta d(s) is the measured distance of the first chord pole, and
+    # the count is the least whose measured distance is under the target
+    bodies = [cap(E3, PI / 4), _cap_after_one_cut()[0]]
+    bodies += [_two_arc_completion(r) for r in (0.3, 0.5, 0.7)]
+    target = eps * approx.SUBDIVISION_SAFETY
+    radii = set()
+    for b in bodies:
+        for i in b.circle_piece_indices():
+            piece = b.pieces[i]
+            radii.add(round(piece.radius, 9))
+            n = len(subdivide_piece(b, i, eps)) - 1
+            s = piece.span / n
+            d = oracles.chord_pole_distance(b, piece, s)
+            r = piece.radius
+            assert abs(d - (r - math.atan(math.tan(r) * math.cos(s / 2)))) <= 1e-14
+            assert d < target
+            min_subs = max(2 if piece.is_full else 1, math.ceil(piece.span / PI - 1e-12))
+            if n - 1 >= min_subs:
+                assert oracles.chord_pole_distance(b, piece, piece.span / (n - 1)) >= target
+    assert len(radii) == 7  # pi/4 and both radii of each completion
 
 
 def test_subdivide_huge_eps_full_circle():
@@ -249,8 +286,8 @@ def test_approximation_measures_each_body_once(monkeypatch):
     # output's widths, its self-duality residual and its distance to the
     # input; the input is validated by the gate and again by the
     # certificate, the output once by its width sweep
-    calls = {"hausdorff": 0, "diameter": 0, "validate": 0}
-    homes = {"hausdorff": metrics, "diameter": metrics, "validate": bd}
+    calls = {"hausdorff": 0, "diameter": 0, "validate": 0, "body_distance": 0}
+    homes = {"hausdorff": metrics, "diameter": metrics, "validate": bd, "body_distance": bd}
     for name in calls:
         fn = getattr(homes[name], name)
 
@@ -261,8 +298,9 @@ def test_approximation_measures_each_body_once(monkeypatch):
         for module in (bd, metrics, approx):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted)
-    approximate_polytope(cap(E3, PI / 4), ApproximationConfig(0.05))
-    assert calls == {"hausdorff": 2, "diameter": 2, "validate": 3}
+    _, _, steps = approximate_polytope(cap(E3, PI / 4), ApproximationConfig(0.05))
+    # the subdivision measures nothing; each cut measures its new vertex once
+    assert calls == {"hausdorff": 2, "diameter": 2, "validate": 3, "body_distance": len(steps)}
 
 
 def test_invalid_bodies_still_raise():

@@ -185,6 +185,19 @@ def test_render_command(tmp_path, capsys):
     assert out.read_text().startswith("<?xml")
 
 
+def test_render_default_view(tmp_path, capsys):
+    # the default view looks at the bodies, so plain generator output renders
+    files = {name: tmp_path / (name + ".json") for name in ("cap", "rp", "rp-dual")}
+    run(capsys, "generate", "cap", "-o", str(files["cap"]))
+    run(capsys, "generate", "random-polytope", "-o", str(files["rp"]))
+    run(capsys, "dual", str(files["rp"]), "-o", str(files["rp-dual"]))
+    for inputs in ([files["cap"]], [files["rp"], files["rp-dual"]]):
+        out = tmp_path / "fig.svg"
+        code, _, err = run(capsys, "render", *map(str, inputs), "-o", str(out))
+        assert code == 0, err
+        assert out.read_text().count("<path ") == len(inputs)
+
+
 def test_render_bad_view(tmp_path, capsys):
     src = tmp_path / "cap.json"
     run(capsys, "generate", "cap", "-o", str(src))
