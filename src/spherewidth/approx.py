@@ -52,10 +52,8 @@ from .sphere import (
     unit,
 )
 from .body import (
-    BodyLike,
     ConvexBody,
     Polytope,
-    as_body,
     body_distance,
     boundary_distance_many,
     chain_body,
@@ -293,7 +291,7 @@ def cut_step(body: ConvexBody, p1: Vec, p2: Vec) -> tuple[ConvexBody, StepRecord
 
 
 def approximate_polytope(
-    body: BodyLike, config: ApproximationConfig
+    body: ConvexBody, config: ApproximationConfig
 ) -> tuple[Polytope, Certificate, list[StepRecord]]:
     """Approximate a constant-width-pi/2 body by a polytope of the same width.
 
@@ -303,9 +301,8 @@ def approximate_polytope(
     defers the piece to the next, finer round.  The measured Hausdorff
     distance between input and output is certified against 2 * epsilon.
     """
-    b = as_body(body)
     # the gate validates the input, through polar_dual
-    gate = is_constant_width(b, 0.5 * math.pi, config.self_dual_tol)
+    gate = is_constant_width(body, 0.5 * math.pi, config.self_dual_tol)
     if not gate.passed:
         raise NotConstantWidth(
             "input width range [%.9f, %.9f] is not pi/2 within %.1e"
@@ -313,7 +310,7 @@ def approximate_polytope(
         )
     steps: list[StepRecord] = []
     rounds = 0
-    current = b
+    current = body
     for k in range(MAX_ROUNDS):
         if not current.circle_piece_indices():
             break
@@ -340,13 +337,13 @@ def approximate_polytope(
             steps=steps,
         )
     poly = to_polytope(current)
-    cert = certify(b, poly, config, steps=len(steps), rounds=rounds)
+    cert = certify(body, poly, config, steps=len(steps), rounds=rounds)
     return poly, cert, steps
 
 
 def certify(
-    original: BodyLike,
-    result: BodyLike,
+    original: ConvexBody,
+    result: ConvexBody,
     config: ApproximationConfig,
     steps: int = 0,
     rounds: int = 0,
@@ -356,12 +353,10 @@ def certify(
     Raises ``CertificationFailed`` naming the violated bound; never trusts
     the step chain that produced the result.
     """
-    orig = as_body(original)
-    res = as_body(result)
-    require_valid(orig)
+    require_valid(original)
     # the width sweep validates the result, through polar_dual
-    rep = is_constant_width(res, 0.5 * math.pi, config.self_dual_tol)
-    h = hausdorff(orig, res)
+    rep = is_constant_width(result, 0.5 * math.pi, config.self_dual_tol)
+    h = hausdorff(original, result)
     wmin, wmax, residual = rep.width_min, rep.width_max, rep.self_duality_residual
     cert = Certificate(
         epsilon=config.epsilon,

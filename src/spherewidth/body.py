@@ -8,8 +8,9 @@ hemispheres, so a point x is a member when x . K >= -tol for every support
 pole K; membership and boundary distance evaluate all pieces of a body in
 one numpy expression over its stacked arrays (``ConvexBody.arcs``), in
 blocks of at most ``BLOCK_ELEMENTS`` rows x pieces; so do validation, the
-interior witness and the dual's corner poles.  A ``Polytope`` builds its
-edge body once, so its ``vertices``, like ``pieces``, must not change after.
+interior witness and the dual's corner poles.  A ``Polytope`` is a body
+whose edges and witness come from its vertices on first use, so its
+``vertices``, like ``pieces``, must not change after.
 The chain is traversed counterclockwise as seen from the interior side: at
 every smooth boundary point P with unit tangent T, the support pole of the
 body is P x T.  Under that convention polar duality maps pieces to pieces
@@ -89,14 +90,15 @@ class ConvexBody:
         return np.vstack([sample_piece(p, per_piece) for p in self.pieces])
 
 
-@dataclass(eq=False)
-class Polytope:
-    """Convex body whose boundary consists of great arcs, stored by vertices."""
+class Polytope(ConvexBody):
+    """Convex body bounded by great arcs, stored by its vertices.
 
-    vertices: np.ndarray
+    The edges and the interior witness are built from ``vertices`` on first
+    use, so ``vertices`` must not change afterwards.
+    """
 
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+    def __init__(self, vertices):
+        v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValueError("vertices must be an (n, 3) array")
         with np.errstate(over="ignore"):  # inf only past the float range
@@ -109,28 +111,30 @@ class Polytope:
             )
         self.vertices = unit_rows(v)
 
+    def __repr__(self) -> str:
+        return "Polytope(vertices=%r)" % (self.vertices,)
+
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def edge_poles(self) -> np.ndarray:
-        return self.to_body().arcs.z.copy()
-
-    def to_body(self) -> ConvexBody:
-        """The edge body, built once; ``vertices`` must not change afterwards."""
-        return self._body
+    @cached_property
+    def pieces(self) -> list[CircleArc]:
+        v = self.vertices
+        return [GreatArc(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     @cached_property
-    def _body(self) -> ConvexBody:
-        v = self.vertices
-        edges = [GreatArc(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-        return ConvexBody(edges, unit(v.mean(axis=0)))
+    def interior(self) -> Vec:
+        # normalised twice on purpose: the second ``unit`` can move the last
+        # bits, and every result downstream of the witness keeps these bits
+        return unit(unit(self.vertices.mean(axis=0)))
+
+    def edge_poles(self) -> np.ndarray:
+        return self.arcs.z.copy()
 
 
-BodyLike = Union[ConvexBody, Polytope]
-
-
-def as_body(b: BodyLike) -> ConvexBody:
-    return b.to_body() if isinstance(b, Polytope) else b
+def as_body(b: ConvexBody) -> ConvexBody:
+    """The body itself: every body, a ``Polytope`` included, is a ``ConvexBody``."""
+    return b
 
 
 def to_polytope(body: ConvexBody) -> Polytope:
@@ -236,12 +240,12 @@ def validate_polytope(poly: Polytope) -> ValidationReport:
     checks = [ValidationCheck("vertex-count", len(poly) >= 3, float(max(0, 3 - len(poly))))]
     if len(poly) >= 3:
         try:
-            body = poly.to_body()
+            poly.pieces
         except DegenerateArc:
             checks.append(ValidationCheck("edges-nondegenerate", False, 1.0))
             return ValidationReport(checks)
-        checks.extend(validate(body).checks)
-        poles = body.arcs.z
+        checks.extend(validate(poly).checks)
+        poles = poly.arcs.z
         m = float(np.min(np.linalg.norm(poles - np.roll(poles, -1, axis=0), axis=1)))
         checks.append(ValidationCheck("no-redundant-vertices", m > BOUNDARY_EPS, -m))
     return ValidationReport(checks)

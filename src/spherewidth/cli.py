@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import ApproximationConfig, approximate_polytope, certify
-from .body import as_body, polar_dual, validate, validate_polytope, Polytope
+from .body import polar_dual, validate, validate_polytope, Polytope
 from .errors import CertificationFailed, SphereGeomError
 from .formats import dumps_body, dumps_certificate, dumps_step_log, loads_body
 from .generators import cap, complete_selfdual, octant, random_selfdual_polytope
@@ -33,7 +33,7 @@ def _parse_vec(text: str) -> np.ndarray:
 
 def _read_body(path: str):
     body = loads_body(Path(path).read_text())
-    rep = validate_polytope(body) if isinstance(body, Polytope) else validate(as_body(body))
+    rep = validate_polytope(body) if isinstance(body, Polytope) else validate(body)
     if not rep.ok:
         raise SphereGeomError("invalid body in %s: %s" % (path, ", ".join(rep.failed())))
     return body
@@ -60,7 +60,7 @@ def cmd_generate(args) -> int:
 
 def cmd_dual(args) -> int:
     body = _read_body(args.input)
-    Path(args.out).write_text(dumps_body(polar_dual(as_body(body))))
+    Path(args.out).write_text(dumps_body(polar_dual(body)))
     print("wrote %s" % args.out)
     return 0
 

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .approx import Certificate, StepRecord
-from .body import BodyLike, ConvexBody, Polytope
+from .body import ConvexBody, Polytope
 from .errors import InvalidBody
 from .sphere import GreatArc, SmallCircleArc
 
@@ -25,7 +25,7 @@ def _vec(v) -> str:
     return "[%s]" % ",".join(_num(c) for c in v)
 
 
-def dumps_body(body: BodyLike) -> str:
+def dumps_body(body: ConvexBody) -> str:
     """Serialize a polytope or piecewise-circular body."""
     if isinstance(body, Polytope):
         verts = ",".join(_vec(v) for v in body.vertices)
@@ -73,7 +73,7 @@ def _vertices(v) -> np.ndarray:
     return a
 
 
-def loads_body(text: str) -> BodyLike:
+def loads_body(text: str) -> ConvexBody:
     """Parse a body; malformed records raise ``InvalidBody`` naming the field."""
     obj = json.loads(text)
     kind = _field(obj, "kind", str)

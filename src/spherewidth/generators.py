@@ -26,18 +26,22 @@ from .sphere import (
     unit,
 )
 from .body import (
-    BodyLike,
     ConvexBody,
     Polytope,
-    as_body,
     body_distance_many,
     chain_body,
     merge_flat_junctions,
     polar_dual,
     require_valid,
+    to_polytope,
     validate_polytope,
 )
 from .metrics import boundary_sup_distance, diameter
+
+# Dual boundary points sampled per completion round.
+COMPLETION_SWEEP = 2048
+# Farthest-point insertions before the completion gives up.
+MAX_INSERTIONS = 10_000
 
 
 def octant() -> Polytope:
@@ -68,7 +72,7 @@ def rotation_from_seed(seed: int) -> np.ndarray:
     return q
 
 
-def rotated(b: BodyLike, rot: np.ndarray) -> BodyLike:
+def rotated(b: ConvexBody, rot: np.ndarray) -> ConvexBody:
     """Apply a rotation matrix to a body or polytope."""
     if isinstance(b, Polytope):
         return Polytope(b.vertices @ rot.T)
@@ -159,13 +163,7 @@ def convex_hull_with_point(body: ConvexBody, x: Vec) -> ConvexBody:
 # ------------------------------------------------------------- completion
 
 
-def complete_selfdual(
-    seed: BodyLike,
-    tol: float,
-    rng_seed: int = 0,
-    max_insertions: int = 10_000,
-    sweep: int = 2048,
-) -> ConvexBody:
+def complete_selfdual(seed: ConvexBody, tol: float, rng_seed: int = 0) -> ConvexBody:
     """Grow a sub-dual body into a self-dual one by farthest-point insertion.
 
     The seed must satisfy seed inside seed-dual (equivalently diameter at
@@ -174,15 +172,15 @@ def complete_selfdual(
     ``BudgetExhausted`` with the partial body if the insertion budget runs
     out.
     """
-    body = as_body(seed)
+    body = seed
     require_valid(body)
     if diameter(body) > 0.5 * math.pi + BOUNDARY_EPS:
         raise SeedNotSubdual("seed diameter exceeds pi/2; seed is not inside its dual")
     rng = np.random.default_rng(rng_seed)
-    for _ in range(max_insertions):
+    for _ in range(MAX_INSERTIONS):
         dual = polar_dual(body, check=False)
         arcs = dual.arcs
-        counts = length_weighted_counts(dual.pieces, sweep)
+        counts = length_weighted_counts(dual.pieces, COMPLETION_SWEEP)
         idx, ts = linspace_grid(arcs.t0, arcs.t1, counts)
         jitter = rng.uniform(0, arcs.span / counts)[idx]
         pts = arcs[idx].point_at(np.clip(ts + jitter, arcs.t0[idx], arcs.t1[idx]))
@@ -197,7 +195,7 @@ def complete_selfdual(
             return body
         body = convex_hull_with_point(body, pts[i])
     raise BudgetExhausted(
-        "completion did not reach tol %.1e in %d insertions" % (tol, max_insertions),
+        "completion did not reach tol %.1e in %d insertions" % (tol, MAX_INSERTIONS),
         partial=body,
     )
 
@@ -233,15 +231,14 @@ def random_subdual_polytope_seed(n_target: int, rng_seed: int) -> Polytope:
 
 def random_selfdual_polytope(n_target: int, rng_seed: int = 0) -> Polytope:
     """Random polytope of constant width pi/2, deterministic in the seed."""
-    from .approx import ApproximationConfig, approximate_polytope
+    from .approx import ApproximationConfig, certify
 
     seed = random_subdual_polytope_seed(n_target, rng_seed)
     body = complete_selfdual(seed, tol=1e-7, rng_seed=rng_seed)
-    # completion of a polytope seed stays a polytope; snapping through the
-    # approximation pipeline re-checks constant width and is the identity
-    poly, _, _ = approximate_polytope(
-        as_body(body), ApproximationConfig(epsilon=0.05)
-    )
+    # completion of a polytope seed stays a polytope; the certificate
+    # re-checks its constant width
+    poly = to_polytope(body)
+    certify(body, poly, ApproximationConfig(epsilon=0.05))
     rep = validate_polytope(poly)
     if not rep.ok:
         raise RuntimeError("completion produced an invalid polytope: %s" % rep)

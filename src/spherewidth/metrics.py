@@ -49,9 +49,7 @@ from .sphere import (
 )
 from .body import (
     BLOCK_ELEMENTS,
-    BodyLike,
     ConvexBody,
-    as_body,
     body_distance_many,
     boundary_max_distance_many,
     polar_dual,
@@ -61,22 +59,23 @@ from .body import (
 HAUSDORFF_TOL = 1e-7
 # Split levels after which a refinement with live intervals is an error.
 REFINE_LEVELS = 64
+# Poles sampled along the dual boundary by the constant-width sweep.
+WIDTH_SWEEP = 4096
 
 
 # ----------------------------------------------------------- farthest points
 
 
-def diameter(body: BodyLike) -> float:
+def diameter(body: ConvexBody) -> float:
     """Maximum geodesic distance between boundary points.
 
     Alternating farthest-point ascent from nine seeds on every piece pair
     i <= j, a block of pairs at once; a pair stops after 80 rounds or once
     its maximum grows by at most 1e-14.
     """
-    b = as_body(body)
-    arcs = b.arcs
+    arcs = body.arcs
     seeds = np.linspace(arcs.t0, arcs.t1, 9, axis=-1)
-    ia, ja = np.triu_indices(len(b.pieces))
+    ia, ja = np.triu_indices(len(body.pieces))
     per = BLOCK_ELEMENTS // (3 * 9)  # (pairs, 9, 3) arrays of BLOCK_ELEMENTS values
     best = 0.0
     for lo in range(0, len(ia), per):
@@ -102,7 +101,7 @@ def diameter(body: BodyLike) -> float:
 
 
 def width_wrt(
-    body: BodyLike,
+    body: ConvexBody,
     k: Vec,
     dual: Optional[ConvexBody] = None,
     touch_tol: float = 1e-6,
@@ -113,22 +112,21 @@ def width_wrt(
     attained on the dual boundary, where the farthest-point query is closed
     form per piece.
     """
-    b = as_body(body)
     k = unit(k)[None, :]
     # min over the boundary of k . x, the cosine of the farthest distance
-    gap = math.cos(float(boundary_max_distance_many(b, k)[0]))
+    gap = math.cos(float(boundary_max_distance_many(body, k)[0]))
     if gap < -BOUNDARY_EPS:
         raise NotSupporting("hemisphere cuts into the body (min dot %.3e)" % gap)
     if gap > touch_tol:
         raise NotSupporting("hemisphere does not touch the body (min dot %.3e)" % gap)
     if dual is None:
-        dual = polar_dual(b, check=False)
+        dual = polar_dual(body, check=False)
     return math.pi - float(boundary_max_distance_many(dual, k)[0])
 
 
-def thickness(body: BodyLike) -> float:
+def thickness(body: ConvexBody) -> float:
     """Minimum width over all supporting hemispheres: pi - diameter(dual)."""
-    return math.pi - diameter(polar_dual(as_body(body)))
+    return math.pi - diameter(polar_dual(body))
 
 
 # ---------------------------------------------------------------- Hausdorff
@@ -310,27 +308,24 @@ def _refine(directions: list[_Direction], tol: float) -> float:
     raise RefinementStalled(msg, lo=lb, hi=hi)
 
 
-def boundary_sup_distance(a: BodyLike, b: BodyLike, tol: float = HAUSDORFF_TOL) -> float:
+def boundary_sup_distance(a: ConvexBody, b: ConvexBody, tol: float = HAUSDORFF_TOL) -> float:
     """sup over the boundary of ``a`` of the distance to ``b``, within ``tol``."""
-    return _refine([_Direction(as_body(a), as_body(b))], tol)
+    return _refine([_Direction(a, b)], tol)
 
 
-def hausdorff(a: BodyLike, b: BodyLike, tol: float = HAUSDORFF_TOL) -> float:
+def hausdorff(a: ConvexBody, b: ConvexBody, tol: float = HAUSDORFF_TOL) -> float:
     """Geodesic Hausdorff distance between two convex bodies.
 
     Both directed suprema are refined against a shared lower bound, so the
     smaller direction collapses immediately; the result underestimates the
     true value by at most ``tol``.
     """
-    a = as_body(a)
-    b = as_body(b)
     return _refine([_Direction(a, b), _Direction(b, a)], tol)
 
 
-def self_duality_residual(body: BodyLike, tol: float = HAUSDORFF_TOL) -> float:
+def self_duality_residual(body: ConvexBody, tol: float = HAUSDORFF_TOL) -> float:
     """Hausdorff distance between the body and its polar dual."""
-    b = as_body(body)
-    return hausdorff(b, polar_dual(b), tol=tol)
+    return hausdorff(body, polar_dual(body), tol=tol)
 
 
 # ------------------------------------------------------------- width report
@@ -369,9 +364,7 @@ class WidthReport:
         return hausdorff(self.body, self.dual)
 
 
-def is_constant_width(
-    body: BodyLike, tau: float, tol: float = 1e-6, sweep: int = 4096
-) -> WidthReport:
+def is_constant_width(body: ConvexBody, tau: float, tol: float = 1e-6) -> WidthReport:
     """Sweep all supporting hemispheres and compare widths against ``tau``.
 
     Poles are sampled along the dual boundary (where all supporting poles
@@ -379,13 +372,12 @@ def is_constant_width(
     pinned by pi - diameter(dual).  For tau = pi/2 the self-duality residual
     is reported as well.
     """
-    b = as_body(body)
-    dual = polar_dual(b)
-    idx, ts = linspace_grid(dual.arcs.t0, dual.arcs.t1, length_weighted_counts(dual.pieces, sweep))
+    dual = polar_dual(body)
+    idx, ts = linspace_grid(dual.arcs.t0, dual.arcs.t1, length_weighted_counts(dual.pieces, WIDTH_SWEEP))
     k = dual.arcs[idx].point_at(ts)
     widths = math.pi - boundary_max_distance_many(dual, k)
     thick = math.pi - diameter(dual)
     wmin = min(float(widths.min()), thick)
     wmax = float(widths.max())
     passed = (wmax - wmin <= tol) and abs(wmin - tau) <= tol
-    return WidthReport(tau, tol, wmin, wmax, thick, passed, b, dual)
+    return WidthReport(tau, tol, wmin, wmax, thick, passed, body, dual)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .body import BodyLike, as_body
+from .body import ConvexBody
 from .sphere import tangent_basis, unit
 
 VIEWBOX = 1000.0
@@ -130,7 +130,7 @@ def _segment_list(piece):
 
 
 def render_svg(
-    bodies: Sequence[BodyLike],
+    bodies: Sequence[ConvexBody],
     projection: str = "orthographic",
     view=None,
     samples: int = 256,
@@ -143,14 +143,13 @@ def render_svg(
     """
     if projection not in ("orthographic", "stereographic"):
         raise ValueError("projection must be orthographic or stereographic")
-    shapes = [as_body(body) for body in bodies]
     if view is None:
-        view = np.mean([body.interior for body in shapes], axis=0)
+        view = np.mean([body.interior for body in bodies], axis=0)
     v = unit(np.asarray(view, dtype=float))
     a, b = tangent_basis(v)
 
     cloud = []
-    for body in shapes:
+    for body in bodies:
         pts = body.boundary_samples(samples)
         front = pts @ v
         if projection == "orthographic":
@@ -165,7 +164,7 @@ def render_svg(
     frame = _Frame(np.vstack(cloud))
 
     paths = []
-    for k, body in enumerate(shapes):
+    for k, body in enumerate(bodies):
         start = body.pieces[0].start
         if projection == "orthographic":
             p0 = frame.to_px([[start @ a, start @ b]])[0]

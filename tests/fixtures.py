@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 
-from spherewidth.body import ConvexBody, Polytope
-from spherewidth.sphere import SmallCircleArc, cross, dot, unit
+from spherewidth.body import ConvexBody, Polytope, chain_body
+from spherewidth.generators import complete_selfdual
+from spherewidth.sphere import GreatArc, SmallCircleArc, cross, dot, unit
 
 
 def lens(z1, z2, r1, r2):
@@ -49,6 +50,19 @@ def lens(z1, z2, r1, r2):
     if np.linalg.norm(body.pieces[0].end - body.pieces[1].start) > 1e-9:
         body = ConvexBody([arc2, arc1], witness)
     return body
+
+
+def two_arc_completion(r):
+    """Completion of the hull of the arcs of (e3, r) and (e3, pi/2 - r) on opposite azimuths.
+
+    Every point of one arc is pi/2 from the opposite point of the other, so
+    both arcs stay on the boundary of the self-dual completion.
+    """
+    e3 = np.array([0.0, 0.0, 1.0])
+    arc = SmallCircleArc(e3, r, -0.5, 0.5)
+    dual = SmallCircleArc(e3, 0.5 * math.pi - r, math.pi - 0.5, math.pi + 0.5)
+    seed = chain_body([arc, GreatArc(arc.end, dual.start), dual, GreatArc(dual.end, arc.start)])
+    return complete_selfdual(seed, tol=1e-7)
 
 
 def truncated_octant(s=0.25):

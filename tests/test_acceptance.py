@@ -21,7 +21,6 @@ from spherewidth.approx import (
 )
 from spherewidth.body import (
     Polytope,
-    as_body,
     boundary_distance_many,
     diametral_partner,
     polar_dual,
@@ -86,13 +85,13 @@ def corpus():
         rng = np.random.default_rng(s)
         kind = s % 4
         if kind == 0:
-            bodies[s] = ("cap", as_body(cap(unit(rng.normal(size=3)), PI / 4)))
+            bodies[s] = ("cap", cap(unit(rng.normal(size=3)), PI / 4))
         elif kind == 1:
-            bodies[s] = ("octant", as_body(rotated(octant(), rotation_from_seed(s))))
+            bodies[s] = ("octant", rotated(octant(), rotation_from_seed(s)))
         elif kind == 2:
             bodies[s] = (
                 "random-polytope",
-                as_body(random_selfdual_polytope(4 + s % 6, s)),
+                random_selfdual_polytope(4 + s % 6, s),
             )
         else:
             seed_cap = cap(unit(rng.normal(size=3)), 0.55 + 0.1 * (s % 3))
@@ -227,7 +226,7 @@ def test_criterion_07_support_duality(corpus):
 def test_criterion_08_per_step_invariants():
     problems = []
     for eps in EPSILONS:
-        body = as_body(cap(E3, PI / 4))
+        body = cap(E3, PI / 4)
         budget = eps
         total = strictly_convex_arc_length(body)
         while body.circle_piece_indices():
@@ -265,8 +264,8 @@ def test_criterion_09_involution_and_oracle(corpus):
     # ten fixed pairs with closed-form membership for the sampling oracle
     z = unit([1.0, 1.0, 1.0])
     rot = rotation_from_seed(9)
-    oct_body = octant().to_body()
-    rot_oct = as_body(rotated(octant(), rot))
+    oct_body = octant()
+    rot_oct = rotated(octant(), rot)
     poly_a, _, _ = approximate_polytope(cap(E3, PI / 4), ApproximationConfig(epsilon=0.3))
     poly_b = random_selfdual_polytope(7, 3)
     pairs = [
@@ -274,12 +273,12 @@ def test_criterion_09_involution_and_oracle(corpus):
         (cap(E3, PI / 4), cap(E3, PI / 4 - 0.05), oracles.cap_inside(E3, PI / 4), oracles.cap_inside(E3, PI / 4 - 0.05)),
         (cap(E3, 0.5), cap(unit([0.5, 0, 1]), 0.9), oracles.cap_inside(E3, 0.5), oracles.cap_inside(unit([0.5, 0, 1]), 0.9)),
         (oct_body, rot_oct, oracles.polytope_inside(octant().vertices), oracles.polytope_inside(rotated(octant(), rot).vertices)),
-        (cap(E3, PI / 4), as_body(poly_a), oracles.cap_inside(E3, PI / 4), oracles.polytope_inside(poly_a.vertices)),
-        (as_body(poly_a), as_body(poly_b), oracles.polytope_inside(poly_a.vertices), oracles.polytope_inside(poly_b.vertices)),
-        (oct_body, as_body(poly_b), oracles.polytope_inside(octant().vertices), oracles.polytope_inside(poly_b.vertices)),
+        (cap(E3, PI / 4), poly_a, oracles.cap_inside(E3, PI / 4), oracles.polytope_inside(poly_a.vertices)),
+        (poly_a, poly_b, oracles.polytope_inside(poly_a.vertices), oracles.polytope_inside(poly_b.vertices)),
+        (oct_body, poly_b, oracles.polytope_inside(octant().vertices), oracles.polytope_inside(poly_b.vertices)),
         (cap(z, 0.3), cap(z, 1.1), oracles.cap_inside(z, 0.3), oracles.cap_inside(z, 1.1)),
         (cap(unit([1, -1, 1]), 0.8), oct_body, oracles.cap_inside(unit([1, -1, 1]), 0.8), oracles.polytope_inside(octant().vertices)),
-        (as_body(poly_b), cap(E3, PI / 4), oracles.polytope_inside(poly_b.vertices), oracles.cap_inside(E3, PI / 4)),
+        (poly_b, cap(E3, PI / 4), oracles.polytope_inside(poly_b.vertices), oracles.cap_inside(E3, PI / 4)),
     ]
     for i, (a, b, ia, ib) in enumerate(pairs):
         per_piece = max(2000, 100_000 // (len(a.pieces) + len(b.pieces)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fixtures import two_arc_completion
 from spherewidth import approx, metrics
 from spherewidth import body as bd
 from spherewidth.approx import (
@@ -29,7 +30,7 @@ from spherewidth.errors import (
 )
 from spherewidth.generators import cap, complete_selfdual, octant
 from spherewidth.metrics import is_constant_width, self_duality_residual
-from spherewidth.sphere import GreatArc, SmallCircleArc, unit
+from spherewidth.sphere import SmallCircleArc, unit
 
 E1, E2, E3 = np.eye(3)
 PI = math.pi
@@ -77,24 +78,12 @@ def test_subdivide_cap_budget():
                 assert chord_pole_distance_cap(PI / 4, piece.span / (n - 1)) >= 0.5 * eps
 
 
-def _two_arc_completion(r):
-    """Completion of the hull of the arcs of (E3, r) and (E3, pi/2 - r) on opposite azimuths.
-
-    Every point of one arc is pi/2 from the opposite point of the other, so
-    both arcs stay on the boundary of the self-dual completion.
-    """
-    arc = SmallCircleArc(E3, r, -0.5, 0.5)
-    dual = SmallCircleArc(E3, PI / 2 - r, PI - 0.5, PI + 0.5)
-    seed = bd.chain_body([arc, GreatArc(arc.end, dual.start), dual, GreatArc(dual.end, arc.start)])
-    return complete_selfdual(seed, tol=1e-7)
-
-
 @pytest.mark.parametrize("eps", [0.05, 0.01, 0.002])
 def test_subdivision_matches_measured_chord_pole(eps):
     # the sagitta d(s) is the measured distance of the first chord pole, and
     # the count is the least whose measured distance is under the target
     bodies = [cap(E3, PI / 4), _cap_after_one_cut()[0]]
-    bodies += [_two_arc_completion(r) for r in (0.3, 0.5, 0.7)]
+    bodies += [two_arc_completion(r) for r in (0.3, 0.5, 0.7)]
     target = eps * approx.SUBDIVISION_SAFETY
     radii = set()
     for b in bodies:
@@ -130,7 +119,7 @@ def test_subdivide_huge_eps_partial_arc():
 
 def test_subdivide_great_arc_rejected():
     with pytest.raises(NotStrictlyConvex):
-        subdivide_piece(octant().to_body(), 0, 0.1)
+        subdivide_piece(octant(), 0, 0.1)
 
 
 # ------------------------------------------------------------------ cut step

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from spherewidth import body as bd
 from spherewidth import sphere
-from spherewidth.errors import InvalidBody, NotOnBoundary, NotSelfDual
+from spherewidth.approx import subdivide_piece
+from spherewidth.errors import InvalidBody, NotOnBoundary, NotSelfDual, NotStrictlyConvex
 from spherewidth.body import (
     ConvexBody,
     Polytope,
@@ -116,9 +117,9 @@ def _validation_corpus():
     valid = [
         cap(unit([0.3, -0.5, 0.8]), 0.6),
         lens(E3, unit([0.5, 0.0, 1.0]), 0.7, 0.6),
-        octant().to_body(),
-        _cap_polytope_at(0.01).to_body(),
-        _cap_polytope_at(0.002).to_body(),
+        octant(),
+        _cap_polytope_at(0.01),
+        _cap_polytope_at(0.002),
     ]
     # a piece far shorter than the 1e-12 floor, inserted at the vertex e3
     z = unit([0.2, 0.3, 1.0])
@@ -133,7 +134,7 @@ def _validation_corpus():
         ),
         "convex-turns": Polytope(
             np.array([E1, E2, unit(0.75 * E3 + 0.25 * E1), unit(0.75 * E3 + 0.25 * E2)])
-        ).to_body(),
+        ),
         # a digon that runs back along its own edge
         "corner-not-cusp": bd.chain_body([GreatArc(a, b), GreatArc(b, a)]),
         "piece-nondegenerate": ConvexBody(
@@ -161,16 +162,41 @@ def test_validate_matches_per_piece_reference():
 
 def test_polytope_builds_its_edge_body_once():
     poly = _cap_polytope_at(0.01)
-    body = poly.to_body()
-    assert poly.to_body() is body
-    assert bd.as_body(poly) is body
+    assert isinstance(poly, ConvexBody)
+    assert poly.pieces is poly.pieces
+    assert poly.arcs is poly.arcs
     v = poly.vertices
-    want = np.array([GreatArc(v[i], v[(i + 1) % len(v)]).pole for i in range(len(v))])
+    edges = [GreatArc(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+    # the witness carries the bits of a body built from the same edges
+    assert np.array_equal(poly.interior, ConvexBody(edges, unit(v.mean(axis=0))).interior)
+    want = np.array([e.pole for e in edges])
     poles = poly.edge_poles()
     assert np.array_equal(poles, want)
     poles[:] = 0.0
-    assert np.array_equal(body.arcs.z, want)
+    assert np.array_equal(poly.arcs.z, want)
     assert np.array_equal(poly.edge_poles(), want)
+
+
+def _subdivide_rejects(o):
+    with pytest.raises(NotStrictlyConvex):
+        subdivide_piece(o, 0, 0.1)
+    return True
+
+
+_ON_OCTANT = {
+    "polar_dual": lambda o: len(to_polytope(polar_dual(o))) == 3,
+    "validate": lambda o: validate(o).ok,
+    "contains": lambda o: contains(o, unit([1, 1, 1])),
+    "support_poles_at": lambda o: support_poles_at(o, E2).is_vertex,
+    "diametral_partner": lambda o: np.allclose(diametral_partner(o, E1), unit(E2 + E3), atol=1e-12),
+    "to_polytope": lambda o: np.array_equal(to_polytope(o).vertices, o.vertices),
+    "subdivide_piece": _subdivide_rejects,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ON_OCTANT))
+def test_body_functions_take_a_polytope(name):
+    assert _ON_OCTANT[name](octant())
 
 
 # --------------------------------------------------------------- membership
@@ -215,7 +241,7 @@ def test_contains_cap_matches_closed_form():
 
 
 def test_contains_octant_matches_vertex_dots():
-    b = octant().to_body()
+    b = octant()
     pts = fib_sphere(4000)
     got = contains_many(b, pts)
     want = np.all(pts @ np.eye(3).T >= -1e-9, axis=1)
@@ -225,7 +251,7 @@ def test_contains_octant_matches_vertex_dots():
 
     poly, _, _ = approximate_polytope(cap(unit([1, 2, 3]), math.pi / 4), ApproximationConfig(0.01))
     assert len(poly) * len(pts) > 8 * bd.BLOCK_ELEMENTS
-    got = contains_many(poly.to_body(), pts)
+    got = contains_many(poly, pts)
     want = oracles.polytope_inside(poly.vertices, tol=1e-9)(pts)
     assert np.array_equal(got, want)
 
@@ -257,7 +283,7 @@ def _membership_case(shape, rot, radius):
         body = bd.chain_body([arc, chord])
         return body, lambda x, tol: oracles.cap_inside(z, 0.8, tol)(x) & (x @ chord.pole >= -tol)
     poly = rotated(octant() if shape == "octant" else _cap_polytope(), rot)
-    return poly.to_body(), lambda x, tol: oracles.polytope_inside(poly.vertices, tol)(x)
+    return poly, lambda x, tol: oracles.polytope_inside(poly.vertices, tol)(x)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -304,7 +330,7 @@ def test_body_distance_zero_inside_positive_outside():
 
 
 def test_octant_dual_is_octant():
-    dual = polar_dual(octant().to_body())
+    dual = polar_dual(octant())
     poly = to_polytope(dual)
     assert len(poly) == 3
     got = {tuple(np.round(v, 12)) for v in poly.vertices}
@@ -345,7 +371,7 @@ def test_polytope_dual_matches_halfspace_oracle(seed):
     # vertices have non-negative dot with the point.
     rot = rotation_from_seed(seed)
     poly = rotated(octant(), rot)
-    dual = polar_dual(poly.to_body())
+    dual = polar_dual(poly)
     pts = fib_sphere(5000)
     got = contains_many(dual, pts, tol=1e-9)
     want = np.all(pts @ poly.vertices.T >= -1e-9, axis=1)
@@ -387,7 +413,7 @@ def test_support_pole_on_cap():
 
 
 def test_support_at_octant_vertex_is_pole_arc():
-    b = octant().to_body()
+    b = octant()
     sup = support_poles_at(b, E2)
     assert sup.is_vertex
     ends = {tuple(np.round(sup.poles.start, 9)), tuple(np.round(sup.poles.end, 9))}
@@ -395,7 +421,7 @@ def test_support_at_octant_vertex_is_pole_arc():
 
 
 def test_support_at_octant_edge_midpoint():
-    b = octant().to_body()
+    b = octant()
     sup = support_poles_at(b, unit(E1 + E2))
     assert not sup.is_vertex
     assert np.allclose(sup.poles, E3, atol=1e-12)
@@ -403,7 +429,7 @@ def test_support_at_octant_edge_midpoint():
 
 def test_support_not_on_boundary_raises():
     with pytest.raises(NotOnBoundary):
-        support_poles_at(octant().to_body(), unit([1, 1, 1]))
+        support_poles_at(octant(), unit([1, 1, 1]))
 
 
 def test_support_duality_on_generic_body():
@@ -437,12 +463,12 @@ def test_partner_on_selfdual_cap_is_opposite_azimuth():
 
 
 def test_partner_octant_edge_midpoint():
-    q = diametral_partner(octant().to_body(), unit(E1 + E2))
+    q = diametral_partner(octant(), unit(E1 + E2))
     assert np.allclose(q, E3, atol=1e-12)
 
 
 def test_partner_octant_vertex_is_arc_midpoint():
-    q = diametral_partner(octant().to_body(), E1)
+    q = diametral_partner(octant(), E1)
     assert np.allclose(q, unit(E2 + E3), atol=1e-12)
 
 

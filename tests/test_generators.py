@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from fixtures import two_arc_completion
 
 from spherewidth.body import (
     Polytope,
-    as_body,
     body_distance_many,
     polar_dual,
     validate,
@@ -101,17 +101,17 @@ def test_completion_of_thin_polytope():
 
 def test_completion_of_shallow_cap_piece_radii():
     r = 0.7
-    out = complete_selfdual(cap(E3, r), tol=1e-6, rng_seed=0)
+    out = two_arc_completion(r)
     assert self_duality_residual(out) <= 1e-6
-    radii = {round(p.radius, 9) for p in out.pieces if isinstance(p, SmallCircleArc)}
-    # any surviving strictly convex arc keeps the seed radius or its dual
-    assert radii <= {round(r, 9), round(PI / 2 - r, 9)}
+    radii = {p.radius for p in out.pieces if isinstance(p, SmallCircleArc)}
+    # the seed's two arcs survive with their radii, and no other circle appears
+    assert radii == {r, PI / 2 - r}
 
 
 def test_completion_invariants_per_iteration():
     # replay the greedy loop, checking the growing body stays inside its
     # dual and the residual never increases
-    body = as_body(cap(E3, 0.7))
+    body = cap(E3, 0.7)
     last = np.inf
     for _ in range(40):
         dual = polar_dual(body, check=False)

@@ -9,7 +9,6 @@ from spherewidth.approx import ApproximationConfig, approximate_polytope
 from spherewidth.body import (
     BLOCK_ELEMENTS,
     Polytope,
-    as_body,
     body_distance_many,
     polar_dual,
     validate_polytope,
@@ -70,7 +69,7 @@ def test_width_selfdual_cap_any_support_pole():
     # a self-dual polytope: every vertex is a support pole; its width sweep
     # spans many piece blocks of the batched farthest-distance kernel
     poly, _, _ = approximate_polytope(cap(unit([1, 2, 3]), PI / 4), ApproximationConfig(0.01))
-    dual = polar_dual(poly.to_body())
+    dual = polar_dual(poly)
     for k in poly.vertices:
         assert width_wrt(poly, k, dual=dual) == pytest.approx(PI / 2, abs=1e-9)
     rep = is_constant_width(poly, PI / 2)
@@ -190,7 +189,7 @@ def test_hausdorff_concentric_caps():
 
 def test_hausdorff_octant_vs_cap_matches_oracle(cap_polytopes):
     z = unit([1, 1, 1])
-    a = octant().to_body()
+    a = octant()
     c = cap(z, PI / 4)
     got = hausdorff(a, c)
     want = oracles.hausdorff_oracle(
@@ -208,7 +207,7 @@ def test_hausdorff_octant_vs_cap_matches_oracle(cap_polytopes):
     got = hausdorff(c, poly)
     want = oracles.hausdorff_oracle(
         c,
-        poly.to_body(),
+        poly,
         oracles.cap_inside(c.pieces[0].center, PI / 4),
         oracles.polytope_inside(poly.vertices),
         per_piece=30000,
@@ -283,7 +282,7 @@ def test_residual_shifted_cap():
 
 
 def test_polar_involution_small():
-    for b in [cap(unit([1, 2, -1]), 0.6), octant().to_body()]:
+    for b in [cap(unit([1, 2, -1]), 0.6), octant()]:
         assert hausdorff(polar_dual(polar_dual(b)), b) <= 1e-9
 
 
@@ -296,8 +295,7 @@ def test_structural_caps_bound_sampled_sup(cap_polytopes):
     c, polys = cap_polytopes
     rng = np.random.default_rng(2)
     checked = 0
-    for poly in polys:
-        p = as_body(poly)
+    for p in polys:
         dual = polar_dual(p)
         for a, b in ((c, p), (p, c), (p, dual), (dual, p)):
             idx, tl, tr = sub_arcs(a, 20, rng)
@@ -313,7 +311,7 @@ def test_structural_caps_bound_sampled_sup(cap_polytopes):
 
 def test_structural_caps_blocks_match_single_arcs(cap_polytopes):
     c, polys = cap_polytopes
-    b = as_body(polys[1])
+    b = polys[1]
     idx, tl, tr = sub_arcs(c, 400, np.random.default_rng(4))
     assert len(tl) * len(b.pieces) > 2 * BLOCK_ELEMENTS
     caps = _structural_caps(c.arcs, idx, tl, tr, b)
