@@ -22,7 +22,10 @@ in closed form.  Where the dual sub-arc is not intact, ``cut_step`` raises
 ``DualOverlap`` and the piece waits for the next round.
 
 The certificate never trusts the step chain: it re-measures the Hausdorff
-distance, the width range and the self-duality residual on the final pair.
+distance on the final pair.  For a polytope output the width range and the
+self-duality residual are proved upper-bound ends from its edge-pole/vertex
+pairing (``body.selfdual_residual_bound``), in O(n); a curved result is
+still measured by the width sweep of ``metrics.is_constant_width``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
     BudgetExhausted,
     CertificationFailed,
     DualOverlap,
+    InvalidBody,
     NotConstantWidth,
     NotOnBoundary,
     NotSelfDual,
@@ -59,7 +63,9 @@ from .body import (
     chain_body,
     merge_flat_junctions,
     require_valid,
+    selfdual_residual_bound,
     to_polytope,
+    validate_polytope,
 )
 from .metrics import hausdorff, is_constant_width
 
@@ -97,7 +103,14 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Independently re-measured guarantees for an approximation output."""
+    """Independently re-measured guarantees for an approximation output.
+
+    ``hausdorff_bound`` is the refined Hausdorff distance to the input.  For
+    a polytope output, ``width_min`` and ``width_max`` are the proved ends
+    pi/2 -+ rho and ``self_duality_residual`` is rho, the upper bound on its
+    distance to its polar dual from the edge-pole/vertex pairing; for a
+    curved output all three come from the sampled width sweep.
+    """
 
     epsilon: float
     hausdorff_bound: float
@@ -350,14 +363,23 @@ def certify(
 ) -> Certificate:
     """Re-measure every guarantee on the (input, output) pair from scratch.
 
-    Raises ``CertificationFailed`` naming the violated bound; never trusts
-    the step chain that produced the result.
+    A ``Polytope`` result takes its width range and residual from
+    ``selfdual_residual_bound``, any other result from the
+    ``is_constant_width`` sweep.  Raises ``CertificationFailed`` naming the
+    violated bound; never trusts the step chain that produced the result.
     """
     require_valid(original)
-    # the width sweep validates the result, through polar_dual
-    rep = is_constant_width(result, 0.5 * math.pi, config.self_dual_tol)
+    if isinstance(result, Polytope):
+        failed = validate_polytope(result).failed()
+        if failed:
+            raise InvalidBody("invalid polytope: " + ", ".join(failed))
+        residual = selfdual_residual_bound(result)
+        wmin, wmax = 0.5 * math.pi - residual, 0.5 * math.pi + residual
+    else:
+        # the width sweep validates the result, through polar_dual
+        rep = is_constant_width(result, 0.5 * math.pi, config.self_dual_tol)
+        wmin, wmax, residual = rep.width_min, rep.width_max, rep.self_duality_residual
     h = hausdorff(original, result)
-    wmin, wmax, residual = rep.width_min, rep.width_max, rep.self_duality_residual
     cert = Certificate(
         epsilon=config.epsilon,
         hausdorff_bound=h,

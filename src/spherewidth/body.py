@@ -355,6 +355,44 @@ def polar_dual(body: ConvexBody, check: bool = True) -> ConvexBody:
     return chain_body(out)
 
 
+def selfdual_residual_bound(poly: Polytope) -> float:
+    """Upper bound rho on the Hausdorff distance between a valid polytope P and P*.
+
+    P* is the polar dual, whose vertices are the edge poles w_i of P, in
+    order.  With n vertices v_j and s = (n + 1) // 2, pair w_i with
+    v_{i+s}: c = max_i |w_i - v_{i+s}| (chord), and l is the longest edge
+    of P or of P*.  Then rho = asin(c / cos(l/2)), or inf when the ratio
+    reaches 1.  On a self-dual polytope n is odd and the pole of edge i is
+    vertex i + s, so c is roundoff; any other pairing still gives a sound,
+    only larger, bound.
+
+    Proof.  For x outside P, closer than pi/2 to it, sin d(x, P) is the
+    largest -x . K over the support poles K of P, which form the boundary
+    of P*: the great arcs [w_i, w_{i+1}].  Take x in P*; then x . v >= 0
+    for every vertex v of P, so x . w_i >= x . v_{i+s} - c >= -c.  For
+    K = (a w_i + b w_{i+1}) / |a w_i + b w_{i+1}| with a, b >= 0,
+    -x . K <= c (a + b) / |a w_i + b w_{i+1}| <= c / cos(l/2), the worst
+    case being the midpoint.  So every point of P* is within rho of P.  The
+    same argument with P and P* swapped (P** = P, its support poles the
+    edges [v_j, v_{j+1}]) bounds the other direction: H(P, P*) <= rho.
+    The factor 1/cos(l/2) is needed: the rho-neighbourhood of a spherical
+    polygon is not convex (beside an edge it is bounded by a circle of
+    radius pi/2 + rho), so matched vertices alone do not bound H.
+
+    Widths follow: for a support pole k of P, width(P, k) is pi minus the
+    largest d(k, y) over y in P*; over P that largest distance is exactly
+    pi/2 (k . y >= 0 on P, with equality where H(k) touches), and
+    y -> d(k, y) is 1-Lipschitz, so |width(P, k) - pi/2| <= rho.  The
+    bound holds up to the roundoff of its own evaluation.
+    """
+    v = poly.vertices
+    w = poly.arcs.z
+    c = float(np.max(np.linalg.norm(w - np.roll(v, -((len(v) + 1) // 2), axis=0), axis=1)))
+    # cos(l/2) = |a + b| / 2 for the unit ends a, b of an edge of length l
+    half = 0.5 * min(float(np.min(np.linalg.norm(x + np.roll(x, -1, axis=0), axis=1))) for x in (v, w))
+    return math.asin(c / half) if c < half else math.inf
+
+
 # ------------------------------------------------------------------ support
 
 

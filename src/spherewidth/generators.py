@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import BadRadius, BudgetExhausted, SeedNotSubdual
+from .errors import BadRadius, BudgetExhausted, InvalidBody, NotSelfDual, SeedNotSubdual
 from .sphere import (
     BOUNDARY_EPS,
     TWO_PI,
@@ -26,6 +26,7 @@ from .sphere import (
     unit,
 )
 from .body import (
+    SELF_DUAL_EPS,
     ConvexBody,
     Polytope,
     body_distance_many,
@@ -33,6 +34,7 @@ from .body import (
     merge_flat_junctions,
     polar_dual,
     require_valid,
+    selfdual_residual_bound,
     to_polytope,
     validate_polytope,
 )
@@ -230,16 +232,17 @@ def random_subdual_polytope_seed(n_target: int, rng_seed: int) -> Polytope:
 
 
 def random_selfdual_polytope(n_target: int, rng_seed: int = 0) -> Polytope:
-    """Random polytope of constant width pi/2, deterministic in the seed."""
-    from .approx import ApproximationConfig, certify
+    """Random polytope of constant width pi/2, deterministic in the seed.
 
+    The completion of a polytope seed stays a polytope; it is validated once
+    and its constant width re-checked by ``selfdual_residual_bound``.
+    """
     seed = random_subdual_polytope_seed(n_target, rng_seed)
-    body = complete_selfdual(seed, tol=1e-7, rng_seed=rng_seed)
-    # completion of a polytope seed stays a polytope; the certificate
-    # re-checks its constant width
-    poly = to_polytope(body)
-    certify(body, poly, ApproximationConfig(epsilon=0.05))
+    poly = to_polytope(complete_selfdual(seed, tol=1e-7, rng_seed=rng_seed))
     rep = validate_polytope(poly)
     if not rep.ok:
-        raise RuntimeError("completion produced an invalid polytope: %s" % rep)
+        raise InvalidBody("completion produced an invalid polytope: %s" % rep)
+    rho = selfdual_residual_bound(poly)
+    if rho > SELF_DUAL_EPS:
+        raise NotSelfDual("completion residual bound %.3g exceeds %.1e" % (rho, SELF_DUAL_EPS))
     return poly

@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 
+from spherewidth.approx import ApproximationConfig, approximate_polytope
 from spherewidth.body import ConvexBody, Polytope, chain_body
-from spherewidth.generators import complete_selfdual
+from spherewidth.generators import (
+    cap,
+    complete_selfdual,
+    octant,
+    random_selfdual_polytope,
+    rotated,
+    rotation_from_seed,
+)
 from spherewidth.sphere import GreatArc, SmallCircleArc, cross, dot, unit
 
 
@@ -71,3 +79,22 @@ def truncated_octant(s=0.25):
     p = unit((1 - s) * e3 + s * e2)
     q = unit((1 - s) * e3 + s * e1)
     return Polytope(np.array([e1, e2, p, q]))
+
+
+def selfdual_polytopes():
+    """Self-dual polytopes of every origin: the octant, eps = 0.002 cap outputs
+    and random completions, keyed by name."""
+    polys = {"octant": octant()}
+    e3 = np.array([0.0, 0.0, 1.0])
+    for seed in (1, 2, 3):
+        body = rotated(cap(e3, 0.25 * math.pi), rotation_from_seed(seed))
+        polys["cap-%d" % seed] = approximate_polytope(body, ApproximationConfig(0.002))[0]
+        for n in (7, 30):
+            polys["random-%d-%d" % (n, seed)] = random_selfdual_polytope(n, seed)
+    return polys
+
+
+def perturbed(poly, amplitude, seed=0):
+    """``poly`` with every vertex moved by Gaussian noise of ``amplitude``."""
+    rng = np.random.default_rng(seed)
+    return Polytope(poly.vertices + amplitude * rng.normal(size=poly.vertices.shape))

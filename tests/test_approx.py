@@ -28,7 +28,7 @@ from spherewidth.errors import (
     NotConstantWidth,
     NotStrictlyConvex,
 )
-from spherewidth.generators import cap, complete_selfdual, octant
+from spherewidth.generators import cap, complete_selfdual, octant, rotated, rotation_from_seed
 from spherewidth.metrics import is_constant_width, self_duality_residual
 from spherewidth.sphere import SmallCircleArc, unit
 
@@ -265,16 +265,38 @@ def test_certify_rejects_bad_pair():
     assert err.value.bound == "hausdorff_bound"
 
 
+def test_certify_rejects_a_one_micro_radian_vertex_move():
+    # moving a vertex 1e-6 outward keeps the sampled widths within
+    # self_dual_tol of pi/2, but turns its two short edges: their poles
+    # sit about 2e-5 from their vertices
+    body = rotated(cap(E3, PI / 4), rotation_from_seed(1))
+    config = ApproximationConfig(0.002)
+    poly, _, _ = approximate_polytope(body, config)
+    v = poly.vertices.copy()
+    v[0] = unit(v[0] - 1e-6 * unit(np.cross(v[0], v[1])))
+    with pytest.raises(CertificationFailed) as err:
+        certify(body, Polytope(v), config)
+    assert err.value.bound in ("width_range", "self_duality_residual")
+
+
+def test_certify_curved_result_keeps_the_sweep():
+    body = cap(E3, PI / 4)
+    cert = certify(body, body, ApproximationConfig(0.01))
+    assert cert.hausdorff_bound == 0.0
+    assert abs(cert.width_min - PI / 2) <= 1e-9 and abs(cert.width_max - PI / 2) <= 1e-9
+    assert cert.self_duality_residual <= 1e-9
+
+
 def test_certify_octant_pair_zero():
     cert = certify(octant(), octant(), ApproximationConfig(epsilon=0.05))
     assert cert.hausdorff_bound <= 1e-12
 
 
 def test_approximation_measures_each_body_once(monkeypatch):
-    # the gate reads only the input's widths, the certificate only the
-    # output's widths, its self-duality residual and its distance to the
-    # input; the input is validated by the gate and again by the
-    # certificate, the output once by its width sweep
+    # the gate reads only the input's widths (one diameter of its dual);
+    # the certificate measures only the output's distance to the input, its
+    # widths and residual coming from the pole/vertex pairing; the input is
+    # validated by the gate and again by the certificate, the output once
     calls = {"hausdorff": 0, "diameter": 0, "validate": 0, "body_distance": 0}
     homes = {"hausdorff": metrics, "diameter": metrics, "validate": bd, "body_distance": bd}
     for name in calls:
@@ -289,7 +311,7 @@ def test_approximation_measures_each_body_once(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     _, _, steps = approximate_polytope(cap(E3, PI / 4), ApproximationConfig(0.05))
     # the subdivision measures nothing; each cut measures its new vertex once
-    assert calls == {"hausdorff": 2, "diameter": 2, "validate": 3, "body_distance": len(steps)}
+    assert calls == {"hausdorff": 1, "diameter": 1, "validate": 3, "body_distance": len(steps)}
 
 
 def test_invalid_bodies_still_raise():

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import oracles
 import pytest
-from fixtures import lens
+from fixtures import lens, perturbed, selfdual_polytopes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,12 +20,14 @@ from spherewidth.body import (
     contains_many,
     diametral_partner,
     polar_dual,
+    selfdual_residual_bound,
     support_poles_at,
     to_polytope,
     validate,
     validate_polytope,
 )
 from spherewidth.generators import cap, octant, rotated, rotation_from_seed
+from spherewidth.metrics import HAUSDORFF_TOL, is_constant_width
 from spherewidth.sphere import GreatArc, SmallCircleArc, unit
 
 E1, E2, E3 = np.eye(3)
@@ -396,6 +398,36 @@ def test_dual_order_reversal_on_nested_caps():
     in_do = contains_many(do, pts)
     in_di = contains_many(di, pts)
     assert np.all(~in_do | in_di)  # dual(outer) inside dual(inner)
+
+
+@pytest.fixture(scope="module")
+def selfdual_polys():
+    return selfdual_polytopes()
+
+
+def test_edge_pole_pairs_with_the_vertex_half_a_turn_on(selfdual_polys):
+    for name, poly in selfdual_polys.items():
+        n = len(poly)
+        assert n % 2 == 1, name
+        got = np.linalg.norm(poly.edge_poles() - np.roll(poly.vertices, -((n + 1) // 2), axis=0), axis=1)
+        assert got.max() < 1e-12, name
+        assert selfdual_residual_bound(poly) < 1e-12, name
+
+
+def test_residual_bound_covers_residual_and_sampled_widths(selfdual_polys):
+    checked = 0
+    for name, poly in selfdual_polys.items():
+        for amp in (0.0, 1e-5, 1e-3, 2e-2):
+            q = perturbed(poly, amp, seed=checked)
+            if not validate_polytope(q).ok:
+                continue  # large moves can fold a fine polytope
+            rho = selfdual_residual_bound(q)
+            rep = is_constant_width(q, 0.5 * math.pi)
+            assert rho >= rep.self_duality_residual - HAUSDORFF_TOL, (name, amp)
+            assert 0.5 * math.pi - rho <= rep.width_min + 1e-12, (name, amp)
+            assert rep.width_max <= 0.5 * math.pi + rho + 1e-12, (name, amp)
+            checked += 1
+    assert checked >= 3 * len(selfdual_polys)
 
 
 # ------------------------------------------------------------------ support

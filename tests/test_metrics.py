@@ -26,7 +26,7 @@ from spherewidth.metrics import (
     thickness,
     width_wrt,
 )
-from spherewidth.sphere import acos_clamped_np, lune_thickness, sample_piece, unit
+from spherewidth.sphere import acos_clamped_np, lune_thickness, sample_piece, unit, unit_rows
 
 E1, E2, E3 = np.eye(3)
 PI = math.pi
@@ -185,6 +185,21 @@ def test_hausdorff_self_is_zero():
 def test_hausdorff_concentric_caps():
     d = hausdorff(cap(E3, PI / 4), cap(E3, PI / 4 - 0.1))
     assert d == pytest.approx(0.1, abs=1e-9)
+
+
+def test_oracle_screen_keeps_the_largest_nearest_chord():
+    from scipy.spatial import cKDTree
+
+    # rows all nearly equidistant from a curve, far from it and hugging it,
+    # and rows scattered over the sphere, where the screen drops most of them
+    cloud = oracles.boundary_cloud(cap(E3, 0.3), 3000)
+    far = oracles.boundary_cloud(cap(E3, 1.1), 3000)
+    near = oracles.boundary_cloud(cap(E3, 0.3001), 4001)
+    scattered = unit_rows(np.random.default_rng(5).normal(size=(4000, 3)))
+    for points in (far, near, scattered):
+        got = oracles.nearest_chords_near_max(points, cloud, stride=16)
+        assert got.max() == cKDTree(cloud).query(points)[0].max()
+    assert len(got) < len(scattered) // 10
 
 
 def test_hausdorff_octant_vs_cap_matches_oracle(cap_polytopes):
