@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import ApproximationConfig, approximate_polytope, certify
-from .body import polar_dual, validate, validate_polytope, Polytope
+from .body import polar_dual, to_polytope, validate, validate_polytope, Polytope
 from .errors import CertificationFailed, SphereGeomError
 from .formats import dumps_body, dumps_certificate, dumps_step_log, loads_body
 from .generators import cap, complete_selfdual, octant, random_selfdual_polytope
@@ -101,6 +101,9 @@ def cmd_approximate(args) -> int:
 def cmd_certify(args) -> int:
     original = _read_body(args.original)
     result = _read_body(args.result)
+    if not isinstance(result, Polytope) and result.is_polytope():
+        # a great-arc body, as ``dual`` writes, takes the O(n) polytope certificate
+        result = to_polytope(result)
     config = ApproximationConfig(epsilon=args.epsilon, self_dual_tol=args.tol)
     cert = certify(original, result, config)
     print(dumps_certificate(cert))

@@ -16,9 +16,15 @@ per direction, all pieces together, refined until the bounds meet within
 ``tol``; each level is one prune and one evaluator call over the whole
 table, and a refinement still open after ``REFINE_LEVELS`` levels raises
 ``RefinementStalled``.  Each interval also carries a closed-form structural
-cap, the least over all pieces of the other body of a vertex, full-circle,
-concentric-arc, coplanar-great-arc or nearby-edge bound; one stacked numpy
-kernel caps a whole set of intervals against all pieces.
+cap, the least over the pieces of the other body of a vertex, full-circle,
+concentric-arc, coplanar-great-arc or nearby-edge bound.  The caps are
+windowed: every cap of an (interval, piece) pair is at least
+d(m, c) - rho, with m the interval's midpoint, c the piece's mid-parameter
+point and rho half the piece's length, so a pair whose lower bound exceeds
+the largest live upper bound is skipped.  A row's upper bound never grows
+once it is split, so a skipped cap could never prune a row: the prune
+decisions, and the result, are those of capping against all pieces.  One
+elementwise numpy kernel caps the kept pairs.
 
 Everything here is pure and safe to call concurrently; all reductions are
 max/min over samples and independent of evaluation order.
@@ -132,29 +138,33 @@ def thickness(body: ConvexBody) -> float:
 # ---------------------------------------------------------------- Hausdorff
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.sum(x * y, axis=1)
+
+
 def _dot_ranges(pa: ArcStack, tl, tr, w: np.ndarray):
-    """Exact range of x . w over arcs, one row per arc and one column per vector.
+    """Exact range of x . w over arcs, arc i paired with the vector w[i].
 
     Row i is the arc of ``pa[i]`` over the parameters [tl[i], tr[i]], where
     x(t) . w = cos r (z . w) + sin r (au cos t + av sin t), whose sinusoid
     ``sinusoid_range`` bounds.  Returns the minimum, the maximum and the
     sinusoid's amplitude rho = hypot(au, av).
     """
-    lo, hi, rho = sinusoid_range(pa.u @ w.T, pa.v @ w.T, tl[:, None], tr[:, None])
-    g, s = pa.cos_r[:, None] * (pa.z @ w.T), pa.sin_r[:, None]
+    lo, hi, rho = sinusoid_range(_dot(pa.u, w), _dot(pa.v, w), tl, tr)
+    g, s = pa.cos_r * _dot(pa.z, w), pa.sin_r
     return g + s * lo, g + s * hi, rho
 
 
-def _caps_block(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
-    """Structural caps of a block of arcs (rows) against all pieces of ``b`` (columns)."""
-    span = (tr - tl)[:, None]
-    length = span * pa.sin_r[:, None]
-    small_a = (pa.cos_r > 0.0)[:, None]
+def _pair_caps(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
+    """Structural caps of pairs: the arc of ``pa[k]`` over [tl[k], tr[k]] against piece ``b[k]``."""
+    span = tr - tl
+    length = span * pa.sin_r
+    small_a = pa.cos_r > 0.0
     great_b = b.cos_r == 0.0
     full_b = b.span >= TWO_PI - DOT_EPS
     # any single boundary point v gives sup dist(., b) <= sup d(., v), exact
     # on plateaus where a vertex is the nearest feature
-    caps = [acos_clamped_np(_dot_ranges(pa, tl, tr, v)[0]).min(axis=1) for v in (b.start, b.end)]
+    caps = [acos_clamped_np(_dot_ranges(pa, tl, tr, v)[0]) for v in (b.start, b.end)]
 
     # the distance to a full circle is |d(x, z) - r|, whose range over the
     # arc is closed form; it also serves concentric small arcs below
@@ -162,23 +172,23 @@ def _caps_block(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
     ring = np.maximum(
         np.abs(acos_clamped_np(cmax) - b.radius), np.abs(acos_clamped_np(cmin) - b.radius)
     )
-    caps.append(np.where(full_b, ring, np.inf).min(axis=1))
+    caps.append(np.where(full_b, ring, np.inf))
 
     # small arcs about near-bit-identical centres share the canonical frame,
     # so the azimuth containment is meaningful; the centre mismatch enters
     # the bound as the chord gamma
-    cc = pa.z @ b.z.T
-    off = np.fmod(tl[:, None] - b.t0, TWO_PI)
+    cc = _dot(pa.z, b.z)
+    off = np.fmod(tl - b.t0, TWO_PI)
     off = np.where(off < 0.0, off + TWO_PI, off)
     off = np.where(off >= TWO_PI - 1e-6, 0.0, off)
     overhang = np.maximum(0.0, off + span - b.span)
     gamma = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - cc)))
     ok = small_a & ~great_b & ~full_b & (cc >= 1.0 - 1e-15) & (overhang <= 1e-6)
-    caps.append(np.where(ok, ring + overhang * b.sin_r + 2.0 * gamma, np.inf).min(axis=1))
+    caps.append(np.where(ok, ring + overhang * b.sin_r + 2.0 * gamma, np.inf))
 
     # foot parameters of the arc's start, middle and end on each great circle
     ends = [pa.point_at(t) for t in (tl, 0.5 * (tl + tr), tr)]
-    ts, tm, te = (np.arctan2(x @ b.v.T, x @ b.u.T) for x in ends)
+    ts, tm, te = (np.arctan2(_dot(x, b.v), _dot(x, b.u)) for x in ends)
     length_b = b.span * b.sin_r
 
     # a great arc on pb's great circle: rho is the exact sup of |x . pole|
@@ -190,7 +200,7 @@ def _caps_block(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
         [-np.minimum(ts, te), np.maximum(ts, te) - length_b, np.abs(np.abs(te - ts) - length)]
     ).clip(min=0.0)
     ok = coplanar & (overhang <= 1e-3 + 2.0 * amp)
-    caps.append(np.where(ok, 1.01 * amp + overhang + 1e-12, np.inf).min(axis=1))
+    caps.append(np.where(ok, 1.01 * amp + overhang + 1e-12, np.inf))
 
     # a short arc against one edge: the sup of |asin(x . pole)| is closed
     # form and tight at the peak of a chord sliver; the foot map onto the
@@ -201,34 +211,69 @@ def _caps_block(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
     hi = np.maximum(np.maximum(ts, tm), te) + reach
     overhang = np.maximum(-lo, hi - length_b).clip(min=0.0)
     ok = great_b & ~coplanar & (amp < 0.3)
-    caps.append(np.where(ok, amp + overhang, np.inf).min(axis=1))
+    caps.append(np.where(ok, amp + overhang, np.inf))
 
     # arcs too short to stand alone (``CircleArc.sub`` gives None) get no cap
     short = (tr - tl <= 1e-9) | (
-        (pa.cos_r == 0.0) & (np.abs(np.sum(ends[0] * ends[2], axis=1)) >= 1.0 - DOT_EPS)
+        (pa.cos_r == 0.0) & (np.abs(_dot(ends[0], ends[2])) >= 1.0 - DOT_EPS)
     )
     return np.where(short, np.inf, np.minimum.reduce(caps))
 
 
-def _structural_caps(arcs: ArcStack, idx, tl, tr, b: ConvexBody) -> np.ndarray:
+def _window(mid: np.ndarray, b: ArcStack, bound: float):
+    """Chunks of at most ``BLOCK_ELEMENTS`` (row, piece) pairs whose caps may be <= ``bound``.
+
+    Every cap of a pair bounds the sup over the arc of the distance to that
+    one piece from above, so it is at least the distance from the arc's
+    midpoint m (row ``mid``) to the piece, and that is at least
+    LB = d(m, c) - rho, with c the piece's mid-parameter point and rho half
+    its length.  Pairs with LB > ``bound`` are dropped.  The dot m . c is
+    raised by ``DOT_EPS``, above its rounding error, before the arccos, so
+    roundoff cannot lift LB over the true distance.
+    """
+    c = b.point_at(0.5 * (b.t0 + b.t1))
+    half = 0.5 * b.span * b.sin_r
+    per = max(1, BLOCK_ELEMENTS // len(half))
+    rows, cols = [], []
+    for lo in range(0, len(mid), per):
+        i, j = np.nonzero(acos_clamped_np(mid[lo : lo + per] @ c.T + DOT_EPS) - half <= bound)
+        if rows and sum(map(len, rows)) + len(i) > BLOCK_ELEMENTS:
+            yield np.concatenate(rows), np.concatenate(cols)
+            rows, cols = [], []
+        rows.append(i + lo)
+        cols.append(j)
+    if rows:
+        yield np.concatenate(rows), np.concatenate(cols)
+
+
+def _structural_caps(
+    arcs: ArcStack, idx, tl, tr, b: ConvexBody, bound: float = math.inf
+) -> np.ndarray:
     """Closed-form upper bound on the sup over each arc of the distance to ``b``.
 
     Row i is the arc of piece ``arcs[idx[i]]`` over the parameters
-    [tl[i], tr[i]] in its own frame.  Its cap is the least, over all pieces
-    of ``b``, of a vertex cap for each piece endpoint and of caps against a
-    full-circle piece (the distance to a full circle is |d(x, Z) - r|), a
-    small arc about the same centre with a covering span, a great arc on the
-    same great circle, and an edge near a short arc.  Everything else is
-    left to the Lipschitz refinement (cap inf).  These caps collapse the
-    plateau landscapes, e.g. concentric caps, a polytope edge equidistant
-    from a cap, or a body compared against its own double dual.  Evaluated
-    in blocks of at most ``BLOCK_ELEMENTS`` arcs x pieces.
+    [tl[i], tr[i]] in its own frame.  Its cap is the least, over the pieces
+    of ``b`` in its window, of a vertex cap for each piece endpoint and of
+    caps against a full-circle piece (the distance to a full circle is
+    |d(x, Z) - r|), a small arc about the same centre with a covering span,
+    a great arc on the same great circle, and an edge near a short arc.
+    Everything else is left to the Lipschitz refinement (cap inf).  These
+    caps collapse the plateau landscapes, e.g. concentric caps, a polytope
+    edge equidistant from a cap, or a body compared against its own double
+    dual.
+
+    The window (``_window``) skips each pair of a row and a piece whose
+    caps all provably exceed ``bound``.  So a row whose cap against all
+    pieces is at most ``bound`` gets that cap bit for bit, and any other row
+    a cap above ``bound``; a caller whose rows' upper bounds stay at most
+    ``bound`` prunes exactly as with all pieces.  One elementwise kernel
+    caps the kept pairs, at most ``BLOCK_ELEMENTS`` at a time, and each row
+    takes the least of its pairs.
     """
-    caps = np.empty(len(tl))
-    per = max(1, BLOCK_ELEMENTS // len(b.pieces))
-    for lo in range(0, len(tl), per):
-        i = slice(lo, lo + per)
-        caps[i] = _caps_block(arcs[idx[i]], tl[i], tr[i], b.arcs)
+    pa = arcs[idx]
+    caps = np.full(len(tl), np.inf)
+    for i, j in _window(pa.point_at(0.5 * (tl + tr)), b.arcs, bound):
+        np.minimum.at(caps, i, _pair_caps(pa[i], tl[i], tr[i], b.arcs[j]))
     return caps
 
 
@@ -243,11 +288,14 @@ class _Direction:
     the parameter).  Each level prunes the table once, recaps all surviving
     rows every few levels, so plateaus straddling a feature of ``b`` still
     collapse, and evaluates all midpoints in one ``body_distance_many`` call.
+    Each capping passes ``_structural_caps`` a window bound: the largest
+    upper bound of the rows the new caps serve (at set-up, the largest
+    Lipschitz bound of the grid), plus ``tol`` for roundoff.
     """
 
     RECAP_LEVELS = frozenset({6, 10, 14, 18, 22})
 
-    def __init__(self, a: ConvexBody, b: ConvexBody):
+    def __init__(self, a: ConvexBody, b: ConvexBody, tol: float):
         self.b = b
         self.arcs = arcs = a.arcs
         self.level = 0
@@ -259,22 +307,27 @@ class _Direction:
         last = np.cumsum(n + 1) - 1
         self.idx, self.tl, self.tr = np.delete(idx, last), np.delete(ts, last), np.delete(ts, last - n)
         self.fl, self.fr = np.delete(fs, last), np.delete(fs, last - n)
-        self.cap = _structural_caps(arcs, np.arange(len(n)), arcs.t0, arcs.t1, b)[self.idx]
+        bound = float(self._lips().max()) + tol
+        self.cap = _structural_caps(arcs, np.arange(len(n)), arcs.t0, arcs.t1, b, bound)[self.idx]
+
+    def _lips(self) -> np.ndarray:
+        return 0.5 * (self.fl + self.fr) + 0.5 * self.arcs.sin_r[self.idx] * (self.tr - self.tl)
 
     def _ubs(self) -> np.ndarray:
-        lip = 0.5 * (self.fl + self.fr) + 0.5 * self.arcs.sin_r[self.idx] * (self.tr - self.tl)
-        return np.minimum(lip, self.cap)
+        return np.minimum(self._lips(), self.cap)
 
     def refine_once(self, lb: float, tol: float) -> float:
         """One split level; returns the updated global lower bound."""
         self.level += 1
-        keep = self._ubs() > lb + tol
+        ubs = self._ubs()
+        keep = ubs > lb + tol
         if not np.any(keep):  # lb only grows, so these rows stay dead
             return lb
         idx, tl, tr = self.idx[keep], self.tl[keep], self.tr[keep]
         fl, fr, cap = self.fl[keep], self.fr[keep], self.cap[keep]
         if self.level in self.RECAP_LEVELS and len(tl) <= 65536:
-            cap = np.minimum(cap, _structural_caps(self.arcs, idx, tl, tr, self.b))
+            bound = float(ubs[keep].max()) + tol
+            cap = np.minimum(cap, _structural_caps(self.arcs, idx, tl, tr, self.b, bound))
         tm = 0.5 * (tl + tr)
         fm = body_distance_many(self.b, self.arcs[idx].point_at(tm))
         lb = max(lb, float(fm.max()))
@@ -310,7 +363,7 @@ def _refine(directions: list[_Direction], tol: float) -> float:
 
 def boundary_sup_distance(a: ConvexBody, b: ConvexBody, tol: float = HAUSDORFF_TOL) -> float:
     """sup over the boundary of ``a`` of the distance to ``b``, within ``tol``."""
-    return _refine([_Direction(a, b)], tol)
+    return _refine([_Direction(a, b, tol)], tol)
 
 
 def hausdorff(a: ConvexBody, b: ConvexBody, tol: float = HAUSDORFF_TOL) -> float:
@@ -320,7 +373,7 @@ def hausdorff(a: ConvexBody, b: ConvexBody, tol: float = HAUSDORFF_TOL) -> float
     smaller direction collapses immediately; the result underestimates the
     true value by at most ``tol``.
     """
-    return _refine([_Direction(a, b), _Direction(b, a)], tol)
+    return _refine([_Direction(a, b, tol), _Direction(b, a, tol)], tol)
 
 
 def self_duality_residual(body: ConvexBody, tol: float = HAUSDORFF_TOL) -> float:

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from spherewidth import metrics
+from spherewidth import approx, metrics
 from spherewidth.cli import main
 from spherewidth.formats import loads_body, loads_certificate
 from spherewidth.body import Polytope
+from spherewidth.metrics import is_constant_width
 
 
 def run(capsys, *argv):
@@ -172,6 +173,28 @@ def test_certify_octant_pair(tmp_path, capsys):
     assert code == 0
     rec = json.loads(stdout.strip().splitlines()[-1])
     assert rec["hausdorff_bound"] <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["octant", "random-polytope"])
+def test_certify_dual_file_takes_the_polytope_certificate(tmp_path, capsys, monkeypatch, kind):
+    # ``dual`` writes a pc-body of great arcs; certify reads it as a polytope,
+    # so the width sweep (``is_constant_width``) never runs
+    body, dual = tmp_path / "body.json", tmp_path / "dual.json"
+    run(capsys, "generate", kind, "-o", str(body))
+    run(capsys, "dual", str(body), "-o", str(dual))
+    assert json.loads(dual.read_text())["kind"] == "pc-body"
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return is_constant_width(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "is_constant_width", counted)
+    code, stdout, _ = run(capsys, "certify", str(body), str(dual), "--epsilon", "1e-9")
+    assert code == 0
+    assert calls == []
+    rec = json.loads(stdout.strip().splitlines()[-1])
+    assert rec["self_duality_residual"] < 1e-12
 
 
 def test_render_command(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
-from fixtures import lens, truncated_octant
+from fixtures import lens, selfdual_polytopes, truncated_octant
 from spherewidth.approx import ApproximationConfig, approximate_polytope
 from spherewidth.body import (
     BLOCK_ELEMENTS,
@@ -324,12 +325,104 @@ def test_structural_caps_bound_sampled_sup(cap_polytopes):
     assert checked > 3000
 
 
-def test_structural_caps_blocks_match_single_arcs(cap_polytopes):
+@pytest.fixture
+def kernel_pairs(monkeypatch):
+    """The number of (row, piece) pairs of each structural-cap kernel call."""
+    pairs = []
+    pair_caps = metrics._pair_caps
+
+    def counted(pa, *args):
+        pairs.append(len(pa.z))
+        return pair_caps(pa, *args)
+
+    monkeypatch.setattr(metrics, "_pair_caps", counted)
+    return pairs
+
+
+def test_structural_caps_blocks_match_single_arcs(kernel_pairs, cap_polytopes):
+    # with no bound the window keeps every (row, piece) pair, over 2 blocks
+    # of them; each kernel call takes at most one block
     c, polys = cap_polytopes
     b = polys[1]
     idx, tl, tr = sub_arcs(c, 400, np.random.default_rng(4))
     assert len(tl) * len(b.pieces) > 2 * BLOCK_ELEMENTS
     caps = _structural_caps(c.arcs, idx, tl, tr, b)
+    assert sum(kernel_pairs) == len(tl) * len(b.pieces)
+    assert len(kernel_pairs) >= 3 and max(kernel_pairs) <= BLOCK_ELEMENTS
     one = [_structural_caps(c.arcs, idx[[i]], tl[[i]], tr[[i]], b)[0] for i in range(len(tl))]
-    # a lone row takes another matrix-product path, so the last bits may differ
+    # numpy may round a transcendental in the last bit differently in a
+    # long and a one-element array
     np.testing.assert_allclose(caps, one, rtol=0, atol=1e-12)
+
+
+def cap_pairs(cap_polytopes):
+    """(a, b) pairs: cap vs P, P vs cap, P vs dual and dual vs P, for both polytopes."""
+    c, polys = cap_polytopes
+    for p in polys:
+        dual = polar_dual(p)
+        yield from ((c, p), (p, c), (p, dual), (dual, p))
+
+
+def test_windowed_caps_match_dense_caps_up_to_the_bound(kernel_pairs, cap_polytopes):
+    rng = np.random.default_rng(5)
+    kept = dense_pairs = 0
+    for a, b in cap_pairs(cap_polytopes):
+        idx, tl, tr = sub_arcs(a, max(20, 400 // len(a.pieces)), rng)
+        dense = _structural_caps(a.arcs, idx, tl, tr, b)
+        for bound in np.quantile(dense[np.isfinite(dense)], [0.0, 0.1, 0.5, 0.9]):
+            kernel_pairs.clear()
+            caps = _structural_caps(a.arcs, idx, tl, tr, b, bound)
+            below = dense <= bound
+            np.testing.assert_array_equal(caps[below], dense[below])
+            assert np.all(caps[~below] >= dense[~below])
+            kept += sum(kernel_pairs)
+            dense_pairs += len(tl) * len(b.pieces)
+    # the window skips most pairs
+    assert kept < 0.2 * dense_pairs
+
+
+def test_window_drops_only_pairs_whose_caps_exceed_their_lower_bound(cap_polytopes):
+    # every cap of a (row, piece) pair is at least LB, so the window, which
+    # drops pairs with LB above the bound, never drops a cap at most the bound
+    rng = np.random.default_rng(6)
+    positive = 0
+    for a, b in cap_pairs(cap_polytopes):
+        idx, tl, tr = sub_arcs(a, max(20, 400 // len(a.pieces)), rng)
+        # LB = d(m, c) - rho: m the arc's midpoint, c the piece's
+        # mid-parameter point, rho half the piece's length
+        m = a.arcs[idx].point_at(0.5 * (tl + tr))
+        c = b.arcs.point_at(0.5 * (b.arcs.t0 + b.arcs.t1))
+        lb = acos_clamped_np(m @ c.T) - 0.5 * b.arcs.span * b.arcs.sin_r
+        single = np.column_stack(
+            [
+                _structural_caps(a.arcs, idx, tl, tr, SimpleNamespace(arcs=b.arcs[[j]]))
+                for j in range(len(b.pieces))
+            ]
+        )
+        assert np.all(single >= lb - 1e-12), float(np.max(lb - single))
+        positive += int(np.sum(lb > 0.0))
+    assert positive > 10000
+
+
+def test_hausdorff_window_changes_no_bit(monkeypatch):
+    # the same answers, float for float, with the window and with every
+    # (row, piece) pair capped
+    polys = selfdual_polytopes()
+    pairs = []
+    for seed in (1, 2, 3):
+        c = rotated(cap(E3, PI / 4), rotation_from_seed(seed))
+        p = polys["cap-%d" % seed]
+        pairs += [(c, p), (c, polar_dual(p)), (p, polar_dual(p))]
+        q = polys["random-30-%d" % seed]
+        pairs.append((q, polar_dual(q)))
+    windowed = [hausdorff(a, b).hex() for a, b in pairs]
+    bounds = []
+    dense_caps = metrics._structural_caps
+
+    def dense(arcs, idx, tl, tr, b, bound):
+        bounds.append(bound)
+        return dense_caps(arcs, idx, tl, tr, b)
+
+    monkeypatch.setattr(metrics, "_structural_caps", dense)
+    assert [hausdorff(a, b).hex() for a, b in pairs] == windowed
+    assert bounds and all(math.isfinite(x) for x in bounds)
