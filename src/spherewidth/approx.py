@@ -1,27 +1,31 @@
 """Approximation of constant-width-pi/2 bodies by constant-width polytopes.
 
-The algorithm removes one strictly convex sub-arc at a time.  A chord P1-P2
-replaces its circle sub-arc, and the matching dual sub-arc (the same span
-shifted by pi on the paired circle of complementary radius) is replaced by
-two great arcs through the new vertex R1, the pole of the chord.  Because
-the edit is exactly the polar image of itself, self-duality is preserved to
-roundoff at every step, and the set of remaining strictly convex arcs stays
-closed under duality, so repeatedly consuming the first remaining arc
-terminates in a polytope.
-
-Each round works with a halved distance budget; a cut is admissible when its
-new vertex sits closer to the body than the budget times a safety factor.
+Every strictly convex arc of a self-dual body, on the circle (Z, r), has a
+partner arc on the circle (Z, pi/2 - r): the same azimuth span shifted by
+pi, made of the support poles of the first.  Replacing a sub-arc P1-P2 of
+one side by its chord, and the partner sub-arc by the two great arcs through
+R, the pole of the chord, is its own polar image, so the edit keeps the body
+self-dual.  The edit changes nothing but its own sub-arc and that sub-arc's
+partner, so edits on disjoint sub-arcs commute and can all be applied at
+once.  ``approximate_polytope`` therefore builds the polytope in one pass:
+it pairs each maximal arc interval with its partner, splits the interval
+that comes first in boundary order into equal sub-arcs, chords them all,
+puts the chord poles on the partner interval and emits the vertices in
+boundary order.  A full circle of radius pi/4, the cap, is its own partner:
+one half is chorded and the other carries the poles.
 
 For a sub-arc of width s on the circle (Z, r), the right spherical triangle
 Z-M-P1 gives tan m = tan r cos(s/2), M the chord midpoint at distance m from
-Z, so the chord's sagitta is d(s) = r - atan(tan r cos(s/2)).  The new
-vertex R1 lies at pi/2 - m from Z on the dual side, so while the dual
-sub-arc (radius pi/2 - r) is intact, R1 sits d(s) outside it and d(s) is its
-distance to the body; the subdivision solves d(s) < budget * safety for s
-in closed form.  Where the dual sub-arc is not intact, ``cut_step`` raises
-``DualOverlap`` and the piece waits for the next round.
+Z, so the chord's sagitta is d(s) = r - atan(tan r cos(s/2)).  The pole R
+lies at pi/2 - m from Z on the partner side, d(s) outside the partner arc,
+so chord and spike both stay within d(s) of the body; the sub-arc count
+solves d(s) < epsilon * safety for s in closed form.
 
-The certificate never trusts the step chain: it re-measures the Hausdorff
+``cut_step`` applies the same edit to one sub-arc of a body and rebuilds
+it; the tests replay the edits chord by chord with it as the reference for
+the one-pass output.
+
+The certificate never trusts the construction: it re-measures the Hausdorff
 distance on the final pair.  For a polytope output the width range and the
 self-duality residual are proved upper-bound ends from its edge-pole/vertex
 pairing (``body.selfdual_residual_bound``), in O(n); a curved result is
@@ -47,6 +51,7 @@ from .errors import (
     NotStrictlyConvex,
 )
 from .sphere import (
+    DOT_EPS,
     TWO_PI,
     GreatArc,
     SmallCircleArc,
@@ -54,8 +59,10 @@ from .sphere import (
     arc_pole,
     dot,
     unit,
+    unit_rows,
 )
 from .body import (
+    POLE_MERGE_EPS,
     ConvexBody,
     Polytope,
     body_distance,
@@ -64,14 +71,14 @@ from .body import (
     merge_flat_junctions,
     require_valid,
     selfdual_residual_bound,
-    to_polytope,
     validate_polytope,
 )
 from .metrics import hausdorff, is_constant_width
 
 
-MAX_ROUNDS = 64  # rounds of halving budgets before ``BudgetExhausted``
-SUBDIVISION_SAFETY = 0.5  # share of the round's budget the sagitta d(s) may use
+SUBDIVISION_SAFETY = 0.5  # share of the budget epsilon the sagitta d(s) may use
+MAX_SUBARCS = 1 << 22  # sub-arcs of one arc interval before ``BudgetExhausted``
+PAIR_EPS = 1e-9  # radius, azimuth and span tolerance when pairing arc intervals
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,26 @@ class Certificate:
 # ---------------------------------------------------------------- subdivide
 
 
+def _chord_count(radius: float, span: float, target: float, full: bool = False) -> int:
+    """Fewest equal sub-arcs of an arc of ``radius`` and ``span`` with sagitta d(s) < ``target``.
+
+    A full circle needs at least two sub-arcs (a single chord would close on
+    itself) and no sub-arc may exceed half the circle.  Raises
+    ``BudgetExhausted`` when the count would reach ``MAX_SUBARCS``.
+    """
+    n = max(2 if full else 1, int(math.ceil(span / math.pi - 1e-12)))
+    if target < radius:
+        # d(s) < target exactly for widths s below s_max
+        s_max = 2.0 * math.acos(math.tan(radius - target) / math.tan(radius))
+        if span >= s_max * MAX_SUBARCS:
+            raise BudgetExhausted(
+                "a sagitta budget of %.3g needs %d or more sub-arcs on an arc of radius %.6g"
+                % (target, MAX_SUBARCS, radius)
+            )
+        n = max(n, int(span / s_max) + 1)
+    return n
+
+
 def subdivide_piece(
     body: ConvexBody, piece_id: int, eps: float, safety: float = SUBDIVISION_SAFETY
 ) -> np.ndarray:
@@ -138,18 +165,7 @@ def subdivide_piece(
     piece = body.pieces[piece_id]
     if not isinstance(piece, SmallCircleArc):
         raise NotStrictlyConvex("piece %d is a great arc" % piece_id)
-    target = eps * safety
-    r = piece.radius
-    span = piece.span
-    # full circles need at least two sub-arcs (a single chord would close on
-    # itself) and no sub-arc may exceed half the circle
-    n = max(2 if piece.is_full else 1, int(math.ceil(span / math.pi - 1e-12)))
-    if target < r:
-        # d(s) < target exactly for widths s below s_max
-        s_max = 2.0 * math.acos(math.tan(r - target) / math.tan(r))
-        if span >= s_max * (1 << 22):
-            raise ValueError("subdivision did not converge; eps too small")
-        n = max(n, int(span / s_max) + 1)
+    n = _chord_count(piece.radius, piece.span, eps * safety, piece.is_full)
     return piece.point_at(np.linspace(piece.az_from, piece.az_to, n + 1))
 
 
@@ -300,7 +316,113 @@ def cut_step(body: ConvexBody, p1: Vec, p2: Vec) -> tuple[ConvexBody, StepRecord
     return out, rec
 
 
-# ---------------------------------------------------------------- main loop
+# ----------------------------------------------------------- one-pass build
+
+
+@dataclass(frozen=True, eq=False)
+class _Run:
+    """A maximal run of consecutive input pieces on one circle, as one arc."""
+
+    arc: SmallCircleArc
+    ids: np.ndarray  # the input pieces, in chain order
+    offsets: np.ndarray  # azimuth of each piece's start, from ``arc.az_from``
+
+    def piece_at(self, offset: np.ndarray) -> np.ndarray:
+        """Input piece id at each azimuth ``offset`` from the run's start."""
+        k = np.searchsorted(self.offsets, offset + PAIR_EPS, side="right") - 1
+        return self.ids[np.clip(k, 0, len(self.ids) - 1)]
+
+
+def _same_circle(a, b) -> bool:
+    return (
+        isinstance(a, SmallCircleArc)
+        and isinstance(b, SmallCircleArc)
+        and dot(a.center, b.center) >= 1.0 - DOT_EPS
+        and abs(a.radius - b.radius) <= PAIR_EPS
+    )
+
+
+def _boundary_units(body: ConvexBody) -> list:
+    """The boundary in chain order: great-arc piece ids and ``_Run``s.
+
+    The scan starts at the run that holds piece 0, so no run wraps the end of
+    the chain.  A full circle is split into two half runs, each the other's
+    partner.
+    """
+    pcs = body.pieces
+    m = len(pcs)
+    joins = [_same_circle(pcs[i - 1], pcs[i]) for i in range(m)]
+    start = max((i for i in range(m) if not joins[i]), default=0) if joins[0] else 0
+    groups: list[list[int]] = []
+    for k in range(m):
+        i = (start + k) % m
+        if k and joins[i]:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    units: list = []
+    for ids in groups:
+        first = pcs[ids[0]]
+        if not isinstance(first, SmallCircleArc):
+            units.append(ids[0])
+            continue
+        spans = np.array([pcs[i].span for i in ids])
+        offsets = np.concatenate([[0.0], np.cumsum(spans[:-1])])
+        a, span = first.az_from, float(spans.sum())
+        if span < TWO_PI - PAIR_EPS:
+            arc = SmallCircleArc(first.center, first.radius, a, a + span)
+            units.append(_Run(arc, np.array(ids), offsets))
+            continue
+        for lo in (a, a + math.pi):
+            half = SmallCircleArc(first.center, first.radius, lo, lo + math.pi)
+            units.append(_Run(half, np.array(ids), offsets - (lo - a)))
+    return units
+
+
+def _is_partner(a: SmallCircleArc, b: SmallCircleArc) -> bool:
+    """Whether ``b`` spans the azimuths of ``a`` shifted by pi on the circle (Z, pi/2 - r)."""
+    return (
+        dot(a.center, b.center) >= 1.0 - DOT_EPS
+        and abs(a.radius + b.radius - 0.5 * math.pi) <= PAIR_EPS
+        and abs(a.span - b.span) <= PAIR_EPS
+        and abs(math.remainder(b.az_from - a.az_from - math.pi, TWO_PI)) <= PAIR_EPS
+    )
+
+
+def _pair_runs(runs: list[_Run]) -> list[tuple[_Run, _Run]]:
+    """Each run with its partner, the one first in ``runs`` first: that one is chorded.
+
+    Raises ``NotSelfDual`` when a run has no partner.
+    """
+    pairs = []
+    taken: set[int] = set()
+    for i, run in enumerate(runs):
+        if i in taken:
+            continue
+        j = next(
+            (j for j in range(i + 1, len(runs)) if j not in taken and _is_partner(run.arc, runs[j].arc)),
+            None,
+        )
+        if j is None:
+            raise NotSelfDual(
+                "no arc of radius %.9f about the same centre spans this arc's azimuths "
+                "shifted by pi; body is not self-dual" % (0.5 * math.pi - run.arc.radius)
+            )
+        pairs.append((run, runs[j]))
+        taken.update((i, j))
+    return pairs
+
+
+def _drop_flat_vertices(v: np.ndarray) -> np.ndarray:
+    """The rows of the closed chain ``v`` whose two edge poles differ by more than ``POLE_MERGE_EPS``.
+
+    Such a junction lies on one supporting great circle, so it is not a
+    vertex (as in ``merge_flat_junctions``).  A NaN pole, from a repeated
+    row, keeps its rows, for validation to reject.
+    """
+    poles = unit_rows(np.cross(v, np.roll(v, -1, axis=0)))
+    bend = np.linalg.norm(poles - np.roll(poles, 1, axis=0), axis=1)
+    return v[~(bend <= POLE_MERGE_EPS)]
 
 
 def approximate_polytope(
@@ -308,11 +430,16 @@ def approximate_polytope(
 ) -> tuple[Polytope, Certificate, list[StepRecord]]:
     """Approximate a constant-width-pi/2 body by a polytope of the same width.
 
-    Rounds k = 1, 2, ... use the budget epsilon / 2**(k-1).  Within a round
-    the first remaining strictly convex piece is re-subdivided and its first
-    sub-arc is cut, until no strictly convex piece remains; a ``DualOverlap``
-    defers the piece to the next, finer round.  The measured Hausdorff
-    distance between input and output is certified against 2 * epsilon.
+    Each maximal arc interval and its partner are edited at once (module
+    docstring): the interval first in boundary order is split into the
+    fewest equal sub-arcs whose sagitta is under ``epsilon *
+    SUBDIVISION_SAFETY`` and chorded, and the chord poles replace its
+    partner.  Great arcs keep their starts, and junctions left flat are
+    dropped.  Returns the polytope, its certificate (Hausdorff distance
+    checked against 2 * epsilon) and one ``StepRecord`` per chord.  Raises
+    ``NotSelfDual`` when an arc interval has no partner and, before
+    building anything, ``BudgetExhausted`` when epsilon needs
+    ``MAX_SUBARCS`` or more sub-arcs on one interval.
     """
     # the gate validates the input, through polar_dual
     gate = is_constant_width(body, 0.5 * math.pi, config.self_dual_tol)
@@ -321,36 +448,42 @@ def approximate_polytope(
             "input width range [%.9f, %.9f] is not pi/2 within %.1e"
             % (gate.width_min, gate.width_max, config.self_dual_tol)
         )
+    units = _boundary_units(body)
+    runs = [u for u in units if isinstance(u, _Run)]
+    pairs = _pair_runs(runs)
+    target = config.epsilon * SUBDIVISION_SAFETY
+    counts = [_chord_count(a.arc.radius, a.arc.span, target) for a, _ in pairs]
+
+    points: dict[_Run, np.ndarray] = {}  # chorded run -> its sub-arc ends
+    poles: dict[_Run, np.ndarray] = {}  # partner run -> the chord poles it carries
     steps: list[StepRecord] = []
-    rounds = 0
-    current = body
-    for k in range(MAX_ROUNDS):
-        if not current.circle_piece_indices():
-            break
-        rounds = k + 1
-        budget = config.epsilon / (2.0**k)
-        while True:
-            idxs = current.circle_piece_indices()
-            if not idxs:
-                break
-            pts = subdivide_piece(current, idxs[0], budget)
-            try:
-                current, rec = cut_step(current, pts[0], pts[1])
-            except DualOverlap:
-                break
-            steps.append(rec)
-            if len(steps) > 200_000:
-                raise BudgetExhausted(
-                    "step limit exceeded", partial=current, steps=steps
-                )
-    if current.circle_piece_indices():
-        raise BudgetExhausted(
-            "strictly convex arcs remain after %d rounds" % rounds,
-            partial=current,
-            steps=steps,
+    for (run, partner), n in zip(pairs, counts):
+        a = run.arc
+        az = np.linspace(a.az_from, a.az_to, n + 1)
+        p = points[run] = a.point_at(az)
+        r = poles[partner] = unit_rows(np.cross(p[:-1], p[1:]))
+        q = partner.arc.point_at(az + math.pi)
+        s = a.span / n
+        d = a.radius - math.atan(math.tan(a.radius) * math.cos(0.5 * s))
+        primal = run.piece_at(s * np.arange(n))
+        dual = partner.piece_at(s * np.arange(n))
+        steps.extend(
+            StepRecord(p[k], p[k + 1], q[k], q[k + 1], r[k], int(primal[k]), int(dual[k]), d)
+            for k in range(n)
         )
-    poly = to_polytope(current)
-    cert = certify(body, poly, config, steps=len(steps), rounds=rounds)
+
+    # a chorded run gives its sub-arc starts, a partner run its start and
+    # the chord poles, a great arc its start
+    chunks = []
+    for u in units:
+        if not isinstance(u, _Run):
+            chunks.append(body.pieces[u].start[None, :])
+        elif u in points:
+            chunks.append(points[u][:-1])
+        else:
+            chunks += [u.arc.start[None, :], poles[u]]
+    poly = Polytope(_drop_flat_vertices(np.vstack(chunks)))
+    cert = certify(body, poly, config, steps=len(steps), rounds=1 if runs else 0)
     return poly, cert, steps
 
 

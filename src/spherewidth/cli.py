@@ -18,7 +18,7 @@ from .approx import ApproximationConfig, approximate_polytope, certify
 from .body import polar_dual, to_polytope, validate, validate_polytope, Polytope
 from .errors import CertificationFailed, SphereGeomError
 from .formats import dumps_body, dumps_certificate, dumps_step_log, loads_body
-from .generators import cap, complete_selfdual, octant, random_selfdual_polytope
+from .generators import cap, complete_selfdual, octant, random_selfdual_polytope, rounded_reuleaux
 from .metrics import is_constant_width
 from .render import render_svg
 from .sphere import unit
@@ -48,6 +48,8 @@ def cmd_generate(args) -> int:
         body = complete_selfdual(
             cap(_parse_vec(args.center), args.radius), tol=args.tol, rng_seed=args.seed
         )
+    elif args.kind == "reuleaux":
+        body = rounded_reuleaux(args.k, args.delta, _parse_vec(args.center))
     else:
         body = random_selfdual_polytope(args.n, args.seed)
     text = dumps_body(body)
@@ -132,10 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="random seed")
 
     g = sub.add_parser("generate", help="write a body JSON file")
-    g.add_argument("kind", choices=["octant", "cap", "completion", "random-polytope"])
-    g.add_argument("--center", default="0,0,1", help="cap center x,y,z")
+    g.add_argument("kind", choices=["octant", "cap", "completion", "random-polytope", "reuleaux"])
+    g.add_argument("--center", default="0,0,1", help="cap or Reuleaux polygon center x,y,z")
     g.add_argument("--radius", type=float, default=math.pi / 4, help="cap radius")
     g.add_argument("--n", type=int, default=6, help="target vertex count")
+    g.add_argument("--k", type=int, default=3, help="Reuleaux polygon vertex count (odd)")
+    g.add_argument("--delta", type=float, default=0.1,
+                   help="rounding radius of the Reuleaux polygon, in (0, pi/4)")
     g.add_argument("-o", "--out", required=True)
     common(g)
     g.set_defaults(func=cmd_generate)

@@ -49,10 +49,13 @@ class NotConstantWidth(SphereGeomError):
 
 
 class BudgetExhausted(SphereGeomError):
-    """The round budget ran out before all strictly convex arcs were removed.
+    """A construction needs more work than its fixed limit allows.
 
-    Carries the best body reached so far in ``partial`` and the applied
-    edits in ``steps``.
+    Raised when epsilon is so small that one arc interval would need
+    ``approx.MAX_SUBARCS`` or more chords, before anything is built, and
+    when the self-dual completion runs out of insertions.  Carries the best
+    body reached so far, if any, in ``partial`` and the applied edits in
+    ``steps``.
     """
 
     def __init__(self, message, partial=None, steps=None):

@@ -92,6 +92,45 @@ def rotated(b: ConvexBody, rot: np.ndarray) -> ConvexBody:
     return ConvexBody(pieces, rot @ b.interior)
 
 
+def rounded_reuleaux(k: int, delta: float, center: Vec = (0.0, 0.0, 1.0)) -> ConvexBody:
+    """Outer parallel body, at ``delta``, of the regular Reuleaux k-gon of width pi/2 - 2 delta.
+
+    ``k`` is odd and at least 3, and 0 < ``delta`` < pi/4.  The vertices V_i
+    of the Reuleaux polygon sit at azimuths 2 pi i / k about ``center``.
+    About each V_i the boundary has an arc of radius pi/2 - delta, spanning
+    the directions of the two opposite vertices, and an arc of radius
+    delta, spanning the reverse directions.  The two are partners (the same
+    span shifted by pi, radii summing to pi/2), so the body has constant
+    width pi/2.  Every arc runs counterclockwise about its own centre.
+    """
+    if k < 3 or k % 2 == 0:
+        raise ValueError("k must be odd and at least 3")
+    if not 0.0 < delta < 0.25 * math.pi:
+        raise BadRadius("delta must lie in (0, pi/4)")
+    z = unit(center)
+    m = (k - 1) // 2
+    # V_i is the width pi/2 - 2 delta from the opposite V_{i+m}
+    sin_rho = math.sqrt((1.0 - math.sin(2.0 * delta)) / (1.0 - math.cos(TWO_PI * m / k)))
+    ring = SmallCircleArc(z, math.asin(sin_rho), 0.0, TWO_PI)
+    verts = ring.point_at(TWO_PI * np.arange(k) / k)
+
+    def partners(c):
+        """The (delta, pi/2 - delta) arcs about V_c, between its opposite vertices."""
+        probe = SmallCircleArc(verts[c], delta, 0.0, TWO_PI)
+        a0, a1 = probe.azimuth_of(verts[[(c + m) % k, (c + m + 1) % k]])
+        span = (a1 - a0) % TWO_PI
+        return (
+            SmallCircleArc(verts[c], delta, a0 + math.pi, a0 + math.pi + span),
+            SmallCircleArc(verts[c], 0.5 * math.pi - delta, a0, a0 + span),
+        )
+
+    pieces = []
+    for i in range(k):
+        # the rounded corner at V_i, then the side from V_i to V_{i+1}
+        pieces += [partners(i)[0], partners((i + m + 1) % k)[1]]
+    return ConvexBody(pieces, z)
+
+
 # ------------------------------------------------------------ hull insertion
 
 

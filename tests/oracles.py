@@ -4,8 +4,11 @@ Everything here works on dense boundary samples and explicit closed-form
 membership rules only; none of the adaptive or closed-form machinery under
 test is reused for the quantities being checked.  ``validate_per_piece`` is
 the per-piece reference that the stacked ``body.validate`` must reproduce,
-and ``chord_pole_distance`` the measured distance that the closed-form
-subdivision of ``approx.subdivide_piece`` must reproduce.
+``chord_pole_distance`` the measured distance that the closed-form
+subdivision of ``approx.subdivide_piece`` must reproduce, and
+``chord_cut_loop`` the edit-at-a-time construction, built from
+``subdivide_piece`` and ``cut_step``, that the one-pass
+``approx.approximate_polytope`` must reproduce.
 """
 
 import math
@@ -13,7 +16,9 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from spherewidth.body import ValidationCheck, body_distance
+from spherewidth.approx import cut_step, subdivide_piece
+from spherewidth.body import ValidationCheck, body_distance, to_polytope
+from spherewidth.errors import BudgetExhausted, DualOverlap
 from spherewidth.sphere import (
     BOUNDARY_EPS,
     DOT_EPS,
@@ -210,3 +215,34 @@ def chord_pole_distance(body, piece, step):
     p2 = piece.point_at(a + step)[0]
     r = arc_pole(p1, p2, piece.support_pole_at(a + 0.5 * step)[0])
     return body_distance(body, r)
+
+
+def chord_cut_loop(body, eps, max_rounds=64):
+    """The chord-cut construction one ``cut_step`` at a time.
+
+    Round k = 1, 2, ... uses the budget eps / 2**(k-1).  Within a round the
+    first remaining strictly convex piece is re-subdivided and its first
+    sub-arc cut, until no strictly convex piece remains; a ``DualOverlap``
+    defers the piece to the next, finer round.  Returns the polytope, the
+    step records and the number of rounds.
+    """
+    steps = []
+    rounds = 0
+    current = body
+    for k in range(max_rounds):
+        if current.is_polytope():
+            break
+        rounds = k + 1
+        budget = eps / 2.0**k
+        while not current.is_polytope():
+            pts = subdivide_piece(current, current.circle_piece_indices()[0], budget)
+            try:
+                current, rec = cut_step(current, pts[0], pts[1])
+            except DualOverlap:
+                break
+            steps.append(rec)
+    if not current.is_polytope():
+        raise BudgetExhausted(
+            "strictly convex arcs remain after %d rounds" % rounds, partial=current, steps=steps
+        )
+    return to_polytope(current), steps, rounds

@@ -22,15 +22,24 @@ from spherewidth.body import (
     validate,
 )
 from spherewidth.errors import (
+    BudgetExhausted,
     CertificationFailed,
     DualOverlap,
     InvalidBody,
     NotConstantWidth,
+    NotSelfDual,
     NotStrictlyConvex,
 )
-from spherewidth.generators import cap, complete_selfdual, octant, rotated, rotation_from_seed
+from spherewidth.generators import (
+    cap,
+    complete_selfdual,
+    octant,
+    rotated,
+    rotation_from_seed,
+    rounded_reuleaux,
+)
 from spherewidth.metrics import is_constant_width, self_duality_residual
-from spherewidth.sphere import SmallCircleArc, unit
+from spherewidth.sphere import GreatArc, SmallCircleArc, unit
 
 E1, E2, E3 = np.eye(3)
 PI = math.pi
@@ -296,7 +305,8 @@ def test_approximation_measures_each_body_once(monkeypatch):
     # the gate reads only the input's widths (one diameter of its dual);
     # the certificate measures only the output's distance to the input, its
     # widths and residual coming from the pole/vertex pairing; the input is
-    # validated by the gate and again by the certificate, the output once
+    # validated by the gate and again by the certificate, the output once;
+    # the construction measures nothing, each chord's d(s) being closed form
     calls = {"hausdorff": 0, "diameter": 0, "validate": 0, "body_distance": 0}
     homes = {"hausdorff": metrics, "diameter": metrics, "validate": bd, "body_distance": bd}
     for name in calls:
@@ -310,8 +320,99 @@ def test_approximation_measures_each_body_once(monkeypatch):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted)
     _, _, steps = approximate_polytope(cap(E3, PI / 4), ApproximationConfig(0.05))
-    # the subdivision measures nothing; each cut measures its new vertex once
-    assert calls == {"hausdorff": 1, "diameter": 1, "validate": 3, "body_distance": len(steps)}
+    assert len(steps) > 0
+    assert calls == {"hausdorff": 1, "diameter": 1, "validate": 3, "body_distance": 0}
+
+
+# ------------------------------------------------------------ one-pass build
+
+
+ORACLE_CASES = (
+    [("cap", seed, eps) for seed in range(1, 11) for eps in (0.01, 0.002, 0.0005)]
+    + [("two-arc", r, 0.002) for r in (0.3, 0.5, 0.7)]
+    + [("chopped-cap", 0, 0.002)]
+)
+
+
+def _oracle_body(kind, arg):
+    from test_generators import chopped_cap
+
+    if kind == "cap":
+        return rotated(cap(E3, PI / 4), rotation_from_seed(arg))
+    if kind == "two-arc":
+        return two_arc_completion(arg)
+    return complete_selfdual(chopped_cap(), tol=1e-7, rng_seed=arg)
+
+
+@pytest.mark.parametrize("kind,arg,eps", ORACLE_CASES)
+def test_one_pass_build_matches_the_chord_cut_loop(kind, arg, eps):
+    body = _oracle_body(kind, arg)
+    config = ApproximationConfig(eps)
+    poly, cert, steps = approximate_polytope(body, config)
+    ref, ref_steps, rounds = oracles.chord_cut_loop(body, eps)
+    ref_cert = certify(body, ref, config, steps=len(ref_steps), rounds=rounds)
+    assert len(poly) == len(ref)
+    assert len(steps) == len(ref_steps) == cert.steps
+    assert cert.rounds == rounds == 1
+    # the loop's first chord on a full circle is 2 pi / N0 wide and the rest
+    # of the half is split equally, so on the cap its phase matches equal
+    # spacing only where 2 pi / N0 is the equal width, as at eps = 0.002
+    if kind == "cap" and eps != 0.002:
+        return
+    k = int(np.argmin(np.linalg.norm(ref.vertices - poly.vertices[0], axis=1)))
+    assert np.abs(np.roll(ref.vertices, -k, axis=0) - poly.vertices).max() <= 1e-12
+    assert abs(cert.hausdorff_bound - ref_cert.hausdorff_bound) <= 1e-12
+    for got, want in zip(steps, ref_steps):
+        for name in ("p1", "p2", "q1", "q2", "r1"):
+            assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-12
+        # the closed-form d(s) is the distance the loop measures
+        assert abs(got.r1_distance - want.r1_distance) <= 1e-12
+
+
+def test_split_arcs_are_chorded_as_one_interval():
+    whole = approximate_polytope(cap(E3, PI / 4), ApproximationConfig(0.002))
+    split = ConvexBody([SmallCircleArc(E3, PI / 4, 0.0, 1.0), SmallCircleArc(E3, PI / 4, 1.0, 2 * PI)], E3)
+    poly, cert, steps = approximate_polytope(split, ApproximationConfig(0.002))
+    assert np.abs(poly.vertices - whole[0].vertices).max() <= 1e-15
+    assert cert.steps == whole[1].steps
+    # piece ids name the input pieces holding each chord and its partner span
+    s = (PI / len(steps)) * np.arange(len(steps))
+    assert [rec.primal_piece_id for rec in steps] == [0 if x < 1.0 else 1 for x in s]
+    assert {rec.dual_piece_id for rec in steps} == {1}
+
+
+def test_unmatched_partner_interval_raises_not_self_dual():
+    # the partner arc of two_arc_completion(0.5) shortened by 1e-8: within
+    # the gate's 1e-6, but its interval no longer matches the primal one
+    body = two_arc_completion(0.5)
+    pieces = list(body.pieces)
+    i = next(i for i, p in enumerate(pieces) if isinstance(p, SmallCircleArc) and p.radius > PI / 4)
+    arc = pieces[i]
+    pieces[i] = SmallCircleArc(arc.center, arc.radius, arc.az_from, arc.az_to - 1e-8)
+    pieces[i + 1] = GreatArc(pieces[i].end, pieces[i + 1].end)
+    with pytest.raises(NotSelfDual):
+        approximate_polytope(ConvexBody(pieces, body.interior), ApproximationConfig(0.01))
+
+
+def test_too_small_epsilon_raises_budget_exhausted_before_building(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nothing may be built")
+
+    monkeypatch.setattr(approx, "Polytope", forbidden)
+    monkeypatch.setattr(approx, "certify", forbidden)
+    with pytest.raises(BudgetExhausted):
+        approximate_polytope(cap(E3, PI / 4), ApproximationConfig(1e-15))
+    with pytest.raises(BudgetExhausted):
+        subdivide_piece(cap(E3, PI / 4), 0, 1e-15)
+
+
+@pytest.mark.parametrize("delta", [3e-5, 1e-5])
+def test_rounded_reuleaux_with_tiny_rounding_certifies(delta):
+    # the edit-at-a-time loop left a 1e-12 sliver of a delta arc that no
+    # round could cut, and gave up
+    poly, cert, steps = approximate_polytope(rounded_reuleaux(3, delta), ApproximationConfig(0.01))
+    assert cert.hausdorff_bound <= 0.02
+    assert (len(poly), cert.steps, cert.rounds) == (7, 3, 1)
 
 
 def test_invalid_bodies_still_raise():

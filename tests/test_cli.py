@@ -84,6 +84,20 @@ def test_approximate_pipeline(tmp_path, capsys):
     assert isinstance(poly, Polytope)
 
 
+def test_generate_and_approximate_rounded_reuleaux(tmp_path, capsys):
+    src = tmp_path / "rr.json"
+    log = tmp_path / "rr.jsonl"
+    cert_file = tmp_path / "cert.json"
+    code, stdout, _ = run(capsys, "generate", "reuleaux", "--k", "5", "--delta", "0.05", "-o", str(src))
+    assert code == 0 and "10 pieces" in stdout
+    code, _, _ = run(
+        capsys, "approximate", str(src), "--epsilon", "0.01", "-o", str(tmp_path / "p.json"),
+        "--certificate", str(cert_file), "--log", str(log),
+    )
+    assert code == 0
+    assert len(log.read_text().splitlines()) == loads_certificate(cert_file.read_text()).steps > 0
+
+
 def test_generate_completion(tmp_path, capsys):
     out = tmp_path / "completion.json"
     code, _, _ = run(

@@ -20,6 +20,7 @@ from spherewidth.generators import (
     random_selfdual_polytope,
     rotated,
     rotation_from_seed,
+    rounded_reuleaux,
 )
 from spherewidth.metrics import (
     diameter,
@@ -156,6 +157,41 @@ def test_completion_produces_mixed_body_from_chopped_cap():
     assert kinds == {"GreatArc", "SmallCircleArc"}
     radii = {round(p.radius, 9) for p in out.pieces if isinstance(p, SmallCircleArc)}
     assert radii == {round(PI / 4, 9)}  # r and pi/2 - r coincide at pi/4
+
+
+@pytest.mark.parametrize(
+    "k,delta",
+    [(3, 0.1), (3, 0.3), (5, 0.15), (7, 0.05), (9, 0.2), (3, 0.78)]
+    + [(3, 1e-3), (3, 1e-4), (3, 3e-5), (3, 1e-5)],
+)
+def test_rounded_reuleaux_has_constant_width_and_partner_arcs(k, delta):
+    body = rounded_reuleaux(k, delta, unit([1.0, -2.0, 0.5]))
+    assert validate(body).ok
+    rep = is_constant_width(body, PI / 2, 1e-10)
+    assert abs(rep.width_min - PI / 2) <= 1e-10 and abs(rep.width_max - PI / 2) <= 1e-10
+    # corner arcs of radius delta alternate with sides of radius pi/2 - delta,
+    # and every arc's partner (same centre, azimuths shifted by pi) is present
+    pieces = body.pieces
+    assert len(pieces) == 2 * k
+    assert [p.radius for p in pieces] == pytest.approx([delta, PI / 2 - delta] * k, abs=1e-15)
+    for p in pieces:
+        partners = [
+            q
+            for q in pieces
+            if np.linalg.norm(q.center - p.center) <= 1e-15
+            and abs(q.radius + p.radius - PI / 2) <= 1e-15
+            and abs(q.span - p.span) <= 1e-12
+            and abs(math.remainder(q.az_from - p.az_from - PI, 2 * PI)) <= 1e-12
+        ]
+        assert len(partners) == 1
+
+
+def test_rounded_reuleaux_rejects_bad_parameters():
+    with pytest.raises(ValueError):
+        rounded_reuleaux(4, 0.1)
+    for delta in (0.0, PI / 4):
+        with pytest.raises(BadRadius):
+            rounded_reuleaux(3, delta)
 
 
 # ---------------------------------------------------------------- randomized
