@@ -7,8 +7,8 @@ one side by its chord, and the partner sub-arc by the two great arcs through
 R, the pole of the chord, is its own polar image, so the edit keeps the body
 self-dual.  The edit changes nothing but its own sub-arc and that sub-arc's
 partner, so edits on disjoint sub-arcs commute and can all be applied at
-once.  ``approximate_polytope`` therefore builds the polytope in one pass:
-it pairs each maximal arc interval with its partner, splits the interval
+once.  ``chord_polytope`` therefore builds the polytope in one pass: it
+pairs each maximal arc interval with its partner, splits the interval
 that comes first in boundary order into equal sub-arcs, chords them all,
 puts the chord poles on the partner interval and emits the vertices in
 boundary order.  A full circle of radius pi/4, the cap, is its own partner:
@@ -19,12 +19,15 @@ Z-M-P1 gives tan m = tan r cos(s/2), M the chord midpoint at distance m from
 Z, so the chord's sagitta is d(s) = r - atan(tan r cos(s/2)).  The pole R
 lies at pi/2 - m from Z on the partner side, d(s) outside the partner arc,
 so chord and spike both stay within d(s) of the body; the sub-arc count
-solves d(s) < epsilon * safety for s in closed form.
+solves d(s) < epsilon * SUBDIVISION_SAFETY for s in closed form.
 
 ``cut_step`` applies the same edit to one sub-arc of a body and rebuilds
 it; the tests replay the edits chord by chord with it as the reference for
 the one-pass output.
 
+``approximate_polytope`` runs the gate (the input's width sweep), the build
+(``chord_polytope``, which checks nothing) and the certificate once each,
+all reading each body's one cached validation (``ConvexBody.validation``).
 The certificate never trusts the construction: it re-measures the Hausdorff
 distance on the final pair.  For a polytope output the width range and the
 self-duality residual are proved upper-bound ends from its edge-pole/vertex
@@ -71,6 +74,7 @@ from .body import (
     merge_flat_junctions,
     require_valid,
     selfdual_residual_bound,
+    to_polytope,
     validate_polytope,
 )
 from .metrics import hausdorff, is_constant_width
@@ -90,8 +94,9 @@ class ApproximationConfig:
     self_dual_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # written so that NaN fails
+        if not (0.0 < self.epsilon < math.inf and 0.0 <= self.self_dual_tol < math.inf):
+            raise ValueError("epsilon must be finite and > 0, self_dual_tol finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,21 +156,19 @@ def _chord_count(radius: float, span: float, target: float, full: bool = False) 
     return n
 
 
-def subdivide_piece(
-    body: ConvexBody, piece_id: int, eps: float, safety: float = SUBDIVISION_SAFETY
-) -> np.ndarray:
+def subdivide_piece(body: ConvexBody, piece_id: int, eps: float) -> np.ndarray:
     """Subdivision points of a strictly convex piece for the budget ``eps``.
 
     Returns the points (endpoints included) of the fewest equal sub-arcs
-    whose chord pole lies closer to the body than ``eps * safety``, the
-    distance being the sagitta ``d(s)`` of the module docstring.
+    whose chord pole lies within ``eps * SUBDIVISION_SAFETY`` of the body,
+    the distance being the sagitta ``d(s)`` of the module docstring.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     piece = body.pieces[piece_id]
     if not isinstance(piece, SmallCircleArc):
         raise NotStrictlyConvex("piece %d is a great arc" % piece_id)
-    n = _chord_count(piece.radius, piece.span, eps * safety, piece.is_full)
+    n = _chord_count(piece.radius, piece.span, eps * SUBDIVISION_SAFETY, piece.is_full)
     return piece.point_at(np.linspace(piece.az_from, piece.az_to, n + 1))
 
 
@@ -425,32 +428,16 @@ def _drop_flat_vertices(v: np.ndarray) -> np.ndarray:
     return v[~(bend <= POLE_MERGE_EPS)]
 
 
-def approximate_polytope(
-    body: ConvexBody, config: ApproximationConfig
-) -> tuple[Polytope, Certificate, list[StepRecord]]:
-    """Approximate a constant-width-pi/2 body by a polytope of the same width.
+def chord_polytope(body: ConvexBody, config: ApproximationConfig) -> tuple[Polytope, list[StepRecord]]:
+    """The chord-cut polytope of a self-dual body, and one ``StepRecord`` per chord.
 
-    Each maximal arc interval and its partner are edited at once (module
-    docstring): the interval first in boundary order is split into the
-    fewest equal sub-arcs whose sagitta is under ``epsilon *
-    SUBDIVISION_SAFETY`` and chorded, and the chord poles replace its
-    partner.  Great arcs keep their starts, and junctions left flat are
-    dropped.  Returns the polytope, its certificate (Hausdorff distance
-    checked against 2 * epsilon) and one ``StepRecord`` per chord.  Raises
-    ``NotSelfDual`` when an arc interval has no partner and, before
-    building anything, ``BudgetExhausted`` when epsilon needs
-    ``MAX_SUBARCS`` or more sub-arcs on one interval.
+    One pass (module docstring) with sagittas under ``epsilon *
+    SUBDIVISION_SAFETY``; flat junctions are dropped and nothing is checked.
+    Raises ``NotSelfDual`` when an arc interval has no partner and, before
+    building, ``BudgetExhausted`` when one needs ``MAX_SUBARCS`` sub-arcs.
     """
-    # the gate validates the input, through polar_dual
-    gate = is_constant_width(body, 0.5 * math.pi, config.self_dual_tol)
-    if not gate.passed:
-        raise NotConstantWidth(
-            "input width range [%.9f, %.9f] is not pi/2 within %.1e"
-            % (gate.width_min, gate.width_max, config.self_dual_tol)
-        )
     units = _boundary_units(body)
-    runs = [u for u in units if isinstance(u, _Run)]
-    pairs = _pair_runs(runs)
+    pairs = _pair_runs([u for u in units if isinstance(u, _Run)])
     target = config.epsilon * SUBDIVISION_SAFETY
     counts = [_chord_count(a.arc.radius, a.arc.span, target) for a, _ in pairs]
 
@@ -482,8 +469,27 @@ def approximate_polytope(
             chunks.append(points[u][:-1])
         else:
             chunks += [u.arc.start[None, :], poles[u]]
-    poly = Polytope(_drop_flat_vertices(np.vstack(chunks)))
-    cert = certify(body, poly, config, steps=len(steps), rounds=1 if runs else 0)
+    return Polytope(_drop_flat_vertices(np.vstack(chunks))), steps
+
+
+def approximate_polytope(
+    body: ConvexBody, config: ApproximationConfig
+) -> tuple[Polytope, Certificate, list[StepRecord]]:
+    """Approximate a constant-width-pi/2 body by a polytope of the same width.
+
+    Gates the input (``NotConstantWidth``), builds with ``chord_polytope``
+    and certifies.  Returns the polytope, its certificate (Hausdorff
+    distance checked against 2 * epsilon) and the steps.
+    """
+    # the gate validates the input, through polar_dual
+    gate = is_constant_width(body, 0.5 * math.pi, config.self_dual_tol)
+    if not gate.passed:
+        raise NotConstantWidth(
+            "input width range [%.9f, %.9f] is not pi/2 within %.1e"
+            % (gate.width_min, gate.width_max, config.self_dual_tol)
+        )
+    poly, steps = chord_polytope(body, config)
+    cert = certify(body, poly, config, steps=len(steps), rounds=1 if steps else 0)
     return poly, cert, steps
 
 
@@ -496,12 +502,14 @@ def certify(
 ) -> Certificate:
     """Re-measure every guarantee on the (input, output) pair from scratch.
 
-    A ``Polytope`` result takes its width range and residual from
-    ``selfdual_residual_bound``, any other result from the
+    A result bounded by great arcs, a ``Polytope`` or not, takes its width
+    range and residual from ``selfdual_residual_bound``, any other from the
     ``is_constant_width`` sweep.  Raises ``CertificationFailed`` naming the
-    violated bound; never trusts the step chain that produced the result.
+    violated bound, a NaN one too; never trusts the step chain.
     """
     require_valid(original)
+    if not isinstance(result, Polytope) and result.is_polytope():
+        result = to_polytope(result)
     if isinstance(result, Polytope):
         failed = validate_polytope(result).failed()
         if failed:
@@ -522,23 +530,20 @@ def certify(
         steps=steps,
         rounds=rounds,
     )
-    if h > 2.0 * config.epsilon:
+    if not h <= 2.0 * config.epsilon:
         raise CertificationFailed(
             "hausdorff %.6g exceeds 2*epsilon = %.6g" % (h, 2 * config.epsilon),
             bound="hausdorff_bound",
         )
-    if abs(wmin - 0.5 * math.pi) > config.self_dual_tol or abs(
-        wmax - 0.5 * math.pi
-    ) > config.self_dual_tol:
+    tol = config.self_dual_tol
+    if not (abs(wmin - 0.5 * math.pi) <= tol and abs(wmax - 0.5 * math.pi) <= tol):
         raise CertificationFailed(
-            "width range [%.9f, %.9f] is not pi/2 within %.1e"
-            % (wmin, wmax, config.self_dual_tol),
+            "width range [%.9f, %.9f] is not pi/2 within %.1e" % (wmin, wmax, tol),
             bound="width_range",
         )
-    if residual > config.self_dual_tol:
+    if not residual <= tol:
         raise CertificationFailed(
-            "self-duality residual %.3g exceeds %.1e"
-            % (residual, config.self_dual_tol),
+            "self-duality residual %.3g exceeds %.1e" % (residual, tol),
             bound="self_duality_residual",
         )
     return cert

@@ -8,9 +8,9 @@ hemispheres, so a point x is a member when x . K >= -tol for every support
 pole K; membership and boundary distance evaluate all pieces of a body in
 one numpy expression over its stacked arrays (``ConvexBody.arcs``), in
 blocks of at most ``BLOCK_ELEMENTS`` rows x pieces; so do validation, the
-interior witness and the dual's corner poles.  A ``Polytope`` is a body
-whose edges and witness come from its vertices on first use, so its
-``vertices``, like ``pieces``, must not change after.
+interior witness and the dual's corner poles.  A body caches its validation
+and a ``Polytope`` its edges and witness, built from its vertices, on first
+use, so ``vertices``, like ``pieces``, must not change after.
 The chain is traversed counterclockwise as seen from the interior side: at
 every smooth boundary point P with unit tangent T, the support pole of the
 body is P x T.  Under that convention polar duality maps pieces to pieces
@@ -85,6 +85,11 @@ class ConvexBody:
     def arcs(self) -> ArcStack:
         """The pieces as stacked arrays; ``pieces`` must not change afterwards."""
         return stack_arcs(self.pieces)
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """``validate(self)``, run on first read only: the body must not change afterwards."""
+        return validate(self)
 
     def boundary_samples(self, per_piece: int = 16) -> np.ndarray:
         return np.vstack([sample_piece(p, per_piece) for p in self.pieces])
@@ -244,7 +249,7 @@ def validate_polytope(poly: Polytope) -> ValidationReport:
         except DegenerateArc:
             checks.append(ValidationCheck("edges-nondegenerate", False, 1.0))
             return ValidationReport(checks)
-        checks.extend(validate(poly).checks)
+        checks.extend(poly.validation.checks)
         poles = poly.arcs.z
         m = float(np.min(np.linalg.norm(poles - np.roll(poles, -1, axis=0), axis=1)))
         checks.append(ValidationCheck("no-redundant-vertices", m > BOUNDARY_EPS, -m))
@@ -252,7 +257,7 @@ def validate_polytope(poly: Polytope) -> ValidationReport:
 
 
 def require_valid(body: ConvexBody):
-    rep = validate(body)
+    rep = body.validation
     if not rep.ok:
         raise InvalidBody("invalid body: " + ", ".join(rep.failed()))
 
@@ -329,15 +334,14 @@ def body_distance(body: ConvexBody, p: Vec) -> float:
 # ------------------------------------------------------------------ duality
 
 
-def polar_dual(body: ConvexBody, check: bool = True) -> ConvexBody:
+def polar_dual(body: ConvexBody) -> ConvexBody:
     """Polar body, with the piecewise-circular structure mapped exactly.
 
     See the module docstring for the piece-by-piece correspondence.  The
     traversal order of the dual follows the primal order, so the result is a
     valid body and ``polar_dual(polar_dual(c))`` reproduces ``c``.
     """
-    if check:
-        require_valid(body)
+    require_valid(body)
     a = body.arcs
     k_end = a.support_pole_at(a.t1)
     k_next = np.roll(a.support_pole_at(a.t0), -1, axis=0)

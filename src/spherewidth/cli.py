@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import ApproximationConfig, approximate_polytope, certify
-from .body import polar_dual, to_polytope, validate, validate_polytope, Polytope
+from .body import polar_dual, validate_polytope, Polytope
 from .errors import CertificationFailed, SphereGeomError
 from .formats import dumps_body, dumps_certificate, dumps_step_log, loads_body
 from .generators import cap, complete_selfdual, octant, random_selfdual_polytope, rounded_reuleaux
@@ -33,7 +33,7 @@ def _parse_vec(text: str) -> np.ndarray:
 
 def _read_body(path: str):
     body = loads_body(Path(path).read_text())
-    rep = validate_polytope(body) if isinstance(body, Polytope) else validate(body)
+    rep = validate_polytope(body) if isinstance(body, Polytope) else body.validation
     if not rep.ok:
         raise SphereGeomError("invalid body in %s: %s" % (path, ", ".join(rep.failed())))
     return body
@@ -103,9 +103,6 @@ def cmd_approximate(args) -> int:
 def cmd_certify(args) -> int:
     original = _read_body(args.original)
     result = _read_body(args.result)
-    if not isinstance(result, Polytope) and result.is_polytope():
-        # a great-arc body, as ``dual`` writes, takes the O(n) polytope certificate
-        result = to_polytope(result)
     config = ApproximationConfig(epsilon=args.epsilon, self_dual_tol=args.tol)
     cert = certify(original, result, config)
     print(dumps_certificate(cert))

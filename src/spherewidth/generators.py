@@ -39,6 +39,7 @@ from .body import (
     validate_polytope,
 )
 from .metrics import boundary_sup_distance, diameter
+from .approx import ApproximationConfig, chord_polytope
 
 # Dual boundary points sampled per completion round.
 COMPLETION_SWEEP = 2048
@@ -219,7 +220,7 @@ def complete_selfdual(seed: ConvexBody, tol: float, rng_seed: int = 0) -> Convex
         raise SeedNotSubdual("seed diameter exceeds pi/2; seed is not inside its dual")
     rng = np.random.default_rng(rng_seed)
     for _ in range(MAX_INSERTIONS):
-        dual = polar_dual(body, check=False)
+        dual = polar_dual(body)
         arcs = dual.arcs
         counts = length_weighted_counts(dual.pieces, COMPLETION_SWEEP)
         idx, ts = linspace_grid(arcs.t0, arcs.t1, counts)
@@ -249,11 +250,10 @@ def random_subdual_polytope_seed(n_target: int, rng_seed: int) -> Polytope:
 
     For ``n_target`` of 3 the seed is a rotated orthonormal triple (the
     minimal self-dual polytope).  Larger targets cut a rotated quarter-pi cap
-    down to a polytope of roughly the requested size and delete one vertex;
-    any subset of a self-dual body is sub-dual.
+    down to a polytope of roughly the requested size with ``chord_polytope``
+    and delete one vertex; any subset of a self-dual body is sub-dual.  The
+    cut polytope goes uncertified: ``complete_selfdual`` checks the seed.
     """
-    from .approx import ApproximationConfig, approximate_polytope
-
     if n_target < 3:
         raise ValueError("n_target must be at least 3")
     rot = rotation_from_seed(rng_seed)
@@ -262,7 +262,7 @@ def random_subdual_polytope_seed(n_target: int, rng_seed: int) -> Polytope:
     # empirical size of the cap approximation: about 2.6 / sqrt(eps) vertices
     eps = min(1.2, max(0.004, (2.6 / max(2.5, n_target - 1.5)) ** 2))
     base = rotated(cap(np.array([0.0, 0.0, 1.0]), 0.25 * math.pi), rot)
-    poly, _, _ = approximate_polytope(base, ApproximationConfig(epsilon=eps))
+    poly, _ = chord_polytope(base, ApproximationConfig(epsilon=eps))
     if len(poly) <= 3:
         return poly
     rng = np.random.default_rng(rng_seed)

@@ -67,6 +67,8 @@ HAUSDORFF_TOL = 1e-7
 REFINE_LEVELS = 64
 # Poles sampled along the dual boundary by the constant-width sweep.
 WIDTH_SWEEP = 4096
+# Largest min over the body of k . x at which H(k) still touches it, for ``width_wrt``.
+TOUCH_TOL = 1e-6
 
 
 # ----------------------------------------------------------- farthest points
@@ -106,12 +108,7 @@ def diameter(body: ConvexBody) -> float:
 # ------------------------------------------------------------------- widths
 
 
-def width_wrt(
-    body: ConvexBody,
-    k: Vec,
-    dual: Optional[ConvexBody] = None,
-    touch_tol: float = 1e-6,
-) -> float:
+def width_wrt(body: ConvexBody, k: Vec, dual: Optional[ConvexBody] = None) -> float:
     """Width of the body with respect to the supporting hemisphere H(k).
 
     The minimum lune thickness against all other supporting hemispheres;
@@ -123,10 +120,10 @@ def width_wrt(
     gap = math.cos(float(boundary_max_distance_many(body, k)[0]))
     if gap < -BOUNDARY_EPS:
         raise NotSupporting("hemisphere cuts into the body (min dot %.3e)" % gap)
-    if gap > touch_tol:
+    if gap > TOUCH_TOL:
         raise NotSupporting("hemisphere does not touch the body (min dot %.3e)" % gap)
     if dual is None:
-        dual = polar_dual(body, check=False)
+        dual = polar_dual(body)
     return math.pi - float(boundary_max_distance_many(dual, k)[0])
 
 

@@ -25,6 +25,8 @@ STROKES = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 # split every piece into parameter sub-spans of at most this angle so each
 # SVG arc segment is short, well conditioned, and never ambiguous
 MAX_SEG_SPAN = 0.5 * math.pi
+# boundary samples a piece that fix the frame's extent
+FRAME_SAMPLES = 256
 
 
 def _fmt(x: float) -> str:
@@ -129,12 +131,7 @@ def _segment_list(piece):
     return list(zip(ts[:-1], ts[1:]))
 
 
-def render_svg(
-    bodies: Sequence[ConvexBody],
-    projection: str = "orthographic",
-    view=None,
-    samples: int = 256,
-) -> str:
+def render_svg(bodies: Sequence[ConvexBody], projection: str = "orthographic", view=None) -> str:
     """Render bodies to an SVG document string.
 
     The view direction defaults to the unit mean of the bodies' interior
@@ -150,7 +147,7 @@ def render_svg(
 
     cloud = []
     for body in bodies:
-        pts = body.boundary_samples(samples)
+        pts = body.boundary_samples(FRAME_SAMPLES)
         front = pts @ v
         if projection == "orthographic":
             if float(front.min()) <= 0.0:

@@ -8,7 +8,11 @@ the per-piece reference that the stacked ``body.validate`` must reproduce,
 subdivision of ``approx.subdivide_piece`` must reproduce, and
 ``chord_cut_loop`` the edit-at-a-time construction, built from
 ``subdivide_piece`` and ``cut_step``, that the one-pass
-``approx.approximate_polytope`` must reproduce.
+``approx.approximate_polytope`` must reproduce, and
+``random_selfdual_polytope_reference`` the random generator with its seed
+cut by the gated and certified ``approx.approximate_polytope``, which the
+generator, cutting it with the bare ``approx.chord_polytope``, must
+reproduce bit for bit.
 """
 
 import math
@@ -16,9 +20,10 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from spherewidth.approx import cut_step, subdivide_piece
-from spherewidth.body import ValidationCheck, body_distance, to_polytope
+from spherewidth.approx import ApproximationConfig, approximate_polytope, cut_step, subdivide_piece
+from spherewidth.body import Polytope, ValidationCheck, body_distance, to_polytope
 from spherewidth.errors import BudgetExhausted, DualOverlap
+from spherewidth.generators import cap, complete_selfdual, rotated, rotation_from_seed
 from spherewidth.sphere import (
     BOUNDARY_EPS,
     DOT_EPS,
@@ -246,3 +251,23 @@ def chord_cut_loop(body, eps, max_rounds=64):
             "strictly convex arcs remain after %d rounds" % rounds, partial=current, steps=steps
         )
     return to_polytope(current), steps, rounds
+
+
+def random_selfdual_polytope_reference(n_target, rng_seed):
+    """``generators.random_selfdual_polytope`` with the seed cut by ``approximate_polytope``.
+
+    The same seed recipe (a rotated pi/4 cap cut at the size-matched
+    epsilon, one vertex dropped at random) and the same completion, but the
+    cut runs the input gate and the certificate as well as the build.
+    """
+    rot = rotation_from_seed(rng_seed)
+    if n_target == 3:
+        seed = Polytope(rot.T)
+    else:
+        eps = min(1.2, max(0.004, (2.6 / max(2.5, n_target - 1.5)) ** 2))
+        base = rotated(cap(np.array([0.0, 0.0, 1.0]), 0.25 * math.pi), rot)
+        seed, _, _ = approximate_polytope(base, ApproximationConfig(epsilon=eps))
+        if len(seed) > 3:
+            drop = int(np.random.default_rng(rng_seed).integers(len(seed)))
+            seed = Polytope(np.delete(seed.vertices, drop, axis=0))
+    return to_polytope(complete_selfdual(seed, tol=1e-7, rng_seed=rng_seed))

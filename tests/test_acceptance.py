@@ -202,7 +202,7 @@ def test_criterion_06_diametral_chords_intersect(corpus):
 def test_criterion_07_support_duality(corpus):
     problems = []
     for s, (kind, body) in corpus.items():
-        dual = polar_dual(body, check=False)
+        dual = polar_dual(body)
         rng = np.random.default_rng(2000 + s)
         pts = random_boundary_points(body, 100, rng)
         poles = np.vstack(
@@ -231,7 +231,7 @@ def test_criterion_08_per_step_invariants():
         total = strictly_convex_arc_length(body)
         while body.circle_piece_indices():
             idxs = body.circle_piece_indices()
-            pts = subdivide_piece(body, idxs[0], budget, 0.5)
+            pts = subdivide_piece(body, idxs[0], budget)
             before = body
             body, rec = cut_step(body, pts[0], pts[1])
             if rec.r1_distance >= budget:

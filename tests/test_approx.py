@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from spherewidth.approx import (
 from spherewidth.body import (
     ConvexBody,
     Polytope,
+    polar_dual,
     strictly_convex_arc_length,
     to_polytope,
     validate,
@@ -34,6 +36,7 @@ from spherewidth.generators import (
     cap,
     complete_selfdual,
     octant,
+    random_selfdual_polytope,
     rotated,
     rotation_from_seed,
     rounded_reuleaux,
@@ -75,7 +78,7 @@ def test_subdivide_cap_budget():
     for b, i in [(cap(E3, PI / 4), 0), (cut, idx)]:
         piece = b.pieces[i]
         for eps in [0.2, 0.05, 0.01, 0.002]:
-            pts = subdivide_piece(b, i, eps, safety=0.5)
+            pts = subdivide_piece(b, i, eps)
             rel = [float(piece.azimuth_of(p)) - piece.az_from for p in pts[1:-1]]
             gaps = np.diff([0.0] + list(np.mod(rel, 2 * PI)) + [piece.span])
             assert np.all(gaps < PI / 2)
@@ -296,6 +299,57 @@ def test_certify_curved_result_keeps_the_sweep():
     assert cert.self_duality_residual <= 1e-9
 
 
+@pytest.mark.parametrize("make", [octant, lambda: random_selfdual_polytope(9, 1)], ids=["octant", "random"])
+def test_certify_great_arc_body_takes_the_polytope_certificate(monkeypatch, make):
+    # the dual of a polytope is a ConvexBody of great arcs; certify reads it
+    # as a polytope, so the width sweep never runs
+    poly = make()
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("the width sweep ran")
+
+    monkeypatch.setattr(approx, "is_constant_width", sweep)
+    cert = certify(poly, polar_dual(poly), ApproximationConfig(1e-9))
+    assert cert.self_duality_residual < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(epsilon=math.nan),
+        dict(epsilon=math.inf),
+        dict(epsilon=0.0),
+        dict(epsilon=0.1, self_dual_tol=math.nan),
+        dict(epsilon=0.1, self_dual_tol=math.inf),
+        dict(epsilon=0.1, self_dual_tol=-1e-9),
+    ],
+)
+def test_config_rejects_nan_and_out_of_range_values(kwargs):
+    with pytest.raises(ValueError):
+        ApproximationConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "nan_in, bound",
+    [
+        ("hausdorff", "hausdorff_bound"),
+        ("width_min", "width_range"),
+        ("self_duality_residual", "self_duality_residual"),
+    ],
+)
+def test_certify_fails_closed_on_a_nan_measure(monkeypatch, nan_in, bound):
+    body = cap(E3, PI / 4)
+    if nan_in == "hausdorff":
+        monkeypatch.setattr(approx, "hausdorff", lambda a, b: math.nan)
+    else:
+        rep = dict(width_min=PI / 2, width_max=PI / 2, self_duality_residual=0.0)
+        rep[nan_in] = math.nan
+        monkeypatch.setattr(approx, "is_constant_width", lambda *args: SimpleNamespace(**rep))
+    with pytest.raises(CertificationFailed) as err:
+        certify(body, body, ApproximationConfig(0.01))
+    assert err.value.bound == bound
+
+
 def test_certify_octant_pair_zero():
     cert = certify(octant(), octant(), ApproximationConfig(epsilon=0.05))
     assert cert.hausdorff_bound <= 1e-12
@@ -304,24 +358,29 @@ def test_certify_octant_pair_zero():
 def test_approximation_measures_each_body_once(monkeypatch):
     # the gate reads only the input's widths (one diameter of its dual);
     # the certificate measures only the output's distance to the input, its
-    # widths and residual coming from the pole/vertex pairing; the input is
-    # validated by the gate and again by the certificate, the output once;
-    # the construction measures nothing, each chord's d(s) being closed form
-    calls = {"hausdorff": 0, "diameter": 0, "validate": 0, "body_distance": 0}
+    # widths and residual coming from the pole/vertex pairing; the input and
+    # the output are validated once each, the gate, the dual and the
+    # certificate sharing the cached report; the construction measures
+    # nothing, each chord's d(s) being closed form
+    calls = {"hausdorff": [], "diameter": [], "validate": [], "body_distance": []}
     homes = {"hausdorff": metrics, "diameter": metrics, "validate": bd, "body_distance": bd}
     for name in calls:
         fn = getattr(homes[name], name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
+            calls[_name].append(args[0])
             return _fn(*args, **kwargs)
 
         for module in (bd, metrics, approx):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted)
-    _, _, steps = approximate_polytope(cap(E3, PI / 4), ApproximationConfig(0.05))
+    body = cap(E3, PI / 4)
+    poly, _, steps = approximate_polytope(body, ApproximationConfig(0.05))
     assert len(steps) > 0
-    assert calls == {"hausdorff": 1, "diameter": 1, "validate": 3, "body_distance": 0}
+    assert {k: len(v) for k, v in calls.items()} == {
+        "hausdorff": 1, "diameter": 1, "validate": 2, "body_distance": 0
+    }
+    assert calls["validate"][0] is body and calls["validate"][1] is poly
 
 
 # ------------------------------------------------------------ one-pass build

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spherewidth import approx, metrics
+from spherewidth import body as bd
 from spherewidth.cli import main
 from spherewidth.formats import loads_body, loads_certificate
 from spherewidth.body import Polytope
@@ -209,6 +210,55 @@ def test_certify_dual_file_takes_the_polytope_certificate(tmp_path, capsys, monk
     assert calls == []
     rec = json.loads(stdout.strip().splitlines()[-1])
     assert rec["self_duality_residual"] < 1e-12
+
+
+def test_nan_epsilon_exits_one_and_writes_nothing(tmp_path, capsys):
+    src, out, cert = (tmp_path / n for n in ("cap.json", "p.json", "c.json"))
+    run(capsys, "generate", "cap", "-o", str(src))
+    code, _, err = run(
+        capsys, "approximate", str(src), "--epsilon", "nan", "-o", str(out), "--certificate", str(cert)
+    )
+    assert code == 1
+    assert "ValueError" in err
+    assert not out.exists() and not cert.exists()
+
+
+def test_nan_tol_cannot_certify_a_wrong_width(tmp_path, capsys):
+    # the radius-0.6 cap has width 1.2, not pi/2
+    src, small = tmp_path / "cap.json", tmp_path / "small.json"
+    run(capsys, "generate", "cap", "-o", str(src))
+    run(capsys, "generate", "cap", "--radius", "0.6", "-o", str(small))
+    code, stdout, err = run(capsys, "certify", str(src), str(small), "--epsilon", "1", "--tol", "nan")
+    assert code == 1
+    assert "ValueError" in err and stdout == ""
+
+
+def test_each_verb_validates_each_body_once(tmp_path, capsys, monkeypatch):
+    files = {n: tmp_path / n for n in ("cap.json", "poly.json", "dual.json", "fig.svg", "p2.json")}
+    run(capsys, "generate", "cap", "-o", str(files["cap.json"]))
+    run(capsys, "approximate", str(files["cap.json"]), "--epsilon", "0.01", "-o", str(files["poly.json"]))
+    seen = []
+    validate = bd.validate
+
+    def counted(body):
+        seen.append(body)
+        return validate(body)
+
+    monkeypatch.setattr(bd, "validate", counted)
+    cap_f, poly_f = str(files["cap.json"]), str(files["poly.json"])
+    verbs = [
+        (["certify", cap_f, poly_f, "--epsilon", "0.01"], 2),
+        (["metrics", poly_f], 1),
+        (["metrics", cap_f], 1),
+        (["dual", poly_f, "-o", str(files["dual.json"])], 1),
+        (["render", cap_f, poly_f, "-o", str(files["fig.svg"])], 2),
+        # the file it reads, and the polytope it writes
+        (["approximate", cap_f, "--epsilon", "0.01", "-o", str(files["p2.json"])], 2),
+    ]
+    for argv, bodies in verbs:
+        seen.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(seen) == bodies == len({id(b) for b in seen}), argv[0]
 
 
 def test_render_command(tmp_path, capsys):

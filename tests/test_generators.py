@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from fixtures import two_arc_completion
 
@@ -115,7 +116,7 @@ def test_completion_invariants_per_iteration():
     body = cap(E3, 0.7)
     last = np.inf
     for _ in range(40):
-        dual = polar_dual(body, check=False)
+        dual = polar_dual(body)
         pts = np.vstack([sample_piece(p, 300) for p in dual.pieces])
         gaps = body_distance_many(body, pts)
         i = int(np.argmax(gaps))
@@ -209,6 +210,15 @@ def test_random_polytope_deterministic():
     a = random_selfdual_polytope(7, 42)
     b = random_selfdual_polytope(7, 42)
     assert np.array_equal(a.vertices, b.vertices)
+
+
+@pytest.mark.parametrize("n", [3, 8, 30, 60])
+def test_random_polytope_seed_needs_no_gate_or_certificate(n):
+    # cutting the seed cap with the bare build gives the vertices of the
+    # gated and certified approximation, so the output is unchanged
+    for s in (1, 2, 3):
+        got = random_selfdual_polytope(n, s).vertices
+        assert np.array_equal(got, oracles.random_selfdual_polytope_reference(n, s).vertices)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 5, 9])
