@@ -28,11 +28,18 @@ the one-pass output.
 ``approximate_polytope`` runs the gate (the input's width sweep), the build
 (``chord_polytope``, which checks nothing) and the certificate once each,
 all reading each body's one cached validation (``ConvexBody.validation``).
-The certificate never trusts the construction: it re-measures the Hausdorff
-distance on the final pair.  For a polytope output the width range and the
-self-duality residual are proved upper-bound ends from its edge-pole/vertex
-pairing (``body.selfdual_residual_bound``), in O(n); a curved result is
-still measured by the width sweep of ``metrics.is_constant_width``.
+The certificate never trusts the construction: it reads neither the steps
+nor the build, only the two bodies.  For a polytope output its Hausdorff
+term is the proved upper bound of ``pairing_bound``, in O(n): a walk that
+checks the output is inscribed in every chorded arc run of the input,
+circumscribed about every partner run and has an edge on every great-arc
+piece.  Any pair the walk does not cover (a curved result, an input
+without arc runs, an arbitrary file pair) is re-measured by the refinement
+``metrics.hausdorff``, whose value is a lower end within its tolerance.
+For a polytope output the width range and the self-duality residual are
+proved upper-bound ends from its edge-pole/vertex pairing
+(``body.selfdual_residual_bound``), in O(n); a curved result is still
+measured by the width sweep of ``metrics.is_constant_width``.
 """
 
 from __future__ import annotations
@@ -60,6 +67,8 @@ from .sphere import (
     SmallCircleArc,
     Vec,
     arc_pole,
+    chord_distance,
+    cross,
     dot,
     unit,
     unit_rows,
@@ -83,6 +92,10 @@ from .metrics import hausdorff, is_constant_width
 SUBDIVISION_SAFETY = 0.5  # share of the budget epsilon the sagitta d(s) may use
 MAX_SUBARCS = 1 << 22  # sub-arcs of one arc interval before ``BudgetExhausted``
 PAIR_EPS = 1e-9  # radius, azimuth and span tolerance when pairing arc intervals
+# Largest vertex offset, junction offset or tangency error (radians) the
+# pairing certificate accepts; its bound adds 3 asin(FIT_EPS / c), so it
+# must stay far below any budget epsilon and far above roundoff.
+FIT_EPS = 1e-11
 
 
 @dataclass(frozen=True)
@@ -117,8 +130,11 @@ class StepRecord:
 class Certificate:
     """Independently re-measured guarantees for an approximation output.
 
-    ``hausdorff_bound`` is the refined Hausdorff distance to the input.  For
-    a polytope output, ``width_min`` and ``width_max`` are the proved ends
+    ``hausdorff_bound`` bounds the Hausdorff distance to the input: the
+    proved upper bound of ``pairing_bound`` for a polytope the walk covers,
+    as the chord construction's outputs are, else the refinement's lower
+    end, within ``metrics.HAUSDORFF_TOL``.  For a polytope output,
+    ``width_min`` and ``width_max`` are the proved ends
     pi/2 -+ rho and ``self_duality_residual`` is rho, the upper bound on its
     distance to its polar dual from the edge-pole/vertex pairing; for a
     curved output all three come from the sampled width sweep.
@@ -472,6 +488,165 @@ def chord_polytope(body: ConvexBody, config: ApproximationConfig) -> tuple[Polyt
     return Polytope(_drop_flat_vertices(np.vstack(chunks))), steps
 
 
+# ------------------------------------------------------ pairing certificate
+
+
+def _rho(z: Vec, x: np.ndarray) -> np.ndarray:
+    """Distance of each row of ``x`` from ``z``, in the atan2 form that stays exact near 0."""
+    return np.arctan2(np.linalg.norm(np.cross(x, z), axis=-1), x @ z)
+
+
+def _angle(a: Vec, b: Vec) -> float:
+    return 2.0 * math.asin(min(1.0, 0.5 * chord_distance(a, b)))
+
+
+def _half_cosines(x: np.ndarray) -> float:
+    """Least cos(l/2) over the segments of the polyline ``x``, |a + b| / 2 for unit ends a, b."""
+    return 0.5 * float(np.min(np.linalg.norm(x[:-1] + x[1:], axis=1)))
+
+
+def _locate_junction(poly: Polytope, p: Vec):
+    """Where ``p`` sits on the boundary of ``poly``, within ``FIT_EPS``.
+
+    Returns (2i, vertex i) for a vertex, (2i + 1, the foot of ``p``) inside
+    edge i, its great circle within ``FIT_EPS`` of ``p``, or None.
+    """
+    v, w = poly.vertices, poly.arcs.z
+    i = int(np.argmin(np.linalg.norm(v - p, axis=1)))
+    if _angle(v[i], p) <= FIT_EPS:
+        return 2 * i, v[i]
+    for i in np.flatnonzero(np.abs(w @ p) <= math.sin(FIT_EPS)):
+        if dot(cross(v[i], p), w[i]) > 0.0 and dot(cross(p, v[(i + 1) % len(v)]), w[i]) > 0.0:
+            return 2 * i + 1, unit(p - dot(p, w[i]) * w[i])
+    return None
+
+
+def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
+    """Proved upper bound h on the Hausdorff distance between C and a polytope P, or None.
+
+    C is ``original``, P the valid polytope ``result``, eta = ``FIT_EPS``.
+    The walk splits the boundary of C into its units (``_boundary_units``:
+    great-arc pieces and arc runs, each run paired with its partner by
+    ``_pair_runs``, the first of a pair chorded).  It locates each unit's
+    start on P, at a vertex within eta or, where ``_drop_flat_vertices``
+    removed a junction because the edges on both sides lie on one great
+    circle, inside an edge within eta of its great circle.  The located
+    points must follow each other in boundary order, once around P; they
+    cut the boundary of P into one polyline X per unit, and each unit's end
+    must lie within eta of the next located point.  Then:
+
+    * a great-arc piece g: X is one edge;
+    * a chorded run on the circle (Z, r), inscribed: the inner vertices of X
+      lie within eta of the circle, and the azimuths phi, from 0 at the
+      run's start to its span S at its end, increase in gaps s in (0, pi];
+    * a partner run on (Z, r'), circumscribed: Q, the inner vertices of X
+      between the run's own ends, lies closer than pi/2 to Z, its azimuths
+      increase from 0 to S in steps in (0, pi), and each segment of Q is
+      tangent to (Z, r') within eta: both its ends lie within eta of the
+      great circle whose pole is the point of (Z, pi/2 - r') at the
+      azimuth of the segment's pole.  The far vertex R_k, where the
+      tangents at Q_k and Q_k+1 meet, lies d(s) outside the circle in
+      exact arithmetic; the walk measures rho - r' instead, rho the
+      distance from Z.
+
+    Any failed check returns None.  Otherwise h = m + 3 asin(eta / c), m
+    the largest d(s) = r - atan(tan r cos(s/2)) over the chords and of
+    rho - r' over the vertices of the Qs, c the least cos(l/2) over the
+    segments of length l of the Xs and Qs.  The eta term also covers the
+    roundoff of the evaluation, orders of magnitude below eta.
+
+    Proof.  Two lemmas.  (Shift) If the ends of great arcs [a, b] and
+    [a', b'] are within e of each other, every point of either is within
+    2 asin(e / c) of the other, c = cos(l/2) for l = |ab|: the points
+    (alpha a + beta b) / |.| and (alpha a' + beta b') / |.|, alpha, beta
+    >= 0, are at most 2 (alpha + beta) e / |alpha a + beta b| apart in
+    chord, and |alpha a + beta b| >= (alpha + beta) c.  (Sagitta) On the
+    circle (Z, r), a point x of the arc between two circle points s <= pi
+    apart lies within d(s) of their chord: with tan m = tan r cos(s/2), N
+    the chord's outer pole and psi the azimuth of x from the middle,
+    x . N = sin r cos m cos psi - cos r sin m <= sin(r - m), and the foot
+    of x on the chord's great circle lies between the ends, moving along
+    it monotonically with psi.
+
+    Each unit then lies within h of P, and its X within h of C.  A great
+    arc is within 2 asin(eta / c) of its edge.  On a chorded run, the
+    circle points at the azimuths phi (the run's own ends at 0 and S)
+    bound chords that lie in C, as C is convex, each within
+    2 asin(eta / c) of its segment of X (shift), and the sub-arc over
+    each chord within d(s) of it (sagitta).  On a partner run, cos rho on
+    a segment of Q is a sinusoid of the arc length, positive at both
+    ends, and the segment is shorter than pi: so rho is largest at an end,
+    growing monotonically from the segment's nearest point to Z (the
+    tangent point Q_k, in exact arithmetic) to R_k.  The segment lies
+    within asin(eta / c) of a great circle at distance r' from Z (the
+    dot of each of its points with that pole is a weighted mean of the
+    ends' over |alpha a + beta b|), so rho >= r' - asin(eta / c) on it,
+    and its azimuths sweep monotonically from its start's to its end's.
+    A point y of Q and the point x of the run at y's azimuth are
+    |rho(y) - r'| <= m + asin(eta / c) apart; the azimuths of Q cover
+    [0, S], so every x has such a y, and Q is within 2 asin(eta / c) of
+    X (shift: only the end segments differ).  So every point of the
+    boundary of C is within h of P, and every point of the boundary of P
+    within h of C.  For x outside P, closer than pi/2, sin d(x, P) is
+    the largest -x . K over the support poles K of P (as in
+    ``body.selfdual_residual_bound``), and for each K the least x . K
+    over C is taken on its boundary, a linear function on the cone over
+    C: so all of C is within h of P, likewise all of P within h of C,
+    and H(C, P) <= h.
+    """
+    units = _boundary_units(original)
+    runs = [u for u in units if isinstance(u, _Run)]
+    if not runs:
+        return None
+    try:
+        partners = {b for _, b in _pair_runs(runs)}
+    except NotSelfDual:
+        return None
+    ends = [
+        (u.arc.start, u.arc.end) if isinstance(u, _Run) else (original.pieces[u].start, original.pieces[u].end)
+        for u in units
+    ]
+    located = [_locate_junction(result, start) for start, _ in ends]
+    if any(loc is None for loc in located):
+        return None
+    n = len(result)
+    pos = np.array([loc[0] for loc in located])
+    cut = np.append((pos - pos[0]) % (2 * n), 2 * n) + pos[0]
+    if not np.all(np.diff(cut) > 0):
+        return None
+    m, half = 0.0, 1.0
+    for k, (u, (start, end)) in enumerate(zip(units, ends)):
+        x_end = located[(k + 1) % len(units)][1]
+        if not _angle(end, x_end) <= FIT_EPS:
+            return None
+        inner = result.vertices[np.arange(cut[k] // 2 + 1, (cut[k + 1] + 1) // 2) % n]
+        half = min(half, _half_cosines(np.vstack([located[k][1], inner, x_end])))
+        if not isinstance(u, _Run):
+            if len(inner):
+                return None
+            continue
+        arc = u.arc
+        z, r = arc.center, arc.radius
+        az = np.mod(arc.azimuth_of(inner) - arc.az_from, TWO_PI)
+        s = np.diff(np.concatenate([[0.0], az, [arc.span]]))
+        if u in partners:
+            q = np.vstack([start, inner, end])
+            rho = _rho(z, q)
+            poles = unit_rows(np.cross(q[:-1], q[1:]))
+            touch = math.sin(r) * z + math.cos(r) * unit_rows(poles - np.outer(poles @ z, z))
+            tilt = np.maximum(np.abs(np.sum(q[:-1] * touch, axis=1)), np.abs(np.sum(q[1:] * touch, axis=1)))
+            if not (np.all((s > 0.0) & (s < math.pi)) and rho.max() < 0.5 * math.pi and tilt.max() <= math.sin(FIT_EPS)):
+                return None
+            m = max(m, float(rho.max()) - r)
+            half = min(half, _half_cosines(q))
+        else:
+            off = np.abs(_rho(z, inner) - r)
+            if not (np.all((s > 0.0) & (s <= math.pi)) and np.all(off <= FIT_EPS)):
+                return None
+            m = max(m, float(np.max(r - np.arctan(math.tan(r) * np.cos(0.5 * s)))))
+    return m + 3.0 * math.asin(min(1.0, FIT_EPS / max(half, FIT_EPS)))
+
+
 def approximate_polytope(
     body: ConvexBody, config: ApproximationConfig
 ) -> tuple[Polytope, Certificate, list[StepRecord]]:
@@ -504,8 +679,10 @@ def certify(
 
     A result bounded by great arcs, a ``Polytope`` or not, takes its width
     range and residual from ``selfdual_residual_bound``, any other from the
-    ``is_constant_width`` sweep.  Raises ``CertificationFailed`` naming the
-    violated bound, a NaN one too; never trusts the step chain.
+    ``is_constant_width`` sweep.  Its Hausdorff term is ``pairing_bound``
+    when that walk covers the pair, else the ``hausdorff`` refinement.
+    Raises ``CertificationFailed`` naming the violated bound, a NaN one
+    too; never reads the steps.
     """
     require_valid(original)
     if not isinstance(result, Polytope) and result.is_polytope():
@@ -516,11 +693,14 @@ def certify(
             raise InvalidBody("invalid polytope: " + ", ".join(failed))
         residual = selfdual_residual_bound(result)
         wmin, wmax = 0.5 * math.pi - residual, 0.5 * math.pi + residual
+        h = pairing_bound(original, result)
     else:
         # the width sweep validates the result, through polar_dual
         rep = is_constant_width(result, 0.5 * math.pi, config.self_dual_tol)
         wmin, wmax, residual = rep.width_min, rep.width_max, rep.self_duality_residual
-    h = hausdorff(original, result)
+        h = None
+    if h is None:
+        h = hausdorff(original, result)
     cert = Certificate(
         epsilon=config.epsilon,
         hausdorff_bound=h,

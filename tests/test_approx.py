@@ -357,11 +357,12 @@ def test_certify_octant_pair_zero():
 
 def test_approximation_measures_each_body_once(monkeypatch):
     # the gate reads only the input's widths (one diameter of its dual);
-    # the certificate measures only the output's distance to the input, its
-    # widths and residual coming from the pole/vertex pairing; the input and
-    # the output are validated once each, the gate, the dual and the
-    # certificate sharing the cached report; the construction measures
-    # nothing, each chord's d(s) being closed form
+    # the certificate refines nothing: the output's distance to the input
+    # comes from the chord/tangent pairing, its widths and residual from
+    # the pole/vertex pairing; the input and the output are validated once
+    # each, the gate, the dual and the certificate sharing the cached
+    # report; the construction measures nothing, each chord's d(s) being
+    # closed form
     calls = {"hausdorff": [], "diameter": [], "validate": [], "body_distance": []}
     homes = {"hausdorff": metrics, "diameter": metrics, "validate": bd, "body_distance": bd}
     for name in calls:
@@ -378,7 +379,7 @@ def test_approximation_measures_each_body_once(monkeypatch):
     poly, _, steps = approximate_polytope(body, ApproximationConfig(0.05))
     assert len(steps) > 0
     assert {k: len(v) for k, v in calls.items()} == {
-        "hausdorff": 1, "diameter": 1, "validate": 2, "body_distance": 0
+        "hausdorff": 0, "diameter": 1, "validate": 2, "body_distance": 0
     }
     assert calls["validate"][0] is body and calls["validate"][1] is poly
 
@@ -551,3 +552,182 @@ def test_pentagon_from_coarse_cap():
     assert len(poly) == 5
     ok, _ = polytope_selfdual_bijection(poly)
     assert ok
+
+
+# ------------------------------------------------------ pairing certificate
+
+
+def _seed1_cap():
+    return rotated(cap(E3, PI / 4), rotation_from_seed(1))
+
+
+# the cap and the rounded Reuleaux (k, delta) bodies of the agreement cases
+PAIRING_BODIES = {"cap": _seed1_cap}
+for _k, _delta in [(3, 0.1), (5, 0.15), (7, 0.05), (9, 0.2), (3, 0.78), (3, 1e-3)]:
+    PAIRING_BODIES["reuleaux-%d-%g" % (_k, _delta)] = lambda k=_k, delta=_delta: rounded_reuleaux(k, delta)
+
+
+def _assert_pairing_agrees(body, eps):
+    # the bound is an upper end of H, the refinement a lower one within
+    # 1e-7; on the construction's output both sit at the largest d(s)
+    poly, cert, _ = approximate_polytope(body, ApproximationConfig(eps))
+    h = metrics.hausdorff(body, poly)
+    assert approx.pairing_bound(body, poly) == cert.hausdorff_bound
+    assert h <= cert.hausdorff_bound <= h + 1e-10
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.002, 0.0005])
+@pytest.mark.parametrize("kind", list(PAIRING_BODIES))
+def test_pairing_bound_agrees_with_the_refinement(kind, eps):
+    _assert_pairing_agrees(PAIRING_BODIES[kind](), eps)
+
+
+@pytest.mark.parametrize(
+    "k,delta",
+    [(3, 0.1), (3, 0.3), (5, 0.15), (7, 0.05), (9, 0.2), (3, 0.78)]
+    + [(3, 1e-3), (3, 1e-4), (3, 3e-5), (3, 1e-5)],
+)
+def test_pairing_bound_agrees_on_rotated_reuleaux_bodies(k, delta):
+    rot = rotation_from_seed(100 * k + int(round(-math.log10(delta) * 10)))
+    _assert_pairing_agrees(rotated(rounded_reuleaux(k, delta, unit([1.0, -2.0, 0.5])), rot), 0.01)
+
+
+def test_pairing_bound_agrees_on_a_file_pair():
+    # the pair the CLI verb reads: a cap and its eps = 0.003 polytope, both
+    # written to JSON and read back
+    from spherewidth.formats import dumps_body, loads_body
+
+    poly, _, _ = approximate_polytope(_seed1_cap(), ApproximationConfig(0.003))
+    body, poly = loads_body(dumps_body(_seed1_cap())), loads_body(dumps_body(poly))
+    h = metrics.hausdorff(body, poly)
+    cert = certify(body, poly, ApproximationConfig(0.003))
+    assert h <= cert.hausdorff_bound <= h + 1e-10
+    assert cert.hausdorff_bound == approx.pairing_bound(body, poly)
+
+
+def test_mixed_arc_input_takes_the_pairing_path():
+    # great-arc pieces of the input map to edges of the output, each arc run
+    # to a chorded or circumscribed run: no refinement
+    from test_generators import chopped_cap
+
+    _assert_pairing_agrees(complete_selfdual(chopped_cap(), tol=1e-7, rng_seed=0), 0.05)
+
+
+@pytest.mark.parametrize(
+    "body,eps",
+    [
+        (cap(E3, PI / 4), 0.002),
+        (cap(E3, PI / 4), 5e-5),
+        (rounded_reuleaux(3, 1e-5), 0.01),
+        (rounded_reuleaux(5, 0.15), 0.01),
+    ],
+    ids=["cap-0.002", "cap-5e-5", "reuleaux-3-1e-5", "reuleaux-5-0.15"],
+)
+def test_chord_outputs_certify_without_the_refinement(monkeypatch, body, eps):
+    # the (3, 1e-5) body took about a second in the refinement, which slows
+    # as an arc shrinks toward a vertex; the pairing walk is O(n)
+    def refinement(*args, **kwargs):
+        raise AssertionError("the Hausdorff refinement ran")
+
+    monkeypatch.setattr(approx, "hausdorff", refinement)
+    poly, cert, steps = approximate_polytope(body, ApproximationConfig(eps))
+    assert cert.steps == len(steps) > 0
+    assert cert.hausdorff_bound <= 2 * eps
+
+
+def _cap_polytope():
+    body = _seed1_cap()
+    poly, _, _ = approximate_polytope(body, ApproximationConfig(0.002))
+    return body, poly
+
+
+def _radial(v, z, delta):
+    """``v`` moved ``delta`` away from ``z`` along its meridian."""
+    out = unit(np.dot(v, z) * v - z)
+    return unit(math.cos(delta) * v + math.sin(delta) * out)
+
+
+def _tampered(kind):
+    body, poly = _cap_polytope()
+    v = poly.vertices.copy()
+    # the chorded half run holds vertices 0 to n, the partner half n to 2n
+    n = len(v) // 2
+    z = body.pieces[0].center
+    if kind == "moved-1e-9":
+        v[3] = _radial(v[3], z, 1e-9)
+    elif kind == "chord-vertex-deleted":
+        v = np.delete(v, 3, axis=0)
+    elif kind == "pole-vertex-deleted":
+        v = np.delete(v, n + 3, axis=0)
+    elif kind == "reversed":
+        v = v[::-1]
+    else:
+        # the polytope of a cap rotated by another seed
+        v = approximate_polytope(rotated(cap(E3, PI / 4), rotation_from_seed(2)), ApproximationConfig(0.002))[0].vertices
+    return body, Polytope(v)
+
+
+@pytest.mark.parametrize(
+    "kind", ["moved-1e-9", "chord-vertex-deleted", "pole-vertex-deleted", "reversed", "rotated-cap"]
+)
+def test_tampered_polytope_falls_back_or_fails(kind):
+    body, poly = _tampered(kind)
+    config = ApproximationConfig(0.002)
+    bound = approx.pairing_bound(body, poly)
+    if kind == "reversed":
+        # clockwise: polytope validation rejects it before anything is measured
+        assert bound is None
+        with pytest.raises(InvalidBody):
+            certify(body, poly, config)
+        return
+    h = metrics.hausdorff(body, poly)
+    assert bound is None or bound >= h
+    if kind in ("moved-1e-9", "pole-vertex-deleted", "rotated-cap"):
+        assert bound is None
+    try:
+        cert = certify(body, poly, config)
+    except CertificationFailed:
+        return
+    assert cert.hausdorff_bound == h
+
+
+def test_pairing_bound_covers_a_sub_tolerance_vertex_move():
+    # a chord vertex moved FIT_EPS / 2 toward the centre still passes the
+    # walk, but pulls its two chords in: the sub-arcs over them reach
+    # further from P than any d(s) of the unchanged azimuths, by half the
+    # move; the bound's eta term covers that.  The refinement stops within
+    # its 1e-7 tolerance before it sees the change, so a golden-section
+    # search on each sub-arc gives the lower end of H
+    body, poly = _cap_polytope()
+    arc = body.pieces[0]
+    v = poly.vertices.copy()
+    v[3] = _radial(v[3], arc.center, -0.5 * approx.FIT_EPS)
+    moved = Polytope(v)
+    bound = approx.pairing_bound(body, moved)
+    assert bound is not None
+
+    def distance(t):
+        return float(bd.body_distance(moved, arc.point_at(t)[0]))
+
+    az = arc.azimuth_of(poly.vertices[2:5])
+    lower = metrics.hausdorff(body, moved)
+    for lo, hi in zip(az[:-1], az[1:]):
+        g = (math.sqrt(5.0) - 1.0) / 2.0
+        for _ in range(80):
+            a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+            lo, hi = (a, hi) if distance(a) < distance(b) else (lo, b)
+        lower = max(lower, distance(0.5 * (lo + hi)))
+    sagitta = max(rec.r1_distance for rec in approximate_polytope(body, ApproximationConfig(0.002))[2])
+    assert lower > sagitta + 0.2 * approx.FIT_EPS
+    assert bound >= lower
+
+
+@pytest.mark.parametrize("first", [2, 27], ids=["chord-vertices", "pole-vertices"])
+def test_pairing_walk_rejects_azimuths_out_of_order(first):
+    # two neighbours swapped: every vertex still lies on its circle or its
+    # tangents, but the run no longer advances (validation rejects the
+    # polygon too)
+    body, poly = _cap_polytope()
+    v = poly.vertices.copy()
+    v[[first, first + 1]] = v[[first + 1, first]]
+    assert approx.pairing_bound(body, Polytope(v)) is None

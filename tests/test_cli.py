@@ -166,14 +166,16 @@ def test_certify_failure_exit_code(tmp_path, capsys):
 
 
 def test_stalled_refinement_exits_one(tmp_path, capsys, monkeypatch):
-    # the cap against its eps = 0.002 polytope needs six levels
+    # the eps = 0.002 polytope against the cap needs six levels; in this
+    # order the result is curved, so no chord/tangent pairing covers it and
+    # the certificate refines
     src = tmp_path / "cap.json"
     poly = tmp_path / "poly.json"
     run(capsys, "generate", "cap", "-o", str(src))
     run(capsys, "approximate", str(src), "--epsilon", "0.002", "-o", str(poly))
     monkeypatch.setattr(metrics, "REFINE_LEVELS", 1)
     code, _, err = run(
-        capsys, "certify", str(src), str(poly), "--epsilon", "0.002"
+        capsys, "certify", str(poly), str(src), "--epsilon", "0.002"
     )
     assert code == 1
     assert "RefinementStalled" in err
@@ -210,6 +212,35 @@ def test_certify_dual_file_takes_the_polytope_certificate(tmp_path, capsys, monk
     assert calls == []
     rec = json.loads(stdout.strip().splitlines()[-1])
     assert rec["self_duality_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["octant", "random-polytope", "cap"])
+def test_certify_pairs_without_arc_runs_keep_the_refined_distance(tmp_path, capsys, monkeypatch, kind):
+    # no chord/tangent pairing covers a polytope against its dual (the input
+    # has no arc runs) or a body against itself (the result is curved), so
+    # the certificate prints the refinement's value, as before the pairing
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    run(capsys, "generate", kind, "-o", str(a))
+    if kind == "cap":
+        b = a
+    else:
+        run(capsys, "dual", str(a), "-o", str(b))
+    bounds = []
+    pairing = approx.pairing_bound
+
+    def recorded(*args):
+        bounds.append(pairing(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(approx, "pairing_bound", recorded)
+    code, stdout, _ = run(capsys, "certify", str(a), str(b), "--epsilon", "0.01")
+    assert code == 0
+    assert bounds == ([] if kind == "cap" else [None])
+    result = loads_body(b.read_text())
+    if result.is_polytope():
+        result = bd.to_polytope(result)
+    want = metrics.hausdorff(loads_body(a.read_text()), result)
+    assert json.loads(stdout)["hausdorff_bound"] == want
 
 
 def test_nan_epsilon_exits_one_and_writes_nothing(tmp_path, capsys):
