@@ -25,7 +25,8 @@ solves d(s) < epsilon * SUBDIVISION_SAFETY for s in closed form.
 it; the tests replay the edits chord by chord with it as the reference for
 the one-pass output.
 
-``approximate_polytope`` runs the gate (the input's width sweep), the build
+``approximate_polytope`` runs the gate (``is_constant_width``: the input's
+width sweep, or its closed form on a polytope input), the build
 (``chord_polytope``, which checks nothing) and the certificate once each,
 all reading each body's one cached validation (``ConvexBody.validation``).
 The certificate never trusts the construction: it reads neither the steps
@@ -656,7 +657,8 @@ def approximate_polytope(
     and certifies.  Returns the polytope, its certificate (Hausdorff
     distance checked against 2 * epsilon) and the steps.
     """
-    # the gate validates the input, through polar_dual
+    # the gate validates the input: through polar_dual, or on a polytope
+    # input through validate_polytope and thickness
     gate = is_constant_width(body, 0.5 * math.pi, config.self_dual_tol)
     if not gate.passed:
         raise NotConstantWidth(

@@ -8,8 +8,15 @@ the dual boundary:
     thickness(C)    = pi - diameter(dual(C))
 
 Farthest distances to a whole boundary are one batched closed-form query
-(``boundary_max_distance_many``); the diameter runs one alternating
-farthest-point ascent for all piece pairs at once.  The Hausdorff distance
+(``boundary_max_distance_many``).  A body bounded by great arcs whose
+largest vertex-pair distance M is at most pi/2 has diameter M (the lemma of
+``_polygon_diameter``), and its thickness is the same formula on its edge
+poles, the dual's vertices; any other body runs one alternating
+farthest-point ascent for all piece pairs at once.  For tau = pi/2,
+``is_constant_width`` answers a valid polytope whose self-duality bound rho
+(``body.selfdual_residual_bound``) has 2 rho <= tol in closed form: widths
+pi/2 -+ rho, residual rho, and that thickness and diameter; every other
+body is swept along its dual boundary.  The Hausdorff distance
 runs a Lipschitz branch-and-bound (the distance to a convex body is
 1-Lipschitz along the boundary) over one flat table of parameter intervals
 per direction, all pieces together, refined until the bounds meet within
@@ -56,9 +63,14 @@ from .sphere import (
 from .body import (
     BLOCK_ELEMENTS,
     ConvexBody,
+    Polytope,
     body_distance_many,
     boundary_max_distance_many,
     polar_dual,
+    require_valid,
+    selfdual_residual_bound,
+    to_polytope,
+    validate_polytope,
 )
 
 # Default certified accuracy of the Hausdorff refinement.
@@ -69,17 +81,54 @@ REFINE_LEVELS = 64
 WIDTH_SWEEP = 4096
 # Largest min over the body of k . x at which H(k) still touches it, for ``width_wrt``.
 TOUCH_TOL = 1e-6
+# Largest excess over pi/2 of a polygon's vertex-pair diameter that
+# ``diameter`` and ``thickness`` report as the diameter (``_polygon_diameter``);
+# above it they run the ascent.  Self-dual polygons sit a few ulps above pi/2.
+VERTEX_DIAMETER_SLACK = 1e-12
 
 
 # ----------------------------------------------------------- farthest points
 
 
-def diameter(body: ConvexBody) -> float:
-    """Maximum geodesic distance between boundary points.
+def _polygon_diameter(vertices: np.ndarray) -> Optional[float]:
+    """Diameter of a set of minor great arcs with their ends in ``vertices``, or None.
 
-    Alternating farthest-point ascent from nine seeds on every piece pair
-    i <= j, a block of pairs at once; a pair stops after 80 rounds or once
-    its maximum grows by at most 1e-14.
+    M is the largest vertex-pair distance, one Gram matrix (in blocks of
+    ``BLOCK_ELEMENTS``).  Lemma: when
+    M <= pi/2, the largest distance between two points of the arcs is M.
+
+    Proof.  On an edge y(t) = a cos t + b sin t, t in [0, l], of length
+    l <= M (its ends are vertices), x . y(t) = A cos(t - phi) with A >= 0.
+    Take x a vertex.  If the least x . y(t), the farthest point, sits inside
+    the edge, it is -A, at t* = phi + pi, and the nearer end lies
+    delta <= l/2 <= pi/4 from t*, where x . y = -A cos delta.  That end is a
+    vertex, so -A cos delta >= cos M >= 0, which forces A = 0: every point of
+    the edge is pi/2 <= M from x.  So no boundary point is farther than M
+    from a vertex.  The same argument with y fixed on the boundary and x
+    along an edge, whose ends are now within M of y, gives the lemma.
+
+    Roundoff puts M at pi/2 plus a few ulps on self-dual polygons, so M is
+    reported up to pi/2 + ``VERTEX_DIAMETER_SLACK``.  For M = pi/2 + eta,
+    eta > 0, the first step gives A cos delta <= sin eta, so no point is
+    farther than pi/2 + eta1 from a vertex, eta1 = asin(sin eta / cos(M/2));
+    the second step, with eta1, gives pi/2 + eta2.  So the diameter lies in
+    [M, pi/2 + eta2], eta2 about eta / cos^2(M/2), about 2 eta: M falls
+    short of it by at most about eta <= 1e-12.  Above the slack, None: an
+    edge can hold the farthest point, as on a thin triangle whose apex is
+    1.7 from the middle of its unit base but 1.684 from its ends.
+    """
+    per = max(1, BLOCK_ELEMENTS // len(vertices))  # Gram rows a block
+    least = min(float(np.min(vertices[lo : lo + per] @ vertices.T)) for lo in range(0, len(vertices), per))
+    m = float(acos_clamped_np(least))
+    return m if m <= 0.5 * math.pi + VERTEX_DIAMETER_SLACK else None
+
+
+def _ascent_diameter(body: ConvexBody) -> float:
+    """Largest distance found by an alternating farthest-point ascent.
+
+    Nine seeds on every piece pair i <= j, a block of pairs at once; a pair
+    stops after 80 rounds or once its maximum grows by at most 1e-14.  A
+    lower estimate: an ascent can stop at a local maximum.
     """
     arcs = body.arcs
     seeds = np.linspace(arcs.t0, arcs.t1, 9, axis=-1)
@@ -105,6 +154,21 @@ def diameter(body: ConvexBody) -> float:
     return best
 
 
+def diameter(body: ConvexBody) -> float:
+    """Maximum geodesic distance between boundary points.
+
+    A body bounded by great arcs whose vertex-pair diameter M is at most
+    pi/2 (up to ``VERTEX_DIAMETER_SLACK``) has diameter M, by the lemma of
+    ``_polygon_diameter``: one Gram matrix.  Any other body runs the
+    farthest-point ascent (``_ascent_diameter``).
+    """
+    if body.is_polytope():
+        m = _polygon_diameter(np.concatenate([body.arcs.start, body.arcs.end]))
+        if m is not None:
+            return m
+    return _ascent_diameter(body)
+
+
 # ------------------------------------------------------------------- widths
 
 
@@ -128,7 +192,21 @@ def width_wrt(body: ConvexBody, k: Vec, dual: Optional[ConvexBody] = None) -> fl
 
 
 def thickness(body: ConvexBody) -> float:
-    """Minimum width over all supporting hemispheres: pi - diameter(dual)."""
+    """Minimum width over all supporting hemispheres: pi - diameter(dual).
+
+    The dual of a valid body bounded by great arcs is the polygon of its
+    edge poles, in order, so the lemma of ``_polygon_diameter`` runs on the
+    poles and no dual is built.  Each pole is normalised by ``unit``, as
+    ``polar_dual``'s great arcs normalise their ends, so where that dual
+    merges no junction the answer is pi - diameter(polar_dual(body)) bit for
+    bit.  Any other body, or poles whose vertex-pair diameter is above the
+    slack, takes the ascent on ``polar_dual``.
+    """
+    if body.is_polytope():
+        require_valid(body)
+        m = _polygon_diameter(np.array([unit(k) for k in body.arcs.z]))
+        if m is not None:
+            return math.pi - m
     return math.pi - diameter(polar_dual(body))
 
 
@@ -383,10 +461,18 @@ def self_duality_residual(body: ConvexBody, tol: float = HAUSDORFF_TOL) -> float
 
 @dataclass(frozen=True)
 class WidthReport:
-    """Result of a constant-width verification sweep.
+    """Result of a constant-width verification.
 
-    The body diameter and the self-duality residual are measured on first
-    read, so a caller that reads only the widths pays for the sweep alone.
+    For tau = pi/2 and a valid polytope whose ``selfdual_residual_bound``
+    rho satisfies 2 rho <= tol, the widths are the proved ends pi/2 -+ rho,
+    the self-duality residual is rho (``residual_bound``), and the
+    thickness and diameter come from the vertex-pair lemma of
+    ``_polygon_diameter`` (from the ascent when the vertex-pair diameter is
+    above its slack); no dual is built (``dual`` is None).  Any other
+    body is swept: the widths are sampled, the thickness is pi minus the
+    dual's ascent diameter, and the diameter and the Hausdorff residual are
+    measured on first read, so a caller that reads only the widths pays for
+    the sweep alone.
     """
 
     tau: float
@@ -396,7 +482,8 @@ class WidthReport:
     thickness: float
     passed: bool
     body: ConvexBody = field(repr=False, compare=False)
-    dual: ConvexBody = field(repr=False, compare=False)
+    dual: Optional[ConvexBody] = field(repr=False, compare=False)
+    residual_bound: Optional[float] = field(default=None, repr=False, compare=False)
 
     @property
     def spread(self) -> float:
@@ -404,29 +491,52 @@ class WidthReport:
 
     @cached_property
     def diameter(self) -> float:
-        return diameter(self.body)
+        # a swept body keeps the ascent's answer
+        return diameter(self.body) if self.dual is None else _ascent_diameter(self.body)
 
     @cached_property
     def self_duality_residual(self) -> Optional[float]:
-        """Hausdorff distance of the body to its dual, for tau = pi/2 only."""
+        """Distance of the body to its dual, for tau = pi/2 only."""
         if abs(self.tau - 0.5 * math.pi) >= 1e-9:
             return None
+        if self.residual_bound is not None:
+            return self.residual_bound
         return hausdorff(self.body, self.dual)
 
 
-def is_constant_width(body: ConvexBody, tau: float, tol: float = 1e-6) -> WidthReport:
-    """Sweep all supporting hemispheres and compare widths against ``tau``.
+def _residual_bound(body: ConvexBody) -> Optional[float]:
+    """``selfdual_residual_bound`` of a valid body bounded by great arcs, else None."""
+    if not body.is_polytope():
+        return None
+    poly = body if isinstance(body, Polytope) else to_polytope(body)
+    return selfdual_residual_bound(poly) if validate_polytope(poly).ok else None
 
-    Poles are sampled along the dual boundary (where all supporting poles
-    live) together with every piece endpoint; the exact minimum width is
-    pinned by pi - diameter(dual).  For tau = pi/2 the self-duality residual
-    is reported as well.
+
+def is_constant_width(body: ConvexBody, tau: float, tol: float = 1e-6) -> WidthReport:
+    """Compare the widths of the body against ``tau``, within ``tol``.
+
+    For tau = pi/2, a valid polytope (or a valid body of great arcs) is
+    answered in closed form when its ``selfdual_residual_bound`` rho has
+    2 rho <= tol: every width lies in [pi/2 - rho, pi/2 + rho], so the sweep
+    below would pass too.  The report then holds pi/2 -+ rho, rho and the
+    thickness and diameter of ``thickness`` and ``diameter``.
+
+    Any other body is swept.  Poles are sampled along the dual boundary
+    (where all supporting poles live) together with every piece endpoint;
+    the minimum width is pinned by pi minus the dual's ascent diameter.  For tau = pi/2 the self-duality residual is reported
+    as well, by the Hausdorff refinement.
     """
+    if tau == 0.5 * math.pi:
+        rho = _residual_bound(body)
+        if rho is not None:
+            wmin, wmax = tau - rho, tau + rho
+            if wmax - wmin <= tol:  # 2 rho <= tol, on the ends as rounded
+                return WidthReport(tau, tol, wmin, wmax, thickness(body), True, body, None, rho)
     dual = polar_dual(body)
     idx, ts = linspace_grid(dual.arcs.t0, dual.arcs.t1, length_weighted_counts(dual.pieces, WIDTH_SWEEP))
     k = dual.arcs[idx].point_at(ts)
     widths = math.pi - boundary_max_distance_many(dual, k)
-    thick = math.pi - diameter(dual)
+    thick = math.pi - _ascent_diameter(dual)
     wmin = min(float(widths.min()), thick)
     wmax = float(widths.max())
     passed = (wmax - wmin <= tol) and abs(wmin - tau) <= tol

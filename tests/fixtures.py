@@ -94,6 +94,25 @@ def selfdual_polytopes():
     return polys
 
 
+def acceptance_corpus():
+    """Caps, rotated octants, random self-dual polytopes and completions for
+    seeds 1..50, keyed by seed as (kind, body)."""
+    bodies = {}
+    for s in range(1, 51):
+        rng = np.random.default_rng(s)
+        kind = s % 4
+        if kind == 0:
+            bodies[s] = ("cap", cap(unit(rng.normal(size=3)), math.pi / 4))
+        elif kind == 1:
+            bodies[s] = ("octant", rotated(octant(), rotation_from_seed(s)))
+        elif kind == 2:
+            bodies[s] = ("random-polytope", random_selfdual_polytope(4 + s % 6, s))
+        else:
+            seed_cap = cap(unit(rng.normal(size=3)), 0.55 + 0.1 * (s % 3))
+            bodies[s] = ("completion", complete_selfdual(seed_cap, tol=1e-7, rng_seed=s))
+    return bodies
+
+
 def perturbed(poly, amplitude, seed=0):
     """``poly`` with every vertex moved by Gaussian noise of ``amplitude``."""
     rng = np.random.default_rng(seed)

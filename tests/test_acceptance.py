@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fixtures import acceptance_corpus
 from spherewidth.approx import (
     ApproximationConfig,
     approximate_polytope,
@@ -29,7 +30,6 @@ from spherewidth.body import (
 )
 from spherewidth.generators import (
     cap,
-    complete_selfdual,
     octant,
     random_selfdual_polytope,
     rotated,
@@ -80,26 +80,7 @@ def random_boundary_points(body, n, rng):
 
 @pytest.fixture(scope="module")
 def corpus():
-    bodies = {}
-    for s in range(1, 51):
-        rng = np.random.default_rng(s)
-        kind = s % 4
-        if kind == 0:
-            bodies[s] = ("cap", cap(unit(rng.normal(size=3)), PI / 4))
-        elif kind == 1:
-            bodies[s] = ("octant", rotated(octant(), rotation_from_seed(s)))
-        elif kind == 2:
-            bodies[s] = (
-                "random-polytope",
-                random_selfdual_polytope(4 + s % 6, s),
-            )
-        else:
-            seed_cap = cap(unit(rng.normal(size=3)), 0.55 + 0.1 * (s % 3))
-            bodies[s] = (
-                "completion",
-                complete_selfdual(seed_cap, tol=1e-7, rng_seed=s),
-            )
-    return bodies
+    return acceptance_corpus()
 
 
 @pytest.fixture(scope="module")

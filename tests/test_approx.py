@@ -356,15 +356,22 @@ def test_certify_octant_pair_zero():
 
 
 def test_approximation_measures_each_body_once(monkeypatch):
-    # the gate reads only the input's widths (one diameter of its dual);
+    # the gate reads only the input's widths (one ascent diameter of its
+    # dual, the sweep's thickness);
     # the certificate refines nothing: the output's distance to the input
     # comes from the chord/tangent pairing, its widths and residual from
     # the pole/vertex pairing; the input and the output are validated once
     # each, the gate, the dual and the certificate sharing the cached
     # report; the construction measures nothing, each chord's d(s) being
     # closed form
-    calls = {"hausdorff": [], "diameter": [], "validate": [], "body_distance": []}
-    homes = {"hausdorff": metrics, "diameter": metrics, "validate": bd, "body_distance": bd}
+    calls = {"hausdorff": [], "diameter": [], "_ascent_diameter": [], "validate": [], "body_distance": []}
+    homes = {
+        "hausdorff": metrics,
+        "diameter": metrics,
+        "_ascent_diameter": metrics,
+        "validate": bd,
+        "body_distance": bd,
+    }
     for name in calls:
         fn = getattr(homes[name], name)
 
@@ -379,7 +386,7 @@ def test_approximation_measures_each_body_once(monkeypatch):
     poly, _, steps = approximate_polytope(body, ApproximationConfig(0.05))
     assert len(steps) > 0
     assert {k: len(v) for k, v in calls.items()} == {
-        "hausdorff": 0, "diameter": 1, "validate": 2, "body_distance": 0
+        "hausdorff": 0, "diameter": 0, "_ascent_diameter": 1, "validate": 2, "body_distance": 0
     }
     assert calls["validate"][0] is body and calls["validate"][1] is poly
 

@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -12,11 +13,21 @@ from spherewidth.body import (
     Polytope,
     body_distance_many,
     polar_dual,
+    selfdual_residual_bound,
+    to_polytope,
     validate_polytope,
 )
 from spherewidth import metrics
 from spherewidth.errors import NotSupporting, RefinementStalled
-from spherewidth.generators import cap, octant, rotated, rotation_from_seed
+from spherewidth.generators import (
+    cap,
+    octant,
+    random_selfdual_polytope,
+    random_subdual_polytope_seed,
+    rotated,
+    rotation_from_seed,
+    rounded_reuleaux,
+)
 from spherewidth.metrics import (
     HAUSDORFF_TOL,
     _structural_caps,
@@ -67,14 +78,22 @@ def test_width_selfdual_cap_any_support_pole():
     for az in np.linspace(0, 2 * PI, 7)[:-1]:
         k = piece.support_pole_at(az)[0]
         assert width_wrt(b, k) == pytest.approx(PI / 2, abs=1e-9)
-    # a self-dual polytope: every vertex is a support pole; its width sweep
-    # spans many piece blocks of the batched farthest-distance kernel
+    # a self-dual polytope: every vertex is a support pole; its report is
+    # the closed form, so it sweeps nothing
     poly, _, _ = approximate_polytope(cap(unit([1, 2, 3]), PI / 4), ApproximationConfig(0.01))
     dual = polar_dual(poly)
     for k in poly.vertices:
         assert width_wrt(poly, k, dual=dual) == pytest.approx(PI / 2, abs=1e-9)
     rep = is_constant_width(poly, PI / 2)
-    assert len(poly) * 4096 > 8 * BLOCK_ELEMENTS
+    assert rep.dual is None
+    assert rep.width_min == pytest.approx(PI / 2, abs=1e-9)
+    assert rep.width_max == pytest.approx(PI / 2, abs=1e-9)
+    # a curved body of constant width is swept: its width sweep spans many
+    # piece blocks of the batched farthest-distance kernel
+    body = rounded_reuleaux(9, 0.2, unit([1, 2, 3]))
+    rep = is_constant_width(body, PI / 2)
+    assert rep.dual is not None
+    assert len(rep.dual.pieces) * 4096 > 8 * BLOCK_ELEMENTS
     assert rep.width_min == pytest.approx(PI / 2, abs=1e-9)
     assert rep.width_max == pytest.approx(PI / 2, abs=1e-9)
 
@@ -133,24 +152,92 @@ def test_lens_diameter_matches_oracle(lens_body):
     assert got == pytest.approx(want, abs=1e-4)
 
 
-def test_diameter_octant():
-    assert diameter(octant()) == pytest.approx(PI / 2, abs=1e-12)
-    # random hulls of 40 points on a circle of radius 0.7 (diameter < pi/2)
-    # attain their diameter at a vertex pair; rotating the vertex order moves
-    # that pair through the blocks of piece pairs
+def ring_hulls():
+    """Three random hulls of 40 points on a circle of radius 0.7, as vertex arrays."""
     rng = np.random.default_rng(3)
+    hulls = []
     for _ in range(3):
         c = unit(rng.normal(size=3))
         u = unit(np.cross(c, rng.normal(size=3)))
         az = np.sort(rng.uniform(0, 2 * PI, 40))
         ring = np.outer(np.cos(az), u) + np.outer(np.sin(az), np.cross(c, u))
-        verts = math.cos(0.7) * c + math.sin(0.7) * ring
+        hulls.append(math.cos(0.7) * c + math.sin(0.7) * ring)
+    return hulls
+
+
+def test_diameter_octant():
+    assert diameter(octant()) == pytest.approx(PI / 2, abs=1e-12)
+    # random hulls of 40 points on a circle of radius 0.7 (diameter < pi/2)
+    # attain their diameter at a vertex pair; rotating the vertex order moves
+    # that pair through the blocks of piece pairs of the ascent
+    for verts in ring_hulls():
         want = float(np.max(acos_clamped_np(verts @ verts.T)))
         assert want < PI / 2
         for shift in range(0, 40, 5):
             poly = Polytope(np.roll(verts, shift, axis=0))
             assert validate_polytope(poly).ok
             assert diameter(poly) == pytest.approx(want, abs=1e-12)
+            assert metrics._ascent_diameter(poly) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def lemma_polygons():
+    """(name, polygon) pairs: eps = 0.003 polytopes of rotated caps (seeds
+    1-5), random self-dual polytopes and their sub-dual seeds (n in 8, 30,
+    60; seeds 1-3) and the 40-point ring hulls, each followed by its dual."""
+    polys = [
+        ("cap-%d" % s, approximate_polytope(rotated(cap(E3, PI / 4), rotation_from_seed(s)), ApproximationConfig(0.003))[0])
+        for s in range(1, 6)
+    ]
+    for n in (8, 30, 60):
+        for s in (1, 2, 3):
+            polys.append(("random-%d-%d" % (n, s), random_selfdual_polytope(n, s)))
+            polys.append(("seed-%d-%d" % (n, s), random_subdual_polytope_seed(n, s)))
+    polys += [("hull-%d" % i, Polytope(v)) for i, v in enumerate(ring_hulls())]
+    return [x for name, p in polys for x in ((name, p), (name + "-dual", polar_dual(p)))]
+
+
+def test_vertex_pair_diameter_and_thickness_match_the_ascent(lemma_polygons):
+    # every primal polygon takes the closed form (vertex-pair diameter at
+    # most pi/2 + slack), and so does every dual whose poles allow it; the
+    # ascent stays the reference.  On a self-dual polygon each vertex is
+    # pi/2 from all of its opposite edge, a tie the ascent breaks by
+    # roundoff, so it may stop one ulp off the largest vertex pair; on the
+    # cap polytopes, the files of the verify-cli benchmark, it agrees bit
+    # for bit
+    ulp = math.ulp(PI / 2)
+    closed = 0
+    for name, body in lemma_polygons:
+        took = metrics._polygon_diameter(np.concatenate([body.arcs.start, body.arcs.end])) is not None
+        assert took or name.endswith("-dual"), name
+        closed += took
+        pairs = [
+            (diameter(body), metrics._ascent_diameter(body)),
+            (thickness(body), PI - metrics._ascent_diameter(polar_dual(body))),
+        ]
+        for got, want in pairs:
+            if name.startswith("cap-"):
+                assert got == want, name
+            assert abs(got - want) <= ulp, (name, got - want)
+        # the thickness reads the poles as the dual's own vertices
+        assert thickness(body) == PI - diameter(polar_dual(body)), name
+    assert closed > 0.75 * len(lemma_polygons)
+
+
+def test_diameter_inside_an_edge_takes_the_ascent():
+    # a thin triangle: its apex is 1.7 from the middle of its base of length
+    # 1 but acos(cos 1.7 cos 0.5) = 1.684 from the base's ends, so the
+    # vertex-pair diameter M exceeds pi/2 and undershoots the diameter
+    apex = np.array([math.cos(1.7), 0.0, math.sin(1.7)])
+    base = [np.array([math.cos(0.5), s * math.sin(0.5), 0.0]) for s in (-1.0, 1.0)]
+    poly = Polytope([apex, *base])
+    assert validate_polytope(poly).ok
+    m = float(np.max(acos_clamped_np(poly.vertices @ poly.vertices.T)))
+    assert m == pytest.approx(math.acos(math.cos(1.7) * math.cos(0.5)), abs=1e-12)
+    assert m > PI / 2
+    assert metrics._polygon_diameter(poly.vertices) is None
+    assert diameter(poly) == pytest.approx(1.7, abs=1e-9)
+    assert diameter(poly) > m + 0.01
 
 
 # ------------------------------------------------------------ width reports
@@ -173,6 +260,145 @@ def test_truncated_octant_not_constant_width():
     rep = is_constant_width(truncated_octant(), PI / 2, tol=1e-6)
     assert not rep.passed
     assert rep.spread > 1e-3
+
+
+def swept(body, tau, tol, monkeypatch):
+    """``is_constant_width`` with the closed form switched off: the sweep alone."""
+    with monkeypatch.context() as m:
+        m.setattr(metrics, "_residual_bound", lambda b: None)
+        return is_constant_width(body, tau, tol)
+
+
+def tampered(poly):
+    """(name, polytope) edits of a self-dual polytope that break its self-duality."""
+    v = poly.vertices
+    out = unit(v[0] - poly.interior)  # away from the witness
+    z = poly.arcs.z[0]  # edge 0's pole, on the inner side
+    split = unit(unit(v[0] + v[1]) - 1e-8 * z)
+    return [
+        ("moved-1e-6", Polytope(np.vstack([unit(v[0] + 1e-6 * out), v[1:]]))),
+        ("deleted", Polytope(np.delete(v, 3, axis=0))),
+        ("even-count", Polytope(np.vstack([v[:1], split, v[1:]]))),
+    ]
+
+
+def test_closed_form_verdict_equals_the_sweep(monkeypatch):
+    # the closed form answers only when 2 rho <= tol, where the sweep's
+    # widths lie within rho of pi/2 and it passes too; everything else is
+    # swept, so ``passed`` never changes
+    from fixtures import acceptance_corpus
+
+    bodies = [body for _, body in acceptance_corpus().values()]
+    polys = [b for b in bodies if isinstance(b, Polytope)]
+    bodies += [truncated_octant(), *(t for p in polys if len(p) >= 5 for _, t in tampered(p))]
+    closed = swept_fails = 0
+    for body in bodies:
+        for tol in (0.0, 1e-9, 1e-6, 1e-5, 1e-2):
+            rep = is_constant_width(body, PI / 2, tol)
+            ref = swept(body, PI / 2, tol, monkeypatch)
+            assert rep.passed == ref.passed, (body, tol)
+            closed += rep.dual is None
+            swept_fails += not ref.passed
+            if rep.dual is None:
+                rho = selfdual_residual_bound(body if isinstance(body, Polytope) else to_polytope(body))
+                assert (rep.width_min, rep.width_max) == (PI / 2 - rho, PI / 2 + rho)
+                assert rep.self_duality_residual == rho
+                assert ref.width_min >= rep.width_min - 1e-15 and ref.width_max <= rep.width_max + 1e-15
+            else:
+                assert (rep.width_min, rep.width_max, rep.thickness) == (ref.width_min, ref.width_max, ref.thickness)
+    assert closed > 100 and swept_fails > 20
+
+
+def test_tampered_polytopes_fall_back_to_the_sweep(monkeypatch, cap_polytopes):
+    poly = cap_polytopes[1][1]
+    for name, bad in tampered(poly):
+        assert validate_polytope(bad).ok, name
+        rep = is_constant_width(bad, PI / 2, 1e-6)
+        ref = swept(bad, PI / 2, 1e-6, monkeypatch)
+        # swept as before: the dual's ascent, the body's ascent, and the
+        # residual left to the refinement
+        assert rep.dual is not None and rep.residual_bound is None, name
+        assert rep.passed == ref.passed
+        assert (rep.width_min, rep.width_max, rep.thickness) == (ref.width_min, ref.width_max, ref.thickness)
+        assert rep.diameter == ref.diameter == metrics._ascent_diameter(bad)
+    # the verdicts stay the sweep's: the deleted vertex fails; the even
+    # count, its new vertex 1e-8 off an edge, passes although rho is large;
+    # so does the moved vertex, whose widths the sweep samples (``certify``
+    # rejects it by rho)
+    verdicts = {name: is_constant_width(bad, PI / 2, 1e-6).passed for name, bad in tampered(poly)}
+    assert verdicts == {"moved-1e-6": True, "deleted": False, "even-count": True}
+
+
+def counted_calls(monkeypatch, names):
+    """Lists of first arguments of the calls to ``names``, patched in every module that binds them."""
+    import spherewidth
+    from spherewidth import approx, body, cli, generators, sphere
+
+    modules = (spherewidth, sphere, body, metrics, approx, generators, cli)
+    calls = {}
+    for name in names:
+        fn = next(getattr(m, name) for m in modules if hasattr(m, name))
+        calls[name] = []
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name].append(args[0])
+            return _fn(*args, **kwargs)
+
+        for m in modules:
+            if getattr(m, name, None) is fn:
+                monkeypatch.setattr(m, name, counted)
+    return calls
+
+
+SWEEP_WORK = ("boundary_max_distance_many", "farthest_on_piece", "hausdorff", "polar_dual")
+
+
+def test_selfdual_polytope_report_sweeps_nothing(monkeypatch):
+    polys = selfdual_polytopes()
+    fresh = [Polytope(polys[k].vertices.copy()) for k in ("octant", "cap-1", "random-30-2")]
+    calls = counted_calls(monkeypatch, SWEEP_WORK + ("validate",))
+    for poly in fresh:
+        rep = is_constant_width(poly, PI / 2)
+        assert rep.passed
+        rho = selfdual_residual_bound(poly)
+        assert rep.self_duality_residual == rho
+        assert rep.width_min <= rep.thickness <= rep.width_max
+        assert rep.diameter == pytest.approx(PI / 2, abs=1e-12)
+    assert {k: len(calls[k]) for k in SWEEP_WORK} == dict.fromkeys(SWEEP_WORK, 0)
+    assert calls["validate"] == fresh
+
+
+def test_metrics_verb_sweeps_nothing_on_polytope_files(monkeypatch, tmp_path, capsys):
+    from spherewidth.cli import main
+    from spherewidth.formats import dumps_body
+
+    poly = selfdual_polytopes()["cap-2"]
+    files = {"poly": poly, "dual": polar_dual(poly)}
+    for name, b in files.items():
+        (tmp_path / name).write_text(dumps_body(b))
+    calls = counted_calls(monkeypatch, SWEEP_WORK + ("validate",))
+    for name in files:
+        assert main(["metrics", str(tmp_path / name)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["width_min"] <= rec["thickness"] <= rec["width_max"]
+        assert rec["self_duality_residual"] <= 1e-12
+    assert {k: len(calls[k]) for k in SWEEP_WORK} == dict.fromkeys(SWEEP_WORK, 0)
+    # the polytope file is one body; the dual, a file of great arcs, is the
+    # body read and the polytope of its vertices: each validated once
+    validated = calls["validate"]
+    assert len(validated) == 3 and len({id(b) for b in validated}) == 3
+
+
+def test_polytope_gate_and_seed_check_run_no_ascent(monkeypatch):
+    # the approximation gate on a polytope input and the completion's
+    # sub-duality check of its seed both take the closed form
+    poly = selfdual_polytopes()["random-30-1"]
+    calls = counted_calls(monkeypatch, ("_ascent_diameter",) + SWEEP_WORK)
+    out, cert, steps = approximate_polytope(poly, ApproximationConfig(0.01))
+    assert steps == [] and np.array_equal(out.vertices, poly.vertices)
+    random_selfdual_polytope(30, 4)
+    assert calls["_ascent_diameter"] == []
+    assert calls["boundary_max_distance_many"] == []
 
 
 # ---------------------------------------------------------------- Hausdorff
