@@ -8,9 +8,14 @@ hemispheres, so a point x is a member when x . K >= -tol for every support
 pole K; membership and boundary distance evaluate all pieces of a body in
 one numpy expression over its stacked arrays (``ConvexBody.arcs``), in
 blocks of at most ``BLOCK_ELEMENTS`` rows x pieces; so do validation, the
-interior witness and the dual's corner poles.  A body caches its validation
-and a ``Polytope`` its edges and witness, built from its vertices, on first
-use, so ``vertices``, like ``pieces``, must not change after.
+interior witness and the dual's corner poles.  Great-arc boundaries are
+built as stacks: a ``Polytope``'s edges, and the dual of a body without
+small-circle arcs (``great_arc_body``), come from their end points in one
+pass (``sphere.great_arc_stack``), and their ``GreatArc`` objects are made
+from the same ends only when ``pieces`` is read.  A body caches its
+validation and a ``Polytope`` its edge stack and witness, built from its
+vertices, on first use, so ``vertices``, like ``pieces``, must not change
+after.
 The chain is traversed counterclockwise as seen from the interior side: at
 every smooth boundary point P with unit tangent T, the support pole of the
 body is P x T.  Under that convention polar duality maps pieces to pieces
@@ -44,9 +49,9 @@ from .sphere import (
     Vec,
     chord_distance,
     distance_to_piece,
+    great_arc_stack,
     max_distance_to_piece,
     min_support_dot,
-    sample_piece,
     stack_arcs,
     unit,
     unit_rows,
@@ -64,19 +69,32 @@ SELF_DUAL_EPS = 1e-6
 BLOCK_ELEMENTS = 8192
 
 
-@dataclass(eq=False)
 class ConvexBody:
-    """Spherical convex body bounded by a closed chain of pieces."""
+    """Spherical convex body bounded by a closed chain of pieces.
 
-    pieces: list[CircleArc]
-    interior: Vec
+    Built from its pieces, or by ``great_arc_body`` from the ends of its great
+    arcs, whose stack is then built in one pass and whose ``GreatArc``
+    objects are made from the same ends on first read of ``pieces``.
+    """
 
-    def __post_init__(self):
-        self.pieces = list(self.pieces)
-        self.interior = unit(self.interior)
+    def __init__(self, pieces, interior):
+        self.pieces = list(pieces)
+        self.interior = unit(interior)
+
+    def __repr__(self) -> str:
+        return "ConvexBody(pieces=%r, interior=%r)" % (self.pieces, self.interior)
+
+    @cached_property
+    def pieces(self) -> list[CircleArc]:
+        """The great arcs [start, end] of ``ends``, made on first read.
+
+        Only a body built from great-arc ends gets here: one built from its
+        pieces holds them.
+        """
+        return [GreatArc(s, e) for s, e in zip(*self.ends)]
 
     def circle_piece_indices(self) -> list[int]:
-        return [i for i, p in enumerate(self.pieces) if isinstance(p, SmallCircleArc)]
+        return np.flatnonzero(self.arcs.radius != 0.5 * math.pi).tolist()
 
     def is_polytope(self) -> bool:
         return not self.circle_piece_indices()
@@ -92,14 +110,16 @@ class ConvexBody:
         return validate(self)
 
     def boundary_samples(self, per_piece: int = 16) -> np.ndarray:
-        return np.vstack([sample_piece(p, per_piece) for p in self.pieces])
+        """``per_piece`` evenly spaced points of each piece, piece after piece."""
+        a = self.arcs
+        return a.point_at(np.linspace(a.t0, a.t1, per_piece)).swapaxes(0, 1).reshape(-1, 3)
 
 
 class Polytope(ConvexBody):
     """Convex body bounded by great arcs, stored by its vertices.
 
-    The edges and the interior witness are built from ``vertices`` on first
-    use, so ``vertices`` must not change afterwards.
+    The edge stack, the edges and the interior witness are built from
+    ``vertices`` on first use, so ``vertices`` must not change afterwards.
     """
 
     def __init__(self, vertices):
@@ -122,10 +142,18 @@ class Polytope(ConvexBody):
     def __len__(self) -> int:
         return len(self.vertices)
 
+    def is_polytope(self) -> bool:
+        return True
+
     @cached_property
-    def pieces(self) -> list[CircleArc]:
-        v = self.vertices
-        return [GreatArc(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge i runs from vertex i to vertex i + 1."""
+        return self.vertices, np.roll(self.vertices, -1, axis=0)
+
+    @cached_property
+    def arcs(self) -> ArcStack:
+        """The edges as stacked arrays, in one pass; raises ``DegenerateArc`` on a repeated vertex."""
+        return great_arc_stack(*self.ends)
 
     @cached_property
     def interior(self) -> Vec:
@@ -145,7 +173,7 @@ def as_body(b: ConvexBody) -> ConvexBody:
 def to_polytope(body: ConvexBody) -> Polytope:
     if not body.is_polytope():
         raise InvalidBody("body still has strictly convex pieces")
-    return Polytope(np.vstack([p.start for p in body.pieces]))
+    return Polytope(body.arcs.start)
 
 
 def interior_witness(arcs: ArcStack) -> Vec:
@@ -159,6 +187,20 @@ def chain_body(pieces: list[CircleArc]) -> ConvexBody:
     arcs = stack_arcs(pieces)
     body = ConvexBody(pieces, interior_witness(arcs))
     body.arcs = arcs
+    return body
+
+
+def great_arc_body(starts: np.ndarray, ends: np.ndarray) -> ConvexBody:
+    """The body of the great arcs [starts[i], ends[i]], in chain order.
+
+    Its stack is ``great_arc_stack`` of the ends and its witness is taken
+    from that stack, as ``chain_body`` takes it; the ``GreatArc`` objects are
+    made from the same ends only if ``pieces`` is read.
+    """
+    body = ConvexBody.__new__(ConvexBody)  # no pieces to hold: they are made on demand
+    body.ends = (starts, ends)
+    body.arcs = great_arc_stack(starts, ends)
+    body.interior = unit(interior_witness(body.arcs))
     return body
 
 
@@ -203,11 +245,11 @@ def validate(body: ConvexBody) -> ValidationReport:
     small-circle arcs to bulge outward), junction convexity and piece
     non-degeneracy.  A body should only be used when all pass.
     """
-    n = len(body.pieces)
+    a = body.arcs
+    n = len(a)
     checks = [ValidationCheck("piece-count", n >= 1, float(max(0, 1 - n)))]
     if n == 0:
         return ValidationReport(checks)
-    a = body.arcs
 
     # row i of a rolled array belongs to piece i + 1, across junction i
     gap = float(np.max(np.linalg.norm(a.end - np.roll(a.start, -1, axis=0), axis=1)))
@@ -245,7 +287,7 @@ def validate_polytope(poly: Polytope) -> ValidationReport:
     checks = [ValidationCheck("vertex-count", len(poly) >= 3, float(max(0, 3 - len(poly))))]
     if len(poly) >= 3:
         try:
-            poly.pieces
+            poly.arcs
         except DegenerateArc:
             checks.append(ValidationCheck("edges-nondegenerate", False, 1.0))
             return ValidationReport(checks)
@@ -280,8 +322,8 @@ def _reduce_pieces(body: ConvexBody, points: np.ndarray, kernel, reduce, start: 
     """``reduce`` (``np.minimum`` or ``np.maximum``) of ``kernel`` over all pieces, per row."""
     x = np.asarray(points, dtype=float)
     d = np.full(len(x), start)
-    every = slice(0, len(body.pieces))
-    for rows, cols in _blocks(len(x), len(body.pieces)):
+    every = slice(0, len(body.arcs))
+    for rows, cols in _blocks(len(x), len(body.arcs)):
         arcs = body.arcs if cols == every else body.arcs[cols]
         d[rows] = reduce(d[rows], reduce.reduce(kernel(x[rows], arcs), axis=1))
     return d
@@ -346,6 +388,11 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
     k_end = a.support_pole_at(a.t1)
     k_next = np.roll(a.support_pole_at(a.t0), -1, axis=0)
     corner = np.linalg.norm(k_end - k_next, axis=1) > POLE_MERGE_EPS
+    if body.is_polytope():
+        # every piece maps to a dual vertex and every corner to a great arc
+        if not corner.any():
+            raise InvalidBody("dual boundary is empty")
+        return great_arc_body(k_end[corner], k_next[corner])
     out: list[CircleArc] = []
     for p, k0, k1, c in zip(body.pieces, k_end, k_next, corner):
         if isinstance(p, SmallCircleArc):

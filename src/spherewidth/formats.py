@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -26,20 +27,32 @@ def _vec(v) -> str:
 
 
 def dumps_body(body: ConvexBody) -> str:
-    """Serialize a polytope or piecewise-circular body."""
+    """Serialize a polytope or piecewise-circular body.
+
+    The pieces are written from the body's stack: a great arc by its ends,
+    a small-circle arc by its centre, radius and azimuth range (``z``,
+    ``radius``, ``t0`` and ``t1`` of the stack).
+    """
     if isinstance(body, Polytope):
-        verts = ",".join(_vec(v) for v in body.vertices)
+        verts = ",".join(_vec(v) for v in body.vertices.tolist())
         return '{"kind":"polytope","vertices":[%s]}' % verts
+    a = body.arcs
     parts = []
-    for p in body.pieces:
-        if isinstance(p, GreatArc):
-            parts.append(
-                '{"type":"great","from":%s,"to":%s}' % (_vec(p.start), _vec(p.end))
-            )
+    for great, start, end, z, r, t0, t1 in zip(
+        (a.radius == 0.5 * math.pi).tolist(),
+        a.start.tolist(),
+        a.end.tolist(),
+        a.z.tolist(),
+        a.radius.tolist(),
+        a.t0.tolist(),
+        a.t1.tolist(),
+    ):
+        if great:
+            parts.append('{"type":"great","from":%s,"to":%s}' % (_vec(start), _vec(end)))
         else:
             parts.append(
                 '{"type":"circle","center":%s,"radius":%s,"az_from":%s,"az_to":%s}'
-                % (_vec(p.center), _num(p.radius), _num(p.az_from), _num(p.az_to))
+                % (_vec(z), _num(r), _num(t0), _num(t1))
             )
     return '{"kind":"pc-body","interior":%s,"pieces":[%s]}' % (
         _vec(body.interior),

@@ -222,7 +222,7 @@ def complete_selfdual(seed: ConvexBody, tol: float, rng_seed: int = 0) -> Convex
     for _ in range(MAX_INSERTIONS):
         dual = polar_dual(body)
         arcs = dual.arcs
-        counts = length_weighted_counts(dual.pieces, COMPLETION_SWEEP)
+        counts = length_weighted_counts(arcs, COMPLETION_SWEEP)
         idx, ts = linspace_grid(arcs.t0, arcs.t1, counts)
         jitter = rng.uniform(0, arcs.span / counts)[idx]
         pts = arcs[idx].point_at(np.clip(ts + jitter, arcs.t0[idx], arcs.t1[idx]))

@@ -59,6 +59,7 @@ from .sphere import (
     linspace_grid,
     sinusoid_range,
     unit,
+    unit_each,
 )
 from .body import (
     BLOCK_ELEMENTS,
@@ -132,7 +133,7 @@ def _ascent_diameter(body: ConvexBody) -> float:
     """
     arcs = body.arcs
     seeds = np.linspace(arcs.t0, arcs.t1, 9, axis=-1)
-    ia, ja = np.triu_indices(len(body.pieces))
+    ia, ja = np.triu_indices(len(arcs))
     per = BLOCK_ELEMENTS // (3 * 9)  # (pairs, 9, 3) arrays of BLOCK_ELEMENTS values
     best = 0.0
     for lo in range(0, len(ia), per):
@@ -196,15 +197,16 @@ def thickness(body: ConvexBody) -> float:
 
     The dual of a valid body bounded by great arcs is the polygon of its
     edge poles, in order, so the lemma of ``_polygon_diameter`` runs on the
-    poles and no dual is built.  Each pole is normalised by ``unit``, as
-    ``polar_dual``'s great arcs normalise their ends, so where that dual
-    merges no junction the answer is pi - diameter(polar_dual(body)) bit for
-    bit.  Any other body, or poles whose vertex-pair diameter is above the
-    slack, takes the ascent on ``polar_dual``.
+    poles and no dual is built.  Each pole is normalised as ``unit`` would
+    (``unit_each``), as ``polar_dual``'s great-arc stack normalises its ends,
+    so where that dual merges no junction the answer is
+    pi - diameter(polar_dual(body)) bit for bit.  Any other body, or poles
+    whose vertex-pair diameter is above the slack, takes the ascent on
+    ``polar_dual``.
     """
     if body.is_polytope():
         require_valid(body)
-        m = _polygon_diameter(np.array([unit(k) for k in body.arcs.z]))
+        m = _polygon_diameter(unit_each(body.arcs.z))
         if m is not None:
             return math.pi - m
     return math.pi - diameter(polar_dual(body))
@@ -533,7 +535,7 @@ def is_constant_width(body: ConvexBody, tau: float, tol: float = 1e-6) -> WidthR
             if wmax - wmin <= tol:  # 2 rho <= tol, on the ends as rounded
                 return WidthReport(tau, tol, wmin, wmax, thickness(body), True, body, None, rho)
     dual = polar_dual(body)
-    idx, ts = linspace_grid(dual.arcs.t0, dual.arcs.t1, length_weighted_counts(dual.pieces, WIDTH_SWEEP))
+    idx, ts = linspace_grid(dual.arcs.t0, dual.arcs.t1, length_weighted_counts(dual.arcs, WIDTH_SWEEP))
     k = dual.arcs[idx].point_at(ts)
     widths = math.pi - boundary_max_distance_many(dual, k)
     thick = math.pi - _ascent_diameter(dual)

@@ -4,8 +4,14 @@ Boundary pieces project to exact conic arcs: under orthographic projection a
 spherical circle becomes an ellipse segment (written as an SVG arc command
 with semi-axes from the projected conjugate radii), and under stereographic
 projection it becomes a circular arc through three exactly projected points.
-Output is deterministic for fixed inputs: fixed 1000 x 1000 viewBox, y down,
-bodies scaled to 90 percent of the frame.
+Each piece is split into segments of at most ``MAX_SEG_SPAN``, and a body's
+segments are projected from its stacked arrays (``ConvexBody.arcs``) in one
+pass, with no piece objects and no numpy call per segment: one batched SVD
+gives every ellipse's axes.  What runs once per value in Python is the
+string formatting and the scalar ``math.cos``, ``math.sin``, ``math.hypot``
+and ``**``, which numpy could round differently.  Output is deterministic
+for fixed inputs: fixed 1000 x 1000 viewBox, y down, bodies scaled to 90
+percent of the frame.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .body import ConvexBody
-from .sphere import tangent_basis, unit
+from .sphere import ArcStack, linspace_grid, row_dots, tangent_basis, unit
 
 VIEWBOX = 1000.0
 FILL_FRACTION = 0.9
@@ -31,22 +37,6 @@ FRAME_SAMPLES = 256
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
-
-
-def _conjugate_frame(piece, a, b):
-    """2D center and conjugate radii of the orthographic piece image."""
-    c2 = piece.cos_r * np.array([piece.z @ a, piece.z @ b])
-    e = piece.sin_r * np.array([piece.u @ a, piece.u @ b])
-    f = piece.sin_r * np.array([piece.v @ a, piece.v @ b])
-    return c2, e, f
-
-
-def _ellipse_axes(e, f):
-    """Semi-axes and rotation of the ellipse with conjugate radii e, f."""
-    m = np.column_stack([e, f])
-    uu, ss, _ = np.linalg.svd(m)
-    theta = math.degrees(math.atan2(uu[1, 0], uu[0, 0]))
-    return float(ss[0]), float(ss[1]), theta
 
 
 class _Frame:
@@ -66,69 +56,93 @@ class _Frame:
         return np.column_stack([px, py])
 
 
-def _sweep_flag(p0, pm, p1) -> int:
-    cross = (pm[0] - p0[0]) * (p1[1] - pm[1]) - (pm[1] - p0[1]) * (p1[0] - pm[0])
-    return 1 if cross > 0 else 0
+def _segments(arcs: ArcStack):
+    """Piece index and parameter ends of every segment, piece after piece.
+
+    Each piece is split into ceil(span / ``MAX_SEG_SPAN``) equal segments,
+    at least one, at the values of ``np.linspace(t0, t1, n + 1)``.
+    """
+    n = np.maximum(1, np.ceil(arcs.span / MAX_SEG_SPAN).astype(int))
+    idx, t = linspace_grid(arcs.t0, arcs.t1, n + 1)
+    lo = np.flatnonzero(idx[:-1] == idx[1:])  # rows followed by one of the same piece
+    return idx[lo], t[lo], t[lo + 1]
 
 
-def _ortho_segment(piece, t0, t1, a, b, frame: _Frame) -> str:
-    c2, e, f = _conjugate_frame(piece, a, b)
-    q0 = c2 + math.cos(t0) * e + math.sin(t0) * f
-    qm = c2 + math.cos(0.5 * (t0 + t1)) * e + math.sin(0.5 * (t0 + t1)) * f
-    q1 = c2 + math.cos(t1) * e + math.sin(t1) * f
-    p0, pm, p1 = frame.to_px(np.vstack([q0, qm, q1]))
-    rx, ry, theta = _ellipse_axes(e, f)
-    rx *= frame.scale
-    ry *= frame.scale
-    if ry < 1e-9 * max(rx, 1.0):
-        return "L %s %s" % (_fmt(p1[0]), _fmt(p1[1]))
+def _line_to(x: float, y: float) -> str:
+    return "L %s %s" % (_fmt(x), _fmt(y))
+
+
+def _cos_sin(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``math.cos`` and ``math.sin`` of each value."""
+    t = t.tolist()
+    return np.array([math.cos(x) for x in t]), np.array([math.sin(x) for x in t])
+
+
+def _sweep_flags(p0, pm, p1) -> np.ndarray:
+    """1 where the pixel path p0 -> pm -> p1 turns counterclockwise, else 0."""
+    cross = (pm[:, 0] - p0[:, 0]) * (p1[:, 1] - pm[:, 1]) - (pm[:, 1] - p0[:, 1]) * (p1[:, 0] - pm[:, 0])
+    return (cross > 0).astype(int)
+
+
+def _ortho_commands(arcs: ArcStack, a, b, frame: _Frame) -> list[str]:
+    """The path commands of the pieces' orthographic images, one per segment.
+
+    A piece's image is an ellipse arc with centre c and conjugate radii
+    e, f (the projected cos r z, sin r u, sin r v), so the point at t is
+    c + cos t e + sin t f; its semi-axes and rotation come from one batched
+    SVD of the matrices [e f], and a flat image is a line.
+    """
+    i, t0, t1 = _segments(arcs)
+    c = [arcs.cos_r * row_dots(arcs.z, w) for w in (a, b)]
+    e = [arcs.sin_r * row_dots(arcs.u, w) for w in (a, b)]
+    f = [arcs.sin_r * row_dots(arcs.v, w) for w in (a, b)]
+    px = []
+    for t in (t0, 0.5 * (t0 + t1), t1):
+        cos, sin = _cos_sin(t)
+        px.append(frame.to_px(np.column_stack([c[k][i] + cos * e[k][i] + sin * f[k][i] for k in (0, 1)])))
+    uu, ss, _ = np.linalg.svd(np.stack([e, f], axis=-1).transpose(1, 0, 2))
+    theta = np.array([math.degrees(math.atan2(y, x)) for x, y in zip(uu[:, 0, 0].tolist(), uu[:, 1, 0].tolist())])
+    rx, ry = ss[i, 0] * frame.scale, ss[i, 1] * frame.scale
+    flat = ry < 1e-9 * np.maximum(rx, 1.0)
     # y flip mirrors the ellipse rotation
-    return "A %s %s %s 0 %d %s %s" % (
-        _fmt(rx),
-        _fmt(ry),
-        _fmt(-theta),
-        _sweep_flag(p0, pm, p1),
-        _fmt(p1[0]),
-        _fmt(p1[1]),
-    )
+    rows = zip(flat.tolist(), rx.tolist(), ry.tolist(), (-theta[i]).tolist(), _sweep_flags(*px).tolist(), px[2].tolist())
+    return [
+        _line_to(x, y) if line else "A %s %s %s 0 %d %s %s" % (_fmt(r1), _fmt(r2), _fmt(th), sw, _fmt(x), _fmt(y))
+        for line, r1, r2, th, sw, (x, y) in rows
+    ]
 
 
-def _stereo_point(x, v, a, b) -> np.ndarray:
-    w = 1.0 + float(x @ v)
-    return np.array([float(x @ a), float(x @ b)]) / w
+def _stereo_px(x: np.ndarray, v, a, b, frame: _Frame) -> np.ndarray:
+    """Pixels of the stereographic images of the rows of ``x``, from the antipode of ``v``."""
+    w = 1.0 + row_dots(x, v)
+    return frame.to_px(np.column_stack([row_dots(x, a) / w, row_dots(x, b) / w]))
 
 
-def _stereo_segment(piece, t0, t1, v, a, b, frame: _Frame) -> str:
-    fn = piece.point_at
-    q0 = _stereo_point(fn(t0)[0], v, a, b)
-    qm = _stereo_point(fn(0.5 * (t0 + t1))[0], v, a, b)
-    q1 = _stereo_point(fn(t1)[0], v, a, b)
-    p0, pm, p1 = frame.to_px(np.vstack([q0, qm, q1]))
-    # circumcircle of the three projected points
-    ax, ay = p0
-    bx, by = pm
-    cx, cy = p1
+def _stereo_commands(arcs: ArcStack, v, a, b, frame: _Frame) -> list[str]:
+    """The path commands of the pieces' stereographic images, one per segment.
+
+    A circle's image is a circle: each segment is the arc of the
+    circumcircle of its projected start, middle and end pixels, or a line
+    when that circle is (nearly) flat.
+    """
+    i, t0, t1 = _segments(arcs)
+    seg = arcs[i]
+    px = [_stereo_px(seg.point_at(t), v, a, b, frame) for t in (t0, 0.5 * (t0 + t1), t1)]
+    (ax, ay), (bx, by), (cx, cy) = (p.T for p in px)
+    # ``**`` is the C pow(), which rounds some squares unlike x * x
+    a2, b2, c2 = (np.array([x**2 + y**2 for x, y in p.tolist()]) for p in px)
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if abs(d) < 1e-9:
-        return "L %s %s" % (_fmt(p1[0]), _fmt(p1[1]))
-    ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay) + (cx**2 + cy**2) * (ay - by)) / d
-    uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx) + (cx**2 + cy**2) * (bx - ax)) / d
-    r = math.hypot(ax - ux, ay - uy)
-    if r > 1e7:
-        return "L %s %s" % (_fmt(p1[0]), _fmt(p1[1]))
-    return "A %s %s 0 0 %d %s %s" % (
-        _fmt(r),
-        _fmt(r),
-        _sweep_flag(p0, pm, p1),
-        _fmt(p1[0]),
-        _fmt(p1[1]),
-    )
-
-
-def _segment_list(piece):
-    n = max(1, int(math.ceil(piece.span / MAX_SEG_SPAN)))
-    ts = np.linspace(piece.t0, piece.t1, n + 1)
-    return list(zip(ts[:-1], ts[1:]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
+        uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
+        dx, dy = ax - ux, ay - uy
+    r = np.array([math.hypot(x, y) for x, y in zip(dx.tolist(), dy.tolist())])
+    flat = (np.abs(d) < 1e-9) | (r > 1e7)
+    rows = zip(flat.tolist(), r.tolist(), _sweep_flags(*px).tolist(), px[2].tolist())
+    return [
+        _line_to(x, y) if line else "A %s %s 0 0 %d %s %s" % (_fmt(rr), _fmt(rr), sw, _fmt(x), _fmt(y))
+        for line, rr, sw, (x, y) in rows
+    ]
 
 
 def render_svg(bodies: Sequence[ConvexBody], projection: str = "orthographic", view=None) -> str:
@@ -162,19 +176,15 @@ def render_svg(bodies: Sequence[ConvexBody], projection: str = "orthographic", v
 
     paths = []
     for k, body in enumerate(bodies):
-        start = body.pieces[0].start
+        arcs = body.arcs
         if projection == "orthographic":
-            p0 = frame.to_px([[start @ a, start @ b]])[0]
+            start = arcs.start[:1]
+            p0 = frame.to_px(np.column_stack([row_dots(start, a), row_dots(start, b)]))[0]
+            cmds = _ortho_commands(arcs, a, b, frame)
         else:
-            p0 = frame.to_px(_stereo_point(start, v, a, b))[0]
-        cmds = ["M %s %s" % (_fmt(p0[0]), _fmt(p0[1]))]
-        for piece in body.pieces:
-            for t0, t1 in _segment_list(piece):
-                if projection == "orthographic":
-                    cmds.append(_ortho_segment(piece, t0, t1, a, b, frame))
-                else:
-                    cmds.append(_stereo_segment(piece, t0, t1, v, a, b, frame))
-        cmds.append("Z")
+            p0 = _stereo_px(arcs.start[:1], v, a, b, frame)[0]
+            cmds = _stereo_commands(arcs, v, a, b, frame)
+        cmds = ["M %s %s" % (_fmt(p0[0]), _fmt(p0[1]))] + cmds + ["Z"]
         stroke = STROKES[k % len(STROKES)]
         paths.append(
             '<path d="%s" fill="none" stroke="%s" stroke-width="2"/>'

@@ -9,10 +9,12 @@ with centre z, angular radius r in (0, pi/2] and a tangent frame (u, v) at z.
 A ``SmallCircleArc`` has r < pi/2 and the canonical ``tangent_basis`` frame; a
 ``GreatArc`` is the r = pi/2 case about its pole.  Sampling, support poles,
 distance and farthest-point queries are therefore one closed form for both.
-``stack_arcs`` lays out a whole boundary as arrays: the nearest and farthest
-distance kernels and the least support-pole dot take it for one column per
-piece, ``farthest_on_piece`` takes a stack with one piece per block of
-points, and the Hausdorff structural caps take one stack per body.
+``stack_arcs`` lays out a whole boundary as arrays, and ``great_arc_stack``
+builds the same arrays for great arcs straight from their ends, in one pass
+and bit for bit: the nearest and farthest distance kernels and the least
+support-pole dot take a stack for one column per piece, ``farthest_on_piece``
+takes one with one piece per block of points, and the Hausdorff structural
+caps take one stack per body.
 Everything here is a pure function over immutable values and is safe to call
 concurrently.
 """
@@ -57,6 +59,30 @@ def unit_rows(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     a = np.ldexp(a, -np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1])
     return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+
+def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[i] @ y[i]`` for every row i, or ``x[i] @ y`` for one vector ``y``.
+
+    numpy runs each (1, 3) @ (3, 1) product of the stack as a 1-D dot, so
+    every value equals the 1-D product of its contiguous row bit for bit, as
+    an (n, 3) @ (3,) product need not.
+    """
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return np.matmul(x[:, None, :], y[:, :, None] if y.ndim == 2 else y).reshape(len(x))
+
+
+def unit_each(m) -> np.ndarray:
+    """Each row of an (n, 3) array divided by its norm, bit for bit ``unit`` of the row.
+
+    Unlike ``unit_rows`` it does not rescale first; a row of norm below
+    ``DOT_EPS`` raises ``ValueError``, as in ``unit``.
+    """
+    a = np.ascontiguousarray(m, dtype=float)
+    n = np.sqrt(row_dots(a, a))
+    if np.any(n < DOT_EPS):
+        raise ValueError("cannot normalize a near-zero vector")
+    return a / n[:, None]
 
 
 def dot(a: Vec, b: Vec) -> float:
@@ -354,6 +380,9 @@ class ArcStack:
     def __getitem__(self, key) -> ArcStack:
         return ArcStack(**{f.name: getattr(self, f.name)[key] for f in fields(self)})
 
+    def __len__(self) -> int:
+        return len(self.t0)
+
     def _ring(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)[..., None]
         return np.cos(t) * self.u + np.sin(t) * self.v
@@ -375,6 +404,45 @@ def stack_arcs(pieces) -> ArcStack:
     )
 
 
+def great_arc_stack(starts, ends) -> ArcStack:
+    """The ``ArcStack`` of the great arcs [starts[i], ends[i]], built in one pass.
+
+    Equal bit for bit, field by field, to ``stack_arcs`` of the
+    ``GreatArc(starts[i], ends[i])`` objects: the rows are normalised as
+    ``unit`` does (``unit_each``), the dot and cross products are written out
+    in the order of ``dot`` and ``cross``, and each length is
+    ``acos_clamped`` of its cosine (``np.arccos`` rounds some values
+    differently).  Raises ``DegenerateArc`` when some pair of ends is equal
+    or antipodal.
+    """
+    s, e = unit_each(starts), unit_each(ends)
+    c = s[:, 0] * e[:, 0] + s[:, 1] * e[:, 1] + s[:, 2] * e[:, 2]
+    if np.any(np.abs(c) >= 1.0 - DOT_EPS):
+        raise DegenerateArc("great arc endpoints equal or antipodal")
+    pole = np.column_stack(
+        [
+            s[:, 1] * e[:, 2] - s[:, 2] * e[:, 1],
+            s[:, 2] * e[:, 0] - s[:, 0] * e[:, 2],
+            s[:, 0] * e[:, 1] - s[:, 1] * e[:, 0],
+        ]
+    )
+    length = np.array([acos_clamped(x) for x in c.tolist()], dtype=float)
+    n = len(s)
+    return ArcStack(
+        z=unit_each(pole),
+        u=s,
+        v=unit_each(e - c[:, None] * s),
+        start=s,
+        end=e,
+        radius=np.full(n, 0.5 * math.pi),
+        cos_r=np.zeros(n),
+        sin_r=np.ones(n),
+        t0=np.zeros(n),
+        t1=length,
+        span=length.copy(),
+    )
+
+
 def sample_piece(piece: CircleArc, n: int) -> np.ndarray:
     """``n`` points evenly spaced in the piece's angle parameter, endpoints included."""
     if n < 2:
@@ -382,13 +450,15 @@ def sample_piece(piece: CircleArc, n: int) -> np.ndarray:
     return piece.point_at(np.linspace(piece.t0, piece.t1, n))
 
 
-def length_weighted_counts(pieces, count: int) -> np.ndarray:
-    """Sample counts per piece, about ``count`` in all.
+def length_weighted_counts(arcs: ArcStack, count: int) -> np.ndarray:
+    """Sample counts per piece of the stack, about ``count`` in all.
 
-    Each piece gets a share proportional to its length, and at least four.
+    Each piece gets a share proportional to its length, and at least four;
+    the lengths are summed in chain order, as Python floats.
     """
-    total = max(sum(p.length for p in pieces), 1e-12)
-    return np.array([max(4, int(round(count * p.length / total))) for p in pieces])
+    lengths = (arcs.span * arcs.sin_r).tolist()
+    total = max(sum(lengths), 1e-12)
+    return np.array([max(4, int(round(count * x / total))) for x in lengths])
 
 
 def linspace_grid(t0, t1, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -494,6 +564,9 @@ def min_support_dot(points: np.ndarray, piece) -> np.ndarray:
     and it is the constant x . pole.
     """
     x = np.asarray(points, dtype=float)
+    if not np.any(piece.cos_r):
+        # great arcs only: the sinusoid's term is 0 * hi, with hi finite
+        return piece.sin_r * _dots(x, piece.z)
     _, hi, _ = sinusoid_range(_dots(x, piece.u), _dots(x, piece.v), piece.t0, piece.t1)
     return piece.sin_r * _dots(x, piece.z) - piece.cos_r * hi
 

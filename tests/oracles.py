@@ -12,7 +12,9 @@ subdivision of ``approx.subdivide_piece`` must reproduce, and
 ``random_selfdual_polytope_reference`` the random generator with its seed
 cut by the gated and certified ``approx.approximate_polytope``, which the
 generator, cutting it with the bare ``approx.chord_polytope``, must
-reproduce bit for bit.
+reproduce bit for bit, and ``render_svg_per_segment`` the renderer that
+projects one piece and one segment at a time, whose SVG the stacked
+``render.render_svg`` must reproduce byte for byte.
 """
 
 import math
@@ -24,6 +26,7 @@ from spherewidth.approx import ApproximationConfig, approximate_polytope, cut_st
 from spherewidth.body import Polytope, ValidationCheck, body_distance, to_polytope
 from spherewidth.errors import BudgetExhausted, DualOverlap
 from spherewidth.generators import cap, complete_selfdual, rotated, rotation_from_seed
+from spherewidth.render import FRAME_SAMPLES, MAX_SEG_SPAN, STROKES, _fmt, _Frame
 from spherewidth.sphere import (
     BOUNDARY_EPS,
     DOT_EPS,
@@ -33,6 +36,7 @@ from spherewidth.sphere import (
     cross,
     dot,
     sample_piece,
+    tangent_basis,
     unit,
     unit_rows,
 )
@@ -271,3 +275,115 @@ def random_selfdual_polytope_reference(n_target, rng_seed):
             drop = int(np.random.default_rng(rng_seed).integers(len(seed)))
             seed = Polytope(np.delete(seed.vertices, drop, axis=0))
     return to_polytope(complete_selfdual(seed, tol=1e-7, rng_seed=rng_seed))
+
+
+# ------------------------------------------------------- per-segment render
+
+
+def _conjugate_frame(piece, a, b):
+    """2D center and conjugate radii of the orthographic piece image."""
+    c2 = piece.cos_r * np.array([piece.z @ a, piece.z @ b])
+    e = piece.sin_r * np.array([piece.u @ a, piece.u @ b])
+    f = piece.sin_r * np.array([piece.v @ a, piece.v @ b])
+    return c2, e, f
+
+
+def _ellipse_axes(e, f):
+    """Semi-axes and rotation of the ellipse with conjugate radii e, f."""
+    uu, ss, _ = np.linalg.svd(np.column_stack([e, f]))
+    theta = math.degrees(math.atan2(uu[1, 0], uu[0, 0]))
+    return float(ss[0]), float(ss[1]), theta
+
+
+def _sweep_flag(p0, pm, p1):
+    turn = (pm[0] - p0[0]) * (p1[1] - pm[1]) - (pm[1] - p0[1]) * (p1[0] - pm[0])
+    return 1 if turn > 0 else 0
+
+
+def _ortho_segment(piece, t0, t1, a, b, frame):
+    c2, e, f = _conjugate_frame(piece, a, b)
+    q0 = c2 + math.cos(t0) * e + math.sin(t0) * f
+    qm = c2 + math.cos(0.5 * (t0 + t1)) * e + math.sin(0.5 * (t0 + t1)) * f
+    q1 = c2 + math.cos(t1) * e + math.sin(t1) * f
+    p0, pm, p1 = frame.to_px(np.vstack([q0, qm, q1]))
+    rx, ry, theta = _ellipse_axes(e, f)
+    rx *= frame.scale
+    ry *= frame.scale
+    if ry < 1e-9 * max(rx, 1.0):
+        return "L %s %s" % (_fmt(p1[0]), _fmt(p1[1]))
+    return "A %s %s %s 0 %d %s %s" % (
+        _fmt(rx), _fmt(ry), _fmt(-theta), _sweep_flag(p0, pm, p1), _fmt(p1[0]), _fmt(p1[1])
+    )
+
+
+def _stereo_point(x, v, a, b):
+    w = 1.0 + float(x @ v)
+    return np.array([float(x @ a), float(x @ b)]) / w
+
+
+def _stereo_segment(piece, t0, t1, v, a, b, frame):
+    fn = piece.point_at
+    q0 = _stereo_point(fn(t0)[0], v, a, b)
+    qm = _stereo_point(fn(0.5 * (t0 + t1))[0], v, a, b)
+    q1 = _stereo_point(fn(t1)[0], v, a, b)
+    p0, pm, p1 = frame.to_px(np.vstack([q0, qm, q1]))
+    ax, ay = p0
+    bx, by = pm
+    cx, cy = p1
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    if abs(d) < 1e-9:
+        return "L %s %s" % (_fmt(p1[0]), _fmt(p1[1]))
+    ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay) + (cx**2 + cy**2) * (ay - by)) / d
+    uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx) + (cx**2 + cy**2) * (bx - ax)) / d
+    r = math.hypot(ax - ux, ay - uy)
+    if r > 1e7:
+        return "L %s %s" % (_fmt(p1[0]), _fmt(p1[1]))
+    return "A %s %s 0 0 %d %s %s" % (_fmt(r), _fmt(r), _sweep_flag(p0, pm, p1), _fmt(p1[0]), _fmt(p1[1]))
+
+
+def render_svg_per_segment(bodies, projection="orthographic", view=None):
+    """``render.render_svg`` one piece and one segment at a time, on the piece objects.
+
+    Each piece is split by ``np.linspace`` into ceil(span / ``MAX_SEG_SPAN``)
+    segments, and each segment is projected on its own: an orthographic
+    ellipse arc from the conjugate radii and the SVD of one 2 x 2 matrix, or
+    a stereographic circumcircle through three projected points.
+    """
+    if view is None:
+        view = np.mean([body.interior for body in bodies], axis=0)
+    v = unit(np.asarray(view, dtype=float))
+    a, b = tangent_basis(v)
+    cloud = []
+    for body in bodies:
+        pts = np.vstack([sample_piece(p, FRAME_SAMPLES) for p in body.pieces])
+        if projection == "orthographic":
+            cloud.append(np.column_stack([pts @ a, pts @ b]))
+        else:
+            w = 1.0 + pts @ v
+            cloud.append(np.column_stack([(pts @ a) / w, (pts @ b) / w]))
+    frame = _Frame(np.vstack(cloud))
+    paths = []
+    for k, body in enumerate(bodies):
+        start = body.pieces[0].start
+        if projection == "orthographic":
+            p0 = frame.to_px([[start @ a, start @ b]])[0]
+        else:
+            p0 = frame.to_px(_stereo_point(start, v, a, b))[0]
+        cmds = ["M %s %s" % (_fmt(p0[0]), _fmt(p0[1]))]
+        for piece in body.pieces:
+            n = max(1, int(math.ceil(piece.span / MAX_SEG_SPAN)))
+            ts = np.linspace(piece.t0, piece.t1, n + 1)
+            for t0, t1 in zip(ts[:-1], ts[1:]):
+                if projection == "orthographic":
+                    cmds.append(_ortho_segment(piece, t0, t1, a, b, frame))
+                else:
+                    cmds.append(_stereo_segment(piece, t0, t1, v, a, b, frame))
+        cmds.append("Z")
+        paths.append(
+            '<path d="%s" fill="none" stroke="%s" stroke-width="2"/>' % (" ".join(cmds), STROKES[k % len(STROKES)])
+        )
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        'viewBox="0 0 1000 1000">\n' + "\n".join(paths) + "\n</svg>\n"
+    )

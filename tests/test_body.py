@@ -63,6 +63,11 @@ def test_two_vertex_polytope_fails():
     assert "vertex-count" in rep.failed()
 
 
+def test_repeated_vertex_fails_edges_nondegenerate():
+    rep = validate_polytope(Polytope(np.array([E1, E2, E2, E3])))
+    assert rep.failed() == ["edges-nondegenerate"]
+
+
 def test_zero_or_nonfinite_vertex_rows_raise():
     with pytest.raises(InvalidBody, match=r"zero or non-finite norm: 0 \[0\.0, 0\.0, 0\.0\]$"):
         Polytope(np.array([[0.0, 0.0, 0.0], E1, E2]))
@@ -177,6 +182,70 @@ def test_polytope_builds_its_edge_body_once():
     poles[:] = 0.0
     assert np.array_equal(poly.arcs.z, want)
     assert np.array_equal(poly.edge_poles(), want)
+
+
+def _eager_edges(poly):
+    """The edges of a polytope, each ``GreatArc`` built on its own."""
+    v = poly.vertices
+    return [GreatArc(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+
+
+def _eager_dual_pieces(body):
+    """The great arcs of the dual of a great-arc body, each built on its own from its corner poles."""
+    a = body.arcs
+    k_end = a.support_pole_at(a.t1)
+    k_next = np.roll(a.support_pole_at(a.t0), -1, axis=0)
+    corner = np.linalg.norm(k_end - k_next, axis=1) > bd.POLE_MERGE_EPS
+    return [GreatArc(k0, k1) for k0, k1, c in zip(k_end, k_next, corner) if c]
+
+
+def test_lazy_pieces_equal_eagerly_built_pieces(selfdual_polys):
+    fields = ("start", "end", "z", "u", "v", "radius", "cos_r", "sin_r", "t0", "t1")
+    for poly in list(selfdual_polys.values()) + [_cap_polytope_at(0.01)]:
+        fresh = Polytope(poly.vertices)
+        for body, eager in ((fresh, _eager_edges(fresh)), (polar_dual(poly), _eager_dual_pieces(poly))):
+            body.arcs
+            assert "pieces" not in vars(body)  # made on demand only
+            lazy = body.pieces
+            assert lazy is body.pieces
+            assert len(lazy) == len(eager) == len(body.arcs)
+            for p, q in zip(lazy, eager):
+                assert type(p) is GreatArc
+                assert all(np.array_equal(getattr(p, f), getattr(q, f)) for f in fields)
+
+
+def test_polytope_paths_construct_no_great_arc(tmp_path, monkeypatch):
+    from spherewidth.approx import ApproximationConfig, approximate_polytope
+    from spherewidth.cli import main
+    from spherewidth.formats import dumps_body
+
+    made = []
+    post_init = GreatArc.__post_init__
+
+    def counting(self):
+        made.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(GreatArc, "__post_init__", counting)
+    c = rotated(cap(E3, math.pi / 4), rotation_from_seed(3))
+    poly, _, _ = approximate_polytope(c, ApproximationConfig(0.003))
+    assert not made
+    cap_f, poly_f = tmp_path / "cap.json", tmp_path / "poly.json"
+    cap_f.write_text(dumps_body(c))
+    poly_f.write_text(dumps_body(poly))
+    view = "--view=" + ",".join(repr(float(x)) for x in c.pieces[0].center)
+    for argv in (
+        ["certify", str(cap_f), str(poly_f), "--epsilon", "0.003"],
+        ["metrics", str(poly_f)],
+        ["dual", str(poly_f), "-o", str(tmp_path / "dual.json")],
+        ["render", str(cap_f), str(poly_f), view, "-o", str(tmp_path / "o.svg")],
+        ["render", str(poly_f), "--projection", "stereographic", "-o", str(tmp_path / "s.svg")],
+    ):
+        assert main(argv) == 0, argv
+    assert not made
+    # the counter does count: a piece read builds the objects
+    Polytope(poly.vertices).pieces
+    assert len(made) == len(poly)
 
 
 def _subdivide_rejects(o):

@@ -3,9 +3,12 @@ import re
 
 import numpy as np
 import pytest
+from fixtures import acceptance_corpus
+from oracles import render_svg_per_segment
 
 from spherewidth.approx import ApproximationConfig, approximate_polytope
-from spherewidth.generators import cap, octant
+from spherewidth.body import polar_dual
+from spherewidth.generators import cap, octant, rotated, rotation_from_seed
 from spherewidth.render import render_svg
 from spherewidth.sphere import unit
 
@@ -65,3 +68,17 @@ def test_stereographic_renders_circles():
     radii = {m for m in re.findall(r"A (\S+) (\S+)", d)}
     # stereographic images of circles are circles: rx == ry
     assert all(rx == ry for rx, ry in radii)
+
+
+@pytest.mark.parametrize("projection", ["orthographic", "stereographic"])
+def test_stacked_render_is_the_per_segment_render_byte_for_byte(projection):
+    scenes = []
+    for _, body in acceptance_corpus().values():
+        scenes += [[body], [polar_dual(body)]]
+    for seed in (1, 2, 3):
+        c = rotated(cap(E3, math.pi / 4), rotation_from_seed(seed))
+        for eps in (0.2, 0.003):
+            poly = approximate_polytope(c, ApproximationConfig(eps))[0]
+            scenes += [[c, poly], [poly, polar_dual(poly)]]
+    for bodies in scenes:
+        assert render_svg(bodies, projection) == render_svg_per_segment(bodies, projection)

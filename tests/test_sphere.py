@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from fixtures import lens
+from fixtures import acceptance_corpus, lens
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherewidth import sphere
+from spherewidth.body import Polytope, polar_dual
 from spherewidth.errors import AmbiguousSide, DegenerateArc, DegenerateLune
+from spherewidth.generators import random_selfdual_polytope
 from spherewidth.sphere import (
     GreatArc,
     Hemisphere,
@@ -16,6 +18,7 @@ from spherewidth.sphere import (
     arc_pole,
     arcs_intersect,
     geodesic_distance,
+    great_arc_stack,
     linspace_grid,
     lune_thickness,
     max_distance_to_piece,
@@ -23,6 +26,7 @@ from spherewidth.sphere import (
     sample_piece,
     stack_arcs,
     unit,
+    unit_each,
 )
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -234,6 +238,56 @@ def test_stacked_support_poles_and_tangents_are_per_piece_bit_for_bit():
             assert np.array_equal(tangents[:, i], [p.tangent_at(t) for t in ts[:, i]])
         assert np.array_equal(arcs.support_pole_at(arcs.t1), [p.support_pole_at(p.t1)[0] for p in pieces])
         assert np.array_equal(arcs.tangent_at(arcs.t0), [p.tangent_at(p.t0) for p in pieces])
+
+
+def test_row_dots_and_unit_each_are_per_row_bit_for_bit():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-6, 6, size=(500, 1))
+    y = rng.normal(size=(500, 3))
+    assert np.array_equal(sphere.row_dots(x, y), [p @ q for p, q in zip(x, y)])
+    assert np.array_equal(sphere.row_dots(x, y[0]), [p @ y[0] for p in x])
+    assert np.array_equal(unit_each(x), [unit(p) for p in x])
+    # a column slice is not contiguous; its rows still normalise as ``unit``
+    wide = rng.normal(size=(50, 6))
+    assert np.array_equal(unit_each(wide[:, 1:4]), [unit(p) for p in wide[:, 1:4]])
+    with pytest.raises(ValueError):
+        unit_each([E1, [0.0, 0.0, 0.0]])
+
+
+def _great_arc_ends(body):
+    """The ends that built a body's great arcs, else the ends of its great-arc pieces."""
+    if hasattr(body, "ends"):
+        return body.ends
+    great = [p for p in body.pieces if isinstance(p, GreatArc)]
+    return np.array([p.start for p in great]).reshape(-1, 3), np.array([p.end for p in great]).reshape(-1, 3)
+
+
+def test_great_arc_stack_is_stack_arcs_of_the_objects_bit_for_bit():
+    bodies = [b for _, b in acceptance_corpus().values()]
+    bodies += [random_selfdual_polytope(n, s) for n in (3, 8, 30, 60) for s in (1, 2, 3)]
+    checked = 0
+    for body in bodies + [polar_dual(b) for b in bodies]:
+        starts, ends = _great_arc_ends(body)
+        if not len(starts):  # a cap, or its dual
+            continue
+        got = great_arc_stack(starts, ends)
+        want = stack_arcs([GreatArc(s, e) for s, e in zip(starts, ends)])
+        for name in ("z", "u", "v", "start", "end", "radius", "cos_r", "sin_r", "t0", "t1", "span"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        if isinstance(body, Polytope) or hasattr(body, "ends"):
+            assert all(np.array_equal(getattr(body.arcs, f), getattr(want, f)) for f in ("z", "u", "v", "t1"))
+        checked += len(starts)
+    assert checked > 800
+
+
+def test_great_arc_stack_rejects_degenerate_rows():
+    with pytest.raises(DegenerateArc):
+        great_arc_stack([E1, E2], [E2, E2])
+    with pytest.raises(DegenerateArc):
+        great_arc_stack([E1], [-E1])
+    with pytest.raises(ValueError):
+        great_arc_stack([E1, [0.0, 0.0, 0.0]], [E2, E3])
+    assert len(great_arc_stack(np.empty((0, 3)), np.empty((0, 3)))) == 0
 
 
 # -------------------------------------------------------- piece distances
