@@ -25,10 +25,14 @@ solves d(s) < epsilon * SUBDIVISION_SAFETY for s in closed form.
 it; the tests replay the edits chord by chord with it as the reference for
 the one-pass output.
 
-``approximate_polytope`` runs the gate (``is_constant_width``: the input's
-width sweep, or its closed form on a polytope input), the build
-(``chord_polytope``, which checks nothing) and the certificate once each,
-all reading each body's one cached validation (``ConvexBody.validation``).
+``approximate_polytope`` runs the gate (``is_constant_width``: the closed
+form of the input's self-duality bound, from its edge-pole/vertex pairing on
+a polytope or from its run pairing (``body.pairing_residual_bound``) on a
+curved body, and the width sweep only when that bound is not within
+tolerance), the build (``chord_polytope``, which checks nothing) and the
+certificate once each, all reading each body's one cached validation
+(``ConvexBody.validation``).  The run pairing, ``body._boundary_units`` and
+``body._pair_runs``, is the one the build chords and the certificate walks.
 The certificate never trusts the construction: it reads neither the steps
 nor the build, only the two bodies.  For a polytope output its Hausdorff
 term is the proved upper bound of ``pairing_bound``, in O(n): a walk that
@@ -39,8 +43,9 @@ without arc runs, an arbitrary file pair) is re-measured by the refinement
 ``metrics.hausdorff``, whose value is a lower end within its tolerance.
 For a polytope output the width range and the self-duality residual are
 proved upper-bound ends from its edge-pole/vertex pairing
-(``body.selfdual_residual_bound``), in O(n); a curved result is still
-measured by the width sweep of ``metrics.is_constant_width``.
+(``body.selfdual_residual_bound``), in O(n); a curved result takes them
+from ``metrics.is_constant_width``, in closed form from its run pairing
+(``body.pairing_residual_bound``) when that is within tolerance.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ from .errors import (
     NotStrictlyConvex,
 )
 from .sphere import (
-    DOT_EPS,
     TWO_PI,
     GreatArc,
     SmallCircleArc,
@@ -78,6 +82,9 @@ from .body import (
     POLE_MERGE_EPS,
     ConvexBody,
     Polytope,
+    _boundary_units,
+    _pair_runs,
+    _Run,
     body_distance,
     boundary_distance_many,
     chain_body,
@@ -92,7 +99,6 @@ from .metrics import hausdorff, is_constant_width
 
 SUBDIVISION_SAFETY = 0.5  # share of the budget epsilon the sagitta d(s) may use
 MAX_SUBARCS = 1 << 22  # sub-arcs of one arc interval before ``BudgetExhausted``
-PAIR_EPS = 1e-9  # radius, azimuth and span tolerance when pairing arc intervals
 # Largest vertex offset, junction offset or tangency error (radians) the
 # pairing certificate accepts; its bound adds 3 asin(FIT_EPS / c), so it
 # must stay far below any budget epsilon and far above roundoff.
@@ -137,8 +143,10 @@ class Certificate:
     end, within ``metrics.HAUSDORFF_TOL``.  For a polytope output,
     ``width_min`` and ``width_max`` are the proved ends
     pi/2 -+ rho and ``self_duality_residual`` is rho, the upper bound on its
-    distance to its polar dual from the edge-pole/vertex pairing; for a
-    curved output all three come from the sampled width sweep.
+    distance to its polar dual from the edge-pole/vertex pairing; a curved
+    output takes all three from ``metrics.is_constant_width``: the same
+    ends from its run pairing when 2 rho is within tolerance, else the
+    sampled width sweep.
     """
 
     epsilon: float
@@ -337,100 +345,6 @@ def cut_step(body: ConvexBody, p1: Vec, p2: Vec) -> tuple[ConvexBody, StepRecord
 
 
 # ----------------------------------------------------------- one-pass build
-
-
-@dataclass(frozen=True, eq=False)
-class _Run:
-    """A maximal run of consecutive input pieces on one circle, as one arc."""
-
-    arc: SmallCircleArc
-    ids: np.ndarray  # the input pieces, in chain order
-    offsets: np.ndarray  # azimuth of each piece's start, from ``arc.az_from``
-
-    def piece_at(self, offset: np.ndarray) -> np.ndarray:
-        """Input piece id at each azimuth ``offset`` from the run's start."""
-        k = np.searchsorted(self.offsets, offset + PAIR_EPS, side="right") - 1
-        return self.ids[np.clip(k, 0, len(self.ids) - 1)]
-
-
-def _same_circle(a, b) -> bool:
-    return (
-        isinstance(a, SmallCircleArc)
-        and isinstance(b, SmallCircleArc)
-        and dot(a.center, b.center) >= 1.0 - DOT_EPS
-        and abs(a.radius - b.radius) <= PAIR_EPS
-    )
-
-
-def _boundary_units(body: ConvexBody) -> list:
-    """The boundary in chain order: great-arc piece ids and ``_Run``s.
-
-    The scan starts at the run that holds piece 0, so no run wraps the end of
-    the chain.  A full circle is split into two half runs, each the other's
-    partner.
-    """
-    pcs = body.pieces
-    m = len(pcs)
-    joins = [_same_circle(pcs[i - 1], pcs[i]) for i in range(m)]
-    start = max((i for i in range(m) if not joins[i]), default=0) if joins[0] else 0
-    groups: list[list[int]] = []
-    for k in range(m):
-        i = (start + k) % m
-        if k and joins[i]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    units: list = []
-    for ids in groups:
-        first = pcs[ids[0]]
-        if not isinstance(first, SmallCircleArc):
-            units.append(ids[0])
-            continue
-        spans = np.array([pcs[i].span for i in ids])
-        offsets = np.concatenate([[0.0], np.cumsum(spans[:-1])])
-        a, span = first.az_from, float(spans.sum())
-        if span < TWO_PI - PAIR_EPS:
-            arc = SmallCircleArc(first.center, first.radius, a, a + span)
-            units.append(_Run(arc, np.array(ids), offsets))
-            continue
-        for lo in (a, a + math.pi):
-            half = SmallCircleArc(first.center, first.radius, lo, lo + math.pi)
-            units.append(_Run(half, np.array(ids), offsets - (lo - a)))
-    return units
-
-
-def _is_partner(a: SmallCircleArc, b: SmallCircleArc) -> bool:
-    """Whether ``b`` spans the azimuths of ``a`` shifted by pi on the circle (Z, pi/2 - r)."""
-    return (
-        dot(a.center, b.center) >= 1.0 - DOT_EPS
-        and abs(a.radius + b.radius - 0.5 * math.pi) <= PAIR_EPS
-        and abs(a.span - b.span) <= PAIR_EPS
-        and abs(math.remainder(b.az_from - a.az_from - math.pi, TWO_PI)) <= PAIR_EPS
-    )
-
-
-def _pair_runs(runs: list[_Run]) -> list[tuple[_Run, _Run]]:
-    """Each run with its partner, the one first in ``runs`` first: that one is chorded.
-
-    Raises ``NotSelfDual`` when a run has no partner.
-    """
-    pairs = []
-    taken: set[int] = set()
-    for i, run in enumerate(runs):
-        if i in taken:
-            continue
-        j = next(
-            (j for j in range(i + 1, len(runs)) if j not in taken and _is_partner(run.arc, runs[j].arc)),
-            None,
-        )
-        if j is None:
-            raise NotSelfDual(
-                "no arc of radius %.9f about the same centre spans this arc's azimuths "
-                "shifted by pi; body is not self-dual" % (0.5 * math.pi - run.arc.radius)
-            )
-        pairs.append((run, runs[j]))
-        taken.update((i, j))
-    return pairs
 
 
 def _drop_flat_vertices(v: np.ndarray) -> np.ndarray:
@@ -657,8 +571,9 @@ def approximate_polytope(
     and certifies.  Returns the polytope, its certificate (Hausdorff
     distance checked against 2 * epsilon) and the steps.
     """
-    # the gate validates the input: through polar_dual, or on a polytope
-    # input through validate_polytope and thickness
+    # the gate validates the input: on a polytope input through
+    # validate_polytope, on a curved one through pairing_residual_bound, and
+    # through polar_dual when it sweeps
     gate = is_constant_width(body, 0.5 * math.pi, config.self_dual_tol)
     if not gate.passed:
         raise NotConstantWidth(
@@ -680,8 +595,8 @@ def certify(
     """Re-measure every guarantee on the (input, output) pair from scratch.
 
     A result bounded by great arcs, a ``Polytope`` or not, takes its width
-    range and residual from ``selfdual_residual_bound``, any other from the
-    ``is_constant_width`` sweep.  Its Hausdorff term is ``pairing_bound``
+    range and residual from ``selfdual_residual_bound``, any other from
+    ``is_constant_width``: its run pairing's closed form, or the sweep.  Its Hausdorff term is ``pairing_bound``
     when that walk covers the pair, else the ``hausdorff`` refinement.
     Raises ``CertificationFailed`` naming the violated bound, a NaN one
     too; never reads the steps.
@@ -697,7 +612,8 @@ def certify(
         wmin, wmax = 0.5 * math.pi - residual, 0.5 * math.pi + residual
         h = pairing_bound(original, result)
     else:
-        # the width sweep validates the result, through polar_dual
+        # is_constant_width validates the result, in the closed form or,
+        # when it sweeps, through polar_dual
         rep = is_constant_width(result, 0.5 * math.pi, config.self_dual_tol)
         wmin, wmax, residual = rep.width_min, rep.width_max, rep.self_duality_residual
         h = None

@@ -25,8 +25,17 @@ in traversal order:
 * great arc (r = pi/2)            ->  its pole, as a dual vertex
 * junction vertex                 ->  great arc between the adjacent poles
 
-so the dual of a valid body is again a valid body and the double dual
-reproduces the original representation exactly up to roundoff.
+so the dual of a valid body is again a valid body, and the double dual has
+the original's pieces, in the same cyclic order, up to roundoff.  Its chain
+need not start at the same piece: a polytope's double dual starts at vertex
+1, the pole of the dual edge that joins the poles of edges 0 and 1.
+
+On a self-dual body the pieces pair up along that correspondence: each arc
+run with its partner run (``_boundary_units``, ``_pair_runs``, which the
+chord construction and its certificate use too), each corner with a
+great-arc piece, and a polytope's edge poles with its vertices.  The proved
+bounds on H(C, C*), ``selfdual_residual_bound`` for a polytope and
+``pairing_residual_bound`` for a curved body, are read off those pairings.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -42,6 +51,7 @@ from .errors import DegenerateArc, InvalidBody, NotOnBoundary, NotSelfDual
 from .sphere import (
     BOUNDARY_EPS,
     DOT_EPS,
+    TWO_PI,
     ArcStack,
     CircleArc,
     GreatArc,
@@ -49,12 +59,14 @@ from .sphere import (
     Vec,
     chord_distance,
     distance_to_piece,
+    dot,
     great_arc_stack,
     max_distance_to_piece,
     min_support_dot,
     stack_arcs,
     unit,
     unit_rows,
+    wrap_angle,
 )
 
 # Junction poles closer than this chord distance are treated as one smooth
@@ -62,6 +74,8 @@ from .sphere import (
 # the 1e-12 dot-product guard) so skipped junctions can never demand an arc
 # too short to represent.
 POLE_MERGE_EPS = 1e-5
+# Radius, azimuth and span tolerance when pairing arc intervals.
+PAIR_EPS = 1e-9
 # Default residual tolerance when an operation requires a self-dual body.
 SELF_DUAL_EPS = 1e-6
 # Rows x pieces evaluated per numpy expression by the batched kernels, which
@@ -381,7 +395,9 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
 
     See the module docstring for the piece-by-piece correspondence.  The
     traversal order of the dual follows the primal order, so the result is a
-    valid body and ``polar_dual(polar_dual(c))`` reproduces ``c``.
+    valid body and ``polar_dual(polar_dual(c))`` has the pieces of ``c`` up
+    to roundoff, in the same cyclic order but not always from the same
+    first piece: for a polytope it starts at vertex 1.
     """
     require_valid(body)
     a = body.arcs
@@ -442,6 +458,246 @@ def selfdual_residual_bound(poly: Polytope) -> float:
     # cos(l/2) = |a + b| / 2 for the unit ends a, b of an edge of length l
     half = 0.5 * min(float(np.min(np.linalg.norm(x + np.roll(x, -1, axis=0), axis=1))) for x in (v, w))
     return math.asin(c / half) if c < half else math.inf
+
+
+# ---------------------------------------------------------------- run pairing
+
+
+@dataclass(frozen=True, eq=False)
+class _Run:
+    """A maximal run of consecutive input pieces on one circle, as one arc."""
+
+    arc: SmallCircleArc
+    ids: np.ndarray  # the input pieces, in chain order
+    offsets: np.ndarray  # azimuth of each piece's start, from ``arc.az_from``
+
+    def piece_at(self, offset: np.ndarray) -> np.ndarray:
+        """Input piece id at each azimuth ``offset`` from the run's start."""
+        k = np.searchsorted(self.offsets, offset + PAIR_EPS, side="right") - 1
+        return self.ids[np.clip(k, 0, len(self.ids) - 1)]
+
+
+def _same_circle(a, b) -> bool:
+    return (
+        isinstance(a, SmallCircleArc)
+        and isinstance(b, SmallCircleArc)
+        and dot(a.center, b.center) >= 1.0 - DOT_EPS
+        and abs(a.radius - b.radius) <= PAIR_EPS
+    )
+
+
+def _boundary_units(body: ConvexBody) -> list:
+    """The boundary in chain order: great-arc piece ids and ``_Run``s.
+
+    The scan starts at the run that holds piece 0, so no run wraps the end of
+    the chain.  A full circle is split into two half runs, each the other's
+    partner.
+    """
+    pcs = body.pieces
+    m = len(pcs)
+    joins = [_same_circle(pcs[i - 1], pcs[i]) for i in range(m)]
+    start = max((i for i in range(m) if not joins[i]), default=0) if joins[0] else 0
+    groups: list[list[int]] = []
+    for k in range(m):
+        i = (start + k) % m
+        if k and joins[i]:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    units: list = []
+    for ids in groups:
+        first = pcs[ids[0]]
+        if not isinstance(first, SmallCircleArc):
+            units.append(ids[0])
+            continue
+        spans = np.array([pcs[i].span for i in ids])
+        offsets = np.concatenate([[0.0], np.cumsum(spans[:-1])])
+        a, span = first.az_from, float(spans.sum())
+        if span < TWO_PI - PAIR_EPS:
+            arc = SmallCircleArc(first.center, first.radius, a, a + span)
+            units.append(_Run(arc, np.array(ids), offsets))
+            continue
+        for lo in (a, a + math.pi):
+            half = SmallCircleArc(first.center, first.radius, lo, lo + math.pi)
+            units.append(_Run(half, np.array(ids), offsets - (lo - a)))
+    return units
+
+
+def _is_partner(a: SmallCircleArc, b: SmallCircleArc) -> bool:
+    """Whether ``b`` spans the azimuths of ``a`` shifted by pi on the circle (Z, pi/2 - r)."""
+    return (
+        dot(a.center, b.center) >= 1.0 - DOT_EPS
+        and abs(a.radius + b.radius - 0.5 * math.pi) <= PAIR_EPS
+        and abs(a.span - b.span) <= PAIR_EPS
+        and abs(math.remainder(b.az_from - a.az_from - math.pi, TWO_PI)) <= PAIR_EPS
+    )
+
+
+def _pair_runs(runs: list[_Run]) -> list[tuple[_Run, _Run]]:
+    """Each run with its partner, the one first in ``runs`` first: that one is chorded.
+
+    Raises ``NotSelfDual`` when a run has no partner.
+    """
+    pairs = []
+    taken: set[int] = set()
+    for i, run in enumerate(runs):
+        if i in taken:
+            continue
+        j = next(
+            (j for j in range(i + 1, len(runs)) if j not in taken and _is_partner(run.arc, runs[j].arc)),
+            None,
+        )
+        if j is None:
+            raise NotSelfDual(
+                "no arc of radius %.9f about the same centre spans this arc's azimuths "
+                "shifted by pi; body is not self-dual" % (0.5 * math.pi - run.arc.radius)
+            )
+        pairs.append((run, runs[j]))
+        taken.update((i, j))
+    return pairs
+
+
+def _frame(arc) -> np.ndarray:
+    """The rows u, v, z of an arc's frame, or of each arc of a stack."""
+    return np.stack([arc.u, arc.v, arc.z], axis=-2)
+
+
+def _run_offset(run: _Run, a: ArcStack) -> float:
+    """Chord bound e_R between the pieces of ``run`` and its arc, both ways (see ``pairing_residual_bound``)."""
+    ids, arc = run.ids, run.arc
+    frame = np.sqrt(np.sum((_frame(a[ids]) - _frame(arc)) ** 2, axis=(1, 2)))
+    shift = np.abs(wrap_angle(a.t0[ids] - arc.az_from - run.offsets + math.pi) - math.pi)
+    dev = float(np.max(frame + np.abs(a.radius[ids] - arc.radius) + shift))
+    spans = a.span[ids]
+    end = run.offsets[-1] + spans[-1]
+    if float(spans.sum()) < TWO_PI - PAIR_EPS:
+        return dev + abs(arc.span - end)
+    # half of a full circle: the other half, on the same circle, takes the overhang
+    return dev + max(0.0, arc.span - end)
+
+
+def _pair_offset(run: _Run, partner: _Run) -> float:
+    """Chord bound between the dual image of ``run``'s arc and ``partner``'s arc, in either frame."""
+    a, b = run.arc, partner.arc
+    frame = math.sqrt(float(np.sum((_frame(a) - _frame(b)) ** 2)))
+    s = math.remainder(b.az_from - a.az_from - math.pi, TWO_PI)
+    return frame + abs(a.radius + b.radius - 0.5 * math.pi) + max(abs(s), abs(s + b.span - a.span))
+
+
+def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
+    """Upper bound rho on the Hausdorff distance between a valid curved body C and C*, or None.
+
+    C* is the polar body.  Its boundary is the chain of the dual images of
+    the pieces of C (``polar_dual``: a circle arc (Z, r, span) maps to
+    (Z, pi/2 - r, span + pi), a great arc to its pole) joined at each
+    junction j of C by the great arc of support poles [k_end_j, k_next_j]
+    there.  Chord bounds below are sums of chord or geodesic lengths, each
+    at least the chord it bounds; a chord c is a geodesic 2 asin(c / 2).
+
+    Three kinds of term:
+
+    * Each arc run R paired with its partner R' (``_boundary_units``,
+      ``_pair_runs``): T = 2 asin(c / 2), c = e_R + e_R' + f + |r + r' -
+      pi/2| + max(|s|, |s + S' - S|).  The run's arc (Z, r, frame F, from
+      azimuth a over the span S) matches piece k of the run at parameter
+      t0_k + t with the arc's point at azimuth a + o_k + t, o_k its offset
+      (``_Run.offsets``); points x = F w(r, t) and x_k = F_k w(r_k, t_k)
+      with |w| = 1 are at most |F_k - F| (Frobenius norm of the frames as
+      matrices) + |r_k - r| + |t_k - t| (mod 2 pi) apart.  The largest such
+      sum, plus the azimuths the pieces cover beyond the arc or leave
+      uncovered on it, is e_R (``_run_offset``).  The dual images are
+      matched the same way, with the same e_R.  f = |F' - F|, which is at
+      least the centre chord |Z' - Z|; s is the azimuth of R' less a + pi,
+      so the dual image's azimuth range [a + pi, a + pi + S] and R''s
+      [a + pi + s, a + pi + s + S'] are each within max(|s|, |s + S' - S|)
+      of the other (``_pair_offset``).  The frames come from
+      ``tangent_basis``, which jumps where the smallest coordinate of a
+      centre changes: two frames across such a jump differ by about 1, so
+      e_R or f, and rho, grow, or the runs do not pair; a jump never lowers
+      rho.  Swapping R and R' gives the same c, so R lies within T of the
+      dual image of R' too.
+    * Each corner of C, a junction whose poles differ by more than
+      ``POLE_MERGE_EPS``, is matched with the great-arc piece g of C whose
+      ends are nearest to k_end and k_next (least sum of the two chords),
+      one to one, or None.  With e the larger of the two end chords and c the least
+      cos(l/2) of the two arcs, the shift lemma of ``approx.pairing_bound``
+      puts each arc within 2 asin(e / c) of the other.
+    * The junction term J, the largest over the junctions of the closure
+      chord between a piece's end and the next start, plus the pole gap
+      |k_end - k_next| where the junction is not a corner.  It is added to
+      the largest of the other terms, rho = max(T, corner terms) + J, as
+      the points it covers are within J of a point that is itself only
+      within T of the other boundary.
+
+    None also when a run has no partner, the corners and the great-arc
+    pieces do not match one to one, two great arcs meet at a junction that
+    is not a corner, rho is not below pi/2, or C fails validation.
+
+    Proof.  (1) The matching bounds H(boundary of C, boundary of C*) by
+    rho.  Every piece of C lies in a run or is a great arc, so it is within
+    T of a partner's dual image or within a corner term of a corner's arc;
+    a closure chord is within J of a piece end.  On the dual side, each
+    dual image of a run and each corner arc is matched the same way; the
+    pole gap arc of a junction that is not a corner, and the pole of a
+    great arc whose two junctions are not corners, lie within J of the
+    dual image of an adjacent circle arc, which is within T of C.  (2) As
+    in ``approx.pairing_bound``, for x outside C*, closer than pi/2,
+    sin d(x, C*) is the largest -x . K over the support poles K of C*,
+    which form the boundary of C; for each K the largest -x . K over C is
+    taken on its boundary, as -K is not in C when rho < pi/2 (C would hold
+    a pair of antipodes, squeezing C* onto a great circle).  So every point
+    of C within pi/2 of C* is within rho of it, and, as the distance is
+    continuous on C and at most rho on its boundary, every point is.
+    With C and C* swapped (C** = C), H(C, C*) <= rho.  (3) The width
+    argument of ``selfdual_residual_bound`` then gives
+    |width(C, k) - pi/2| <= rho for every support pole k.  The bound holds
+    up to the roundoff of its own evaluation.
+    """
+    if not body.validation.ok:
+        return None
+    a = body.arcs
+    try:
+        pairs = _pair_runs([u for u in _boundary_units(body) if isinstance(u, _Run)])
+    except NotSelfDual:
+        return None
+    terms = [0.0]
+    for run, partner in pairs:
+        c = _run_offset(run, a) + _run_offset(partner, a) + _pair_offset(run, partner)
+        terms.append(2.0 * math.asin(min(1.0, 0.5 * c)))
+
+    k_end = a.support_pole_at(a.t1)
+    k_next = np.roll(a.support_pole_at(a.t0), -1, axis=0)
+    gap = np.linalg.norm(k_end - k_next, axis=1)
+    corner = gap > POLE_MERGE_EPS
+    great = a.radius == 0.5 * math.pi
+    g, c = np.flatnonzero(great), np.flatnonzero(corner)
+    if len(g) != len(c) or np.any(~corner & great & np.roll(great, -1)):
+        return None
+    if len(c):
+        starts, ends = a.start[g], a.end[g]
+        per = max(1, BLOCK_ELEMENTS // len(g))  # corners a block
+        j = np.concatenate(
+            [
+                np.argmin(
+                    np.linalg.norm(starts - k_end[k, None], axis=2) + np.linalg.norm(ends - k_next[k, None], axis=2),
+                    axis=1,
+                )
+                for k in (c[lo : lo + per] for lo in range(0, len(c), per))
+            ]
+        )
+        if len(np.unique(j)) != len(g):
+            return None
+        starts, ends = starts[j], ends[j]
+        e = np.maximum(np.linalg.norm(starts - k_end[c], axis=1), np.linalg.norm(ends - k_next[c], axis=1))
+        # cos(l/2) = |a + b| / 2 for the unit ends a, b of an arc of length l
+        half = 0.5 * np.minimum(np.linalg.norm(starts + ends, axis=1), np.linalg.norm(k_end[c] + k_next[c], axis=1))
+        if np.any(e >= half):
+            return None
+        terms.append(float(np.max(2.0 * np.arcsin(e / half))))
+
+    closure = np.linalg.norm(a.end - np.roll(a.start, -1, axis=0), axis=1)
+    rho = max(terms) + float(np.max(closure + np.where(corner, 0.0, gap)))
+    return rho if rho < 0.5 * math.pi else None
 
 
 # ------------------------------------------------------------------ support

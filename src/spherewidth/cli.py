@@ -8,6 +8,7 @@ failure.  The violated invariant name goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -118,7 +119,13 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process.
+
+    ``parse_args`` fills a new namespace on each call, so no option or
+    default carries over from one ``main`` call to the next.
+    """
     top = argparse.ArgumentParser(
         prog="spherewidth",
         description="Constant-width spherical bodies: generation, duality, "
@@ -140,18 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rounding radius of the Reuleaux polygon, in (0, pi/4)")
     g.add_argument("-o", "--out", required=True)
     common(g)
-    g.set_defaults(func=cmd_generate)
 
     d = sub.add_parser("dual", help="write the polar dual of a body")
     d.add_argument("input")
     d.add_argument("-o", "--out", required=True)
     common(d)
-    d.set_defaults(func=cmd_dual)
 
     m = sub.add_parser("metrics", help="print thickness/diameter/width JSON")
     m.add_argument("input")
     common(m)
-    m.set_defaults(func=cmd_metrics)
 
     a = sub.add_parser("approximate", help="approximate by a constant-width polytope")
     a.add_argument("input")
@@ -160,14 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--certificate", help="write the certificate JSON here")
     a.add_argument("--log", help="write the step log (JSON lines) here")
     common(a)
-    a.set_defaults(func=cmd_approximate)
 
     c = sub.add_parser("certify", help="re-check an (input, polytope) pair")
     c.add_argument("original")
     c.add_argument("result")
     c.add_argument("--epsilon", type=float, required=True)
     common(c)
-    c.set_defaults(func=cmd_certify)
 
     r = sub.add_parser("render", help="render bodies to SVG")
     r.add_argument("inputs", nargs="+")
@@ -177,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "bodies' interior witnesses)")
     r.add_argument("-o", "--out", required=True)
     common(r)
-    r.set_defaults(func=cmd_render)
     return top
 
 
@@ -188,7 +189,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # looked up on each call, so a rebound ``cmd_<verb>`` is the one run
+        return globals()["cmd_" + args.command](args)
     except CertificationFailed as exc:
         print("%s: %s" % (exc.bound or "certification", exc), file=sys.stderr)
         return 2

@@ -13,25 +13,29 @@ largest vertex-pair distance M is at most pi/2 has diameter M (the lemma of
 ``_polygon_diameter``), and its thickness is the same formula on its edge
 poles, the dual's vertices; any other body runs one alternating
 farthest-point ascent for all piece pairs at once.  For tau = pi/2,
-``is_constant_width`` answers a valid polytope whose self-duality bound rho
-(``body.selfdual_residual_bound``) has 2 rho <= tol in closed form: widths
-pi/2 -+ rho, residual rho, and that thickness and diameter; every other
-body is swept along its dual boundary.  The Hausdorff distance
-runs a Lipschitz branch-and-bound (the distance to a convex body is
-1-Lipschitz along the boundary) over one flat table of parameter intervals
-per direction, all pieces together, refined until the bounds meet within
-``tol``; each level is one prune and one evaluator call over the whole
-table, and a refinement still open after ``REFINE_LEVELS`` levels raises
-``RefinementStalled``.  Each interval also carries a closed-form structural
-cap, the least over the pieces of the other body of a vertex, full-circle,
-concentric-arc, coplanar-great-arc or nearby-edge bound.  The caps are
-windowed: every cap of an (interval, piece) pair is at least
-d(m, c) - rho, with m the interval's midpoint, c the piece's mid-parameter
-point and rho half the piece's length, so a pair whose lower bound exceeds
-the largest live upper bound is skipped.  A row's upper bound never grows
-once it is split, so a skipped cap could never prune a row: the prune
-decisions, and the result, are those of capping against all pieces.  One
-elementwise numpy kernel caps the kept pairs.
+``is_constant_width`` answers a valid body whose proved self-duality bound
+rho has 2 rho <= tol in closed form, widths pi/2 -+ rho and residual rho,
+with no dual and no ascent; its thickness and diameter are measured when
+read.  A polytope's rho is ``body.selfdual_residual_bound``, from its
+edge-pole/vertex pairing; a curved body's is
+``body.pairing_residual_bound``, from the run pairing the chord
+construction uses.  Every other body is swept along its dual boundary.
+
+The Hausdorff distance runs a Lipschitz branch-and-bound (the distance to a
+convex body is 1-Lipschitz along the boundary) over one flat table of
+parameter intervals per direction, all pieces together, refined until the
+bounds meet within ``tol``; each level is one prune and one evaluator call
+over the whole table, and a refinement still open after ``REFINE_LEVELS``
+levels raises ``RefinementStalled``.  Each interval also carries a
+closed-form structural cap, the least over the pieces of the other body of a
+vertex, full-circle, concentric-arc, coplanar-great-arc or nearby-edge
+bound.  The caps are windowed: every cap of an (interval, piece) pair is at
+least d(m, c) - rho, with m the interval's midpoint, c the piece's
+mid-parameter point and rho half the piece's length, so a pair whose lower
+bound exceeds the largest live upper bound is skipped.  A row's upper bound
+never grows once it is split, so a skipped cap could never prune a row: the
+prune decisions, and the result, are those of capping against all pieces.
+One elementwise numpy kernel caps the kept pairs.
 
 Everything here is pure and safe to call concurrently; all reductions are
 max/min over samples and independent of evaluation order.
@@ -67,6 +71,7 @@ from .body import (
     Polytope,
     body_distance_many,
     boundary_max_distance_many,
+    pairing_residual_bound,
     polar_dual,
     require_valid,
     selfdual_residual_bound,
@@ -465,31 +470,37 @@ def self_duality_residual(body: ConvexBody, tol: float = HAUSDORFF_TOL) -> float
 class WidthReport:
     """Result of a constant-width verification.
 
-    For tau = pi/2 and a valid polytope whose ``selfdual_residual_bound``
-    rho satisfies 2 rho <= tol, the widths are the proved ends pi/2 -+ rho,
-    the self-duality residual is rho (``residual_bound``), and the
-    thickness and diameter come from the vertex-pair lemma of
-    ``_polygon_diameter`` (from the ascent when the vertex-pair diameter is
-    above its slack); no dual is built (``dual`` is None).  Any other
-    body is swept: the widths are sampled, the thickness is pi minus the
-    dual's ascent diameter, and the diameter and the Hausdorff residual are
-    measured on first read, so a caller that reads only the widths pays for
-    the sweep alone.
+    For tau = pi/2 and a valid body whose self-duality bound rho
+    (``body.selfdual_residual_bound`` for a polytope or a body of great
+    arcs, ``body.pairing_residual_bound`` for a curved one) satisfies
+    2 rho <= tol, the widths are the proved ends pi/2 -+ rho and the
+    self-duality residual is rho (``residual_bound``); no dual is built
+    (``dual`` is None), and the thickness and diameter are measured on
+    first read by ``thickness`` and ``diameter``.  Any other body is swept:
+    the widths are sampled, the thickness is pi minus the dual's ascent
+    diameter, and the diameter and the Hausdorff residual are measured on
+    first read, so a caller that reads only the widths pays for the sweep
+    alone.
     """
 
     tau: float
     tol: float
     width_min: float
     width_max: float
-    thickness: float
     passed: bool
     body: ConvexBody = field(repr=False, compare=False)
     dual: Optional[ConvexBody] = field(repr=False, compare=False)
     residual_bound: Optional[float] = field(default=None, repr=False, compare=False)
+    swept_thickness: Optional[float] = field(default=None, repr=False, compare=False)
 
     @property
     def spread(self) -> float:
         return self.width_max - self.width_min
+
+    @cached_property
+    def thickness(self) -> float:
+        # a swept body keeps the sweep's answer
+        return thickness(self.body) if self.swept_thickness is None else self.swept_thickness
 
     @cached_property
     def diameter(self) -> float:
@@ -507,9 +518,14 @@ class WidthReport:
 
 
 def _residual_bound(body: ConvexBody) -> Optional[float]:
-    """``selfdual_residual_bound`` of a valid body bounded by great arcs, else None."""
+    """The proved self-duality bound rho of a valid body, else None.
+
+    ``selfdual_residual_bound`` for a body bounded by great arcs,
+    ``pairing_residual_bound`` (None when its run pairing or corner
+    matching fails) for a curved one.
+    """
     if not body.is_polytope():
-        return None
+        return pairing_residual_bound(body)
     poly = body if isinstance(body, Polytope) else to_polytope(body)
     return selfdual_residual_bound(poly) if validate_polytope(poly).ok else None
 
@@ -517,23 +533,24 @@ def _residual_bound(body: ConvexBody) -> Optional[float]:
 def is_constant_width(body: ConvexBody, tau: float, tol: float = 1e-6) -> WidthReport:
     """Compare the widths of the body against ``tau``, within ``tol``.
 
-    For tau = pi/2, a valid polytope (or a valid body of great arcs) is
-    answered in closed form when its ``selfdual_residual_bound`` rho has
-    2 rho <= tol: every width lies in [pi/2 - rho, pi/2 + rho], so the sweep
-    below would pass too.  The report then holds pi/2 -+ rho, rho and the
-    thickness and diameter of ``thickness`` and ``diameter``.
+    For tau = pi/2, a valid body whose proved self-duality bound rho
+    (``_residual_bound``) has 2 rho <= tol is answered in closed form:
+    every width lies in [pi/2 - rho, pi/2 + rho], so the sweep below would
+    pass too.  The report then holds pi/2 -+ rho and rho, and measures the
+    thickness and diameter only when they are read.
 
     Any other body is swept.  Poles are sampled along the dual boundary
     (where all supporting poles live) together with every piece endpoint;
-    the minimum width is pinned by pi minus the dual's ascent diameter.  For tau = pi/2 the self-duality residual is reported
-    as well, by the Hausdorff refinement.
+    the minimum width is pinned by pi minus the dual's ascent diameter.  For
+    tau = pi/2 the self-duality residual is reported as well, by the
+    Hausdorff refinement.
     """
     if tau == 0.5 * math.pi:
         rho = _residual_bound(body)
         if rho is not None:
             wmin, wmax = tau - rho, tau + rho
             if wmax - wmin <= tol:  # 2 rho <= tol, on the ends as rounded
-                return WidthReport(tau, tol, wmin, wmax, thickness(body), True, body, None, rho)
+                return WidthReport(tau, tol, wmin, wmax, True, body, None, rho)
     dual = polar_dual(body)
     idx, ts = linspace_grid(dual.arcs.t0, dual.arcs.t1, length_weighted_counts(dual.arcs, WIDTH_SWEEP))
     k = dual.arcs[idx].point_at(ts)
@@ -542,4 +559,4 @@ def is_constant_width(body: ConvexBody, tau: float, tol: float = 1e-6) -> WidthR
     wmin = min(float(widths.min()), thick)
     wmax = float(widths.max())
     passed = (wmax - wmin <= tol) and abs(wmin - tau) <= tol
-    return WidthReport(tau, tol, wmin, wmax, thick, passed, body, dual)
+    return WidthReport(tau, tol, wmin, wmax, passed, body, dual, swept_thickness=thick)

@@ -13,6 +13,7 @@ from spherewidth.generators import (
     random_selfdual_polytope,
     rotated,
     rotation_from_seed,
+    rounded_reuleaux,
 )
 from spherewidth.sphere import GreatArc, SmallCircleArc, cross, dot, unit
 
@@ -117,3 +118,96 @@ def perturbed(poly, amplitude, seed=0):
     """``poly`` with every vertex moved by Gaussian noise of ``amplitude``."""
     rng = np.random.default_rng(seed)
     return Polytope(poly.vertices + amplitude * rng.normal(size=poly.vertices.shape))
+
+
+def rotated_reuleaux(k, delta):
+    """``rounded_reuleaux(k, delta)`` about (1, -2, 0.5), rotated by a seed of (k, delta)."""
+    rot = rotation_from_seed(100 * k + int(round(-math.log10(delta) * 10)))
+    return rotated(rounded_reuleaux(k, delta, unit([1.0, -2.0, 0.5])), rot)
+
+
+REULEAUX_CASES = [(3, 0.1), (3, 0.3), (5, 0.15), (7, 0.05), (9, 0.2), (3, 0.78)] + [
+    (3, 1e-3), (3, 1e-4), (3, 3e-5), (3, 1e-5)
+]
+
+
+def curved_selfdual_bodies():
+    """Self-dual bodies with circle arcs, keyed by name: the acceptance-corpus
+    caps, the rotated rounded Reuleaux bodies and the mixed completion of a
+    chopped cap."""
+    from test_generators import chopped_cap
+
+    # the caps of ``acceptance_corpus``, without building the rest of it
+    bodies = {"cap-%d" % s: cap(unit(np.random.default_rng(s).normal(size=3)), math.pi / 4) for s in range(4, 51, 4)}
+    for k, delta in REULEAUX_CASES:
+        bodies["reuleaux-%d-%g" % (k, delta)] = rotated_reuleaux(k, delta)
+    bodies["mixed"] = complete_selfdual(chopped_cap(), tol=1e-7, rng_seed=0)
+    return bodies
+
+
+def _with_radius(piece, dr):
+    return SmallCircleArc(piece.center, piece.radius + dr, piece.az_from, piece.az_to)
+
+
+def _trimmed(body, dspan):
+    """``body`` with the span of its piece 0 shortened by ``dspan`` at the end."""
+    p = body.pieces[0]
+    return ConvexBody([SmallCircleArc(p.center, p.radius, p.az_from, p.az_to - dspan)] + body.pieces[1:], body.interior)
+
+
+def two_cut_cap(move=0.0):
+    """A rotated pi/4 cap after two adjacent chord cuts, their shared vertex moved ``move`` outward.
+
+    The move changes two edges and their corners only: every arc run keeps
+    its partner exactly.
+    """
+    from spherewidth.approx import cut_step
+
+    body = cap(unit([1.0, 2.0, 3.0]), 0.25 * math.pi)
+    circle = body.pieces[0]
+    p = circle.point_at(circle.az_from + np.array([0.0, 0.4, 0.8]))
+    body = cut_step(cut_step(body, p[0], p[1])[0], p[1], p[2])[0]
+    moved = unit(p[1] + move * unit(p[1] - math.cos(circle.radius) * circle.center))
+    pieces = []
+    for piece in body.pieces:
+        if isinstance(piece, GreatArc) and np.array_equal(piece.end, p[1]):
+            piece = GreatArc(piece.start, moved)
+        elif isinstance(piece, GreatArc) and np.array_equal(piece.start, p[1]):
+            piece = GreatArc(moved, piece.end)
+        pieces.append(piece)
+    return chain_body(pieces)
+
+
+def frame_jump_cap():
+    """A pi/4 cap as two half arcs whose centres differ by one ulp across a
+    ``tangent_basis`` jump: the second half's azimuths are measured from an
+    axis a quarter turn away."""
+    t = unit([0.3, 0.3, 0.9])  # x and y tie for the least coordinate
+    t2 = t.copy()
+    t2[1] = np.nextafter(t2[1], 0.0)  # now y is least: the frame turns
+    first = SmallCircleArc(t, 0.25 * math.pi, 0.0, math.pi)
+    a0 = float(SmallCircleArc(t2, 0.25 * math.pi, 0.0, 2.0 * math.pi).azimuth_of(first.end))
+    return ConvexBody([first, SmallCircleArc(t2, 0.25 * math.pi, a0, a0 + math.pi)], t)
+
+
+def curved_tampered():
+    """Valid edits of curved self-dual bodies, keyed by name.
+
+    Some stay paired, with rho of the order of the edit; the others leave a
+    run without its partner, or are not self-dual at all.
+    """
+    rr = rotated_reuleaux(3, 0.1)
+    side = rr.pieces[1]
+    return {
+        # radius sums moved 8e-10 and 1e-9: still paired
+        "cap-radius-4e-10": cap(unit([1.0, 2.0, 3.0]), 0.25 * math.pi + 4e-10),
+        "parallel-5e-10": ConvexBody([_with_radius(p, 5e-10) for p in rr.pieces], rr.interior),
+        # each partner radius moved 1e-7: unpaired
+        "parallel-1e-7": ConvexBody([_with_radius(p, 1e-7) for p in rr.pieces], rr.interior),
+        "trimmed-5e-10": _trimmed(rr, 5e-10),
+        "trimmed-1e-6": _trimmed(rotated_reuleaux(3, 1e-4), 1e-6),
+        "partner-removed": ConvexBody([rr.pieces[0], GreatArc(side.start, side.end)] + rr.pieces[2:], rr.interior),
+        "corner-moved-1e-7": two_cut_cap(1e-7),
+        "frame-jump": frame_jump_cap(),
+        "cap-pi3": cap(np.array([0.0, 0.0, 1.0]), math.pi / 3),
+    }

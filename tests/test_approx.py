@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fixtures import two_arc_completion
+from fixtures import REULEAUX_CASES, rotated_reuleaux, two_arc_completion
 from spherewidth import approx, metrics
 from spherewidth import body as bd
 from spherewidth.approx import (
@@ -291,8 +291,15 @@ def test_certify_rejects_a_one_micro_radian_vertex_move():
     assert err.value.bound in ("width_range", "self_duality_residual")
 
 
-def test_certify_curved_result_keeps_the_sweep():
+def test_certify_curved_result_takes_the_run_pairing(monkeypatch):
+    # a curved result's widths and residual come from its run pairing in
+    # closed form: no dual is built, so no sweep runs
     body = cap(E3, PI / 4)
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("the width sweep ran")
+
+    monkeypatch.setattr(metrics, "polar_dual", sweep)
     cert = certify(body, body, ApproximationConfig(0.01))
     assert cert.hausdorff_bound == 0.0
     assert abs(cert.width_min - PI / 2) <= 1e-9 and abs(cert.width_max - PI / 2) <= 1e-9
@@ -356,8 +363,8 @@ def test_certify_octant_pair_zero():
 
 
 def test_approximation_measures_each_body_once(monkeypatch):
-    # the gate reads only the input's widths (one ascent diameter of its
-    # dual, the sweep's thickness);
+    # the gate reads only the input's widths, which the run pairing gives
+    # in closed form: no dual, no ascent;
     # the certificate refines nothing: the output's distance to the input
     # comes from the chord/tangent pairing, its widths and residual from
     # the pole/vertex pairing; the input and the output are validated once
@@ -386,7 +393,7 @@ def test_approximation_measures_each_body_once(monkeypatch):
     poly, _, steps = approximate_polytope(body, ApproximationConfig(0.05))
     assert len(steps) > 0
     assert {k: len(v) for k, v in calls.items()} == {
-        "hausdorff": 0, "diameter": 0, "_ascent_diameter": 1, "validate": 2, "body_distance": 0
+        "hausdorff": 0, "diameter": 0, "_ascent_diameter": 0, "validate": 2, "body_distance": 0
     }
     assert calls["validate"][0] is body and calls["validate"][1] is poly
 
@@ -589,14 +596,9 @@ def test_pairing_bound_agrees_with_the_refinement(kind, eps):
     _assert_pairing_agrees(PAIRING_BODIES[kind](), eps)
 
 
-@pytest.mark.parametrize(
-    "k,delta",
-    [(3, 0.1), (3, 0.3), (5, 0.15), (7, 0.05), (9, 0.2), (3, 0.78)]
-    + [(3, 1e-3), (3, 1e-4), (3, 3e-5), (3, 1e-5)],
-)
+@pytest.mark.parametrize("k,delta", REULEAUX_CASES)
 def test_pairing_bound_agrees_on_rotated_reuleaux_bodies(k, delta):
-    rot = rotation_from_seed(100 * k + int(round(-math.log10(delta) * 10)))
-    _assert_pairing_agrees(rotated(rounded_reuleaux(k, delta, unit([1.0, -2.0, 0.5])), rot), 0.01)
+    _assert_pairing_agrees(rotated_reuleaux(k, delta), 0.01)
 
 
 def test_pairing_bound_agrees_on_a_file_pair():

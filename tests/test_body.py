@@ -436,6 +436,19 @@ def test_dual_of_dual_restores_cap_exactly():
     assert p1.span == pytest.approx(p0.span, abs=1e-12)
 
 
+def test_double_dual_of_a_polytope_starts_at_vertex_one():
+    # piece i of the dual joins the poles of edges i and i + 1, so the
+    # double dual's chain starts at the vertex between them, vertex 1
+    from fixtures import acceptance_corpus
+
+    polys = [b for _, b in acceptance_corpus().values() if isinstance(b, Polytope)]
+    polys += list(selfdual_polytopes().values())
+    for poly in polys:
+        starts = polar_dual(polar_dual(poly)).arcs.start
+        assert np.abs(starts - np.roll(poly.vertices, -1, axis=0)).max() <= 1e-12
+        assert np.abs(starts - poly.vertices).max() > 1e-2
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_polytope_dual_matches_halfspace_oracle(seed):
     # Membership in the dual must agree with the definition: all primal

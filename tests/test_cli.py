@@ -347,3 +347,33 @@ def test_malformed_body_file_exits_one(tmp_path, capsys, text):
     code, _, err = run(capsys, "metrics", str(src))
     assert code == 1
     assert "InvalidBody" in err
+
+
+def test_one_parser_serves_every_call_and_no_option_carries_over(monkeypatch):
+    # the parser is built once per process; each call gets a fresh namespace
+    # of its own verb's options and defaults, and runs the handler bound to
+    # ``cmd_<verb>`` at call time
+    from spherewidth import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    for verb in ("certify", "metrics"):
+        monkeypatch.setattr(cli, "cmd_" + verb, lambda args: seen.append(vars(args)) or 0)
+    assert main(["certify", "a.json", "b.json", "--epsilon", "0.01", "--tol", "1e-3", "--seed", "4"]) == 0
+    assert main(["metrics", "c.json"]) == 0
+    assert main(["certify", "a.json", "b.json", "--epsilon", "0.02"]) == 0
+    assert seen == [
+        {"command": "certify", "original": "a.json", "result": "b.json", "epsilon": 0.01, "tol": 1e-3, "seed": 4},
+        {"command": "metrics", "input": "c.json", "tol": 1e-6, "seed": 0},
+        {"command": "certify", "original": "a.json", "result": "b.json", "epsilon": 0.02, "tol": 1e-6, "seed": 0},
+    ]
+
+
+def test_tol_of_one_call_does_not_reach_the_next(tmp_path, capsys):
+    # a loose --tol certifies a cap of radius pi/4 + 1e-4 against itself,
+    # its widths 2e-4 from pi/2; the next call, at the default, rejects it
+    src = str(tmp_path / "cap.json")
+    run(capsys, "generate", "cap", "--radius", repr(math.pi / 4 + 1e-4), "-o", src)
+    assert run(capsys, "certify", src, src, "--epsilon", "0.01", "--tol", "1e-3")[0] == 0
+    code, _, err = run(capsys, "certify", src, src, "--epsilon", "0.01")
+    assert code == 2 and "width_range" in err

@@ -1,9 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
 from spherewidth.approx import ApproximationConfig, approximate_polytope
 from spherewidth.body import Polytope
+from spherewidth.errors import InvalidBody
 from spherewidth.formats import (
     dumps_body,
     dumps_certificate,
@@ -59,3 +61,51 @@ def test_certificate_roundtrip():
         assert np.array_equal(s0.r1, s1.r1)
         assert s0.r1_distance == s1.r1_distance
         assert s0.primal_piece_id == s1.primal_piece_id
+
+
+def _loads_per_record(text):
+    """The body of a ``pc-body`` file built one piece object per record."""
+    import json
+
+    from spherewidth.body import ConvexBody
+    from spherewidth.sphere import GreatArc, SmallCircleArc
+
+    obj = json.loads(text)
+    pieces = [
+        GreatArc(rec["from"], rec["to"])
+        if rec["type"] == "great"
+        else SmallCircleArc(rec["center"], rec["radius"], rec["az_from"], rec["az_to"])
+        for rec in obj["pieces"]
+    ]
+    return ConvexBody(pieces, obj["interior"])
+
+
+def test_great_arc_files_load_as_stacks_bit_for_bit():
+    # every dual the CLI writes for the corpus: the stack, the lazily made
+    # pieces and the interior equal those of one object per record
+    from dataclasses import fields
+
+    from fixtures import acceptance_corpus
+    from spherewidth.body import polar_dual
+
+    great = 0
+    for _, body in acceptance_corpus().values():
+        text = dumps_body(polar_dual(body))
+        got, ref = loads_body(text), _loads_per_record(text)
+        for f in fields(ref.arcs):
+            assert np.array_equal(getattr(got.arcs, f.name), getattr(ref.arcs, f.name)), f.name
+        assert np.array_equal(got.interior, ref.interior)
+        assert all(np.array_equal(a.start, b.start) and np.array_equal(a.end, b.end) for a, b in zip(got.pieces, ref.pieces))
+        assert dumps_body(got) == dumps_body(ref)
+        great += "circle" not in text
+    assert great > 30
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [('{"type":"great","from":[1,0,0]}', "'to'"), ('{"type":"great","from":[1,0],"to":[0,1,0]}', "'from'")],
+)
+def test_malformed_great_record_names_its_field(record, field):
+    text = '{"kind":"pc-body","interior":[0,0,1],"pieces":[{"type":"great","from":[0,1,0],"to":[1,0,0]},%s]}' % record
+    with pytest.raises(InvalidBody, match=field):
+        loads_body(text)

@@ -12,6 +12,7 @@ from spherewidth.body import (
     BLOCK_ELEMENTS,
     Polytope,
     body_distance_many,
+    pairing_residual_bound,
     polar_dual,
     selfdual_residual_bound,
     to_polytope,
@@ -72,7 +73,7 @@ def test_width_octant_wrt_e3():
     assert width_wrt(octant(), E3) == pytest.approx(PI / 2, abs=1e-12)
 
 
-def test_width_selfdual_cap_any_support_pole():
+def test_width_selfdual_cap_any_support_pole(monkeypatch):
     b = cap(E3, PI / 4)
     piece = b.pieces[0]
     for az in np.linspace(0, 2 * PI, 7)[:-1]:
@@ -88,10 +89,12 @@ def test_width_selfdual_cap_any_support_pole():
     assert rep.dual is None
     assert rep.width_min == pytest.approx(PI / 2, abs=1e-9)
     assert rep.width_max == pytest.approx(PI / 2, abs=1e-9)
-    # a curved body of constant width is swept: its width sweep spans many
-    # piece blocks of the batched farthest-distance kernel
+    # a curved body of constant width takes the closed form of its run
+    # pairing; swept, its width sweep spans many piece blocks of the
+    # batched farthest-distance kernel
     body = rounded_reuleaux(9, 0.2, unit([1, 2, 3]))
-    rep = is_constant_width(body, PI / 2)
+    assert is_constant_width(body, PI / 2).dual is None
+    rep = swept(body, PI / 2, 1e-6, monkeypatch)
     assert rep.dual is not None
     assert len(rep.dual.pieces) * 4096 > 8 * BLOCK_ELEMENTS
     assert rep.width_min == pytest.approx(PI / 2, abs=1e-9)
@@ -286,27 +289,91 @@ def test_closed_form_verdict_equals_the_sweep(monkeypatch):
     # the closed form answers only when 2 rho <= tol, where the sweep's
     # widths lie within rho of pi/2 and it passes too; everything else is
     # swept, so ``passed`` never changes
-    from fixtures import acceptance_corpus
+    from fixtures import acceptance_corpus, curved_selfdual_bodies, curved_tampered
 
     bodies = [body for _, body in acceptance_corpus().values()]
     polys = [b for b in bodies if isinstance(b, Polytope)]
     bodies += [truncated_octant(), *(t for p in polys if len(p) >= 5 for _, t in tampered(p))]
-    closed = swept_fails = 0
+    bodies += [*curved_selfdual_bodies().values(), *curved_tampered().values()]
+    closed = curved = swept_fails = 0
     for body in bodies:
         for tol in (0.0, 1e-9, 1e-6, 1e-5, 1e-2):
             rep = is_constant_width(body, PI / 2, tol)
             ref = swept(body, PI / 2, tol, monkeypatch)
             assert rep.passed == ref.passed, (body, tol)
             closed += rep.dual is None
+            curved += rep.dual is None and not body.is_polytope()
             swept_fails += not ref.passed
             if rep.dual is None:
-                rho = selfdual_residual_bound(body if isinstance(body, Polytope) else to_polytope(body))
+                rho = metrics._residual_bound(body)
                 assert (rep.width_min, rep.width_max) == (PI / 2 - rho, PI / 2 + rho)
                 assert rep.self_duality_residual == rho
                 assert ref.width_min >= rep.width_min - 1e-15 and ref.width_max <= rep.width_max + 1e-15
+                if not body.is_polytope():  # measured when read, as the sweep measures it
+                    assert rep.thickness == ref.thickness
             else:
                 assert (rep.width_min, rep.width_max, rep.thickness) == (ref.width_min, ref.width_max, ref.thickness)
-    assert closed > 100 and swept_fails > 20
+    assert closed > 200 and curved > 80 and swept_fails > 40
+
+
+def test_pairing_bound_covers_the_residual_and_the_swept_widths(monkeypatch):
+    # rho is a proved upper end of H(C, C*), the refinement and sampled
+    # distances lower ones; the sampled widths lie within rho of pi/2
+    from fixtures import curved_selfdual_bodies, curved_tampered
+
+    selfdual = curved_selfdual_bodies()
+    tampered_bodies = curved_tampered()
+    rhos = {}
+    for name, body in {**selfdual, **tampered_bodies}.items():
+        rho = rhos[name] = pairing_residual_bound(body)
+        if rho is None:
+            continue
+        dual = polar_dual(body)
+        h = max(float(body_distance_many(x, y.boundary_samples(64)).max()) for x, y in ((body, dual), (dual, body)))
+        if name != "corner-moved-1e-7":  # its refinement takes seconds on near-flat plateaus
+            h = max(h, hausdorff(body, dual))
+        ref = swept(body, PI / 2, 1e-6, monkeypatch)
+        assert h <= rho, name
+        assert PI / 2 - rho - 1e-15 <= ref.width_min <= ref.width_max <= PI / 2 + rho + 1e-15, name
+    assert all(rhos[name] <= 1e-10 for name in selfdual)
+    # the paired edits move rho by about their size; the others are not paired
+    assert {name for name in tampered_bodies if rhos[name] is not None} == {
+        "cap-radius-4e-10", "parallel-5e-10", "trimmed-5e-10", "corner-moved-1e-7"
+    }
+    assert 8e-10 <= rhos["cap-radius-4e-10"] <= 1e-9 + 1e-15
+    assert 1e-9 <= rhos["parallel-5e-10"] <= 2e-9
+    # the moved vertex turns two edges by about 1e-7 / 0.3: the corners see it
+    assert 1e-7 <= rhos["corner-moved-1e-7"] <= 1e-6
+    # a frame that turns a quarter between two pieces of one circle never
+    # lowers rho: the offset of the second piece from the run's arc is of
+    # order 1, and the body is swept
+    assert tampered_bodies["frame-jump"].validation.ok and rhos["frame-jump"] is None
+
+
+def test_pairing_bound_holds_the_merged_junction_gaps():
+    # a rotated body's arcs meet with tangents a few 1e-12 apart: the pole
+    # arc of each such junction is part of C* and enters rho
+    from fixtures import rotated_reuleaux
+
+    body = rotated_reuleaux(3, 1e-5)
+    a = body.arcs
+    gap = np.linalg.norm(a.support_pole_at(a.t1) - np.roll(a.support_pole_at(a.t0), -1, axis=0), axis=1)
+    assert gap.max() > 1e-12
+    assert pairing_residual_bound(body) >= gap.max()
+
+
+def test_curved_gate_builds_no_dual_and_runs_no_ascent(monkeypatch):
+    from fixtures import curved_selfdual_bodies
+
+    bodies = list(curved_selfdual_bodies().values())
+    calls = counted_calls(monkeypatch, ("_ascent_diameter",) + SWEEP_WORK)
+    reports = [is_constant_width(body, PI / 2) for body in bodies]
+    assert all(rep.passed and rep.dual is None for rep in reports)
+    assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, 0)
+    # thickness and diameter are measured when read, as the sweep measured them
+    rep, body = reports[0], bodies[0]
+    assert rep.thickness == PI - metrics._ascent_diameter(polar_dual(body))
+    assert rep.diameter == metrics._ascent_diameter(body)
 
 
 def test_tampered_polytopes_fall_back_to_the_sweep(monkeypatch, cap_polytopes):
