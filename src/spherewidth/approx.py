@@ -31,8 +31,9 @@ a polytope or from its run pairing (``body.pairing_residual_bound``) on a
 curved body, and the width sweep only when that bound is not within
 tolerance), the build (``chord_polytope``, which checks nothing) and the
 certificate once each, all reading each body's one cached validation
-(``ConvexBody.validation``).  The run pairing, ``body._boundary_units`` and
-``body._pair_runs``, is the one the build chords and the certificate walks.
+(``ConvexBody.validation``) and its one cached run pairing
+(``ConvexBody.run_pairing``), which the gate reads, the build chords and
+the certificate walks.
 The certificate never trusts the construction: it reads neither the steps
 nor the build, only the two bodies.  For a polytope output its Hausdorff
 term is the proved upper bound of ``pairing_bound``, in O(n): a walk that
@@ -82,14 +83,13 @@ from .body import (
     POLE_MERGE_EPS,
     ConvexBody,
     Polytope,
-    _boundary_units,
-    _pair_runs,
     _Run,
     body_distance,
     boundary_distance_many,
     chain_body,
     merge_flat_junctions,
     require_valid,
+    run_pairing_or_none,
     selfdual_residual_bound,
     to_polytope,
     validate_polytope,
@@ -292,7 +292,6 @@ def cut_step(body: ConvexBody, p1: Vec, p2: Vec) -> tuple[ConvexBody, StepRecord
     chord = [GreatArc(p1, p2)]
     spike = [GreatArc(q1, r1), GreatArc(r1, q2)]
 
-    new_pieces: list = []
     if ip == jd:
         # primal and dual sub-spans live on one piece, in either order
         if rel2 <= rel_d + 1e-9:
@@ -311,12 +310,9 @@ def cut_step(body: ConvexBody, p1: Vec, p2: Vec) -> tuple[ConvexBody, StepRecord
                 + chord
                 + circle_part(primal, rel2, primal.span)
             )
-        for k, piece in enumerate(body.pieces):
-            if k != ip:
-                new_pieces.append(piece)
-            else:
-                new_pieces.extend(segments)
+        new_pieces = body.pieces[:ip] + segments + body.pieces[ip + 1 :]
     else:
+        new_pieces = []
         for k, piece in enumerate(body.pieces):
             if k == ip:
                 new_pieces.extend(circle_part(primal, 0.0, rel1))
@@ -364,18 +360,18 @@ def chord_polytope(body: ConvexBody, config: ApproximationConfig) -> tuple[Polyt
 
     One pass (module docstring) with sagittas under ``epsilon *
     SUBDIVISION_SAFETY``; flat junctions are dropped and nothing is checked.
-    Raises ``NotSelfDual`` when an arc interval has no partner and, before
-    building, ``BudgetExhausted`` when one needs ``MAX_SUBARCS`` sub-arcs.
+    Raises ``NotSelfDual`` when an arc run has no partner
+    (``ConvexBody.run_pairing``) and, before building, ``BudgetExhausted``
+    when one needs ``MAX_SUBARCS`` sub-arcs.
     """
-    units = _boundary_units(body)
-    pairs = _pair_runs([u for u in units if isinstance(u, _Run)])
+    pairing = body.run_pairing
     target = config.epsilon * SUBDIVISION_SAFETY
-    counts = [_chord_count(a.arc.radius, a.arc.span, target) for a, _ in pairs]
+    counts = [_chord_count(a.arc.radius, a.arc.span, target) for a, _ in pairing.pairs]
 
     points: dict[_Run, np.ndarray] = {}  # chorded run -> its sub-arc ends
     poles: dict[_Run, np.ndarray] = {}  # partner run -> the chord poles it carries
     steps: list[StepRecord] = []
-    for (run, partner), n in zip(pairs, counts):
+    for (run, partner), n in zip(pairing.pairs, counts):
         a = run.arc
         az = np.linspace(a.az_from, a.az_to, n + 1)
         p = points[run] = a.point_at(az)
@@ -393,9 +389,9 @@ def chord_polytope(body: ConvexBody, config: ApproximationConfig) -> tuple[Polyt
     # a chorded run gives its sub-arc starts, a partner run its start and
     # the chord poles, a great arc its start
     chunks = []
-    for u in units:
+    for u in pairing.units:
         if not isinstance(u, _Run):
-            chunks.append(body.pieces[u].start[None, :])
+            chunks.append(body.arcs.start[u : u + 1])
         elif u in points:
             chunks.append(points[u][:-1])
         else:
@@ -440,9 +436,10 @@ def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
     """Proved upper bound h on the Hausdorff distance between C and a polytope P, or None.
 
     C is ``original``, P the valid polytope ``result``, eta = ``FIT_EPS``.
-    The walk splits the boundary of C into its units (``_boundary_units``:
-    great-arc pieces and arc runs, each run paired with its partner by
-    ``_pair_runs``, the first of a pair chorded).  It locates each unit's
+    The walk splits the boundary of C into the units of its run pairing
+    (``ConvexBody.run_pairing``: great-arc pieces and arc runs, each run
+    paired with its partner, the first of a pair chorded); without arc runs
+    or with a run unpaired it returns None.  It locates each unit's
     start on P, at a vertex within eta or, where ``_drop_flat_vertices``
     removed a junction because the edges on both sides lie on one great
     circle, inside an edge within eta of its great circle.  The located
@@ -509,18 +506,11 @@ def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
     C: so all of C is within h of P, likewise all of P within h of C,
     and H(C, P) <= h.
     """
-    units = _boundary_units(original)
-    runs = [u for u in units if isinstance(u, _Run)]
-    if not runs:
+    pairing = run_pairing_or_none(original)
+    if pairing is None or not pairing.pairs:
         return None
-    try:
-        partners = {b for _, b in _pair_runs(runs)}
-    except NotSelfDual:
-        return None
-    ends = [
-        (u.arc.start, u.arc.end) if isinstance(u, _Run) else (original.pieces[u].start, original.pieces[u].end)
-        for u in units
-    ]
+    units, a = pairing.units, original.arcs
+    ends = [(u.arc.start, u.arc.end) if isinstance(u, _Run) else (a.start[u], a.end[u]) for u in units]
     located = [_locate_junction(result, start) for start, _ in ends]
     if any(loc is None for loc in located):
         return None
@@ -544,7 +534,7 @@ def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
         z, r = arc.center, arc.radius
         az = np.mod(arc.azimuth_of(inner) - arc.az_from, TWO_PI)
         s = np.diff(np.concatenate([[0.0], az, [arc.span]]))
-        if u in partners:
+        if u in pairing.partners:
             q = np.vstack([start, inner, end])
             rho = _rho(z, q)
             poles = unit_rows(np.cross(q[:-1], q[1:]))
@@ -596,8 +586,9 @@ def certify(
 
     A result bounded by great arcs, a ``Polytope`` or not, takes its width
     range and residual from ``selfdual_residual_bound``, any other from
-    ``is_constant_width``: its run pairing's closed form, or the sweep.  Its Hausdorff term is ``pairing_bound``
-    when that walk covers the pair, else the ``hausdorff`` refinement.
+    ``is_constant_width``: its run pairing's closed form, or the sweep.
+    Its Hausdorff term is ``pairing_bound`` when that walk covers the
+    pair, else the ``hausdorff`` refinement.
     Raises ``CertificationFailed`` naming the violated bound, a NaN one
     too; never reads the steps.
     """

@@ -13,9 +13,9 @@ built as stacks: a ``Polytope``'s edges, and the dual of a body without
 small-circle arcs (``great_arc_body``), come from their end points in one
 pass (``sphere.great_arc_stack``), and their ``GreatArc`` objects are made
 from the same ends only when ``pieces`` is read.  A body caches its
-validation and a ``Polytope`` its edge stack and witness, built from its
-vertices, on first use, so ``vertices``, like ``pieces``, must not change
-after.
+validation and its run pairing, and a ``Polytope`` its edge stack and
+witness, built from its vertices, on first use, so ``vertices``, like
+``pieces``, must not change after.
 The chain is traversed counterclockwise as seen from the interior side: at
 every smooth boundary point P with unit tangent T, the support pole of the
 body is P x T.  Under that convention polar duality maps pieces to pieces
@@ -31,11 +31,12 @@ need not start at the same piece: a polytope's double dual starts at vertex
 1, the pole of the dual edge that joins the poles of edges 0 and 1.
 
 On a self-dual body the pieces pair up along that correspondence: each arc
-run with its partner run (``_boundary_units``, ``_pair_runs``, which the
-chord construction and its certificate use too), each corner with a
-great-arc piece, and a polytope's edge poles with its vertices.  The proved
-bounds on H(C, C*), ``selfdual_residual_bound`` for a polytope and
-``pairing_residual_bound`` for a curved body, are read off those pairings.
+run with its partner run (``ConvexBody.run_pairing``, built once from the
+stacked arcs and read by the gate, the chord construction and its
+certificate), each corner with a great-arc piece, and a polytope's edge
+poles with its vertices.  The proved bounds on H(C, C*),
+``selfdual_residual_bound`` for a polytope and ``pairing_residual_bound``
+for a curved body, are read off those pairings.
 """
 
 from __future__ import annotations
@@ -122,6 +123,12 @@ class ConvexBody:
     def validation(self) -> ValidationReport:
         """``validate(self)``, run on first read only: the body must not change afterwards."""
         return validate(self)
+
+    @cached_property
+    def run_pairing(self) -> RunPairing:
+        """The ``_pair_runs`` of the ``_boundary_units`` of ``arcs``, built on first read: the body must
+        not change afterwards.  Raises ``NotSelfDual``, on every read, when a run has no partner."""
+        return _pair_runs(_boundary_units(self.arcs))
 
     def boundary_samples(self, per_piece: int = 16) -> np.ndarray:
         """``per_piece`` evenly spaced points of each piece, piece after piece."""
@@ -477,49 +484,37 @@ class _Run:
         return self.ids[np.clip(k, 0, len(self.ids) - 1)]
 
 
-def _same_circle(a, b) -> bool:
-    return (
-        isinstance(a, SmallCircleArc)
-        and isinstance(b, SmallCircleArc)
-        and dot(a.center, b.center) >= 1.0 - DOT_EPS
-        and abs(a.radius - b.radius) <= PAIR_EPS
-    )
+def _boundary_units(a: ArcStack) -> list:
+    """The boundary of the stack ``a`` in chain order: great-arc piece ids and ``_Run``s.
 
-
-def _boundary_units(body: ConvexBody) -> list:
-    """The boundary in chain order: great-arc piece ids and ``_Run``s.
-
-    The scan starts at the run that holds piece 0, so no run wraps the end of
-    the chain.  A full circle is split into two half runs, each the other's
-    partner.
+    A piece joins the run of the piece before it when both are small-circle
+    arcs with the same centre and radius.  The scan starts at the run that
+    holds piece 0, so no run wraps the end of the chain.  A full circle is
+    split into two half runs, each the other's partner.
     """
-    pcs = body.pieces
-    m = len(pcs)
-    joins = [_same_circle(pcs[i - 1], pcs[i]) for i in range(m)]
-    start = max((i for i in range(m) if not joins[i]), default=0) if joins[0] else 0
-    groups: list[list[int]] = []
-    for k in range(m):
-        i = (start + k) % m
-        if k and joins[i]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    m = len(a)
+    prev = np.arange(m) - 1  # the piece before each piece
+    small = a.radius != 0.5 * math.pi
+    z, zb = a.z, a.z[prev]
+    joins = (
+        small
+        & small[prev]
+        & (zb[:, 0] * z[:, 0] + zb[:, 1] * z[:, 1] + zb[:, 2] * z[:, 2] >= 1.0 - DOT_EPS)
+        & (np.abs(a.radius[prev] - a.radius) <= PAIR_EPS)
+    )
+    breaks = np.flatnonzero(~joins)
+    order = (prev + 1 + (int(breaks[-1]) if joins[0] and len(breaks) else 0)) % m
     units: list = []
-    for ids in groups:
-        first = pcs[ids[0]]
-        if not isinstance(first, SmallCircleArc):
-            units.append(ids[0])
+    for ids in np.split(order, np.flatnonzero(~joins[order[1:]]) + 1):
+        first = int(ids[0])
+        if not small[first]:
+            units.append(first)
             continue
-        spans = np.array([pcs[i].span for i in ids])
+        spans = a.span[ids]
         offsets = np.concatenate([[0.0], np.cumsum(spans[:-1])])
-        a, span = first.az_from, float(spans.sum())
-        if span < TWO_PI - PAIR_EPS:
-            arc = SmallCircleArc(first.center, first.radius, a, a + span)
-            units.append(_Run(arc, np.array(ids), offsets))
-            continue
-        for lo in (a, a + math.pi):
-            half = SmallCircleArc(first.center, first.radius, lo, lo + math.pi)
-            units.append(_Run(half, np.array(ids), offsets - (lo - a)))
+        az, span, center, radius = float(a.t0[first]), float(spans.sum()), a.z[first], float(a.radius[first])
+        parts = [(az, span)] if span < TWO_PI - PAIR_EPS else [(az, math.pi), (az + math.pi, math.pi)]
+        units += [_Run(SmallCircleArc(center, radius, lo, lo + s), ids, offsets - (lo - az)) for lo, s in parts]
     return units
 
 
@@ -533,28 +528,41 @@ def _is_partner(a: SmallCircleArc, b: SmallCircleArc) -> bool:
     )
 
 
-def _pair_runs(runs: list[_Run]) -> list[tuple[_Run, _Run]]:
-    """Each run with its partner, the one first in ``runs`` first: that one is chorded.
+def _pair_runs(units: list) -> RunPairing:
+    """The ``RunPairing`` of ``units``: each run with its partner, the one first in ``units`` first (it is chorded).
 
     Raises ``NotSelfDual`` when a run has no partner.
     """
-    pairs = []
-    taken: set[int] = set()
-    for i, run in enumerate(runs):
-        if i in taken:
-            continue
-        j = next(
-            (j for j in range(i + 1, len(runs)) if j not in taken and _is_partner(run.arc, runs[j].arc)),
-            None,
-        )
-        if j is None:
+    pairs, free = [], [u for u in units if isinstance(u, _Run)]
+    while free:
+        run = free.pop(0)
+        partner = next((r for r in free if _is_partner(run.arc, r.arc)), None)
+        if partner is None:
             raise NotSelfDual(
                 "no arc of radius %.9f about the same centre spans this arc's azimuths "
                 "shifted by pi; body is not self-dual" % (0.5 * math.pi - run.arc.radius)
             )
-        pairs.append((run, runs[j]))
-        taken.update((i, j))
-    return pairs
+        free.remove(partner)
+        pairs.append((run, partner))
+    return RunPairing(units, pairs, frozenset(b for _, b in pairs))
+
+
+@dataclass(frozen=True, eq=False)
+class RunPairing:
+    """``ConvexBody.run_pairing``: the ``_boundary_units``, each run with its
+    partner (``_pair_runs``) and the second run of each pair."""
+
+    units: list
+    pairs: list[tuple[_Run, _Run]]
+    partners: frozenset
+
+
+def run_pairing_or_none(body: ConvexBody) -> Optional[RunPairing]:
+    """``body.run_pairing``, or None when a run has no partner."""
+    try:
+        return body.run_pairing
+    except NotSelfDual:
+        return None
 
 
 def _frame(arc) -> np.ndarray:
@@ -596,9 +604,9 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
 
     Three kinds of term:
 
-    * Each arc run R paired with its partner R' (``_boundary_units``,
-      ``_pair_runs``): T = 2 asin(c / 2), c = e_R + e_R' + f + |r + r' -
-      pi/2| + max(|s|, |s + S' - S|).  The run's arc (Z, r, frame F, from
+    * Each arc run R paired with its partner R' (``ConvexBody.run_pairing``):
+      T = 2 asin(c / 2), c = e_R + e_R' + f + |r + r' - pi/2| +
+      max(|s|, |s + S' - S|).  The run's arc (Z, r, frame F, from
       azimuth a over the span S) matches piece k of the run at parameter
       t0_k + t with the arc's point at azimuth a + o_k + t, o_k its offset
       (``_Run.offsets``); points x = F w(r, t) and x_k = F_k w(r_k, t_k)
@@ -655,13 +663,12 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
     """
     if not body.validation.ok:
         return None
-    a = body.arcs
-    try:
-        pairs = _pair_runs([u for u in _boundary_units(body) if isinstance(u, _Run)])
-    except NotSelfDual:
+    pairing = run_pairing_or_none(body)
+    if pairing is None:
         return None
+    a = body.arcs
     terms = [0.0]
-    for run, partner in pairs:
+    for run, partner in pairing.pairs:
         c = _run_offset(run, a) + _run_offset(partner, a) + _pair_offset(run, partner)
         terms.append(2.0 * math.asin(min(1.0, 0.5 * c)))
 

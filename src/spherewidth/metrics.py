@@ -26,10 +26,11 @@ convex body is 1-Lipschitz along the boundary) over one flat table of
 parameter intervals per direction, all pieces together, refined until the
 bounds meet within ``tol``; each level is one prune and one evaluator call
 over the whole table, and a refinement still open after ``REFINE_LEVELS``
-levels raises ``RefinementStalled``.  Each interval also carries a
-closed-form structural cap, the least over the pieces of the other body of a
-vertex, full-circle, concentric-arc, coplanar-great-arc or nearby-edge
-bound.  The caps are windowed: every cap of an (interval, piece) pair is at
+levels, or with more than ``REFINE_ROWS`` live rows, raises
+``RefinementStalled``.  Each interval also carries a closed-form structural
+cap, the least over the pieces of the other body of a vertex, full-circle,
+concentric-arc, coplanar-great-arc or nearby-edge bound.  The caps are
+windowed: every cap of an (interval, piece) pair is at
 least d(m, c) - rho, with m the interval's midpoint, c the piece's
 mid-parameter point and rho half the piece's length, so a pair whose lower
 bound exceeds the largest live upper bound is skipped.  A row's upper bound
@@ -83,6 +84,9 @@ from .body import (
 HAUSDORFF_TOL = 1e-7
 # Split levels after which a refinement with live intervals is an error.
 REFINE_LEVELS = 64
+# Most live rows, all directions together, a refinement may split; past it
+# the refinement is an error, so no table grows past twice as many rows.
+REFINE_ROWS = 1 << 22
 # Poles sampled along the dual boundary by the constant-width sweep.
 WIDTH_SWEEP = 4096
 # Largest min over the body of k . x at which H(k) still touches it, for ``width_wrt``.
@@ -419,27 +423,31 @@ class _Direction:
         self.cap = np.concatenate([cap, cap])
         return lb
 
-    def alive(self, lb: float, tol: float) -> bool:
-        return bool(np.any(self._ubs() > lb + tol))
+    def live(self, lb: float, tol: float) -> int:
+        """The rows the next split keeps."""
+        return int(np.count_nonzero(self._ubs() > lb + tol))
 
 
 def _refine(directions: list[_Direction], tol: float) -> float:
     """Refine the directed suprema against one shared lower bound, in order.
 
     Raises ``RefinementStalled`` when rows are still alive after
-    ``REFINE_LEVELS`` levels.
+    ``REFINE_LEVELS`` levels, or more than ``REFINE_ROWS`` at once.
     """
     lb = max(d.lb for d in directions)
     for _ in range(REFINE_LEVELS):
-        alive = [d for d in directions if d.alive(lb, tol)]
-        if not alive:
+        live = [d.live(lb, tol) for d in directions]
+        if not any(live):
             return lb
-        for d in alive:
-            lb = d.refine_once(lb, tol)
+        if sum(live) > REFINE_ROWS:
+            break
+        for d, n in zip(directions, live):
+            if n:
+                lb = d.refine_once(lb, tol)
     hi = max(float(d._ubs().max()) for d in directions)
     if hi <= lb + tol:
         return lb
-    msg = "Hausdorff refinement open after %d levels: [%.17g, %.17g]" % (REFINE_LEVELS, lb, hi)
+    msg = "Hausdorff refinement open at %d levels or %d rows: [%.17g, %.17g]" % (REFINE_LEVELS, REFINE_ROWS, lb, hi)
     raise RefinementStalled(msg, lo=lb, hi=hi)
 
 

@@ -369,15 +369,20 @@ def test_approximation_measures_each_body_once(monkeypatch):
     # comes from the chord/tangent pairing, its widths and residual from
     # the pole/vertex pairing; the input and the output are validated once
     # each, the gate, the dual and the certificate sharing the cached
-    # report; the construction measures nothing, each chord's d(s) being
-    # closed form
-    calls = {"hausdorff": [], "diameter": [], "_ascent_diameter": [], "validate": [], "body_distance": []}
+    # report; the input's run pairing is built once, the gate, the build
+    # and the certificate sharing it; the construction measures nothing,
+    # each chord's d(s) being closed form
+    calls = {
+        "hausdorff": [], "diameter": [], "_ascent_diameter": [], "validate": [], "body_distance": [],
+        "_boundary_units": [],
+    }
     homes = {
         "hausdorff": metrics,
         "diameter": metrics,
         "_ascent_diameter": metrics,
         "validate": bd,
         "body_distance": bd,
+        "_boundary_units": bd,
     }
     for name in calls:
         fn = getattr(homes[name], name)
@@ -389,13 +394,40 @@ def test_approximation_measures_each_body_once(monkeypatch):
         for module in (bd, metrics, approx):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted)
-    body = cap(E3, PI / 4)
-    poly, _, steps = approximate_polytope(body, ApproximationConfig(0.05))
-    assert len(steps) > 0
-    assert {k: len(v) for k, v in calls.items()} == {
-        "hausdorff": 0, "diameter": 0, "_ascent_diameter": 0, "validate": 2, "body_distance": 0
-    }
-    assert calls["validate"][0] is body and calls["validate"][1] is poly
+    for body in (cap(E3, PI / 4), rotated_reuleaux(9, 0.2)):
+        for v in calls.values():
+            v.clear()
+        poly, _, steps = approximate_polytope(body, ApproximationConfig(0.05))
+        assert len(steps) > 0
+        assert {k: len(v) for k, v in calls.items()} == {
+            "hausdorff": 0, "diameter": 0, "_ascent_diameter": 0, "validate": 2, "body_distance": 0,
+            "_boundary_units": 1,
+        }
+        assert calls["validate"][0] is body and calls["validate"][1] is poly
+        assert calls["_boundary_units"][0] is body.arcs
+
+
+def test_approximating_great_arc_bodies_makes_no_great_arc_objects():
+    # a polytope and the dual of one keep their edges as stacks only: the
+    # gate, the build and the certificate read no ``pieces``
+    poly = random_selfdual_polytope(30, 1)
+    for body in (poly, polar_dual(poly)):
+        approximate_polytope(body, ApproximationConfig(0.01))
+        assert "pieces" not in vars(body)
+
+
+def test_an_unpaired_run_fails_every_read_of_the_pairing():
+    # a chopped cap: the chord took away the partner of its one arc run
+    from test_generators import chopped_cap
+
+    body = chopped_cap()
+    assert body.validation.ok
+    for _ in range(2):
+        with pytest.raises(NotSelfDual):
+            approx.chord_polytope(body, ApproximationConfig(0.01))
+    poly, _, _ = approximate_polytope(cap(E3, PI / 4), ApproximationConfig(0.01))
+    assert approx.pairing_bound(body, poly) is None
+    assert bd.pairing_residual_bound(body) is None
 
 
 # ------------------------------------------------------------ one-pass build

@@ -574,6 +574,29 @@ def test_stalled_refinement_raises_with_its_bracket(monkeypatch, cap_polytopes):
     assert err.value.hi - err.value.lo > HAUSDORFF_TOL
 
 
+def test_refinement_tables_stop_at_their_row_bound(monkeypatch):
+    # near-flat plateaus: the moved corner keeps the tables growing long
+    # before they close, so a small row bound is reached first
+    from fixtures import two_cut_cap
+
+    body = two_cut_cap(1e-7)
+    sizes = []
+    split = metrics._Direction.refine_once
+
+    def recorded(self, lb, tol):
+        lb = split(self, lb, tol)
+        sizes.append(len(self.tl))
+        return lb
+
+    monkeypatch.setattr(metrics._Direction, "refine_once", recorded)
+    monkeypatch.setattr(metrics, "REFINE_ROWS", 1 << 14)
+    with pytest.raises(RefinementStalled) as err:
+        hausdorff(body, polar_dual(body))
+    assert 0.0 < err.value.lo <= err.value.hi
+    # stopped by the rows, long before the levels, with no table past twice the bound
+    assert len(sizes) < metrics.REFINE_LEVELS and max(sizes) <= 2 << 14
+
+
 # ----------------------------------------------------------------- residual
 
 
