@@ -7,12 +7,12 @@ one side by its chord, and the partner sub-arc by the two great arcs through
 R, the pole of the chord, is its own polar image, so the edit keeps the body
 self-dual.  The edit changes nothing but its own sub-arc and that sub-arc's
 partner, so edits on disjoint sub-arcs commute and can all be applied at
-once.  ``chord_polytope`` therefore builds the polytope in one pass: it
-pairs each maximal arc interval with its partner, splits the interval
-that comes first in boundary order into equal sub-arcs, chords them all,
-puts the chord poles on the partner interval and emits the vertices in
-boundary order.  A full circle of radius pi/4, the cap, is its own partner:
-one half is chorded and the other carries the poles.
+once.  ``chord_polytope`` therefore builds the polytope in one pass over
+the run pairing table (``body.RunPairing``): it splits each chorded row,
+the first of each arc pair, into equal sub-arcs, all in one
+``sphere.linspace_grid`` call, puts the chord poles on the partner rows
+and emits the vertices sorted by row, in boundary order.  The cap's full
+circle is two half rows, one chorded and one carrying the poles.
 
 For a sub-arc of width s on the circle (Z, r), the right spherical triangle
 Z-M-P1 gives tan m = tan r cos(s/2), M the chord midpoint at distance m from
@@ -33,9 +33,9 @@ tolerance), the build (``chord_polytope``, which checks nothing) and the
 certificate once each, all reading each body's one cached validation
 (``ConvexBody.validation``) and its one cached run pairing
 (``ConvexBody.run_pairing``), which the gate reads, the build chords and
-the certificate walks.
-The certificate never trusts the construction: it reads neither the steps
-nor the build, only the two bodies.  For a polytope output its Hausdorff
+the certificate walks.  The certificate never trusts the construction: it
+reads only the two bodies, and checks the widths and the residual before
+it measures the Hausdorff term.  For a polytope output its Hausdorff
 term is the proved upper bound of ``pairing_bound``, in O(n): a walk that
 checks the output is inscribed in every chorded arc run of the input,
 circumscribed about every partner run and has an edge on every great-arc
@@ -75,7 +75,9 @@ from .sphere import (
     arc_pole,
     chord_distance,
     cross,
+    cross_rows,
     dot,
+    linspace_grid,
     unit,
     unit_rows,
 )
@@ -83,7 +85,6 @@ from .body import (
     POLE_MERGE_EPS,
     ConvexBody,
     Polytope,
-    _Run,
     body_distance,
     boundary_distance_many,
     chain_body,
@@ -350,7 +351,7 @@ def _drop_flat_vertices(v: np.ndarray) -> np.ndarray:
     vertex (as in ``merge_flat_junctions``).  A NaN pole, from a repeated
     row, keeps its rows, for validation to reject.
     """
-    poles = unit_rows(np.cross(v, np.roll(v, -1, axis=0)))
+    poles = unit_rows(cross_rows(v, np.roll(v, -1, axis=0)))
     bend = np.linalg.norm(poles - np.roll(poles, 1, axis=0), axis=1)
     return v[~(bend <= POLE_MERGE_EPS)]
 
@@ -365,38 +366,34 @@ def chord_polytope(body: ConvexBody, config: ApproximationConfig) -> tuple[Polyt
     when one needs ``MAX_SUBARCS`` sub-arcs.
     """
     pairing = body.run_pairing
-    target = config.epsilon * SUBDIVISION_SAFETY
-    counts = [_chord_count(a.arc.radius, a.arc.span, target) for a, _ in pairing.pairs]
+    a, target = pairing.arcs, config.epsilon * SUBDIVISION_SAFETY
+    runs = np.flatnonzero(pairing.chorded)
+    radius, span = a.radius[runs].tolist(), a.span[runs].tolist()
+    n = np.array([_chord_count(r, s, target) for r, s in zip(radius, span)], dtype=int)
 
-    points: dict[_Run, np.ndarray] = {}  # chorded run -> its sub-arc ends
-    poles: dict[_Run, np.ndarray] = {}  # partner run -> the chord poles it carries
-    steps: list[StepRecord] = []
-    for (run, partner), n in zip(pairing.pairs, counts):
-        a = run.arc
-        az = np.linspace(a.az_from, a.az_to, n + 1)
-        p = points[run] = a.point_at(az)
-        r = poles[partner] = unit_rows(np.cross(p[:-1], p[1:]))
-        q = partner.arc.point_at(az + math.pi)
-        s = a.span / n
-        d = a.radius - math.atan(math.tan(a.radius) * math.cos(0.5 * s))
-        primal = run.piece_at(s * np.arange(n))
-        dual = partner.piece_at(s * np.arange(n))
-        steps.extend(
-            StepRecord(p[k], p[k + 1], q[k], q[k + 1], r[k], int(primal[k]), int(dual[k]), d)
-            for k in range(n)
-        )
+    # the sub-arc ends of every chorded run, run after run, and the partner
+    # points at the same azimuths shifted by pi
+    run, az = linspace_grid(a.t0[runs], a.t1[runs], n + 1)
+    unit, mate = runs[run], pairing.partner[runs[run]]
+    p = a[unit].point_at(az)
+    q = a[mate].point_at(az + math.pi)
+    k = np.flatnonzero(run[1:] == run[:-1])  # the first end of each chord: all but the last of each run
+    r = unit_rows(cross_rows(p[k], p[k + 1]))
+    s = a.span[runs] / n
+    d = [x - math.atan(math.tan(x) * math.cos(0.5 * w)) for x, w in zip(radius, s.tolist())]
+    offset = s[run[k]] * (k - (np.cumsum(n + 1) - n - 1)[run[k]])
+    primal = pairing.piece_at(unit[k], offset).tolist()
+    dual = pairing.piece_at(mate[k], offset).tolist()
+    steps = [
+        StepRecord(p[i], p[i + 1], q[i], q[i + 1], r[x], primal[x], dual[x], d[run[i]])
+        for x, i in enumerate(k.tolist())
+    ]
 
-    # a chorded run gives its sub-arc starts, a partner run its start and
-    # the chord poles, a great arc its start
-    chunks = []
-    for u in pairing.units:
-        if not isinstance(u, _Run):
-            chunks.append(body.arcs.start[u : u + 1])
-        elif u in points:
-            chunks.append(points[u][:-1])
-        else:
-            chunks += [u.arc.start[None, :], poles[u]]
-    return Polytope(_drop_flat_vertices(np.vstack(chunks))), steps
+    # each unit's vertices in chain order: a chorded run's sub-arc starts, a
+    # partner run's start and then the chord poles, a great arc's start
+    owner = np.concatenate([unit[k], np.flatnonzero(~pairing.chorded), mate[k]])
+    v = np.vstack([p[k], a.start[~pairing.chorded], r])
+    return Polytope(_drop_flat_vertices(v[np.argsort(owner, kind="stable")])), steps
 
 
 # ------------------------------------------------------ pairing certificate
@@ -404,7 +401,7 @@ def chord_polytope(body: ConvexBody, config: ApproximationConfig) -> tuple[Polyt
 
 def _rho(z: Vec, x: np.ndarray) -> np.ndarray:
     """Distance of each row of ``x`` from ``z``, in the atan2 form that stays exact near 0."""
-    return np.arctan2(np.linalg.norm(np.cross(x, z), axis=-1), x @ z)
+    return np.arctan2(np.linalg.norm(cross_rows(x, z), axis=-1), x @ z)
 
 
 def _angle(a: Vec, b: Vec) -> float:
@@ -437,9 +434,9 @@ def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
 
     C is ``original``, P the valid polytope ``result``, eta = ``FIT_EPS``.
     The walk splits the boundary of C into the units of its run pairing
-    (``ConvexBody.run_pairing``: great-arc pieces and arc runs, each run
-    paired with its partner, the first of a pair chorded); without arc runs
-    or with a run unpaired it returns None.  It locates each unit's
+    (``ConvexBody.run_pairing``: one row per great-arc piece or arc run,
+    each run paired with its partner, the first of a pair chorded); without
+    arc runs or with a run unpaired it returns None.  It locates each unit's
     start on P, at a vertex within eta or, where ``_drop_flat_vertices``
     removed a junction because the edges on both sides lie on one great
     circle, inside an edge within eta of its great circle.  The located
@@ -507,11 +504,10 @@ def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
     and H(C, P) <= h.
     """
     pairing = run_pairing_or_none(original)
-    if pairing is None or not pairing.pairs:
+    if pairing is None or not pairing.chorded.any():
         return None
-    units, a = pairing.units, original.arcs
-    ends = [(u.arc.start, u.arc.end) if isinstance(u, _Run) else (a.start[u], a.end[u]) for u in units]
-    located = [_locate_junction(result, start) for start, _ in ends]
+    a = pairing.arcs
+    located = [_locate_junction(result, start) for start in a.start]
     if any(loc is None for loc in located):
         return None
     n = len(result)
@@ -520,24 +516,23 @@ def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
     if not np.all(np.diff(cut) > 0):
         return None
     m, half = 0.0, 1.0
-    for k, (u, (start, end)) in enumerate(zip(units, ends)):
-        x_end = located[(k + 1) % len(units)][1]
+    for k, (start, end) in enumerate(zip(a.start, a.end)):
+        x_end = located[(k + 1) % len(a)][1]
         if not _angle(end, x_end) <= FIT_EPS:
             return None
         inner = result.vertices[np.arange(cut[k] // 2 + 1, (cut[k + 1] + 1) // 2) % n]
         half = min(half, _half_cosines(np.vstack([located[k][1], inner, x_end])))
-        if not isinstance(u, _Run):
+        if pairing.partner[k] < 0:  # a great-arc piece
             if len(inner):
                 return None
             continue
-        arc = u.arc
-        z, r = arc.center, arc.radius
-        az = np.mod(arc.azimuth_of(inner) - arc.az_from, TWO_PI)
-        s = np.diff(np.concatenate([[0.0], az, [arc.span]]))
-        if u in pairing.partners:
+        z, r = a.z[k], float(a.radius[k])
+        az = np.mod(np.mod(np.arctan2(inner @ a.v[k], inner @ a.u[k]), TWO_PI) - a.t0[k], TWO_PI)
+        s = np.diff(np.concatenate([[0.0], az, [a.span[k]]]))
+        if not pairing.chorded[k]:
             q = np.vstack([start, inner, end])
             rho = _rho(z, q)
-            poles = unit_rows(np.cross(q[:-1], q[1:]))
+            poles = unit_rows(cross_rows(q[:-1], q[1:]))
             touch = math.sin(r) * z + math.cos(r) * unit_rows(poles - np.outer(poles @ z, z))
             tilt = np.maximum(np.abs(np.sum(q[:-1] * touch, axis=1)), np.abs(np.sum(q[1:] * touch, axis=1)))
             if not (np.all((s > 0.0) & (s < math.pi)) and rho.max() < 0.5 * math.pi and tilt.max() <= math.sin(FIT_EPS)):
@@ -587,10 +582,11 @@ def certify(
     A result bounded by great arcs, a ``Polytope`` or not, takes its width
     range and residual from ``selfdual_residual_bound``, any other from
     ``is_constant_width``: its run pairing's closed form, or the sweep.
-    Its Hausdorff term is ``pairing_bound`` when that walk covers the
-    pair, else the ``hausdorff`` refinement.
-    Raises ``CertificationFailed`` naming the violated bound, a NaN one
-    too; never reads the steps.
+    Both are checked first, in O(n) for a polytope result, so a result
+    that fails them is refused before its Hausdorff term is measured:
+    ``pairing_bound`` when that walk covers the pair, else the
+    ``hausdorff`` refinement.  Raises ``CertificationFailed`` naming the
+    violated bound, a NaN one too; never reads the steps.
     """
     require_valid(original)
     if not isinstance(result, Polytope) and result.is_polytope():
@@ -601,29 +597,11 @@ def certify(
             raise InvalidBody("invalid polytope: " + ", ".join(failed))
         residual = selfdual_residual_bound(result)
         wmin, wmax = 0.5 * math.pi - residual, 0.5 * math.pi + residual
-        h = pairing_bound(original, result)
     else:
         # is_constant_width validates the result, in the closed form or,
         # when it sweeps, through polar_dual
         rep = is_constant_width(result, 0.5 * math.pi, config.self_dual_tol)
         wmin, wmax, residual = rep.width_min, rep.width_max, rep.self_duality_residual
-        h = None
-    if h is None:
-        h = hausdorff(original, result)
-    cert = Certificate(
-        epsilon=config.epsilon,
-        hausdorff_bound=h,
-        width_min=wmin,
-        width_max=wmax,
-        self_duality_residual=residual,
-        steps=steps,
-        rounds=rounds,
-    )
-    if not h <= 2.0 * config.epsilon:
-        raise CertificationFailed(
-            "hausdorff %.6g exceeds 2*epsilon = %.6g" % (h, 2 * config.epsilon),
-            bound="hausdorff_bound",
-        )
     tol = config.self_dual_tol
     if not (abs(wmin - 0.5 * math.pi) <= tol and abs(wmax - 0.5 * math.pi) <= tol):
         raise CertificationFailed(
@@ -635,4 +613,22 @@ def certify(
             "self-duality residual %.3g exceeds %.1e" % (residual, tol),
             bound="self_duality_residual",
         )
-    return cert
+    # the walk covers polytope results only; a result bounded by great arcs
+    # is a Polytope by now
+    h = pairing_bound(original, result) if result.is_polytope() else None
+    if h is None:
+        h = hausdorff(original, result)
+    if not h <= 2.0 * config.epsilon:
+        raise CertificationFailed(
+            "hausdorff %.6g exceeds 2*epsilon = %.6g" % (h, 2 * config.epsilon),
+            bound="hausdorff_bound",
+        )
+    return Certificate(
+        epsilon=config.epsilon,
+        hausdorff_bound=h,
+        width_min=wmin,
+        width_max=wmax,
+        self_duality_residual=residual,
+        steps=steps,
+        rounds=rounds,
+    )

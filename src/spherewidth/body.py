@@ -31,12 +31,12 @@ need not start at the same piece: a polytope's double dual starts at vertex
 1, the pole of the dual edge that joins the poles of edges 0 and 1.
 
 On a self-dual body the pieces pair up along that correspondence: each arc
-run with its partner run (``ConvexBody.run_pairing``, built once from the
-stacked arcs and read by the gate, the chord construction and its
-certificate), each corner with a great-arc piece, and a polytope's edge
-poles with its vertices.  The proved bounds on H(C, C*),
-``selfdual_residual_bound`` for a polytope and ``pairing_residual_bound``
-for a curved body, are read off those pairings.
+run with its partner run (``ConvexBody.run_pairing``, one table with a row
+per great-arc piece or arc run, built once from the stacked arcs and indexed
+by the gate, the chord construction and its certificate), each corner with
+a great-arc piece, and a polytope's edge poles with its vertices.  The
+proved bounds on H(C, C*), ``selfdual_residual_bound`` for a polytope and
+``pairing_residual_bound`` for a curved body, are read off those pairings.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ from .sphere import (
     SmallCircleArc,
     Vec,
     chord_distance,
+    cross_rows,
     distance_to_piece,
-    dot,
     great_arc_stack,
     max_distance_to_piece,
     min_support_dot,
@@ -128,7 +128,7 @@ class ConvexBody:
     def run_pairing(self) -> RunPairing:
         """The ``_pair_runs`` of the ``_boundary_units`` of ``arcs``, built on first read: the body must
         not change afterwards.  Raises ``NotSelfDual``, on every read, when a run has no partner."""
-        return _pair_runs(_boundary_units(self.arcs))
+        return _pair_runs(*_boundary_units(self.arcs))
 
     def boundary_samples(self, per_piece: int = 16) -> np.ndarray:
         """``per_piece`` evenly spaced points of each piece, piece after piece."""
@@ -292,7 +292,7 @@ def validate(body: ConvexBody) -> ValidationReport:
 
     t_in = a.tangent_at(a.t1)
     t_out = np.roll(a.tangent_at(a.t0), -1, axis=0)
-    turns = np.arctan2(np.sum(np.cross(t_in, t_out) * a.end, axis=1), np.sum(t_in * t_out, axis=1))
+    turns = np.arctan2(np.sum(cross_rows(t_in, t_out) * a.end, axis=1), np.sum(t_in * t_out, axis=1))
     min_turn = float(np.min(turns))
     max_turn = float(np.max(turns))
     checks.append(ValidationCheck("convex-turns", min_turn >= -BOUNDARY_EPS, -min_turn))
@@ -397,6 +397,14 @@ def body_distance(body: ConvexBody, p: Vec) -> float:
 # ------------------------------------------------------------------ duality
 
 
+def _junction_poles(a: ArcStack) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The poles k_end, k_next either side of each junction, their gap and whether it is a corner."""
+    k_end = a.support_pole_at(a.t1)
+    k_next = np.roll(a.support_pole_at(a.t0), -1, axis=0)
+    gap = np.linalg.norm(k_end - k_next, axis=1)
+    return k_end, k_next, gap, gap > POLE_MERGE_EPS
+
+
 def polar_dual(body: ConvexBody) -> ConvexBody:
     """Polar body, with the piecewise-circular structure mapped exactly.
 
@@ -407,10 +415,7 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
     first piece: for a polytope it starts at vertex 1.
     """
     require_valid(body)
-    a = body.arcs
-    k_end = a.support_pole_at(a.t1)
-    k_next = np.roll(a.support_pole_at(a.t0), -1, axis=0)
-    corner = np.linalg.norm(k_end - k_next, axis=1) > POLE_MERGE_EPS
+    k_end, k_next, _, corner = _junction_poles(body.arcs)
     if body.is_polytope():
         # every piece maps to a dual vertex and every corner to a great arc
         if not corner.any():
@@ -471,26 +476,39 @@ def selfdual_residual_bound(poly: Polytope) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class _Run:
-    """A maximal run of consecutive input pieces on one circle, as one arc."""
+class RunPairing:
+    """``ConvexBody.run_pairing``: one row per boundary unit, in chain order.
 
-    arc: SmallCircleArc
-    ids: np.ndarray  # the input pieces, in chain order
-    offsets: np.ndarray  # azimuth of each piece's start, from ``arc.az_from``
+    A unit is a great-arc piece, on its own row of ``body.arcs``, or a run of
+    consecutive small-circle pieces on one circle as one arc, a full circle
+    being two half runs.  ``partner`` is the row of each run's partner, -1 on
+    a great arc; ``chorded`` marks the first run of each pair.  Unit k holds
+    the pieces ``ids[bounds[k]:bounds[k + 1]]``, each starting ``offsets``
+    (0 or less for the first) from the unit's start, in azimuth.
+    """
 
-    def piece_at(self, offset: np.ndarray) -> np.ndarray:
-        """Input piece id at each azimuth ``offset`` from the run's start."""
-        k = np.searchsorted(self.offsets, offset + PAIR_EPS, side="right") - 1
-        return self.ids[np.clip(k, 0, len(self.ids) - 1)]
+    arcs: ArcStack
+    partner: np.ndarray
+    chorded: np.ndarray
+    bounds: np.ndarray
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    def piece_at(self, rows: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        """Input piece id at each azimuth ``offset`` >= 0 from the start of unit ``rows``."""
+        # numpy orders complex numbers by real part, then by imaginary part
+        owner = np.repeat(np.arange(len(self.partner)), np.diff(self.bounds))
+        k = np.searchsorted(owner + 1j * self.offsets, rows + 1j * (offset + PAIR_EPS), side="right")
+        return self.ids[k - 1]
 
 
-def _boundary_units(a: ArcStack) -> list:
-    """The boundary of the stack ``a`` in chain order: great-arc piece ids and ``_Run``s.
+def _boundary_units(a: ArcStack) -> tuple[ArcStack, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``arcs``, ``bounds``, ``ids`` and ``offsets`` of the units of the stack ``a``.
 
     A piece joins the run of the piece before it when both are small-circle
     arcs with the same centre and radius.  The scan starts at the run that
     holds piece 0, so no run wraps the end of the chain.  A full circle is
-    split into two half runs, each the other's partner.
+    split into two half runs, each holding all its pieces.
     """
     m = len(a)
     prev = np.arange(m) - 1  # the piece before each piece
@@ -504,57 +522,59 @@ def _boundary_units(a: ArcStack) -> list:
     )
     breaks = np.flatnonzero(~joins)
     order = (prev + 1 + (int(breaks[-1]) if joins[0] and len(breaks) else 0)) % m
-    units: list = []
-    for ids in np.split(order, np.flatnonzero(~joins[order[1:]]) + 1):
-        first = int(ids[0])
+    units, runs = [], []  # per unit its first piece, its pieces and their offsets; the arc of each run
+    for group in np.split(order, np.flatnonzero(~joins[order[1:]]) + 1):
+        first = int(group[0])
         if not small[first]:
-            units.append(first)
+            units.append((first, group, np.zeros(1)))
             continue
-        spans = a.span[ids]
-        offsets = np.concatenate([[0.0], np.cumsum(spans[:-1])])
-        az, span, center, radius = float(a.t0[first]), float(spans.sum()), a.z[first], float(a.radius[first])
-        parts = [(az, span)] if span < TWO_PI - PAIR_EPS else [(az, math.pi), (az + math.pi, math.pi)]
-        units += [_Run(SmallCircleArc(center, radius, lo, lo + s), ids, offsets - (lo - az)) for lo, s in parts]
-    return units
+        spans = a.span[group]
+        cover = np.concatenate([[0.0], np.cumsum(spans[:-1])])
+        az, span = float(a.t0[first]), float(spans.sum())
+        for lo, s in [(az, span)] if span < TWO_PI - PAIR_EPS else [(az, math.pi), (az + math.pi, math.pi)]:
+            units.append((first, group, cover - (lo - az)))
+            runs.append(SmallCircleArc(a.z[first], float(a.radius[first]), lo, lo + s))
+    heads, ids, offsets = zip(*units)
+    rows = a[np.array(heads)]  # a great-arc unit keeps its piece's row, a run's row is its arc
+    if runs:  # the arcs' ends as a stack, in one pass
+        run = small[list(heads)]
+        for name in ("z", "u", "v", "radius", "cos_r", "sin_r", "t0", "t1", "span"):
+            getattr(rows, name)[run] = [getattr(arc, name) for arc in runs]
+        rows.start[run], rows.end[run] = rows.point_at(rows.t0)[run], rows.point_at(rows.t1)[run]
+    return rows, np.cumsum([0] + [len(g) for g in ids]), np.concatenate(ids), np.concatenate(offsets)
 
 
-def _is_partner(a: SmallCircleArc, b: SmallCircleArc) -> bool:
-    """Whether ``b`` spans the azimuths of ``a`` shifted by pi on the circle (Z, pi/2 - r)."""
-    return (
-        dot(a.center, b.center) >= 1.0 - DOT_EPS
-        and abs(a.radius + b.radius - 0.5 * math.pi) <= PAIR_EPS
-        and abs(a.span - b.span) <= PAIR_EPS
-        and abs(math.remainder(b.az_from - a.az_from - math.pi, TWO_PI)) <= PAIR_EPS
-    )
+def _remainder(x: np.ndarray) -> np.ndarray:
+    """``math.remainder(x, TWO_PI)`` elementwise, and as exact, except within roundoff of -+pi."""
+    return x - TWO_PI * np.rint(x / TWO_PI)
 
 
-def _pair_runs(units: list) -> RunPairing:
-    """The ``RunPairing`` of ``units``: each run with its partner, the one first in ``units`` first (it is chorded).
-
-    Raises ``NotSelfDual`` when a run has no partner.
-    """
-    pairs, free = [], [u for u in units if isinstance(u, _Run)]
-    while free:
-        run = free.pop(0)
-        partner = next((r for r in free if _is_partner(run.arc, r.arc)), None)
-        if partner is None:
+def _pair_runs(arcs: ArcStack, bounds: np.ndarray, ids: np.ndarray, offsets: np.ndarray) -> RunPairing:
+    """The ``RunPairing`` of the ``_boundary_units``: in chain order, each free run is chorded and takes the
+    first free run spanning its azimuths shifted by pi on (Z, pi/2 - r), or raises ``NotSelfDual``."""
+    partner = np.full(len(arcs), -1)
+    chorded = np.zeros(len(arcs), dtype=bool)
+    runs = np.flatnonzero(arcs.radius != 0.5 * math.pi)
+    z, radius, span, t0 = arcs.z[runs], arcs.radius[runs], arcs.span[runs], arcs.t0[runs]
+    for i in runs:
+        if partner[i] >= 0:
+            continue
+        fits = (
+            (partner[runs] < 0)
+            & (runs != i)
+            & (np.sum(arcs.z[i] * z, axis=1) >= 1.0 - DOT_EPS)
+            & (np.abs(arcs.radius[i] + radius - 0.5 * math.pi) <= PAIR_EPS)
+            & (np.abs(arcs.span[i] - span) <= PAIR_EPS)
+            & (np.abs(_remainder(t0 - arcs.t0[i] - math.pi)) <= PAIR_EPS)
+        )
+        if not fits.any():
             raise NotSelfDual(
                 "no arc of radius %.9f about the same centre spans this arc's azimuths "
-                "shifted by pi; body is not self-dual" % (0.5 * math.pi - run.arc.radius)
+                "shifted by pi; body is not self-dual" % (0.5 * math.pi - arcs.radius[i])
             )
-        free.remove(partner)
-        pairs.append((run, partner))
-    return RunPairing(units, pairs, frozenset(b for _, b in pairs))
-
-
-@dataclass(frozen=True, eq=False)
-class RunPairing:
-    """``ConvexBody.run_pairing``: the ``_boundary_units``, each run with its
-    partner (``_pair_runs``) and the second run of each pair."""
-
-    units: list
-    pairs: list[tuple[_Run, _Run]]
-    partners: frozenset
+        j = runs[np.argmax(fits)]
+        partner[i], partner[j], chorded[i] = j, i, True
+    return RunPairing(arcs, partner, chorded, bounds, ids, offsets)
 
 
 def run_pairing_or_none(body: ConvexBody) -> Optional[RunPairing]:
@@ -565,31 +585,31 @@ def run_pairing_or_none(body: ConvexBody) -> Optional[RunPairing]:
         return None
 
 
-def _frame(arc) -> np.ndarray:
-    """The rows u, v, z of an arc's frame, or of each arc of a stack."""
-    return np.stack([arc.u, arc.v, arc.z], axis=-2)
+def _frame(a: ArcStack, rows: np.ndarray) -> np.ndarray:
+    """The rows u, v, z of the frame of each arc ``rows`` of ``a``."""
+    return np.stack([a.u[rows], a.v[rows], a.z[rows]], axis=-2)
 
 
-def _run_offset(run: _Run, a: ArcStack) -> float:
-    """Chord bound e_R between the pieces of ``run`` and its arc, both ways (see ``pairing_residual_bound``)."""
-    ids, arc = run.ids, run.arc
-    frame = np.sqrt(np.sum((_frame(a[ids]) - _frame(arc)) ** 2, axis=(1, 2)))
-    shift = np.abs(wrap_angle(a.t0[ids] - arc.az_from - run.offsets + math.pi) - math.pi)
-    dev = float(np.max(frame + np.abs(a.radius[ids] - arc.radius) + shift))
-    spans = a.span[ids]
-    end = run.offsets[-1] + spans[-1]
-    if float(spans.sum()) < TWO_PI - PAIR_EPS:
-        return dev + abs(arc.span - end)
-    # half of a full circle: the other half, on the same circle, takes the overhang
-    return dev + max(0.0, arc.span - end)
-
-
-def _pair_offset(run: _Run, partner: _Run) -> float:
-    """Chord bound between the dual image of ``run``'s arc and ``partner``'s arc, in either frame."""
-    a, b = run.arc, partner.arc
-    frame = math.sqrt(float(np.sum((_frame(a) - _frame(b)) ** 2)))
-    s = math.remainder(b.az_from - a.az_from - math.pi, TWO_PI)
-    return frame + abs(a.radius + b.radius - 0.5 * math.pi) + max(abs(s), abs(s + b.span - a.span))
+def _run_term(pairing: RunPairing, a: ArcStack) -> float:
+    """T, the largest 2 asin(c / 2) over the runs paired in ``pairing`` (see ``pairing_residual_bound``)."""
+    # e_R of every run, from its pieces of the stack ``a``
+    t, ids, own = pairing.arcs, pairing.ids, np.repeat(np.arange(len(pairing.partner)), np.diff(pairing.bounds))
+    frame = np.sqrt(np.sum((_frame(a, ids) - _frame(t, own)) ** 2, axis=(1, 2)))
+    shift = np.abs(wrap_angle(a.t0[ids] - t.t0[own] - pairing.offsets + math.pi) - math.pi)
+    dev = np.maximum.reduceat(frame + np.abs(a.radius[ids] - t.radius[own]) + shift, pairing.bounds[:-1])
+    last = pairing.bounds[1:] - 1
+    end = pairing.offsets[last] + a.span[ids[last]]
+    # the halves of a full circle hold the same pieces, and each takes the other's overhang
+    first = ids[pairing.bounds[:-1]]
+    e = dev + np.where(first == first[pairing.partner], np.maximum(0.0, t.span - end), np.abs(t.span - end))
+    # c of each chorded run R and its partner R'
+    i = np.flatnonzero(pairing.chorded)
+    j = pairing.partner[i]
+    s = _remainder(t.t0[j] - t.t0[i] - math.pi)
+    f = np.sqrt(np.sum((_frame(t, i) - _frame(t, j)) ** 2, axis=(1, 2))) + np.abs(t.radius[i] + t.radius[j] - 0.5 * math.pi)
+    c = e[i] + e[j] + (f + np.maximum(np.abs(s), np.abs(s + t.span[j] - t.span[i])))
+    # asin is monotone, so the largest T is that of the largest c
+    return 2.0 * math.asin(min(1.0, 0.5 * float(c.max(initial=0.0))))
 
 
 def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
@@ -609,16 +629,16 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
       max(|s|, |s + S' - S|).  The run's arc (Z, r, frame F, from
       azimuth a over the span S) matches piece k of the run at parameter
       t0_k + t with the arc's point at azimuth a + o_k + t, o_k its offset
-      (``_Run.offsets``); points x = F w(r, t) and x_k = F_k w(r_k, t_k)
+      (``RunPairing.offsets``); points x = F w(r, t) and x_k = F_k w(r_k, t_k)
       with |w| = 1 are at most |F_k - F| (Frobenius norm of the frames as
       matrices) + |r_k - r| + |t_k - t| (mod 2 pi) apart.  The largest such
       sum, plus the azimuths the pieces cover beyond the arc or leave
-      uncovered on it, is e_R (``_run_offset``).  The dual images are
+      uncovered on it, is e_R (``_run_term``).  The dual images are
       matched the same way, with the same e_R.  f = |F' - F|, which is at
       least the centre chord |Z' - Z|; s is the azimuth of R' less a + pi,
       so the dual image's azimuth range [a + pi, a + pi + S] and R''s
       [a + pi + s, a + pi + s + S'] are each within max(|s|, |s + S' - S|)
-      of the other (``_pair_offset``).  The frames come from
+      of the other.  The frames come from
       ``tangent_basis``, which jumps where the smallest coordinate of a
       centre changes: two frames across such a jump differ by about 1, so
       e_R or f, and rho, grow, or the runs do not pair; a jump never lowers
@@ -667,15 +687,8 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
     if pairing is None:
         return None
     a = body.arcs
-    terms = [0.0]
-    for run, partner in pairing.pairs:
-        c = _run_offset(run, a) + _run_offset(partner, a) + _pair_offset(run, partner)
-        terms.append(2.0 * math.asin(min(1.0, 0.5 * c)))
-
-    k_end = a.support_pole_at(a.t1)
-    k_next = np.roll(a.support_pole_at(a.t0), -1, axis=0)
-    gap = np.linalg.norm(k_end - k_next, axis=1)
-    corner = gap > POLE_MERGE_EPS
+    terms = [_run_term(pairing, a)]
+    k_end, k_next, gap, corner = _junction_poles(a)
     great = a.radius == 0.5 * math.pi
     g, c = np.flatnonzero(great), np.flatnonzero(corner)
     if len(g) != len(c) or np.any(~corner & great & np.roll(great, -1)):
@@ -728,16 +741,6 @@ class SupportSet:
         return self.poles.point_at(0.5 * self.poles.length)[0]
 
 
-def _locate(body: ConvexBody, p: Vec, tol: float):
-    dists = distance_to_piece(p[None, :], body.arcs)[0]
-    i = int(np.argmin(dists))
-    if dists[i] > tol:
-        raise NotOnBoundary(
-            "point is %.3e from the boundary (tol %.1e)" % (dists[i], tol)
-        )
-    return i
-
-
 def support_poles_at(body: ConvexBody, p, tol: float = BOUNDARY_EPS) -> SupportSet:
     """Support pole(s) at a boundary point ``p``.
 
@@ -746,18 +749,18 @@ def support_poles_at(body: ConvexBody, p, tol: float = BOUNDARY_EPS) -> SupportS
     pieces.
     """
     p = unit(p)
-    pcs = body.pieces
-    n = len(pcs)
-    for i, pc in enumerate(pcs):
-        if chord_distance(p, pc.end) <= tol:
-            q = pcs[(i + 1) % n]
-            k_in = pc.support_pole_at(pc.t1)[0]
-            k_out = q.support_pole_at(q.t0)[0]
-            if chord_distance(k_in, k_out) <= POLE_MERGE_EPS:
-                return SupportSet(at=p, poles=k_in, is_vertex=False)
-            return SupportSet(at=p, poles=GreatArc(k_in, k_out), is_vertex=True)
-    i = _locate(body, p, tol)
-    pc = pcs[i]
+    a = body.arcs
+    k_end, k_next, _, corner = _junction_poles(a)
+    i = next(iter(np.flatnonzero(np.linalg.norm(a.end - p, axis=1) <= tol)), None)  # the first junction at p
+    if i is not None:
+        if corner[i]:
+            return SupportSet(at=p, poles=GreatArc(k_end[i], k_next[i]), is_vertex=True)
+        return SupportSet(at=p, poles=k_end[i], is_vertex=False)
+    dists = distance_to_piece(p[None, :], a)[0]
+    i = int(np.argmin(dists))
+    if dists[i] > tol:
+        raise NotOnBoundary("point is %.3e from the boundary (tol %.1e)" % (dists[i], tol))
+    pc = body.pieces[i]
     return SupportSet(at=p, poles=pc.support_pole_at(pc.azimuth_of(p))[0], is_vertex=False)
 
 

@@ -99,6 +99,11 @@ def cross(a: Vec, b: Vec) -> Vec:
     )
 
 
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of (..., 3) arrays, bit for bit (the same products and differences), without its axis handling."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
 def acos_clamped(x) -> float:
     """arccos with the argument clamped to [-1, 1].
 
@@ -409,8 +414,8 @@ def great_arc_stack(starts, ends) -> ArcStack:
 
     Equal bit for bit, field by field, to ``stack_arcs`` of the
     ``GreatArc(starts[i], ends[i])`` objects: the rows are normalised as
-    ``unit`` does (``unit_each``), the dot and cross products are written out
-    in the order of ``dot`` and ``cross``, and each length is
+    ``unit`` does (``unit_each``), the dot product is written out in the
+    order of ``dot``, the poles are ``cross_rows``, and each length is
     ``acos_clamped`` of its cosine (``np.arccos`` rounds some values
     differently).  Raises ``DegenerateArc`` when some pair of ends is equal
     or antipodal.
@@ -419,13 +424,7 @@ def great_arc_stack(starts, ends) -> ArcStack:
     c = s[:, 0] * e[:, 0] + s[:, 1] * e[:, 1] + s[:, 2] * e[:, 2]
     if np.any(np.abs(c) >= 1.0 - DOT_EPS):
         raise DegenerateArc("great arc endpoints equal or antipodal")
-    pole = np.column_stack(
-        [
-            s[:, 1] * e[:, 2] - s[:, 2] * e[:, 1],
-            s[:, 2] * e[:, 0] - s[:, 0] * e[:, 2],
-            s[:, 0] * e[:, 1] - s[:, 1] * e[:, 0],
-        ]
-    )
+    pole = cross_rows(s, e)
     length = np.array([acos_clamped(x) for x in c.tolist()], dtype=float)
     n = len(s)
     return ArcStack(

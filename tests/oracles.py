@@ -14,7 +14,10 @@ cut by the gated and certified ``approx.approximate_polytope``, which the
 generator, cutting it with the bare ``approx.chord_polytope``, must
 reproduce bit for bit, and ``render_svg_per_segment`` the renderer that
 projects one piece and one segment at a time, whose SVG the stacked
-``render.render_svg`` must reproduce byte for byte.
+``render.render_svg`` must reproduce byte for byte, and
+``run_pairing_per_run`` the run pairing built run by run, one arc object
+and one partner search at a time, whose arcs, pairs and run term the
+stacked ``body.RunPairing`` must reproduce bit for bit.
 """
 
 import math
@@ -23,13 +26,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from spherewidth.approx import ApproximationConfig, approximate_polytope, cut_step, subdivide_piece
-from spherewidth.body import Polytope, ValidationCheck, body_distance, to_polytope
+from spherewidth.body import PAIR_EPS, Polytope, ValidationCheck, body_distance, to_polytope
 from spherewidth.errors import BudgetExhausted, DualOverlap
 from spherewidth.generators import cap, complete_selfdual, rotated, rotation_from_seed
 from spherewidth.render import FRAME_SAMPLES, MAX_SEG_SPAN, STROKES, _fmt, _Frame
 from spherewidth.sphere import (
     BOUNDARY_EPS,
     DOT_EPS,
+    TWO_PI,
+    SmallCircleArc,
     acos_clamped_np,
     arc_pole,
     chord_distance,
@@ -39,6 +44,7 @@ from spherewidth.sphere import (
     tangent_basis,
     unit,
     unit_rows,
+    wrap_angle,
 )
 
 
@@ -255,6 +261,83 @@ def chord_cut_loop(body, eps, max_rounds=64):
             "strictly convex arcs remain after %d rounds" % rounds, partial=current, steps=steps
         )
     return to_polytope(current), steps, rounds
+
+
+def run_pairing_per_run(body):
+    """The run pairing of ``body`` built run by run, or None when a run has no partner.
+
+    Returns the units in chain order, each a great-arc piece id or a run
+    (``SmallCircleArc``, piece ids, offsets), the (run, partner) unit index
+    pairs in the order they pair, and the largest term 2 asin(c / 2) of
+    ``body.pairing_residual_bound`` over the pairs, each from scalar
+    formulas: ``math.remainder``, one frame per run, one pair at a time.
+    """
+    a = body.arcs
+    m = len(a)
+    small = a.radius != 0.5 * math.pi
+
+    def joins(i):  # piece i continues the run of the piece before it
+        return small[i] and small[i - 1] and dot(a.z[i - 1], a.z[i]) >= 1.0 - DOT_EPS and abs(a.radius[i - 1] - a.radius[i]) <= PAIR_EPS
+
+    start = next((i for i in range(m - 1, -1, -1) if not joins(i)), 0) if joins(0) else 0
+    groups = []
+    for i in (np.arange(m) + start) % m:
+        if groups and joins(i):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    units = []
+    for g in groups:
+        if not small[g[0]]:
+            units.append(int(g[0]))
+            continue
+        ids = np.array(g)
+        offsets = np.concatenate([[0.0], np.cumsum(a.span[ids][:-1])])
+        az, span = float(a.t0[g[0]]), float(a.span[ids].sum())
+        parts = [(az, span)] if span < TWO_PI - PAIR_EPS else [(az, math.pi), (az + math.pi, math.pi)]
+        for lo, s in parts:
+            units.append((SmallCircleArc(a.z[g[0]], float(a.radius[g[0]]), lo, lo + s), ids, offsets - (lo - az)))
+
+    def fits(x, y):
+        return (
+            dot(x.center, y.center) >= 1.0 - DOT_EPS
+            and abs(x.radius + y.radius - 0.5 * math.pi) <= PAIR_EPS
+            and abs(x.span - y.span) <= PAIR_EPS
+            and abs(math.remainder(y.az_from - x.az_from - math.pi, TWO_PI)) <= PAIR_EPS
+        )
+
+    free = [k for k, u in enumerate(units) if isinstance(u, tuple)]
+    pairs = []
+    while free:
+        k = free.pop(0)
+        partner = next((j for j in free if fits(units[k][0], units[j][0])), None)
+        if partner is None:
+            return None
+        free.remove(partner)
+        pairs.append((k, partner))
+
+    def frame(x):
+        return np.stack([x.u, x.v, x.z], axis=-2)
+
+    def run_offset(arc, ids, offsets):
+        dev = np.sqrt(np.sum((frame(a[ids]) - frame(arc)) ** 2, axis=(1, 2)))
+        dev = dev + np.abs(a.radius[ids] - arc.radius)
+        dev = float(np.max(dev + np.abs(wrap_angle(a.t0[ids] - arc.az_from - offsets + math.pi) - math.pi)))
+        end = offsets[-1] + a.span[ids][-1]
+        if float(a.span[ids].sum()) < TWO_PI - PAIR_EPS:
+            return dev + abs(arc.span - end)
+        return dev + max(0.0, arc.span - end)  # half of a full circle
+
+    def pair_offset(x, y):
+        s = math.remainder(y.az_from - x.az_from - math.pi, TWO_PI)
+        f = math.sqrt(float(np.sum((frame(x) - frame(y)) ** 2)))
+        return f + abs(x.radius + y.radius - 0.5 * math.pi) + max(abs(s), abs(s + y.span - x.span))
+
+    terms = [0.0]
+    for k, j in pairs:
+        c = run_offset(*units[k]) + run_offset(*units[j]) + pair_offset(units[k][0], units[j][0])
+        terms.append(2.0 * math.asin(min(1.0, 0.5 * c)))
+    return units, pairs, max(terms)
 
 
 def random_selfdual_polytope_reference(n_target, rng_seed):

@@ -394,7 +394,7 @@ def test_approximation_measures_each_body_once(monkeypatch):
         for module in (bd, metrics, approx):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted)
-    for body in (cap(E3, PI / 4), rotated_reuleaux(9, 0.2)):
+    for body in (cap(E3, PI / 4), rotated_reuleaux(9, 0.2), rotated_reuleaux(27, 0.05)):
         for v in calls.values():
             v.clear()
         poly, _, steps = approximate_polytope(body, ApproximationConfig(0.05))
@@ -437,6 +437,7 @@ ORACLE_CASES = (
     [("cap", seed, eps) for seed in range(1, 11) for eps in (0.01, 0.002, 0.0005)]
     + [("two-arc", r, 0.002) for r in (0.3, 0.5, 0.7)]
     + [("chopped-cap", 0, 0.002)]
+    + [("reuleaux", kd, 0.002) for kd in ((9, 0.2), (27, 0.05))]
 )
 
 
@@ -447,6 +448,8 @@ def _oracle_body(kind, arg):
         return rotated(cap(E3, PI / 4), rotation_from_seed(arg))
     if kind == "two-arc":
         return two_arc_completion(arg)
+    if kind == "reuleaux":
+        return rotated_reuleaux(*arg)
     return complete_selfdual(chopped_cap(), tol=1e-7, rng_seed=arg)
 
 
@@ -706,6 +709,21 @@ def _tampered(kind):
         # the polytope of a cap rotated by another seed
         v = approximate_polytope(rotated(cap(E3, PI / 4), rotation_from_seed(2)), ApproximationConfig(0.002))[0].vertices
     return body, Polytope(v)
+
+
+def test_certify_checks_the_widths_before_the_hausdorff_term(monkeypatch):
+    # the walk does not cover the pole-deleted polytope, and its width
+    # range is off by about 0.09: the O(n) checks refuse it before the
+    # refinement would measure anything
+    body, poly = _tampered("pole-vertex-deleted")
+
+    def refine(*args, **kwargs):
+        raise AssertionError("the Hausdorff refinement ran")
+
+    monkeypatch.setattr(approx, "hausdorff", refine)
+    with pytest.raises(CertificationFailed) as err:
+        certify(body, poly, ApproximationConfig(0.002))
+    assert err.value.bound in ("width_range", "self_duality_residual")
 
 
 @pytest.mark.parametrize(

@@ -512,6 +512,39 @@ def test_residual_bound_covers_residual_and_sampled_widths(selfdual_polys):
     assert checked >= 3 * len(selfdual_polys)
 
 
+def test_run_pairing_table_matches_the_per_run_reference():
+    # the stacked table holds, bit for bit, the arcs, pieces, offsets and
+    # pairs of the run-by-run construction, and its run term is the largest
+    # per-pair one; a cap in twelve pieces sums its spans pairwise
+    from fixtures import curved_selfdual_bodies, curved_tampered, two_cut_cap
+    from test_generators import chopped_cap
+
+    e3 = np.array([0.0, 0.0, 1.0])
+    bodies = {**curved_selfdual_bodies(), **curved_tampered(), "two-cut": two_cut_cap(), "chopped": chopped_cap()}
+    bodies["split-12"] = ConvexBody([SmallCircleArc(e3, math.pi / 4, k * math.pi / 6, (k + 1) * math.pi / 6) for k in range(12)], e3)
+    same = 0
+    for name, body in bodies.items():
+        ref, table = oracles.run_pairing_per_run(body), bd.run_pairing_or_none(body)
+        assert (ref is None) == (table is None), name
+        if ref is None:
+            continue
+        units, pairs, term = ref
+        assert len(table.partner) == len(units), name
+        for k, unit in enumerate(units):
+            lo, hi = table.bounds[k], table.bounds[k + 1]
+            arc, ids, offsets = unit if isinstance(unit, tuple) else (None, [unit], [0.0])
+            assert table.ids[lo:hi].tolist() == list(ids), (name, k)
+            assert table.offsets[lo:hi].tobytes() == np.asarray(offsets).tobytes(), (name, k)
+            row = table.arcs[k]
+            src = arc if arc is not None else body.arcs[unit]
+            for f in ("z", "u", "v", "start", "end", "radius", "cos_r", "sin_r", "t0", "t1", "span"):
+                assert np.asarray(getattr(row, f)).tobytes() == np.asarray(getattr(src, f), dtype=float).tobytes(), (name, k, f)
+        assert [(k, table.partner[k]) for k in np.flatnonzero(table.chorded)] == pairs, name
+        assert bd._run_term(table, body.arcs) == term, name
+        same += 1
+    assert same == len(bodies) - 5  # four tampered bodies and the chopped cap leave a run unpaired
+
+
 # ------------------------------------------------------------------ support
 
 
