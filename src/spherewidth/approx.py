@@ -82,12 +82,12 @@ from .sphere import (
     unit_rows,
 )
 from .body import (
-    POLE_MERGE_EPS,
     ConvexBody,
     Polytope,
     body_distance,
     boundary_distance_many,
     chain_body,
+    drop_flat_vertices,
     merge_flat_junctions,
     require_valid,
     run_pairing_or_none,
@@ -344,18 +344,6 @@ def cut_step(body: ConvexBody, p1: Vec, p2: Vec) -> tuple[ConvexBody, StepRecord
 # ----------------------------------------------------------- one-pass build
 
 
-def _drop_flat_vertices(v: np.ndarray) -> np.ndarray:
-    """The rows of the closed chain ``v`` whose two edge poles differ by more than ``POLE_MERGE_EPS``.
-
-    Such a junction lies on one supporting great circle, so it is not a
-    vertex (as in ``merge_flat_junctions``).  A NaN pole, from a repeated
-    row, keeps its rows, for validation to reject.
-    """
-    poles = unit_rows(cross_rows(v, np.roll(v, -1, axis=0)))
-    bend = np.linalg.norm(poles - np.roll(poles, 1, axis=0), axis=1)
-    return v[~(bend <= POLE_MERGE_EPS)]
-
-
 def chord_polytope(body: ConvexBody, config: ApproximationConfig) -> tuple[Polytope, list[StepRecord]]:
     """The chord-cut polytope of a self-dual body, and one ``StepRecord`` per chord.
 
@@ -393,7 +381,7 @@ def chord_polytope(body: ConvexBody, config: ApproximationConfig) -> tuple[Polyt
     # partner run's start and then the chord poles, a great arc's start
     owner = np.concatenate([unit[k], np.flatnonzero(~pairing.chorded), mate[k]])
     v = np.vstack([p[k], a.start[~pairing.chorded], r])
-    return Polytope(_drop_flat_vertices(v[np.argsort(owner, kind="stable")])), steps
+    return Polytope(drop_flat_vertices(v[np.argsort(owner, kind="stable")])), steps
 
 
 # ------------------------------------------------------ pairing certificate
@@ -437,7 +425,7 @@ def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
     (``ConvexBody.run_pairing``: one row per great-arc piece or arc run,
     each run paired with its partner, the first of a pair chorded); without
     arc runs or with a run unpaired it returns None.  It locates each unit's
-    start on P, at a vertex within eta or, where ``_drop_flat_vertices``
+    start on P, at a vertex within eta or, where ``drop_flat_vertices``
     removed a junction because the edges on both sides lie on one great
     circle, inside an edge within eta of its great circle.  The located
     points must follow each other in boundary order, once around P; they
@@ -589,9 +577,8 @@ def certify(
     violated bound, a NaN one too; never reads the steps.
     """
     require_valid(original)
-    if not isinstance(result, Polytope) and result.is_polytope():
+    if result.is_polytope():
         result = to_polytope(result)
-    if isinstance(result, Polytope):
         failed = validate_polytope(result).failed()
         if failed:
             raise InvalidBody("invalid polytope: " + ", ".join(failed))

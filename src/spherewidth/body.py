@@ -36,7 +36,8 @@ per great-arc piece or arc run, built once from the stacked arcs and indexed
 by the gate, the chord construction and its certificate), each corner with
 a great-arc piece, and a polytope's edge poles with its vertices.  The
 proved bounds on H(C, C*), ``selfdual_residual_bound`` for a polytope and
-``pairing_residual_bound`` for a curved body, are read off those pairings.
+``pairing_residual_bound`` for a curved body, are read off those pairings;
+``residual_bound`` takes the one that applies.
 """
 
 from __future__ import annotations
@@ -58,12 +59,14 @@ from .sphere import (
     GreatArc,
     SmallCircleArc,
     Vec,
+    acos_clamped_np,
     chord_distance,
     cross_rows,
     distance_to_piece,
     great_arc_stack,
     max_distance_to_piece,
     min_support_dot,
+    row_dots,
     stack_arcs,
     unit,
     unit_rows,
@@ -192,6 +195,9 @@ def as_body(b: ConvexBody) -> ConvexBody:
 
 
 def to_polytope(body: ConvexBody) -> Polytope:
+    """The body as a ``Polytope``: a ``Polytope`` itself, with its caches, or one made from the arc starts."""
+    if isinstance(body, Polytope):
+        return body
     if not body.is_polytope():
         raise InvalidBody("body still has strictly convex pieces")
     return Polytope(body.arcs.start)
@@ -720,6 +726,19 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
     return rho if rho < 0.5 * math.pi else None
 
 
+def residual_bound(body: ConvexBody) -> Optional[float]:
+    """The proved self-duality bound rho of a valid body, else None.
+
+    ``selfdual_residual_bound`` for a body bounded by great arcs,
+    ``pairing_residual_bound`` (None when its run pairing or corner
+    matching fails) for a curved one.
+    """
+    if not body.is_polytope():
+        return pairing_residual_bound(body)
+    poly = to_polytope(body)
+    return selfdual_residual_bound(poly) if validate_polytope(poly).ok else None
+
+
 # ------------------------------------------------------------------ support
 
 
@@ -815,6 +834,25 @@ def merge_flat_junctions(pieces: list[CircleArc]) -> list[CircleArc]:
             changed = True
             break
     return pieces
+
+
+def drop_flat_vertices(v: np.ndarray) -> np.ndarray:
+    """The closed chain ``v`` without its flat vertices: ``merge_flat_junctions`` on a vertex array.
+
+    A vertex is flat when the poles of its two edges differ by at most
+    ``POLE_MERGE_EPS``, so it lies on one supporting great circle, and its
+    two edges are together shorter than pi - 1e-9, so one edge spans them.
+    All flat vertices go at once.  A NaN pole, from a repeated row, keeps
+    its rows, for validation to reject.
+    """
+    poles = unit_rows(cross_rows(v, np.roll(v, -1, axis=0)))
+    bend = np.linalg.norm(poles - np.roll(poles, 1, axis=0), axis=1)
+    flat = np.flatnonzero(bend <= POLE_MERGE_EPS)
+    if len(flat):
+        a, b, c = v[flat - 1], v[flat], v[(flat + 1) % len(v)]
+        lengths = acos_clamped_np(row_dots(a, b)) + acos_clamped_np(row_dots(b, c))
+        flat = flat[lengths < math.pi - 1e-9]
+    return np.delete(v, flat, axis=0)
 
 
 def strictly_convex_arc_length(body: ConvexBody) -> float:

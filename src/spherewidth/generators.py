@@ -5,6 +5,13 @@ a self-dual (constant width pi/2) body: adding a point x of the dual keeps
 the invariant, because the hull of C and x is contained in the dual of that
 hull.  Greedily inserting the farthest dual boundary point drives the
 residual Hausdorff gap to zero.
+
+The completion of a polytope stays a polygon: each hull insertion works on
+its vertex array and cached edge poles and returns a ``Polytope``, with no
+``GreatArc`` objects.  The completion stops on the O(n) bound rho of
+``body.residual_bound`` and runs the Hausdorff refinement only when rho
+does not settle the stop.  A body with small-circle arcs is grown piece by
+piece, its arcs split where the visibility from x flips.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .sphere import (
     length_weighted_counts,
     linspace_grid,
     unit,
+    unit_each,
 )
 from .body import (
     SELF_DUAL_EPS,
@@ -31,9 +39,11 @@ from .body import (
     Polytope,
     body_distance_many,
     chain_body,
+    drop_flat_vertices,
     merge_flat_junctions,
     polar_dual,
     require_valid,
+    residual_bound,
     selfdual_residual_bound,
     to_polytope,
     validate_polytope,
@@ -160,11 +170,58 @@ def convex_hull_with_point(body: ConvexBody, x: Vec) -> ConvexBody:
 
     The boundary chunk visible from ``x`` (support pole dotted with x below
     zero) is one contiguous arc; it is replaced by the two tangent great arcs
-    through ``x``.
+    through ``x``.  A body bounded by great arcs gives a ``Polytope``
+    (``_polygon_hull``), any other the chain of ``_piece_hull``.  Returns the
+    body itself when ``x`` sees none of it.
     """
     x = unit(x)
+    if body.is_polytope():
+        return _polygon_hull(to_polytope(body), x)
+    return _piece_hull(body, x)
+
+
+def _polygon_hull(poly: Polytope, x: Vec) -> Polytope:
+    """``convex_hull_with_point`` of a polytope, on its vertex array.
+
+    Edge i, from vertex i to vertex i + 1, is visible when its cached pole K
+    has K . x < 0, evaluated in the order of ``dot``.  The inner vertices of
+    the visible run give way to ``x``, and the flat junctions this leaves
+    are dropped (``body.drop_flat_vertices``).  The chain starts at the
+    edge that holds the first hidden edge, as ``_piece_hull``'s does: at its
+    first vertex, or at the one before when a flat junction went there.
+    """
+    z = poly.arcs.z
+    vis = z[:, 0] * x[0] + z[:, 1] * x[1] + z[:, 2] * x[2] < 0.0
+    if vis.all():
+        raise ValueError("point sees the whole boundary; body is degenerate")
+    if not vis.any():
+        return poly
+    first_hidden = int(np.argmin(vis))
+    vis = np.roll(vis, -first_hidden)
+    run = np.flatnonzero(vis)
+    enter, leave = int(run[0]), int(run[-1])  # the first and the last visible edge
+    if leave - enter + 1 != len(run):
+        flips = np.count_nonzero(vis != np.roll(vis, 1))
+        raise ValueError("visible region is not a single arc (%d flips)" % flips)
+    v = np.roll(poly.vertices, -first_hidden, axis=0)
+    # normalised as _piece_hull's great-arc ends are (a kept vertex twice,
+    # x once more), so a completion keeps the bits the piece loop gave it
+    w = np.vstack([unit_each(unit_each(v[: enter + 1])), unit(x), unit_each(unit_each(v[leave + 1 :]))])
+    kept = drop_flat_vertices(w)
+    return Polytope(kept if np.array_equal(kept[0], w[0]) else np.roll(kept, 1, axis=0))
+
+
+def _piece_hull(body: ConvexBody, x: Vec) -> ConvexBody:
+    """``convex_hull_with_point`` of any body, piece by piece.
+
+    Every small-circle piece is split at the azimuths where its support pole
+    turns orthogonal to ``x`` (``_support_dot_roots``), so each segment is
+    visible or hidden as a whole; the visible ones give way to the two
+    tangent great arcs, and flat junctions are merged
+    (``merge_flat_junctions``).
+    """
     # split every piece at the azimuths where visibility can flip
-    segments = []  # (point_start, point_end, piece, visible)
+    segments = []  # (segment, visible)
     for piece in body.pieces:
         cuts = [0.0]
         if isinstance(piece, SmallCircleArc):
@@ -209,10 +266,13 @@ def complete_selfdual(seed: ConvexBody, tol: float, rng_seed: int = 0) -> Convex
     """Grow a sub-dual body into a self-dual one by farthest-point insertion.
 
     The seed must satisfy seed inside seed-dual (equivalently diameter at
-    most pi/2).  Each round inserts the dual boundary point farthest from the
-    current body; the residual is certified before returning.  Raises
-    ``BudgetExhausted`` with the partial body if the insertion budget runs
-    out.
+    most pi/2).  Each round returns the body when its proved bound
+    rho >= H(body, dual) (``body.residual_bound``) is within tolerance.
+    Otherwise it samples the dual boundary: when the largest gap to the body
+    is within tolerance, the refinement of the directed sup from the dual to
+    the body decides the stop, and a body that does not stop gets the
+    farthest sample inserted.  Raises ``BudgetExhausted`` with the partial
+    body if the insertion budget runs out.
     """
     body = seed
     require_valid(body)
@@ -220,6 +280,11 @@ def complete_selfdual(seed: ConvexBody, tol: float, rng_seed: int = 0) -> Convex
         raise SeedNotSubdual("seed diameter exceeds pi/2; seed is not inside its dual")
     rng = np.random.default_rng(rng_seed)
     for _ in range(MAX_INSERTIONS):
+        # rho bounds H(body, dual), so every gap sampled below and the
+        # directed sup the refinement measures: in O(n) for a polytope
+        rho = residual_bound(body)
+        if rho is not None and rho <= 0.9 * tol:
+            return body
         dual = polar_dual(body)
         arcs = dual.arcs
         counts = length_weighted_counts(arcs, COMPLETION_SWEEP)
@@ -273,8 +338,9 @@ def random_subdual_polytope_seed(n_target: int, rng_seed: int) -> Polytope:
 def random_selfdual_polytope(n_target: int, rng_seed: int = 0) -> Polytope:
     """Random polytope of constant width pi/2, deterministic in the seed.
 
-    The completion of a polytope seed stays a polytope; it is validated once
-    and its constant width re-checked by ``selfdual_residual_bound``.
+    The completion of a polytope seed stays a polytope; it is validated once,
+    by the completion, and its constant width re-checked by
+    ``selfdual_residual_bound``.
     """
     seed = random_subdual_polytope_seed(n_target, rng_seed)
     poly = to_polytope(complete_selfdual(seed, tol=1e-7, rng_seed=rng_seed))

@@ -69,15 +69,11 @@ from .sphere import (
 from .body import (
     BLOCK_ELEMENTS,
     ConvexBody,
-    Polytope,
     body_distance_many,
     boundary_max_distance_many,
-    pairing_residual_bound,
     polar_dual,
     require_valid,
-    selfdual_residual_bound,
-    to_polytope,
-    validate_polytope,
+    residual_bound,
 )
 
 # Default certified accuracy of the Hausdorff refinement.
@@ -525,24 +521,11 @@ class WidthReport:
         return hausdorff(self.body, self.dual)
 
 
-def _residual_bound(body: ConvexBody) -> Optional[float]:
-    """The proved self-duality bound rho of a valid body, else None.
-
-    ``selfdual_residual_bound`` for a body bounded by great arcs,
-    ``pairing_residual_bound`` (None when its run pairing or corner
-    matching fails) for a curved one.
-    """
-    if not body.is_polytope():
-        return pairing_residual_bound(body)
-    poly = body if isinstance(body, Polytope) else to_polytope(body)
-    return selfdual_residual_bound(poly) if validate_polytope(poly).ok else None
-
-
 def is_constant_width(body: ConvexBody, tau: float, tol: float = 1e-6) -> WidthReport:
     """Compare the widths of the body against ``tau``, within ``tol``.
 
     For tau = pi/2, a valid body whose proved self-duality bound rho
-    (``_residual_bound``) has 2 rho <= tol is answered in closed form:
+    (``body.residual_bound``) has 2 rho <= tol is answered in closed form:
     every width lies in [pi/2 - rho, pi/2 + rho], so the sweep below would
     pass too.  The report then holds pi/2 -+ rho and rho, and measures the
     thickness and diameter only when they are read.
@@ -554,7 +537,7 @@ def is_constant_width(body: ConvexBody, tau: float, tol: float = 1e-6) -> WidthR
     Hausdorff refinement.
     """
     if tau == 0.5 * math.pi:
-        rho = _residual_bound(body)
+        rho = residual_bound(body)
         if rho is not None:
             wmin, wmax = tau - rho, tau + rho
             if wmax - wmin <= tol:  # 2 rho <= tol, on the ends as rounded

@@ -270,6 +270,19 @@ def test_body_functions_take_a_polytope(name):
     assert _ON_OCTANT[name](octant())
 
 
+def test_to_polytope_returns_a_polytope_itself():
+    # a Polytope comes back with its cached edge stack and validation; a
+    # body of great arcs gives a new Polytope of its arc starts
+    p = selfdual_polytopes()["random-30-1"]
+    arcs, report = p.arcs, p.validation
+    assert to_polytope(p) is p
+    assert to_polytope(p).arcs is arcs and to_polytope(p).validation is report
+    dual = polar_dual(p)
+    q = to_polytope(dual)
+    assert type(dual) is ConvexBody and isinstance(q, Polytope)
+    assert np.array_equal(q.vertices, Polytope(dual.arcs.start).vertices)
+
+
 # --------------------------------------------------------------- membership
 
 

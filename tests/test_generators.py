@@ -1,14 +1,18 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import oracles
 import pytest
 from fixtures import two_arc_completion
 
+from spherewidth import body as bd
+from spherewidth import generators
 from spherewidth.body import (
     Polytope,
     body_distance_many,
     polar_dual,
+    to_polytope,
     validate,
     validate_polytope,
 )
@@ -29,7 +33,7 @@ from spherewidth.metrics import (
     self_duality_residual,
     thickness,
 )
-from spherewidth.sphere import SmallCircleArc, sample_piece, unit
+from spherewidth.sphere import TWO_PI, SmallCircleArc, sample_piece, unit
 
 E1, E2, E3 = np.eye(3)
 PI = math.pi
@@ -130,6 +134,132 @@ def test_completion_invariants_per_iteration():
         body = convex_hull_with_point(body, pts[i])
         assert validate(body).ok
     assert last <= 1e-9
+
+
+# ------------------------------------------------------------ hull insertion
+
+
+def random_polygon(rng):
+    """A convex polygon of 3 to 12 vertices on a random small circle, counterclockwise."""
+    n = int(rng.integers(3, 13))
+    gaps = rng.uniform(0.2, 1.0, size=n)
+    az = np.cumsum(TWO_PI * gaps / gaps.sum())
+    ring = SmallCircleArc(unit(rng.normal(size=3)), rng.uniform(0.2, 0.7), 0.0, TWO_PI)
+    return Polytope(ring.point_at(az)), ring
+
+
+def assert_hull_matches_the_piece_loop(poly, x):
+    """The polygon hull of ``poly`` and ``x`` against the piece loop on its ``GreatArc`` pieces."""
+    got = convex_hull_with_point(poly, x)
+    want = to_polytope(generators._piece_hull(poly, unit(x)))
+    assert isinstance(got, Polytope)
+    assert len(got) == len(want)
+    assert np.abs(got.vertices - want.vertices).max() <= 1e-14
+    return got
+
+
+def test_polygon_hull_matches_the_piece_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        poly, ring = random_polygon(rng)
+        d = rng.uniform(0.01, 0.6)
+        x = SmallCircleArc(ring.center, ring.radius + d, 0.0, TWO_PI).point_at(rng.uniform(0.0, TWO_PI))[0]
+        assert_hull_matches_the_piece_loop(poly, x)
+    # the completions' own insertions, into their sub-dual seeds
+    for s in (1, 2, 3):
+        seed = generators.random_subdual_polytope_seed(30, s)
+        dual = polar_dual(seed)
+        pts = dual.boundary_samples()
+        x = pts[int(np.argmax(body_distance_many(seed, pts)))]
+        assert_hull_matches_the_piece_loop(seed, x)
+
+
+def test_polygon_hull_drops_a_flat_junction():
+    # x on the great circle of edge i, past one of its ends: that end is no
+    # longer a vertex, whether roundoff shows x the edge or not
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        poly, _ = random_polygon(rng)
+        i = int(rng.integers(len(poly)))
+        edge = poly.pieces[i]
+        past_end = bool(rng.integers(2))
+        step = rng.uniform(0.05, 0.3)
+        x = edge.point_at(edge.t1 + step if past_end else edge.t0 - step)[0]
+        got = assert_hull_matches_the_piece_loop(poly, x)
+        assert len(got) <= len(poly)
+        end = poly.vertices[(i + past_end) % len(poly)]
+        assert np.linalg.norm(got.vertices - end, axis=1).min() > 1e-6
+
+
+def test_polygon_hull_of_an_inner_point_is_the_input():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        poly, _ = random_polygon(rng)
+        for x in (poly.interior, unit(poly.interior + poly.vertices[0])):
+            assert convex_hull_with_point(poly, x) is poly
+
+
+def test_polygon_hull_refuses_a_point_that_sees_the_whole_boundary():
+    poly, _ = random_polygon(np.random.default_rng(5))
+    for hull in (convex_hull_with_point, generators._piece_hull):
+        with pytest.raises(ValueError, match="whole boundary"):
+            hull(poly, -poly.interior)
+
+
+# ---------------------------------------------------------------- stop rule
+
+
+@pytest.mark.parametrize("bound", [math.inf, None])
+def test_completion_stop_falls_back_to_the_refinement(monkeypatch, bound):
+    # with no usable closed-form bound the refinement certifies the stop,
+    # at the same body
+    seed = generators.random_subdual_polytope_seed(30, 2)
+    want = complete_selfdual(seed, tol=1e-7, rng_seed=2)
+    sup = generators.boundary_sup_distance
+    certified = []
+
+    def counted_sup(*args, **kwargs):
+        certified.append(sup(*args, **kwargs))
+        return certified[-1]
+
+    monkeypatch.setattr(generators, "residual_bound", lambda body: bound)
+    monkeypatch.setattr(generators, "boundary_sup_distance", counted_sup)
+    got = complete_selfdual(seed, tol=1e-7, rng_seed=2)
+    assert len(certified) == 1 and certified[0] <= 0.9e-7
+    assert np.array_equal(got.vertices, want.vertices)
+
+
+def test_polytope_completion_measures_nothing_twice(monkeypatch):
+    # a polytope completion stops on its O(n) bound: no refinement, no
+    # GreatArc pieces, and one validation of the seed and of the output
+    calls = {"boundary_sup_distance": 0, "pieces": 0}
+    validated = []
+    sup, validate_body = generators.boundary_sup_distance, bd.validate
+    make_pieces = bd.ConvexBody.pieces.func
+
+    def pieces(body):
+        calls["pieces"] += 1
+        return make_pieces(body)
+
+    def validate(body):
+        validated.append(body)
+        return validate_body(body)
+
+    def counted_sup(*args, **kwargs):
+        calls["boundary_sup_distance"] += 1
+        return sup(*args, **kwargs)
+
+    prop = cached_property(pieces)
+    prop.__set_name__(bd.ConvexBody, "pieces")
+    monkeypatch.setattr(bd.ConvexBody, "pieces", prop)
+    monkeypatch.setattr(bd, "validate", validate)
+    monkeypatch.setattr(generators, "boundary_sup_distance", counted_sup)
+    for s in (1, 2, 3, 4):
+        validated.clear()
+        poly = random_selfdual_polytope(30, s)
+        assert calls == {"boundary_sup_distance": 0, "pieces": 0}
+        assert len(validated) == 2 and validated[-1] is poly
+        assert all(isinstance(b, Polytope) for b in validated)
 
 
 def test_completion_rejects_superdual_seed():
