@@ -61,7 +61,6 @@ from .errors import (
     BudgetExhausted,
     CertificationFailed,
     DualOverlap,
-    InvalidBody,
     NotConstantWidth,
     NotOnBoundary,
     NotSelfDual,
@@ -93,7 +92,6 @@ from .body import (
     run_pairing_or_none,
     selfdual_residual_bound,
     to_polytope,
-    validate_polytope,
 )
 from .metrics import hausdorff, is_constant_width
 
@@ -544,8 +542,8 @@ def approximate_polytope(
     and certifies.  Returns the polytope, its certificate (Hausdorff
     distance checked against 2 * epsilon) and the steps.
     """
-    # the gate validates the input: on a polytope input through
-    # validate_polytope, on a curved one through pairing_residual_bound, and
+    # the gate validates the input: on a polytope input through its
+    # polygon report, on a curved one through pairing_residual_bound, and
     # through polar_dual when it sweeps
     gate = is_constant_width(body, 0.5 * math.pi, config.self_dual_tol)
     if not gate.passed:
@@ -567,8 +565,9 @@ def certify(
 ) -> Certificate:
     """Re-measure every guarantee on the (input, output) pair from scratch.
 
-    A result bounded by great arcs, a ``Polytope`` or not, takes its width
-    range and residual from ``selfdual_residual_bound``, any other from
+    A result bounded by great arcs, read as a ``Polytope`` (``to_polytope``)
+    and held to its polygon report, takes its width range and residual
+    from ``selfdual_residual_bound``, any other from
     ``is_constant_width``: its run pairing's closed form, or the sweep.
     Both are checked first, in O(n) for a polytope result, so a result
     that fails them is refused before its Hausdorff term is measured:
@@ -579,9 +578,7 @@ def certify(
     require_valid(original)
     if result.is_polytope():
         result = to_polytope(result)
-        failed = validate_polytope(result).failed()
-        if failed:
-            raise InvalidBody("invalid polytope: " + ", ".join(failed))
+        require_valid(result)
         residual = selfdual_residual_bound(result)
         wmin, wmax = 0.5 * math.pi - residual, 0.5 * math.pi + residual
     else:

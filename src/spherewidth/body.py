@@ -8,14 +8,14 @@ hemispheres, so a point x is a member when x . K >= -tol for every support
 pole K; membership and boundary distance evaluate all pieces of a body in
 one numpy expression over its stacked arrays (``ConvexBody.arcs``), in
 blocks of at most ``BLOCK_ELEMENTS`` rows x pieces; so do validation, the
-interior witness and the dual's corner poles.  Great-arc boundaries are
-built as stacks: a ``Polytope``'s edges, and the dual of a body without
-small-circle arcs (``great_arc_body``), come from their end points in one
-pass (``sphere.great_arc_stack``), and their ``GreatArc`` objects are made
-from the same ends only when ``pieces`` is read.  A body caches its
-validation and its run pairing, and a ``Polytope`` its edge stack and
-witness, built from its vertices, on first use, so ``vertices``, like
-``pieces``, must not change after.
+interior witness and the dual's corner poles.  Every polygon the library
+builds is a ``Polytope``, the dual of a body without small-circle arcs
+included, whose edges come from its vertices in one pass
+(``sphere.great_arc_stack``).  A body caches its validation (a
+``Polytope``'s is the polygon report) and its run pairing, and a
+``Polytope`` its edge stack, ``GreatArc`` pieces and witness, built from
+its vertices, on first use, so ``vertices``, like ``pieces``, must not
+change after.
 The chain is traversed counterclockwise as seen from the interior side: at
 every smooth boundary point P with unit tangent T, the support pole of the
 body is P x T.  Under that convention polar duality maps pieces to pieces
@@ -90,9 +90,8 @@ BLOCK_ELEMENTS = 8192
 class ConvexBody:
     """Spherical convex body bounded by a closed chain of pieces.
 
-    Built from its pieces, or by ``great_arc_body`` from the ends of its great
-    arcs, whose stack is then built in one pass and whose ``GreatArc``
-    objects are made from the same ends on first read of ``pieces``.
+    Built from its pieces and an interior point; a ``Polytope`` is built
+    from its vertices instead.
     """
 
     def __init__(self, pieces, interior):
@@ -101,15 +100,6 @@ class ConvexBody:
 
     def __repr__(self) -> str:
         return "ConvexBody(pieces=%r, interior=%r)" % (self.pieces, self.interior)
-
-    @cached_property
-    def pieces(self) -> list[CircleArc]:
-        """The great arcs [start, end] of ``ends``, made on first read.
-
-        Only a body built from great-arc ends gets here: one built from its
-        pieces holds them.
-        """
-        return [GreatArc(s, e) for s, e in zip(*self.ends)]
 
     def circle_piece_indices(self) -> list[int]:
         return np.flatnonzero(self.arcs.radius != 0.5 * math.pi).tolist()
@@ -142,7 +132,7 @@ class ConvexBody:
 class Polytope(ConvexBody):
     """Convex body bounded by great arcs, stored by its vertices.
 
-    The edge stack, the edges and the interior witness are built from
+    The edge stack, edges, witness and validation are built from
     ``vertices`` on first use, so ``vertices`` must not change afterwards.
     """
 
@@ -180,6 +170,27 @@ class Polytope(ConvexBody):
         return great_arc_stack(*self.ends)
 
     @cached_property
+    def pieces(self) -> list[CircleArc]:
+        """The edges as ``GreatArc`` objects, made from ``ends`` on first read."""
+        return [GreatArc(s, e) for s, e in zip(*self.ends)]
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The vertex count, edges-nondegenerate (no edge stack on a repeated vertex), the checks of
+        ``validate``, and no-redundant-vertices (adjacent edge poles differ by more than ``BOUNDARY_EPS``)."""
+        checks = [ValidationCheck("vertex-count", len(self) >= 3, float(max(0, 3 - len(self))))]
+        if len(self) < 3:
+            return ValidationReport(checks)
+        try:
+            poles = self.arcs.z
+        except DegenerateArc:
+            return ValidationReport(checks + [ValidationCheck("edges-nondegenerate", False, 1.0)])
+        m = float(np.min(np.linalg.norm(poles - np.roll(poles, -1, axis=0), axis=1)))
+        checks += validate(self).checks
+        checks.append(ValidationCheck("no-redundant-vertices", m > BOUNDARY_EPS, -m))
+        return ValidationReport(checks)
+
+    @cached_property
     def interior(self) -> Vec:
         # normalised twice on purpose: the second ``unit`` can move the last
         # bits, and every result downstream of the witness keeps these bits
@@ -203,32 +214,20 @@ def to_polytope(body: ConvexBody) -> Polytope:
     return Polytope(body.arcs.start)
 
 
-def interior_witness(arcs: ArcStack) -> Vec:
-    """Normalized mean of five samples a piece, in chain order; interior for any valid chain."""
-    pts = arcs.point_at(np.linspace(arcs.t0, arcs.t1, 5)).swapaxes(0, 1).reshape(-1, 3)
-    return unit(pts.mean(axis=0))
-
-
 def chain_body(pieces: list[CircleArc]) -> ConvexBody:
-    """The body of the chain ``pieces``, its witness taken from the stacked arcs it keeps."""
+    """The body of the chain ``pieces`` and their stack; its witness, the mean of five samples a piece, is interior."""
     arcs = stack_arcs(pieces)
-    body = ConvexBody(pieces, interior_witness(arcs))
+    samples = arcs.point_at(np.linspace(arcs.t0, arcs.t1, 5)).swapaxes(0, 1).reshape(-1, 3)
+    body = ConvexBody(pieces, unit(samples.mean(axis=0)))
     body.arcs = arcs
     return body
 
 
-def great_arc_body(starts: np.ndarray, ends: np.ndarray) -> ConvexBody:
-    """The body of the great arcs [starts[i], ends[i]], in chain order.
-
-    Its stack is ``great_arc_stack`` of the ends and its witness is taken
-    from that stack, as ``chain_body`` takes it; the ``GreatArc`` objects are
-    made from the same ends only if ``pieces`` is read.
-    """
-    body = ConvexBody.__new__(ConvexBody)  # no pieces to hold: they are made on demand
-    body.ends = (starts, ends)
-    body.arcs = great_arc_stack(starts, ends)
-    body.interior = unit(interior_witness(body.arcs))
-    return body
+def _unit_polytope(v: np.ndarray) -> Polytope:
+    """The ``Polytope`` of the unit rows ``v``, kept bit for bit, which ``Polytope(v)`` would renormalise."""
+    poly = Polytope.__new__(Polytope)
+    poly.vertices = v
+    return poly
 
 
 # ---------------------------------------------------------------- validation
@@ -310,19 +309,8 @@ def validate(body: ConvexBody) -> ValidationReport:
 
 
 def validate_polytope(poly: Polytope) -> ValidationReport:
-    """Polytope-specific checks on top of the generic body validation."""
-    checks = [ValidationCheck("vertex-count", len(poly) >= 3, float(max(0, 3 - len(poly))))]
-    if len(poly) >= 3:
-        try:
-            poly.arcs
-        except DegenerateArc:
-            checks.append(ValidationCheck("edges-nondegenerate", False, 1.0))
-            return ValidationReport(checks)
-        checks.extend(poly.validation.checks)
-        poles = poly.arcs.z
-        m = float(np.min(np.linalg.norm(poles - np.roll(poles, -1, axis=0), axis=1)))
-        checks.append(ValidationCheck("no-redundant-vertices", m > BOUNDARY_EPS, -m))
-    return ValidationReport(checks)
+    """The polygon report, ``poly.validation``: the generic checks plus the polygon ones."""
+    return poly.validation
 
 
 def require_valid(body: ConvexBody):
@@ -387,11 +375,20 @@ def boundary_max_distance_many(body: ConvexBody, points: np.ndarray) -> np.ndarr
     return _reduce_pieces(body, points, max_distance_to_piece, np.maximum, 0.0)
 
 
-def body_distance_many(body: ConvexBody, points: np.ndarray, tol: float = BOUNDARY_EPS) -> np.ndarray:
-    """Geodesic distance to the body (zero inside)."""
+def body_distance_many(
+    body: ConvexBody, points: np.ndarray, tol: float = BOUNDARY_EPS, signed: bool = False
+) -> np.ndarray:
+    """Geodesic distance to the body: zero inside, or with ``signed`` minus the distance to the boundary.
+
+    Inside and outside are those of ``contains_many``, from one pass of its
+    least x . K.  Inside, a corner's sinusoid is least at an end, so that
+    dot is the sine of the distance to the boundary; the signed value,
+    clipped to 0 in the band, is 1-Lipschitz and at most the distance.
+    """
     x = np.asarray(points, dtype=float)
-    out = ~contains_many(body, x, tol)
-    d = np.zeros(len(x))
+    m = _reduce_pieces(body, x, min_support_dot, np.minimum, np.inf)
+    out = ~(m >= -tol)
+    d = np.minimum(0.0, -np.arcsin(np.minimum(1.0, m))) if signed else np.zeros(len(x))
     d[out] = boundary_distance_many(body, x[out])
     return d
 
@@ -418,7 +415,8 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
     traversal order of the dual follows the primal order, so the result is a
     valid body and ``polar_dual(polar_dual(c))`` has the pieces of ``c`` up
     to roundoff, in the same cyclic order but not always from the same
-    first piece: for a polytope it starts at vertex 1.
+    first piece: for a polytope it starts at vertex 1.  A body bounded by
+    great arcs has the ``Polytope`` of its corner edge poles, kept bit for bit.
     """
     require_valid(body)
     k_end, k_next, _, corner = _junction_poles(body.arcs)
@@ -426,7 +424,7 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
         # every piece maps to a dual vertex and every corner to a great arc
         if not corner.any():
             raise InvalidBody("dual boundary is empty")
-        return great_arc_body(k_end[corner], k_next[corner])
+        return _unit_polytope(body.arcs.z[corner])
     out: list[CircleArc] = []
     for p, k0, k1, c in zip(body.pieces, k_end, k_next, corner):
         if isinstance(p, SmallCircleArc):
@@ -736,7 +734,7 @@ def residual_bound(body: ConvexBody) -> Optional[float]:
     if not body.is_polytope():
         return pairing_residual_bound(body)
     poly = to_polytope(body)
-    return selfdual_residual_bound(poly) if validate_polytope(poly).ok else None
+    return selfdual_residual_bound(poly) if poly.validation.ok else None
 
 
 # ------------------------------------------------------------------ support

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import ApproximationConfig, approximate_polytope, certify
-from .body import polar_dual, validate_polytope, Polytope
+from .body import Polytope, polar_dual
 from .errors import CertificationFailed, SphereGeomError
 from .formats import dumps_body, dumps_certificate, dumps_step_log, loads_body
 from .generators import cap, complete_selfdual, octant, random_selfdual_polytope, rounded_reuleaux
@@ -34,7 +34,7 @@ def _parse_vec(text: str) -> np.ndarray:
 
 def _read_body(path: str):
     body = loads_body(Path(path).read_text())
-    rep = validate_polytope(body) if isinstance(body, Polytope) else body.validation
+    rep = body.validation
     if not rep.ok:
         raise SphereGeomError("invalid body in %s: %s" % (path, ", ".join(rep.failed())))
     return body
@@ -55,9 +55,8 @@ def cmd_generate(args) -> int:
         body = random_selfdual_polytope(args.n, args.seed)
     text = dumps_body(body)
     Path(args.out).write_text(text)
-    n = len(body.vertices) if isinstance(body, Polytope) else len(body.pieces)
     unit_name = "vertices" if isinstance(body, Polytope) else "pieces"
-    print("wrote %s (%s, %d %s)" % (args.out, args.kind, n, unit_name))
+    print("wrote %s (%s, %d %s)" % (args.out, args.kind, len(body.arcs), unit_name))
     return 0
 
 

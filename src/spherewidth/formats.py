@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .approx import Certificate, StepRecord
-from .body import ConvexBody, Polytope, great_arc_body
+from .body import ConvexBody, Polytope
 from .errors import InvalidBody
-from .sphere import GreatArc, SmallCircleArc, unit
+from .sphere import GreatArc, SmallCircleArc
 
 
 def _num(x: float) -> str:
@@ -86,37 +86,21 @@ def _vertices(v) -> np.ndarray:
     return a
 
 
-def _great_ends(records: list):
-    """The (n, 3) starts and ends of ``records`` if every one is a well-formed great arc, else None."""
-    if not records or not all(isinstance(r, dict) and r.get("type") == "great" for r in records):
-        return None
-    try:
-        starts, ends = (np.array([r[key] for r in records], dtype=float) for key in ("from", "to"))
-    except (KeyError, TypeError, ValueError):
-        return None
-    return (starts, ends) if starts.shape == ends.shape == (len(records), 3) else None
-
-
 def loads_body(text: str) -> ConvexBody:
     """Parse a body; malformed records raise ``InvalidBody`` naming the field.
 
-    A ``pc-body`` of well-formed great arcs only is built by
-    ``great_arc_body`` from its ends, in one pass, and keeps the file's
-    interior point; any other is read record by record.
+    A ``polytope`` file gives a ``Polytope``, a ``pc-body`` file the
+    ``ConvexBody`` of its records, read one by one, and of its interior
+    point, great arcs only or not (``to_polytope`` reads such a body as a
+    polygon).
     """
     obj = json.loads(text)
     kind = _field(obj, "kind", str)
     if kind == "polytope":
         return Polytope(_field(obj, "vertices", _vertices))
     if kind == "pc-body":
-        records = _field(obj, "pieces", list)
-        ends = _great_ends(records)
-        if ends is not None:
-            body = great_arc_body(*ends)
-            body.interior = unit(_field(obj, "interior", _vec3))
-            return body
         pieces = []
-        for rec in records:
+        for rec in _field(obj, "pieces", list):
             tag = _field(rec, "type", str)
             if tag == "great":
                 pieces.append(GreatArc(_field(rec, "from", _vec3), _field(rec, "to", _vec3)))

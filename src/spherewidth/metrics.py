@@ -21,12 +21,13 @@ edge-pole/vertex pairing; a curved body's is
 ``body.pairing_residual_bound``, from the run pairing the chord
 construction uses.  Every other body is swept along its dual boundary.
 
-The Hausdorff distance runs a Lipschitz branch-and-bound (the distance to a
-convex body is 1-Lipschitz along the boundary) over one flat table of
-parameter intervals per direction, all pieces together, refined until the
-bounds meet within ``tol``; each level is one prune and one evaluator call
-over the whole table, and a refinement still open after ``REFINE_LEVELS``
-levels, or with more than ``REFINE_ROWS`` live rows, raises
+The Hausdorff distance runs a Lipschitz branch-and-bound (the signed
+distance to a convex body, negative inside, is 1-Lipschitz along the
+boundary, so an interval deep inside is pruned at once) over one flat
+table of parameter intervals per direction, all pieces together, refined
+until the bounds meet within ``tol``; each level is one prune and one
+evaluator call over the whole table, and a refinement still open after
+``REFINE_LEVELS`` levels, or with more than ``REFINE_ROWS`` live rows, raises
 ``RefinementStalled``.  Each interval also carries a closed-form structural
 cap, the least over the pieces of the other body of a vertex, full-circle,
 concentric-arc, coplanar-great-arc or nearby-edge bound.  The caps are
@@ -364,12 +365,15 @@ class _Direction:
 
     One flat table of parameter intervals over all pieces of ``a``: six
     parallel arrays with one row per interval, the piece index ``idx``, the
-    ends ``tl`` and ``tr``, the distances ``fl`` and ``fr`` there, and a
-    structural cap ``cap``.  A row's upper bound is the least of its cap and
-    its Lipschitz bound (the distance moves by at most sin r per unit of
-    the parameter).  Each level prunes the table once, recaps all surviving
-    rows every few levels, so plateaus straddling a feature of ``b`` still
-    collapse, and evaluates all midpoints in one ``body_distance_many`` call.
+    ends ``tl`` and ``tr``, the signed distances ``fl`` and ``fr`` there
+    (negative inside ``b``, so a row deep inside is pruned below the lower
+    bound 0), and a structural cap ``cap``, which bounds the distance and
+    so the signed one too.  A row's upper bound is the least of its cap and
+    its Lipschitz bound (the signed distance moves by at most sin r per
+    unit of the parameter).  Each level prunes the table once, recaps all
+    surviving rows every few levels, so plateaus straddling a feature of
+    ``b`` still collapse, and evaluates all midpoints in one
+    ``body_distance_many`` call.
     Each capping passes ``_structural_caps`` a window bound: the largest
     upper bound of the rows the new caps serve (at set-up, the largest
     Lipschitz bound of the grid), plus ``tol`` for roundoff.
@@ -383,7 +387,7 @@ class _Direction:
         self.level = 0
         n = np.clip(np.ceil(arcs.span * arcs.sin_r / 0.05), 4, 512).astype(int)
         idx, ts = linspace_grid(arcs.t0, arcs.t1, n + 1)
-        fs = body_distance_many(b, arcs[idx].point_at(ts))
+        fs = body_distance_many(b, arcs[idx].point_at(ts), signed=True)
         self.lb = float(fs.max())
         # left ends are all rows but each piece's last, right ends all but its first
         last = np.cumsum(n + 1) - 1
@@ -411,7 +415,7 @@ class _Direction:
             bound = float(ubs[keep].max()) + tol
             cap = np.minimum(cap, _structural_caps(self.arcs, idx, tl, tr, self.b, bound))
         tm = 0.5 * (tl + tr)
-        fm = body_distance_many(self.b, self.arcs[idx].point_at(tm))
+        fm = body_distance_many(self.b, self.arcs[idx].point_at(tm), signed=True)
         lb = max(lb, float(fm.max()))
         self.idx = np.concatenate([idx, idx])
         self.tl, self.tr = np.concatenate([tl, tm]), np.concatenate([tm, tr])
@@ -430,7 +434,7 @@ def _refine(directions: list[_Direction], tol: float) -> float:
     Raises ``RefinementStalled`` when rows are still alive after
     ``REFINE_LEVELS`` levels, or more than ``REFINE_ROWS`` at once.
     """
-    lb = max(d.lb for d in directions)
+    lb = max(0.0, *(d.lb for d in directions))  # a distance, though the rows are signed
     for _ in range(REFINE_LEVELS):
         live = [d.live(lb, tol) for d in directions]
         if not any(live):

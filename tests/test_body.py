@@ -102,6 +102,45 @@ def test_redundant_vertex_detected():
     assert "no-redundant-vertices" in rep.failed()
 
 
+def test_polytope_validation_is_the_polygon_report():
+    # one cached report per polytope, the generic checks included
+    p = selfdual_polytopes()["random-7-1"]
+    assert validate_polytope(p) is p.validation
+    assert [c.name for c in p.validation.checks] == (
+        ["vertex-count"] + [c.name for c in validate(p).checks] + ["no-redundant-vertices"]
+    )
+
+
+def _tampered_selfdual(kind):
+    """``random_selfdual_polytope(9, 1)`` with vertex 3 repeated, or a flat vertex in the middle of edge 3."""
+    from spherewidth.generators import random_selfdual_polytope
+
+    v = random_selfdual_polytope(9, 1).vertices
+    extra = v[3] if kind == "repeated" else unit(v[3] + v[4])
+    return Polytope(np.insert(v, 4, extra, axis=0))
+
+
+@pytest.mark.parametrize("kind, check", [("repeated", "edges-nondegenerate"), ("flat", "no-redundant-vertices")])
+def test_tampered_polytopes_raise_invalid_body(kind, check):
+    from spherewidth.approx import ApproximationConfig, certify
+    from spherewidth.generators import random_selfdual_polytope
+
+    good = random_selfdual_polytope(9, 1)
+    config = ApproximationConfig(0.01)
+    calls = [
+        polar_dual,
+        lambda p: is_constant_width(p, math.pi / 2),
+        lambda p: certify(p, good, config),
+        lambda p: certify(good, p, config),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidBody, match=check):
+            call(_tampered_selfdual(kind))
+    # the flat vertex passes the generic checks: only the polygon report refuses it
+    if kind == "flat":
+        assert validate(_tampered_selfdual(kind)).ok
+
+
 def test_reflex_junction_fails_convexity():
     # swapping two vertices of a convex quadrilateral creates reflex turns
     p = unit(0.75 * E3 + 0.25 * E2)
@@ -271,16 +310,33 @@ def test_body_functions_take_a_polytope(name):
 
 
 def test_to_polytope_returns_a_polytope_itself():
-    # a Polytope comes back with its cached edge stack and validation; a
-    # body of great arcs gives a new Polytope of its arc starts
+    # a Polytope, the dual of one too, comes back with its cached edge stack
+    # and validation; a chain of great arcs gives a new Polytope of its arc starts
     p = selfdual_polytopes()["random-30-1"]
     arcs, report = p.arcs, p.validation
     assert to_polytope(p) is p
     assert to_polytope(p).arcs is arcs and to_polytope(p).validation is report
     dual = polar_dual(p)
-    q = to_polytope(dual)
-    assert type(dual) is ConvexBody and isinstance(q, Polytope)
-    assert np.array_equal(q.vertices, Polytope(dual.arcs.start).vertices)
+    assert type(dual) is Polytope and to_polytope(dual) is dual
+    chain = bd.chain_body(dual.pieces)
+    q = to_polytope(chain)
+    assert type(chain) is ConvexBody and isinstance(q, Polytope)
+    assert np.array_equal(q.vertices, Polytope(chain.arcs.start).vertices)
+
+
+def test_polytope_dual_is_the_polytope_of_its_corner_poles():
+    # the dual keeps the edge poles' bits: its stack is the one-pass stack of
+    # the corner poles and the next edges' poles, field by field
+    from dataclasses import fields
+
+    for name, p in selfdual_polytopes().items():
+        dual = polar_dual(p)
+        _, k_next, _, corner = bd._junction_poles(p.arcs)
+        assert type(dual) is Polytope and corner.all(), name
+        want = sphere.great_arc_stack(p.arcs.z[corner], k_next[corner])
+        for f in fields(want):
+            assert np.array_equal(getattr(dual.arcs, f.name), getattr(want, f.name)), (name, f.name)
+        assert dual.validation.ok, name
 
 
 # --------------------------------------------------------------- membership

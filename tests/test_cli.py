@@ -7,7 +7,7 @@ import pytest
 from spherewidth import approx, metrics
 from spherewidth import body as bd
 from spherewidth.cli import main
-from spherewidth.formats import loads_body, loads_certificate
+from spherewidth.formats import dumps_body, loads_body, loads_certificate
 from spherewidth.body import Polytope
 from spherewidth.metrics import is_constant_width
 
@@ -194,12 +194,16 @@ def test_certify_octant_pair(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["octant", "random-polytope"])
 def test_certify_dual_file_takes_the_polytope_certificate(tmp_path, capsys, monkeypatch, kind):
-    # ``dual`` writes a pc-body of great arcs; certify reads it as a polytope,
-    # so the width sweep (``is_constant_width``) never runs
-    body, dual = tmp_path / "body.json", tmp_path / "dual.json"
+    # ``dual`` writes a polytope file, and a pc-body of great arcs, the
+    # format it wrote before, is read as a polytope too: certify takes the
+    # polytope certificate on both, so the width sweep (``is_constant_width``)
+    # never runs
+    body, dual, old = tmp_path / "body.json", tmp_path / "dual.json", tmp_path / "old.json"
     run(capsys, "generate", kind, "-o", str(body))
     run(capsys, "dual", str(body), "-o", str(dual))
-    assert json.loads(dual.read_text())["kind"] == "pc-body"
+    assert json.loads(dual.read_text())["kind"] == "polytope"
+    old.write_text(dumps_body(bd.chain_body(loads_body(dual.read_text()).pieces)))
+    assert json.loads(old.read_text())["kind"] == "pc-body"
     calls = []
 
     def counted(*args, **kwargs):
@@ -207,11 +211,12 @@ def test_certify_dual_file_takes_the_polytope_certificate(tmp_path, capsys, monk
         return is_constant_width(*args, **kwargs)
 
     monkeypatch.setattr(approx, "is_constant_width", counted)
-    code, stdout, _ = run(capsys, "certify", str(body), str(dual), "--epsilon", "1e-9")
-    assert code == 0
+    for result in (dual, old):
+        code, stdout, _ = run(capsys, "certify", str(body), str(result), "--epsilon", "1e-9")
+        assert code == 0
+        rec = json.loads(stdout.strip().splitlines()[-1])
+        assert rec["self_duality_residual"] < 1e-12
     assert calls == []
-    rec = json.loads(stdout.strip().splitlines()[-1])
-    assert rec["self_duality_residual"] < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["octant", "random-polytope", "cap"])

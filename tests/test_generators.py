@@ -235,7 +235,7 @@ def test_polytope_completion_measures_nothing_twice(monkeypatch):
     calls = {"boundary_sup_distance": 0, "pieces": 0}
     validated = []
     sup, validate_body = generators.boundary_sup_distance, bd.validate
-    make_pieces = bd.ConvexBody.pieces.func
+    make_pieces = bd.Polytope.pieces.func
 
     def pieces(body):
         calls["pieces"] += 1
@@ -250,8 +250,8 @@ def test_polytope_completion_measures_nothing_twice(monkeypatch):
         return sup(*args, **kwargs)
 
     prop = cached_property(pieces)
-    prop.__set_name__(bd.ConvexBody, "pieces")
-    monkeypatch.setattr(bd.ConvexBody, "pieces", prop)
+    prop.__set_name__(bd.Polytope, "pieces")
+    monkeypatch.setattr(bd.Polytope, "pieces", prop)
     monkeypatch.setattr(bd, "validate", validate)
     monkeypatch.setattr(generators, "boundary_sup_distance", counted_sup)
     for s in (1, 2, 3, 4):

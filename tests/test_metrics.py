@@ -32,6 +32,7 @@ from spherewidth.generators import (
 from spherewidth.metrics import (
     HAUSDORFF_TOL,
     _structural_caps,
+    boundary_sup_distance,
     diameter,
     hausdorff,
     is_constant_width,
@@ -450,10 +451,10 @@ def test_metrics_verb_sweeps_nothing_on_polytope_files(monkeypatch, tmp_path, ca
         assert rec["width_min"] <= rec["thickness"] <= rec["width_max"]
         assert rec["self_duality_residual"] <= 1e-12
     assert {k: len(calls[k]) for k in SWEEP_WORK} == dict.fromkeys(SWEEP_WORK, 0)
-    # the polytope file is one body; the dual, a file of great arcs, is the
-    # body read and the polytope of its vertices: each validated once
+    # the polytope and its dual, a polytope file too, are one body each,
+    # each validated once
     validated = calls["validate"]
-    assert len(validated) == 3 and len({id(b) for b in validated}) == 3
+    assert len(validated) == 2 and len({id(b) for b in validated}) == 2
 
 
 def test_polytope_gate_and_seed_check_run_no_ascent(monkeypatch):
@@ -540,7 +541,8 @@ def test_hausdorff_symmetry_and_triangle():
 def test_hausdorff_evaluates_each_level_in_one_call(monkeypatch, cap_polytopes):
     # the cap against its 51-vertex polytope: every direction evaluates its
     # whole set-up grid in one call and every level's midpoints in one more,
-    # over the same rows as one call per piece and level
+    # over the same rows as one call per piece and level; rows deep inside
+    # the other body are pruned by their signed distance
     c, polys = cap_polytopes
     n = {"calls": 0, "rows": 0, "levels": 0}
 
@@ -560,7 +562,26 @@ def test_hausdorff_evaluates_each_level_in_one_call(monkeypatch, cap_polytopes):
     hausdorff(c, polys[1])
     assert n["levels"] == 6
     assert n["calls"] <= 2 * 2 + n["levels"]
-    assert n["rows"] == 4370
+    assert n["rows"] == 4200
+
+
+@pytest.mark.parametrize("inner", [cap(E3, 0.6), cap(unit([0.0, 0.1, 1.0]), 0.5)])
+def test_sup_distance_of_a_body_inside_another_is_zero_at_once(monkeypatch, inner):
+    # every point of the inner cap is inside the outer one: its signed
+    # distance is negative, so the set-up grid prunes every row, where an
+    # unsigned distance of 0 left each row's Lipschitz bound to halve level
+    # after level until the rows ran out
+    levels = []
+    refine_once = metrics._Direction.refine_once
+
+    def level(self, *args):
+        levels.append(self)
+        return refine_once(self, *args)
+
+    monkeypatch.setattr(metrics._Direction, "refine_once", level)
+    monkeypatch.setattr(metrics, "REFINE_LEVELS", 2)
+    assert boundary_sup_distance(inner, cap(E3, PI / 4)) == 0.0
+    assert levels == []
 
 
 def test_stalled_refinement_raises_with_its_bracket(monkeypatch, cap_polytopes):
