@@ -543,8 +543,8 @@ def approximate_polytope(
     distance checked against 2 * epsilon) and the steps.
     """
     # the gate validates the input: on a polytope input through its
-    # polygon report, on a curved one through pairing_residual_bound, and
-    # through polar_dual when it sweeps
+    # Polytope's report, on a curved one through pairing_residual_bound,
+    # and through polar_dual when it sweeps
     gate = is_constant_width(body, 0.5 * math.pi, config.self_dual_tol)
     if not gate.passed:
         raise NotConstantWidth(
@@ -566,7 +566,7 @@ def certify(
     """Re-measure every guarantee on the (input, output) pair from scratch.
 
     A result bounded by great arcs, read as a ``Polytope`` (``to_polytope``)
-    and held to its polygon report, takes its width range and residual
+    and validated as one, takes its width range and residual
     from ``selfdual_residual_bound``, any other from
     ``is_constant_width``: its run pairing's closed form, or the sweep.
     Both are checked first, in O(n) for a polytope result, so a result

@@ -7,15 +7,15 @@ r = pi/2 case.  A convex body is the intersection of its supporting
 hemispheres, so a point x is a member when x . K >= -tol for every support
 pole K; membership and boundary distance evaluate all pieces of a body in
 one numpy expression over its stacked arrays (``ConvexBody.arcs``), in
-blocks of at most ``BLOCK_ELEMENTS`` rows x pieces; so do validation, the
-interior witness and the dual's corner poles.  Every polygon the library
-builds is a ``Polytope``, the dual of a body without small-circle arcs
-included, whose edges come from its vertices in one pass
-(``sphere.great_arc_stack``).  A body caches its validation (a
-``Polytope``'s is the polygon report) and its run pairing, and a
-``Polytope`` its edge stack, ``GreatArc`` pieces and witness, built from
-its vertices, on first use, so ``vertices``, like ``pieces``, must not
-change after.
+blocks of at most ``BLOCK_ELEMENTS`` rows x pieces; so do the interior
+witness and the dual's corner poles.  Validation is one exact report for
+every body, polygons included, each check read off the stacked arcs in
+closed form.  Every polygon the library builds is a ``Polytope``, the dual
+of a body without small-circle arcs included, whose edges come from its
+vertices in one pass (``sphere.great_arc_stack``).  A body caches its
+validation, its junction poles and its run pairing, and a ``Polytope`` its
+edge stack, ``GreatArc`` pieces and witness, built from its vertices, on
+first use, so ``vertices``, like ``pieces``, must not change after.
 The chain is traversed counterclockwise as seen from the interior side: at
 every smooth boundary point P with unit tangent T, the support pole of the
 body is P x T.  Under that convention polar duality maps pieces to pieces
@@ -60,6 +60,7 @@ from .sphere import (
     SmallCircleArc,
     Vec,
     acos_clamped_np,
+    arc_dot_range,
     chord_distance,
     cross_rows,
     distance_to_piece,
@@ -118,6 +119,16 @@ class ConvexBody:
         return validate(self)
 
     @cached_property
+    def junction_poles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The poles k_end, k_next either side of each junction, their chord gap and whether it is a
+        corner (a gap above ``POLE_MERGE_EPS``); row i is junction i, from piece i to piece i + 1."""
+        a = self.arcs
+        k_end, k_start = a.support_pole_at(np.array([a.t1, a.t0]))
+        k_next = _next_rows(k_start)
+        gap = np.linalg.norm(k_end - k_next, axis=1)
+        return k_end, k_next, gap, gap > POLE_MERGE_EPS
+
+    @cached_property
     def run_pairing(self) -> RunPairing:
         """The ``_pair_runs`` of the ``_boundary_units`` of ``arcs``, built on first read: the body must
         not change afterwards.  Raises ``NotSelfDual``, on every read, when a run has no partner."""
@@ -132,8 +143,8 @@ class ConvexBody:
 class Polytope(ConvexBody):
     """Convex body bounded by great arcs, stored by its vertices.
 
-    The edge stack, edges, witness and validation are built from
-    ``vertices`` on first use, so ``vertices`` must not change afterwards.
+    The edge stack, edges and witness are built from ``vertices`` on first
+    use, so ``vertices`` must not change afterwards.
     """
 
     def __init__(self, vertices):
@@ -162,7 +173,7 @@ class Polytope(ConvexBody):
     @cached_property
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge i runs from vertex i to vertex i + 1."""
-        return self.vertices, np.roll(self.vertices, -1, axis=0)
+        return self.vertices, _next_rows(self.vertices)
 
     @cached_property
     def arcs(self) -> ArcStack:
@@ -173,22 +184,6 @@ class Polytope(ConvexBody):
     def pieces(self) -> list[CircleArc]:
         """The edges as ``GreatArc`` objects, made from ``ends`` on first read."""
         return [GreatArc(s, e) for s, e in zip(*self.ends)]
-
-    @cached_property
-    def validation(self) -> ValidationReport:
-        """The vertex count, edges-nondegenerate (no edge stack on a repeated vertex), the checks of
-        ``validate``, and no-redundant-vertices (adjacent edge poles differ by more than ``BOUNDARY_EPS``)."""
-        checks = [ValidationCheck("vertex-count", len(self) >= 3, float(max(0, 3 - len(self))))]
-        if len(self) < 3:
-            return ValidationReport(checks)
-        try:
-            poles = self.arcs.z
-        except DegenerateArc:
-            return ValidationReport(checks + [ValidationCheck("edges-nondegenerate", False, 1.0)])
-        m = float(np.min(np.linalg.norm(poles - np.roll(poles, -1, axis=0), axis=1)))
-        checks += validate(self).checks
-        checks.append(ValidationCheck("no-redundant-vertices", m > BOUNDARY_EPS, -m))
-        return ValidationReport(checks)
 
     @cached_property
     def interior(self) -> Vec:
@@ -206,12 +201,20 @@ def as_body(b: ConvexBody) -> ConvexBody:
 
 
 def to_polytope(body: ConvexBody) -> Polytope:
-    """The body as a ``Polytope``: a ``Polytope`` itself, with its caches, or one made from the arc starts."""
+    """The body as a ``Polytope``: a ``Polytope`` itself, with its caches, or one made from the arc starts.
+
+    The arcs must form a closed chain, each ending within ``BOUNDARY_EPS``
+    of the next one's start, or the polygon of the starts would not be the
+    body.
+    """
     if isinstance(body, Polytope):
         return body
     if not body.is_polytope():
         raise InvalidBody("body still has strictly convex pieces")
-    return Polytope(body.arcs.start)
+    a = body.arcs
+    if not len(a) or _closure(a).max() > BOUNDARY_EPS:
+        raise InvalidBody("the arcs do not form a closed chain")
+    return Polytope(a.start)
 
 
 def chain_body(pieces: list[CircleArc]) -> ConvexBody:
@@ -261,55 +264,80 @@ class ValidationReport:
         )
 
 
-def validate(body: ConvexBody) -> ValidationReport:
-    """Check the boundary-chain invariants and report each with its worst violation.
+def _next_rows(x: np.ndarray) -> np.ndarray:
+    """``np.roll(x, -1, axis=0)`` in one concatenation: row i holds row i + 1, of the piece after junction i."""
+    return np.concatenate((x[1:], x[:1]))
 
-    Checks: piece count, chain closure, hemisphericity (the interior witness
-    doubles as the certifying hemisphere pole, so it must be central enough
-    to see the whole boundary at non-negative dot), support orientation
-    (every support pole sees the witness strictly inside, which also forces
-    small-circle arcs to bulge outward), junction convexity and piece
-    non-degeneracy.  A body should only be used when all pass.
+
+def _closure(a: ArcStack) -> np.ndarray:
+    """The chord from each piece's end to the next piece's start, row i for junction i."""
+    return np.linalg.norm(a.end - _next_rows(a.start), axis=1)
+
+
+def validate(body: ConvexBody) -> ValidationReport:
+    """Check the boundary-chain invariants exactly and report each with its worst violation.
+
+    The one report of every body, a ``Polytope`` included, each check read
+    off ``body.arcs`` in closed form.  When the stack cannot be built (a
+    ``Polytope`` with a repeated vertex) the report is edges-nondegenerate
+    alone.  Otherwise: piece count; chain closure; hemisphericity, the
+    least x . k over each arc (``arc_dot_range``) for k the interior witness
+    or the mean support pole, the integral of K(t) over every arc (an
+    interior point of the polar dual certifies containment); support
+    orientation, the least w . K over the support poles of each arc
+    (``min_support_dot``), which must be positive so that every support
+    pole sees the witness w strictly inside, and which also forces
+    small-circle arcs to bulge outward; junction convexity and no cusp, from
+    the turn about the junction point P from the pole K_end to K_next
+    (``ConvexBody.junction_poles``), which is the tangent turn as K = P x T;
+    piece non-degeneracy; and no redundant vertices, two great arcs meeting
+    at a junction whose poles differ by at most ``BOUNDARY_EPS``.  A body
+    should only be used when all pass.
     """
-    a = body.arcs
+    try:
+        a = body.arcs
+    except DegenerateArc:
+        return ValidationReport([ValidationCheck("edges-nondegenerate", False, 1.0)])
     n = len(a)
     checks = [ValidationCheck("piece-count", n >= 1, float(max(0, 1 - n)))]
     if n == 0:
         return ValidationReport(checks)
 
-    # row i of a rolled array belongs to piece i + 1, across junction i
-    gap = float(np.max(np.linalg.norm(a.end - np.roll(a.start, -1, axis=0), axis=1)))
+    gap = float(_closure(a).max())
     checks.append(ValidationCheck("closure", gap <= BOUNDARY_EPS, gap))
 
+    # candidate hemisphere poles, each against every arc: the witness w, and
+    # the mean support pole (an interior point of the polar dual certifies
+    # containment exactly), the sum over the arcs of the integral of
+    # K(t) = sin r z - cos r (cos t u + sin t v)
+    ring = (np.sin(a.t1) - np.sin(a.t0))[:, None] * a.u + (np.cos(a.t0) - np.cos(a.t1))[:, None] * a.v
+    pole_sum = ((a.sin_r * a.span)[:, None] * a.z - a.cos_r[:, None] * ring).sum(axis=0)
     w = body.interior
-    samples = a.point_at(np.linspace(a.t0, a.t1, 16))
-    # candidate hemisphere poles: the witness, and the mean support pole
-    # (an interior point of the polar dual certifies containment exactly)
-    pole_mean = a.support_pole_at(np.linspace(a.t0, a.t1, 5)).mean(axis=0).sum(axis=0)
-    candidates = [w]
-    if np.linalg.norm(pole_mean) > DOT_EPS:
-        candidates.append(unit(pole_mean))
-    min_dot = max(float(np.min(samples @ k)) for k in candidates)
+    candidates = np.array([w, unit(pole_sum)]) if np.linalg.norm(pole_sum) > DOT_EPS else w[None]
+    lo = arc_dot_range(a, a.t0, a.t1, candidates[:, None])[0]
+    min_dot = float(lo.min(axis=1).max())
     checks.append(ValidationCheck("hemispherical", min_dot >= -BOUNDARY_EPS, -min_dot))
 
-    worst_support = min(1.0, float(np.min(a.support_pole_at(np.linspace(a.t0, a.t1, 9)) @ w)))
+    worst_support = min(1.0, float(min_support_dot(w[None], a).min()))
     checks.append(ValidationCheck("support-orientation", worst_support > DOT_EPS, -worst_support))
 
-    t_in = a.tangent_at(a.t1)
-    t_out = np.roll(a.tangent_at(a.t0), -1, axis=0)
-    turns = np.arctan2(np.sum(cross_rows(t_in, t_out) * a.end, axis=1), np.sum(t_in * t_out, axis=1))
-    min_turn = float(np.min(turns))
-    max_turn = float(np.max(turns))
+    k_end, k_next, pole_gap, _ = body.junction_poles
+    turns = np.arctan2((cross_rows(k_end, k_next) * a.end).sum(axis=1), (k_end * k_next).sum(axis=1))
+    min_turn, max_turn = float(turns.min()), float(turns.max())
     checks.append(ValidationCheck("convex-turns", min_turn >= -BOUNDARY_EPS, -min_turn))
     checks.append(ValidationCheck("corner-not-cusp", max_turn <= math.pi - 1e-9, max_turn))
 
-    min_len = float(np.min(a.span * a.sin_r))
+    min_len = float((a.span * a.sin_r).min())
     checks.append(ValidationCheck("piece-nondegenerate", min_len > 1e-12, -min_len))
+
+    great = a.radius == 0.5 * math.pi
+    flat = float(pole_gap[great & _next_rows(great)].min(initial=np.inf))
+    checks.append(ValidationCheck("no-redundant-vertices", flat > BOUNDARY_EPS, -flat))
     return ValidationReport(checks)
 
 
 def validate_polytope(poly: Polytope) -> ValidationReport:
-    """The polygon report, ``poly.validation``: the generic checks plus the polygon ones."""
+    """``poly.validation``, the one report of ``validate``."""
     return poly.validation
 
 
@@ -400,14 +428,6 @@ def body_distance(body: ConvexBody, p: Vec) -> float:
 # ------------------------------------------------------------------ duality
 
 
-def _junction_poles(a: ArcStack) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The poles k_end, k_next either side of each junction, their gap and whether it is a corner."""
-    k_end = a.support_pole_at(a.t1)
-    k_next = np.roll(a.support_pole_at(a.t0), -1, axis=0)
-    gap = np.linalg.norm(k_end - k_next, axis=1)
-    return k_end, k_next, gap, gap > POLE_MERGE_EPS
-
-
 def polar_dual(body: ConvexBody) -> ConvexBody:
     """Polar body, with the piecewise-circular structure mapped exactly.
 
@@ -419,7 +439,7 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
     great arcs has the ``Polytope`` of its corner edge poles, kept bit for bit.
     """
     require_valid(body)
-    k_end, k_next, _, corner = _junction_poles(body.arcs)
+    k_end, k_next, _, corner = body.junction_poles
     if body.is_polytope():
         # every piece maps to a dual vertex and every corner to a great arc
         if not corner.any():
@@ -692,10 +712,10 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
         return None
     a = body.arcs
     terms = [_run_term(pairing, a)]
-    k_end, k_next, gap, corner = _junction_poles(a)
+    k_end, k_next, gap, corner = body.junction_poles
     great = a.radius == 0.5 * math.pi
     g, c = np.flatnonzero(great), np.flatnonzero(corner)
-    if len(g) != len(c) or np.any(~corner & great & np.roll(great, -1)):
+    if len(g) != len(c) or np.any(~corner & great & _next_rows(great)):
         return None
     if len(c):
         starts, ends = a.start[g], a.end[g]
@@ -719,8 +739,7 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
             return None
         terms.append(float(np.max(2.0 * np.arcsin(e / half))))
 
-    closure = np.linalg.norm(a.end - np.roll(a.start, -1, axis=0), axis=1)
-    rho = max(terms) + float(np.max(closure + np.where(corner, 0.0, gap)))
+    rho = max(terms) + float(np.max(_closure(a) + np.where(corner, 0.0, gap)))
     return rho if rho < 0.5 * math.pi else None
 
 
@@ -767,7 +786,7 @@ def support_poles_at(body: ConvexBody, p, tol: float = BOUNDARY_EPS) -> SupportS
     """
     p = unit(p)
     a = body.arcs
-    k_end, k_next, _, corner = _junction_poles(a)
+    k_end, k_next, _, corner = body.junction_poles
     i = next(iter(np.flatnonzero(np.linalg.norm(a.end - p, axis=1) <= tol)), None)  # the first junction at p
     if i is not None:
         if corner[i]:
@@ -777,8 +796,8 @@ def support_poles_at(body: ConvexBody, p, tol: float = BOUNDARY_EPS) -> SupportS
     i = int(np.argmin(dists))
     if dists[i] > tol:
         raise NotOnBoundary("point is %.3e from the boundary (tol %.1e)" % (dists[i], tol))
-    pc = body.pieces[i]
-    return SupportSet(at=p, poles=pc.support_pole_at(pc.azimuth_of(p))[0], is_vertex=False)
+    t = np.mod(np.arctan2(p @ a.v[i], p @ a.u[i]), TWO_PI)  # the azimuth of p on piece i
+    return SupportSet(at=p, poles=a[i].support_pole_at(t), is_vertex=False)
 
 
 def diametral_partner(

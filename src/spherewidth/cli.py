@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import ApproximationConfig, approximate_polytope, certify
-from .body import Polytope, polar_dual
+from .body import Polytope, polar_dual, to_polytope
 from .errors import CertificationFailed, SphereGeomError
 from .formats import dumps_body, dumps_certificate, dumps_step_log, loads_body
 from .generators import cap, complete_selfdual, octant, random_selfdual_polytope, rounded_reuleaux
@@ -33,7 +33,10 @@ def _parse_vec(text: str) -> np.ndarray:
 
 
 def _read_body(path: str):
+    """The body of a file, validated once; a ``pc-body`` of great arcs only is read as its ``Polytope``."""
     body = loads_body(Path(path).read_text())
+    if body.is_polytope():
+        body = to_polytope(body)
     rep = body.validation
     if not rep.ok:
         raise SphereGeomError("invalid body in %s: %s" % (path, ", ".join(rep.failed())))

@@ -54,14 +54,12 @@ class BudgetExhausted(SphereGeomError):
     Raised when epsilon is so small that one arc interval would need
     ``approx.MAX_SUBARCS`` or more chords, before anything is built, and
     when the self-dual completion runs out of insertions.  Carries the best
-    body reached so far, if any, in ``partial`` and the applied edits in
-    ``steps``.
+    body reached so far, if any, in ``partial``.
     """
 
-    def __init__(self, message, partial=None, steps=None):
+    def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
-        self.steps = steps or []
 
 
 class CertificationFailed(SphereGeomError):

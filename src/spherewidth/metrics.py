@@ -60,10 +60,10 @@ from .sphere import (
     ArcStack,
     Vec,
     acos_clamped_np,
+    arc_dot_range,
     farthest_on_piece,
     length_weighted_counts,
     linspace_grid,
-    sinusoid_range,
     unit,
     unit_each,
 )
@@ -225,19 +225,6 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum(x * y, axis=1)
 
 
-def _dot_ranges(pa: ArcStack, tl, tr, w: np.ndarray):
-    """Exact range of x . w over arcs, arc i paired with the vector w[i].
-
-    Row i is the arc of ``pa[i]`` over the parameters [tl[i], tr[i]], where
-    x(t) . w = cos r (z . w) + sin r (au cos t + av sin t), whose sinusoid
-    ``sinusoid_range`` bounds.  Returns the minimum, the maximum and the
-    sinusoid's amplitude rho = hypot(au, av).
-    """
-    lo, hi, rho = sinusoid_range(_dot(pa.u, w), _dot(pa.v, w), tl, tr)
-    g, s = pa.cos_r * _dot(pa.z, w), pa.sin_r
-    return g + s * lo, g + s * hi, rho
-
-
 def _pair_caps(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
     """Structural caps of pairs: the arc of ``pa[k]`` over [tl[k], tr[k]] against piece ``b[k]``."""
     span = tr - tl
@@ -247,11 +234,11 @@ def _pair_caps(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
     full_b = b.span >= TWO_PI - DOT_EPS
     # any single boundary point v gives sup dist(., b) <= sup d(., v), exact
     # on plateaus where a vertex is the nearest feature
-    caps = [acos_clamped_np(_dot_ranges(pa, tl, tr, v)[0]) for v in (b.start, b.end)]
+    caps = [acos_clamped_np(arc_dot_range(pa, tl, tr, v)[0]) for v in (b.start, b.end)]
 
     # the distance to a full circle is |d(x, z) - r|, whose range over the
     # arc is closed form; it also serves concentric small arcs below
-    cmin, cmax, rho = _dot_ranges(pa, tl, tr, b.z)
+    cmin, cmax, rho = arc_dot_range(pa, tl, tr, b.z)
     ring = np.maximum(
         np.abs(acos_clamped_np(cmax) - b.radius), np.abs(acos_clamped_np(cmin) - b.radius)
     )

@@ -8,7 +8,9 @@ is an arc of a circle in one parametrisation,
 with centre z, angular radius r in (0, pi/2] and a tangent frame (u, v) at z.
 A ``SmallCircleArc`` has r < pi/2 and the canonical ``tangent_basis`` frame; a
 ``GreatArc`` is the r = pi/2 case about its pole.  Sampling, support poles,
-distance and farthest-point queries are therefore one closed form for both.
+distance and farthest-point queries are therefore one closed form for both,
+and so is ``arc_dot_range``, the exact range of x . w along stacked arcs,
+which validation and the Hausdorff structural caps share.
 ``stack_arcs`` lays out a whole boundary as arrays, and ``great_arc_stack``
 builds the same arrays for great arcs straight from their ends, in one pass
 and bit for bit: the nearest and farthest distance kernels and the least
@@ -251,10 +253,6 @@ class CircleArc:
         """
         return self.sin_r * self.z - self.cos_r * self._ring(t)
 
-    def tangent_at(self, t: float) -> Vec:
-        """Unit tangent in the direction of increasing ``t``."""
-        return -np.sin(t) * self.u + np.cos(t) * self.v
-
     def azimuth_of(self, p) -> np.ndarray:
         """Azimuth of point(s) ``p`` about z in [0, 2*pi), measured from u."""
         p = np.asarray(p, dtype=float)
@@ -398,10 +396,6 @@ class ArcStack:
     def support_pole_at(self, t) -> np.ndarray:
         return self.sin_r[..., None] * self.z - self.cos_r[..., None] * self._ring(t)
 
-    def tangent_at(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)[..., None]
-        return -np.sin(t) * self.u + np.cos(t) * self.v
-
 
 def stack_arcs(pieces) -> ArcStack:
     return ArcStack(
@@ -511,6 +505,21 @@ def sinusoid_range(a, b, tl, tr):
     hi = np.where(wrap_angle(rel) <= tr - tl, np.maximum(hi, rho), hi)
     lo = np.where(wrap_angle(rel + math.pi) <= tr - tl, np.minimum(lo, -rho), lo)
     return lo, hi, rho
+
+
+def arc_dot_range(arcs: ArcStack, tl, tr, w: np.ndarray):
+    """Exact range of x . w over arcs, elementwise.
+
+    Row i is the arc of ``arcs[i]`` over the parameters [tl[i], tr[i]], where
+    x(t) . w = cos r (z . w) + sin r (au cos t + av sin t), whose sinusoid
+    ``sinusoid_range`` bounds.  Arc i takes the vector w[i], or every arc
+    one w; vectors w of shape (m, 1, 3) give (m, n) ranges, each vector
+    against every arc.  Returns the minimum, the maximum and the sinusoid's
+    amplitude rho = hypot(au, av).
+    """
+    lo, hi, rho = sinusoid_range((arcs.u * w).sum(axis=-1), (arcs.v * w).sum(axis=-1), tl, tr)
+    g, s = arcs.cos_r * (arcs.z * w).sum(axis=-1), arcs.sin_r
+    return g + s * lo, g + s * hi, rho
 
 
 def _far_param(xu: np.ndarray, xv: np.ndarray, piece: CircleArc) -> np.ndarray:

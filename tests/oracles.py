@@ -27,13 +27,14 @@ from scipy.spatial import cKDTree
 
 from spherewidth.approx import ApproximationConfig, approximate_polytope, cut_step, subdivide_piece
 from spherewidth.body import PAIR_EPS, Polytope, ValidationCheck, body_distance, to_polytope
-from spherewidth.errors import BudgetExhausted, DualOverlap
+from spherewidth.errors import BudgetExhausted, DegenerateArc, DualOverlap
 from spherewidth.generators import cap, complete_selfdual, rotated, rotation_from_seed
 from spherewidth.render import FRAME_SAMPLES, MAX_SEG_SPAN, STROKES, _fmt, _Frame
 from spherewidth.sphere import (
     BOUNDARY_EPS,
     DOT_EPS,
     TWO_PI,
+    GreatArc,
     SmallCircleArc,
     acos_clamped_np,
     arc_pole,
@@ -174,13 +175,37 @@ def polytope_inside(vertices, tol=1e-12):
     return f
 
 
-def validate_per_piece(body):
-    """The checks of ``body.validate``, evaluated piece by piece in Python.
+def _sinusoid_min_max(a, b, t0, t1):
+    """Least and greatest a cos t + b sin t over [t0, t1], in scalar Python.
 
-    The same names, samples and thresholds as the stacked ``validate``, one
-    ``support_pole_at`` / ``tangent_at`` call per piece and junction.
+    The ends, and the peak (at atan2(b, a)) or the trough (half a turn on),
+    of amplitude hypot(a, b), wherever one falls inside the range.
     """
-    pcs = body.pieces
+    ends = [a * math.cos(t) + b * math.sin(t) for t in (t0, t1)]
+    rho, peak = math.hypot(a, b), math.atan2(b, a)
+
+    def inside(t):
+        return (t - t0) % TWO_PI <= t1 - t0
+
+    return (-rho if inside(peak + math.pi) else min(ends)), (rho if inside(peak) else max(ends))
+
+
+def validate_per_piece(body):
+    """The checks of ``body.validate``, evaluated exactly piece by piece in scalar Python.
+
+    The same names and thresholds as the stacked ``validate``.  Along a
+    piece, with s(t) = (u . k) cos t + (v . k) sin t, the point x(t) has
+    x . k = cos r (z . k) + sin r s(t) and the support pole K(t) has
+    K . k = sin r (z . k) - cos r s(t), so each least value comes from the
+    least or greatest s (``_sinusoid_min_max``).  The mean support pole sums
+    the integral of K(t) over each piece, and each turn is the angle about
+    the junction point from one piece's end pole to the next piece's start
+    pole.
+    """
+    try:
+        pcs = body.pieces
+    except DegenerateArc:
+        return [ValidationCheck("edges-nondegenerate", False, 1.0)]
     n = len(pcs)
     checks = [ValidationCheck("piece-count", n >= 1, float(max(0, 1 - n)))]
     if n == 0:
@@ -191,31 +216,36 @@ def validate_per_piece(body):
     checks.append(ValidationCheck("closure", gap <= BOUNDARY_EPS, gap))
 
     w = body.interior
-    samples = np.vstack([sample_piece(p, 16) for p in pcs])
-    poles = [p.support_pole_at(np.linspace(p.t0, p.t1, 5)).mean(axis=0) for p in pcs]
-    pole_mean = np.sum(poles, axis=0)
+    pole_sum = np.zeros(3)
+    for p in pcs:
+        ring = (math.sin(p.t1) - math.sin(p.t0)) * p.u + (math.cos(p.t0) - math.cos(p.t1)) * p.v
+        pole_sum = pole_sum + p.sin_r * p.span * p.z - p.cos_r * ring
     candidates = [w]
-    if np.linalg.norm(pole_mean) > DOT_EPS:
-        candidates.append(unit(pole_mean))
-    min_dot = max(float(np.min(samples @ k)) for k in candidates)
+    if np.linalg.norm(pole_sum) > DOT_EPS:
+        candidates.append(unit(pole_sum))
+
+    def s_range(p, k):
+        return _sinusoid_min_max(dot(p.u, k), dot(p.v, k), p.t0, p.t1)
+
+    min_dot = max(min(p.cos_r * dot(p.z, k) + p.sin_r * s_range(p, k)[0] for p in pcs) for k in candidates)
     checks.append(ValidationCheck("hemispherical", min_dot >= -BOUNDARY_EPS, -min_dot))
 
-    worst_support = min(
-        1.0, *(float(np.min(p.support_pole_at(np.linspace(p.t0, p.t1, 9)) @ w)) for p in pcs)
-    )
+    worst_support = min(1.0, *(p.sin_r * dot(p.z, w) - p.cos_r * s_range(p, w)[1] for p in pcs))
     checks.append(ValidationCheck("support-orientation", worst_support > DOT_EPS, -worst_support))
 
-    turns = []
+    turns, flat = [], math.inf
     for i, p in enumerate(pcs):
         q = pcs[(i + 1) % n]
-        t_in = p.tangent_at(p.t1)
-        t_out = q.tangent_at(q.t0)
-        turns.append(math.atan2(dot(cross(t_in, t_out), p.end), dot(t_in, t_out)))
+        k_end, k_next = p.support_pole_at(p.t1)[0], q.support_pole_at(q.t0)[0]
+        turns.append(math.atan2(dot(cross(k_end, k_next), p.end), dot(k_end, k_next)))
+        if isinstance(p, GreatArc) and isinstance(q, GreatArc):
+            flat = min(flat, chord_distance(k_end, k_next))
     checks.append(ValidationCheck("convex-turns", min(turns) >= -BOUNDARY_EPS, -min(turns)))
     checks.append(ValidationCheck("corner-not-cusp", max(turns) <= math.pi - 1e-9, max(turns)))
 
     min_len = min(p.length for p in pcs)
     checks.append(ValidationCheck("piece-nondegenerate", min_len > 1e-12, -min_len))
+    checks.append(ValidationCheck("no-redundant-vertices", flat > BOUNDARY_EPS, -flat))
     return checks
 
 
@@ -258,7 +288,7 @@ def chord_cut_loop(body, eps, max_rounds=64):
             steps.append(rec)
     if not current.is_polytope():
         raise BudgetExhausted(
-            "strictly convex arcs remain after %d rounds" % rounds, partial=current, steps=steps
+            "strictly convex arcs remain after %d rounds" % rounds, partial=current
         )
     return to_polytope(current), steps, rounds
 

@@ -58,9 +58,10 @@ def test_cap_validates():
 
 
 def test_two_vertex_polytope_fails():
+    # a digon runs back along its own edge: its corners turn by pi, and its
+    # witness, the edge midpoint, lies on the edges' great circle
     rep = validate_polytope(Polytope(np.array([E1, E2])))
-    assert not rep.ok
-    assert "vertex-count" in rep.failed()
+    assert rep.failed() == ["support-orientation", "corner-not-cusp"]
 
 
 def test_repeated_vertex_fails_edges_nondegenerate():
@@ -103,12 +104,12 @@ def test_redundant_vertex_detected():
 
 
 def test_polytope_validation_is_the_polygon_report():
-    # one cached report per polytope, the generic checks included
+    # one cached report per polytope: the report of ``validate``, the same
+    # checks as on its chain of great arcs
     p = selfdual_polytopes()["random-7-1"]
     assert validate_polytope(p) is p.validation
-    assert [c.name for c in p.validation.checks] == (
-        ["vertex-count"] + [c.name for c in validate(p).checks] + ["no-redundant-vertices"]
-    )
+    assert p.validation.checks == validate(p).checks
+    assert [c.name for c in validate(bd.chain_body(p.pieces)).checks] == [c.name for c in p.validation.checks]
 
 
 def _tampered_selfdual(kind):
@@ -136,9 +137,11 @@ def test_tampered_polytopes_raise_invalid_body(kind, check):
     for call in calls:
         with pytest.raises(InvalidBody, match=check):
             call(_tampered_selfdual(kind))
-    # the flat vertex passes the generic checks: only the polygon report refuses it
+    # the one report refuses the flat vertex, on the polytope and on its chain of great arcs
     if kind == "flat":
-        assert validate(_tampered_selfdual(kind)).ok
+        poly = _tampered_selfdual(kind)
+        for body in (poly, bd.chain_body(poly.pieces)):
+            assert validate(body).failed() == ["no-redundant-vertices"]
 
 
 def test_reflex_junction_fails_convexity():
@@ -173,30 +176,47 @@ def _validation_corpus():
     a0 = float(probe.azimuth_of(E3))
     tiny = SmallCircleArc(z, probe.radius, a0, a0 + 2e-12)
     a, b = unit([0.3, 0.2, 0.9]), unit([-0.4, 0.5, 0.7])
-    failing = {
-        "closure": ConvexBody([GreatArc(E1, E2), GreatArc(E2, E3)], unit([1.0, 1.0, 1.0])),
-        "support-orientation": ConvexBody(
-            [SmallCircleArc(E3, math.pi / 4, 0.0, 2 * math.pi)], unit([0.2, 0.0, -1.0])
+    failing = [
+        ("closure", ConvexBody([GreatArc(E1, E2), GreatArc(E2, E3)], unit([1.0, 1.0, 1.0]))),
+        (
+            "support-orientation",
+            ConvexBody([SmallCircleArc(E3, math.pi / 4, 0.0, 2 * math.pi)], unit([0.2, 0.0, -1.0])),
         ),
-        "convex-turns": Polytope(
-            np.array([E1, E2, unit(0.75 * E3 + 0.25 * E1), unit(0.75 * E3 + 0.25 * E2)])
+        ("support-orientation", _outside_witness_cap()),
+        (
+            "convex-turns",
+            Polytope(np.array([E1, E2, unit(0.75 * E3 + 0.25 * E1), unit(0.75 * E3 + 0.25 * E2)])),
         ),
         # a digon that runs back along its own edge
-        "corner-not-cusp": bd.chain_body([GreatArc(a, b), GreatArc(b, a)]),
-        "piece-nondegenerate": ConvexBody(
-            [GreatArc(E1, E2), GreatArc(E2, E3), tiny, GreatArc(tiny.end, E1)], unit([1.0, 1.0, 1.0])
+        ("corner-not-cusp", bd.chain_body([GreatArc(a, b), GreatArc(b, a)])),
+        (
+            "piece-nondegenerate",
+            ConvexBody([GreatArc(E1, E2), GreatArc(E2, E3), tiny, GreatArc(tiny.end, E1)], unit([1.0, 1.0, 1.0])),
         ),
-    }
+    ]
     return valid + [polar_dual(c) for c in valid], failing
+
+
+def _outside_witness_cap():
+    """The pi/4 cap about e3 whose witness, at polar angle 0.80 and azimuth pi/8, lies 0.015 outside it."""
+    theta, phi = 0.80, math.pi / 8
+    w = [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+    return ConvexBody([SmallCircleArc(E3, math.pi / 4, 0.0, 2 * math.pi)], w)
+
+
+def test_outside_witness_cap_fails_support_orientation_alone():
+    c = _outside_witness_cap()
+    assert not contains(c, c.interior)
+    assert validate(c).failed() == ["support-orientation"]
 
 
 def test_validate_matches_per_piece_reference():
     valid, failing = _validation_corpus()
     for c in valid:
         assert validate(c).ok
-    for name, c in failing.items():
+    for name, c in failing:
         assert name in validate(c).failed()
-    for c in valid + list(failing.values()):
+    for c in valid + [c for _, c in failing]:
         got = validate(c).checks
         want = oracles.validate_per_piece(c)
         assert [g.name for g in got] == [w.name for w in want]
@@ -331,7 +351,7 @@ def test_polytope_dual_is_the_polytope_of_its_corner_poles():
 
     for name, p in selfdual_polytopes().items():
         dual = polar_dual(p)
-        _, k_next, _, corner = bd._junction_poles(p.arcs)
+        _, k_next, _, corner = p.junction_poles
         assert type(dual) is Polytope and corner.all(), name
         want = sphere.great_arc_stack(p.arcs.z[corner], k_next[corner])
         for f in fields(want):

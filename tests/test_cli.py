@@ -270,9 +270,12 @@ def test_nan_tol_cannot_certify_a_wrong_width(tmp_path, capsys):
 
 
 def test_each_verb_validates_each_body_once(tmp_path, capsys, monkeypatch):
-    files = {n: tmp_path / n for n in ("cap.json", "poly.json", "dual.json", "fig.svg", "p2.json")}
+    files = {n: tmp_path / n for n in ("cap.json", "poly.json", "dual.json", "old.json", "fig.svg", "p2.json")}
     run(capsys, "generate", "cap", "-o", str(files["cap.json"]))
     run(capsys, "approximate", str(files["cap.json"]), "--epsilon", "0.01", "-o", str(files["poly.json"]))
+    # the dual as a pc-body of great arcs, the format ``dual`` wrote before
+    run(capsys, "dual", str(files["poly.json"]), "-o", str(files["dual.json"]))
+    files["old.json"].write_text(dumps_body(bd.chain_body(loads_body(files["dual.json"].read_text()).pieces)))
     seen = []
     validate = bd.validate
 
@@ -281,13 +284,17 @@ def test_each_verb_validates_each_body_once(tmp_path, capsys, monkeypatch):
         return validate(body)
 
     monkeypatch.setattr(bd, "validate", counted)
-    cap_f, poly_f = str(files["cap.json"]), str(files["poly.json"])
+    cap_f, poly_f, old_f = str(files["cap.json"]), str(files["poly.json"]), str(files["old.json"])
     verbs = [
         (["certify", cap_f, poly_f, "--epsilon", "0.01"], 2),
+        (["certify", cap_f, old_f, "--epsilon", "0.01"], 2),
         (["metrics", poly_f], 1),
         (["metrics", cap_f], 1),
+        (["metrics", old_f], 1),
         (["dual", poly_f, "-o", str(files["dual.json"])], 1),
+        (["dual", old_f, "-o", str(files["dual.json"])], 1),
         (["render", cap_f, poly_f, "-o", str(files["fig.svg"])], 2),
+        (["render", old_f, "-o", str(files["fig.svg"])], 1),
         # the file it reads, and the polytope it writes
         (["approximate", cap_f, "--epsilon", "0.01", "-o", str(files["p2.json"])], 2),
     ]
@@ -343,8 +350,19 @@ def test_bad_arguments_exit_one(capsys):
         '[{"type":"circle","center":[0,0,1],"radius":0.7,"az_from":0}]}',
         '[{"kind":"polytope","vertices":[[1,0,0],[0,1,0],[0,0,1]]}]',
         '{"kind":"polytope","vertices":[[0,0,0],[1,0,0],[0,1,0]]}',
+        # great arcs whose last one stops short of the first start: not the octant of their starts
+        '{"kind":"pc-body","interior":[1,1,1],"pieces":[{"type":"great","from":[1,0,0],"to":[0,1,0]},'
+        '{"type":"great","from":[0,1,0],"to":[0,0,1]},{"type":"great","from":[0,0,1],"to":[1,0,0.2]}]}',
+        '{"kind":"pc-body","interior":[0,0,1],"pieces":[]}',
     ],
-    ids=["polytope-without-vertices", "circle-without-az_to", "array-root", "zero-vertex"],
+    ids=[
+        "polytope-without-vertices",
+        "circle-without-az_to",
+        "array-root",
+        "zero-vertex",
+        "open-great-arc-chain",
+        "no-pieces",
+    ],
 )
 def test_malformed_body_file_exits_one(tmp_path, capsys, text):
     src = tmp_path / "bad.json"
