@@ -77,6 +77,7 @@ from .sphere import (
     cross_rows,
     dot,
     linspace_grid,
+    stack_arcs,
     unit,
     unit_rows,
 )
@@ -87,7 +88,7 @@ from .body import (
     boundary_distance_many,
     chain_body,
     drop_flat_vertices,
-    merge_flat_junctions,
+    merge_flat,
     require_valid,
     run_pairing_or_none,
     selfdual_residual_bound,
@@ -324,8 +325,7 @@ def cut_step(body: ConvexBody, p1: Vec, p2: Vec) -> tuple[ConvexBody, StepRecord
             else:
                 new_pieces.append(piece)
 
-    new_pieces = merge_flat_junctions(new_pieces)
-    out = chain_body(new_pieces)
+    out = chain_body(merge_flat(stack_arcs(new_pieces)))
     rec = StepRecord(
         p1=p1,
         p2=p2,

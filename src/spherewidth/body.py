@@ -10,16 +10,17 @@ one numpy expression over its stacked arrays (``ConvexBody.arcs``), in
 blocks of at most ``BLOCK_ELEMENTS`` rows x pieces; so do the interior
 witness and the dual's corner poles.  Validation is one exact report for
 every body, polygons included, each check read off the stacked arcs in
-closed form.  Every polygon the library builds is a ``Polytope``, the dual
-of a body without small-circle arcs included, whose edges come from its
-vertices in one pass (``sphere.great_arc_stack``).  A body caches its
-validation, its junction poles and its run pairing, and a ``Polytope`` its
-edge stack, ``GreatArc`` pieces and witness, built from its vertices, on
-first use, so ``vertices``, like ``pieces``, must not change after.
+closed form.  Every polygon the library builds is a ``Polytope``, whose
+edges come from its vertices in one pass (``sphere.great_arc_stack``); a
+curved body comes from its pieces or straight from its stack
+(``chain_body``), and is edited on the stack: ``polar_dual`` maps its rows,
+``merge_flat`` joins flat junctions.  ``pieces`` and ``arcs`` are made from
+each other, and the validation, junction poles and run pairing, on first
+use, so none of them, nor ``vertices``, may change after.
 The chain is traversed counterclockwise as seen from the interior side: at
 every smooth boundary point P with unit tangent T, the support pole of the
 body is P x T.  Under that convention polar duality maps pieces to pieces
-in traversal order:
+in traversal order, one stack row to at most two:
 
 * circle arc (Z, r < pi/2, span)  ->  circle arc (Z, pi/2 - r, span + pi)
 * great arc (r = pi/2)            ->  its pole, as a dual vertex
@@ -57,17 +58,18 @@ from .sphere import (
     ArcStack,
     CircleArc,
     GreatArc,
-    SmallCircleArc,
     Vec,
     acos_clamped_np,
     arc_dot_range,
-    chord_distance,
+    arc_pieces,
     cross_rows,
     distance_to_piece,
     great_arc_stack,
+    join_stacks,
     max_distance_to_piece,
     min_support_dot,
     row_dots,
+    small_arc_stack,
     stack_arcs,
     unit,
     unit_rows,
@@ -91,8 +93,9 @@ BLOCK_ELEMENTS = 8192
 class ConvexBody:
     """Spherical convex body bounded by a closed chain of pieces.
 
-    Built from its pieces and an interior point; a ``Polytope`` is built
-    from its vertices instead.
+    Built from its pieces and an interior point, or from the stack of its
+    arcs (``chain_body``); a ``Polytope`` is built from its vertices.
+    ``arcs`` and ``pieces`` are each made from the other on first read.
     """
 
     def __init__(self, pieces, interior):
@@ -112,6 +115,11 @@ class ConvexBody:
     def arcs(self) -> ArcStack:
         """The pieces as stacked arrays; ``pieces`` must not change afterwards."""
         return stack_arcs(self.pieces)
+
+    @cached_property
+    def pieces(self) -> list[CircleArc]:
+        """The rows of ``arcs`` as piece objects, bit for bit (``sphere.arc_pieces``), made on first read."""
+        return arc_pieces(self.arcs)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -171,19 +179,10 @@ class Polytope(ConvexBody):
         return True
 
     @cached_property
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge i runs from vertex i to vertex i + 1."""
-        return self.vertices, _next_rows(self.vertices)
-
-    @cached_property
     def arcs(self) -> ArcStack:
-        """The edges as stacked arrays, in one pass; raises ``DegenerateArc`` on a repeated vertex."""
-        return great_arc_stack(*self.ends)
-
-    @cached_property
-    def pieces(self) -> list[CircleArc]:
-        """The edges as ``GreatArc`` objects, made from ``ends`` on first read."""
-        return [GreatArc(s, e) for s, e in zip(*self.ends)]
+        """The edges, edge i from vertex i to vertex i + 1, as stacked arrays in one pass; raises ``DegenerateArc``
+        on a repeated vertex."""
+        return great_arc_stack(self.vertices, _next_rows(self.vertices))
 
     @cached_property
     def interior(self) -> Vec:
@@ -217,20 +216,17 @@ def to_polytope(body: ConvexBody) -> Polytope:
     return Polytope(a.start)
 
 
-def chain_body(pieces: list[CircleArc]) -> ConvexBody:
-    """The body of the chain ``pieces`` and their stack; its witness, the mean of five samples a piece, is interior."""
-    arcs = stack_arcs(pieces)
-    samples = arcs.point_at(np.linspace(arcs.t0, arcs.t1, 5)).swapaxes(0, 1).reshape(-1, 3)
-    body = ConvexBody(pieces, unit(samples.mean(axis=0)))
-    body.arcs = arcs
+def chain_body(arcs: ArcStack, interior: Optional[Vec] = None) -> ConvexBody:
+    """The body of the chain of arcs ``arcs``, its pieces made on first read.
+
+    The witness is ``interior`` normalised, or else the mean of five samples
+    a piece, which is interior, normalised twice.
+    """
+    if interior is None:
+        interior = unit(arcs.point_at(np.linspace(arcs.t0, arcs.t1, 5)).swapaxes(0, 1).reshape(-1, 3).mean(axis=0))
+    body = ConvexBody.__new__(ConvexBody)
+    body.arcs, body.interior = arcs, unit(interior)
     return body
-
-
-def _unit_polytope(v: np.ndarray) -> Polytope:
-    """The ``Polytope`` of the unit rows ``v``, kept bit for bit, which ``Polytope(v)`` would renormalise."""
-    poly = Polytope.__new__(Polytope)
-    poly.vertices = v
-    return poly
 
 
 # ---------------------------------------------------------------- validation
@@ -362,7 +358,13 @@ def _blocks(rows: int, pieces: int) -> list[tuple[slice, slice]]:
 
 
 def _reduce_pieces(body: ConvexBody, points: np.ndarray, kernel, reduce, start: float) -> np.ndarray:
-    """``reduce`` (``np.minimum`` or ``np.maximum``) of ``kernel`` over all pieces, per row."""
+    """``reduce`` (``np.minimum`` or ``np.maximum``) of ``kernel`` over all pieces, per row.
+
+    Raises ``InvalidBody`` on a body without pieces, whose empty reduction
+    would read as inside everything and nowhere near its boundary.
+    """
+    if not len(body.arcs):
+        raise InvalidBody("body has no pieces")
     x = np.asarray(points, dtype=float)
     d = np.full(len(x), start)
     every = slice(0, len(body.arcs))
@@ -437,25 +439,25 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
     to roundoff, in the same cyclic order but not always from the same
     first piece: for a polytope it starts at vertex 1.  A body bounded by
     great arcs has the ``Polytope`` of its corner edge poles, kept bit for bit.
+    Any other body has a chain of stacked rows: for each piece i in turn,
+    the image (Z, pi/2 - r, t + pi) of a small-circle piece
+    (``sphere.small_arc_stack``, which renormalises Z and takes its frame),
+    then the great arc of junction i if it is a corner.
     """
     require_valid(body)
+    a = body.arcs
     k_end, k_next, _, corner = body.junction_poles
     if body.is_polytope():
         # every piece maps to a dual vertex and every corner to a great arc
         if not corner.any():
             raise InvalidBody("dual boundary is empty")
-        return _unit_polytope(body.arcs.z[corner])
-    out: list[CircleArc] = []
-    for p, k0, k1, c in zip(body.pieces, k_end, k_next, corner):
-        if isinstance(p, SmallCircleArc):
-            out.append(
-                SmallCircleArc(p.center, 0.5 * math.pi - p.radius, p.az_from + math.pi, p.az_to + math.pi)
-            )
-        if c:
-            out.append(GreatArc(k0, k1))
-    if not out:
-        raise InvalidBody("dual boundary is empty")
-    return chain_body(out)
+        dual = Polytope.__new__(Polytope)  # the unit poles kept bit for bit, which Polytope() would renormalise
+        dual.vertices = a.z[corner]
+        return dual
+    small = a.radius != 0.5 * math.pi
+    images = small_arc_stack(a.z[small], 0.5 * math.pi - a.radius[small], a.t0[small] + math.pi, a.t1[small] + math.pi)
+    corners = great_arc_stack(k_end[corner], k_next[corner])
+    return chain_body(join_stacks(images, corners, keys=[2 * np.flatnonzero(small), 2 * np.flatnonzero(corner) + 1]))
 
 
 def selfdual_residual_bound(poly: Polytope) -> float:
@@ -546,7 +548,7 @@ def _boundary_units(a: ArcStack) -> tuple[ArcStack, np.ndarray, np.ndarray, np.n
     )
     breaks = np.flatnonzero(~joins)
     order = (prev + 1 + (int(breaks[-1]) if joins[0] and len(breaks) else 0)) % m
-    units, runs = [], []  # per unit its first piece, its pieces and their offsets; the arc of each run
+    units, runs = [], []  # per unit its first piece, its pieces and their offsets; the azimuths of each run
     for group in np.split(order, np.flatnonzero(~joins[order[1:]]) + 1):
         first = int(group[0])
         if not small[first]:
@@ -557,14 +559,13 @@ def _boundary_units(a: ArcStack) -> tuple[ArcStack, np.ndarray, np.ndarray, np.n
         az, span = float(a.t0[first]), float(spans.sum())
         for lo, s in [(az, span)] if span < TWO_PI - PAIR_EPS else [(az, math.pi), (az + math.pi, math.pi)]:
             units.append((first, group, cover - (lo - az)))
-            runs.append(SmallCircleArc(a.z[first], float(a.radius[first]), lo, lo + s))
+            runs.append((lo, lo + s))
     heads, ids, offsets = zip(*units)
-    rows = a[np.array(heads)]  # a great-arc unit keeps its piece's row, a run's row is its arc
-    if runs:  # the arcs' ends as a stack, in one pass
-        run = small[list(heads)]
-        for name in ("z", "u", "v", "radius", "cos_r", "sin_r", "t0", "t1", "span"):
-            getattr(rows, name)[run] = [getattr(arc, name) for arc in runs]
-        rows.start[run], rows.end[run] = rows.point_at(rows.t0)[run], rows.point_at(rows.t1)[run]
+    heads = np.array(heads)
+    run = small[heads]  # a great-arc unit keeps its piece's row, a run's row is its arc
+    lo, hi = np.array(runs, dtype=float).reshape(-1, 2).T
+    arcs = small_arc_stack(a.z[heads[run]], a.radius[heads[run]], lo, hi)
+    rows = join_stacks(a[heads[~run]], arcs, keys=[np.flatnonzero(~run), np.flatnonzero(run)])
     return rows, np.cumsum([0] + [len(g) for g in ids]), np.concatenate(ids), np.concatenate(offsets)
 
 
@@ -823,55 +824,40 @@ def diametral_partner(
 # ------------------------------------------------------------- construction
 
 
-def merge_flat_junctions(pieces: list[CircleArc]) -> list[CircleArc]:
-    """Merge consecutive great arcs lying on one supporting circle.
+def _flat_junctions(poles: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Whether each junction i, from great arc i to i + 1 of a closed chain, is flat: the poles within
+    ``POLE_MERGE_EPS`` (one supporting circle) and the lengths summing below pi - 1e-9 (one arc spans both).
+    A NaN pole is never flat."""
+    bend = np.linalg.norm(poles - _next_rows(poles), axis=1)
+    return (bend <= POLE_MERGE_EPS) & (lengths + _next_rows(lengths) < math.pi - 1e-9)
 
-    Boundary edits can produce junctions with exactly matching support poles
-    (chord distance below ``POLE_MERGE_EPS``); such a junction is not a
-    vertex and the two edges are one edge.
-    """
-    changed = True
-    while changed and len(pieces) > 2:
-        changed = False
-        for i in range(len(pieces)):
-            j = (i + 1) % len(pieces)
-            a = pieces[i]
-            b = pieces[j]
-            if not (isinstance(a, GreatArc) and isinstance(b, GreatArc)):
-                continue
-            if chord_distance(a.pole, b.pole) > POLE_MERGE_EPS:
-                continue
-            if a.length + b.length >= math.pi - 1e-9:
-                continue
-            merged = GreatArc(a.start, b.end)
-            if j > i:
-                pieces = pieces[:i] + [merged] + pieces[j + 1 :]
-            else:
-                pieces = [merged] + pieces[1:i]
-            changed = True
-            break
-    return pieces
+
+def merge_flat(a: ArcStack) -> ArcStack:
+    """The chain ``a`` with each run of great arcs joined at flat junctions (``_flat_junctions``), which are
+    no vertices, merged in one pass into the great arc from its first start to its last end.  The other rows
+    stay, and the chain starts with the run that holds piece 0."""
+    great = a.radius == 0.5 * math.pi
+    flat = great & _next_rows(great) & _flat_junctions(a.z, a.span)
+    heads = np.flatnonzero(~np.roll(flat, 1))  # the first piece of each run
+    if len(heads) in (0, len(a)):
+        return a
+    heads = np.roll(heads, 1) if flat[-1] else heads  # the run across the end of the chain holds piece 0
+    lasts = (np.roll(heads, -1) - 1) % len(a)
+    joined = heads != lasts
+    merged = great_arc_stack(a.start[heads[joined]], a.end[lasts[joined]])
+    return join_stacks(a[heads[~joined]], merged, keys=[np.flatnonzero(~joined), np.flatnonzero(joined)])
 
 
 def drop_flat_vertices(v: np.ndarray) -> np.ndarray:
-    """The closed chain ``v`` without its flat vertices: ``merge_flat_junctions`` on a vertex array.
-
-    A vertex is flat when the poles of its two edges differ by at most
-    ``POLE_MERGE_EPS``, so it lies on one supporting great circle, and its
-    two edges are together shorter than pi - 1e-9, so one edge spans them.
-    All flat vertices go at once.  A NaN pole, from a repeated row, keeps
-    its rows, for validation to reject.
-    """
-    poles = unit_rows(cross_rows(v, np.roll(v, -1, axis=0)))
-    bend = np.linalg.norm(poles - np.roll(poles, 1, axis=0), axis=1)
-    flat = np.flatnonzero(bend <= POLE_MERGE_EPS)
-    if len(flat):
-        a, b, c = v[flat - 1], v[flat], v[(flat + 1) % len(v)]
-        lengths = acos_clamped_np(row_dots(a, b)) + acos_clamped_np(row_dots(b, c))
-        flat = flat[lengths < math.pi - 1e-9]
-    return np.delete(v, flat, axis=0)
+    """The closed chain ``v`` without its flat vertices, all at once (``merge_flat`` on a vertex array): vertex
+    i + 1 is flat when junction i of the edges v_i v_i+1 and v_i+1 v_i+2 is (``_flat_junctions``).  A NaN
+    pole, from a repeated row, keeps its rows, for validation to reject."""
+    nxt = _next_rows(v)
+    flat = _flat_junctions(unit_rows(cross_rows(v, nxt)), acos_clamped_np(row_dots(v, nxt)))
+    return np.delete(v, (np.flatnonzero(flat) + 1) % len(v), axis=0)
 
 
 def strictly_convex_arc_length(body: ConvexBody) -> float:
-    """Total length of the small-circle (strictly convex) boundary arcs."""
-    return sum(body.pieces[i].length for i in body.circle_piece_indices())
+    """Total length, span x sin r, of the small-circle (strictly convex) boundary arcs, summed in chain order."""
+    a = body.arcs
+    return sum((a.span * a.sin_r)[a.radius != 0.5 * math.pi].tolist())

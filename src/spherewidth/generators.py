@@ -10,13 +10,15 @@ The completion of a polytope stays a polygon: each hull insertion works on
 its vertex array and cached edge poles and returns a ``Polytope``, with no
 ``GreatArc`` objects.  The completion stops on the O(n) bound rho of
 ``body.residual_bound`` and runs the Hausdorff refinement only when rho
-does not settle the stop.  A body with small-circle arcs is grown piece by
-piece, its arcs split where the visibility from x flips.
+does not settle the stop.  A body with small-circle arcs is grown on one
+table of segments of its stacked arcs, each arc split where the visibility
+from x flips; ``rotated`` also turns the stack rows, not piece objects.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -24,12 +26,16 @@ from .errors import BadRadius, BudgetExhausted, InvalidBody, NotSelfDual, SeedNo
 from .sphere import (
     BOUNDARY_EPS,
     TWO_PI,
-    GreatArc,
     SmallCircleArc,
     Vec,
-    dot,
+    great_arc_stack,
+    join_stacks,
     length_weighted_counts,
     linspace_grid,
+    math_each,
+    row_dots,
+    small_arc_stack,
+    tangent_frames,
     unit,
     unit_each,
 )
@@ -40,7 +46,7 @@ from .body import (
     body_distance_many,
     chain_body,
     drop_flat_vertices,
-    merge_flat_junctions,
+    merge_flat,
     polar_dual,
     require_valid,
     residual_bound,
@@ -70,8 +76,7 @@ def cap(center: Vec, radius: float) -> ConvexBody:
     if not (0.0 < radius < 0.5 * math.pi):
         raise BadRadius("cap radius must lie in (0, pi/2)")
     z = unit(center)
-    piece = SmallCircleArc(z, radius, 0.0, TWO_PI)
-    return ConvexBody([piece], z)
+    return chain_body(small_arc_stack(z, [radius], [0.0], [TWO_PI]), z)
 
 
 def rotation_from_seed(seed: int) -> np.ndarray:
@@ -86,21 +91,25 @@ def rotation_from_seed(seed: int) -> np.ndarray:
 
 
 def rotated(b: ConvexBody, rot: np.ndarray) -> ConvexBody:
-    """Apply a rotation matrix to a body or polytope."""
+    """Apply a rotation matrix to a body or polytope.
+
+    A polytope turns its vertices, any other body its stack rows: a great arc
+    is rebuilt from its turned ends, a small circle about its turned centre
+    in that centre's ``tangent_basis`` frame, from the azimuth of its turned start.
+    """
     if isinstance(b, Polytope):
         return Polytope(b.vertices @ rot.T)
-    pieces = []
-    for p in b.pieces:
-        if isinstance(p, GreatArc):
-            pieces.append(GreatArc(rot @ p.start, rot @ p.end))
-        else:
-            # Rotation changes the canonical azimuth frame at the new center,
-            # so re-anchor the span at the rotated start point.
-            z = rot @ p.center
-            probe = SmallCircleArc(z, p.radius, 0.0, TWO_PI)
-            a0 = float(probe.azimuth_of(rot @ p.start))
-            pieces.append(SmallCircleArc(z, p.radius, a0, a0 + p.span))
-    return ConvexBody(pieces, rot @ b.interior)
+    a = b.arcs
+    z, start, end = np.matmul(rot, np.stack([a.z, a.start, a.end])[..., None])[..., 0]  # rot @ row, bit for bit
+    s = a.radius != 0.5 * math.pi
+    u, v = tangent_frames(unit_each(z[s]))
+    a0 = np.mod(np.arctan2(row_dots(start[s], v), row_dots(start[s], u)), TWO_PI)
+    arcs = join_stacks(
+        great_arc_stack(start[~s], end[~s]),
+        small_arc_stack(z[s], a.radius[s], a0, a0 + a.span[s]),
+        keys=[np.flatnonzero(~s), np.flatnonzero(s)],
+    )
+    return chain_body(arcs, rot @ b.interior)
 
 
 def rounded_reuleaux(k: int, delta: float, center: Vec = (0.0, 0.0, 1.0)) -> ConvexBody:
@@ -145,39 +154,35 @@ def rounded_reuleaux(k: int, delta: float, center: Vec = (0.0, 0.0, 1.0)) -> Con
 # ------------------------------------------------------------ hull insertion
 
 
-def _support_dot_roots(piece: SmallCircleArc, x: Vec) -> list[float]:
-    """Interior azimuths where the support pole of the piece is orthogonal to x."""
-    z = piece.center
-    xu, xv = dot(x, piece.u), dot(x, piece.v)
-    rho = math.hypot(xu, xv)
-    if rho < 1e-15:
-        return []
-    m = math.tan(piece.radius) * dot(z, x) / rho
-    if abs(m) > 1.0:
-        return []
-    phi0 = math.atan2(xv, xu)
-    off = math.acos(m)
-    roots = []
-    for az in (phi0 + off, phi0 - off):
-        rel = (az - piece.az_from) % TWO_PI
-        if 1e-9 < rel < piece.span - 1e-9:
-            roots.append(rel)
-    return sorted(roots)
-
-
 def convex_hull_with_point(body: ConvexBody, x: Vec) -> ConvexBody:
     """Spherical convex hull of the body and one exterior point.
 
     The boundary chunk visible from ``x`` (support pole dotted with x below
     zero) is one contiguous arc; it is replaced by the two tangent great arcs
     through ``x``.  A body bounded by great arcs gives a ``Polytope``
-    (``_polygon_hull``), any other the chain of ``_piece_hull``.  Returns the
+    (``_polygon_hull``), any other the chain of ``_arc_hull``.  Returns the
     body itself when ``x`` sees none of it.
     """
     x = unit(x)
     if body.is_polytope():
         return _polygon_hull(to_polytope(body), x)
-    return _piece_hull(body, x)
+    return _arc_hull(body, x)
+
+
+def _visible_run(vis: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """The first hidden segment h of a closed chain with visibility ``vis``, and the first and last visible
+    segments of the chain rolled to start at h; None when none is visible.  Raises ``ValueError`` when all
+    are, or when the visible ones are not one run."""
+    if vis.all():
+        raise ValueError("point sees the whole boundary; body is degenerate")
+    if not vis.any():
+        return None
+    h = int(np.argmin(vis))
+    run = np.flatnonzero(np.roll(vis, -h))
+    if run[-1] - run[0] + 1 != len(run):
+        flips = np.count_nonzero(vis != np.roll(vis, 1))
+        raise ValueError("visible region is not a single arc (%d flips)" % flips)
+    return h, int(run[0]), int(run[-1])
 
 
 def _polygon_hull(poly: Polytope, x: Vec) -> Polytope:
@@ -187,76 +192,64 @@ def _polygon_hull(poly: Polytope, x: Vec) -> Polytope:
     has K . x < 0, evaluated in the order of ``dot``.  The inner vertices of
     the visible run give way to ``x``, and the flat junctions this leaves
     are dropped (``body.drop_flat_vertices``).  The chain starts at the
-    edge that holds the first hidden edge, as ``_piece_hull``'s does: at its
+    edge that holds the first hidden edge, as ``_arc_hull``'s does: at its
     first vertex, or at the one before when a flat junction went there.
     """
     z = poly.arcs.z
-    vis = z[:, 0] * x[0] + z[:, 1] * x[1] + z[:, 2] * x[2] < 0.0
-    if vis.all():
-        raise ValueError("point sees the whole boundary; body is degenerate")
-    if not vis.any():
+    run = _visible_run(z[:, 0] * x[0] + z[:, 1] * x[1] + z[:, 2] * x[2] < 0.0)
+    if run is None:
         return poly
-    first_hidden = int(np.argmin(vis))
-    vis = np.roll(vis, -first_hidden)
-    run = np.flatnonzero(vis)
-    enter, leave = int(run[0]), int(run[-1])  # the first and the last visible edge
-    if leave - enter + 1 != len(run):
-        flips = np.count_nonzero(vis != np.roll(vis, 1))
-        raise ValueError("visible region is not a single arc (%d flips)" % flips)
+    first_hidden, enter, leave = run  # enter and leave: the first and the last visible edge
     v = np.roll(poly.vertices, -first_hidden, axis=0)
-    # normalised as _piece_hull's great-arc ends are (a kept vertex twice,
-    # x once more), so a completion keeps the bits the piece loop gave it
+    # each kept vertex normalised twice and x once more, the bits completions have always had
     w = np.vstack([unit_each(unit_each(v[: enter + 1])), unit(x), unit_each(unit_each(v[leave + 1 :]))])
     kept = drop_flat_vertices(w)
     return Polytope(kept if np.array_equal(kept[0], w[0]) else np.roll(kept, 1, axis=0))
 
 
-def _piece_hull(body: ConvexBody, x: Vec) -> ConvexBody:
-    """``convex_hull_with_point`` of any body, piece by piece.
+def _arc_hull(body: ConvexBody, x: Vec) -> ConvexBody:
+    """``convex_hull_with_point`` of any body, on one table of segments of its stacked arcs.
 
-    Every small-circle piece is split at the azimuths where its support pole
-    turns orthogonal to ``x`` (``_support_dot_roots``), so each segment is
-    visible or hidden as a whole; the visible ones give way to the two
-    tangent great arcs, and flat junctions are merged
-    (``merge_flat_junctions``).
+    Each small-circle row is cut where x . K(t) = sin r (z . x) -
+    cos r (x_u cos t + x_v sin t) vanishes, at atan2(x_v, x_u) +-
+    acos(tan r (z . x) / hypot(x_u, x_v)) (in ``math``, ``math_each``), more
+    than 1e-9 inside the span.  Each segment is visible (x . K < 0) or hidden
+    as a whole, judged at its mid-parameter; segments of span 1e-9 or less
+    go (a great arc is never that short).  The visible run gives way to the two
+    tangent great arcs through ``x``, flat junctions are merged
+    (``body.merge_flat``), and the chain starts at the first hidden segment.
     """
-    # split every piece at the azimuths where visibility can flip
-    segments = []  # (segment, visible)
-    for piece in body.pieces:
-        cuts = [0.0]
-        if isinstance(piece, SmallCircleArc):
-            cuts.extend(_support_dot_roots(piece, x))
-        cuts.append(piece.span)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            seg = piece.sub(piece.t0 + lo, piece.t0 + hi)
-            if seg is None:
-                continue
-            vis = dot(piece.support_pole_at(piece.t0 + 0.5 * (lo + hi))[0], x) < 0.0
-            segments.append((seg, vis))
-    m = len(segments)
-    if all(vis for _, vis in segments):
-        raise ValueError("point sees the whole boundary; body is degenerate")
-    if not any(vis for _, vis in segments):
+    a = body.arcs
+    n = len(a)
+    great = a.radius == 0.5 * math.pi
+    xu, xv, zx = (w[:, 0] * x[0] + w[:, 1] * x[1] + w[:, 2] * x[2] for w in (a.u, a.v, a.z))
+    rho = math_each(math.hypot, xu, xv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = math_each(math.tan, a.radius) * zx / rho
+    cut = ~great & (rho >= 1e-15) & (np.abs(m) <= 1.0)
+    off = math_each(math.acos, np.where(cut, m, 1.0))
+    rel = np.mod(math_each(math.atan2, xv, xu)[:, None] + np.outer(off, [1.0, -1.0]) - a.t0[:, None], TWO_PI)
+    root = cut[:, None] & (rel > 1e-9) & (rel < a.span[:, None] - 1e-9)
+    # the cuts of row i: 0, its roots in order, its span (a missing root is the span again)
+    cuts = np.column_stack([np.zeros(n), np.sort(np.where(root, rel, a.span[:, None]), axis=1), a.span])
+    row, lo, hi = np.repeat(np.arange(n), 3), cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    keep = hi - lo > 1e-9
+    row, lo, hi = row[keep], lo[keep], hi[keep]
+    seg = a[row]
+    k = seg.support_pole_at(seg.t0 + 0.5 * (lo + hi))
+    run = _visible_run(k[:, 0] * x[0] + k[:, 1] * x[1] + k[:, 2] * x[2] < 0.0)
+    if run is None:
         return body  # x adds nothing (inside or on a supporting circle)
-    # rotate so the list starts with an invisible segment
-    k = next(i for i, (_, vis) in enumerate(segments) if not vis)
-    segments = segments[k:] + segments[:k]
-    flips = [
-        i
-        for i in range(m)
-        if segments[i][1] != segments[(i + 1) % m][1]
-    ]
-    if len(flips) != 2:
-        raise ValueError("visible region is not a single arc (%d flips)" % len(flips))
-    enter, leave = flips  # visibility turns on after `enter`, off after `leave`
-    t_in = segments[enter][0].end
-    t_out = segments[(leave + 1) % m][0].start
-    new_pieces = [seg for seg, _ in segments[: enter + 1]]
-    new_pieces.append(GreatArc(t_in, x))
-    new_pieces.append(GreatArc(x, t_out))
-    new_pieces.extend(seg for seg, _ in segments[leave + 1 :])
-    new_pieces = merge_flat_junctions(new_pieces)
-    return chain_body(new_pieces)
+    h, enter, leave = run
+    g = great[row]
+    p0, p1 = seg.point_at(np.array([seg.t0 + lo, seg.t0 + hi]))
+    segs = join_stacks(
+        great_arc_stack(p0[g], p1[g]),
+        small_arc_stack(seg.z[~g], seg.radius[~g], seg.t0[~g] + lo[~g], seg.t0[~g] + hi[~g]),
+        keys=[np.flatnonzero(g), np.flatnonzero(~g)],
+    )[np.roll(np.arange(len(g)), -h)]
+    tangents = great_arc_stack(np.array([segs.end[enter - 1], x]), np.array([x, segs.start[(leave + 1) % len(segs)]]))
+    return chain_body(merge_flat(join_stacks(segs[:enter], tangents, segs[leave + 1 :])))
 
 
 # ------------------------------------------------------------- completion

@@ -11,12 +11,12 @@ A ``SmallCircleArc`` has r < pi/2 and the canonical ``tangent_basis`` frame; a
 distance and farthest-point queries are therefore one closed form for both,
 and so is ``arc_dot_range``, the exact range of x . w along stacked arcs,
 which validation and the Hausdorff structural caps share.
-``stack_arcs`` lays out a whole boundary as arrays, and ``great_arc_stack``
-builds the same arrays for great arcs straight from their ends, in one pass
-and bit for bit: the nearest and farthest distance kernels and the least
-support-pole dot take a stack for one column per piece, ``farthest_on_piece``
-takes one with one piece per block of points, and the Hausdorff structural
-caps take one stack per body.
+``stack_arcs`` lays out a whole boundary as arrays; ``great_arc_stack`` and
+``small_arc_stack`` build them from ends, or centres, radii and azimuths, in
+one pass, each piece object being the one-row case (``arc_pieces`` gives a
+stack's rows as objects).  The distance kernels and the least support-pole
+dot take a stack for one column per piece, ``farthest_on_piece`` one with a
+piece per block of points, the Hausdorff structural caps one per body.
 Everything here is a pure function over immutable values and is safe to call
 concurrently.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -82,9 +81,14 @@ def unit_each(m) -> np.ndarray:
     """
     a = np.ascontiguousarray(m, dtype=float)
     n = np.sqrt(row_dots(a, a))
-    if np.any(n < DOT_EPS):
+    if (n < DOT_EPS).any():
         raise ValueError("cannot normalize a near-zero vector")
     return a / n[:, None]
+
+
+def math_each(f, *columns) -> np.ndarray:
+    """``f`` of the Python floats of each row of ``columns``: ``math``'s values, which numpy's need not match bit for bit."""
+    return np.array([f(*row) for row in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))], dtype=float)
 
 
 def dot(a: Vec, b: Vec) -> float:
@@ -101,9 +105,12 @@ def cross(a: Vec, b: Vec) -> Vec:
     )
 
 
+_NEXT, _AFTER, _AXES = np.array([1, 2, 0]), np.array([2, 0, 1]), np.eye(3)  # coordinates k + 1, k + 2; the axes
+
+
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.cross`` of (..., 3) arrays, bit for bit (the same products and differences), without its axis handling."""
-    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+    return a.take(_NEXT, axis=-1) * b.take(_AFTER, axis=-1) - a.take(_AFTER, axis=-1) * b.take(_NEXT, axis=-1)
 
 
 def acos_clamped(x) -> float:
@@ -171,12 +178,17 @@ def tangent_basis(z: Vec) -> tuple[Vec, Vec]:
     ``z``; v = z x u.  Azimuths about ``z`` are measured from u toward v, so
     the frame fixes the parametrization of every circle centered at ``z``.
     """
-    k = int(np.argmin(np.abs(z)))
-    axis = np.zeros(3)
-    axis[k] = 1.0
-    u = unit(axis - dot(axis, z) * z)
-    v = cross(z, u)
-    return u, v
+    u, v = tangent_frames(np.asarray(z, dtype=float)[None])
+    return u[0], v[0]
+
+
+def tangent_frames(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``tangent_basis`` (u, v) of each unit row of ``z``; ties go to the first least coordinate."""
+    axis = _AXES[np.abs(z).argmin(axis=1)]
+    # axis . z written out in the order of ``dot``
+    d = axis[:, 0] * z[:, 0] + axis[:, 1] * z[:, 1] + axis[:, 2] * z[:, 2]
+    u = unit_each(axis - d[:, None] * z)
+    return u, cross_rows(z, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,15 +227,11 @@ class CircleArc:
 
     point(t) = cos r * z + sin r * (cos t * u + sin t * v) for t in [t0, t1],
     where (u, v) is a right-handed tangent frame at z (v = z x u), so t runs
-    counterclockwise about z seen from outside the sphere.  Subclasses set
-    ``z``, ``radius``, ``cos_r``, ``sin_r``, ``u``, ``v``, ``t0`` and ``t1``
-    on construction and provide ``start`` and ``end``.
+    counterclockwise about z seen from outside the sphere.  Each subclass
+    is the one-row case of a stack builder, whose row gives it ``z``,
+    ``radius``, ``cos_r``, ``sin_r``, ``u``, ``v``, ``t0``, ``t1``,
+    ``start`` and ``end`` (``_take_row``).
     """
-
-    def _set_circle(self, z, radius, cos_r, sin_r, u, v, t0, t1):
-        self.__dict__.update(
-            z=z, radius=radius, cos_r=cos_r, sin_r=sin_r, u=u, v=v, t0=t0, t1=t1
-        )
 
     @property
     def span(self) -> float:
@@ -261,12 +269,6 @@ class CircleArc:
     def midpoint(self) -> Vec:
         return self.point_at(0.5 * (self.t0 + self.t1))[0]
 
-    def sub(self, lo: float, hi: float):
-        """Sub-arc over the parameter range [lo, hi], or None when degenerate."""
-        if hi - lo <= 1e-9:
-            return None
-        return self._over(lo, hi)
-
 
 @dataclass(frozen=True, eq=False)
 class GreatArc(CircleArc):
@@ -282,15 +284,7 @@ class GreatArc(CircleArc):
     end: Vec
 
     def __post_init__(self):
-        s = unit(self.start)
-        e = unit(self.end)
-        c = dot(s, e)
-        if abs(c) >= 1.0 - DOT_EPS:
-            raise DegenerateArc("great arc endpoints equal or antipodal")
-        object.__setattr__(self, "start", s)
-        object.__setattr__(self, "end", e)
-        b = unit(e - c * s)
-        self._set_circle(unit(cross(s, e)), 0.5 * math.pi, 0.0, 1.0, s, b, 0.0, acos_clamped(c))
+        _take_row(self, great_arc_stack(np.reshape(self.start, (1, 3)), np.reshape(self.end, (1, 3))), 0)
 
     @property
     def pole(self) -> Vec:
@@ -304,13 +298,6 @@ class GreatArc(CircleArc):
 
     def midpoint(self) -> Vec:
         return unit(self.start + self.end)
-
-    def _over(self, lo: float, hi: float):
-        p0 = self.point_at(lo)[0]
-        p1 = self.point_at(hi)[0]
-        if abs(dot(p0, p1)) >= 1.0 - DOT_EPS:
-            return None
-        return GreatArc(p0, p1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,32 +316,7 @@ class SmallCircleArc(CircleArc):
     az_to: float
 
     def __post_init__(self):
-        z = unit(self.center)
-        r = float(self.radius)
-        if not (DOT_EPS < r < math.pi / 2 - DOT_EPS):
-            raise ValueError("small circle radius must lie strictly in (0, pi/2)")
-        span = self.az_to - self.az_from
-        if not (DOT_EPS < span <= TWO_PI + DOT_EPS):
-            raise ValueError("azimuth span must lie in (0, 2*pi]")
-        span = min(span, TWO_PI)
-        a0 = math.fmod(self.az_from, TWO_PI)
-        if a0 < 0:
-            a0 += TWO_PI
-        object.__setattr__(self, "center", z)
-        object.__setattr__(self, "az_from", a0)
-        object.__setattr__(self, "az_to", a0 + span)
-        self._set_circle(z, r, math.cos(r), math.sin(r), *tangent_basis(z), a0, a0 + span)
-
-    @cached_property
-    def start(self) -> Vec:
-        return self.point_at(self.t0)[0]
-
-    @cached_property
-    def end(self) -> Vec:
-        return self.point_at(self.t1)[0]
-
-    def _over(self, lo: float, hi: float):
-        return SmallCircleArc(self.center, self.radius, lo, hi)
+        _take_row(self, small_arc_stack(np.reshape(self.center, (1, 3)), [self.radius], [self.az_from], [self.az_to]), 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,10 +378,10 @@ def great_arc_stack(starts, ends) -> ArcStack:
     """
     s, e = unit_each(starts), unit_each(ends)
     c = s[:, 0] * e[:, 0] + s[:, 1] * e[:, 1] + s[:, 2] * e[:, 2]
-    if np.any(np.abs(c) >= 1.0 - DOT_EPS):
+    if (np.abs(c) >= 1.0 - DOT_EPS).any():
         raise DegenerateArc("great arc endpoints equal or antipodal")
     pole = cross_rows(s, e)
-    length = np.array([acos_clamped(x) for x in c.tolist()], dtype=float)
+    length = math_each(acos_clamped, c)
     n = len(s)
     return ArcStack(
         z=unit_each(pole),
@@ -434,6 +396,62 @@ def great_arc_stack(starts, ends) -> ArcStack:
         t1=length,
         span=length.copy(),
     )
+
+
+def small_arc_stack(centers, radius, az_from, az_to) -> ArcStack:
+    """The ``ArcStack`` of the small-circle arcs about ``centers[i]`` of ``radius[i]``, from ``az_from[i]`` to ``az_to[i]``.
+
+    One pass; ``SmallCircleArc`` is its one-row case.  Each centre is
+    normalised as ``unit`` does (``unit_each``) and takes the
+    ``tangent_basis`` of the normalised centre, the cosine and sine of each
+    radius are ``math``'s, ``az_from`` is reduced into [0, 2 pi) and the span
+    clipped to 2 pi.  Raises ``ValueError`` on a radius outside (0, pi/2) or
+    a span outside (0, 2 pi], each by ``DOT_EPS``.
+    """
+    z = unit_each(np.reshape(centers, (-1, 3)))
+    r = np.asarray(radius, dtype=float)
+    if not ((DOT_EPS < r) & (r < math.pi / 2 - DOT_EPS)).all():
+        raise ValueError("small circle radius must lie strictly in (0, pi/2)")
+    span = np.asarray(az_to, dtype=float) - az_from
+    if not ((DOT_EPS < span) & (span <= TWO_PI + DOT_EPS)).all():
+        raise ValueError("azimuth span must lie in (0, 2*pi]")
+    t0 = np.fmod(az_from, TWO_PI)
+    t0 = np.where(t0 < 0, t0 + TWO_PI, t0)
+    t1 = t0 + np.minimum(span, TWO_PI)
+    u, v = tangent_frames(z)
+    cos_r, sin_r = math_each(math.cos, r), math_each(math.sin, r)
+    ends = cos_r[:, None] * z + sin_r[:, None] * (np.cos([t0, t1])[..., None] * u + np.sin([t0, t1])[..., None] * v)
+    return ArcStack(z=z, u=u, v=v, start=ends[0], end=ends[1], radius=r, cos_r=cos_r, sin_r=sin_r, t0=t0, t1=t1, span=t1 - t0)
+
+
+def join_stacks(*stacks: ArcStack, keys=None) -> ArcStack:
+    """The rows of ``stacks`` one stack after the other, or, given a key array per stack, in the order of the
+    keys; the one stack with rows, already in that order, comes back as it is."""
+    full = [s for s in stacks if len(s)] or list(stacks[:1])
+    a = full[0] if len(full) == 1 else ArcStack(**{f.name: np.concatenate([getattr(s, f.name) for s in full]) for f in fields(ArcStack)})
+    order = None if keys is None else np.argsort(np.concatenate(keys))
+    return a if order is None or (order[1:] > order[:-1]).all() else a[order]
+
+
+def _take_row(piece: CircleArc, a: ArcStack, i: int) -> CircleArc:
+    """``piece`` given the values of row i of ``a`` as they are; a small-circle arc names its centre and azimuths."""
+    row = {f.name: getattr(a, f.name)[i] for f in fields(ArcStack) if f.name != "span"}  # span is t1 - t0
+    piece.__dict__.update({k: x.copy() if x.ndim else float(x) for k, x in row.items()})
+    if piece.radius != 0.5 * math.pi:
+        piece.__dict__.update(center=piece.z, az_from=piece.t0, az_to=piece.t1)
+    return piece
+
+
+def arc_pieces(a: ArcStack) -> list[CircleArc]:
+    """The rows of ``a`` as ``GreatArc`` (radius pi/2) and ``SmallCircleArc`` objects.
+
+    Each object takes its row's values as they are, none renormalised, so
+    ``stack_arcs`` of the result is ``a`` bit for bit.
+    """
+    return [
+        _take_row(object.__new__(GreatArc if r == 0.5 * math.pi else SmallCircleArc), a, i)
+        for i, r in enumerate(a.radius.tolist())
+    ]
 
 
 def sample_piece(piece: CircleArc, n: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from spherewidth.generators import (
     rotation_from_seed,
     rounded_reuleaux,
 )
-from spherewidth.sphere import GreatArc, SmallCircleArc, cross, dot, unit
+from spherewidth.sphere import GreatArc, SmallCircleArc, cross, dot, stack_arcs, unit
 
 
 def lens(z1, z2, r1, r2):
@@ -70,7 +70,7 @@ def two_arc_completion(r):
     e3 = np.array([0.0, 0.0, 1.0])
     arc = SmallCircleArc(e3, r, -0.5, 0.5)
     dual = SmallCircleArc(e3, 0.5 * math.pi - r, math.pi - 0.5, math.pi + 0.5)
-    seed = chain_body([arc, GreatArc(arc.end, dual.start), dual, GreatArc(dual.end, arc.start)])
+    seed = chain_body(stack_arcs([arc, GreatArc(arc.end, dual.start), dual, GreatArc(dual.end, arc.start)]))
     return complete_selfdual(seed, tol=1e-7)
 
 
@@ -145,6 +145,22 @@ def curved_selfdual_bodies():
     return bodies
 
 
+def curved_bodies():
+    """Bodies with small-circle arcs, self-dual or not, keyed by name: ``curved_selfdual_bodies``,
+    caps of other radii, a lens, and the bodies that mix small and great arcs (the chopped cap and
+    a cap after two chord cuts)."""
+    from test_generators import chopped_cap
+
+    bodies = curved_selfdual_bodies()
+    for r in (0.3, 0.6, 1.2):
+        bodies["cap-r%g" % r] = cap(unit([0.4, -1.0, 0.7]), r)
+    bodies["lens"] = lens([0.0, 0.0, 1.0], [0.3, 0.0, 1.0], 0.5, 0.6)
+    bodies["chopped-cap"] = chopped_cap()
+    bodies["two-cut-cap"] = two_cut_cap()
+    bodies["frame-jump"] = frame_jump_cap()
+    return bodies
+
+
 def _with_radius(piece, dr):
     return SmallCircleArc(piece.center, piece.radius + dr, piece.az_from, piece.az_to)
 
@@ -175,7 +191,7 @@ def two_cut_cap(move=0.0):
         elif isinstance(piece, GreatArc) and np.array_equal(piece.start, p[1]):
             piece = GreatArc(moved, piece.end)
         pieces.append(piece)
-    return chain_body(pieces)
+    return chain_body(stack_arcs(pieces))
 
 
 def frame_jump_cap():

@@ -17,7 +17,11 @@ projects one piece and one segment at a time, whose SVG the stacked
 ``render.render_svg`` must reproduce byte for byte, and
 ``run_pairing_per_run`` the run pairing built run by run, one arc object
 and one partner search at a time, whose arcs, pairs and run term the
-stacked ``body.RunPairing`` must reproduce bit for bit.
+stacked ``body.RunPairing`` must reproduce bit for bit, and
+``polar_dual_per_piece``, ``rotated_per_piece`` and ``hull_per_piece`` the
+curved-body edits made one ``CircleArc`` object at a time, whose stacks
+``body.polar_dual`` and ``generators.rotated`` must reproduce bit for bit
+and ``generators.convex_hull_with_point`` to roundoff.
 """
 
 import math
@@ -26,7 +30,16 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from spherewidth.approx import ApproximationConfig, approximate_polytope, cut_step, subdivide_piece
-from spherewidth.body import PAIR_EPS, Polytope, ValidationCheck, body_distance, to_polytope
+from spherewidth.body import (
+    PAIR_EPS,
+    POLE_MERGE_EPS,
+    ConvexBody,
+    Polytope,
+    ValidationCheck,
+    body_distance,
+    chain_body,
+    to_polytope,
+)
 from spherewidth.errors import BudgetExhausted, DegenerateArc, DualOverlap
 from spherewidth.generators import cap, complete_selfdual, rotated, rotation_from_seed
 from spherewidth.render import FRAME_SAMPLES, MAX_SEG_SPAN, STROKES, _fmt, _Frame
@@ -42,6 +55,7 @@ from spherewidth.sphere import (
     cross,
     dot,
     sample_piece,
+    stack_arcs,
     tangent_basis,
     unit,
     unit_rows,
@@ -388,6 +402,175 @@ def random_selfdual_polytope_reference(n_target, rng_seed):
             drop = int(np.random.default_rng(rng_seed).integers(len(seed)))
             seed = Polytope(np.delete(seed.vertices, drop, axis=0))
     return to_polytope(complete_selfdual(seed, tol=1e-7, rng_seed=rng_seed))
+
+
+# ------------------------------------------------------ scalar piece rules
+
+
+def _tangent_basis_scalar(z):
+    k = int(np.argmin(np.abs(z)))
+    axis = np.zeros(3)
+    axis[k] = 1.0
+    u = unit(axis - dot(axis, z) * z)
+    return u, cross(z, u)
+
+
+def _ends(z, cos_r, sin_r, u, v, t0, t1):
+    return [cos_r * z + sin_r * (np.outer(np.cos(t), u) + np.outer(np.sin(t), v))[0] for t in (t0, t1)]
+
+
+def great_arc_fields(start, end):
+    """The ``ArcStack`` row of the great arc from ``start`` to ``end``, in scalar Python."""
+    s, e = unit(start), unit(end)
+    c = dot(s, e)
+    if abs(c) >= 1.0 - DOT_EPS:
+        raise DegenerateArc("great arc endpoints equal or antipodal")
+    length = math.acos(min(1.0, max(-1.0, c)))
+    return dict(
+        z=unit(cross(s, e)), u=s, v=unit(e - c * s), start=s, end=e,
+        radius=0.5 * math.pi, cos_r=0.0, sin_r=1.0, t0=0.0, t1=length, span=length - 0.0,
+    )
+
+
+def small_arc_fields(center, radius, az_from, az_to):
+    """The ``ArcStack`` row of the small-circle arc, in scalar Python.
+
+    The centre normalised, its canonical frame, ``math``'s cosine and sine
+    of the radius, the start azimuth reduced into [0, 2 pi) and the span
+    clipped to 2 pi.
+    """
+    z, r = unit(center), float(radius)
+    if not (DOT_EPS < r < math.pi / 2 - DOT_EPS):
+        raise ValueError("small circle radius must lie strictly in (0, pi/2)")
+    span = az_to - az_from
+    if not (DOT_EPS < span <= TWO_PI + DOT_EPS):
+        raise ValueError("azimuth span must lie in (0, 2*pi]")
+    a0 = math.fmod(az_from, TWO_PI)
+    a0 = a0 + TWO_PI if a0 < 0 else a0
+    a1 = a0 + min(span, TWO_PI)
+    u, v = _tangent_basis_scalar(z)
+    start, end = _ends(z, math.cos(r), math.sin(r), u, v, a0, a1)
+    return dict(
+        z=z, u=u, v=v, start=start, end=end, radius=r, cos_r=math.cos(r), sin_r=math.sin(r), t0=a0, t1=a1, span=a1 - a0
+    )
+
+
+# ------------------------------------------------ per-piece curved edits
+
+
+def polar_dual_per_piece(body):
+    """``body.polar_dual`` of a valid body with small-circle arcs, piece by piece.
+
+    Piece i gives ``SmallCircleArc(Z, pi/2 - r, az_from + pi, az_to + pi)``
+    when it is a small-circle arc, then ``GreatArc(k_end, k_next)`` when
+    junction i is a corner.
+    """
+    k_end, k_next, _, corner = body.junction_poles
+    out = []
+    for p, k0, k1, c in zip(body.pieces, k_end, k_next, corner):
+        if isinstance(p, SmallCircleArc):
+            out.append(SmallCircleArc(p.center, 0.5 * math.pi - p.radius, p.az_from + math.pi, p.az_to + math.pi))
+        if c:
+            out.append(GreatArc(k0, k1))
+    return chain_body(stack_arcs(out))
+
+
+def rotated_per_piece(body, rot):
+    """``generators.rotated`` of a body that is not a ``Polytope``, piece by piece.
+
+    A great arc is rebuilt from its rotated ends; a small-circle arc about
+    its rotated centre, re-anchored at the azimuth of its rotated start in
+    the new centre's canonical frame.
+    """
+    pieces = []
+    for p in body.pieces:
+        if isinstance(p, GreatArc):
+            pieces.append(GreatArc(rot @ p.start, rot @ p.end))
+        else:
+            z = rot @ p.center
+            a0 = float(SmallCircleArc(z, p.radius, 0.0, TWO_PI).azimuth_of(rot @ p.start))
+            pieces.append(SmallCircleArc(z, p.radius, a0, a0 + p.span))
+    return ConvexBody(pieces, rot @ body.interior)
+
+
+def _support_dot_roots(piece, x):
+    """Interior azimuths, from the start, where the support pole of the small-circle piece is orthogonal to x."""
+    xu, xv = dot(x, piece.u), dot(x, piece.v)
+    rho = math.hypot(xu, xv)
+    if rho < 1e-15:
+        return []
+    m = math.tan(piece.radius) * dot(piece.center, x) / rho
+    if abs(m) > 1.0:
+        return []
+    phi0, off = math.atan2(xv, xu), math.acos(m)
+    rel = [(az - piece.az_from) % TWO_PI for az in (phi0 + off, phi0 - off)]
+    return sorted(r for r in rel if 1e-9 < r < piece.span - 1e-9)
+
+
+def _sub_piece(piece, lo, hi):
+    """The piece over the parameters [lo, hi], or None when shorter than 1e-9 or, for a great arc, degenerate."""
+    if hi - lo <= 1e-9:
+        return None
+    if isinstance(piece, SmallCircleArc):
+        return SmallCircleArc(piece.center, piece.radius, lo, hi)
+    p0, p1 = piece.point_at(lo)[0], piece.point_at(hi)[0]
+    return None if abs(dot(p0, p1)) >= 1.0 - DOT_EPS else GreatArc(p0, p1)
+
+
+def merge_flat_junctions_per_piece(pieces):
+    """Merge two great arcs on one supporting circle, one junction at a time, until none is left.
+
+    A junction is flat when the poles differ by at most ``POLE_MERGE_EPS``
+    and the lengths sum below pi - 1e-9; the merged arc runs from the first
+    start to the second end, and goes first when it spans the end of the chain.
+    """
+    changed = True
+    while changed and len(pieces) > 2:
+        changed = False
+        for i in range(len(pieces)):
+            j = (i + 1) % len(pieces)
+            a, b = pieces[i], pieces[j]
+            if not (isinstance(a, GreatArc) and isinstance(b, GreatArc)):
+                continue
+            if chord_distance(a.pole, b.pole) > POLE_MERGE_EPS or a.length + b.length >= math.pi - 1e-9:
+                continue
+            merged = GreatArc(a.start, b.end)
+            pieces = pieces[:i] + [merged] + pieces[j + 1 :] if j > i else [merged] + pieces[1:i]
+            changed = True
+            break
+    return pieces
+
+
+def hull_per_piece(body, x):
+    """``generators.convex_hull_with_point`` of any body and the unit point ``x``, piece by piece.
+
+    Every small-circle piece is split at the roots of K(t) . x, each
+    segment judged visible (x . K < 0) at its mid-parameter; the one visible
+    run gives way to the two tangent great arcs, and flat junctions are
+    merged one at a time.
+    """
+    segments = []  # (segment, visible)
+    for piece in body.pieces:
+        cuts = [0.0] + (_support_dot_roots(piece, x) if isinstance(piece, SmallCircleArc) else []) + [piece.span]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            seg = _sub_piece(piece, piece.t0 + lo, piece.t0 + hi)
+            if seg is not None:
+                segments.append((seg, dot(piece.support_pole_at(piece.t0 + 0.5 * (lo + hi))[0], x) < 0.0))
+    m = len(segments)
+    if all(vis for _, vis in segments):
+        raise ValueError("point sees the whole boundary; body is degenerate")
+    if not any(vis for _, vis in segments):
+        return body
+    k = next(i for i, (_, vis) in enumerate(segments) if not vis)
+    segments = segments[k:] + segments[:k]
+    flips = [i for i in range(m) if segments[i][1] != segments[(i + 1) % m][1]]
+    if len(flips) != 2:
+        raise ValueError("visible region is not a single arc (%d flips)" % len(flips))
+    enter, leave = flips  # visibility turns on after `enter`, off after `leave`
+    t_in, t_out = segments[enter][0].end, segments[(leave + 1) % m][0].start
+    pieces = [seg for seg, _ in segments[: enter + 1]] + [GreatArc(t_in, x), GreatArc(x, t_out)]
+    pieces += [seg for seg, _ in segments[leave + 1 :]]
+    return chain_body(stack_arcs(merge_flat_junctions_per_piece(pieces)))
 
 
 # ------------------------------------------------------- per-segment render

@@ -28,7 +28,7 @@ from spherewidth.body import (
 )
 from spherewidth.generators import cap, octant, rotated, rotation_from_seed
 from spherewidth.metrics import HAUSDORFF_TOL, is_constant_width
-from spherewidth.sphere import GreatArc, SmallCircleArc, unit
+from spherewidth.sphere import GreatArc, SmallCircleArc, stack_arcs, unit
 
 E1, E2, E3 = np.eye(3)
 
@@ -109,7 +109,7 @@ def test_polytope_validation_is_the_polygon_report():
     p = selfdual_polytopes()["random-7-1"]
     assert validate_polytope(p) is p.validation
     assert p.validation.checks == validate(p).checks
-    assert [c.name for c in validate(bd.chain_body(p.pieces)).checks] == [c.name for c in p.validation.checks]
+    assert [c.name for c in validate(bd.chain_body(p.arcs)).checks] == [c.name for c in p.validation.checks]
 
 
 def _tampered_selfdual(kind):
@@ -140,7 +140,7 @@ def test_tampered_polytopes_raise_invalid_body(kind, check):
     # the one report refuses the flat vertex, on the polytope and on its chain of great arcs
     if kind == "flat":
         poly = _tampered_selfdual(kind)
-        for body in (poly, bd.chain_body(poly.pieces)):
+        for body in (poly, bd.chain_body(poly.arcs)):
             assert validate(body).failed() == ["no-redundant-vertices"]
 
 
@@ -188,7 +188,7 @@ def _validation_corpus():
             Polytope(np.array([E1, E2, unit(0.75 * E3 + 0.25 * E1), unit(0.75 * E3 + 0.25 * E2)])),
         ),
         # a digon that runs back along its own edge
-        ("corner-not-cusp", bd.chain_body([GreatArc(a, b), GreatArc(b, a)])),
+        ("corner-not-cusp", bd.chain_body(stack_arcs([GreatArc(a, b), GreatArc(b, a)]))),
         (
             "piece-nondegenerate",
             ConvexBody([GreatArc(E1, E2), GreatArc(E2, E3), tiny, GreatArc(tiny.end, E1)], unit([1.0, 1.0, 1.0])),
@@ -279,20 +279,25 @@ def test_polytope_paths_construct_no_great_arc(tmp_path, monkeypatch):
     from spherewidth.formats import dumps_body
 
     made = []
-    post_init = GreatArc.__post_init__
+    post_init, make_pieces = GreatArc.__post_init__, bd.arc_pieces
 
     def counting(self):
         made.append(1)
         post_init(self)
 
+    def counting_pieces(arcs):
+        made.extend([1] * len(arcs))
+        return make_pieces(arcs)
+
     monkeypatch.setattr(GreatArc, "__post_init__", counting)
+    monkeypatch.setattr(bd, "arc_pieces", counting_pieces)
     c = rotated(cap(E3, math.pi / 4), rotation_from_seed(3))
     poly, _, _ = approximate_polytope(c, ApproximationConfig(0.003))
     assert not made
     cap_f, poly_f = tmp_path / "cap.json", tmp_path / "poly.json"
     cap_f.write_text(dumps_body(c))
     poly_f.write_text(dumps_body(poly))
-    view = "--view=" + ",".join(repr(float(x)) for x in c.pieces[0].center)
+    view = "--view=" + ",".join(repr(float(x)) for x in c.arcs.z[0])
     for argv in (
         ["certify", str(cap_f), str(poly_f), "--epsilon", "0.003"],
         ["metrics", str(poly_f)],
@@ -338,7 +343,7 @@ def test_to_polytope_returns_a_polytope_itself():
     assert to_polytope(p).arcs is arcs and to_polytope(p).validation is report
     dual = polar_dual(p)
     assert type(dual) is Polytope and to_polytope(dual) is dual
-    chain = bd.chain_body(dual.pieces)
+    chain = bd.chain_body(dual.arcs)
     q = to_polytope(chain)
     assert type(chain) is ConvexBody and isinstance(q, Polytope)
     assert np.array_equal(q.vertices, Polytope(chain.arcs.start).vertices)
@@ -393,7 +398,7 @@ def test_contains_cap_matches_closed_form():
     # a circular segment: one circle arc closed by one great arc
     arc = SmallCircleArc(z, r, 0.5, 4.5)
     chord = GreatArc(arc.end, arc.start)
-    seg = bd.chain_body([arc, chord])
+    seg = bd.chain_body(stack_arcs([arc, chord]))
     assert validate(seg).ok
     got = contains_many(seg, pts)
     want = (sphere.acos_clamped_np(pts @ z) <= r + 1e-9) & (pts @ chord.pole >= -1e-9)
@@ -440,7 +445,7 @@ def _membership_case(shape, rot, radius):
         z = rot @ unit([0.3, -0.4, 0.9])
         arc = SmallCircleArc(z, 0.8, 0.5, 4.5)
         chord = GreatArc(arc.end, arc.start)
-        body = bd.chain_body([arc, chord])
+        body = bd.chain_body(stack_arcs([arc, chord]))
         return body, lambda x, tol: oracles.cap_inside(z, 0.8, tol)(x) & (x @ chord.pole >= -tol)
     poly = rotated(octant() if shape == "octant" else _cap_polytope(), rot)
     return poly, lambda x, tol: oracles.polytope_inside(poly.vertices, tol)(x)
@@ -558,6 +563,78 @@ def test_dual_of_small_body_validates():
     dual = polar_dual(body)
     rep = bd.validate(dual)
     assert rep.ok, str(rep)
+
+
+def _assert_same_stack(got, want):
+    assert len(got) == len(want)
+    for f in ("z", "u", "v", "start", "end", "radius", "cos_r", "sin_r", "t0", "t1", "span"):
+        assert np.array_equal(getattr(got, f), getattr(want, f)), f
+
+
+def test_stacked_polar_dual_matches_the_per_piece_reference():
+    from fixtures import curved_bodies
+
+    for name, body in curved_bodies().items():
+        if not body.validation.ok:
+            continue
+        got, want = polar_dual(body), oracles.polar_dual_per_piece(body)
+        _assert_same_stack(got.arcs, want.arcs)
+        assert np.array_equal(got.interior, want.interior), name
+        # the double dual's pieces are the body's, up to roundoff
+        if not body.junction_poles[3].any():
+            back = polar_dual(got).arcs
+            assert np.abs(back.start - body.arcs.start).max() <= 1e-12, name
+            assert np.abs(back.radius - body.arcs.radius).max() <= 1e-12, name
+
+
+def test_curved_pieces_are_a_lazy_view_of_the_arcs():
+    body = polar_dual(lens(E3, unit([0.9, 0.2, 1.0]), 0.5, 0.4))
+    assert "pieces" not in vars(body)
+    pieces = body.pieces
+    assert pieces is body.pieces
+    assert [type(p) for p in pieces] == [
+        SmallCircleArc if r != 0.5 * math.pi else GreatArc for r in body.arcs.radius
+    ]
+    _assert_same_stack(stack_arcs(pieces), body.arcs)
+    for p, z, t0, t1 in zip(pieces, body.arcs.z, body.arcs.t0, body.arcs.t1):
+        if type(p) is SmallCircleArc:
+            assert np.array_equal(p.center, z) and (p.az_from, p.az_to) == (t0, t1)
+        else:
+            assert np.array_equal(p.pole, z)
+
+
+def test_membership_refuses_a_body_without_pieces():
+    # an empty reduction would put every point inside and nowhere near the boundary
+    empty = ConvexBody([], E3)
+    pts = np.array([E1, -E3])
+    for call in (
+        lambda: contains(empty, E1),
+        lambda: contains_many(empty, pts),
+        lambda: bd.body_distance_many(empty, pts),
+        lambda: bd.boundary_distance_many(empty, pts),
+        lambda: bd.boundary_max_distance_many(empty, pts),
+    ):
+        with pytest.raises(InvalidBody, match="no pieces"):
+            call()
+
+
+def test_merge_flat_matches_the_per_piece_merge():
+    # a polygon's edges with a midpoint on one edge, rolled so that each
+    # junction in turn is the flat one, the chain's last included
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        ring = SmallCircleArc(unit(rng.normal(size=3)), rng.uniform(0.2, 0.7), 0.0, 2 * math.pi)
+        v = ring.point_at(np.sort(rng.uniform(0.0, 2 * math.pi, size=int(rng.integers(3, 8)))))
+        v = np.insert(v, 1, unit(v[0] + v[1]), axis=0)
+        for k in range(len(v)):
+            w = np.roll(v, -k, axis=0)
+            pieces = [GreatArc(a, b) for a, b in zip(w, np.roll(w, -1, axis=0))]
+            got = bd.merge_flat(stack_arcs(pieces))
+            _assert_same_stack(got, stack_arcs(oracles.merge_flat_junctions_per_piece(pieces)))
+            assert len(got) == len(v) - 1
+            # the merged edge goes first when it spans the end of the chain
+            first = pieces[-1] if k == 1 else pieces[0]
+            assert np.abs(got.start[0] - first.start).max() <= 1e-15
 
 
 def test_dual_order_reversal_on_nested_caps():

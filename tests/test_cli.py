@@ -202,7 +202,7 @@ def test_certify_dual_file_takes_the_polytope_certificate(tmp_path, capsys, monk
     run(capsys, "generate", kind, "-o", str(body))
     run(capsys, "dual", str(body), "-o", str(dual))
     assert json.loads(dual.read_text())["kind"] == "polytope"
-    old.write_text(dumps_body(bd.chain_body(loads_body(dual.read_text()).pieces)))
+    old.write_text(dumps_body(bd.chain_body(loads_body(dual.read_text()).arcs)))
     assert json.loads(old.read_text())["kind"] == "pc-body"
     calls = []
 
@@ -275,7 +275,7 @@ def test_each_verb_validates_each_body_once(tmp_path, capsys, monkeypatch):
     run(capsys, "approximate", str(files["cap.json"]), "--epsilon", "0.01", "-o", str(files["poly.json"]))
     # the dual as a pc-body of great arcs, the format ``dual`` wrote before
     run(capsys, "dual", str(files["poly.json"]), "-o", str(files["dual.json"]))
-    files["old.json"].write_text(dumps_body(bd.chain_body(loads_body(files["dual.json"].read_text()).pieces)))
+    files["old.json"].write_text(dumps_body(bd.chain_body(loads_body(files["dual.json"].read_text()).arcs)))
     seen = []
     validate = bd.validate
 

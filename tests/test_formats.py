@@ -98,7 +98,7 @@ def test_great_arc_files_load_as_stacks_bit_for_bit():
         if not isinstance(dual, Polytope):
             continue
         new = loads_body(dumps_body(dual))
-        text = dumps_body(chain_body(dual.pieces))
+        text = dumps_body(chain_body(dual.arcs))
         got, ref = loads_body(text), _loads_per_record(text)
         assert type(new) is Polytope and type(got) is not Polytope
         records = json.loads(text)["pieces"]

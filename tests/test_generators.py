@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +34,7 @@ from spherewidth.metrics import (
     self_duality_residual,
     thickness,
 )
-from spherewidth.sphere import TWO_PI, SmallCircleArc, sample_piece, unit
+from spherewidth.sphere import TWO_PI, ArcStack, SmallCircleArc, sample_piece, unit
 
 E1, E2, E3 = np.eye(3)
 PI = math.pi
@@ -149,9 +150,9 @@ def random_polygon(rng):
 
 
 def assert_hull_matches_the_piece_loop(poly, x):
-    """The polygon hull of ``poly`` and ``x`` against the piece loop on its ``GreatArc`` pieces."""
+    """The polygon hull of ``poly`` and ``x`` against the stacked hull of its chain of great arcs."""
     got = convex_hull_with_point(poly, x)
-    want = to_polytope(generators._piece_hull(poly, unit(x)))
+    want = to_polytope(generators._arc_hull(bd.chain_body(poly.arcs), unit(x)))
     assert isinstance(got, Polytope)
     assert len(got) == len(want)
     assert np.abs(got.vertices - want.vertices).max() <= 1e-14
@@ -201,9 +202,91 @@ def test_polygon_hull_of_an_inner_point_is_the_input():
 
 def test_polygon_hull_refuses_a_point_that_sees_the_whole_boundary():
     poly, _ = random_polygon(np.random.default_rng(5))
-    for hull in (convex_hull_with_point, generators._piece_hull):
-        with pytest.raises(ValueError, match="whole boundary"):
-            hull(poly, -poly.interior)
+    for body in (poly, bd.chain_body(poly.arcs)):
+        for hull in (convex_hull_with_point, generators._arc_hull):
+            with pytest.raises(ValueError, match="whole boundary"):
+                hull(body, -poly.interior)
+
+
+@pytest.fixture(scope="module")
+def curved():
+    from fixtures import curved_bodies
+
+    return curved_bodies()
+
+
+def assert_same_stack(got, want):
+    assert len(got) == len(want)
+    for f in fields(ArcStack):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+def test_stacked_hull_matches_the_per_piece_reference(curved):
+    # at random exterior points of every curved body: the same error, the
+    # body itself, or the same chain bit for bit
+    rng = np.random.default_rng(11)
+    kinds = {"hull": 0, "refused": 0}
+    for body in curved.values():
+        pts = rng.normal(size=(60, 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        for x in pts[body_distance_many(body, pts) > 1e-6][:12]:
+            try:
+                want = oracles.hull_per_piece(body, unit(x))
+            except ValueError as exc:
+                with pytest.raises(ValueError) as refused:
+                    convex_hull_with_point(body, x)
+                assert str(refused.value) == str(exc)
+                kinds["refused"] += 1
+                continue
+            got = convex_hull_with_point(body, x)
+            assert want is not body
+            assert_same_stack(got.arcs, want.arcs)
+            assert np.array_equal(got.interior, want.interior)
+            assert validate(got).ok or not validate(body).ok
+            kinds["hull"] += 1
+    assert kinds["hull"] >= 150 and kinds["refused"] >= 10, kinds
+
+
+def test_stacked_hull_merges_a_flat_junction(curved):
+    # x on the circle of a great arc, past its end: the tangent arc from
+    # that end continues the great arc, and the two become one
+    merged = 0
+    for name in ("mixed", "chopped-cap", "two-cut-cap"):
+        body = curved[name]
+        for i in np.flatnonzero(body.arcs.radius == 0.5 * PI):
+            edge = body.pieces[i]
+            x = edge.point_at(edge.t1 + 0.1)[0]
+            got, want = convex_hull_with_point(body, x), oracles.hull_per_piece(body, unit(x))
+            assert_same_stack(got.arcs, want.arcs)
+            assert validate(got).ok
+            # the end of the great arc is no longer a junction
+            assert np.linalg.norm(got.arcs.start - edge.end, axis=1).min() > 1e-6
+            merged += 1
+    assert merged >= 3
+
+
+def test_stacked_hull_of_an_inner_point_is_the_body_and_of_an_all_seeing_point_refused(curved):
+    for body in curved.values():
+        assert convex_hull_with_point(body, body.interior) is body
+    for r in (0.3, 0.6, 1.2):
+        body = curved["cap-r%g" % r]
+        for hull in (convex_hull_with_point, oracles.hull_per_piece):
+            with pytest.raises(ValueError, match="whole boundary"):
+                hull(body, -body.arcs.z[0])
+
+
+def test_stacked_rotation_matches_the_per_piece_reference(curved):
+    bodies = list(curved.values())
+    # the rotated caps of the cap-fine benchmark, and rotated rounded Reuleaux 9-gons
+    bodies += [cap(E3, PI / 4), rounded_reuleaux(9, 0.2)]
+    for s in range(1, 65):
+        rot = rotation_from_seed(s)
+        for body in bodies if s <= 2 else bodies[-2:]:
+            got, want = rotated(body, rot), oracles.rotated_per_piece(body, rot)
+            assert_same_stack(got.arcs, want.arcs)
+            assert np.array_equal(got.interior, want.interior)
+            # the lazy pieces are the rows: a rotated cap's centre is read from them
+            assert np.array_equal(got.pieces[0].z, want.pieces[0].z)
 
 
 # ---------------------------------------------------------------- stop rule

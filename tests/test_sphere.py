@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from fixtures import acceptance_corpus, lens
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from spherewidth.body import Polytope, polar_dual
 from spherewidth.errors import AmbiguousSide, DegenerateArc, DegenerateLune
 from spherewidth.generators import random_selfdual_polytope
 from spherewidth.sphere import (
+    TWO_PI,
     GreatArc,
     Hemisphere,
     Lune,
@@ -252,9 +254,9 @@ def test_row_dots_and_unit_each_are_per_row_bit_for_bit():
 
 
 def _great_arc_ends(body):
-    """The ends that built a body's great arcs, else the ends of its great-arc pieces."""
-    if hasattr(body, "ends"):
-        return body.ends
+    """The ends that built a body's great arcs, a polytope's vertices, else the ends of its great-arc pieces."""
+    if isinstance(body, Polytope):
+        return body.vertices, np.roll(body.vertices, -1, axis=0)
     great = [p for p in body.pieces if isinstance(p, GreatArc)]
     return np.array([p.start for p in great]).reshape(-1, 3), np.array([p.end for p in great]).reshape(-1, 3)
 
@@ -271,10 +273,41 @@ def test_great_arc_stack_is_stack_arcs_of_the_objects_bit_for_bit():
         want = stack_arcs([GreatArc(s, e) for s, e in zip(starts, ends)])
         for name in ("z", "u", "v", "start", "end", "radius", "cos_r", "sin_r", "t0", "t1", "span"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        if isinstance(body, Polytope) or hasattr(body, "ends"):
+        if isinstance(body, Polytope):
             assert all(np.array_equal(getattr(body.arcs, f), getattr(want, f)) for f in ("z", "u", "v", "t1"))
         checked += len(starts)
     assert checked > 800
+
+
+def test_stack_builders_and_pieces_follow_the_scalar_piece_rules():
+    # every piece is a one-row stack, so the batch builders are checked
+    # against the per-piece rules written out in scalar Python
+    rng = np.random.default_rng(12)
+    n = 400
+    z = rng.normal(size=(n, 3))
+    z[:20] = [0.3, 0.3, 0.9]  # two least coordinates tie
+    r = rng.uniform(1e-6, 0.5 * math.pi - 1e-6, n)
+    a0 = rng.uniform(-20.0, 20.0, n)
+    span = np.where(rng.uniform(size=n) < 0.1, TWO_PI + 1e-13, rng.uniform(1e-9, TWO_PI, n))
+    ends = rng.normal(size=(2, n, 3))
+    names = ("z", "u", "v", "start", "end", "radius", "cos_r", "sin_r", "t0", "t1", "span")
+    for got, want, pieces in (
+        (
+            sphere.small_arc_stack(z, r, a0, a0 + span),
+            [oracles.small_arc_fields(*row) for row in zip(z, r, a0, a0 + span)],
+            [SmallCircleArc(*row) for row in zip(z, r, a0, a0 + span)],
+        ),
+        (
+            great_arc_stack(*ends),
+            [oracles.great_arc_fields(s, e) for s, e in zip(*ends)],
+            [GreatArc(s, e) for s, e in zip(*ends)],
+        ),
+    ):
+        for name in names:
+            column = np.array([w[name] for w in want])
+            assert np.array_equal(getattr(got, name), column), name
+            assert np.array_equal(getattr(stack_arcs(pieces), name), column), name
+            assert np.array_equal(getattr(stack_arcs(sphere.arc_pieces(got)), name), column), name
 
 
 def test_great_arc_stack_rejects_degenerate_rows():
