@@ -142,11 +142,6 @@ class ConvexBody:
         not change afterwards.  Raises ``NotSelfDual``, on every read, when a run has no partner."""
         return _pair_runs(*_boundary_units(self.arcs))
 
-    def boundary_samples(self, per_piece: int = 16) -> np.ndarray:
-        """``per_piece`` evenly spaced points of each piece, piece after piece."""
-        a = self.arcs
-        return a.point_at(np.linspace(a.t0, a.t1, per_piece)).swapaxes(0, 1).reshape(-1, 3)
-
 
 class Polytope(ConvexBody):
     """Convex body bounded by great arcs, stored by its vertices.

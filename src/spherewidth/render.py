@@ -11,7 +11,12 @@ gives every ellipse's axes.  What runs once per value in Python is the
 string formatting and the scalar ``math.cos``, ``math.sin``, ``math.hypot``
 and ``**``, which numpy could round differently.  Output is deterministic
 for fixed inputs: fixed 1000 x 1000 viewBox, y down, bodies scaled to 90
-percent of the frame.
+percent of the frame.  The frame is the exact box of the projected arcs,
+in closed form for both projections (``projected_box``: each plane
+coordinate along an arc is a ratio of two sinusoids, extreme at the ends
+or at the two roots of its derivative), and the front-hemisphere checks
+take the exact least x . v along each arc (``sphere.arc_dot_range``), so
+nothing is sampled.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .body import ConvexBody
-from .sphere import ArcStack, linspace_grid, row_dots, tangent_basis, unit
+from .sphere import ArcStack, arc_dot_range, linspace_grid, row_dots, tangent_basis, unit, wrap_angle
 
 VIEWBOX = 1000.0
 FILL_FRACTION = 0.9
@@ -31,8 +36,6 @@ STROKES = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 # split every piece into parameter sub-spans of at most this angle so each
 # SVG arc segment is short, well conditioned, and never ambiguous
 MAX_SEG_SPAN = 0.5 * math.pi
-# boundary samples a piece that fix the frame's extent
-FRAME_SAMPLES = 256
 
 
 def _fmt(x: float) -> str:
@@ -40,11 +43,9 @@ def _fmt(x: float) -> str:
 
 
 class _Frame:
-    """Affine map from projected plane coordinates to SVG pixels (y down)."""
+    """Affine map from projected plane coordinates to SVG pixels (y down), fitting the box [lo, hi]."""
 
-    def __init__(self, pts: np.ndarray):
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
         self.center = 0.5 * (lo + hi)
         half = float(np.max(hi - lo)) / 2.0
         self.scale = FILL_FRACTION * (VIEWBOX / 2.0) / max(half, 1e-12)
@@ -54,6 +55,37 @@ class _Frame:
         px = VIEWBOX / 2.0 + self.scale * (q[:, 0] - self.center[0])
         py = VIEWBOX / 2.0 - self.scale * (q[:, 1] - self.center[1])
         return np.column_stack([px, py])
+
+
+def projected_box(arcs: ArcStack, view, a, b, stereographic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Exact corners lo, hi of the box about the projected arcs, in closed form.
+
+    On row i, plane coordinate w in (a, b) is the ratio
+    (n0 + n1 cos t + n2 sin t) / (d0 + d1 cos t + d2 sin t), where
+    n = (cos r z.w, sin r u.w, sin r v.w) and d is (1, 0, 0) orthographic or
+    (1 + cos r z.view, sin r u.view, sin r v.view) stereographic.  Its
+    derivative vanishes where A sin t + B cos t + C = 0, with
+    A = n0 d1 - n1 d0, B = n2 d0 - n0 d2 and C = n2 d1 - n1 d2, that is at
+    atan2(A, B) +- acos(-C / hypot(A, B)); so each coordinate is extreme at
+    the ends or at those roots that lie inside [t0, t1].  The denominator
+    must stay positive on the arcs.
+    """
+    # (cos r z, sin r u, sin r v) . (a, b, view) on every row: one (1, 3) @ (3, 3) product a row
+    dots = np.matmul(np.stack([arcs.z, arcs.u, arcs.v])[:, :, None], np.array([a, b, view]).T)[:, :, 0]
+    coef = (dots * np.array([arcs.cos_r, arcs.sin_r, arcs.sin_r])[..., None]).transpose(0, 2, 1)
+    n = coef[:, :2]  # (n0, n1, n2) x (a, b) x rows
+    d = np.array([1.0, 0.0, 0.0])[:, None, None] + (coef[:, 2:] if stereographic else 0.0)
+    A = n[0] * d[1] - n[1] * d[0]
+    B = n[2] * d[0] - n[0] * d[2]
+    C = n[2] * d[1] - n[1] * d[2]
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan where the ratio has no stationary point
+        half = np.arccos(-C / np.hypot(A, B))
+    rel = wrap_angle(np.arctan2(A, B) + np.array([-half, half]) - arcs.t0)
+    # a root outside the arc, or none, falls back to the start
+    t = np.concatenate([np.broadcast_to([arcs.t0, arcs.t1], rel.shape), np.where(rel <= arcs.span, rel, 0.0) + arcs.t0])
+    cos, sin = np.cos(t), np.sin(t)
+    q = (n[0] + n[1] * cos + n[2] * sin) / (d[0] + d[1] * cos + d[2] * sin)
+    return q.min(axis=(0, 2)), q.max(axis=(0, 2))
 
 
 def _segments(arcs: ArcStack):
@@ -150,7 +182,9 @@ def render_svg(bodies: Sequence[ConvexBody], projection: str = "orthographic", v
 
     The view direction defaults to the unit mean of the bodies' interior
     witnesses.  Orthographic projection requires every body to lie in the
-    open front hemisphere of the view direction.
+    open front hemisphere of the view direction, stereographic projection
+    every body to keep x . v above -1 + 1e-6; either raises ``ValueError``
+    otherwise.
     """
     if projection not in ("orthographic", "stereographic"):
         raise ValueError("projection must be orthographic or stereographic")
@@ -159,20 +193,18 @@ def render_svg(bodies: Sequence[ConvexBody], projection: str = "orthographic", v
     v = unit(np.asarray(view, dtype=float))
     a, b = tangent_basis(v)
 
-    cloud = []
+    stereographic = projection == "stereographic"
+    boxes = []
     for body in bodies:
-        pts = body.boundary_samples(FRAME_SAMPLES)
-        front = pts @ v
-        if projection == "orthographic":
-            if float(front.min()) <= 0.0:
-                raise ValueError("body is not contained in the front hemisphere")
-            cloud.append(np.column_stack([pts @ a, pts @ b]))
-        else:
-            if float(front.min()) <= -1.0 + 1e-6:
-                raise ValueError("body passes through the projection point")
-            w = 1.0 + front
-            cloud.append(np.column_stack([(pts @ a) / w, (pts @ b) / w]))
-    frame = _Frame(np.vstack(cloud))
+        arcs = body.arcs
+        front = float(arc_dot_range(arcs, arcs.t0, arcs.t1, v)[0].min())
+        if not stereographic and front <= 0.0:
+            raise ValueError("body is not contained in the front hemisphere")
+        if stereographic and front <= -1.0 + 1e-6:
+            raise ValueError("body passes through the projection point")
+        boxes.append(projected_box(arcs, v, a, b, stereographic))
+    lo, hi = zip(*boxes)
+    frame = _Frame(np.min(lo, axis=0), np.max(hi, axis=0))
 
     paths = []
     for k, body in enumerate(bodies):

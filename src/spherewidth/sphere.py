@@ -365,6 +365,12 @@ def stack_arcs(pieces) -> ArcStack:
     )
 
 
+def _no_arcs() -> ArcStack:
+    """The stack of zero rows, shaped as the builders leave it, without their numpy calls."""
+    rows, values = np.empty((0, 3)), np.empty(0)
+    return ArcStack(rows, rows, rows, rows, rows, values, values, values, values, values, values)
+
+
 def great_arc_stack(starts, ends) -> ArcStack:
     """The ``ArcStack`` of the great arcs [starts[i], ends[i]], built in one pass.
 
@@ -374,8 +380,10 @@ def great_arc_stack(starts, ends) -> ArcStack:
     order of ``dot``, the poles are ``cross_rows``, and each length is
     ``acos_clamped`` of its cosine (``np.arccos`` rounds some values
     differently).  Raises ``DegenerateArc`` when some pair of ends is equal
-    or antipodal.
+    or antipodal.  Zero rows give the empty stack at once.
     """
+    if not len(starts):
+        return _no_arcs()
     s, e = unit_each(starts), unit_each(ends)
     c = s[:, 0] * e[:, 0] + s[:, 1] * e[:, 1] + s[:, 2] * e[:, 2]
     if (np.abs(c) >= 1.0 - DOT_EPS).any():
@@ -406,8 +414,11 @@ def small_arc_stack(centers, radius, az_from, az_to) -> ArcStack:
     ``tangent_basis`` of the normalised centre, the cosine and sine of each
     radius are ``math``'s, ``az_from`` is reduced into [0, 2 pi) and the span
     clipped to 2 pi.  Raises ``ValueError`` on a radius outside (0, pi/2) or
-    a span outside (0, 2 pi], each by ``DOT_EPS``.
+    a span outside (0, 2 pi], each by ``DOT_EPS``.  Zero rows give the
+    empty stack at once.
     """
+    if not np.size(centers):
+        return _no_arcs()
     z = unit_each(np.reshape(centers, (-1, 3)))
     r = np.asarray(radius, dtype=float)
     if not ((DOT_EPS < r) & (r < math.pi / 2 - DOT_EPS)).all():

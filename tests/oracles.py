@@ -42,7 +42,7 @@ from spherewidth.body import (
 )
 from spherewidth.errors import BudgetExhausted, DegenerateArc, DualOverlap
 from spherewidth.generators import cap, complete_selfdual, rotated, rotation_from_seed
-from spherewidth.render import FRAME_SAMPLES, MAX_SEG_SPAN, STROKES, _fmt, _Frame
+from spherewidth.render import MAX_SEG_SPAN, STROKES, _fmt, _Frame, projected_box
 from spherewidth.sphere import (
     BOUNDARY_EPS,
     DOT_EPS,
@@ -70,6 +70,12 @@ COARSE_STRIDE = 64
 
 def boundary_cloud(body, per_piece=2000):
     return np.vstack([sample_piece(p, per_piece) for p in body.pieces])
+
+
+def boundary_samples(body, per_piece=16):
+    """``per_piece`` evenly spaced points of each piece, piece after piece, from the stacked arcs."""
+    a = body.arcs
+    return a.point_at(np.linspace(a.t0, a.t1, per_piece)).swapaxes(0, 1).reshape(-1, 3)
 
 
 def _piece_poles(piece, per_piece):
@@ -640,7 +646,9 @@ def _stereo_segment(piece, t0, t1, v, a, b, frame):
 def render_svg_per_segment(bodies, projection="orthographic", view=None):
     """``render.render_svg`` one piece and one segment at a time, on the piece objects.
 
-    Each piece is split by ``np.linspace`` into ceil(span / ``MAX_SEG_SPAN``)
+    The frame is the box of the pieces' ``render.projected_box`` boxes, each
+    taken on its one-row stack, so this checks the path commands.  Each
+    piece is split by ``np.linspace`` into ceil(span / ``MAX_SEG_SPAN``)
     segments, and each segment is projected on its own: an orthographic
     ellipse arc from the conjugate radii and the SVD of one 2 x 2 matrix, or
     a stereographic circumcircle through three projected points.
@@ -649,15 +657,8 @@ def render_svg_per_segment(bodies, projection="orthographic", view=None):
         view = np.mean([body.interior for body in bodies], axis=0)
     v = unit(np.asarray(view, dtype=float))
     a, b = tangent_basis(v)
-    cloud = []
-    for body in bodies:
-        pts = np.vstack([sample_piece(p, FRAME_SAMPLES) for p in body.pieces])
-        if projection == "orthographic":
-            cloud.append(np.column_stack([pts @ a, pts @ b]))
-        else:
-            w = 1.0 + pts @ v
-            cloud.append(np.column_stack([(pts @ a) / w, (pts @ b) / w]))
-    frame = _Frame(np.vstack(cloud))
+    boxes = [projected_box(body.arcs[i : i + 1], v, a, b, projection == "stereographic") for body in bodies for i in range(len(body.arcs))]
+    frame = _Frame(np.min([lo for lo, _ in boxes], axis=0), np.max([hi for _, hi in boxes], axis=0))
     paths = []
     for k, body in enumerate(bodies):
         start = body.pieces[0].start

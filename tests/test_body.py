@@ -375,7 +375,7 @@ def test_contains_witness_and_antipode():
 
 def test_contains_boundary_points_closed():
     b = cap(unit([1, 2, 3]), 0.7)
-    for p in b.boundary_samples(32):
+    for p in oracles.boundary_samples(b, 32):
         assert contains(b, p)
 
 
@@ -722,7 +722,7 @@ def test_support_pole_on_cap():
     assert not sup.is_vertex
     assert np.allclose(sup.poles, [-s, 0.0, s], atol=1e-12)
     # H(pole) contains the cap
-    assert np.min(b.boundary_samples(64) @ sup.poles) > -1e-12
+    assert np.min(oracles.boundary_samples(b, 64) @ sup.poles) > -1e-12
 
 
 def test_support_at_octant_vertex_is_pole_arc():
@@ -758,7 +758,7 @@ def test_support_duality_on_generic_body():
             assert bd.boundary_distance_many(dual, k[None, :])[0] <= 1e-8
             assert abs(sphere.dot(p, k)) <= 1e-12
             # H(p) supports the dual at k
-            assert np.min(dual.boundary_samples(64) @ p) >= -1e-8
+            assert np.min(oracles.boundary_samples(dual, 64) @ p) >= -1e-8
 
 
 # ------------------------------------------------------- diametral partners

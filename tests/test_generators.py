@@ -170,7 +170,7 @@ def test_polygon_hull_matches_the_piece_loop():
     for s in (1, 2, 3):
         seed = generators.random_subdual_polytope_seed(30, s)
         dual = polar_dual(seed)
-        pts = dual.boundary_samples()
+        pts = oracles.boundary_samples(dual)
         x = pts[int(np.argmax(body_distance_many(seed, pts)))]
         assert_hull_matches_the_piece_loop(seed, x)
 

@@ -330,7 +330,7 @@ def test_pairing_bound_covers_the_residual_and_the_swept_widths(monkeypatch):
         if rho is None:
             continue
         dual = polar_dual(body)
-        h = max(float(body_distance_many(x, y.boundary_samples(64)).max()) for x, y in ((body, dual), (dual, body)))
+        h = max(float(body_distance_many(x, oracles.boundary_samples(y, 64)).max()) for x, y in ((body, dual), (dual, body)))
         if name != "corner-moved-1e-7":  # its refinement takes seconds on near-flat plateaus
             h = max(h, hausdorff(body, dual))
         ref = swept(body, PI / 2, 1e-6, monkeypatch)

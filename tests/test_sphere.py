@@ -291,16 +291,18 @@ def test_stack_builders_and_pieces_follow_the_scalar_piece_rules():
     span = np.where(rng.uniform(size=n) < 0.1, TWO_PI + 1e-13, rng.uniform(1e-9, TWO_PI, n))
     ends = rng.normal(size=(2, n, 3))
     names = ("z", "u", "v", "start", "end", "radius", "cos_r", "sin_r", "t0", "t1", "span")
-    for got, want, pieces in (
+    for got, want, pieces, empty in (
         (
             sphere.small_arc_stack(z, r, a0, a0 + span),
             [oracles.small_arc_fields(*row) for row in zip(z, r, a0, a0 + span)],
             [SmallCircleArc(*row) for row in zip(z, r, a0, a0 + span)],
+            sphere.small_arc_stack(z[:0], r[:0], a0[:0], a0[:0]),
         ),
         (
             great_arc_stack(*ends),
             [oracles.great_arc_fields(s, e) for s, e in zip(*ends)],
             [GreatArc(s, e) for s, e in zip(*ends)],
+            great_arc_stack(*ends[:, :0]),
         ),
     ):
         for name in names:
@@ -308,6 +310,9 @@ def test_stack_builders_and_pieces_follow_the_scalar_piece_rules():
             assert np.array_equal(getattr(got, name), column), name
             assert np.array_equal(getattr(stack_arcs(pieces), name), column), name
             assert np.array_equal(getattr(stack_arcs(sphere.arc_pieces(got)), name), column), name
+            # zero rows give the empty stack, each field shaped as the rows' fields
+            none = getattr(got, name)[:0]
+            assert getattr(empty, name).shape == none.shape and getattr(empty, name).dtype == none.dtype, name
 
 
 def test_great_arc_stack_rejects_degenerate_rows():
