@@ -8,11 +8,16 @@ R, the pole of the chord, is its own polar image, so the edit keeps the body
 self-dual.  The edit changes nothing but its own sub-arc and that sub-arc's
 partner, so edits on disjoint sub-arcs commute and can all be applied at
 once.  ``chord_polytope`` therefore builds the polytope in one pass over
-the run pairing table (``body.RunPairing``): it splits each chorded row,
-the first of each arc pair, into equal sub-arcs, all in one
-``sphere.linspace_grid`` call, puts the chord poles on the partner rows
+the run pairing table (``body.RunPairing``) with ``chord_core``: it splits
+each chorded row, the first of each arc pair, into equal sub-arcs, all in
+one ``sphere.linspace_grid`` call, puts the chord poles on the partner rows
 and emits the vertices sorted by row, in boundary order.  The cap's full
-circle is two half rows, one chorded and one carrying the poles.
+circle is two half rows, one chorded and one carrying the poles; the
+random polytope seeds of ``generators`` are cut by ``chord_core`` on those
+two rows alone.  The steps are one ``StepTable`` of the core's arrays, the
+sub-arc ends and the chord poles; ``StepRecord`` is its row view, and the
+log-only columns (the partner points, the sagittas and the piece ids) are
+made on first read, so a build whose steps are only counted makes none.
 
 For a sub-arc of width s on the circle (Z, r), the right spherical triangle
 Z-M-P1 gives tan m = tan r cos(s/2), M the chord midpoint at distance m from
@@ -52,8 +57,10 @@ from ``metrics.is_constant_width``, in closed form from its run pairing
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -68,6 +75,7 @@ from .errors import (
 )
 from .sphere import (
     TWO_PI,
+    ArcStack,
     GreatArc,
     SmallCircleArc,
     Vec,
@@ -84,6 +92,7 @@ from .sphere import (
 from .body import (
     ConvexBody,
     Polytope,
+    RunPairing,
     body_distance,
     boundary_distance_many,
     chain_body,
@@ -121,7 +130,7 @@ class ApproximationConfig:
 
 @dataclass(frozen=True, eq=False)
 class StepRecord:
-    """One primal/dual boundary edit."""
+    """One primal/dual boundary edit: a row of a ``StepTable``, or the record of one ``cut_step``."""
 
     p1: Vec
     p2: Vec
@@ -342,44 +351,109 @@ def cut_step(body: ConvexBody, p1: Vec, p2: Vec) -> tuple[ConvexBody, StepRecord
 # ----------------------------------------------------------- one-pass build
 
 
-def chord_polytope(body: ConvexBody, config: ApproximationConfig) -> tuple[Polytope, list[StepRecord]]:
-    """The chord-cut polytope of a self-dual body, and one ``StepRecord`` per chord.
+class Chords(NamedTuple):
+    """What ``chord_core`` emits: the chords of the chorded rows of a stack, in one array pass.
 
-    One pass (module docstring) with sagittas under ``epsilon *
-    SUBDIVISION_SAFETY``; flat junctions are dropped and nothing is checked.
-    Raises ``NotSelfDual`` when an arc run has no partner
-    (``ConvexBody.run_pairing``) and, before building, ``BudgetExhausted``
-    when one needs ``MAX_SUBARCS`` sub-arcs.
+    ``runs`` are the chorded rows and ``n`` their sub-arc counts; ``run``
+    (an index into ``runs``) and ``az`` give each sub-arc end, whose points
+    are ``p``; ``k`` is the first end of each chord, all but the last of each
+    run, and ``r`` each chord's pole.  ``vertices`` is the chain in boundary
+    order, flat junctions kept.
     """
-    pairing = body.run_pairing
-    a, target = pairing.arcs, config.epsilon * SUBDIVISION_SAFETY
-    runs = np.flatnonzero(pairing.chorded)
+
+    runs: np.ndarray
+    n: np.ndarray
+    run: np.ndarray
+    az: np.ndarray
+    p: np.ndarray
+    k: np.ndarray
+    r: np.ndarray
+    vertices: np.ndarray
+
+
+def chord_core(a: ArcStack, chorded: np.ndarray, partner: np.ndarray, target: float) -> Chords:
+    """The chords, with sagittas d(s) under ``target``, of the rows ``chorded`` of the stack ``a``.
+
+    Each chorded row is split into its fewest equal sub-arcs
+    (``_chord_count``), all rows in one ``sphere.linspace_grid`` call, and
+    the poles of its chords go on its partner row ``partner[i]``.  Each row
+    holds, in chain order: a chorded row its sub-arc starts, any other row
+    its start, then a partner row the chord poles.  Raises
+    ``BudgetExhausted`` when a row needs ``MAX_SUBARCS`` sub-arcs.
+    """
+    runs = np.flatnonzero(chorded)
     radius, span = a.radius[runs].tolist(), a.span[runs].tolist()
     n = np.array([_chord_count(r, s, target) for r, s in zip(radius, span)], dtype=int)
-
-    # the sub-arc ends of every chorded run, run after run, and the partner
-    # points at the same azimuths shifted by pi
     run, az = linspace_grid(a.t0[runs], a.t1[runs], n + 1)
-    unit, mate = runs[run], pairing.partner[runs[run]]
-    p = a[unit].point_at(az)
-    q = a[mate].point_at(az + math.pi)
+    rows = runs[run]
+    p = a.point_at(az, rows)
     k = np.flatnonzero(run[1:] == run[:-1])  # the first end of each chord: all but the last of each run
     r = unit_rows(cross_rows(p[k], p[k + 1]))
-    s = a.span[runs] / n
-    d = [x - math.atan(math.tan(x) * math.cos(0.5 * w)) for x, w in zip(radius, s.tolist())]
-    offset = s[run[k]] * (k - (np.cumsum(n + 1) - n - 1)[run[k]])
-    primal = pairing.piece_at(unit[k], offset).tolist()
-    dual = pairing.piece_at(mate[k], offset).tolist()
-    steps = [
-        StepRecord(p[i], p[i + 1], q[i], q[i + 1], r[x], primal[x], dual[x], d[run[i]])
-        for x, i in enumerate(k.tolist())
-    ]
+    owner = np.concatenate([rows[k], np.flatnonzero(~chorded), partner[rows[k]]])
+    v = np.vstack([p[k], a.start[~chorded], r])
+    return Chords(runs, n, run, az, p, k, r, v[np.argsort(owner, kind="stable")])
 
-    # each unit's vertices in chain order: a chorded run's sub-arc starts, a
-    # partner run's start and then the chord poles, a great arc's start
-    owner = np.concatenate([unit[k], np.flatnonzero(~pairing.chorded), mate[k]])
-    v = np.vstack([p[k], a.start[~pairing.chorded], r])
-    return Polytope(drop_flat_vertices(v[np.argsort(owner, kind="stable")])), steps
+
+class StepTable(Sequence):
+    """The steps of one ``chord_polytope`` build, one row per chord, as a sequence of ``StepRecord`` views.
+
+    The table keeps the core's arrays (``Chords``).  Its log-only columns,
+    the partner points ``q``, the sagittas ``d`` and the piece ids
+    ``primal`` and ``dual`` (``RunPairing.piece_at``), are made on first
+    read and cached, so a build whose steps are only counted makes none of
+    them.  Row x is the ``StepRecord`` of chord x, built when read.
+    """
+
+    def __init__(self, pairing: RunPairing, chords: Chords):
+        self.pairing, self.chords = pairing, chords
+
+    def __len__(self) -> int:
+        return len(self.chords.k)
+
+    def __getitem__(self, x: int) -> StepRecord:
+        x = range(len(self))[x]  # IndexError past the end, as a list
+        p, i = self.chords.p, int(self.chords.k[x])
+        primal, dual = self.piece_ids
+        return StepRecord(
+            p[i], p[i + 1], self.q[i], self.q[i + 1], self.chords.r[x], int(primal[x]), int(dual[x]), float(self.d[x])
+        )
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """The partner point of each sub-arc end: its azimuth shifted by pi on the partner row."""
+        c = self.chords
+        return self.pairing.arcs.point_at(c.az + math.pi, self.pairing.partner[c.runs[c.run]])
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """The sagitta d(s) = r - atan(tan r cos(s/2)) of each chord."""
+        a, c = self.pairing.arcs, self.chords
+        s = (a.span[c.runs] / c.n).tolist()
+        d = [x - math.atan(math.tan(x) * math.cos(0.5 * w)) for x, w in zip(a.radius[c.runs].tolist(), s)]
+        return np.array(d, dtype=float)[c.run[c.k]]
+
+    @cached_property
+    def piece_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The input piece holding each chord's first end, and the one holding its partner point."""
+        a, c, pairing = self.pairing.arcs, self.chords, self.pairing
+        run = c.run[c.k]
+        offset = (a.span[c.runs] / c.n)[run] * (c.k - (np.cumsum(c.n + 1) - c.n - 1)[run])
+        rows = c.runs[run]
+        return pairing.piece_at(rows, offset), pairing.piece_at(pairing.partner[rows], offset)
+
+
+def chord_polytope(body: ConvexBody, config: ApproximationConfig) -> tuple[Polytope, StepTable]:
+    """The chord-cut polytope of a self-dual body, and its ``StepTable``, one row per chord.
+
+    One pass (module docstring, ``chord_core`` on the run pairing) with
+    sagittas under ``epsilon * SUBDIVISION_SAFETY``; flat junctions are
+    dropped and nothing is checked.  Raises ``NotSelfDual`` when an arc run
+    has no partner (``ConvexBody.run_pairing``) and, before building,
+    ``BudgetExhausted`` when one needs ``MAX_SUBARCS`` sub-arcs.
+    """
+    pairing = body.run_pairing
+    chords = chord_core(pairing.arcs, pairing.chorded, pairing.partner, config.epsilon * SUBDIVISION_SAFETY)
+    return Polytope(drop_flat_vertices(chords.vertices)), StepTable(pairing, chords)
 
 
 # ------------------------------------------------------ pairing certificate
@@ -535,12 +609,13 @@ def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
 
 def approximate_polytope(
     body: ConvexBody, config: ApproximationConfig
-) -> tuple[Polytope, Certificate, list[StepRecord]]:
+) -> tuple[Polytope, Certificate, StepTable]:
     """Approximate a constant-width-pi/2 body by a polytope of the same width.
 
     Gates the input (``NotConstantWidth``), builds with ``chord_polytope``
     and certifies.  Returns the polytope, its certificate (Hausdorff
-    distance checked against 2 * epsilon) and the steps.
+    distance checked against 2 * epsilon) and the steps, a ``StepTable``
+    whose records are made when read.
     """
     # the gate validates the input: on a polytope input through its
     # Polytope's report, on a curved one through pairing_residual_bound,

@@ -793,7 +793,7 @@ def support_poles_at(body: ConvexBody, p, tol: float = BOUNDARY_EPS) -> SupportS
     if dists[i] > tol:
         raise NotOnBoundary("point is %.3e from the boundary (tol %.1e)" % (dists[i], tol))
     t = np.mod(np.arctan2(p @ a.v[i], p @ a.u[i]), TWO_PI)  # the azimuth of p on piece i
-    return SupportSet(at=p, poles=a[i].support_pole_at(t), is_vertex=False)
+    return SupportSet(at=p, poles=a.support_pole_at(t, i), is_vertex=False)
 
 
 def diametral_partner(

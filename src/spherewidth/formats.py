@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -134,15 +135,16 @@ def dumps_certificate(cert: Certificate, passed: bool = True) -> str:
 
 
 def loads_certificate(text: str) -> Certificate:
+    """Parse a certificate; a missing or ill-typed field raises ``InvalidBody`` naming it."""
     obj = json.loads(text)
     return Certificate(
-        epsilon=obj["epsilon"],
-        hausdorff_bound=obj["hausdorff_bound"],
-        width_min=obj["width_min"],
-        width_max=obj["width_max"],
-        self_duality_residual=obj["self_duality_residual"],
-        steps=obj["steps"],
-        rounds=obj["rounds"],
+        epsilon=_field(obj, "epsilon", float),
+        hausdorff_bound=_field(obj, "hausdorff_bound", float),
+        width_min=_field(obj, "width_min", float),
+        width_max=_field(obj, "width_max", float),
+        self_duality_residual=_field(obj, "self_duality_residual", float),
+        steps=_field(obj, "steps", operator.index),
+        rounds=_field(obj, "rounds", operator.index),
     )
 
 
@@ -169,21 +171,18 @@ def dumps_step_log(steps) -> str:
 
 
 def loads_step_log(text: str) -> list[StepRecord]:
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        out.append(
-            StepRecord(
-                p1=np.asarray(obj["p1"], float),
-                p2=np.asarray(obj["p2"], float),
-                q1=np.asarray(obj["q1"], float),
-                q2=np.asarray(obj["q2"], float),
-                r1=np.asarray(obj["r1"], float),
-                primal_piece_id=obj["primal_piece_id"],
-                dual_piece_id=obj["dual_piece_id"],
-                r1_distance=obj["r1_distance"],
-            )
+    """Parse a step log, one record per non-blank line; a missing or ill-typed field, or a point that is
+    not a 3-vector, raises ``InvalidBody`` naming it."""
+    return [
+        StepRecord(
+            p1=_field(obj, "p1", _vec3),
+            p2=_field(obj, "p2", _vec3),
+            q1=_field(obj, "q1", _vec3),
+            q2=_field(obj, "q2", _vec3),
+            r1=_field(obj, "r1", _vec3),
+            primal_piece_id=_field(obj, "primal_piece_id", operator.index),
+            dual_piece_id=_field(obj, "dual_piece_id", operator.index),
+            r1_distance=_field(obj, "r1_distance", float),
         )
-    return out
+        for obj in (json.loads(line) for line in text.splitlines() if line.strip())
+    ]

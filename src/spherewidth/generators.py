@@ -55,7 +55,7 @@ from .body import (
     validate_polytope,
 )
 from .metrics import boundary_sup_distance, diameter
-from .approx import ApproximationConfig, chord_polytope
+from .approx import SUBDIVISION_SAFETY, chord_core
 
 # Dual boundary points sampled per completion round.
 COMPLETION_SWEEP = 2048
@@ -267,6 +267,11 @@ def complete_selfdual(seed: ConvexBody, tol: float, rng_seed: int = 0) -> Convex
     farthest sample inserted.  Raises ``BudgetExhausted`` with the partial
     body if the insertion budget runs out.
     """
+    return _complete(seed, tol, rng_seed)[0]
+
+
+def _complete(seed: ConvexBody, tol: float, rng_seed: int) -> tuple[ConvexBody, Optional[float]]:
+    """``complete_selfdual``, and the bound rho it stopped on, or None when it stopped another way."""
     body = seed
     require_valid(body)
     if diameter(body) > 0.5 * math.pi + BOUNDARY_EPS:
@@ -277,22 +282,22 @@ def complete_selfdual(seed: ConvexBody, tol: float, rng_seed: int = 0) -> Convex
         # directed sup the refinement measures: in O(n) for a polytope
         rho = residual_bound(body)
         if rho is not None and rho <= 0.9 * tol:
-            return body
+            return body, rho
         dual = polar_dual(body)
         arcs = dual.arcs
         counts = length_weighted_counts(arcs, COMPLETION_SWEEP)
         idx, ts = linspace_grid(arcs.t0, arcs.t1, counts)
         jitter = rng.uniform(0, arcs.span / counts)[idx]
-        pts = arcs[idx].point_at(np.clip(ts + jitter, arcs.t0[idx], arcs.t1[idx]))
+        pts = arcs.point_at(np.clip(ts + jitter, arcs.t0[idx], arcs.t1[idx]), idx)
         gaps = body_distance_many(body, pts)
         i = int(np.argmax(gaps))
         if gaps[i] <= 0.9 * tol:
             # body is inside its dual, so the residual is one directed sup
             certified = boundary_sup_distance(dual, body, tol=0.1 * tol)
             if certified <= 0.9 * tol:
-                return body
+                return body, None
         if gaps[i] <= 1e-12:
-            return body
+            return body, None
         body = convex_hull_with_point(body, pts[i])
     raise BudgetExhausted(
         "completion did not reach tol %.1e in %d insertions" % (tol, MAX_INSERTIONS),
@@ -308,9 +313,13 @@ def random_subdual_polytope_seed(n_target: int, rng_seed: int) -> Polytope:
 
     For ``n_target`` of 3 the seed is a rotated orthonormal triple (the
     minimal self-dual polytope).  Larger targets cut a rotated quarter-pi cap
-    down to a polytope of roughly the requested size with ``chord_polytope``
-    and delete one vertex; any subset of a self-dual body is sub-dual.  The
-    cut polytope goes uncertified: ``complete_selfdual`` checks the seed.
+    down to a polytope of roughly the requested size and delete one vertex;
+    any subset of a self-dual body is sub-dual.  The cut is
+    ``approx.chord_core`` on the cap circle's two half runs, the rows
+    ``ConvexBody.run_pairing`` makes for a full circle, the first chorded
+    and the second carrying the poles, so a seed builds no run pairing and
+    no steps.  The cut polytope goes uncertified: ``complete_selfdual``
+    checks the seed.
     """
     if n_target < 3:
         raise ValueError("n_target must be at least 3")
@@ -319,12 +328,16 @@ def random_subdual_polytope_seed(n_target: int, rng_seed: int) -> Polytope:
         return Polytope(rot.T)
     # empirical size of the cap approximation: about 2.6 / sqrt(eps) vertices
     eps = min(1.2, max(0.004, (2.6 / max(2.5, n_target - 1.5)) ** 2))
-    base = rotated(cap(np.array([0.0, 0.0, 1.0]), 0.25 * math.pi), rot)
-    poly, _ = chord_polytope(base, ApproximationConfig(epsilon=eps))
+    a = rotated(cap(np.array([0.0, 0.0, 1.0]), 0.25 * math.pi), rot).arcs
+    lo = np.array([a.t0[0], a.t0[0] + math.pi])  # each half ends at lo + pi, as in the pairing's rows
+    halves = small_arc_stack(a.z[[0, 0]], a.radius[[0, 0]], lo, lo + math.pi)
+    chords = chord_core(halves, np.array([True, False]), np.array([1, 0]), eps * SUBDIVISION_SAFETY)
+    poly = Polytope(drop_flat_vertices(chords.vertices))
     if len(poly) <= 3:
         return poly
     rng = np.random.default_rng(rng_seed)
     drop = int(rng.integers(len(poly)))
+    # Polytope normalises the kept rows a second time; the completion's outputs depend on these bits
     return Polytope(np.delete(poly.vertices, drop, axis=0))
 
 
@@ -332,15 +345,18 @@ def random_selfdual_polytope(n_target: int, rng_seed: int = 0) -> Polytope:
     """Random polytope of constant width pi/2, deterministic in the seed.
 
     The completion of a polytope seed stays a polytope; it is validated once,
-    by the completion, and its constant width re-checked by
-    ``selfdual_residual_bound``.
+    by the completion, and its constant width re-checked against
+    ``SELF_DUAL_EPS`` on ``selfdual_residual_bound``: the bound the
+    completion stopped on, measured again only when it stopped another way.
     """
     seed = random_subdual_polytope_seed(n_target, rng_seed)
-    poly = to_polytope(complete_selfdual(seed, tol=1e-7, rng_seed=rng_seed))
+    body, rho = _complete(seed, tol=1e-7, rng_seed=rng_seed)
+    poly = to_polytope(body)
     rep = validate_polytope(poly)
     if not rep.ok:
         raise InvalidBody("completion produced an invalid polytope: %s" % rep)
-    rho = selfdual_residual_bound(poly)
+    if rho is None:
+        rho = selfdual_residual_bound(poly)
     if rho > SELF_DUAL_EPS:
         raise NotSelfDual("completion residual bound %.3g exceeds %.1e" % (rho, SELF_DUAL_EPS))
     return poly

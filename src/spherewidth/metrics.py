@@ -374,7 +374,7 @@ class _Direction:
         self.level = 0
         n = np.clip(np.ceil(arcs.span * arcs.sin_r / 0.05), 4, 512).astype(int)
         idx, ts = linspace_grid(arcs.t0, arcs.t1, n + 1)
-        fs = body_distance_many(b, arcs[idx].point_at(ts), signed=True)
+        fs = body_distance_many(b, arcs.point_at(ts, idx), signed=True)
         self.lb = float(fs.max())
         # left ends are all rows but each piece's last, right ends all but its first
         last = np.cumsum(n + 1) - 1
@@ -402,7 +402,7 @@ class _Direction:
             bound = float(ubs[keep].max()) + tol
             cap = np.minimum(cap, _structural_caps(self.arcs, idx, tl, tr, self.b, bound))
         tm = 0.5 * (tl + tr)
-        fm = body_distance_many(self.b, self.arcs[idx].point_at(tm), signed=True)
+        fm = body_distance_many(self.b, self.arcs.point_at(tm, idx), signed=True)
         lb = max(lb, float(fm.max()))
         self.idx = np.concatenate([idx, idx])
         self.tl, self.tr = np.concatenate([tl, tm]), np.concatenate([tm, tr])
@@ -535,7 +535,7 @@ def is_constant_width(body: ConvexBody, tau: float, tol: float = 1e-6) -> WidthR
                 return WidthReport(tau, tol, wmin, wmax, True, body, None, rho)
     dual = polar_dual(body)
     idx, ts = linspace_grid(dual.arcs.t0, dual.arcs.t1, length_weighted_counts(dual.arcs, WIDTH_SWEEP))
-    k = dual.arcs[idx].point_at(ts)
+    k = dual.arcs.point_at(ts, idx)
     widths = math.pi - boundary_max_distance_many(dual, k)
     thick = math.pi - _ascent_diameter(dual)
     wmin = min(float(widths.min()), thick)

@@ -158,8 +158,7 @@ def _stereo_commands(arcs: ArcStack, v, a, b, frame: _Frame) -> list[str]:
     when that circle is (nearly) flat.
     """
     i, t0, t1 = _segments(arcs)
-    seg = arcs[i]
-    px = [_stereo_px(seg.point_at(t), v, a, b, frame) for t in (t0, 0.5 * (t0 + t1), t1)]
+    px = [_stereo_px(arcs.point_at(t, i), v, a, b, frame) for t in (t0, 0.5 * (t0 + t1), t1)]
     (ax, ay), (bx, by), (cx, cy) = (p.T for p in px)
     # ``**`` is the C pow(), which rounds some squares unlike x * x
     a2, b2, c2 = (np.array([x**2 + y**2 for x, y in p.tolist()]) for p in px)

@@ -328,6 +328,9 @@ class ArcStack:
     stack (rows x pieces); slicing gives the stack of a run of pieces.  The
     methods are the ``CircleArc`` formulas elementwise (bit for bit per row);
     ``t`` broadcasts, so ``np.linspace(t0, t1, k)`` gives k values a piece.
+    ``point_at`` and ``support_pole_at`` take an optional row index and
+    then read only the five fields they use, bit for bit
+    ``arcs[rows].point_at(t)`` without building that sub-stack.
     """
 
     z: np.ndarray
@@ -348,15 +351,21 @@ class ArcStack:
     def __len__(self) -> int:
         return len(self.t0)
 
-    def _ring(self, t) -> np.ndarray:
+    def _terms(self, t, rows):
+        """cos r, sin r, z and the ring cos t u + sin t v of the rows ``rows`` (all rows for None)."""
+        cos_r, sin_r, z, u, v = self.cos_r, self.sin_r, self.z, self.u, self.v
+        if rows is not None:
+            cos_r, sin_r, z, u, v = cos_r[rows], sin_r[rows], z[rows], u[rows], v[rows]
         t = np.asarray(t, dtype=float)[..., None]
-        return np.cos(t) * self.u + np.sin(t) * self.v
+        return cos_r[..., None], sin_r[..., None], z, np.cos(t) * u + np.sin(t) * v
 
-    def point_at(self, t) -> np.ndarray:
-        return self.cos_r[..., None] * self.z + self.sin_r[..., None] * self._ring(t)
+    def point_at(self, t, rows=None) -> np.ndarray:
+        cos_r, sin_r, z, ring = self._terms(t, rows)
+        return cos_r * z + sin_r * ring
 
-    def support_pole_at(self, t) -> np.ndarray:
-        return self.sin_r[..., None] * self.z - self.cos_r[..., None] * self._ring(t)
+    def support_pole_at(self, t, rows=None) -> np.ndarray:
+        cos_r, sin_r, z, ring = self._terms(t, rows)
+        return sin_r * z - cos_r * ring
 
 
 def stack_arcs(pieces) -> ArcStack:

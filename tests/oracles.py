@@ -9,10 +9,14 @@ subdivision of ``approx.subdivide_piece`` must reproduce, and
 ``chord_cut_loop`` the edit-at-a-time construction, built from
 ``subdivide_piece`` and ``cut_step``, that the one-pass
 ``approx.approximate_polytope`` must reproduce, and
-``random_selfdual_polytope_reference`` the random generator with its seed
-cut by the gated and certified ``approx.approximate_polytope``, which the
-generator, cutting it with the bare ``approx.chord_polytope``, must
-reproduce bit for bit, and ``render_svg_per_segment`` the renderer that
+``step_records_per_row`` the steps of ``approx.chord_polytope`` built as
+one ``StepRecord`` object per chord, with every column made at once, whose
+records the ``approx.StepTable`` row views, made on first read, must
+reproduce bit for bit, and ``random_selfdual_polytope_reference`` the
+random generator with its seed cut by the gated and certified
+``approx.approximate_polytope`` through the cap body, which the generator,
+cutting it with ``approx.chord_core`` on the cap circle's two half runs,
+must reproduce bit for bit, and ``render_svg_per_segment`` the renderer that
 projects one piece and one segment at a time, whose SVG the stacked
 ``render.render_svg`` must reproduce byte for byte, and
 ``run_pairing_per_run`` the run pairing built run by run, one arc object
@@ -29,7 +33,15 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from spherewidth.approx import ApproximationConfig, approximate_polytope, cut_step, subdivide_piece
+from spherewidth.approx import (
+    SUBDIVISION_SAFETY,
+    ApproximationConfig,
+    StepRecord,
+    _chord_count,
+    approximate_polytope,
+    cut_step,
+    subdivide_piece,
+)
 from spherewidth.body import (
     PAIR_EPS,
     POLE_MERGE_EPS,
@@ -53,7 +65,9 @@ from spherewidth.sphere import (
     arc_pole,
     chord_distance,
     cross,
+    cross_rows,
     dot,
+    linspace_grid,
     sample_piece,
     stack_arcs,
     tangent_basis,
@@ -313,6 +327,35 @@ def chord_cut_loop(body, eps, max_rounds=64):
     return to_polytope(current), steps, rounds
 
 
+def step_records_per_row(body, config):
+    """The steps of ``approx.chord_polytope(body, config)`` as a list, one ``StepRecord`` built per chord.
+
+    Every column is made up front, for every chord: the sub-arc ends and the
+    partner points of each chorded run on sub-stacks ``a[rows]``, the
+    sagittas in ``math`` and the piece ids from ``RunPairing.piece_at``.
+    """
+    pairing = body.run_pairing
+    a, target = pairing.arcs, config.epsilon * SUBDIVISION_SAFETY
+    runs = np.flatnonzero(pairing.chorded)
+    radius, span = a.radius[runs].tolist(), a.span[runs].tolist()
+    n = np.array([_chord_count(r, s, target) for r, s in zip(radius, span)], dtype=int)
+    run, az = linspace_grid(a.t0[runs], a.t1[runs], n + 1)
+    unit, mate = runs[run], pairing.partner[runs[run]]
+    p = a[unit].point_at(az)
+    q = a[mate].point_at(az + math.pi)
+    k = np.flatnonzero(run[1:] == run[:-1])
+    r = unit_rows(cross_rows(p[k], p[k + 1]))
+    s = a.span[runs] / n
+    d = [x - math.atan(math.tan(x) * math.cos(0.5 * w)) for x, w in zip(radius, s.tolist())]
+    offset = s[run[k]] * (k - (np.cumsum(n + 1) - n - 1)[run[k]])
+    primal = pairing.piece_at(unit[k], offset).tolist()
+    dual = pairing.piece_at(mate[k], offset).tolist()
+    return [
+        StepRecord(p[i], p[i + 1], q[i], q[i + 1], r[x], primal[x], dual[x], d[run[i]])
+        for x, i in enumerate(k.tolist())
+    ]
+
+
 def run_pairing_per_run(body):
     """The run pairing of ``body`` built run by run, or None when a run has no partner.
 
@@ -395,7 +438,8 @@ def random_selfdual_polytope_reference(n_target, rng_seed):
 
     The same seed recipe (a rotated pi/4 cap cut at the size-matched
     epsilon, one vertex dropped at random) and the same completion, but the
-    cut runs the input gate and the certificate as well as the build.
+    cut goes through the cap body: its run pairing, the input gate and the
+    certificate as well as the build.
     """
     rot = rotation_from_seed(rng_seed)
     if n_target == 3:

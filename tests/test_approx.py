@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from spherewidth import approx, metrics
 from spherewidth import body as bd
 from spherewidth.approx import (
     ApproximationConfig,
+    StepRecord,
     approximate_polytope,
     certify,
     cut_step,
@@ -41,6 +43,7 @@ from spherewidth.generators import (
     rotation_from_seed,
     rounded_reuleaux,
 )
+from spherewidth.formats import dumps_step, dumps_step_log
 from spherewidth.metrics import is_constant_width, self_duality_residual
 from spherewidth.sphere import GreatArc, SmallCircleArc, unit
 
@@ -480,14 +483,74 @@ def test_one_pass_build_matches_the_chord_cut_loop(kind, arg, eps):
 
 def test_split_arcs_are_chorded_as_one_interval():
     whole = approximate_polytope(cap(E3, PI / 4), ApproximationConfig(0.002))
-    split = ConvexBody([SmallCircleArc(E3, PI / 4, 0.0, 1.0), SmallCircleArc(E3, PI / 4, 1.0, 2 * PI)], E3)
-    poly, cert, steps = approximate_polytope(split, ApproximationConfig(0.002))
+    poly, cert, steps = approximate_polytope(_split_cap(), ApproximationConfig(0.002))
     assert np.abs(poly.vertices - whole[0].vertices).max() <= 1e-15
     assert cert.steps == whole[1].steps
     # piece ids name the input pieces holding each chord and its partner span
     s = (PI / len(steps)) * np.arange(len(steps))
     assert [rec.primal_piece_id for rec in steps] == [0 if x < 1.0 else 1 for x in s]
     assert {rec.dual_piece_id for rec in steps} == {1}
+
+
+def _split_cap():
+    return ConvexBody([SmallCircleArc(E3, PI / 4, 0.0, 1.0), SmallCircleArc(E3, PI / 4, 1.0, 2 * PI)], E3)
+
+
+STEP_TABLE_CASES = {
+    "cap": lambda: rotated(cap(E3, PI / 4), rotation_from_seed(1)),
+    "reuleaux-3": lambda: rotated_reuleaux(3, 0.1),
+    "reuleaux-5": lambda: rotated_reuleaux(5, 0.15),
+    "reuleaux-9": lambda: rotated_reuleaux(9, 0.2),
+    "reuleaux-27": lambda: rotated_reuleaux(27, 0.05),
+    "split-cap": _split_cap,
+    "polytope": octant,
+}
+
+
+@pytest.mark.parametrize("name", list(STEP_TABLE_CASES))
+def test_step_table_rows_are_the_per_row_records(name):
+    # every row view equals the per-chord reference record, field by field
+    # and bit for bit, and so does the log
+    body, config = STEP_TABLE_CASES[name](), ApproximationConfig(0.002)
+    _, cert, steps = approximate_polytope(body, config)
+    want = oracles.step_records_per_row(body, config)
+    assert len(steps) == len(want) == cert.steps
+    assert (len(steps) == 0) == (name == "polytope")
+    for got, ref in zip(steps, want):
+        for f in fields(StepRecord):
+            a, b = getattr(got, f.name), getattr(ref, f.name)
+            assert type(a) is type(b), f.name
+            assert np.array_equal(a, b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+    assert dumps_step_log(steps) == dumps_step_log(want)
+    assert [dumps_step(steps[i]) for i in range(-len(steps), 0)] == dumps_step_log(want).splitlines()
+    with pytest.raises(IndexError):
+        steps[len(steps)]
+
+
+def test_step_table_makes_its_log_columns_on_first_read(monkeypatch):
+    # a fresh cap's approximation only counts its steps: no piece lookup and
+    # no record is made until the steps are read, and then once
+    calls = {"piece_at": 0, "record": 0}
+    piece_at, init = bd.RunPairing.piece_at, StepRecord.__init__
+
+    def counted_piece_at(self, *args):
+        calls["piece_at"] += 1
+        return piece_at(self, *args)
+
+    def counted_init(self, *args, **kwargs):
+        calls["record"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bd.RunPairing, "piece_at", counted_piece_at)
+    monkeypatch.setattr(StepRecord, "__init__", counted_init)
+    _, cert, steps = approximate_polytope(rotated(cap(E3, PI / 4), rotation_from_seed(3)), ApproximationConfig(0.002))
+    assert calls == {"piece_at": 0, "record": 0}
+    assert len(steps) == cert.steps > 0
+    assert calls == {"piece_at": 0, "record": 0}
+    rows = list(steps)
+    assert calls == {"piece_at": 2, "record": len(rows)}  # one lookup a side
+    list(steps)
+    assert calls == {"piece_at": 2, "record": 2 * len(rows)}
 
 
 def test_unmatched_partner_interval_raises_not_self_dual():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -120,3 +121,52 @@ def test_malformed_great_record_names_its_field(record, field):
     text = '{"kind":"pc-body","interior":[0,0,1],"pieces":[{"type":"great","from":[0,1,0],"to":[1,0,0]},%s]}' % record
     with pytest.raises(InvalidBody, match=field):
         loads_body(text)
+
+
+STEP = '{"p1":[1,0,0],"p2":[0,1,0],"q1":[0,0,1],"q2":[0,1,0],"r1":[0,0,1],"primal_piece_id":0,"dual_piece_id":1,"r1_distance":0.001}'
+CERT = '{"epsilon":0.01,"hausdorff_bound":0.002,"width_min":1.5,"width_max":1.6,"self_duality_residual":0,"steps":3,"rounds":1,"passed":true}'
+
+
+def _edit(text, key, value):
+    """``text`` with field ``key`` set to the JSON ``value``, or removed for None."""
+    obj = json.loads(text)
+    if value is None:
+        del obj[key]
+    else:
+        obj[key] = json.loads(value)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("p2", None),  # missing
+        ("r1_distance", None),
+        ("primal_piece_id", '"0"'),  # ill-typed
+        ("dual_piece_id", "1.5"),
+        ("r1_distance", "[0.001]"),
+        ("q1", '"north"'),
+        ("p1", "[1, 0]"),  # wrong-shaped points
+        ("r1", "[[0, 0, 1]]"),
+    ],
+)
+def test_malformed_step_record_names_its_field(key, value):
+    good = loads_step_log(STEP + "\n\n" + STEP)
+    assert len(good) == 2 and good[0].dual_piece_id == 1 and good[0].p1.shape == (3,)
+    with pytest.raises(InvalidBody, match=repr(key)):
+        loads_step_log(STEP + "\n" + _edit(STEP, key, value))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("epsilon", None), ("rounds", None), ("steps", "2.5"), ("width_min", '"wide"'), ("hausdorff_bound", "[0.1]")],
+)
+def test_malformed_certificate_names_its_field(key, value):
+    assert loads_certificate(CERT).steps == 3
+    with pytest.raises(InvalidBody, match=repr(key)):
+        loads_certificate(_edit(CERT, key, value))
+
+
+def test_step_log_record_must_be_an_object():
+    with pytest.raises(InvalidBody, match="JSON object"):
+        loads_step_log("[1, 0, 0]")

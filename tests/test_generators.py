@@ -425,11 +425,17 @@ def test_random_polytope_deterministic():
     assert np.array_equal(a.vertices, b.vertices)
 
 
-@pytest.mark.parametrize("n", [3, 8, 30, 60])
+# seeds per size: the random-polytope benchmark pool (n = 30, seeds 1-64)
+# and odd sizes, whose seed caps are cut at other epsilons
+RANDOM_SEEDS = {3: (1, 2, 3), 8: (1, 2, 3), 30: range(1, 65), 60: (1, 2, 3), 5: range(1, 9), 7: range(1, 9), 9: range(1, 9), 15: range(1, 9)}
+
+
+@pytest.mark.parametrize("n", list(RANDOM_SEEDS))
 def test_random_polytope_seed_needs_no_gate_or_certificate(n):
-    # cutting the seed cap with the bare build gives the vertices of the
-    # gated and certified approximation, so the output is unchanged
-    for s in (1, 2, 3):
+    # cutting the seed with the chord core on the cap circle's two half runs
+    # gives the vertices of the gated and certified approximation of the
+    # cap body, so the output is unchanged bit for bit
+    for s in RANDOM_SEEDS[n]:
         got = random_selfdual_polytope(n, s).vertices
         assert np.array_equal(got, oracles.random_selfdual_polytope_reference(n, s).vertices)
 

@@ -463,7 +463,7 @@ def test_polytope_gate_and_seed_check_run_no_ascent(monkeypatch):
     poly = selfdual_polytopes()["random-30-1"]
     calls = counted_calls(monkeypatch, ("_ascent_diameter",) + SWEEP_WORK)
     out, cert, steps = approximate_polytope(poly, ApproximationConfig(0.01))
-    assert steps == [] and np.array_equal(out.vertices, poly.vertices)
+    assert len(steps) == 0 and np.array_equal(out.vertices, poly.vertices)
     random_selfdual_polytope(30, 4)
     assert calls["_ascent_diameter"] == []
     assert calls["boundary_max_distance_many"] == []
