@@ -9,8 +9,6 @@ Hausdorff distance.
 
 from .sphere import (
     GreatArc,
-    Hemisphere,
-    Lune,
     SmallCircleArc,
     arc_pole,
     arcs_intersect,
@@ -65,8 +63,6 @@ __all__ = [
     "Certificate",
     "ConvexBody",
     "GreatArc",
-    "Hemisphere",
-    "Lune",
     "Polytope",
     "SmallCircleArc",
     "StepRecord",

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -155,7 +155,8 @@ class Certificate:
     distance to its polar dual from the edge-pole/vertex pairing; a curved
     output takes all three from ``metrics.is_constant_width``: the same
     ends from its run pairing when 2 rho is within tolerance, else the
-    sampled width sweep.
+    sampled width sweep.  ``steps`` and ``rounds`` count the chords and
+    build rounds of ``approximate_polytope``, 0 from ``certify`` alone.
     """
 
     epsilon: float
@@ -163,8 +164,8 @@ class Certificate:
     width_min: float
     width_max: float
     self_duality_residual: float
-    steps: int
-    rounds: int
+    steps: int = 0
+    rounds: int = 0
 
 
 # ---------------------------------------------------------------- subdivide
@@ -627,17 +628,11 @@ def approximate_polytope(
             % (gate.width_min, gate.width_max, config.self_dual_tol)
         )
     poly, steps = chord_polytope(body, config)
-    cert = certify(body, poly, config, steps=len(steps), rounds=1 if steps else 0)
+    cert = replace(certify(body, poly, config), steps=len(steps), rounds=1 if steps else 0)
     return poly, cert, steps
 
 
-def certify(
-    original: ConvexBody,
-    result: ConvexBody,
-    config: ApproximationConfig,
-    steps: int = 0,
-    rounds: int = 0,
-) -> Certificate:
+def certify(original: ConvexBody, result: ConvexBody, config: ApproximationConfig) -> Certificate:
     """Re-measure every guarantee on the (input, output) pair from scratch.
 
     A result bounded by great arcs, read as a ``Polytope`` (``to_polytope``)
@@ -648,7 +643,8 @@ def certify(
     that fails them is refused before its Hausdorff term is measured:
     ``pairing_bound`` when that walk covers the pair, else the
     ``hausdorff`` refinement.  Raises ``CertificationFailed`` naming the
-    violated bound, a NaN one too; never reads the steps.
+    violated bound, a NaN one too.  Never reads the construction, so the
+    certificate counts no steps or rounds.
     """
     require_valid(original)
     if result.is_polytope():
@@ -688,6 +684,4 @@ def certify(
         width_min=wmin,
         width_max=wmax,
         self_duality_residual=residual,
-        steps=steps,
-        rounds=rounds,
     )

@@ -8,15 +8,17 @@ hemispheres, so a point x is a member when x . K >= -tol for every support
 pole K; membership and boundary distance evaluate all pieces of a body in
 one numpy expression over its stacked arrays (``ConvexBody.arcs``), in
 blocks of at most ``BLOCK_ELEMENTS`` rows x pieces; so do the interior
-witness and the dual's corner poles.  Validation is one exact report for
-every body, polygons included, each check read off the stacked arcs in
-closed form.  Every polygon the library builds is a ``Polytope``, whose
-edges come from its vertices in one pass (``sphere.great_arc_stack``); a
-curved body comes from its pieces or straight from its stack
-(``chain_body``), and is edited on the stack: ``polar_dual`` maps its rows,
-``merge_flat`` joins flat junctions.  ``pieces`` and ``arcs`` are made from
-each other, and the validation, junction poles and run pairing, on first
-use, so none of them, nor ``vertices``, may change after.
+witness and the dual's corner poles.  That stack is every body's data, and
+``ArcStack.great`` tells its great arcs from its small-circle arcs.
+Validation is one exact report for every body, polygons included, each
+check read off the stacked arcs in closed form.  Every polygon the library
+builds is a ``Polytope``, whose edges come from its vertices in one pass
+(``sphere.great_arc_stack``); a curved body stacks its pieces once, or
+takes its stack as it is (``chain_body``), and is edited on the stack:
+``polar_dual`` maps its rows, ``merge_flat`` joins flat junctions.  The
+piece objects (``pieces``), validation, junction poles and run pairing are
+made from the stack on first use, so neither it nor ``vertices`` may
+change after.
 The chain is traversed counterclockwise as seen from the interior side: at
 every smooth boundary point P with unit tangent T, the support pole of the
 body is P x T.  Under that convention polar duality maps pieces to pieces
@@ -93,28 +95,24 @@ BLOCK_ELEMENTS = 8192
 class ConvexBody:
     """Spherical convex body bounded by a closed chain of pieces.
 
-    Built from its pieces and an interior point, or from the stack of its
-    arcs (``chain_body``); a ``Polytope`` is built from its vertices.
-    ``arcs`` and ``pieces`` are each made from the other on first read.
+    Its data is the stack of its arcs, ``arcs``: the pieces given with an
+    interior point are stacked once, here, and ``chain_body`` takes a stack
+    as it is; a ``Polytope`` stacks its edges from its vertices.  ``pieces``
+    is the rows of ``arcs`` as piece objects, made on first read.
     """
 
     def __init__(self, pieces, interior):
-        self.pieces = list(pieces)
+        self.arcs = stack_arcs(pieces)
         self.interior = unit(interior)
 
     def __repr__(self) -> str:
         return "ConvexBody(pieces=%r, interior=%r)" % (self.pieces, self.interior)
 
     def circle_piece_indices(self) -> list[int]:
-        return np.flatnonzero(self.arcs.radius != 0.5 * math.pi).tolist()
+        return np.flatnonzero(~self.arcs.great).tolist()
 
     def is_polytope(self) -> bool:
-        return not self.circle_piece_indices()
-
-    @cached_property
-    def arcs(self) -> ArcStack:
-        """The pieces as stacked arrays; ``pieces`` must not change afterwards."""
-        return stack_arcs(self.pieces)
+        return bool(self.arcs.great.all())
 
     @cached_property
     def pieces(self) -> list[CircleArc]:
@@ -242,9 +240,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def worst(self) -> float:
-        return max((c.magnitude for c in self.checks), default=0.0)
-
     def failed(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
 
@@ -321,7 +316,7 @@ def validate(body: ConvexBody) -> ValidationReport:
     min_len = float((a.span * a.sin_r).min())
     checks.append(ValidationCheck("piece-nondegenerate", min_len > 1e-12, -min_len))
 
-    great = a.radius == 0.5 * math.pi
+    great = a.great
     flat = float(pole_gap[great & _next_rows(great)].min(initial=np.inf))
     checks.append(ValidationCheck("no-redundant-vertices", flat > BOUNDARY_EPS, -flat))
     return ValidationReport(checks)
@@ -449,7 +444,7 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
         dual = Polytope.__new__(Polytope)  # the unit poles kept bit for bit, which Polytope() would renormalise
         dual.vertices = a.z[corner]
         return dual
-    small = a.radius != 0.5 * math.pi
+    small = ~a.great
     images = small_arc_stack(a.z[small], 0.5 * math.pi - a.radius[small], a.t0[small] + math.pi, a.t1[small] + math.pi)
     corners = great_arc_stack(k_end[corner], k_next[corner])
     return chain_body(join_stacks(images, corners, keys=[2 * np.flatnonzero(small), 2 * np.flatnonzero(corner) + 1]))
@@ -533,7 +528,7 @@ def _boundary_units(a: ArcStack) -> tuple[ArcStack, np.ndarray, np.ndarray, np.n
     """
     m = len(a)
     prev = np.arange(m) - 1  # the piece before each piece
-    small = a.radius != 0.5 * math.pi
+    small = ~a.great
     z, zb = a.z, a.z[prev]
     joins = (
         small
@@ -574,7 +569,7 @@ def _pair_runs(arcs: ArcStack, bounds: np.ndarray, ids: np.ndarray, offsets: np.
     first free run spanning its azimuths shifted by pi on (Z, pi/2 - r), or raises ``NotSelfDual``."""
     partner = np.full(len(arcs), -1)
     chorded = np.zeros(len(arcs), dtype=bool)
-    runs = np.flatnonzero(arcs.radius != 0.5 * math.pi)
+    runs = np.flatnonzero(~arcs.great)
     z, radius, span, t0 = arcs.z[runs], arcs.radius[runs], arcs.span[runs], arcs.t0[runs]
     for i in runs:
         if partner[i] >= 0:
@@ -709,7 +704,7 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
     a = body.arcs
     terms = [_run_term(pairing, a)]
     k_end, k_next, gap, corner = body.junction_poles
-    great = a.radius == 0.5 * math.pi
+    great = a.great
     g, c = np.flatnonzero(great), np.flatnonzero(corner)
     if len(g) != len(c) or np.any(~corner & great & _next_rows(great)):
         return None
@@ -831,7 +826,7 @@ def merge_flat(a: ArcStack) -> ArcStack:
     """The chain ``a`` with each run of great arcs joined at flat junctions (``_flat_junctions``), which are
     no vertices, merged in one pass into the great arc from its first start to its last end.  The other rows
     stay, and the chain starts with the run that holds piece 0."""
-    great = a.radius == 0.5 * math.pi
+    great = a.great
     flat = great & _next_rows(great) & _flat_junctions(a.z, a.span)
     heads = np.flatnonzero(~np.roll(flat, 1))  # the first piece of each run
     if len(heads) in (0, len(a)):
@@ -855,4 +850,4 @@ def drop_flat_vertices(v: np.ndarray) -> np.ndarray:
 def strictly_convex_arc_length(body: ConvexBody) -> float:
     """Total length, span x sin r, of the small-circle (strictly convex) boundary arcs, summed in chain order."""
     a = body.arcs
-    return sum((a.span * a.sin_r)[a.radius != 0.5 * math.pi].tolist())
+    return sum((a.span * a.sin_r)[~a.great].tolist())

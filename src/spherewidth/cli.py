@@ -135,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=1e-6, help="self-duality tolerance")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-
     g = sub.add_parser("generate", help="write a body JSON file")
     g.add_argument("kind", choices=["octant", "cap", "completion", "random-polytope", "reuleaux"])
     g.add_argument("--center", default="0,0,1", help="cap or Reuleaux polygon center x,y,z")
@@ -147,17 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int, default=3, help="Reuleaux polygon vertex count (odd)")
     g.add_argument("--delta", type=float, default=0.1,
                    help="rounding radius of the Reuleaux polygon, in (0, pi/4)")
+    g.add_argument("--seed", type=int, default=0, help="random seed of completion and random-polytope")
     g.add_argument("-o", "--out", required=True)
-    common(g)
 
     d = sub.add_parser("dual", help="write the polar dual of a body")
     d.add_argument("input")
     d.add_argument("-o", "--out", required=True)
-    common(d)
 
     m = sub.add_parser("metrics", help="print thickness/diameter/width JSON")
     m.add_argument("input")
-    common(m)
 
     a = sub.add_parser("approximate", help="approximate by a constant-width polytope")
     a.add_argument("input")
@@ -165,13 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("-o", "--out", required=True)
     a.add_argument("--certificate", help="write the certificate JSON here")
     a.add_argument("--log", help="write the step log (JSON lines) here")
-    common(a)
 
     c = sub.add_parser("certify", help="re-check an (input, polytope) pair")
     c.add_argument("original")
     c.add_argument("result")
     c.add_argument("--epsilon", type=float, required=True)
-    common(c)
 
     r = sub.add_parser("render", help="render bodies to SVG")
     r.add_argument("inputs", nargs="+")
@@ -180,7 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--view", help="view direction x,y,z (default: the mean of the "
                    "bodies' interior witnesses)")
     r.add_argument("-o", "--out", required=True)
-    common(r)
+
+    # --tol on the verbs that read it; dual and render have no tolerance
+    for p in (g, m, a, c):
+        p.add_argument("--tol", type=float, default=1e-6, help="self-duality tolerance")
     return top
 
 

@@ -2,14 +2,14 @@
 
 Numbers are written with 17 significant digits, which round-trips binary64
 exactly; the writer emits keys in a fixed order so equal inputs produce
-byte-identical files.
+byte-identical files.  The readers take numbers only as JSON numbers, never
+as strings or booleans, and raise ``InvalidBody`` on any malformed input,
+broken JSON included.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import operator
 
 import numpy as np
 
@@ -40,7 +40,7 @@ def dumps_body(body: ConvexBody) -> str:
     a = body.arcs
     parts = []
     for great, start, end, z, r, t0, t1 in zip(
-        (a.radius == 0.5 * math.pi).tolist(),
+        a.great.tolist(),
         a.start.tolist(),
         a.end.tolist(),
         a.z.tolist(),
@@ -61,6 +61,40 @@ def dumps_body(body: ConvexBody) -> str:
     )
 
 
+def _json(text: str):
+    """The parsed ``text``; a JSON syntax error raises ``InvalidBody`` with the parser's message."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidBody("malformed JSON: %s" % exc) from None
+
+
+def _number(x) -> float:
+    """A JSON number as a float; a string or a bool, which ``float`` would take, raises ``TypeError``."""
+    if type(x) not in (int, float):
+        raise TypeError("expected a number, got %s" % type(x).__name__)
+    return float(x)
+
+
+def _count(x) -> int:
+    """A JSON integer; a bool, which ``operator.index`` would take, raises ``TypeError``."""
+    if type(x) is not int:
+        raise TypeError("expected an integer, got %s" % type(x).__name__)
+    return x
+
+
+def _numbers(v) -> np.ndarray:
+    """Nested JSON lists of numbers (``_number``) as a float array."""
+    todo = [v]
+    while todo:
+        x = todo.pop()
+        if type(x) is list:
+            todo.extend(x)
+        else:
+            _number(x)
+    return np.asarray(v, dtype=float)
+
+
 def _field(obj, key: str, convert):
     """``convert(obj[key])``, or ``InvalidBody`` naming a missing or ill-typed field."""
     if not isinstance(obj, dict):
@@ -74,14 +108,14 @@ def _field(obj, key: str, convert):
 
 
 def _vec3(v) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
+    a = _numbers(v)
     if a.shape != (3,):
         raise ValueError("expected a 3-vector, got shape %s" % (a.shape,))
     return a
 
 
 def _vertices(v) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
+    a = _numbers(v)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValueError("expected an (n, 3) array, got shape %s" % (a.shape,))
     return a
@@ -95,7 +129,7 @@ def loads_body(text: str) -> ConvexBody:
     point, great arcs only or not (``to_polytope`` reads such a body as a
     polygon).
     """
-    obj = json.loads(text)
+    obj = _json(text)
     kind = _field(obj, "kind", str)
     if kind == "polytope":
         return Polytope(_field(obj, "vertices", _vertices))
@@ -109,9 +143,9 @@ def loads_body(text: str) -> ConvexBody:
                 pieces.append(
                     SmallCircleArc(
                         _field(rec, "center", _vec3),
-                        _field(rec, "radius", float),
-                        _field(rec, "az_from", float),
-                        _field(rec, "az_to", float),
+                        _field(rec, "radius", _number),
+                        _field(rec, "az_from", _number),
+                        _field(rec, "az_to", _number),
                     )
                 )
             else:
@@ -120,7 +154,8 @@ def loads_body(text: str) -> ConvexBody:
     raise InvalidBody("unknown body kind %r" % kind)
 
 
-def dumps_certificate(cert: Certificate, passed: bool = True) -> str:
+def dumps_certificate(cert: Certificate) -> str:
+    """Serialize a certificate, ``"passed":true`` last: a certificate exists only for a pair that passed."""
     fields = [
         ('"epsilon":%s' % _num(cert.epsilon)),
         ('"hausdorff_bound":%s' % _num(cert.hausdorff_bound)),
@@ -129,22 +164,22 @@ def dumps_certificate(cert: Certificate, passed: bool = True) -> str:
         ('"self_duality_residual":%s' % _num(cert.self_duality_residual)),
         ('"steps":%d' % cert.steps),
         ('"rounds":%d' % cert.rounds),
-        ('"passed":%s' % ("true" if passed else "false")),
+        '"passed":true',
     ]
     return "{%s}" % ",".join(fields)
 
 
 def loads_certificate(text: str) -> Certificate:
     """Parse a certificate; a missing or ill-typed field raises ``InvalidBody`` naming it."""
-    obj = json.loads(text)
+    obj = _json(text)
     return Certificate(
-        epsilon=_field(obj, "epsilon", float),
-        hausdorff_bound=_field(obj, "hausdorff_bound", float),
-        width_min=_field(obj, "width_min", float),
-        width_max=_field(obj, "width_max", float),
-        self_duality_residual=_field(obj, "self_duality_residual", float),
-        steps=_field(obj, "steps", operator.index),
-        rounds=_field(obj, "rounds", operator.index),
+        epsilon=_field(obj, "epsilon", _number),
+        hausdorff_bound=_field(obj, "hausdorff_bound", _number),
+        width_min=_field(obj, "width_min", _number),
+        width_max=_field(obj, "width_max", _number),
+        self_duality_residual=_field(obj, "self_duality_residual", _number),
+        steps=_field(obj, "steps", _count),
+        rounds=_field(obj, "rounds", _count),
     )
 
 
@@ -180,9 +215,9 @@ def loads_step_log(text: str) -> list[StepRecord]:
             q1=_field(obj, "q1", _vec3),
             q2=_field(obj, "q2", _vec3),
             r1=_field(obj, "r1", _vec3),
-            primal_piece_id=_field(obj, "primal_piece_id", operator.index),
-            dual_piece_id=_field(obj, "dual_piece_id", operator.index),
-            r1_distance=_field(obj, "r1_distance", float),
+            primal_piece_id=_field(obj, "primal_piece_id", _count),
+            dual_piece_id=_field(obj, "dual_piece_id", _count),
+            r1_distance=_field(obj, "r1_distance", _number),
         )
-        for obj in (json.loads(line) for line in text.splitlines() if line.strip())
+        for obj in (_json(line) for line in text.splitlines() if line.strip())
     ]

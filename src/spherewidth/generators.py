@@ -26,6 +26,7 @@ from .errors import BadRadius, BudgetExhausted, InvalidBody, NotSelfDual, SeedNo
 from .sphere import (
     BOUNDARY_EPS,
     TWO_PI,
+    ArcStack,
     SmallCircleArc,
     Vec,
     great_arc_stack,
@@ -101,15 +102,21 @@ def rotated(b: ConvexBody, rot: np.ndarray) -> ConvexBody:
         return Polytope(b.vertices @ rot.T)
     a = b.arcs
     z, start, end = np.matmul(rot, np.stack([a.z, a.start, a.end])[..., None])[..., 0]  # rot @ row, bit for bit
-    s = a.radius != 0.5 * math.pi
-    u, v = tangent_frames(unit_each(z[s]))
-    a0 = np.mod(np.arctan2(row_dots(start[s], v), row_dots(start[s], u)), TWO_PI)
+    g = a.great
     arcs = join_stacks(
-        great_arc_stack(start[~s], end[~s]),
-        small_arc_stack(z[s], a.radius[s], a0, a0 + a.span[s]),
-        keys=[np.flatnonzero(~s), np.flatnonzero(s)],
+        great_arc_stack(start[g], end[g]),
+        _turned_circles(z[~g], start[~g], a.radius[~g], a.span[~g]),
+        keys=[np.flatnonzero(g), np.flatnonzero(~g)],
     )
     return chain_body(arcs, rot @ b.interior)
+
+
+def _turned_circles(z: np.ndarray, start: np.ndarray, radius, span) -> ArcStack:
+    """The small-circle rows of ``rotated``: about each turned centre ``z``, from the azimuth of its turned
+    ``start`` in the ``tangent_basis`` frame of the normalised centre, over ``span``."""
+    u, v = tangent_frames(unit_each(z))
+    a0 = np.mod(np.arctan2(row_dots(start, v), row_dots(start, u)), TWO_PI)
+    return small_arc_stack(z, radius, a0, a0 + span)
 
 
 def rounded_reuleaux(k: int, delta: float, center: Vec = (0.0, 0.0, 1.0)) -> ConvexBody:
@@ -221,7 +228,7 @@ def _arc_hull(body: ConvexBody, x: Vec) -> ConvexBody:
     """
     a = body.arcs
     n = len(a)
-    great = a.radius == 0.5 * math.pi
+    great = a.great
     xu, xv, zx = (w[:, 0] * x[0] + w[:, 1] * x[1] + w[:, 2] * x[2] for w in (a.u, a.v, a.z))
     rho = math_each(math.hypot, xu, xv)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -318,8 +325,9 @@ def random_subdual_polytope_seed(n_target: int, rng_seed: int) -> Polytope:
     ``approx.chord_core`` on the cap circle's two half runs, the rows
     ``ConvexBody.run_pairing`` makes for a full circle, the first chorded
     and the second carrying the poles, so a seed builds no run pairing and
-    no steps.  The cut polytope goes uncertified: ``complete_selfdual``
-    checks the seed.
+    no steps.  The halves start at the turned cap's row, the row
+    ``rotated`` makes (``_turned_circles``), with no cap body built.  The
+    cut polytope goes uncertified: ``complete_selfdual`` checks the seed.
     """
     if n_target < 3:
         raise ValueError("n_target must be at least 3")
@@ -328,7 +336,10 @@ def random_subdual_polytope_seed(n_target: int, rng_seed: int) -> Polytope:
         return Polytope(rot.T)
     # empirical size of the cap approximation: about 2.6 / sqrt(eps) vertices
     eps = min(1.2, max(0.004, (2.6 / max(2.5, n_target - 1.5)) ** 2))
-    a = rotated(cap(np.array([0.0, 0.0, 1.0]), 0.25 * math.pi), rot).arcs
+    # the pi/4 cap about e3 and its start, at azimuth 0 of its frame (e1, e2), turned as ``rotated`` turns them
+    r = 0.25 * math.pi
+    z, start = np.matmul(rot, np.array([[[0.0, 0.0, 1.0]], [[math.sin(r), 0.0, math.cos(r)]]])[..., None])[..., 0]
+    a = _turned_circles(z, start, [r], [TWO_PI])
     lo = np.array([a.t0[0], a.t0[0] + math.pi])  # each half ends at lo + pi, as in the pairing's rows
     halves = small_arc_stack(a.z[[0, 0]], a.radius[[0, 0]], lo, lo + math.pi)
     chords = chord_core(halves, np.array([True, False]), np.array([1, 0]), eps * SUBDIVISION_SAFETY)

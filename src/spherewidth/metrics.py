@@ -179,7 +179,7 @@ def diameter(body: ConvexBody) -> float:
 # ------------------------------------------------------------------- widths
 
 
-def width_wrt(body: ConvexBody, k: Vec, dual: Optional[ConvexBody] = None) -> float:
+def width_wrt(body: ConvexBody, k: Vec) -> float:
     """Width of the body with respect to the supporting hemisphere H(k).
 
     The minimum lune thickness against all other supporting hemispheres;
@@ -193,9 +193,7 @@ def width_wrt(body: ConvexBody, k: Vec, dual: Optional[ConvexBody] = None) -> fl
         raise NotSupporting("hemisphere cuts into the body (min dot %.3e)" % gap)
     if gap > TOUCH_TOL:
         raise NotSupporting("hemisphere does not touch the body (min dot %.3e)" % gap)
-    if dual is None:
-        dual = polar_dual(body)
-    return math.pi - float(boundary_max_distance_many(dual, k)[0])
+    return math.pi - float(boundary_max_distance_many(polar_dual(body), k)[0])
 
 
 def thickness(body: ConvexBody) -> float:
@@ -229,8 +227,8 @@ def _pair_caps(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
     """Structural caps of pairs: the arc of ``pa[k]`` over [tl[k], tr[k]] against piece ``b[k]``."""
     span = tr - tl
     length = span * pa.sin_r
-    small_a = pa.cos_r > 0.0
-    great_b = b.cos_r == 0.0
+    great_a = pa.great
+    great_b = b.great
     full_b = b.span >= TWO_PI - DOT_EPS
     # any single boundary point v gives sup dist(., b) <= sup d(., v), exact
     # on plateaus where a vertex is the nearest feature
@@ -253,7 +251,7 @@ def _pair_caps(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
     off = np.where(off >= TWO_PI - 1e-6, 0.0, off)
     overhang = np.maximum(0.0, off + span - b.span)
     gamma = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - cc)))
-    ok = small_a & ~great_b & ~full_b & (cc >= 1.0 - 1e-15) & (overhang <= 1e-6)
+    ok = ~great_a & ~great_b & ~full_b & (cc >= 1.0 - 1e-15) & (overhang <= 1e-6)
     caps.append(np.where(ok, ring + overhang * b.sin_r + 2.0 * gamma, np.inf))
 
     # foot parameters of the arc's start, middle and end on each great circle
@@ -264,7 +262,7 @@ def _pair_caps(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
     # a great arc on pb's great circle: rho is the exact sup of |x . pole|
     # over its circle; every point is that close to pb's full circle, and
     # its foot drifts by at most the same angle
-    coplanar = ~small_a & great_b & (np.abs(cc) >= 1.0 - 1e-9)
+    coplanar = great_a & great_b & (np.abs(cc) >= 1.0 - 1e-9)
     amp = np.arcsin(np.minimum(1.0, rho))
     overhang = np.maximum.reduce(
         [-np.minimum(ts, te), np.maximum(ts, te) - length_b, np.abs(np.abs(te - ts) - length)]
@@ -283,10 +281,9 @@ def _pair_caps(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
     ok = great_b & ~coplanar & (amp < 0.3)
     caps.append(np.where(ok, amp + overhang, np.inf))
 
-    # arcs too short to stand alone (``CircleArc.sub`` gives None) get no cap
-    short = (tr - tl <= 1e-9) | (
-        (pa.cos_r == 0.0) & (np.abs(_dot(ends[0], ends[2])) >= 1.0 - DOT_EPS)
-    )
+    # arcs too short to stand alone get no cap: spans of 1e-9 or less, and
+    # great arcs whose ends are equal or antipodal
+    short = (tr - tl <= 1e-9) | (great_a & (np.abs(_dot(ends[0], ends[2])) >= 1.0 - DOT_EPS))
     return np.where(short, np.inf, np.minimum.reduce(caps))
 
 

@@ -7,7 +7,8 @@ is an arc of a circle in one parametrisation,
 
 with centre z, angular radius r in (0, pi/2] and a tangent frame (u, v) at z.
 A ``SmallCircleArc`` has r < pi/2 and the canonical ``tangent_basis`` frame; a
-``GreatArc`` is the r = pi/2 case about its pole.  Sampling, support poles,
+``GreatArc`` is the r = pi/2 case about its pole, and ``ArcStack.great`` is
+the one test that tells the two apart on a stack.  Sampling, support poles,
 distance and farthest-point queries are therefore one closed form for both,
 and so is ``arc_dot_range``, the exact range of x . w along stacked arcs,
 which validation and the Hausdorff structural caps share.
@@ -116,9 +117,9 @@ def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def acos_clamped(x) -> float:
     """arccos with the argument clamped to [-1, 1].
 
-    Every inverse-trig call in the package goes through this (or its numpy
-    twin) so that floating-point drift at orthogonality or antipodality can
-    never produce NaN.
+    A dot product of unit vectors can drift past -+1 by roundoff; clamped,
+    its arccos is 0 or pi rather than NaN.  ``acos_clamped_np`` is the numpy
+    form.
     """
     return math.acos(min(1.0, max(-1.0, x)))
 
@@ -191,37 +192,6 @@ def tangent_frames(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, cross_rows(z, u)
 
 
-@dataclass(frozen=True, eq=False)
-class Hemisphere:
-    """Closed half-sphere ``{q : pole . q >= 0}``."""
-
-    pole: Vec
-
-    def __post_init__(self):
-        object.__setattr__(self, "pole", unit(self.pole))
-
-    def contains(self, q: Vec, tol: float = 0.0) -> bool:
-        return dot(self.pole, q) >= -tol
-
-
-@dataclass(frozen=True, eq=False)
-class Lune:
-    """Intersection of two distinct, non-opposite hemispheres."""
-
-    pole_a: Vec
-    pole_b: Vec
-
-    def __post_init__(self):
-        object.__setattr__(self, "pole_a", unit(self.pole_a))
-        object.__setattr__(self, "pole_b", unit(self.pole_b))
-        # Raises DegenerateLune for equal/antipodal poles.
-        lune_thickness(self.pole_a, self.pole_b)
-
-    @property
-    def thickness(self) -> float:
-        return lune_thickness(self.pole_a, self.pole_b)
-
-
 class CircleArc:
     """Arc of the circle of angular radius r about the centre z.
 
@@ -284,7 +254,7 @@ class GreatArc(CircleArc):
     end: Vec
 
     def __post_init__(self):
-        _take_row(self, great_arc_stack(np.reshape(self.start, (1, 3)), np.reshape(self.end, (1, 3))), 0)
+        _take_row(self, great_arc_stack(np.reshape(self.start, (1, 3)), np.reshape(self.end, (1, 3))), 0, True)
 
     @property
     def pole(self) -> Vec:
@@ -295,9 +265,6 @@ class GreatArc(CircleArc):
         """Signed angle parameter of point(s) on the supporting circle."""
         p = np.asarray(p, dtype=float)
         return np.arctan2(p @ self.v, p @ self.u)
-
-    def midpoint(self) -> Vec:
-        return unit(self.start + self.end)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,7 +283,8 @@ class SmallCircleArc(CircleArc):
     az_to: float
 
     def __post_init__(self):
-        _take_row(self, small_arc_stack(np.reshape(self.center, (1, 3)), [self.radius], [self.az_from], [self.az_to]), 0)
+        row = small_arc_stack(np.reshape(self.center, (1, 3)), [self.radius], [self.az_from], [self.az_to])
+        _take_row(self, row, 0, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,6 +319,11 @@ class ArcStack:
     def __len__(self) -> int:
         return len(self.t0)
 
+    @property
+    def great(self) -> np.ndarray:
+        """Whether each row is a great arc, radius pi/2; ``small_arc_stack`` refuses radii within ``DOT_EPS`` of it."""
+        return self.radius == 0.5 * math.pi
+
     def _terms(self, t, rows):
         """cos r, sin r, z and the ring cos t u + sin t v of the rows ``rows`` (all rows for None)."""
         cos_r, sin_r, z, u, v = self.cos_r, self.sin_r, self.z, self.u, self.v
@@ -369,6 +342,8 @@ class ArcStack:
 
 
 def stack_arcs(pieces) -> ArcStack:
+    """The ``ArcStack`` of piece objects, one row each, their values as they are; ``pieces`` may be any iterable."""
+    pieces = list(pieces)
     return ArcStack(
         **{f.name: np.array([getattr(p, f.name) for p in pieces], dtype=float) for f in fields(ArcStack)}
     )
@@ -453,11 +428,12 @@ def join_stacks(*stacks: ArcStack, keys=None) -> ArcStack:
     return a if order is None or (order[1:] > order[:-1]).all() else a[order]
 
 
-def _take_row(piece: CircleArc, a: ArcStack, i: int) -> CircleArc:
-    """``piece`` given the values of row i of ``a`` as they are; a small-circle arc names its centre and azimuths."""
+def _take_row(piece: CircleArc, a: ArcStack, i: int, great: bool) -> CircleArc:
+    """``piece`` given the values of row i of ``a`` as they are; a small-circle arc (not ``great``) names its
+    centre and azimuths."""
     row = {f.name: getattr(a, f.name)[i] for f in fields(ArcStack) if f.name != "span"}  # span is t1 - t0
     piece.__dict__.update({k: x.copy() if x.ndim else float(x) for k, x in row.items()})
-    if piece.radius != 0.5 * math.pi:
+    if not great:
         piece.__dict__.update(center=piece.z, az_from=piece.t0, az_to=piece.t1)
     return piece
 
@@ -469,8 +445,7 @@ def arc_pieces(a: ArcStack) -> list[CircleArc]:
     ``stack_arcs`` of the result is ``a`` bit for bit.
     """
     return [
-        _take_row(object.__new__(GreatArc if r == 0.5 * math.pi else SmallCircleArc), a, i)
-        for i, r in enumerate(a.radius.tolist())
+        _take_row(object.__new__(GreatArc if g else SmallCircleArc), a, i, g) for i, g in enumerate(a.great.tolist())
     ]
 
 
@@ -600,21 +575,20 @@ def max_distance_to_piece(points: np.ndarray, piece) -> np.ndarray:
     return np.where(on, np.maximum(d_far, d_ends), d_ends)
 
 
-def min_support_dot(points: np.ndarray, piece) -> np.ndarray:
-    """Vectorized least x . K over the support poles K of the piece, per row.
+def min_support_dot(points: np.ndarray, arcs: ArcStack) -> np.ndarray:
+    """Vectorized least x . K over the support poles K of each piece of the stack, rows x pieces.
 
-    ``piece`` is one piece, or an ``ArcStack`` for one column per piece.
-    Along the piece K(t) = sin r z - cos r (cos t u + sin t v), so
+    Along a piece K(t) = sin r z - cos r (cos t u + sin t v), so
     x . K(t) = sin r (x . z) - cos r (x_u cos t + x_v sin t) is least where
     the sinusoid is greatest (``sinusoid_range``); on a great arc cos r = 0
     and it is the constant x . pole.
     """
     x = np.asarray(points, dtype=float)
-    if not np.any(piece.cos_r):
+    if arcs.great.all():
         # great arcs only: the sinusoid's term is 0 * hi, with hi finite
-        return piece.sin_r * _dots(x, piece.z)
-    _, hi, _ = sinusoid_range(_dots(x, piece.u), _dots(x, piece.v), piece.t0, piece.t1)
-    return piece.sin_r * _dots(x, piece.z) - piece.cos_r * hi
+        return arcs.sin_r * _dots(x, arcs.z)
+    _, hi, _ = sinusoid_range(_dots(x, arcs.u), _dots(x, arcs.v), arcs.t0, arcs.t1)
+    return arcs.sin_r * _dots(x, arcs.z) - arcs.cos_r * hi
 
 
 def farthest_on_piece(points: np.ndarray, piece):

@@ -462,7 +462,7 @@ def test_one_pass_build_matches_the_chord_cut_loop(kind, arg, eps):
     config = ApproximationConfig(eps)
     poly, cert, steps = approximate_polytope(body, config)
     ref, ref_steps, rounds = oracles.chord_cut_loop(body, eps)
-    ref_cert = certify(body, ref, config, steps=len(ref_steps), rounds=rounds)
+    ref_cert = certify(body, ref, config)
     assert len(poly) == len(ref)
     assert len(steps) == len(ref_steps) == cert.steps
     assert cert.rounds == rounds == 1

@@ -233,8 +233,12 @@ def test_polytope_builds_its_edge_body_once():
     assert poly.arcs is poly.arcs
     v = poly.vertices
     edges = [GreatArc(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-    # the witness carries the bits of a body built from the same edges
-    assert np.array_equal(poly.interior, ConvexBody(edges, unit(v.mean(axis=0))).interior)
+    # the witness carries the bits of a body built from the same edges, which
+    # stacks them once, to the polytope's edge stack, and views them lazily
+    body = ConvexBody(edges, unit(v.mean(axis=0)))
+    assert np.array_equal(poly.interior, body.interior)
+    assert all(np.array_equal(getattr(body.arcs, f), getattr(poly.arcs, f)) for f in ("z", "u", "v", "start", "t1"))
+    assert body.pieces is body.pieces
     want = np.array([e.pole for e in edges])
     poles = poly.edge_poles()
     assert np.array_equal(poles, want)

@@ -354,6 +354,9 @@ def test_bad_arguments_exit_one(capsys):
         '{"kind":"pc-body","interior":[1,1,1],"pieces":[{"type":"great","from":[1,0,0],"to":[0,1,0]},'
         '{"type":"great","from":[0,1,0],"to":[0,0,1]},{"type":"great","from":[0,0,1],"to":[1,0,0.2]}]}',
         '{"kind":"pc-body","interior":[0,0,1],"pieces":[]}',
+        '{"kind":"pc-body","interior":[0,0,1],"pieces":'
+        '[{"type":"circle","center":[0,0,1],"radius":"0.7853981633974483","az_from":0,"az_to":6.283185307179586}]}',
+        '{"kind":"polytope","vertices":[[1,0,0],[0,1,0],[0,0,1]]',
     ],
     ids=[
         "polytope-without-vertices",
@@ -362,6 +365,8 @@ def test_bad_arguments_exit_one(capsys):
         "zero-vertex",
         "open-great-arc-chain",
         "no-pieces",
+        "radius-string",
+        "broken-json",
     ],
 )
 def test_malformed_body_file_exits_one(tmp_path, capsys, text):
@@ -380,16 +385,31 @@ def test_one_parser_serves_every_call_and_no_option_carries_over(monkeypatch):
 
     assert cli.build_parser() is cli.build_parser()
     seen = []
-    for verb in ("certify", "metrics"):
+    for verb in ("certify", "metrics", "dual", "render"):
         monkeypatch.setattr(cli, "cmd_" + verb, lambda args: seen.append(vars(args)) or 0)
-    assert main(["certify", "a.json", "b.json", "--epsilon", "0.01", "--tol", "1e-3", "--seed", "4"]) == 0
+    assert main(["certify", "a.json", "b.json", "--epsilon", "0.01", "--tol", "1e-3"]) == 0
     assert main(["metrics", "c.json"]) == 0
     assert main(["certify", "a.json", "b.json", "--epsilon", "0.02"]) == 0
     assert seen == [
-        {"command": "certify", "original": "a.json", "result": "b.json", "epsilon": 0.01, "tol": 1e-3, "seed": 4},
-        {"command": "metrics", "input": "c.json", "tol": 1e-6, "seed": 0},
-        {"command": "certify", "original": "a.json", "result": "b.json", "epsilon": 0.02, "tol": 1e-6, "seed": 0},
+        {"command": "certify", "original": "a.json", "result": "b.json", "epsilon": 0.01, "tol": 1e-3},
+        {"command": "metrics", "input": "c.json", "tol": 1e-6},
+        {"command": "certify", "original": "a.json", "result": "b.json", "epsilon": 0.02, "tol": 1e-6},
     ]
+    # only generate takes --seed, and dual and render take no --tol: each is
+    # refused before any handler runs
+    args = {
+        "dual": ["a.json", "-o", "x"],
+        "metrics": ["c.json"],
+        "approximate": ["a.json", "--epsilon", "0.01", "-o", "x"],
+        "certify": ["a.json", "b.json", "--epsilon", "0.01"],
+        "render": ["a.json", "-o", "x"],
+    }
+    monkeypatch.setattr(cli, "cmd_approximate", lambda args: seen.append(vars(args)) or 0)
+    for verb in args:
+        assert main([verb, *args[verb], "--seed", "1"]) == 1
+    for verb in ("dual", "render"):
+        assert main([verb, *args[verb], "--tol", "1e-3"]) == 1
+    assert len(seen) == 3
 
 
 def test_tol_of_one_call_does_not_reach_the_next(tmp_path, capsys):

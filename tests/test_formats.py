@@ -148,6 +148,10 @@ def _edit(text, key, value):
         ("q1", '"north"'),
         ("p1", "[1, 0]"),  # wrong-shaped points
         ("r1", "[[0, 0, 1]]"),
+        ("primal_piece_id", "true"),  # a bool or a string for a number
+        ("r1_distance", '"0.001"'),
+        ("p1", '["1", 0, 0]'),
+        ("q2", "[0, true, 0]"),
     ],
 )
 def test_malformed_step_record_names_its_field(key, value):
@@ -159,12 +163,52 @@ def test_malformed_step_record_names_its_field(key, value):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("epsilon", None), ("rounds", None), ("steps", "2.5"), ("width_min", '"wide"'), ("hausdorff_bound", "[0.1]")],
+    [
+        ("epsilon", None),
+        ("rounds", None),
+        ("steps", "2.5"),
+        ("width_min", '"wide"'),
+        ("hausdorff_bound", "[0.1]"),
+        ("steps", "true"),  # a bool or a string for a number
+        ("rounds", "false"),
+        ("epsilon", '"0.01"'),
+    ],
 )
 def test_malformed_certificate_names_its_field(key, value):
     assert loads_certificate(CERT).steps == 3
     with pytest.raises(InvalidBody, match=repr(key)):
         loads_certificate(_edit(CERT, key, value))
+
+
+BODIES = {
+    "pc-body": '{"kind":"pc-body","interior":[0,0,1],'
+    '"pieces":[{"type":"circle","center":[0,0,1],"radius":0.75,"az_from":0,"az_to":6.25}]}',
+    "polytope": '{"kind":"polytope","vertices":[[1,0,0],[0,1,0],[0,0,1]]}',
+}
+
+
+@pytest.mark.parametrize(
+    "kind, good, bad, field",
+    [
+        ("pc-body", '"radius":0.75', '"radius":"0.75"', "'radius'"),
+        ("pc-body", '"center":[0,0,1]', '"center":["0",0,true]', "'center'"),
+        ("pc-body", '"interior":[0,0,1]', '"interior":[0,0,true]', "'interior'"),
+        ("pc-body", '"az_from":0', '"az_from":false', "'az_from'"),
+        ("polytope", "[0,1,0]", '[0,"1",0]', "'vertices'"),
+    ],
+    ids=["radius-string", "center-string-bool", "interior-bool", "az_from-bool", "vertex-string"],
+)
+def test_body_numbers_are_json_numbers(kind, good, bad, field):
+    # float() and numpy read "0.75" and true as numbers; the loader refuses them
+    assert good in BODIES[kind] and len(loads_body(BODIES[kind]).arcs) >= 1
+    with pytest.raises(InvalidBody, match=field):
+        loads_body(BODIES[kind].replace(good, bad))
+
+
+@pytest.mark.parametrize("loads", [loads_body, loads_certificate, loads_step_log])
+def test_broken_json_is_an_invalid_body_with_the_parser_message(loads):
+    with pytest.raises(InvalidBody, match="Expecting ',' delimiter: line 1 column 13"):
+        loads('{"kind":"a" "b"}')
 
 
 def test_step_log_record_must_be_an_object():

@@ -83,9 +83,8 @@ def test_width_selfdual_cap_any_support_pole(monkeypatch):
     # a self-dual polytope: every vertex is a support pole; its report is
     # the closed form, so it sweeps nothing
     poly, _, _ = approximate_polytope(cap(unit([1, 2, 3]), PI / 4), ApproximationConfig(0.01))
-    dual = polar_dual(poly)
     for k in poly.vertices:
-        assert width_wrt(poly, k, dual=dual) == pytest.approx(PI / 2, abs=1e-9)
+        assert width_wrt(poly, k) == pytest.approx(PI / 2, abs=1e-9)
     rep = is_constant_width(poly, PI / 2)
     assert rep.dual is None
     assert rep.width_min == pytest.approx(PI / 2, abs=1e-9)

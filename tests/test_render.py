@@ -7,10 +7,10 @@ from fixtures import acceptance_corpus, rotated_reuleaux
 from oracles import boundary_samples, render_svg_per_segment
 
 from spherewidth.approx import ApproximationConfig, approximate_polytope
-from spherewidth.body import polar_dual
+from spherewidth.body import Polytope, polar_dual
 from spherewidth.generators import cap, octant, rotated, rotation_from_seed
 from spherewidth.render import projected_box, render_svg
-from spherewidth.sphere import arc_dot_range, sample_piece, tangent_basis, unit
+from spherewidth.sphere import arc_dot_range, sample_piece, tangent_basis, unit, unit_rows
 
 E3 = np.array([0.0, 0.0, 1.0])
 VIEW = unit([1.0, 1.0, 1.0])
@@ -82,6 +82,15 @@ def test_stacked_render_is_the_per_segment_render_byte_for_byte(projection):
             scenes += [[c, poly], [poly, polar_dual(poly)]]
     for bodies in scenes:
         assert render_svg(bodies, projection) == render_svg_per_segment(bodies, projection)
+    # seen from a point on the great circle of one edge, that edge's image is
+    # flat in both projections, a line command
+    poly = Polytope(unit_rows([[0.3, 0.0, 1.0], [-0.1, 0.2, 1.0], [-0.2, -0.1, 1.0]]))
+    a = poly.arcs
+    for t in (0.5 * a.t1[0], -0.1):
+        view = a.point_at(t, 0)
+        svg = render_svg([poly], projection, view)
+        assert " L " in svg
+        assert svg == render_svg_per_segment([poly], projection, view)
 
 
 def _dipping_view(body, least):

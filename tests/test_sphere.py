@@ -14,8 +14,6 @@ from spherewidth.generators import random_selfdual_polytope
 from spherewidth.sphere import (
     TWO_PI,
     GreatArc,
-    Hemisphere,
-    Lune,
     SmallCircleArc,
     arc_pole,
     arcs_intersect,
@@ -89,7 +87,7 @@ def test_lune_degenerate_guard():
     with pytest.raises(DegenerateLune):
         lune_thickness(E1, q)
     with pytest.raises(DegenerateLune):
-        Lune(E1, -E1)
+        lune_thickness(E1, -E1)
 
 
 @given(unit_vec, unit_vec)
@@ -100,13 +98,6 @@ def test_lune_plus_distance_is_pi(p, q):
     assert lune_thickness(p, q) + geodesic_distance(p, q) == pytest.approx(
         math.pi, abs=1e-10
     )
-
-
-def test_hemisphere_membership_closed():
-    h = Hemisphere(E3)
-    assert h.contains(E1)
-    assert h.contains(E3)
-    assert not h.contains(np.array([0.0, 0.1, -0.2]) / np.linalg.norm([0.0, 0.1, -0.2]))
 
 
 # ------------------------------------------------------------------ arc_pole
@@ -313,6 +304,8 @@ def test_stack_builders_and_pieces_follow_the_scalar_piece_rules():
             # zero rows give the empty stack, each field shaped as the rows' fields
             none = getattr(got, name)[:0]
             assert getattr(empty, name).shape == none.shape and getattr(empty, name).dtype == none.dtype, name
+        # the great-arc mask names each row's piece type
+        assert got.great.tolist() == [type(p) is GreatArc for p in pieces]
 
 
 def test_great_arc_stack_rejects_degenerate_rows():
