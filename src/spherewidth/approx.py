@@ -85,6 +85,7 @@ from .sphere import (
     cross_rows,
     dot,
     linspace_grid,
+    norm_rows,
     stack_arcs,
     unit,
     unit_rows,
@@ -462,7 +463,7 @@ def chord_polytope(body: ConvexBody, config: ApproximationConfig) -> tuple[Polyt
 
 def _rho(z: Vec, x: np.ndarray) -> np.ndarray:
     """Distance of each row of ``x`` from ``z``, in the atan2 form that stays exact near 0."""
-    return np.arctan2(np.linalg.norm(cross_rows(x, z), axis=-1), x @ z)
+    return np.arctan2(norm_rows(cross_rows(x, z)), x @ z)
 
 
 def _angle(a: Vec, b: Vec) -> float:
@@ -471,7 +472,7 @@ def _angle(a: Vec, b: Vec) -> float:
 
 def _half_cosines(x: np.ndarray) -> float:
     """Least cos(l/2) over the segments of the polyline ``x``, |a + b| / 2 for unit ends a, b."""
-    return 0.5 * float(np.min(np.linalg.norm(x[:-1] + x[1:], axis=1)))
+    return 0.5 * float(np.min(norm_rows(x[:-1] + x[1:])))
 
 
 def _locate_junction(poly: Polytope, p: Vec):
@@ -481,7 +482,7 @@ def _locate_junction(poly: Polytope, p: Vec):
     edge i, its great circle within ``FIT_EPS`` of ``p``, or None.
     """
     v, w = poly.vertices, poly.arcs.z
-    i = int(np.argmin(np.linalg.norm(v - p, axis=1)))
+    i = int(np.argmin(norm_rows(v - p)))
     if _angle(v[i], p) <= FIT_EPS:
         return 2 * i, v[i]
     for i in np.flatnonzero(np.abs(w @ p) <= math.sin(FIT_EPS)):

@@ -70,6 +70,7 @@ from .sphere import (
     join_stacks,
     max_distance_to_piece,
     min_support_dot,
+    norm_rows,
     row_dots,
     small_arc_stack,
     stack_arcs,
@@ -127,11 +128,13 @@ class ConvexBody:
     @cached_property
     def junction_poles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The poles k_end, k_next either side of each junction, their chord gap and whether it is a
-        corner (a gap above ``POLE_MERGE_EPS``); row i is junction i, from piece i to piece i + 1."""
+        corner (a gap above ``POLE_MERGE_EPS``); row i is junction i, from piece i to piece i + 1.  The
+        poles are ``arcs.support_pole_at`` of t1 and t0, bit for bit, from the stack's ``end_trig``."""
         a = self.arcs
-        k_end, k_start = a.support_pole_at(np.array([a.t1, a.t0]))
+        cos, sin = a.end_trig
+        k_start, k_end = a.sin_r[:, None] * a.z - a.cos_r[:, None] * (cos[..., None] * a.u + sin[..., None] * a.v)
         k_next = _next_rows(k_start)
-        gap = np.linalg.norm(k_end - k_next, axis=1)
+        gap = norm_rows(k_end - k_next)
         return k_end, k_next, gap, gap > POLE_MERGE_EPS
 
     @cached_property
@@ -257,7 +260,7 @@ def _next_rows(x: np.ndarray) -> np.ndarray:
 
 def _closure(a: ArcStack) -> np.ndarray:
     """The chord from each piece's end to the next piece's start, row i for junction i."""
-    return np.linalg.norm(a.end - _next_rows(a.start), axis=1)
+    return norm_rows(a.end - _next_rows(a.start))
 
 
 def validate(body: ConvexBody) -> ValidationReport:
@@ -295,12 +298,13 @@ def validate(body: ConvexBody) -> ValidationReport:
     # candidate hemisphere poles, each against every arc: the witness w, and
     # the mean support pole (an interior point of the polar dual certifies
     # containment exactly), the sum over the arcs of the integral of
-    # K(t) = sin r z - cos r (cos t u + sin t v)
-    ring = (np.sin(a.t1) - np.sin(a.t0))[:, None] * a.u + (np.cos(a.t0) - np.cos(a.t1))[:, None] * a.v
+    # K(t) = sin r z - cos r (cos t u + sin t v), from the stack's one cos/sin round
+    cos, sin = a.end_trig
+    ring = (sin[1] - sin[0])[:, None] * a.u + (cos[0] - cos[1])[:, None] * a.v
     pole_sum = ((a.sin_r * a.span)[:, None] * a.z - a.cos_r[:, None] * ring).sum(axis=0)
     w = body.interior
-    candidates = np.array([w, unit(pole_sum)]) if np.linalg.norm(pole_sum) > DOT_EPS else w[None]
-    lo = arc_dot_range(a, a.t0, a.t1, candidates[:, None])[0]
+    candidates = np.array([w, unit(pole_sum)]) if math.sqrt(pole_sum.dot(pole_sum)) > DOT_EPS else w[None]
+    lo = arc_dot_range(a, candidates[:, None])[0]
     min_dot = float(lo.min(axis=1).max())
     checks.append(ValidationCheck("hemispherical", min_dot >= -BOUNDARY_EPS, -min_dot))
 
@@ -482,9 +486,9 @@ def selfdual_residual_bound(poly: Polytope) -> float:
     """
     v = poly.vertices
     w = poly.arcs.z
-    c = float(np.max(np.linalg.norm(w - np.roll(v, -((len(v) + 1) // 2), axis=0), axis=1)))
+    c = float(np.max(norm_rows(w - np.roll(v, -((len(v) + 1) // 2), axis=0))))
     # cos(l/2) = |a + b| / 2 for the unit ends a, b of an edge of length l
-    half = 0.5 * min(float(np.min(np.linalg.norm(x + np.roll(x, -1, axis=0), axis=1))) for x in (v, w))
+    half = 0.5 * min(float(np.min(norm_rows(x + np.roll(x, -1, axis=0)))) for x in (v, w))
     return math.asin(c / half) if c < half else math.inf
 
 
@@ -714,7 +718,7 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
         j = np.concatenate(
             [
                 np.argmin(
-                    np.linalg.norm(starts - k_end[k, None], axis=2) + np.linalg.norm(ends - k_next[k, None], axis=2),
+                    norm_rows(starts - k_end[k, None]) + norm_rows(ends - k_next[k, None]),
                     axis=1,
                 )
                 for k in (c[lo : lo + per] for lo in range(0, len(c), per))
@@ -723,9 +727,9 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
         if len(np.unique(j)) != len(g):
             return None
         starts, ends = starts[j], ends[j]
-        e = np.maximum(np.linalg.norm(starts - k_end[c], axis=1), np.linalg.norm(ends - k_next[c], axis=1))
+        e = np.maximum(norm_rows(starts - k_end[c]), norm_rows(ends - k_next[c]))
         # cos(l/2) = |a + b| / 2 for the unit ends a, b of an arc of length l
-        half = 0.5 * np.minimum(np.linalg.norm(starts + ends, axis=1), np.linalg.norm(k_end[c] + k_next[c], axis=1))
+        half = 0.5 * np.minimum(norm_rows(starts + ends), norm_rows(k_end[c] + k_next[c]))
         if np.any(e >= half):
             return None
         terms.append(float(np.max(2.0 * np.arcsin(e / half))))
@@ -778,7 +782,7 @@ def support_poles_at(body: ConvexBody, p, tol: float = BOUNDARY_EPS) -> SupportS
     p = unit(p)
     a = body.arcs
     k_end, k_next, _, corner = body.junction_poles
-    i = next(iter(np.flatnonzero(np.linalg.norm(a.end - p, axis=1) <= tol)), None)  # the first junction at p
+    i = next(iter(np.flatnonzero(norm_rows(a.end - p) <= tol)), None)  # the first junction at p
     if i is not None:
         if corner[i]:
             return SupportSet(at=p, poles=GreatArc(k_end[i], k_next[i]), is_vertex=True)
@@ -818,7 +822,7 @@ def _flat_junctions(poles: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Whether each junction i, from great arc i to i + 1 of a closed chain, is flat: the poles within
     ``POLE_MERGE_EPS`` (one supporting circle) and the lengths summing below pi - 1e-9 (one arc spans both).
     A NaN pole is never flat."""
-    bend = np.linalg.norm(poles - _next_rows(poles), axis=1)
+    bend = norm_rows(poles - _next_rows(poles))
     return (bend <= POLE_MERGE_EPS) & (lengths + _next_rows(lengths) < math.pi - 1e-9)
 
 

@@ -1,30 +1,47 @@
 """JSON serialization of bodies, certificates and step logs.
 
-Numbers are written with 17 significant digits, which round-trips binary64
-exactly; the writer emits keys in a fixed order so equal inputs produce
-byte-identical files.  The readers take numbers only as JSON numbers, never
-as strings or booleans, and raise ``InvalidBody`` on any malformed input,
-broken JSON included.
+Numbers are written with 17 significant digits (``%.17g``), which
+round-trips binary64 exactly; the writer emits keys in a fixed order so
+equal inputs produce byte-identical files.  Each vertex, piece record,
+certificate and step record is one ``%`` format, and a body's rows are
+formatted by C-level ``map`` calls over its stacked arrays, with no Python
+code per number.  The readers take numbers only as JSON numbers, never as
+strings or booleans, and raise ``InvalidBody`` on any malformed input,
+broken JSON included.  A ``pc-body`` file is read column by column: its
+great-arc records make one ``great_arc_stack``, its small-circle records
+one ``small_arc_stack``, and the two are joined in record order.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from .approx import Certificate, StepRecord
-from .body import ConvexBody, Polytope
+from .body import ConvexBody, Polytope, chain_body
 from .errors import InvalidBody
-from .sphere import GreatArc, SmallCircleArc
+from .sphere import great_arc_stack, join_stacks, small_arc_stack
+
+_VEC = "[%.17g,%.17g,%.17g]"
+_GREAT = '{"type":"great","from":' + _VEC + ',"to":' + _VEC + "}"
+_CIRCLE = '{"type":"circle","center":' + _VEC + ',"radius":%.17g,"az_from":%.17g,"az_to":%.17g}'
 
 
-def _num(x: float) -> str:
-    return format(float(x), ".17g")
+def format_rows(fmt: str, values: np.ndarray) -> list[str]:
+    """``fmt % row`` for each row of the 2-D ``values``, mapped at C level: no Python code runs per row."""
+    return list(map(fmt.__mod__, map(tuple, values.tolist())))
 
 
-def _vec(v) -> str:
-    return "[%s]" % ",".join(_num(c) for c in v)
+def format_rows_by(mask: np.ndarray, fmt: str, values: np.ndarray, other: str, other_values: np.ndarray) -> list[str]:
+    """One string per entry of ``mask``: where it is set, ``fmt`` of the next row of ``values``, elsewhere ``other``
+    of the next row of ``other_values`` (``format_rows`` each)."""
+    out = np.empty(len(mask), dtype=object)
+    out[mask] = format_rows(fmt, values)
+    out[~mask] = format_rows(other, other_values)
+    return out.tolist()
 
 
 def dumps_body(body: ConvexBody) -> str:
@@ -35,30 +52,17 @@ def dumps_body(body: ConvexBody) -> str:
     ``radius``, ``t0`` and ``t1`` of the stack).
     """
     if isinstance(body, Polytope):
-        verts = ",".join(_vec(v) for v in body.vertices.tolist())
-        return '{"kind":"polytope","vertices":[%s]}' % verts
+        return '{"kind":"polytope","vertices":[%s]}' % ",".join(format_rows(_VEC, body.vertices))
     a = body.arcs
-    parts = []
-    for great, start, end, z, r, t0, t1 in zip(
-        a.great.tolist(),
-        a.start.tolist(),
-        a.end.tolist(),
-        a.z.tolist(),
-        a.radius.tolist(),
-        a.t0.tolist(),
-        a.t1.tolist(),
-    ):
-        if great:
-            parts.append('{"type":"great","from":%s,"to":%s}' % (_vec(start), _vec(end)))
-        else:
-            parts.append(
-                '{"type":"circle","center":%s,"radius":%s,"az_from":%s,"az_to":%s}'
-                % (_vec(z), _num(r), _num(t0), _num(t1))
-            )
-    return '{"kind":"pc-body","interior":%s,"pieces":[%s]}' % (
-        _vec(body.interior),
-        ",".join(parts),
+    great, small = a.great, ~a.great
+    parts = format_rows_by(
+        great,
+        _GREAT,
+        np.hstack([a.start[great], a.end[great]]),
+        _CIRCLE,
+        np.column_stack([a.z[small], a.radius[small], a.t0[small], a.t1[small]]),
     )
+    return '{"kind":"pc-body","interior":%s,"pieces":[%s]}' % (_VEC % tuple(body.interior.tolist()), ",".join(parts))
 
 
 def _json(text: str):
@@ -69,9 +73,12 @@ def _json(text: str):
         raise InvalidBody("malformed JSON: %s" % exc) from None
 
 
+_NUMBER_TYPES = {int, float}
+
+
 def _number(x) -> float:
     """A JSON number as a float; a string or a bool, which ``float`` would take, raises ``TypeError``."""
-    if type(x) not in (int, float):
+    if type(x) not in _NUMBER_TYPES:
         raise TypeError("expected a number, got %s" % type(x).__name__)
     return float(x)
 
@@ -83,90 +90,136 @@ def _count(x) -> int:
     return x
 
 
-def _numbers(v) -> np.ndarray:
-    """Nested JSON lists of numbers (``_number``) as a float array."""
-    todo = [v]
-    while todo:
-        x = todo.pop()
-        if type(x) is list:
-            todo.extend(x)
-        else:
-            _number(x)
+def _numbers(v, depth: int) -> np.ndarray:
+    """JSON lists of numbers nested ``depth`` deep as a float array.
+
+    Every entry's type is checked in one C-level ``map(type, ...)`` pass over
+    the flattened lists: a string or a bool, which numpy would read as a
+    number, or a list nested deeper, raises ``TypeError``.
+    """
+    flat = v
+    for _ in range(depth - 1):
+        flat = chain.from_iterable(flat)
+    bad = set(map(type, flat)) - _NUMBER_TYPES
+    if bad:
+        raise TypeError("expected numbers, got %s" % ", ".join(sorted(t.__name__ for t in bad)))
     return np.asarray(v, dtype=float)
 
 
-def _field(obj, key: str, convert):
-    """``convert(obj[key])``, or ``InvalidBody`` naming a missing or ill-typed field."""
+def _present(obj, key: str):
+    """``obj[key]``, or ``InvalidBody`` when ``obj`` is not a JSON object or has no field ``key``."""
     if not isinstance(obj, dict):
         raise InvalidBody("expected a JSON object, got %s" % type(obj).__name__)
     if key not in obj:
         raise InvalidBody("missing field %r" % key)
+    return obj[key]
+
+
+def _converted(key: str, convert, value):
+    """``convert(value)``, or ``InvalidBody`` naming the ill-typed field ``key``."""
     try:
-        return convert(obj[key])
+        return convert(value)
     except (TypeError, ValueError) as exc:
         raise InvalidBody("ill-typed field %r: %s" % (key, exc)) from None
 
 
+def _field(obj, key: str, convert):
+    """``convert(obj[key])``, or ``InvalidBody`` naming a missing or ill-typed field."""
+    return _converted(key, convert, _present(obj, key))
+
+
+def _column(records: list, key: str, convert):
+    """``convert`` of the list of field ``key`` of every record, read by one C-level ``map``.
+
+    A record that is not an object or lacks the field raises ``InvalidBody``
+    naming it, as ``_field`` does; an ill-typed value anywhere in the column
+    names the field too.
+    """
+    try:
+        values = list(map(itemgetter(key), records))
+    except (KeyError, TypeError):
+        for rec in records:  # malformed files only: the first record at fault raises
+            _present(rec, key)
+        raise
+    return _converted(key, convert, values)
+
+
 def _vec3(v) -> np.ndarray:
-    a = _numbers(v)
+    a = _numbers(v, 1)
     if a.shape != (3,):
         raise ValueError("expected a 3-vector, got shape %s" % (a.shape,))
     return a
 
 
 def _vertices(v) -> np.ndarray:
-    a = _numbers(v)
+    a = _numbers(v, 2)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValueError("expected an (n, 3) array, got shape %s" % (a.shape,))
     return a
 
 
+def _points(v) -> np.ndarray:
+    """One 3-vector per record, as an (n, 3) array; no records give (0, 3)."""
+    return _vertices(v) if v else np.empty((0, 3))
+
+
+def _floats(v) -> np.ndarray:
+    return _numbers(v, 1)
+
+
 def loads_body(text: str) -> ConvexBody:
     """Parse a body; malformed records raise ``InvalidBody`` naming the field.
 
-    A ``polytope`` file gives a ``Polytope``, a ``pc-body`` file the
-    ``ConvexBody`` of its records, read one by one, and of its interior
-    point, great arcs only or not (``to_polytope`` reads such a body as a
-    polygon).
+    A ``polytope`` file gives a ``Polytope``.  A ``pc-body`` file gives the
+    body of its interior point and of the one stack of its records, great
+    arcs only or not (``to_polytope`` reads such a body as a polygon): the
+    great-arc records are built as one ``great_arc_stack``, the small-circle
+    records as one ``small_arc_stack``, bit for bit the stack of the
+    records' ``GreatArc`` and ``SmallCircleArc`` objects, and a degenerate
+    record raises what its object would (``DegenerateArc`` or
+    ``ValueError``).
     """
     obj = _json(text)
     kind = _field(obj, "kind", str)
     if kind == "polytope":
         return Polytope(_field(obj, "vertices", _vertices))
     if kind == "pc-body":
-        pieces = []
-        for rec in _field(obj, "pieces", list):
-            tag = _field(rec, "type", str)
-            if tag == "great":
-                pieces.append(GreatArc(_field(rec, "from", _vec3), _field(rec, "to", _vec3)))
-            elif tag == "circle":
-                pieces.append(
-                    SmallCircleArc(
-                        _field(rec, "center", _vec3),
-                        _field(rec, "radius", _number),
-                        _field(rec, "az_from", _number),
-                        _field(rec, "az_to", _number),
-                    )
-                )
-            else:
-                raise InvalidBody("unknown piece type %r" % tag)
-        return ConvexBody(pieces, _field(obj, "interior", _vec3))
+        records = _field(obj, "pieces", list)
+        tags = _column(records, "type", lambda v: list(map(str, v)))
+        tag = np.array(tags, dtype=object)  # compared as Python strings
+        is_great, is_small = tag == "great", tag == "circle"
+        unknown = np.flatnonzero(~(is_great | is_small))
+        if len(unknown):
+            raise InvalidBody("unknown piece type %r" % tags[unknown[0]])
+        great, small = np.flatnonzero(is_great), np.flatnonzero(is_small)
+        g = list(map(records.__getitem__, great.tolist()))
+        c = list(map(records.__getitem__, small.tolist()))
+        great_arcs = great_arc_stack(_column(g, "from", _points), _column(g, "to", _points))
+        small_arcs = small_arc_stack(
+            _column(c, "center", _points),
+            _column(c, "radius", _floats),
+            _column(c, "az_from", _floats),
+            _column(c, "az_to", _floats),
+        )
+        return chain_body(join_stacks(great_arcs, small_arcs, keys=[great, small]), _field(obj, "interior", _vec3))
     raise InvalidBody("unknown body kind %r" % kind)
 
 
 def dumps_certificate(cert: Certificate) -> str:
     """Serialize a certificate, ``"passed":true`` last: a certificate exists only for a pair that passed."""
-    fields = [
-        ('"epsilon":%s' % _num(cert.epsilon)),
-        ('"hausdorff_bound":%s' % _num(cert.hausdorff_bound)),
-        ('"width_min":%s' % _num(cert.width_min)),
-        ('"width_max":%s' % _num(cert.width_max)),
-        ('"self_duality_residual":%s' % _num(cert.self_duality_residual)),
-        ('"steps":%d' % cert.steps),
-        ('"rounds":%d' % cert.rounds),
-        '"passed":true',
-    ]
-    return "{%s}" % ",".join(fields)
+    return (
+        '{"epsilon":%.17g,"hausdorff_bound":%.17g,"width_min":%.17g,"width_max":%.17g,'
+        '"self_duality_residual":%.17g,"steps":%d,"rounds":%d,"passed":true}'
+        % (
+            cert.epsilon,
+            cert.hausdorff_bound,
+            cert.width_min,
+            cert.width_max,
+            cert.self_duality_residual,
+            cert.steps,
+            cert.rounds,
+        )
+    )
 
 
 def loads_certificate(text: str) -> Certificate:
@@ -183,21 +236,16 @@ def loads_certificate(text: str) -> Certificate:
     )
 
 
+_STEP = (
+    '{"p1":%s,"p2":%s,"q1":%s,"q2":%s,"r1":%s,' % ((_VEC,) * 5)
+    + '"primal_piece_id":%d,"dual_piece_id":%d,"r1_distance":%.17g}'
+)
+
+
 def dumps_step(rec: StepRecord) -> str:
-    return (
-        '{"p1":%s,"p2":%s,"q1":%s,"q2":%s,"r1":%s,'
-        '"primal_piece_id":%d,"dual_piece_id":%d,"r1_distance":%s}'
-        % (
-            _vec(rec.p1),
-            _vec(rec.p2),
-            _vec(rec.q1),
-            _vec(rec.q2),
-            _vec(rec.r1),
-            rec.primal_piece_id,
-            rec.dual_piece_id,
-            _num(rec.r1_distance),
-        )
-    )
+    """One step record, in one ``%`` format."""
+    points = np.concatenate([rec.p1, rec.p2, rec.q1, rec.q2, rec.r1]).tolist()
+    return _STEP % (*points, rec.primal_piece_id, rec.dual_piece_id, rec.r1_distance)
 
 
 def dumps_step_log(steps) -> str:

@@ -27,7 +27,6 @@ from .sphere import (
     BOUNDARY_EPS,
     TWO_PI,
     ArcStack,
-    SmallCircleArc,
     Vec,
     great_arc_stack,
     join_stacks,
@@ -128,7 +127,8 @@ def rounded_reuleaux(k: int, delta: float, center: Vec = (0.0, 0.0, 1.0)) -> Con
     the directions of the two opposite vertices, and an arc of radius
     delta, spanning the reverse directions.  The two are partners (the same
     span shifted by pi, radii summing to pi/2), so the body has constant
-    width pi/2.  Every arc runs counterclockwise about its own centre.
+    width pi/2.  Every arc runs counterclockwise about its own centre.  The
+    2k arcs are built as one ``small_arc_stack``.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError("k must be odd and at least 3")
@@ -138,24 +138,27 @@ def rounded_reuleaux(k: int, delta: float, center: Vec = (0.0, 0.0, 1.0)) -> Con
     m = (k - 1) // 2
     # V_i is the width pi/2 - 2 delta from the opposite V_{i+m}
     sin_rho = math.sqrt((1.0 - math.sin(2.0 * delta)) / (1.0 - math.cos(TWO_PI * m / k)))
-    ring = SmallCircleArc(z, math.asin(sin_rho), 0.0, TWO_PI)
+    ring = small_arc_stack(z[None], [math.asin(sin_rho)], [0.0], [TWO_PI])
     verts = ring.point_at(TWO_PI * np.arange(k) / k)
-
-    def partners(c):
-        """The (delta, pi/2 - delta) arcs about V_c, between its opposite vertices."""
-        probe = SmallCircleArc(verts[c], delta, 0.0, TWO_PI)
-        a0, a1 = probe.azimuth_of(verts[[(c + m) % k, (c + m + 1) % k]])
-        span = (a1 - a0) % TWO_PI
-        return (
-            SmallCircleArc(verts[c], delta, a0 + math.pi, a0 + math.pi + span),
-            SmallCircleArc(verts[c], 0.5 * math.pi - delta, a0, a0 + span),
-        )
-
-    pieces = []
-    for i in range(k):
-        # the rounded corner at V_i, then the side from V_i to V_{i+1}
-        pieces += [partners(i)[0], partners((i + m + 1) % k)[1]]
-    return ConvexBody(pieces, z)
+    # the azimuths a0, a1 of the opposite vertices V_{i+m}, V_{i+m+1} about each V_i,
+    # in V_i's canonical frame, each pair one (2, 3) @ (3,) product as on one arc
+    u, v = tangent_frames(unit_each(verts))
+    i = np.arange(k)
+    opposite = verts[np.column_stack([(i + m) % k, (i + m + 1) % k])]
+    az = np.mod(np.arctan2(np.matmul(opposite, v[:, :, None])[..., 0], np.matmul(opposite, u[:, :, None])[..., 0]), TWO_PI)
+    a0, span = az[:, 0], np.mod(az[:, 1] - az[:, 0], TWO_PI)
+    # the rounded corner at V_i, of radius delta over the reverse directions
+    # [a0 + pi, a0 + pi + span], then the side about V_j, j = i + m + 1, of
+    # radius pi/2 - delta over [a0_j, a0_j + span_j]
+    j = (i + m + 1) % k
+    corner_from, side_from = a0 + math.pi, a0[j]
+    arcs = small_arc_stack(
+        np.column_stack([verts, verts[j]]).reshape(-1, 3),
+        np.tile([delta, 0.5 * math.pi - delta], k),
+        np.column_stack([corner_from, side_from]).ravel(),
+        np.column_stack([corner_from + span, side_from + span[j]]).ravel(),
+    )
+    return chain_body(arcs, z)
 
 
 # ------------------------------------------------------------ hull insertion

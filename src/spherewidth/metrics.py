@@ -225,18 +225,19 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _pair_caps(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
     """Structural caps of pairs: the arc of ``pa[k]`` over [tl[k], tr[k]] against piece ``b[k]``."""
-    span = tr - tl
+    part = pa.part(tl, tr)
+    span = part.span
     length = span * pa.sin_r
     great_a = pa.great
     great_b = b.great
     full_b = b.span >= TWO_PI - DOT_EPS
     # any single boundary point v gives sup dist(., b) <= sup d(., v), exact
     # on plateaus where a vertex is the nearest feature
-    caps = [acos_clamped_np(arc_dot_range(pa, tl, tr, v)[0]) for v in (b.start, b.end)]
+    caps = [acos_clamped_np(arc_dot_range(part, v)[0]) for v in (b.start, b.end)]
 
     # the distance to a full circle is |d(x, z) - r|, whose range over the
     # arc is closed form; it also serves concentric small arcs below
-    cmin, cmax, rho = arc_dot_range(pa, tl, tr, b.z)
+    cmin, cmax, rho = arc_dot_range(part, b.z)
     ring = np.maximum(
         np.abs(acos_clamped_np(cmax) - b.radius), np.abs(acos_clamped_np(cmin) - b.radius)
     )
@@ -255,7 +256,7 @@ def _pair_caps(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
     caps.append(np.where(ok, ring + overhang * b.sin_r + 2.0 * gamma, np.inf))
 
     # foot parameters of the arc's start, middle and end on each great circle
-    ends = [pa.point_at(t) for t in (tl, 0.5 * (tl + tr), tr)]
+    ends = [part.start, pa.point_at(0.5 * (tl + tr)), part.end]
     ts, tm, te = (np.arctan2(_dot(x, b.v), _dot(x, b.u)) for x in ends)
     length_b = b.span * b.sin_r
 
@@ -283,7 +284,7 @@ def _pair_caps(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
 
     # arcs too short to stand alone get no cap: spans of 1e-9 or less, and
     # great arcs whose ends are equal or antipodal
-    short = (tr - tl <= 1e-9) | (great_a & (np.abs(_dot(ends[0], ends[2])) >= 1.0 - DOT_EPS))
+    short = (span <= 1e-9) | (great_a & (np.abs(_dot(ends[0], ends[2])) >= 1.0 - DOT_EPS))
     return np.where(short, np.inf, np.minimum.reduce(caps))
 
 

@@ -4,19 +4,23 @@ Boundary pieces project to exact conic arcs: under orthographic projection a
 spherical circle becomes an ellipse segment (written as an SVG arc command
 with semi-axes from the projected conjugate radii), and under stereographic
 projection it becomes a circular arc through three exactly projected points.
-Each piece is split into segments of at most ``MAX_SEG_SPAN``, and a body's
-segments are projected from its stacked arrays (``ConvexBody.arcs``) in one
-pass, with no piece objects and no numpy call per segment: one batched SVD
-gives every ellipse's axes.  What runs once per value in Python is the
-string formatting and the scalar ``math.cos``, ``math.sin``, ``math.hypot``
-and ``**``, which numpy could round differently.  Output is deterministic
-for fixed inputs: fixed 1000 x 1000 viewBox, y down, bodies scaled to 90
-percent of the frame.  The frame is the exact box of the projected arcs,
-in closed form for both projections (``projected_box``: each plane
-coordinate along an arc is a ratio of two sinusoids, extreme at the ends
-or at the two roots of its derivative), and the front-hemisphere checks
-take the exact least x . v along each arc (``sphere.arc_dot_range``), so
-nothing is sampled.
+Each piece is split into segments of at most ``MAX_SEG_SPAN``.  The bodies'
+stacked arrays (``ConvexBody.arcs``) are joined into one stack, so the
+front check, the frame and the segments of all bodies are each computed in
+one pass, with no piece objects and no numpy call per segment or per body:
+one batched SVD gives every ellipse's axes.  The scalar ``math.cos``,
+``math.sin``, ``math.atan2``, ``math.hypot`` and ``**``, whose values numpy
+could round differently, are mapped over whole columns at C level
+(``sphere.math_each``), and each path command is one ``%.9g`` format
+mapped over the segment rows (``formats.format_rows_by``), so no Python
+code runs per value or per segment.  Output is deterministic for fixed
+inputs: fixed 1000 x 1000 viewBox, y down, bodies scaled to 90 percent of
+the frame.  The frame is the exact box of the projected arcs, in closed
+form for both projections (``projected_box``: each plane coordinate along
+an arc is a ratio of two sinusoids, extreme at the ends or at the two
+roots of its derivative), and the front-hemisphere checks take the exact
+least x . v along each arc (``sphere.arc_dot_range``), so nothing is
+sampled.
 """
 
 from __future__ import annotations
@@ -27,7 +31,18 @@ from typing import Sequence
 import numpy as np
 
 from .body import ConvexBody
-from .sphere import ArcStack, arc_dot_range, linspace_grid, row_dots, tangent_basis, unit, wrap_angle
+from .formats import format_rows_by
+from .sphere import (
+    ArcStack,
+    arc_dot_range,
+    join_stacks,
+    linspace_grid,
+    math_each,
+    row_dots,
+    tangent_basis,
+    unit,
+    wrap_angle,
+)
 
 VIEWBOX = 1000.0
 FILL_FRACTION = 0.9
@@ -36,10 +51,6 @@ STROKES = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 # split every piece into parameter sub-spans of at most this angle so each
 # SVG arc segment is short, well conditioned, and never ambiguous
 MAX_SEG_SPAN = 0.5 * math.pi
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
 
 
 class _Frame:
@@ -89,25 +100,24 @@ def projected_box(arcs: ArcStack, view, a, b, stereographic: bool) -> tuple[np.n
 
 
 def _segments(arcs: ArcStack):
-    """Piece index and parameter ends of every segment, piece after piece.
+    """Piece index and parameter of the start, middle and end of every segment, piece after piece.
 
     Each piece is split into ceil(span / ``MAX_SEG_SPAN``) equal segments,
-    at least one, at the values of ``np.linspace(t0, t1, n + 1)``.
+    at least one, at the values of ``np.linspace(t0, t1, n + 1)``.  The
+    three points of all segments are one column each: the piece index
+    repeats thrice and t runs over the starts, the middles, then the ends.
     """
     n = np.maximum(1, np.ceil(arcs.span / MAX_SEG_SPAN).astype(int))
     idx, t = linspace_grid(arcs.t0, arcs.t1, n + 1)
     lo = np.flatnonzero(idx[:-1] == idx[1:])  # rows followed by one of the same piece
-    return idx[lo], t[lo], t[lo + 1]
+    t0, t1 = t[lo], t[lo + 1]
+    return np.tile(idx[lo], 3), np.concatenate([t0, 0.5 * (t0 + t1), t1])
 
 
-def _line_to(x: float, y: float) -> str:
-    return "L %s %s" % (_fmt(x), _fmt(y))
-
-
-def _cos_sin(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``math.cos`` and ``math.sin`` of each value."""
-    t = t.tolist()
-    return np.array([math.cos(x) for x in t]), np.array([math.sin(x) for x in t])
+def _commands(line: np.ndarray, arc: str, values: np.ndarray, end: np.ndarray) -> list[str]:
+    """One path command per segment, each one ``%.9g`` format: ``L x y`` to the pixel ``end`` where ``line``,
+    else the command ``arc`` of the segment's row of ``values`` and its end."""
+    return format_rows_by(line, "L %.9g %.9g", end[line], arc, np.column_stack([values[~line], end[~line]]))
 
 
 def _sweep_flags(p0, pm, p1) -> np.ndarray:
@@ -116,32 +126,28 @@ def _sweep_flags(p0, pm, p1) -> np.ndarray:
     return (cross > 0).astype(int)
 
 
-def _ortho_commands(arcs: ArcStack, a, b, frame: _Frame) -> list[str]:
+def _ortho_commands(arcs: ArcStack, j, t, a, b, frame: _Frame) -> list[str]:
     """The path commands of the pieces' orthographic images, one per segment.
 
     A piece's image is an ellipse arc with centre c and conjugate radii
     e, f (the projected cos r z, sin r u, sin r v), so the point at t is
     c + cos t e + sin t f; its semi-axes and rotation come from one batched
-    SVD of the matrices [e f], and a flat image is a line.
+    SVD of the matrices [e f], and a flat image is a line.  ``j`` and ``t``
+    are the ``_segments`` of ``arcs``.
     """
-    i, t0, t1 = _segments(arcs)
     c = [arcs.cos_r * row_dots(arcs.z, w) for w in (a, b)]
     e = [arcs.sin_r * row_dots(arcs.u, w) for w in (a, b)]
     f = [arcs.sin_r * row_dots(arcs.v, w) for w in (a, b)]
-    px = []
-    for t in (t0, 0.5 * (t0 + t1), t1):
-        cos, sin = _cos_sin(t)
-        px.append(frame.to_px(np.column_stack([c[k][i] + cos * e[k][i] + sin * f[k][i] for k in (0, 1)])))
+    cos, sin = math_each(math.cos, t), math_each(math.sin, t)
+    px = frame.to_px(np.column_stack([c[k][j] + cos * e[k][j] + sin * f[k][j] for k in (0, 1)])).reshape(3, -1, 2)
     uu, ss, _ = np.linalg.svd(np.stack([e, f], axis=-1).transpose(1, 0, 2))
-    theta = np.array([math.degrees(math.atan2(y, x)) for x, y in zip(uu[:, 0, 0].tolist(), uu[:, 1, 0].tolist())])
+    theta = math_each(math.degrees, math_each(math.atan2, uu[:, 1, 0], uu[:, 0, 0]))
+    i = j[: len(j) // 3]
     rx, ry = ss[i, 0] * frame.scale, ss[i, 1] * frame.scale
     flat = ry < 1e-9 * np.maximum(rx, 1.0)
     # y flip mirrors the ellipse rotation
-    rows = zip(flat.tolist(), rx.tolist(), ry.tolist(), (-theta[i]).tolist(), _sweep_flags(*px).tolist(), px[2].tolist())
-    return [
-        _line_to(x, y) if line else "A %s %s %s 0 %d %s %s" % (_fmt(r1), _fmt(r2), _fmt(th), sw, _fmt(x), _fmt(y))
-        for line, r1, r2, th, sw, (x, y) in rows
-    ]
+    values = np.column_stack([rx, ry, -theta[i], _sweep_flags(*px)])
+    return _commands(flat, "A %.9g %.9g %.9g 0 %d %.9g %.9g", values, px[2])
 
 
 def _stereo_px(x: np.ndarray, v, a, b, frame: _Frame) -> np.ndarray:
@@ -150,30 +156,28 @@ def _stereo_px(x: np.ndarray, v, a, b, frame: _Frame) -> np.ndarray:
     return frame.to_px(np.column_stack([row_dots(x, a) / w, row_dots(x, b) / w]))
 
 
-def _stereo_commands(arcs: ArcStack, v, a, b, frame: _Frame) -> list[str]:
+def _stereo_commands(arcs: ArcStack, j, t, v, a, b, frame: _Frame) -> list[str]:
     """The path commands of the pieces' stereographic images, one per segment.
 
     A circle's image is a circle: each segment is the arc of the
     circumcircle of its projected start, middle and end pixels, or a line
-    when that circle is (nearly) flat.
+    when that circle is (nearly) flat.  ``j`` and ``t`` are the
+    ``_segments`` of ``arcs``.
     """
-    i, t0, t1 = _segments(arcs)
-    px = [_stereo_px(arcs.point_at(t, i), v, a, b, frame) for t in (t0, 0.5 * (t0 + t1), t1)]
+    q = _stereo_px(arcs.point_at(t, j), v, a, b, frame)
+    px = q.reshape(3, -1, 2)
     (ax, ay), (bx, by), (cx, cy) = (p.T for p in px)
     # ``**`` is the C pow(), which rounds some squares unlike x * x
-    a2, b2, c2 = (np.array([x**2 + y**2 for x, y in p.tolist()]) for p in px)
+    two = np.full(len(j), 2.0)
+    a2, b2, c2 = (math_each(pow, q[:, 0], two) + math_each(pow, q[:, 1], two)).reshape(3, -1)
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     with np.errstate(divide="ignore", invalid="ignore"):
         ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
         uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
         dx, dy = ax - ux, ay - uy
-    r = np.array([math.hypot(x, y) for x, y in zip(dx.tolist(), dy.tolist())])
+    r = math_each(math.hypot, dx, dy)
     flat = (np.abs(d) < 1e-9) | (r > 1e7)
-    rows = zip(flat.tolist(), r.tolist(), _sweep_flags(*px).tolist(), px[2].tolist())
-    return [
-        _line_to(x, y) if line else "A %s %s 0 0 %d %s %s" % (_fmt(rr), _fmt(rr), sw, _fmt(x), _fmt(y))
-        for line, rr, sw, (x, y) in rows
-    ]
+    return _commands(flat, "A %.9g %.9g 0 0 %d %.9g %.9g", np.column_stack([r, r, _sweep_flags(*px)]), px[2])
 
 
 def render_svg(bodies: Sequence[ConvexBody], projection: str = "orthographic", view=None) -> str:
@@ -183,8 +187,10 @@ def render_svg(bodies: Sequence[ConvexBody], projection: str = "orthographic", v
     witnesses.  Orthographic projection requires every body to lie in the
     open front hemisphere of the view direction, stereographic projection
     every body to keep x . v above -1 + 1e-6; either raises ``ValueError``
-    otherwise.
+    otherwise, as do an empty list of bodies and a body without arcs.
     """
+    if not len(bodies):
+        raise ValueError("render_svg needs at least one body")
     if projection not in ("orthographic", "stereographic"):
         raise ValueError("projection must be orthographic or stereographic")
     if view is None:
@@ -192,35 +198,33 @@ def render_svg(bodies: Sequence[ConvexBody], projection: str = "orthographic", v
     v = unit(np.asarray(view, dtype=float))
     a, b = tangent_basis(v)
 
+    # every body's arcs in one stack, body k from row first[k]: each step below is one pass over all of them
+    counts = [len(body.arcs) for body in bodies]
+    if not all(counts):
+        raise ValueError("render_svg needs at least one arc per body")
+    arcs = join_stacks(*(body.arcs for body in bodies))
+    first = np.cumsum([0] + counts[:-1])
     stereographic = projection == "stereographic"
-    boxes = []
-    for body in bodies:
-        arcs = body.arcs
-        front = float(arc_dot_range(arcs, arcs.t0, arcs.t1, v)[0].min())
-        if not stereographic and front <= 0.0:
-            raise ValueError("body is not contained in the front hemisphere")
-        if stereographic and front <= -1.0 + 1e-6:
-            raise ValueError("body passes through the projection point")
-        boxes.append(projected_box(arcs, v, a, b, stereographic))
-    lo, hi = zip(*boxes)
-    frame = _Frame(np.min(lo, axis=0), np.max(hi, axis=0))
+    front = np.minimum.reduceat(arc_dot_range(arcs, v)[0], first)
+    if not stereographic and (front <= 0.0).any():
+        raise ValueError("body is not contained in the front hemisphere")
+    if stereographic and (front <= -1.0 + 1e-6).any():
+        raise ValueError("body passes through the projection point")
+    frame = _Frame(*projected_box(arcs, v, a, b, stereographic))
 
+    j, t = _segments(arcs)
+    start = arcs.start[first]
+    if stereographic:
+        p0 = _stereo_px(start, v, a, b, frame)
+        cmds = _stereo_commands(arcs, j, t, v, a, b, frame)
+    else:
+        p0 = frame.to_px(np.column_stack([row_dots(start, a), row_dots(start, b)]))
+        cmds = _ortho_commands(arcs, j, t, a, b, frame)
+    bounds = [0] + np.searchsorted(j[: len(j) // 3], first[1:]).tolist() + [len(cmds)]  # body k's segments
     paths = []
-    for k, body in enumerate(bodies):
-        arcs = body.arcs
-        if projection == "orthographic":
-            start = arcs.start[:1]
-            p0 = frame.to_px(np.column_stack([row_dots(start, a), row_dots(start, b)]))[0]
-            cmds = _ortho_commands(arcs, a, b, frame)
-        else:
-            p0 = _stereo_px(arcs.start[:1], v, a, b, frame)[0]
-            cmds = _stereo_commands(arcs, v, a, b, frame)
-        cmds = ["M %s %s" % (_fmt(p0[0]), _fmt(p0[1]))] + cmds + ["Z"]
-        stroke = STROKES[k % len(STROKES)]
-        paths.append(
-            '<path d="%s" fill="none" stroke="%s" stroke-width="2"/>'
-            % (" ".join(cmds), stroke)
-        )
+    for k, (x, y) in enumerate(p0.tolist()):
+        d = " ".join(["M %.9g %.9g" % (x, y)] + cmds[bounds[k] : bounds[k + 1]] + ["Z"])
+        paths.append('<path d="%s" fill="none" stroke="%s" stroke-width="2"/>' % (d, STROKES[k % len(STROKES)]))
 
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'

@@ -11,13 +11,18 @@ A ``SmallCircleArc`` has r < pi/2 and the canonical ``tangent_basis`` frame; a
 the one test that tells the two apart on a stack.  Sampling, support poles,
 distance and farthest-point queries are therefore one closed form for both,
 and so is ``arc_dot_range``, the exact range of x . w along stacked arcs,
-which validation and the Hausdorff structural caps share.
+which validation and the Hausdorff structural caps share; each stack takes
+the cosines and sines of its ends once (``ArcStack.end_trig``), and a part
+of its arcs is ``ArcStack.part``.
 ``stack_arcs`` lays out a whole boundary as arrays; ``great_arc_stack`` and
 ``small_arc_stack`` build them from ends, or centres, radii and azimuths, in
 one pass, each piece object being the one-row case (``arc_pieces`` gives a
-stack's rows as objects).  The distance kernels and the least support-pole
-dot take a stack for one column per piece, ``farthest_on_piece`` one with a
-piece per block of points, the Hausdorff structural caps one per body.
+stack's rows as objects).  Where a value must be ``math``'s rather than
+numpy's, ``math_each`` maps the ``math`` function over a whole column at C
+level, so no builder runs Python code per row.  The distance kernels and
+the least support-pole dot take a stack for one column per piece,
+``farthest_on_piece`` one with a piece per block of points, the Hausdorff
+structural caps one per body.
 Everything here is a pure function over immutable values and is safe to call
 concurrently.
 """
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +52,7 @@ def unit(v) -> Vec:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError("expected a 3-vector, got shape %s" % (a.shape,))
-    n = float(np.linalg.norm(a))
+    n = math.sqrt(a.dot(a))  # np.linalg.norm of a vector, without its dispatch
     if n < DOT_EPS:
         raise ValueError("cannot normalize a near-zero vector")
     return a / n
@@ -60,7 +66,13 @@ def unit_rows(m) -> np.ndarray:
     or underflows in its norm."""
     a = np.asarray(m, dtype=float)
     a = np.ldexp(a, -np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1])
-    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+    return a / np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=True))
+
+
+def norm_rows(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1)`` of a float array, bit for bit: the root of the same sum of squares, without
+    the dispatch that costs more than the sum on a few rows."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -88,8 +100,13 @@ def unit_each(m) -> np.ndarray:
 
 
 def math_each(f, *columns) -> np.ndarray:
-    """``f`` of the Python floats of each row of ``columns``: ``math``'s values, which numpy's need not match bit for bit."""
-    return np.array([f(*row) for row in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))], dtype=float)
+    """``f`` of the Python floats of each row of the 1-D ``columns``, as one C-level ``map`` over their lists.
+
+    The values are ``math``'s, bit for bit, which numpy's need not be; no
+    Python code runs per row unless ``f`` is itself written in Python.
+    """
+    lists = [np.asarray(c, dtype=float).tolist() for c in columns]
+    return np.fromiter(map(f, *lists), dtype=float, count=len(lists[0]))
 
 
 def dot(a: Vec, b: Vec) -> float:
@@ -115,13 +132,21 @@ def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def acos_clamped(x) -> float:
-    """arccos with the argument clamped to [-1, 1].
+    """arccos with the argument clamped to [-1, 1], for one Python float.
 
     A dot product of unit vectors can drift past -+1 by roundoff; clamped,
-    its arccos is 0 or pi rather than NaN.  ``acos_clamped_np`` is the numpy
-    form.
+    its arccos is 0 or pi rather than NaN, and a NaN argument gives pi.
+    ``acos_clamped_each`` is the same for a whole column, bit for bit;
+    ``acos_clamped_np`` is the numpy form, which need not round as ``math``
+    does.
     """
     return math.acos(min(1.0, max(-1.0, x)))
+
+
+def acos_clamped_each(x) -> np.ndarray:
+    """``acos_clamped`` of each value of a column, bit for bit: ``math.acos`` mapped over it (``math_each``)
+    after the same clamp, with NaN clamped to -1 (``np.clip`` would keep it)."""
+    return math_each(math.acos, np.minimum(np.fmax(x, -1.0), 1.0))
 
 
 def acos_clamped_np(x) -> np.ndarray:
@@ -145,7 +170,8 @@ def chord_distance(p: Vec, q: Vec) -> float:
     to third order, so it is the right metric for near-coincidence tests at
     tolerances below 1e-8.
     """
-    return float(np.linalg.norm(p - q))
+    d = p - q
+    return math.sqrt(d.dot(d))
 
 
 def lune_thickness(pole_a: Vec, pole_b: Vec) -> float:
@@ -324,6 +350,23 @@ class ArcStack:
         """Whether each row is a great arc, radius pi/2; ``small_arc_stack`` refuses radii within ``DOT_EPS`` of it."""
         return self.radius == 0.5 * math.pi
 
+    @cached_property
+    def end_trig(self) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of (t0, t1), each (2, rows), taken once per stack.
+
+        Validation's pole integral and hemisphere range (``arc_dot_range``),
+        ``min_support_dot`` and ``ConvexBody.junction_poles`` all read these
+        values; ``small_arc_stack`` and ``part`` keep the ones they made
+        their ends from.
+        """
+        t = np.array([self.t0, self.t1])
+        return np.cos(t), np.sin(t)
+
+    def part(self, tl, tr) -> ArcStack:
+        """The rows' arcs over the parameters [tl[i], tr[i]] of their own frames; start and end are
+        ``point_at(tl)`` and ``point_at(tr)`` bit for bit."""
+        return _arcs_over(self.z, self.u, self.v, self.radius, self.cos_r, self.sin_r, tl, tr)
+
     def _terms(self, t, rows):
         """cos r, sin r, z and the ring cos t u + sin t v of the rows ``rows`` (all rows for None)."""
         cos_r, sin_r, z, u, v = self.cos_r, self.sin_r, self.z, self.u, self.v
@@ -349,6 +392,15 @@ def stack_arcs(pieces) -> ArcStack:
     )
 
 
+def _arcs_over(z, u, v, radius, cos_r, sin_r, t0, t1) -> ArcStack:
+    """The stack of the arcs over [t0, t1], its ends made from the one cos/sin round it keeps (``end_trig``)."""
+    cos, sin = np.cos([t0, t1]), np.sin([t0, t1])
+    start, end = cos_r[:, None] * z + sin_r[:, None] * (cos[..., None] * u + sin[..., None] * v)
+    a = ArcStack(z=z, u=u, v=v, start=start, end=end, radius=radius, cos_r=cos_r, sin_r=sin_r, t0=t0, t1=t1, span=t1 - t0)
+    a.__dict__["end_trig"] = cos, sin
+    return a
+
+
 def _no_arcs() -> ArcStack:
     """The stack of zero rows, shaped as the builders leave it, without their numpy calls."""
     rows, values = np.empty((0, 3)), np.empty(0)
@@ -362,23 +414,26 @@ def great_arc_stack(starts, ends) -> ArcStack:
     ``GreatArc(starts[i], ends[i])`` objects: the rows are normalised as
     ``unit`` does (``unit_each``), the dot product is written out in the
     order of ``dot``, the poles are ``cross_rows``, and each length is
-    ``acos_clamped`` of its cosine (``np.arccos`` rounds some values
-    differently).  Raises ``DegenerateArc`` when some pair of ends is equal
-    or antipodal.  Zero rows give the empty stack at once.
+    ``acos_clamped`` of its cosine (``acos_clamped_each``, one C-level map
+    of ``math.acos``; ``np.arccos`` rounds some values differently).
+    Raises ``DegenerateArc`` when some pair of ends is equal or antipodal.
+    Zero rows give the empty stack at once.
     """
-    if not len(starts):
+    n = len(starts)
+    if not n:
         return _no_arcs()
-    s, e = unit_each(starts), unit_each(ends)
+    # unit_each is per row, so each pair of columns is normalised in one call
+    se = unit_each(np.concatenate([starts, ends]))
+    s, e = se[:n], se[n:]
     c = s[:, 0] * e[:, 0] + s[:, 1] * e[:, 1] + s[:, 2] * e[:, 2]
     if (np.abs(c) >= 1.0 - DOT_EPS).any():
         raise DegenerateArc("great arc endpoints equal or antipodal")
-    pole = cross_rows(s, e)
-    length = math_each(acos_clamped, c)
-    n = len(s)
+    zv = unit_each(np.concatenate([cross_rows(s, e), e - c[:, None] * s]))
+    length = acos_clamped_each(c)
     return ArcStack(
-        z=unit_each(pole),
+        z=zv[:n],
         u=s,
-        v=unit_each(e - c[:, None] * s),
+        v=zv[n:],
         start=s,
         end=e,
         radius=np.full(n, 0.5 * math.pi),
@@ -414,9 +469,7 @@ def small_arc_stack(centers, radius, az_from, az_to) -> ArcStack:
     t0 = np.where(t0 < 0, t0 + TWO_PI, t0)
     t1 = t0 + np.minimum(span, TWO_PI)
     u, v = tangent_frames(z)
-    cos_r, sin_r = math_each(math.cos, r), math_each(math.sin, r)
-    ends = cos_r[:, None] * z + sin_r[:, None] * (np.cos([t0, t1])[..., None] * u + np.sin([t0, t1])[..., None] * v)
-    return ArcStack(z=z, u=u, v=v, start=ends[0], end=ends[1], radius=r, cos_r=cos_r, sin_r=sin_r, t0=t0, t1=t1, span=t1 - t0)
+    return _arcs_over(z, u, v, r, math_each(math.cos, r), math_each(math.sin, r), t0, t1)
 
 
 def join_stacks(*stacks: ArcStack, keys=None) -> ArcStack:
@@ -459,12 +512,13 @@ def sample_piece(piece: CircleArc, n: int) -> np.ndarray:
 def length_weighted_counts(arcs: ArcStack, count: int) -> np.ndarray:
     """Sample counts per piece of the stack, about ``count`` in all.
 
-    Each piece gets a share proportional to its length, and at least four;
-    the lengths are summed in chain order, as Python floats.
+    Each piece gets a share proportional to its length, rounded half to
+    even (``np.rint``, as ``round`` does), and at least four; the lengths
+    are summed in chain order, as Python floats.
     """
-    lengths = (arcs.span * arcs.sin_r).tolist()
-    total = max(sum(lengths), 1e-12)
-    return np.array([max(4, int(round(count * x / total))) for x in lengths])
+    lengths = arcs.span * arcs.sin_r
+    total = max(sum(lengths.tolist()), 1e-12)
+    return np.maximum(4, np.rint(count * lengths / total).astype(int))
 
 
 def linspace_grid(t0, t1, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -502,35 +556,36 @@ def _dots(x: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.matmul(x, vecs[:, :, None])[..., 0].T
 
 
-def sinusoid_range(a, b, tl, tr):
+def sinusoid_range(a, b, tl, tr, cos, sin):
     """Exact range of a cos t + b sin t over t in [tl, tr], elementwise.
 
-    The sinusoid has amplitude rho = hypot(a, b) and is extreme at the ends,
-    and at t = atan2(b, a) (value rho) or t + pi (value -rho) when those lie
-    inside the range.  The arguments broadcast; returns the minimum, the
-    maximum and rho.
+    ``cos`` and ``sin`` hold the cosines and sines of tl and tr, stacked
+    (an ``ArcStack.end_trig``).  The sinusoid has amplitude rho = hypot(a, b)
+    and is extreme at the ends, and at t = atan2(b, a) (value rho) or
+    t + pi (value -rho) when those lie inside the range.  The arguments
+    broadcast; returns the minimum, the maximum and rho.
     """
     rho = np.hypot(a, b)
     rel = np.arctan2(b, a) - tl
-    e0 = a * np.cos(tl) + b * np.sin(tl)
-    e1 = a * np.cos(tr) + b * np.sin(tr)
+    e0 = a * cos[0] + b * sin[0]
+    e1 = a * cos[1] + b * sin[1]
     lo, hi = np.minimum(e0, e1), np.maximum(e0, e1)
     hi = np.where(wrap_angle(rel) <= tr - tl, np.maximum(hi, rho), hi)
     lo = np.where(wrap_angle(rel + math.pi) <= tr - tl, np.minimum(lo, -rho), lo)
     return lo, hi, rho
 
 
-def arc_dot_range(arcs: ArcStack, tl, tr, w: np.ndarray):
+def arc_dot_range(arcs: ArcStack, w: np.ndarray):
     """Exact range of x . w over arcs, elementwise.
 
-    Row i is the arc of ``arcs[i]`` over the parameters [tl[i], tr[i]], where
-    x(t) . w = cos r (z . w) + sin r (au cos t + av sin t), whose sinusoid
-    ``sinusoid_range`` bounds.  Arc i takes the vector w[i], or every arc
-    one w; vectors w of shape (m, 1, 3) give (m, n) ranges, each vector
-    against every arc.  Returns the minimum, the maximum and the sinusoid's
-    amplitude rho = hypot(au, av).
+    Along arc i, x(t) . w = cos r (z . w) + sin r (au cos t + av sin t), whose
+    sinusoid ``sinusoid_range`` bounds over [t0, t1] from the stack's
+    ``end_trig`` (a part of an arc is a row of ``ArcStack.part``).  Arc
+    i takes the vector w[i], or every arc one w; vectors w of shape
+    (m, 1, 3) give (m, n) ranges, each vector against every arc.  Returns
+    the minimum, the maximum and the sinusoid's amplitude rho = hypot(au, av).
     """
-    lo, hi, rho = sinusoid_range((arcs.u * w).sum(axis=-1), (arcs.v * w).sum(axis=-1), tl, tr)
+    lo, hi, rho = sinusoid_range((arcs.u * w).sum(axis=-1), (arcs.v * w).sum(axis=-1), arcs.t0, arcs.t1, *arcs.end_trig)
     g, s = arcs.cos_r * (arcs.z * w).sum(axis=-1), arcs.sin_r
     return g + s * lo, g + s * hi, rho
 
@@ -587,7 +642,7 @@ def min_support_dot(points: np.ndarray, arcs: ArcStack) -> np.ndarray:
     if arcs.great.all():
         # great arcs only: the sinusoid's term is 0 * hi, with hi finite
         return arcs.sin_r * _dots(x, arcs.z)
-    _, hi, _ = sinusoid_range(_dots(x, arcs.u), _dots(x, arcs.v), arcs.t0, arcs.t1)
+    _, hi, _ = sinusoid_range(_dots(x, arcs.u), _dots(x, arcs.v), arcs.t0, arcs.t1, *arcs.end_trig)
     return arcs.sin_r * _dots(x, arcs.z) - arcs.cos_r * hi
 
 

@@ -28,6 +28,7 @@ curved-body edits made one ``CircleArc`` object at a time, whose stacks
 and ``generators.convex_hull_with_point`` to roundoff.
 """
 
+import json
 import math
 
 import numpy as np
@@ -54,12 +55,13 @@ from spherewidth.body import (
 )
 from spherewidth.errors import BudgetExhausted, DegenerateArc, DualOverlap
 from spherewidth.generators import cap, complete_selfdual, rotated, rotation_from_seed
-from spherewidth.render import MAX_SEG_SPAN, STROKES, _fmt, _Frame, projected_box
+from spherewidth.render import MAX_SEG_SPAN, STROKES, _Frame, projected_box
 from spherewidth.sphere import (
     BOUNDARY_EPS,
     DOT_EPS,
     TWO_PI,
     GreatArc,
+    _dots,
     SmallCircleArc,
     acos_clamped_np,
     arc_pole,
@@ -69,6 +71,7 @@ from spherewidth.sphere import (
     dot,
     linspace_grid,
     sample_piece,
+    sinusoid_range,
     stack_arcs,
     tangent_basis,
     unit,
@@ -646,6 +649,11 @@ def _sweep_flag(p0, pm, p1):
     return 1 if turn > 0 else 0
 
 
+def _fmt(x: float) -> str:
+    """One number of a path command, formatted on its own."""
+    return format(float(x), ".9g")
+
+
 def _ortho_segment(piece, t0, t1, a, b, frame):
     c2, e, f = _conjugate_frame(piece, a, b)
     q0 = c2 + math.cos(t0) * e + math.sin(t0) * f
@@ -728,3 +736,145 @@ def render_svg_per_segment(bodies, projection="orthographic", view=None):
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="0 0 1000 1000">\n' + "\n".join(paths) + "\n</svg>\n"
     )
+
+
+# ------------------------------------------------- per-value references
+
+
+def math_each_per_row(f, *columns):
+    """``sphere.math_each`` as a Python loop: ``f`` called on the Python floats of one row at a time."""
+    return np.array([f(*row) for row in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))], dtype=float)
+
+
+def length_weighted_counts_per_row(arcs, count):
+    """``sphere.length_weighted_counts`` one piece at a time: Python's ``round`` of each share, at least four."""
+    lengths = (arcs.span * arcs.sin_r).tolist()
+    total = max(sum(lengths), 1e-12)
+    return np.array([max(4, int(round(count * x / total))) for x in lengths])
+
+
+def _num(x):
+    return format(float(x), ".17g")
+
+
+def _vec(v):
+    return "[%s]" % ",".join(_num(c) for c in v)
+
+
+def dumps_body_per_number(body):
+    """``formats.dumps_body`` with each number formatted on its own and each piece record joined from them."""
+    if isinstance(body, Polytope):
+        return '{"kind":"polytope","vertices":[%s]}' % ",".join(_vec(v) for v in body.vertices.tolist())
+    a = body.arcs
+    parts = []
+    for great, start, end, z, r, t0, t1 in zip(
+        a.great.tolist(), a.start.tolist(), a.end.tolist(), a.z.tolist(), a.radius.tolist(), a.t0.tolist(), a.t1.tolist()
+    ):
+        if great:
+            parts.append('{"type":"great","from":%s,"to":%s}' % (_vec(start), _vec(end)))
+        else:
+            parts.append(
+                '{"type":"circle","center":%s,"radius":%s,"az_from":%s,"az_to":%s}' % (_vec(z), _num(r), _num(t0), _num(t1))
+            )
+    return '{"kind":"pc-body","interior":%s,"pieces":[%s]}' % (_vec(body.interior), ",".join(parts))
+
+
+def loads_body_per_record(text):
+    """The body of a ``pc-body`` file built one piece object per record."""
+    obj = json.loads(text)
+    pieces = [
+        GreatArc(rec["from"], rec["to"])
+        if rec["type"] == "great"
+        else SmallCircleArc(rec["center"], rec["radius"], rec["az_from"], rec["az_to"])
+        for rec in obj["pieces"]
+    ]
+    return ConvexBody(pieces, obj["interior"])
+
+
+def junction_poles_per_end(body):
+    """``ConvexBody.junction_poles``'s k_end and k_next from ``support_pole_at`` of t1 and t0, one cos/sin round."""
+    a = body.arcs
+    k_end, k_start = a.support_pole_at(np.array([a.t1, a.t0]))
+    return k_end, np.roll(k_start, -1, axis=0)
+
+
+def validate_three_rounds(body):
+    """The checks of ``body.validate``, each reading its own cosines and sines of t0 and t1.
+
+    The pole integral, the hemisphere range, the support-orientation range
+    and the junction poles (``junction_poles_per_end``) each take a fresh
+    ``np.cos``/``np.sin`` round, as the stacked ``validate`` did before each
+    stack kept one (``ArcStack.end_trig``).
+    """
+    try:
+        a = body.arcs
+    except DegenerateArc:
+        return [ValidationCheck("edges-nondegenerate", False, 1.0)]
+    n = len(a)
+    checks = [ValidationCheck("piece-count", n >= 1, float(max(0, 1 - n)))]
+    if n == 0:
+        return checks
+    gap = float(np.linalg.norm(a.end - np.roll(a.start, -1, axis=0), axis=1).max())
+    checks.append(ValidationCheck("closure", gap <= BOUNDARY_EPS, gap))
+
+    def trig():
+        return np.array([np.cos(a.t0), np.cos(a.t1)]), np.array([np.sin(a.t0), np.sin(a.t1)])
+
+    ring = (np.sin(a.t1) - np.sin(a.t0))[:, None] * a.u + (np.cos(a.t0) - np.cos(a.t1))[:, None] * a.v
+    pole_sum = ((a.sin_r * a.span)[:, None] * a.z - a.cos_r[:, None] * ring).sum(axis=0)
+    w = body.interior
+    candidates = np.array([w, unit(pole_sum)]) if np.linalg.norm(pole_sum) > DOT_EPS else w[None]
+    k = candidates[:, None]
+    lo = sinusoid_range((a.u * k).sum(axis=-1), (a.v * k).sum(axis=-1), a.t0, a.t1, *trig())[0]
+    lo = a.cos_r * (a.z * k).sum(axis=-1) + a.sin_r * lo
+    min_dot = float(lo.min(axis=1).max())
+    checks.append(ValidationCheck("hemispherical", min_dot >= -BOUNDARY_EPS, -min_dot))
+
+    x = w[None]
+    support = a.sin_r * _dots(x, a.z)
+    if not a.great.all():
+        support = support - a.cos_r * sinusoid_range(_dots(x, a.u), _dots(x, a.v), a.t0, a.t1, *trig())[1]
+    worst_support = min(1.0, float(support.min()))
+    checks.append(ValidationCheck("support-orientation", worst_support > DOT_EPS, -worst_support))
+
+    k_end, k_next = junction_poles_per_end(body)
+    turns = np.arctan2((cross_rows(k_end, k_next) * a.end).sum(axis=1), (k_end * k_next).sum(axis=1))
+    min_turn, max_turn = float(turns.min()), float(turns.max())
+    checks.append(ValidationCheck("convex-turns", min_turn >= -BOUNDARY_EPS, -min_turn))
+    checks.append(ValidationCheck("corner-not-cusp", max_turn <= math.pi - 1e-9, max_turn))
+
+    min_len = float((a.span * a.sin_r).min())
+    checks.append(ValidationCheck("piece-nondegenerate", min_len > 1e-12, -min_len))
+
+    pole_gap = np.linalg.norm(k_end - k_next, axis=1)
+    great = a.great
+    flat = float(pole_gap[great & np.roll(great, -1)].min(initial=np.inf))
+    checks.append(ValidationCheck("no-redundant-vertices", flat > BOUNDARY_EPS, -flat))
+    return checks
+
+
+def rounded_reuleaux_per_piece(k, delta, center=(0.0, 0.0, 1.0)):
+    """``generators.rounded_reuleaux`` built one ``SmallCircleArc`` at a time.
+
+    Each pair of partner arcs about V_c is made from a probe circle about
+    V_c, whose ``azimuth_of`` the two opposite vertices gives their span.
+    """
+    z = unit(center)
+    m = (k - 1) // 2
+    sin_rho = math.sqrt((1.0 - math.sin(2.0 * delta)) / (1.0 - math.cos(TWO_PI * m / k)))
+    ring = SmallCircleArc(z, math.asin(sin_rho), 0.0, TWO_PI)
+    verts = ring.point_at(TWO_PI * np.arange(k) / k)
+
+    def partners(c):
+        probe = SmallCircleArc(verts[c], delta, 0.0, TWO_PI)
+        a0, a1 = probe.azimuth_of(verts[[(c + m) % k, (c + m + 1) % k]])
+        span = (a1 - a0) % TWO_PI
+        return (
+            SmallCircleArc(verts[c], delta, a0 + math.pi, a0 + math.pi + span),
+            SmallCircleArc(verts[c], 0.5 * math.pi - delta, a0, a0 + span),
+        )
+
+    pieces = []
+    for i in range(k):
+        pieces += [partners(i)[0], partners((i + m + 1) % k)[1]]
+    return ConvexBody(pieces, z)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import oracles
 import pytest
-from fixtures import lens, perturbed, selfdual_polytopes
+from fixtures import acceptance_corpus, curved_bodies, curved_tampered, lens, perturbed, selfdual_polytopes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -224,6 +224,20 @@ def test_validate_matches_per_piece_reference():
         np.testing.assert_allclose(
             [g.magnitude for g in got], [w.magnitude for w in want], rtol=0.0, atol=1e-12
         )
+
+
+def test_validate_reads_one_cos_sin_round_bit_for_bit():
+    # the pole integral, the hemisphere and support ranges and the junction
+    # poles all read the stack's one cos/sin round of (t0, t1): the reports
+    # and poles are, bit for bit, those of a fresh np.cos/np.sin round per use
+    valid, failing = _validation_corpus()
+    bodies = [b for _, b in acceptance_corpus().values()] + list(curved_bodies().values())
+    bodies += list(curved_tampered().values()) + valid + [c for _, c in failing]
+    for body in bodies:
+        assert validate(body).checks == oracles.validate_three_rounds(body)
+        k_end, k_next, _, _ = body.junction_poles
+        want_end, want_next = oracles.junction_poles_per_end(body)
+        assert k_end.tobytes() == want_end.tobytes() and k_next.tobytes() == want_next.tobytes()
 
 
 def test_polytope_builds_its_edge_body_once():

@@ -2,11 +2,13 @@ import json
 import math
 
 import numpy as np
+import oracles
 import pytest
+from fixtures import curved_bodies, curved_selfdual_bodies
 
 from spherewidth.approx import ApproximationConfig, approximate_polytope
-from spherewidth.body import Polytope
-from spherewidth.errors import InvalidBody
+from spherewidth.body import ConvexBody, Polytope, polar_dual
+from spherewidth.errors import DegenerateArc, InvalidBody
 from spherewidth.formats import (
     dumps_body,
     dumps_certificate,
@@ -16,7 +18,7 @@ from spherewidth.formats import (
     loads_step_log,
 )
 from spherewidth.generators import cap, octant
-from spherewidth.sphere import unit
+from spherewidth.sphere import GreatArc, SmallCircleArc, unit
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -64,23 +66,6 @@ def test_certificate_roundtrip():
         assert s0.primal_piece_id == s1.primal_piece_id
 
 
-def _loads_per_record(text):
-    """The body of a ``pc-body`` file built one piece object per record."""
-    import json
-
-    from spherewidth.body import ConvexBody
-    from spherewidth.sphere import GreatArc, SmallCircleArc
-
-    obj = json.loads(text)
-    pieces = [
-        GreatArc(rec["from"], rec["to"])
-        if rec["type"] == "great"
-        else SmallCircleArc(rec["center"], rec["radius"], rec["az_from"], rec["az_to"])
-        for rec in obj["pieces"]
-    ]
-    return ConvexBody(pieces, obj["interior"])
-
-
 def test_great_arc_files_load_as_stacks_bit_for_bit():
     # a pc-body of great arcs only, the format ``dual`` wrote for a polygon
     # until it wrote polytope files, is still read record by record: its
@@ -100,7 +85,7 @@ def test_great_arc_files_load_as_stacks_bit_for_bit():
             continue
         new = loads_body(dumps_body(dual))
         text = dumps_body(chain_body(dual.arcs))
-        got, ref = loads_body(text), _loads_per_record(text)
+        got, ref = loads_body(text), oracles.loads_body_per_record(text)
         assert type(new) is Polytope and type(got) is not Polytope
         records = json.loads(text)["pieces"]
         want = great_arc_stack(*(np.array([r[key] for r in records]) for key in ("from", "to")))
@@ -111,6 +96,86 @@ def test_great_arc_files_load_as_stacks_bit_for_bit():
         assert np.abs(to_polytope(got).vertices - new.vertices).max() <= 1e-15
         great += 1
     assert great > 30
+
+
+def _signed_zero_bodies():
+    """A polytope and a pc-body of great and small arcs that carry -0.0 in their numbers."""
+    poly = Polytope([[1.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, -0.0, 1.0]])
+    pieces = [
+        GreatArc([1.0, -0.0, 0.0], [-0.0, 1.0, 0.0]),
+        SmallCircleArc([-0.0, 0.0, 1.0], 0.5, -0.0, 1.0),
+        GreatArc([0.0, 1.0, -0.0], [1.0, -0.0, 0.0]),
+    ]
+    return [poly, ConvexBody(pieces, [0.3, -0.0, 1.0])]
+
+
+def _writer_corpus():
+    bodies = _signed_zero_bodies() + [octant(), cap(E3, math.pi / 4)]
+    selfdual = curved_selfdual_bodies()
+    for name, body in curved_bodies().items():
+        bodies += [body, polar_dual(body)]
+        if name in selfdual:
+            bodies.append(approximate_polytope(body, ApproximationConfig(0.05))[0])
+    return bodies
+
+
+def test_body_writer_is_the_per_number_writer_byte_for_byte():
+    # one % format per vertex or record, mapped over the stack's rows, writes
+    # the bytes of formatting each number on its own, -0.0 as "-0"
+    bodies = _writer_corpus()
+    assert {type(b) for b in bodies} == {Polytope, ConvexBody}
+    for body in bodies:
+        assert dumps_body(body) == oracles.dumps_body_per_number(body)
+    assert all('"-0"' not in x and "-0," in x for x in map(dumps_body, _signed_zero_bodies()))
+
+
+def test_pc_body_files_load_as_the_stack_of_their_records():
+    # the great-arc records of a mixed file make one great_arc_stack, its
+    # small-circle records one small_arc_stack, joined in record order: bit
+    # for bit the stack of one piece object per record
+    from dataclasses import fields
+
+    mixed = 0
+    for body in _writer_corpus():
+        if isinstance(body, Polytope):
+            continue
+        text = dumps_body(body)
+        got, want = loads_body(text), oracles.loads_body_per_record(text)
+        for f in fields(want.arcs):
+            assert getattr(got.arcs, f.name).tobytes() == getattr(want.arcs, f.name).tobytes(), f.name
+        assert got.interior.tobytes() == want.interior.tobytes()
+        mixed += 0 < int(got.arcs.great.sum()) < len(got.arcs)
+    assert mixed >= 8
+    # an empty chain still loads, and fails validation on its piece count
+    assert len(loads_body('{"kind":"pc-body","interior":[0,0,1],"pieces":[]}').arcs) == 0
+
+
+@pytest.mark.parametrize("tag", ['"great\\u0000"', '"Great"', "1", '"circle "'])
+def test_unknown_piece_type_is_refused(tag):
+    # tags compare as Python strings: a trailing NUL, which a numpy string
+    # array would drop, or a number is no piece type
+    text = '{"kind":"pc-body","interior":[0,0,1],"pieces":[{"type":%s,"from":[1,0,0],"to":[0,1,0]}]}' % tag
+    with pytest.raises(InvalidBody, match="unknown piece type"):
+        loads_body(text)
+
+
+@pytest.mark.parametrize(
+    "record, error",
+    [
+        ('{"type":"great","from":[1,0,0],"to":[1,0,0]}', DegenerateArc),
+        ('{"type":"great","from":[0,0,0],"to":[1,0,0]}', ValueError),
+        ('{"type":"circle","center":[0,0,1],"radius":1.6,"az_from":0,"az_to":1}', ValueError),
+        ('{"type":"circle","center":[0,0,1],"radius":0.5,"az_from":1,"az_to":1}', ValueError),
+        ('{"type":"circle","center":[0,0,0],"radius":0.5,"az_from":0,"az_to":1}', ValueError),
+    ],
+)
+def test_degenerate_record_raises_what_its_object_does(record, error):
+    text = '{"kind":"pc-body","interior":[0,0,1],"pieces":[{"type":"circle","center":[0,0,1],"radius":0.7,"az_from":0,"az_to":3},%s]}' % record
+    with pytest.raises(error) as want:
+        oracles.loads_body_per_record(text)
+    with pytest.raises(error) as got:
+        loads_body(text)
+    assert type(got.value) is type(want.value) and not isinstance(got.value, InvalidBody)
 
 
 @pytest.mark.parametrize(

@@ -400,6 +400,19 @@ def test_rounded_reuleaux_has_constant_width_and_partner_arcs(k, delta):
         assert len(partners) == 1
 
 
+def test_rounded_reuleaux_stack_is_the_per_piece_build():
+    # the 2k arcs come from one small_arc_stack, each pair of opposite-vertex
+    # azimuths from one (2, 3) @ (3,) product, as the per-piece probe made them
+    for k in (3, 5, 9, 27, 81):
+        for delta in (0.05, 0.2):
+            for center in ((0.0, 0.0, 1.0), (1.0, -2.0, 0.5)):
+                got = rounded_reuleaux(k, delta, center)
+                want = oracles.rounded_reuleaux_per_piece(k, delta, center)
+                for f in fields(want.arcs):
+                    assert getattr(got.arcs, f.name).tobytes() == getattr(want.arcs, f.name).tobytes(), (k, delta, f.name)
+                assert got.interior.tobytes() == want.interior.tobytes()
+
+
 def test_rounded_reuleaux_rejects_bad_parameters():
     with pytest.raises(ValueError):
         rounded_reuleaux(4, 0.1)

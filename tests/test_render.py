@@ -3,11 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from fixtures import acceptance_corpus, rotated_reuleaux
+from fixtures import acceptance_corpus, curved_bodies, rotated_reuleaux
 from oracles import boundary_samples, render_svg_per_segment
 
 from spherewidth.approx import ApproximationConfig, approximate_polytope
-from spherewidth.body import Polytope, polar_dual
+from spherewidth.body import ConvexBody, Polytope, polar_dual
 from spherewidth.generators import cap, octant, rotated, rotation_from_seed
 from spherewidth.render import projected_box, render_svg
 from spherewidth.sphere import arc_dot_range, sample_piece, tangent_basis, unit, unit_rows
@@ -55,6 +55,18 @@ def test_path_endpoints_close_loop():
 
 
 def test_rejected_views():
+    # no body: refused first, before the mean view or any projection
+    for view in (None, E3):
+        with pytest.raises(ValueError, match="render_svg needs at least one body"):
+            render_svg([], view=view)
+        with pytest.raises(ValueError, match="at least one arc per body"):
+            render_svg([octant(), ConvexBody([], E3)], view=view)
+    # a second body is checked as the first: behind the view, or through its antipode
+    with pytest.raises(ValueError, match="front hemisphere"):
+        render_svg([octant(), Polytope(-octant().vertices)], view=VIEW)
+    through = Polytope(unit_rows([-VIEW, -VIEW + [0.3, 0.0, 0.0], -VIEW + [0.0, 0.3, 0.0]]))
+    with pytest.raises(ValueError, match="projection point"):
+        render_svg([octant(), through], "stereographic", view=VIEW)
     with pytest.raises(ValueError):
         render_svg([octant()], view=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
@@ -75,6 +87,9 @@ def test_stacked_render_is_the_per_segment_render_byte_for_byte(projection):
     scenes = []
     for _, body in acceptance_corpus().values():
         scenes += [[body], [polar_dual(body)]]
+    # many small-circle rows, and mixed great and small ones, seen from their witnesses
+    for body in curved_bodies().values():
+        scenes += [[body], [body, polar_dual(body)]]
     for seed in (1, 2, 3):
         c = rotated(cap(E3, math.pi / 4), rotation_from_seed(seed))
         for eps in (0.2, 0.003):
@@ -113,7 +128,7 @@ def test_front_check_is_exact_between_samples(projection):
     c = cap(unit([0.2, -0.4, 1.0]), 0.6)
     v = _dipping_view(c, limit - dip)
     assert float(np.min(boundary_samples(c, 256) @ v)) > limit + 1e-5
-    assert float(arc_dot_range(c.arcs, c.arcs.t0, c.arcs.t1, v)[0].min()) < limit
+    assert float(arc_dot_range(c.arcs, v)[0].min()) < limit
     with pytest.raises(ValueError):
         render_svg([c], projection, view=v)
     # the same rim as far on the other side of the limit renders
@@ -132,7 +147,7 @@ def _box_scenes():
         views = []
         while len(views) < count:
             v = unit(body.interior + 0.5 * rng.normal(size=3))
-            if float(arc_dot_range(a, a.t0, a.t1, v)[0].min()) >= 0.05:
+            if float(arc_dot_range(a, v)[0].min()) >= 0.05:
                 views.append(v)
         yield body, views
 

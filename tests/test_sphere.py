@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import oracles
@@ -230,6 +231,24 @@ def test_stacked_support_poles_are_per_piece_bit_for_bit():
         assert np.array_equal(arcs.support_pole_at(arcs.t1), [p.support_pole_at(p.t1)[0] for p in pieces])
 
 
+def test_arc_parts_and_end_trigonometry_are_bit_for_bit():
+    # a part of each arc keeps the cos/sin round its ends were made from;
+    # both equal point_at and a fresh np.cos/np.sin of the parameters
+    rng = np.random.default_rng(8)
+    pieces = [GreatArc(unit(rng.normal(size=3)), unit(rng.normal(size=3))) for _ in range(4)]
+    pieces += [SmallCircleArc(unit(rng.normal(size=3)), r, a, a + 2.0) for r, a in rng.uniform(0.1, 1.4, (5, 2))]
+    arcs = stack_arcs(pieces)
+    tl = arcs.t0 + rng.uniform(0.0, 0.5, len(arcs)) * arcs.span
+    tr = tl + rng.uniform(0.0, 0.5, len(arcs)) * arcs.span
+    part = arcs.part(tl, tr)
+    assert part.start.tobytes() == arcs.point_at(tl).tobytes() and part.end.tobytes() == arcs.point_at(tr).tobytes()
+    for a, lo, hi in ((arcs, arcs.t0, arcs.t1), (part, tl, tr)):
+        cos, sin = a.end_trig
+        assert cos.tobytes() == np.array([np.cos(lo), np.cos(hi)]).tobytes()
+        assert sin.tobytes() == np.array([np.sin(lo), np.sin(hi)]).tobytes()
+        assert np.array_equal(a.span, hi - lo) and np.array_equal(a.z, arcs.z)
+
+
 def test_row_dots_and_unit_each_are_per_row_bit_for_bit():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-6, 6, size=(500, 1))
@@ -242,6 +261,52 @@ def test_row_dots_and_unit_each_are_per_row_bit_for_bit():
     assert np.array_equal(unit_each(wide[:, 1:4]), [unit(p) for p in wide[:, 1:4]])
     with pytest.raises(ValueError):
         unit_each([E1, [0.0, 0.0, 0.0]])
+
+
+def test_math_each_is_the_row_loop_bit_for_bit():
+    # one C-level map of the math function over the columns' lists, equal to
+    # calling it on the Python floats of one row at a time
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=2000) * 10.0 ** rng.uniform(-8, 3, size=2000)
+    y = rng.normal(size=2000)
+    x[:4] = [0.0, -0.0, 1e-320, -1e-320]
+    cases = [(math.cos, x), (math.sin, x), (math.tan, x), (math.acos, np.clip(y, -1, 1)), (math.atan2, x, y)]
+    cases += [(math.hypot, x, y), (math.degrees, x), (pow, x, np.full_like(x, 2.0))]
+    for f, *columns in cases:
+        got = sphere.math_each(f, *columns)
+        assert got.dtype == float and got.shape == x.shape
+        assert got.tobytes() == oracles.math_each_per_row(f, *columns).tobytes(), f
+    assert sphere.math_each(math.cos, x[:0]).shape == (0,)
+
+
+def test_great_arc_lengths_are_acos_clamped_of_each_cosine():
+    # the lengths map math.acos over the cosines clamped as acos_clamped
+    # clamps them: past -+1 to 0 or pi, NaN to pi (np.clip would keep NaN)
+    rng = np.random.default_rng(14)
+    c = np.concatenate([rng.uniform(-1.0, 1.0, 500), [1.0 + 1e-15, 1.5, np.inf, -1.0 - 1e-15, -7.0, -np.inf]])
+    c = np.concatenate([c, [np.nan, -np.nan, 0.0, -0.0, 1.0, -1.0]])
+    want = np.array([sphere.acos_clamped(x) for x in c.tolist()])
+    assert sphere.acos_clamped_each(c).tobytes() == want.tobytes()
+    assert np.array_equal(sphere.acos_clamped_each(c)[-6:], [math.pi, math.pi, 0.5 * math.pi, 0.5 * math.pi, 0.0, math.pi])
+    # a NaN end passes the degeneracy test; its arc's length is acos_clamped's pi
+    ends = np.array([[E1, [np.nan, 0.0, 1.0]], [E2, E3]])
+    got = great_arc_stack(*ends)
+    assert np.array_equal(got.t1, [0.5 * math.pi, math.pi]) and np.array_equal(got.span, got.t1)
+    assert np.array_equal(got.t1, [oracles.great_arc_fields(s, e)["t1"] for s, e in zip(*ends)])
+
+
+def test_length_weighted_counts_are_the_list_form():
+    # shares of exactly k + 0.5 round half to even, as Python's round does:
+    # with count = 57 = the total length, each share is its length
+    lengths = np.array([4.5, 5.5, 6.5, 7.5, 0.5, 1.5, 2.5, 8.5, 9.5, 10.5])
+    ties = replace(stack_arcs([GreatArc(E1, E2)] * len(lengths)), span=lengths, sin_r=np.ones(len(lengths)))
+    got = sphere.length_weighted_counts(ties, 57)
+    assert got.tolist() == [4, 6, 6, 8, 4, 4, 4, 8, 10, 10]
+    bodies = [random_selfdual_polytope(30, 1), polar_dual(lens(E3, unit([0.5, 0.0, 1.0]), 0.7, 0.6))]
+    for arcs in [ties] + [b.arcs for b in bodies]:
+        for count in (57, 114, 4096, 3):
+            got, want = sphere.length_weighted_counts(arcs, count), oracles.length_weighted_counts_per_row(arcs, count)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _great_arc_ends(body):
