@@ -46,7 +46,7 @@ checks the output is inscribed in every chorded arc run of the input,
 circumscribed about every partner run and has an edge on every great-arc
 piece.  Any pair the walk does not cover (a curved result, an input
 without arc runs, an arbitrary file pair) is re-measured by the refinement
-``metrics.hausdorff``, whose value is a lower end within its tolerance.
+``metrics.hausdorff_bounds``, whose upper end it takes.
 For a polytope output the width range and the self-duality residual are
 proved upper-bound ends from its edge-pole/vertex pairing
 (``body.selfdual_residual_bound``), in O(n); a curved result takes them
@@ -104,7 +104,9 @@ from .body import (
     selfdual_residual_bound,
     to_polytope,
 )
-from .metrics import hausdorff, is_constant_width
+# ``hausdorff`` is not on certify's path, which takes ``hausdorff_bounds``' upper end: a test that must see the
+# refinement patches ``hausdorff_bounds``.  The name stays because the benchmark's self-test reads it here.
+from .metrics import hausdorff, hausdorff_bounds, is_constant_width  # noqa: F401
 
 
 SUBDIVISION_SAFETY = 0.5  # share of the budget epsilon the sagitta d(s) may use
@@ -149,8 +151,9 @@ class Certificate:
 
     ``hausdorff_bound`` bounds the Hausdorff distance to the input: the
     proved upper bound of ``pairing_bound`` for a polytope the walk covers,
-    as the chord construction's outputs are, else the refinement's lower
-    end, within ``metrics.HAUSDORFF_TOL``.  For a polytope output,
+    as the chord construction's outputs are, else the refinement's upper
+    end (``metrics.hausdorff_bounds``), within ``metrics.HAUSDORFF_TOL``
+    above its lower end.  For a polytope output,
     ``width_min`` and ``width_max`` are the proved ends
     pi/2 -+ rho and ``self_duality_residual`` is rho, the upper bound on its
     distance to its polar dual from the edge-pole/vertex pairing; a curved
@@ -420,6 +423,11 @@ class StepTable(Sequence):
             p[i], p[i + 1], self.q[i], self.q[i + 1], self.chords.r[x], int(primal[x]), int(dual[x]), float(self.d[x])
         )
 
+    def columns(self) -> np.ndarray:
+        """The ``StepRecord`` fields of every row as one float array, in field order, a vector as three columns."""
+        c, (primal, dual) = self.chords, self.piece_ids
+        return np.column_stack([c.p[c.k], c.p[c.k + 1], self.q[c.k], self.q[c.k + 1], c.r, primal, dual, self.d])
+
     @cached_property
     def q(self) -> np.ndarray:
         """The partner point of each sub-arc end: its azimuth shifted by pi on the partner row."""
@@ -498,7 +506,8 @@ def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
     The walk splits the boundary of C into the units of its run pairing
     (``ConvexBody.run_pairing``: one row per great-arc piece or arc run,
     each run paired with its partner, the first of a pair chorded); without
-    arc runs or with a run unpaired it returns None.  It locates each unit's
+    arc runs (checked before the pairing is built) or with a run unpaired
+    it returns None.  It locates each unit's
     start on P, at a vertex within eta or, where ``drop_flat_vertices``
     removed a junction because the edges on both sides lie on one great
     circle, inside an edge within eta of its great circle.  The located
@@ -565,7 +574,7 @@ def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
     C: so all of C is within h of P, likewise all of P within h of C,
     and H(C, P) <= h.
     """
-    pairing = run_pairing_or_none(original)
+    pairing = None if original.is_polytope() else run_pairing_or_none(original)
     if pairing is None or not pairing.chorded.any():
         return None
     a = pairing.arcs
@@ -642,9 +651,9 @@ def certify(original: ConvexBody, result: ConvexBody, config: ApproximationConfi
     ``is_constant_width``: its run pairing's closed form, or the sweep.
     Both are checked first, in O(n) for a polytope result, so a result
     that fails them is refused before its Hausdorff term is measured:
-    ``pairing_bound`` when that walk covers the pair, else the
-    ``hausdorff`` refinement.  Raises ``CertificationFailed`` naming the
-    violated bound, a NaN one too.  Never reads the construction, so the
+    ``pairing_bound`` when that walk covers the pair, else the upper end of
+    the ``hausdorff_bounds`` refinement.  Raises ``CertificationFailed``
+    naming the violated bound, a NaN one too.  Never reads the construction, so the
     certificate counts no steps or rounds.
     """
     require_valid(original)
@@ -673,7 +682,7 @@ def certify(original: ConvexBody, result: ConvexBody, config: ApproximationConfi
     # is a Polytope by now
     h = pairing_bound(original, result) if result.is_polytope() else None
     if h is None:
-        h = hausdorff(original, result)
+        h = hausdorff_bounds(original, result)[1]
     if not h <= 2.0 * config.epsilon:
         raise CertificationFailed(
             "hausdorff %.6g exceeds 2*epsilon = %.6g" % (h, 2 * config.epsilon),

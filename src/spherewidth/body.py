@@ -37,8 +37,12 @@ On a self-dual body the pieces pair up along that correspondence: each arc
 run with its partner run (``ConvexBody.run_pairing``, one table with a row
 per great-arc piece or arc run, built once from the stacked arcs and indexed
 by the gate, the chord construction and its certificate), each corner with
-a great-arc piece, and a polytope's edge poles with its vertices.  The
-proved bounds on H(C, C*), ``selfdual_residual_bound`` for a polytope and
+a great-arc piece, and a polytope's edge poles with its vertices.  Duality
+keeps the cyclic order, so each pairing is a rotation of the chain, with no
+search: of R runs, run k pairs with run k + R/2 (an order-keeping
+involution that fixes no run), corner k with great-arc piece k + s, and
+edge pole i of an n-gon with vertex i + (n + 1) // 2.  The proved bounds on
+H(C, C*), ``selfdual_residual_bound`` for a polytope and
 ``pairing_residual_bound`` for a curved body, are read off those pairings;
 ``residual_bound`` takes the one that applies.
 """
@@ -501,8 +505,9 @@ class RunPairing:
 
     A unit is a great-arc piece, on its own row of ``body.arcs``, or a run of
     consecutive small-circle pieces on one circle as one arc, a full circle
-    being two half runs.  ``partner`` is the row of each run's partner, -1 on
-    a great arc; ``chorded`` marks the first run of each pair.  Unit k holds
+    being two half runs.  ``partner`` is the row of each run's partner, run
+    k + R/2 (mod R) of the R runs (``_pair_runs``), -1 on a great arc;
+    ``chorded`` marks the first R/2 runs.  Unit k holds
     the pieces ``ids[bounds[k]:bounds[k + 1]]``, each starting ``offsets``
     (0 or less for the first) from the unit's start, in azimuth.
     """
@@ -569,31 +574,26 @@ def _remainder(x: np.ndarray) -> np.ndarray:
 
 
 def _pair_runs(arcs: ArcStack, bounds: np.ndarray, ids: np.ndarray, offsets: np.ndarray) -> RunPairing:
-    """The ``RunPairing`` of the ``_boundary_units``: in chain order, each free run is chorded and takes the
-    first free run spanning its azimuths shifted by pi on (Z, pi/2 - r), or raises ``NotSelfDual``."""
-    partner = np.full(len(arcs), -1)
-    chorded = np.zeros(len(arcs), dtype=bool)
+    """The ``RunPairing`` of the ``_boundary_units``: run k of the R runs, k < R/2, is chorded and paired with run
+    k + R/2 (the rotation of the module docstring), all pairs checked at once for (Z, r) and (Z, pi/2 - r), equal
+    spans and starts pi apart.  Raises ``NotSelfDual`` on an odd R or naming the first pair that does not fit."""
     runs = np.flatnonzero(~arcs.great)
-    z, radius, span, t0 = arcs.z[runs], arcs.radius[runs], arcs.span[runs], arcs.t0[runs]
-    for i in runs:
-        if partner[i] >= 0:
-            continue
-        fits = (
-            (partner[runs] < 0)
-            & (runs != i)
-            & (np.sum(arcs.z[i] * z, axis=1) >= 1.0 - DOT_EPS)
-            & (np.abs(arcs.radius[i] + radius - 0.5 * math.pi) <= PAIR_EPS)
-            & (np.abs(arcs.span[i] - span) <= PAIR_EPS)
-            & (np.abs(_remainder(t0 - arcs.t0[i] - math.pi)) <= PAIR_EPS)
-        )
-        if not fits.any():
-            raise NotSelfDual(
-                "no arc of radius %.9f about the same centre spans this arc's azimuths "
-                "shifted by pi; body is not self-dual" % (0.5 * math.pi - arcs.radius[i])
-            )
-        j = runs[np.argmax(fits)]
-        partner[i], partner[j], chorded[i] = j, i, True
-    return RunPairing(arcs, partner, chorded, bounds, ids, offsets)
+    if len(runs) % 2:
+        raise NotSelfDual("%d arc runs cannot pair one to one; body is not self-dual" % len(runs))
+    i, j = runs[: len(runs) // 2], runs[len(runs) // 2 :]
+    fits = (
+        (np.sum(arcs.z[i] * arcs.z[j], axis=1) >= 1.0 - DOT_EPS)
+        & (np.abs(arcs.radius[i] + arcs.radius[j] - 0.5 * math.pi) <= PAIR_EPS)
+        & (np.abs(arcs.span[i] - arcs.span[j]) <= PAIR_EPS)
+        & (np.abs(_remainder(arcs.t0[j] - arcs.t0[i] - math.pi)) <= PAIR_EPS)
+    )
+    if not fits.all():
+        k = int(np.argmin(fits))
+        msg = "arc run %d (radius %.9f) and its opposite run %d (radius %.9f) differ in centre, radius sum, span or "
+        raise NotSelfDual(msg % (k, arcs.radius[i[k]], k + len(i), arcs.radius[j[k]]) + "start; body is not self-dual")
+    partner = np.full(len(arcs), -1)
+    partner[i], partner[j] = j, i
+    return RunPairing(arcs, partner, partner > np.arange(len(arcs)), bounds, ids, offsets)
 
 
 def run_pairing_or_none(body: ConvexBody) -> Optional[RunPairing]:
@@ -631,6 +631,13 @@ def _run_term(pairing: RunPairing, a: ArcStack) -> float:
     return 2.0 * math.asin(min(1.0, 0.5 * float(c.max(initial=0.0))))
 
 
+def _corner_match(a: ArcStack, k_end: Vec, k_next: Vec) -> np.ndarray:
+    """The great-arc rows of ``a`` rotated to start at the one whose ends are nearest ``k_end`` and ``k_next`` (least
+    sum of the two chords): the piece of each corner, in order, given the first corner's poles."""
+    g = np.flatnonzero(a.great)
+    return np.roll(g, -int(np.argmin(norm_rows(a.start[g] - k_end) + norm_rows(a.end[g] - k_next))))
+
+
 def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
     """Upper bound rho on the Hausdorff distance between a valid curved body C and C*, or None.
 
@@ -663,10 +670,11 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
       e_R or f, and rho, grow, or the runs do not pair; a jump never lowers
       rho.  Swapping R and R' gives the same c, so R lies within T of the
       dual image of R' too.
-    * Each corner of C, a junction whose poles differ by more than
-      ``POLE_MERGE_EPS``, is matched with the great-arc piece g of C whose
-      ends are nearest to k_end and k_next (least sum of the two chords),
-      one to one, or None.  With e the larger of the two end chords and c the least
+    * Corner k of C in chain order, a junction whose poles differ by more
+      than ``POLE_MERGE_EPS``, is matched with great-arc piece k + s of C
+      (mod their count), s from the first corner (``_corner_match``): the
+      rotation duality keeps, though any one-to-one match gives a sound
+      bound.  With e the larger of the two end chords and c the least
       cos(l/2) of the two arcs, the shift lemma of ``approx.pairing_bound``
       puts each arc within 2 asin(e / c) of the other.
     * The junction term J, the largest over the junctions of the closure
@@ -677,17 +685,18 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
       within T of the other boundary.
 
     None also when a run has no partner, the corners and the great-arc
-    pieces do not match one to one, two great arcs meet at a junction that
-    is not a corner, rho is not below pi/2, or C fails validation.
+    pieces differ in number, two great arcs meet at a junction that is not
+    a corner, rho is not below pi/2, or C fails validation.
 
     Proof.  (1) The matching bounds H(boundary of C, boundary of C*) by
     rho.  Every piece of C lies in a run or is a great arc, so it is within
-    T of a partner's dual image or within a corner term of a corner's arc;
-    a closure chord is within J of a piece end.  On the dual side, each
-    dual image of a run and each corner arc is matched the same way; the
-    pole gap arc of a junction that is not a corner, and the pole of a
-    great arc whose two junctions are not corners, lie within J of the
-    dual image of an adjacent circle arc, which is within T of C.  (2) As
+    T of a partner's dual image or within a corner term of its corner's arc
+    (a rotation is one to one, whatever s); a closure chord is within J of
+    a piece end.  On the dual side, each dual image of a run and each
+    corner arc is matched the same way; the pole gap arc of a junction that
+    is not a corner, and the pole of a great arc whose two junctions are
+    not corners, lie within J of the dual image of an adjacent circle arc,
+    which is within T of C.  (2) As
     in ``approx.pairing_bound``, for x outside C*, closer than pi/2,
     sin d(x, C*) is the largest -x . K over the support poles K of C*,
     which form the boundary of C; for each K the largest -x . K over C is
@@ -709,24 +718,12 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
     terms = [_run_term(pairing, a)]
     k_end, k_next, gap, corner = body.junction_poles
     great = a.great
-    g, c = np.flatnonzero(great), np.flatnonzero(corner)
-    if len(g) != len(c) or np.any(~corner & great & _next_rows(great)):
+    c = np.flatnonzero(corner)
+    if np.count_nonzero(great) != len(c) or np.any(~corner & great & _next_rows(great)):
         return None
     if len(c):
-        starts, ends = a.start[g], a.end[g]
-        per = max(1, BLOCK_ELEMENTS // len(g))  # corners a block
-        j = np.concatenate(
-            [
-                np.argmin(
-                    norm_rows(starts - k_end[k, None]) + norm_rows(ends - k_next[k, None]),
-                    axis=1,
-                )
-                for k in (c[lo : lo + per] for lo in range(0, len(c), per))
-            ]
-        )
-        if len(np.unique(j)) != len(g):
-            return None
-        starts, ends = starts[j], ends[j]
+        j = _corner_match(a, k_end[c[0]], k_next[c[0]])
+        starts, ends = a.start[j], a.end[j]
         e = np.maximum(norm_rows(starts - k_end[c]), norm_rows(ends - k_next[c]))
         # cos(l/2) = |a + b| / 2 for the unit ends a, b of an arc of length l
         half = 0.5 * np.minimum(norm_rows(starts + ends), norm_rows(k_end[c] + k_next[c]))

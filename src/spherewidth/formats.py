@@ -3,13 +3,14 @@
 Numbers are written with 17 significant digits (``%.17g``), which
 round-trips binary64 exactly; the writer emits keys in a fixed order so
 equal inputs produce byte-identical files.  Each vertex, piece record,
-certificate and step record is one ``%`` format, and a body's rows are
-formatted by C-level ``map`` calls over its stacked arrays, with no Python
-code per number.  The readers take numbers only as JSON numbers, never as
-strings or booleans, and raise ``InvalidBody`` on any malformed input,
-broken JSON included.  A ``pc-body`` file is read column by column: its
-great-arc records make one ``great_arc_stack``, its small-circle records
-one ``small_arc_stack``, and the two are joined in record order.
+certificate and step record is one ``%`` format, and a body's rows, like
+a step table's, are formatted by C-level ``map`` calls over its stacked
+arrays, with no Python code per number.  The readers take numbers only as
+JSON numbers, never as strings or booleans, and raise ``InvalidBody`` on
+any malformed input, broken JSON included.  A ``pc-body`` file is read
+column by column: its great-arc records make one ``great_arc_stack``, its
+small-circle records one ``small_arc_stack``, and the two are joined in
+record order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .approx import Certificate, StepRecord
+from .approx import Certificate, StepRecord, StepTable
 from .body import ConvexBody, Polytope, chain_body
 from .errors import InvalidBody
 from .sphere import great_arc_stack, join_stacks, small_arc_stack
@@ -248,9 +249,9 @@ def dumps_step(rec: StepRecord) -> str:
     return _STEP % (*points, rec.primal_piece_id, rec.dual_piece_id, rec.r1_distance)
 
 
-def dumps_step_log(steps) -> str:
-    """One step record per line (JSON lines)."""
-    return "".join(dumps_step(s) + "\n" for s in steps)
+def dumps_step_log(steps: StepTable) -> str:
+    """One step record per line (JSON lines): the table's rows in one ``format_rows`` call over its ``columns``."""
+    return "".join(map("%s\n".__mod__, format_rows(_STEP, steps.columns())))
 
 
 def loads_step_log(text: str) -> list[StepRecord]:

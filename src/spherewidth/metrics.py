@@ -26,12 +26,13 @@ distance to a convex body, negative inside, is 1-Lipschitz along the
 boundary, so an interval deep inside is pruned at once) over one flat
 table of parameter intervals per direction, all pieces together, refined
 until the bounds meet within ``tol``; each level is one prune and one
-evaluator call over the whole table, and a refinement still open after
-``REFINE_LEVELS`` levels, or with more than ``REFINE_ROWS`` live rows, raises
-``RefinementStalled``.  Each interval also carries a closed-form structural
-cap, the least over the pieces of the other body of a vertex, full-circle,
-concentric-arc, coplanar-great-arc or nearby-edge bound.  The caps are
-windowed: every cap of an (interval, piece) pair is at
+evaluator call over the whole table, and the largest upper bound of the
+rows it prunes is kept, so it ends with [lb, hi] (``hausdorff_bounds``).  A
+refinement still open after ``REFINE_LEVELS`` levels, or with more than
+``REFINE_ROWS`` live rows, raises ``RefinementStalled``.  Each interval
+also carries a closed-form structural cap, the least over the pieces of
+the other body of a vertex, full-circle, concentric-arc,
+coplanar-great-arc or nearby-edge bound.  The caps are windowed: every cap of an (interval, piece) pair is at
 least d(m, c) - rho, with m the interval's midpoint, c the piece's
 mid-parameter point and rho half the piece's length, so a pair whose lower
 bound exceeds the largest live upper bound is skipped.  A row's upper bound
@@ -378,6 +379,7 @@ class _Direction:
         last = np.cumsum(n + 1) - 1
         self.idx, self.tl, self.tr = np.delete(idx, last), np.delete(ts, last), np.delete(ts, last - n)
         self.fl, self.fr = np.delete(fs, last), np.delete(fs, last - n)
+        self.pruned = -math.inf  # the largest upper bound of the rows pruned so far
         bound = float(self._lips().max()) + tol
         self.cap = _structural_caps(arcs, np.arange(len(n)), arcs.t0, arcs.t1, b, bound)[self.idx]
 
@@ -394,6 +396,7 @@ class _Direction:
         keep = ubs > lb + tol
         if not np.any(keep):  # lb only grows, so these rows stay dead
             return lb
+        self.pruned = max(self.pruned, float(ubs[~keep].max(initial=-math.inf)))
         idx, tl, tr = self.idx[keep], self.tl[keep], self.tr[keep]
         fl, fr, cap = self.fl[keep], self.fr[keep], self.cap[keep]
         if self.level in self.RECAP_LEVELS and len(tl) <= 65536:
@@ -413,42 +416,48 @@ class _Direction:
         return int(np.count_nonzero(self._ubs() > lb + tol))
 
 
-def _refine(directions: list[_Direction], tol: float) -> float:
-    """Refine the directed suprema against one shared lower bound, in order.
+def _refine(directions: list[_Direction], tol: float) -> tuple[float, float]:
+    """Refine the directed suprema against one shared lower bound, in order, to [lb, hi].
 
-    Raises ``RefinementStalled`` when rows are still alive after
-    ``REFINE_LEVELS`` levels, or more than ``REFINE_ROWS`` at once.
+    lb is the largest distance found; hi, at least lb, the largest upper
+    bound of every row, pruned or left, which together cover the
+    boundaries.  Raises ``RefinementStalled`` when rows are still alive
+    after ``REFINE_LEVELS`` levels, or more than ``REFINE_ROWS`` at once.
     """
     lb = max(0.0, *(d.lb for d in directions))  # a distance, though the rows are signed
     for _ in range(REFINE_LEVELS):
         live = [d.live(lb, tol) for d in directions]
-        if not any(live):
-            return lb
-        if sum(live) > REFINE_ROWS:
+        if not any(live) or sum(live) > REFINE_ROWS:
             break
         for d, n in zip(directions, live):
             if n:
                 lb = d.refine_once(lb, tol)
-    hi = max(float(d._ubs().max()) for d in directions)
+    hi = max(lb, *(max(d.pruned, float(d._ubs().max())) for d in directions))
     if hi <= lb + tol:
-        return lb
+        return lb, hi
     msg = "Hausdorff refinement open at %d levels or %d rows: [%.17g, %.17g]" % (REFINE_LEVELS, REFINE_ROWS, lb, hi)
     raise RefinementStalled(msg, lo=lb, hi=hi)
 
 
 def boundary_sup_distance(a: ConvexBody, b: ConvexBody, tol: float = HAUSDORFF_TOL) -> float:
-    """sup over the boundary of ``a`` of the distance to ``b``, within ``tol``."""
-    return _refine([_Direction(a, b, tol)], tol)
+    """sup over the boundary of ``a`` of the distance to ``b``, within ``tol``: the refinement's lower end."""
+    return _refine([_Direction(a, b, tol)], tol)[0]
+
+
+def hausdorff_bounds(a: ConvexBody, b: ConvexBody, tol: float = HAUSDORFF_TOL) -> tuple[float, float]:
+    """[lb, hi] about the geodesic Hausdorff distance between two convex bodies, hi <= lb + ``tol``.
+
+    Both directed suprema are refined against a shared lower bound, so the
+    smaller direction collapses immediately.  lb is a distance attained; hi
+    is an upper end as sound as the rows' Lipschitz bounds and caps, up to
+    the roundoff of its own evaluation.
+    """
+    return _refine([_Direction(a, b, tol), _Direction(b, a, tol)], tol)
 
 
 def hausdorff(a: ConvexBody, b: ConvexBody, tol: float = HAUSDORFF_TOL) -> float:
-    """Geodesic Hausdorff distance between two convex bodies.
-
-    Both directed suprema are refined against a shared lower bound, so the
-    smaller direction collapses immediately; the result underestimates the
-    true value by at most ``tol``.
-    """
-    return _refine([_Direction(a, b, tol), _Direction(b, a, tol)], tol)
+    """Geodesic Hausdorff distance between two convex bodies, within ``tol`` below: ``hausdorff_bounds``' lb."""
+    return hausdorff_bounds(a, b, tol)[0]
 
 
 def self_duality_residual(body: ConvexBody, tol: float = HAUSDORFF_TOL) -> float:

@@ -22,7 +22,10 @@ projects one piece and one segment at a time, whose SVG the stacked
 ``run_pairing_per_run`` the run pairing built run by run, one arc object
 and one partner search at a time, whose arcs, pairs and run term the
 stacked ``body.RunPairing`` must reproduce bit for bit, and
-``polar_dual_per_piece``, ``rotated_per_piece`` and ``hull_per_piece`` the
+``pair_runs_greedy`` and ``corner_match_nearest_ends`` the pairings found
+by search, one free run or one corner at a time, whose tables the
+rotations of ``body._pair_runs`` and ``body._corner_match`` must
+reproduce, and ``polar_dual_per_piece``, ``rotated_per_piece`` and ``hull_per_piece`` the
 curved-body edits made one ``CircleArc`` object at a time, whose stacks
 ``body.polar_dual`` and ``generators.rotated`` must reproduce bit for bit
 and ``generators.convex_hull_with_point`` to roundoff.
@@ -54,6 +57,7 @@ from spherewidth.body import (
     to_polytope,
 )
 from spherewidth.errors import BudgetExhausted, DegenerateArc, DualOverlap
+from spherewidth.formats import dumps_step
 from spherewidth.generators import cap, complete_selfdual, rotated, rotation_from_seed
 from spherewidth.render import MAX_SEG_SPAN, STROKES, _Frame, projected_box
 from spherewidth.sphere import (
@@ -359,6 +363,11 @@ def step_records_per_row(body, config):
     ]
 
 
+def dumps_step_log_per_record(steps):
+    """``formats.dumps_step_log`` of any sequence of ``StepRecord``, one ``formats.dumps_step`` line each."""
+    return "".join(dumps_step(s) + "\n" for s in steps)
+
+
 def run_pairing_per_run(body):
     """The run pairing of ``body`` built run by run, or None when a run has no partner.
 
@@ -434,6 +443,45 @@ def run_pairing_per_run(body):
         c = run_offset(*units[k]) + run_offset(*units[j]) + pair_offset(units[k][0], units[j][0])
         terms.append(2.0 * math.asin(min(1.0, 0.5 * c)))
     return units, pairs, max(terms)
+
+
+def pair_runs_greedy(arcs):
+    """The ``partner`` and ``chorded`` tables of the unit rows ``arcs`` (``body._boundary_units``) by search,
+    or None when a run has no partner: in chain order, each free run is chorded and takes the first free run
+    spanning its azimuths shifted by pi on (Z, pi/2 - r), one candidate test per run."""
+    partner = np.full(len(arcs), -1)
+    chorded = np.zeros(len(arcs), dtype=bool)
+    runs = np.flatnonzero(~arcs.great)
+    z, radius, span, t0 = arcs.z[runs], arcs.radius[runs], arcs.span[runs], arcs.t0[runs]
+    for i in runs:
+        if partner[i] >= 0:
+            continue
+        fits = (
+            (partner[runs] < 0)
+            & (runs != i)
+            & (np.sum(arcs.z[i] * z, axis=1) >= 1.0 - DOT_EPS)
+            & (np.abs(arcs.radius[i] + radius - 0.5 * math.pi) <= PAIR_EPS)
+            & (np.abs(arcs.span[i] - span) <= PAIR_EPS)
+            & (np.abs([math.remainder(x, TWO_PI) for x in (t0 - arcs.t0[i] - math.pi).tolist()]) <= PAIR_EPS)
+        )
+        if not fits.any():
+            return None
+        j = runs[np.argmax(fits)]
+        partner[i], partner[j], chorded[i] = j, i, True
+    return partner, chorded
+
+
+def corner_match_nearest_ends(body):
+    """The great-arc piece matched with each corner of ``body`` by search over all pairs, or None when two
+    corners take one piece: the piece whose ends are nearest the corner's poles k_end and k_next (least sum
+    of the two chords)."""
+    a = body.arcs
+    k_end, k_next, _, corner = body.junction_poles
+    g = np.flatnonzero(a.great)
+    c = np.flatnonzero(corner)
+    cost = np.linalg.norm(a.start[g][None] - k_end[c][:, None], axis=2) + np.linalg.norm(a.end[g][None] - k_next[c][:, None], axis=2)
+    j = g[np.argmin(cost, axis=1)]
+    return j if len(np.unique(j)) == len(j) else None
 
 
 def random_selfdual_polytope_reference(n_target, rng_seed):

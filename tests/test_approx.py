@@ -44,7 +44,7 @@ from spherewidth.generators import (
     rounded_reuleaux,
 )
 from spherewidth.formats import dumps_step, dumps_step_log
-from spherewidth.metrics import is_constant_width, self_duality_residual
+from spherewidth.metrics import HAUSDORFF_TOL, hausdorff_bounds, is_constant_width, self_duality_residual
 from spherewidth.sphere import GreatArc, SmallCircleArc, unit
 
 E1, E2, E3 = np.eye(3)
@@ -350,7 +350,7 @@ def test_config_rejects_nan_and_out_of_range_values(kwargs):
 def test_certify_fails_closed_on_a_nan_measure(monkeypatch, nan_in, bound):
     body = cap(E3, PI / 4)
     if nan_in == "hausdorff":
-        monkeypatch.setattr(approx, "hausdorff", lambda a, b: math.nan)
+        monkeypatch.setattr(approx, "hausdorff_bounds", lambda a, b: (0.0, math.nan))  # a NaN upper end
     else:
         rep = dict(width_min=PI / 2, width_max=PI / 2, self_duality_residual=0.0)
         rep[nan_in] = math.nan
@@ -365,6 +365,43 @@ def test_certify_octant_pair_zero():
     assert cert.hausdorff_bound <= 1e-12
 
 
+def test_certify_fallback_bound_is_the_refinements_upper_end(monkeypatch):
+    # pairs the walk does not cover (a polytope and its dual, a cap and
+    # itself, a curved body and its dual, and a cap and its chord polytope
+    # with the walk switched off) certify the refinement's upper end, which
+    # lies within its tolerance above the refined distance
+    from spherewidth.generators import random_selfdual_polytope
+
+    rp, rr = random_selfdual_polytope(12, 3), rotated_reuleaux(3, 0.1)
+    body = rotated(cap(E3, PI / 4), rotation_from_seed(2))
+    poly, walked, _ = approximate_polytope(body, ApproximationConfig(0.05))
+    pairs = [(rp, polar_dual(rp)), (octant(), polar_dual(octant())), (body, body), (rr, polar_dual(rr))]
+    for original, result in pairs:
+        lb, hi = hausdorff_bounds(original, result)
+        assert certify(original, result, ApproximationConfig(0.01)).hausdorff_bound == hi
+        assert lb <= hi <= lb + HAUSDORFF_TOL
+    monkeypatch.setattr(approx, "pairing_bound", lambda *args: None)
+    lb, hi = hausdorff_bounds(body, poly)
+    assert certify(body, poly, ApproximationConfig(0.05)).hausdorff_bound == hi
+    assert 0.001 < lb <= hi <= lb + HAUSDORFF_TOL and lb <= walked.hausdorff_bound
+
+
+def test_pairing_bound_builds_no_pairing_for_an_input_of_great_arcs(monkeypatch):
+    # a polytope original has no arc run to chord: None before any run
+    # pairing is built, as for a pc-body chain of great arcs
+    from spherewidth.generators import random_selfdual_polytope
+
+    def forbidden(*args):
+        raise AssertionError("no run pairing may be built")
+
+    monkeypatch.setattr(bd, "_boundary_units", forbidden)
+    rp = random_selfdual_polytope(12, 3)
+    dual = polar_dual(rp)
+    for original in (rp, bd.chain_body(rp.arcs), dual):
+        assert approx.pairing_bound(original, dual) is None
+        assert "run_pairing" not in vars(original)
+
+
 def test_approximation_measures_each_body_once(monkeypatch):
     # the gate reads only the input's widths, which the run pairing gives
     # in closed form: no dual, no ascent;
@@ -376,11 +413,11 @@ def test_approximation_measures_each_body_once(monkeypatch):
     # and the certificate sharing it; the construction measures nothing,
     # each chord's d(s) being closed form
     calls = {
-        "hausdorff": [], "diameter": [], "_ascent_diameter": [], "validate": [], "body_distance": [],
+        "hausdorff_bounds": [], "diameter": [], "_ascent_diameter": [], "validate": [], "body_distance": [],
         "_boundary_units": [],
     }
     homes = {
-        "hausdorff": metrics,
+        "hausdorff_bounds": metrics,
         "diameter": metrics,
         "_ascent_diameter": metrics,
         "validate": bd,
@@ -403,7 +440,7 @@ def test_approximation_measures_each_body_once(monkeypatch):
         poly, _, steps = approximate_polytope(body, ApproximationConfig(0.05))
         assert len(steps) > 0
         assert {k: len(v) for k, v in calls.items()} == {
-            "hausdorff": 0, "diameter": 0, "_ascent_diameter": 0, "validate": 2, "body_distance": 0,
+            "hausdorff_bounds": 0, "diameter": 0, "_ascent_diameter": 0, "validate": 2, "body_distance": 0,
             "_boundary_units": 1,
         }
         assert calls["validate"][0] is body and calls["validate"][1] is poly
@@ -521,8 +558,8 @@ def test_step_table_rows_are_the_per_row_records(name):
             a, b = getattr(got, f.name), getattr(ref, f.name)
             assert type(a) is type(b), f.name
             assert np.array_equal(a, b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
-    assert dumps_step_log(steps) == dumps_step_log(want)
-    assert [dumps_step(steps[i]) for i in range(-len(steps), 0)] == dumps_step_log(want).splitlines()
+    assert dumps_step_log(steps) == oracles.dumps_step_log_per_record(want)
+    assert [dumps_step(steps[i]) for i in range(-len(steps), 0)] == dumps_step_log(steps).splitlines()
     with pytest.raises(IndexError):
         steps[len(steps)]
 
@@ -646,7 +683,10 @@ def test_idempotent_on_random_selfdual_polytope():
     out, cert, steps = approximate_polytope(poly, ApproximationConfig(epsilon=0.05))
     assert len(steps) == 0
     assert np.array_equal(out.vertices, poly.vertices)
-    assert cert.hausdorff_bound <= 1e-12
+    # the input has no arc runs: the bound is the refinement's upper end,
+    # whose caps on coplanar great arcs carry a 1e-12 slack
+    lb, hi = hausdorff_bounds(poly, out)
+    assert lb <= 1e-12 and cert.hausdorff_bound == hi <= 1.01e-12
 
 
 def test_pentagon_from_coarse_cap():
@@ -736,7 +776,7 @@ def test_chord_outputs_certify_without_the_refinement(monkeypatch, body, eps):
     def refinement(*args, **kwargs):
         raise AssertionError("the Hausdorff refinement ran")
 
-    monkeypatch.setattr(approx, "hausdorff", refinement)
+    monkeypatch.setattr(approx, "hausdorff_bounds", refinement)
     poly, cert, steps = approximate_polytope(body, ApproximationConfig(eps))
     assert cert.steps == len(steps) > 0
     assert cert.hausdorff_bound <= 2 * eps
@@ -783,7 +823,7 @@ def test_certify_checks_the_widths_before_the_hausdorff_term(monkeypatch):
     def refine(*args, **kwargs):
         raise AssertionError("the Hausdorff refinement ran")
 
-    monkeypatch.setattr(approx, "hausdorff", refine)
+    monkeypatch.setattr(approx, "hausdorff_bounds", refine)
     with pytest.raises(CertificationFailed) as err:
         certify(body, poly, ApproximationConfig(0.002))
     assert err.value.bound in ("width_range", "self_duality_residual")

@@ -729,6 +729,44 @@ def test_run_pairing_table_matches_the_per_run_reference():
     assert same == len(bodies) - 5  # four tampered bodies and the chopped cap leave a run unpaired
 
 
+def test_pairings_are_the_rotations_the_searches_find():
+    # duality keeps the cyclic order: run k pairs with run k + R/2, and
+    # corner k with great-arc piece k + s; on every body the greedy run
+    # search and the nearest-ends corner search agree, or both find no
+    # pairing (an odd run count, a trimmed partner, a moved radius)
+    from spherewidth.generators import complete_selfdual, rounded_reuleaux
+
+    bodies = {"acceptance-%d" % s: b for s, (_, b) in acceptance_corpus().items()}
+    bodies.update({**curved_bodies(), **curved_tampered()})
+    for k in (3, 5, 7, 9, 15, 27, 41, 81):
+        for delta in (0.05, 0.2):
+            bodies["reuleaux-%d-%g" % (k, delta)] = rounded_reuleaux(k, delta)
+    for seed in (1, 2, 3):
+        bodies["rotated-cap-%d" % seed] = rotated(cap(E3, math.pi / 4), rotation_from_seed(seed))
+    for r in (0.5, 0.6, 0.65, 0.7):
+        for seed in (1, 2):
+            bodies["completion-%g-%d" % (r, seed)] = complete_selfdual(cap(unit([0.3, -0.2, 1.0]), r), tol=1e-7, rng_seed=seed)
+    bodies.update({name + "-dual": polar_dual(b) for name, b in list(bodies.items()) if b.validation.ok})
+    paired = cornered = 0
+    for name, body in bodies.items():
+        ref, table = oracles.pair_runs_greedy(bd._boundary_units(body.arcs)[0]), bd.run_pairing_or_none(body)
+        assert (ref is None) == (table is None), name
+        if ref is not None:
+            assert table.partner.tobytes() == ref[0].tobytes() and table.chorded.tobytes() == ref[1].tobytes(), name
+            paired += 1
+        k_end, k_next, _, corner = body.junction_poles
+        c = np.flatnonzero(corner)
+        if len(c) and len(c) == np.count_nonzero(body.arcs.great):
+            match = oracles.corner_match_nearest_ends(body)
+            assert match is not None and np.array_equal(bd._corner_match(body.arcs, k_end[c[0]], k_next[c[0]]), match), name
+            cornered += 1
+    assert len(bodies) >= 220 and paired >= 200 and cornered >= 90
+    with pytest.raises(NotSelfDual, match="5 arc runs"):  # an arc run made a great arc
+        bd._pair_runs(*bd._boundary_units(bodies["partner-removed"].arcs))
+    with pytest.raises(NotSelfDual, match="arc run 0 .* opposite run 1"):
+        bd._pair_runs(*bd._boundary_units(bodies["cap-pi3"].arcs))
+
+
 # ------------------------------------------------------------------ support
 
 

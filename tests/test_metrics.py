@@ -594,6 +594,31 @@ def test_stalled_refinement_raises_with_its_bracket(monkeypatch, cap_polytopes):
     assert err.value.hi - err.value.lo > HAUSDORFF_TOL
 
 
+def test_refinement_upper_end_counts_the_pruned_rows(monkeypatch):
+    # the rows left at the end and those pruned on the way cover both
+    # boundaries; hi is the largest upper bound among them, here one of a
+    # pruned row, and the lower end is hausdorff's
+    from fixtures import rotated_reuleaux
+
+    body = rotated_reuleaux(3, 0.1)
+    poly = approximate_polytope(body, ApproximationConfig(0.05))[0]
+    pruned = []
+    split = metrics._Direction.refine_once
+
+    def recorded(self, lb, tol):
+        ubs = self._ubs()
+        pruned.extend(ubs[ubs <= lb + tol].tolist())
+        return split(self, lb, tol)
+
+    monkeypatch.setattr(metrics._Direction, "refine_once", recorded)
+    directions = [metrics._Direction(body, poly, HAUSDORFF_TOL), metrics._Direction(poly, body, HAUSDORFF_TOL)]
+    lb, hi = metrics._refine(directions, HAUSDORFF_TOL)
+    left = max(float(d._ubs().max()) for d in directions)
+    assert hi == max(lb, left, *pruned) > max(lb, left)
+    assert (lb, hi) == metrics.hausdorff_bounds(body, poly) and lb == hausdorff(body, poly)
+    assert hi <= lb + HAUSDORFF_TOL
+
+
 def test_refinement_tables_stop_at_their_row_bound(monkeypatch):
     # near-flat plateaus: the moved corner keeps the tables growing long
     # before they close, so a small row bound is reached first
