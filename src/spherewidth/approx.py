@@ -41,12 +41,12 @@ certificate once each, all reading each body's one cached validation
 the certificate walks.  The certificate never trusts the construction: it
 reads only the two bodies, and checks the widths and the residual before
 it measures the Hausdorff term.  For a polytope output its Hausdorff
-term is the proved upper bound of ``pairing_bound``, in O(n): a walk that
-checks the output is inscribed in every chorded arc run of the input,
-circumscribed about every partner run and has an edge on every great-arc
-piece.  Any pair the walk does not cover (a curved result, an input
-without arc runs, an arbitrary file pair) is re-measured by the refinement
-``metrics.hausdorff_bounds``, whose upper end it takes.
+term is the proved upper bound of ``pairing_bound``, one pass over all
+units: a walk that checks the output is inscribed in every chorded arc
+run of the input, circumscribed about every partner run and has an edge
+on every great-arc piece.  Any pair the walk does not cover (a curved
+result, an input without arc runs, an arbitrary file pair) is re-measured
+by the refinement ``metrics.hausdorff_bounds``, whose upper end it takes.
 For a polytope output the width range and the self-duality residual are
 proved upper-bound ends from its edge-pole/vertex pairing
 (``body.selfdual_residual_bound``), in O(n); a curved result takes them
@@ -80,17 +80,17 @@ from .sphere import (
     SmallCircleArc,
     Vec,
     arc_pole,
-    chord_distance,
-    cross,
     cross_rows,
     dot,
     linspace_grid,
+    math_each,
     norm_rows,
     stack_arcs,
     unit,
     unit_rows,
 )
 from .body import (
+    BLOCK_ELEMENTS,
     ConvexBody,
     Polytope,
     RunPairing,
@@ -175,23 +175,24 @@ class Certificate:
 # ---------------------------------------------------------------- subdivide
 
 
-def _chord_count(radius: float, span: float, target: float, full: bool = False) -> int:
-    """Fewest equal sub-arcs of an arc of ``radius`` and ``span`` with sagitta d(s) < ``target``.
-
-    A full circle needs at least two sub-arcs (a single chord would close on
-    itself) and no sub-arc may exceed half the circle.  Raises
-    ``BudgetExhausted`` when the count would reach ``MAX_SUBARCS``.
+def _chord_counts(radius: np.ndarray, span: np.ndarray, target: float, full: bool = False) -> np.ndarray:
+    """Fewest equal sub-arcs of each arc of ``radius`` and ``span`` with sagitta d(s) < ``target``, with ``math``'s
+    tan and acos (``math_each``).  A full circle needs at least two sub-arcs (a single chord would close on itself)
+    and no sub-arc may exceed half the circle.  Raises ``BudgetExhausted``, naming the first arc at fault, when a
+    count would reach ``MAX_SUBARCS``.
     """
-    n = max(2 if full else 1, int(math.ceil(span / math.pi - 1e-12)))
-    if target < radius:
-        # d(s) < target exactly for widths s below s_max
-        s_max = 2.0 * math.acos(math.tan(radius - target) / math.tan(radius))
-        if span >= s_max * MAX_SUBARCS:
-            raise BudgetExhausted(
-                "a sagitta budget of %.3g needs %d or more sub-arcs on an arc of radius %.6g"
-                % (target, MAX_SUBARCS, radius)
-            )
-        n = max(n, int(span / s_max) + 1)
+    n = np.maximum(2 if full else 1, np.ceil(span / math.pi - 1e-12).astype(int))
+    # d(s) < target exactly for widths s below s_max
+    fine = target < radius
+    r, s = radius[fine], span[fine]
+    s_max = 2.0 * math_each(math.acos, math_each(math.tan, r - target) / math_each(math.tan, r))
+    over = s >= s_max * MAX_SUBARCS
+    if over.any():
+        raise BudgetExhausted(
+            "a sagitta budget of %.3g needs %d or more sub-arcs on an arc of radius %.6g"
+            % (target, MAX_SUBARCS, r[over.argmax()])
+        )
+    n[fine] = np.maximum(n[fine], (s / s_max).astype(int) + 1)
     return n
 
 
@@ -207,7 +208,7 @@ def subdivide_piece(body: ConvexBody, piece_id: int, eps: float) -> np.ndarray:
     piece = body.pieces[piece_id]
     if not isinstance(piece, SmallCircleArc):
         raise NotStrictlyConvex("piece %d is a great arc" % piece_id)
-    n = _chord_count(piece.radius, piece.span, eps * SUBDIVISION_SAFETY, piece.is_full)
+    n = int(_chord_counts(np.array([piece.radius]), np.array([piece.span]), eps * SUBDIVISION_SAFETY, piece.is_full)[0])
     return piece.point_at(np.linspace(piece.az_from, piece.az_to, n + 1))
 
 
@@ -380,15 +381,14 @@ def chord_core(a: ArcStack, chorded: np.ndarray, partner: np.ndarray, target: fl
     """The chords, with sagittas d(s) under ``target``, of the rows ``chorded`` of the stack ``a``.
 
     Each chorded row is split into its fewest equal sub-arcs
-    (``_chord_count``), all rows in one ``sphere.linspace_grid`` call, and
+    (``_chord_counts``), all rows in one ``sphere.linspace_grid`` call, and
     the poles of its chords go on its partner row ``partner[i]``.  Each row
     holds, in chain order: a chorded row its sub-arc starts, any other row
     its start, then a partner row the chord poles.  Raises
     ``BudgetExhausted`` when a row needs ``MAX_SUBARCS`` sub-arcs.
     """
     runs = np.flatnonzero(chorded)
-    radius, span = a.radius[runs].tolist(), a.span[runs].tolist()
-    n = np.array([_chord_count(r, s, target) for r, s in zip(radius, span)], dtype=int)
+    n = _chord_counts(a.radius[runs], a.span[runs], target)
     run, az = linspace_grid(a.t0[runs], a.t1[runs], n + 1)
     rows = runs[run]
     p = a.point_at(az, rows)
@@ -438,9 +438,8 @@ class StepTable(Sequence):
     def d(self) -> np.ndarray:
         """The sagitta d(s) = r - atan(tan r cos(s/2)) of each chord."""
         a, c = self.pairing.arcs, self.chords
-        s = (a.span[c.runs] / c.n).tolist()
-        d = [x - math.atan(math.tan(x) * math.cos(0.5 * w)) for x, w in zip(a.radius[c.runs].tolist(), s)]
-        return np.array(d, dtype=float)[c.run[c.k]]
+        r, s = a.radius[c.runs], a.span[c.runs] / c.n
+        return (r - math_each(math.atan, math_each(math.tan, r) * math_each(math.cos, 0.5 * s)))[c.run[c.k]]
 
     @cached_property
     def piece_ids(self) -> tuple[np.ndarray, np.ndarray]:
@@ -469,34 +468,34 @@ def chord_polytope(body: ConvexBody, config: ApproximationConfig) -> tuple[Polyt
 # ------------------------------------------------------ pairing certificate
 
 
-def _rho(z: Vec, x: np.ndarray) -> np.ndarray:
-    """Distance of each row of ``x`` from ``z``, in the atan2 form that stays exact near 0."""
-    return np.arctan2(norm_rows(cross_rows(x, z)), x @ z)
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``x`` with the row of ``y``: one product and one matrix-vector sum."""
+    return (x * y) @ np.ones(3)
 
 
-def _angle(a: Vec, b: Vec) -> float:
-    return 2.0 * math.asin(min(1.0, 0.5 * chord_distance(a, b)))
+def _angles(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The angle between each row of ``x`` and the row of ``z``, 2 asin(|x - z| / 2): the chord form, exact near 0."""
+    return 2.0 * np.arcsin(np.minimum(1.0, 0.5 * np.sqrt(_dots(x - z, x - z))))
 
 
-def _half_cosines(x: np.ndarray) -> float:
-    """Least cos(l/2) over the segments of the polyline ``x``, |a + b| / 2 for unit ends a, b."""
-    return 0.5 * float(np.min(norm_rows(x[:-1] + x[1:])))
-
-
-def _locate_junction(poly: Polytope, p: Vec):
-    """Where ``p`` sits on the boundary of ``poly``, within ``FIT_EPS``.
-
-    Returns (2i, vertex i) for a vertex, (2i + 1, the foot of ``p``) inside
-    edge i, its great circle within ``FIT_EPS`` of ``p``, or None.
-    """
+def _locate(poly: Polytope, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position and point of each row of ``p`` on the boundary of ``poly``: 2i and vertex i when its nearest vertex
+    is within ``FIT_EPS``, else 2i + 1 and its foot on edge i, the first edge whose great circle passes within
+    ``FIT_EPS`` and that holds it between its ends, else -1.  Each lookup is one query over blocks of at most
+    ``BLOCK_ELEMENTS`` rows x vertices."""
     v, w = poly.vertices, poly.arcs.z
-    i = int(np.argmin(norm_rows(v - p)))
-    if _angle(v[i], p) <= FIT_EPS:
-        return 2 * i, v[i]
-    for i in np.flatnonzero(np.abs(w @ p) <= math.sin(FIT_EPS)):
-        if dot(cross(v[i], p), w[i]) > 0.0 and dot(cross(p, v[(i + 1) % len(v)]), w[i]) > 0.0:
-            return 2 * i + 1, unit(p - dot(p, w[i]) * w[i])
-    return None
+    per = max(1, BLOCK_ELEMENTS // len(v))  # rows a block
+    blocks = [p[lo : lo + per] for lo in range(0, len(p), per)]
+    i = np.concatenate([(((v - x[:, None]) ** 2) @ np.ones(3)).argmin(axis=1) for x in blocks])
+    pos, at = 2 * i, v[i]
+    miss = (~(_angles(at, p) <= FIT_EPS)).nonzero()[0]
+    if len(miss):
+        # a row p lies between the ends of edge i when p . (w_i cross v_i) > 0 and p . (v_i+1 cross w_i) > 0
+        after, before = cross_rows(w, v).T, cross_rows(np.roll(v, -1, axis=0), w).T
+        hits = ((np.abs(x @ w.T) <= math.sin(FIT_EPS)) & (x @ after > 0.0) & (x @ before > 0.0) for x in blocks)
+        e = np.concatenate([np.where(h.any(axis=1), h.argmax(axis=1), -1) for h in hits])[miss]
+        pos[miss], at[miss] = np.where(e < 0, -1, 2 * e + 1), unit_rows(p[miss] - _dots(p[miss], w[e])[:, None] * w[e])
+    return pos, at
 
 
 def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
@@ -507,13 +506,14 @@ def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
     (``ConvexBody.run_pairing``: one row per great-arc piece or arc run,
     each run paired with its partner, the first of a pair chorded); without
     arc runs (checked before the pairing is built) or with a run unpaired
-    it returns None.  It locates each unit's
-    start on P, at a vertex within eta or, where ``drop_flat_vertices``
-    removed a junction because the edges on both sides lie on one great
-    circle, inside an edge within eta of its great circle.  The located
-    points must follow each other in boundary order, once around P; they
-    cut the boundary of P into one polyline X per unit, and each unit's end
-    must lie within eta of the next located point.  Then:
+    it returns None.  One query (``_locate``) places every unit's start on
+    P, at a vertex within eta or, where ``drop_flat_vertices`` removed a
+    junction because the edges on both sides lie on one great circle,
+    inside an edge within eta of its great circle.  The located points
+    must follow each other in boundary order, once around P; they cut the
+    boundary of P into one polyline X per unit, and each unit's end must
+    lie within eta of the next located point.  Each check below is one
+    expression over the segments of all the Xs.  Then:
 
     * a great-arc piece g: X is one edge;
     * a chorded run on the circle (Z, r), inscribed: the inner vertices of X
@@ -577,44 +577,43 @@ def pairing_bound(original: ConvexBody, result: Polytope) -> Optional[float]:
     pairing = None if original.is_polytope() else run_pairing_or_none(original)
     if pairing is None or not pairing.chorded.any():
         return None
-    a = pairing.arcs
-    located = [_locate_junction(result, start) for start in a.start]
-    if any(loc is None for loc in located):
-        return None
-    n = len(result)
-    pos = np.array([loc[0] for loc in located])
+    a, v, n = pairing.arcs, result.vertices, len(result)
+    pos, at = _locate(result, a.start)
     cut = np.append((pos - pos[0]) % (2 * n), 2 * n) + pos[0]
-    if not np.all(np.diff(cut) > 0):
+    if (pos < 0).any() or (cut[1:] <= cut[:-1]).any():
         return None
-    m, half = 0.0, 1.0
-    for k, (start, end) in enumerate(zip(a.start, a.end)):
-        x_end = located[(k + 1) % len(a)][1]
-        if not _angle(end, x_end) <= FIT_EPS:
-            return None
-        inner = result.vertices[np.arange(cut[k] // 2 + 1, (cut[k + 1] + 1) // 2) % n]
-        half = min(half, _half_cosines(np.vstack([located[k][1], inner, x_end])))
-        if pairing.partner[k] < 0:  # a great-arc piece
-            if len(inner):
-                return None
-            continue
-        z, r = a.z[k], float(a.radius[k])
-        az = np.mod(np.mod(np.arctan2(inner @ a.v[k], inner @ a.u[k]), TWO_PI) - a.t0[k], TWO_PI)
-        s = np.diff(np.concatenate([[0.0], az, [a.span[k]]]))
-        if not pairing.chorded[k]:
-            q = np.vstack([start, inner, end])
-            rho = _rho(z, q)
-            poles = unit_rows(cross_rows(q[:-1], q[1:]))
-            touch = math.sin(r) * z + math.cos(r) * unit_rows(poles - np.outer(poles @ z, z))
-            tilt = np.maximum(np.abs(np.sum(q[:-1] * touch, axis=1)), np.abs(np.sum(q[1:] * touch, axis=1)))
-            if not (np.all((s > 0.0) & (s < math.pi)) and rho.max() < 0.5 * math.pi and tilt.max() <= math.sin(FIT_EPS)):
-                return None
-            m = max(m, float(rho.max()) - r)
-            half = min(half, _half_cosines(q))
-        else:
-            off = np.abs(_rho(z, inner) - r)
-            if not (np.all((s > 0.0) & (s <= math.pi)) and np.all(off <= FIT_EPS)):
-                return None
-            m = max(m, float(np.max(r - np.arctan(math.tan(r) * np.cos(0.5 * s)))))
+    # one row per segment of the Xs in boundary order: x, unit k's located start (rank 0) or inner vertex, y the next
+    size = (cut[1:] + 1) // 2 - cut[:-1] // 2
+    k = np.repeat(np.arange(len(a)), size)
+    rank = np.arange(len(k)) - np.repeat(np.cumsum(size) - size, size)
+    head, tail = rank == 0, np.concatenate((rank[1:], rank[:1])) == 0
+    x = np.concatenate((v, at))[np.where(head, n + k, (cut[k] // 2 + rank) % n)]
+    y = np.concatenate((x[1:], x[:1]))
+    outer = (pairing.partner >= 0) & ~pairing.chorded  # the partner runs, circumscribed
+    chorded, circ, r = pairing.chorded[k], outer[k], a.radius[k]
+    az = np.arctan2(_dots(x, np.repeat(a.v, size, axis=0)), _dots(x, np.repeat(a.u, size, axis=0)))
+    phi = np.where(head, 0.0, np.mod(az - a.t0[k], TWO_PI))
+    s = np.where(tail, a.span[k], np.concatenate((phi[1:], phi[:1]))) - phi
+    # the segments of the Qs, a partner run's own ends at its first and last rows, and the tangent point of each
+    xq, yq, z = x[circ], y[circ], np.repeat(a.z, np.where(outer, size, 0), axis=0)
+    xq[head[circ]], yq[tail[circ]] = a.start[outer], a.end[outer]
+    poles = cross_rows(xq, yq)
+    side = poles - _dots(poles, z)[:, None] * z  # the part of each pole off z
+    touch = a.sin_r[k[circ], None] * z + a.cos_r[k[circ], None] * side / norm_rows(side)[:, None]
+    # rho, the distance from Z, at every row's x and at each unit's own start and end; q marks the points of the Qs
+    rho = _angles(np.concatenate((x, a.start, a.end)), np.concatenate((np.repeat(a.z, size, axis=0), a.z, a.z)))
+    off, q = rho - np.concatenate((r, a.radius, a.radius)), np.concatenate((circ & ~head, outer, outer))
+    if not (
+        (_angles(a.end, y[tail]) <= FIT_EPS).all()
+        # a run's azimuth gaps s; a great-arc piece's X is one edge
+        and np.where(chorded | circ, (s > 0.0) & np.where(chorded, s <= math.pi, s < math.pi), head & tail).all()
+        and (np.abs(off[: len(k)][chorded & ~head]) <= FIT_EPS).all()
+        and (rho[q] < 0.5 * math.pi).all()
+        and (np.maximum(np.abs(_dots(xq, touch)), np.abs(_dots(yq, touch))) <= math.sin(FIT_EPS)).all()
+    ):
+        return None
+    m = max(0.0, float(off[q].max()), float((r - np.arctan(np.tan(r) * np.cos(0.5 * s)))[chorded].max()))
+    half = min(1.0, 0.5 * math.sqrt(min(_dots(x + y, x + y).min(), _dots(xq + yq, xq + yq).min())))
     return m + 3.0 * math.asin(min(1.0, FIT_EPS / max(half, FIT_EPS)))
 
 

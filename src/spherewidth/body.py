@@ -533,7 +533,9 @@ def _boundary_units(a: ArcStack) -> tuple[ArcStack, np.ndarray, np.ndarray, np.n
     A piece joins the run of the piece before it when both are small-circle
     arcs with the same centre and radius.  The scan starts at the run that
     holds piece 0, so no run wraps the end of the chain.  A full circle is
-    split into two half runs, each holding all its pieces.
+    split into two half runs, each holding all its pieces.  The offsets are
+    one row-wise ``cumsum`` of a zero-padded table of the runs' spans, and
+    each run's span their ``sum``, one reduction per run length.
     """
     m = len(a)
     prev = np.arange(m) - 1  # the piece before each piece
@@ -547,25 +549,32 @@ def _boundary_units(a: ArcStack) -> tuple[ArcStack, np.ndarray, np.ndarray, np.n
     )
     breaks = np.flatnonzero(~joins)
     order = (prev + 1 + (int(breaks[-1]) if joins[0] and len(breaks) else 0)) % m
-    units, runs = [], []  # per unit its first piece, its pieces and their offsets; the azimuths of each run
-    for group in np.split(order, np.flatnonzero(~joins[order[1:]]) + 1):
-        first = int(group[0])
-        if not small[first]:
-            units.append((first, group, np.zeros(1)))
-            continue
-        spans = a.span[group]
-        cover = np.concatenate([[0.0], np.cumsum(spans[:-1])])
-        az, span = float(a.t0[first]), float(spans.sum())
-        for lo, s in [(az, span)] if span < TWO_PI - PAIR_EPS else [(az, math.pi), (az + math.pi, math.pi)]:
-            units.append((first, group, cover - (lo - az)))
-            runs.append((lo, lo + s))
-    heads, ids, offsets = zip(*units)
-    heads = np.array(heads)
-    run = small[heads]  # a great-arc unit keeps its piece's row, a run's row is its arc
-    lo, hi = np.array(runs, dtype=float).reshape(-1, 2).T
-    arcs = small_arc_stack(a.z[heads[run]], a.radius[heads[run]], lo, hi)
-    rows = join_stacks(a[heads[~run]], arcs, keys=[np.flatnonzero(~run), np.flatnonzero(run)])
-    return rows, np.cumsum([0] + [len(g) for g in ids]), np.concatenate(ids), np.concatenate(offsets)
+    # groups of pieces in scan order: a great-arc piece alone, or the pieces of a run
+    lead = np.flatnonzero(np.append(True, ~joins[order[1:]]))
+    size = np.concatenate((lead[1:], [m])) - lead
+    group = np.repeat(np.arange(len(lead)), size)
+    col = np.arange(m) - lead[group]
+    spans = np.zeros((len(lead), size.max() + 1))
+    spans[group, col + 1] = a.span[order]
+    cover = np.cumsum(spans, axis=1)[group, col]  # the spans before each piece in its group
+    total = np.empty(len(lead))
+    for n in set(size.tolist()):
+        rows = (size == n).nonzero()[0]
+        total[rows] = spans[rows, 1 : n + 1].sum(axis=1)
+    # one unit per group, two for a full circle, its second half starting pi on
+    halves = small[order[lead]] & (total >= TWO_PI - PAIR_EPS)
+    g = np.repeat(np.arange(len(lead)), 1 + halves)
+    head = order[lead[g]]
+    az = a.t0[head]
+    lo = np.where(np.arange(len(g)) > np.searchsorted(g, g), az + math.pi, az)  # a full circle's second half: az + pi
+    hi = lo + np.where(halves[g], math.pi, total[g])
+    bounds = np.concatenate(([0], np.cumsum(size[g])))
+    unit = np.repeat(np.arange(len(g)), size[g])
+    piece = lead[g][unit] + np.arange(bounds[-1]) - bounds[unit]  # each unit's pieces, as positions in ``order``
+    run = small[head]  # a great-arc unit keeps its piece's row, a run's row is its arc
+    arcs = small_arc_stack(a.z[head[run]], a.radius[head[run]], lo[run], hi[run])
+    rows = join_stacks(a[head[~run]], arcs, keys=[np.flatnonzero(~run), np.flatnonzero(run)])
+    return rows, bounds, order[piece], cover[piece] - (lo - az)[unit]
 
 
 def _remainder(x: np.ndarray) -> np.ndarray:

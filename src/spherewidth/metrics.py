@@ -167,11 +167,14 @@ def diameter(body: ConvexBody) -> float:
 
     A body bounded by great arcs whose vertex-pair diameter M is at most
     pi/2 (up to ``VERTEX_DIAMETER_SLACK``) has diameter M, by the lemma of
-    ``_polygon_diameter``: one Gram matrix.  Any other body runs the
-    farthest-point ascent (``_ascent_diameter``).
+    ``_polygon_diameter``: one Gram matrix of the arc starts and of each
+    end that is not bit for bit the next start (on a ``Polytope``, none).
+    Any other body runs the farthest-point ascent (``_ascent_diameter``).
     """
     if body.is_polytope():
-        m = _polygon_diameter(np.concatenate([body.arcs.start, body.arcs.end]))
+        a = body.arcs
+        ends = a.end[(a.end != np.concatenate((a.start[1:], a.start[:1]))).any(axis=1)]
+        m = _polygon_diameter(np.concatenate([a.start, ends]))
         if m is not None:
             return m
     return _ascent_diameter(body)

@@ -163,17 +163,6 @@ def geodesic_distance(p: Vec, q: Vec) -> float:
     return acos_clamped(dot(p, q))
 
 
-def chord_distance(p: Vec, q: Vec) -> float:
-    """Euclidean chord length; resolves tiny separations that arccos cannot.
-
-    For unit vectors the chord 2 sin(d/2) agrees with the geodesic distance d
-    to third order, so it is the right metric for near-coincidence tests at
-    tolerances below 1e-8.
-    """
-    d = p - q
-    return math.sqrt(d.dot(d))
-
-
 def lune_thickness(pole_a: Vec, pole_b: Vec) -> float:
     """Thickness pi - arccos(pole_a . pole_b) of the lune H(a) & H(b)."""
     d = dot(pole_a, pole_b)

@@ -28,20 +28,27 @@ rotations of ``body._pair_runs`` and ``body._corner_match`` must
 reproduce, and ``polar_dual_per_piece``, ``rotated_per_piece`` and ``hull_per_piece`` the
 curved-body edits made one ``CircleArc`` object at a time, whose stacks
 ``body.polar_dual`` and ``generators.rotated`` must reproduce bit for bit
-and ``generators.convex_hull_with_point`` to roundoff.
+and ``generators.convex_hull_with_point`` to roundoff, and
+``chord_count_per_run`` the scalar chord count, one run at a time, whose
+counts and budget error ``approx._chord_counts`` must reproduce for every
+run, and ``pairing_bound_per_unit`` the certificate walk with one start
+search and one pass of checks per unit, whose verdicts the one-pass
+``approx.pairing_bound`` must reproduce, and its bounds to roundoff.
 """
 
 import json
 import math
+from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from spherewidth.approx import (
+    FIT_EPS,
+    MAX_SUBARCS,
     SUBDIVISION_SAFETY,
     ApproximationConfig,
     StepRecord,
-    _chord_count,
     approximate_polytope,
     cut_step,
     subdivide_piece,
@@ -54,6 +61,7 @@ from spherewidth.body import (
     ValidationCheck,
     body_distance,
     chain_body,
+    run_pairing_or_none,
     to_polytope,
 )
 from spherewidth.errors import BudgetExhausted, DegenerateArc, DualOverlap
@@ -65,15 +73,16 @@ from spherewidth.sphere import (
     DOT_EPS,
     TWO_PI,
     GreatArc,
+    Vec,
     _dots,
     SmallCircleArc,
     acos_clamped_np,
     arc_pole,
-    chord_distance,
     cross,
     cross_rows,
     dot,
     linspace_grid,
+    norm_rows,
     sample_piece,
     sinusoid_range,
     stack_arcs,
@@ -87,6 +96,12 @@ from spherewidth.sphere import (
 # Every this-many-th sample of a cloud forms the coarse sub-cloud that
 # screens the nearest-neighbour queries of ``hausdorff_oracle``.
 COARSE_STRIDE = 64
+
+
+def chord_distance(p: Vec, q: Vec) -> float:
+    """Euclidean chord length; resolves tiny separations that arccos cannot."""
+    d = p - q
+    return math.sqrt(d.dot(d))
 
 
 def boundary_cloud(body, per_piece=2000):
@@ -334,6 +349,28 @@ def chord_cut_loop(body, eps, max_rounds=64):
     return to_polytope(current), steps, rounds
 
 
+def chord_count_per_run(radius: float, span: float, target: float, full: bool = False) -> int:
+    """Fewest equal sub-arcs of an arc of ``radius`` and ``span`` with sagitta d(s) < ``target``.
+
+    A full circle needs at least two sub-arcs (a single chord would close on
+    itself) and no sub-arc may exceed half the circle.  Raises
+    ``BudgetExhausted`` when the count would reach ``MAX_SUBARCS``.  The
+    scalar formula, one arc at a time, that ``approx._chord_counts`` must
+    reproduce for every arc.
+    """
+    n = max(2 if full else 1, int(math.ceil(span / math.pi - 1e-12)))
+    if target < radius:
+        # d(s) < target exactly for widths s below s_max
+        s_max = 2.0 * math.acos(math.tan(radius - target) / math.tan(radius))
+        if span >= s_max * MAX_SUBARCS:
+            raise BudgetExhausted(
+                "a sagitta budget of %.3g needs %d or more sub-arcs on an arc of radius %.6g"
+                % (target, MAX_SUBARCS, radius)
+            )
+        n = max(n, int(span / s_max) + 1)
+    return n
+
+
 def step_records_per_row(body, config):
     """The steps of ``approx.chord_polytope(body, config)`` as a list, one ``StepRecord`` built per chord.
 
@@ -345,7 +382,7 @@ def step_records_per_row(body, config):
     a, target = pairing.arcs, config.epsilon * SUBDIVISION_SAFETY
     runs = np.flatnonzero(pairing.chorded)
     radius, span = a.radius[runs].tolist(), a.span[runs].tolist()
-    n = np.array([_chord_count(r, s, target) for r, s in zip(radius, span)], dtype=int)
+    n = np.array([chord_count_per_run(r, s, target) for r, s in zip(radius, span)], dtype=int)
     run, az = linspace_grid(a.t0[runs], a.t1[runs], n + 1)
     unit, mate = runs[run], pairing.partner[runs[run]]
     p = a[unit].point_at(az)
@@ -926,3 +963,83 @@ def rounded_reuleaux_per_piece(k, delta, center=(0.0, 0.0, 1.0)):
     for i in range(k):
         pieces += [partners(i)[0], partners((i + m + 1) % k)[1]]
     return ConvexBody(pieces, z)
+
+
+# ------------------------------------------------------------ pairing walk
+
+
+def _rho(z: Vec, x: np.ndarray) -> np.ndarray:
+    """Distance of each row of ``x`` from ``z``, in the atan2 form that stays exact near 0."""
+    return np.arctan2(norm_rows(cross_rows(x, z)), x @ z)
+
+
+def _angle(a: Vec, b: Vec) -> float:
+    return 2.0 * math.asin(min(1.0, 0.5 * chord_distance(a, b)))
+
+
+def _half_cosines(x: np.ndarray) -> float:
+    """Least cos(l/2) over the segments of the polyline ``x``, |a + b| / 2 for unit ends a, b."""
+    return 0.5 * float(np.min(norm_rows(x[:-1] + x[1:])))
+
+
+def _locate_junction(poly: Polytope, p: Vec):
+    """Where ``p`` sits on the boundary of ``poly``, within ``FIT_EPS``.
+
+    Returns (2i, vertex i) for a vertex, (2i + 1, the foot of ``p``) inside
+    edge i, its great circle within ``FIT_EPS`` of ``p``, or None.
+    """
+    v, w = poly.vertices, poly.arcs.z
+    i = int(np.argmin(norm_rows(v - p)))
+    if _angle(v[i], p) <= FIT_EPS:
+        return 2 * i, v[i]
+    for i in np.flatnonzero(np.abs(w @ p) <= math.sin(FIT_EPS)):
+        if dot(cross(v[i], p), w[i]) > 0.0 and dot(cross(p, v[(i + 1) % len(v)]), w[i]) > 0.0:
+            return 2 * i + 1, unit(p - dot(p, w[i]) * w[i])
+    return None
+
+
+def pairing_bound_per_unit(original: ConvexBody, result: Polytope) -> Optional[float]:
+    """``approx.pairing_bound`` as one Python pass per unit: each unit's start located by its own ``argmin`` over
+    the vertices and its own scan of the edges near it, then each unit's checks, branch by branch."""
+    pairing = None if original.is_polytope() else run_pairing_or_none(original)
+    if pairing is None or not pairing.chorded.any():
+        return None
+    a = pairing.arcs
+    located = [_locate_junction(result, start) for start in a.start]
+    if any(loc is None for loc in located):
+        return None
+    n = len(result)
+    pos = np.array([loc[0] for loc in located])
+    cut = np.append((pos - pos[0]) % (2 * n), 2 * n) + pos[0]
+    if not np.all(np.diff(cut) > 0):
+        return None
+    m, half = 0.0, 1.0
+    for k, (start, end) in enumerate(zip(a.start, a.end)):
+        x_end = located[(k + 1) % len(a)][1]
+        if not _angle(end, x_end) <= FIT_EPS:
+            return None
+        inner = result.vertices[np.arange(cut[k] // 2 + 1, (cut[k + 1] + 1) // 2) % n]
+        half = min(half, _half_cosines(np.vstack([located[k][1], inner, x_end])))
+        if pairing.partner[k] < 0:  # a great-arc piece
+            if len(inner):
+                return None
+            continue
+        z, r = a.z[k], float(a.radius[k])
+        az = np.mod(np.mod(np.arctan2(inner @ a.v[k], inner @ a.u[k]), TWO_PI) - a.t0[k], TWO_PI)
+        s = np.diff(np.concatenate([[0.0], az, [a.span[k]]]))
+        if not pairing.chorded[k]:
+            q = np.vstack([start, inner, end])
+            rho = _rho(z, q)
+            poles = unit_rows(cross_rows(q[:-1], q[1:]))
+            touch = math.sin(r) * z + math.cos(r) * unit_rows(poles - np.outer(poles @ z, z))
+            tilt = np.maximum(np.abs(np.sum(q[:-1] * touch, axis=1)), np.abs(np.sum(q[1:] * touch, axis=1)))
+            if not (np.all((s > 0.0) & (s < math.pi)) and rho.max() < 0.5 * math.pi and tilt.max() <= math.sin(FIT_EPS)):
+                return None
+            m = max(m, float(rho.max()) - r)
+            half = min(half, _half_cosines(q))
+        else:
+            off = np.abs(_rho(z, inner) - r)
+            if not (np.all((s > 0.0) & (s <= math.pi)) and np.all(off <= FIT_EPS)):
+                return None
+            m = max(m, float(np.max(r - np.arctan(math.tan(r) * np.cos(0.5 * s)))))
+    return m + 3.0 * math.asin(min(1.0, FIT_EPS / max(half, FIT_EPS)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from fixtures import REULEAUX_CASES, rotated_reuleaux, two_arc_completion
+from fixtures import REULEAUX_CASES, curved_bodies, curved_tampered, rotated_reuleaux, two_arc_completion, two_cut_cap
 from spherewidth import approx, metrics
 from spherewidth import body as bd
 from spherewidth.approx import (
@@ -893,3 +893,102 @@ def test_pairing_walk_rejects_azimuths_out_of_order(first):
     v = poly.vertices.copy()
     v[[first, first + 1]] = v[[first + 1, first]]
     assert approx.pairing_bound(body, Polytope(v)) is None
+
+
+def _walk_corpus():
+    """(name, C, P) pairs the walk must judge as the per-unit oracle does: chord outputs of rotated caps and of
+    rounded Reuleaux bodies and their rotations, the curved and tampered curved fixtures (paired with the cap's
+    polytope when they cannot be approximated), a great-arc piece whose edge holds an extra vertex, and the
+    tampered polytopes of the tests above."""
+    pairs = []
+    for seed in range(1, 33):
+        body = rotated(cap(E3, PI / 4), rotation_from_seed(seed))
+        pairs.append(("cap-%d" % seed, body, approximate_polytope(body, ApproximationConfig(0.002))[0]))
+    for k in (3, 5, 9, 27, 81):
+        for delta in (0.05, 0.2):
+            for name, body in (("reuleaux", rounded_reuleaux(k, delta)), ("rotated", rotated_reuleaux(k, delta))):
+                poly = approximate_polytope(body, ApproximationConfig(0.002))[0]
+                pairs.append(("%s-%d-%g" % (name, k, delta), body, poly))
+    cap_body, cap_poly = _cap_polytope()
+    for name, body in {**curved_bodies(), **curved_tampered()}.items():
+        try:
+            pairs.append((name, body, approximate_polytope(body, ApproximationConfig(0.01))[0]))
+        except (NotConstantWidth, NotSelfDual):
+            pairs.append((name, body, cap_poly))
+    # a vertex put in the middle of the edge of a great-arc piece
+    body = two_cut_cap()
+    v, g = approximate_polytope(body, ApproximationConfig(0.01))[0].vertices, body.arcs.great.argmax()
+    i = int(np.argmin(np.linalg.norm(v - body.arcs.start[g], axis=1)))
+    pairs.append(("great-arc-split", body, Polytope(np.insert(v, i + 1, unit(v[i] + v[(i + 1) % len(v)]), axis=0))))
+    for kind in ("moved-1e-9", "chord-vertex-deleted", "pole-vertex-deleted", "reversed", "rotated-cap"):
+        pairs.append((kind,) + _tampered(kind))
+    for first in (2, 27):
+        v = cap_poly.vertices.copy()
+        v[[first, first + 1]] = v[[first + 1, first]]
+        pairs.append(("swapped-%d" % first, cap_body, Polytope(v)))
+    v = cap_poly.vertices.copy()
+    v[3] = _radial(v[3], cap_body.pieces[0].center, -0.5 * approx.FIT_EPS)
+    pairs.append(("moved-fit-eps-half", cap_body, Polytope(v)))
+    return pairs
+
+
+def test_pairing_walk_is_the_per_unit_walk():
+    # the one-pass walk returns the per-unit loop's verdict, and its bound to
+    # roundoff: per-row dot products where the loop took one matrix-vector
+    # product a unit; rounded Reuleaux outputs put unit starts inside edges
+    bounds = refused = inside = 0
+    for name, body, poly in _walk_corpus():
+        got, want = approx.pairing_bound(body, poly), oracles.pairing_bound_per_unit(body, poly)
+        assert (got is None) == (want is None), name
+        if got is None:
+            refused += 1
+            continue
+        assert abs(got - want) <= 1e-15, (name, got, want)
+        bounds += 1
+        inside += int(np.count_nonzero(approx._locate(poly, body.run_pairing.arcs.start)[0] % 2))
+    assert bounds >= 70 and refused >= 15 and inside >= 80
+
+
+def test_pairing_walk_is_one_pass(monkeypatch):
+    # the walk makes as many row-kernel calls on 162 units as on 18: none of
+    # them runs once per unit
+    counts = dict(norm_rows=0, cross_rows=0, _dots=0, _angles=0)
+
+    def counted(name, f):
+        def g(*args):
+            counts[name] += 1
+            return f(*args)
+
+        return g
+
+    for name in counts:
+        monkeypatch.setattr(approx, name, counted(name, getattr(approx, name)))
+    seen = []
+    for k, delta in ((9, 0.2), (81, 0.05)):
+        body = rounded_reuleaux(k, delta)
+        poly = approximate_polytope(body, ApproximationConfig(0.002))[0]
+        assert len(body.run_pairing.arcs) == 2 * k and approx._locate(poly, body.run_pairing.arcs.start)[0].min() >= 0
+        counts.update(dict.fromkeys(counts, 0))
+        assert approx.pairing_bound(body, poly) is not None
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] and min(seen[0].values()) > 0
+
+
+def test_chord_counts_are_the_per_run_counts():
+    # one array expression over the runs, with math's tan and acos, gives
+    # each run the count of the scalar formula, bit for bit
+    rng = np.random.default_rng(7)
+    radius = np.concatenate([rng.uniform(1e-6, PI / 2 - 1e-6, 300), [1e-3, 0.5, PI / 4, 1.5]])
+    span = np.concatenate([rng.uniform(1e-6, 2 * PI, 300), [2 * PI, PI, PI / 2, 1e-3]])
+    for target in (1e-9, 1e-5, 0.002, 0.3, 2.0):
+        for full in (False, True):
+            want = [oracles.chord_count_per_run(r, s, target, full) for r, s in zip(radius.tolist(), span.tolist())]
+            assert approx._chord_counts(radius, span, target, full).tolist() == want, (target, full)
+    # the budget names the first run at fault, as the scalar formula does
+    radius, span = np.array([1e-20, 0.6, 0.7]), np.array([1.0, 6.0, 6.0])
+    with pytest.raises(BudgetExhausted) as got:
+        approx._chord_counts(radius, span, 1e-16)
+    with pytest.raises(BudgetExhausted) as want:
+        oracles.chord_count_per_run(0.6, 6.0, 1e-16)
+    assert str(got.value) == str(want.value) and str(got.value).endswith("radius 0.6")
+

@@ -699,13 +699,29 @@ def test_residual_bound_covers_residual_and_sampled_widths(selfdual_polys):
 def test_run_pairing_table_matches_the_per_run_reference():
     # the stacked table holds, bit for bit, the arcs, pieces, offsets and
     # pairs of the run-by-run construction, and its run term is the largest
-    # per-pair one; a cap in twelve pieces sums its spans pairwise
+    # per-pair one; a cap in twelve pieces sums its spans pairwise, and so
+    # does a rounded Reuleaux body cut unevenly into runs of 1 to 12 pieces,
+    # turned about a run's centre until that run starts at azimuth 1e-3: its
+    # spans there carry finer bits than their sum, so the order of the sum
+    # shows, and each run is offset on its own
     from fixtures import curved_selfdual_bodies, curved_tampered, two_cut_cap
+    from spherewidth.generators import rounded_reuleaux
     from test_generators import chopped_cap
 
     e3 = np.array([0.0, 0.0, 1.0])
     bodies = {**curved_selfdual_bodies(), **curved_tampered(), "two-cut": two_cut_cap(), "chopped": chopped_cap()}
     bodies["split-12"] = ConvexBody([SmallCircleArc(e3, math.pi / 4, k * math.pi / 6, (k + 1) * math.pi / 6) for k in range(12)], e3)
+    rr = rounded_reuleaux(5, 0.15)
+    c, turn = rr.pieces[0].center, 1e-3 - rr.pieces[0].az_from
+    k = np.cross(np.eye(3), c)  # k @ x = c x x
+    rr = rotated(rr, np.eye(3) + math.sin(turn) * k + (1.0 - math.cos(turn)) * k @ k)
+    rng, pieces = np.random.default_rng(4), []
+    for i, p in enumerate(rr.pieces):
+        t = p.az_from + p.span * np.sort(np.concatenate([[0.0, 1.0], rng.random([12, 1, 2, 3, 8, 9][i % 6] - 1)]))
+        pieces += [SmallCircleArc(p.center, p.radius, lo, hi) for lo, hi in zip(t[:-1], t[1:])]
+    bodies["split-runs"] = ConvexBody(pieces, rr.interior)
+    spans = bodies["split-runs"].arcs.span[:12]
+    assert abs(bodies["split-runs"].arcs.t0[0] - 1e-3) < 1e-9 and np.cumsum(spans)[-1] != spans.sum()
     same = 0
     for name, body in bodies.items():
         ref, table = oracles.run_pairing_per_run(body), bd.run_pairing_or_none(body)

@@ -18,6 +18,7 @@ from spherewidth.body import (
     to_polytope,
     validate_polytope,
 )
+from spherewidth import body as bd
 from spherewidth import metrics
 from spherewidth.errors import NotSupporting, RefinementStalled
 from spherewidth.generators import (
@@ -40,7 +41,7 @@ from spherewidth.metrics import (
     thickness,
     width_wrt,
 )
-from spherewidth.sphere import acos_clamped_np, lune_thickness, sample_piece, unit, unit_rows
+from spherewidth.sphere import acos_clamped_np, great_arc_stack, lune_thickness, sample_piece, unit, unit_rows
 
 E1, E2, E3 = np.eye(3)
 PI = math.pi
@@ -225,6 +226,30 @@ def test_vertex_pair_diameter_and_thickness_match_the_ascent(lemma_polygons):
         # the thickness reads the poles as the dual's own vertices
         assert thickness(body) == PI - diameter(polar_dual(body)), name
     assert closed > 0.75 * len(lemma_polygons)
+
+
+def test_diameter_puts_each_shared_end_in_the_gram_matrix_once(monkeypatch, lemma_polygons):
+    # every end of a Polytope is bit for bit the next start, so the Gram
+    # matrix is n x n and its least entry that of the 2n x 2n one, up to the
+    # rounding of a matrix product of another shape; an end that misses the
+    # next start, on a chain of great arcs, stays in
+    rows = []
+    gram = metrics._polygon_diameter
+    monkeypatch.setattr(metrics, "_polygon_diameter", lambda v: rows.append(len(v)) or gram(v))
+    for name, body in lemma_polygons:
+        rows.clear()
+        both = gram(np.concatenate([body.arcs.start, body.arcs.end]))
+        got = diameter(body)
+        assert rows == [len(body.arcs)], name
+        assert both is None or abs(got - both) <= 2 * math.ulp(PI / 2), name
+    poly = random_selfdual_polytope(30, 1)
+    a = poly.arcs
+    end = a.end.copy()
+    end[4] = unit(end[4] + 1e-13 * E3)
+    chain = bd.chain_body(great_arc_stack(a.start, end))
+    rows.clear()
+    assert abs(diameter(chain) - gram(np.concatenate([chain.arcs.start, chain.arcs.end]))) <= 2 * math.ulp(PI / 2)
+    assert rows == [len(a) + 1]
 
 
 def test_diameter_inside_an_edge_takes_the_ascent():
