@@ -31,14 +31,16 @@ it; the tests replay the edits chord by chord with it as the reference for
 the one-pass output.
 
 ``approximate_polytope`` runs the gate (``is_constant_width``: the closed
-form of the input's self-duality bound, from its edge-pole/vertex pairing on
-a polytope or from its run pairing (``body.pairing_residual_bound``) on a
-curved body, and the width sweep only when that bound is not within
-tolerance), the build (``chord_polytope``, which checks nothing) and the
-certificate once each, all reading each body's one cached validation
-(``ConvexBody.validation``) and its one cached run pairing
-(``ConvexBody.run_pairing``), which the gate reads, the build chords and
-the certificate walks.  The certificate never trusts the construction: it
+form of the input's self-duality bound rho, ``ConvexBody.residual_bound``,
+from its edge-pole/vertex pairing on a polytope or from its run pairing
+(``body.pairing_residual_bound``) on a curved body, and the width sweep
+only when that bound is not within tolerance), the build
+(``chord_polytope``, which checks nothing) and the certificate once each,
+all reading each body's one cached validation (``ConvexBody.validation``),
+its one cached run pairing (``ConvexBody.run_pairing``), which the gate
+reads, the build chords and the certificate walks, and its one cached rho.
+An epsilon sweep over one body object therefore measures the input's rho
+once, at its first gate.  The certificate never trusts the construction: it
 reads only the two bodies, and checks the widths and the residual before
 it measures the Hausdorff term.  For a polytope output its Hausdorff
 term is the proved upper bound of ``pairing_bound``, one pass over all
@@ -48,10 +50,11 @@ on every great-arc piece.  Any pair the walk does not cover (a curved
 result, an input without arc runs, an arbitrary file pair) is re-measured
 by the refinement ``metrics.hausdorff_bounds``, whose upper end it takes.
 For a polytope output the width range and the self-duality residual are
-proved upper-bound ends from its edge-pole/vertex pairing
-(``body.selfdual_residual_bound``), in O(n); a curved result takes them
-from ``metrics.is_constant_width``, in closed form from its run pairing
-(``body.pairing_residual_bound``) when that is within tolerance.
+proved upper-bound ends from its edge-pole/vertex pairing (its
+``residual_bound``, ``body.selfdual_residual_bound``), in O(n); a curved
+result takes them from ``metrics.is_constant_width``, in closed form from
+its run pairing (``body.pairing_residual_bound``) when that is within
+tolerance.
 """
 
 from __future__ import annotations
@@ -101,7 +104,6 @@ from .body import (
     merge_flat,
     require_valid,
     run_pairing_or_none,
-    selfdual_residual_bound,
     to_polytope,
 )
 # ``hausdorff`` is not on certify's path, which takes ``hausdorff_bounds``' upper end: a test that must see the
@@ -627,9 +629,9 @@ def approximate_polytope(
     distance checked against 2 * epsilon) and the steps, a ``StepTable``
     whose records are made when read.
     """
-    # the gate validates the input: on a polytope input through its
-    # Polytope's report, on a curved one through pairing_residual_bound,
-    # and through polar_dual when it sweeps
+    # the gate validates the input through its rho (``residual_bound``),
+    # and through polar_dual when it sweeps; a body gated before reads
+    # both from its caches
     gate = is_constant_width(body, 0.5 * math.pi, config.self_dual_tol)
     if not gate.passed:
         raise NotConstantWidth(
@@ -645,8 +647,8 @@ def certify(original: ConvexBody, result: ConvexBody, config: ApproximationConfi
     """Re-measure every guarantee on the (input, output) pair from scratch.
 
     A result bounded by great arcs, read as a ``Polytope`` (``to_polytope``)
-    and validated as one, takes its width range and residual
-    from ``selfdual_residual_bound``, any other from
+    and validated as one, takes its width range and residual from its
+    ``residual_bound`` (``selfdual_residual_bound``), any other from
     ``is_constant_width``: its run pairing's closed form, or the sweep.
     Both are checked first, in O(n) for a polytope result, so a result
     that fails them is refused before its Hausdorff term is measured:
@@ -659,7 +661,7 @@ def certify(original: ConvexBody, result: ConvexBody, config: ApproximationConfi
     if result.is_polytope():
         result = to_polytope(result)
         require_valid(result)
-        residual = selfdual_residual_bound(result)
+        residual = result.residual_bound
         wmin, wmax = 0.5 * math.pi - residual, 0.5 * math.pi + residual
     else:
         # is_constant_width validates the result, in the closed form or,

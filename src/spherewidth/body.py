@@ -15,10 +15,12 @@ check read off the stacked arcs in closed form.  Every polygon the library
 builds is a ``Polytope``, whose edges come from its vertices in one pass
 (``sphere.great_arc_stack``); a curved body stacks its pieces once, or
 takes its stack as it is (``chain_body``), and is edited on the stack:
-``polar_dual`` maps its rows, ``merge_flat`` joins flat junctions.  The
-piece objects (``pieces``), validation, junction poles and run pairing are
-made from the stack on first use, so neither it nor ``vertices`` may
-change after.
+``polar_dual`` maps its rows, ``merge_flat`` joins flat junctions.  A body
+makes each of its measurements on first read and keeps it, so neither its
+stack nor ``vertices`` may change after: a polytope's stack (``arcs``) and
+witness (``interior``), the piece objects (``pieces``), the validation,
+the junction poles, the run pairing and the self-duality bound rho
+(``residual_bound``).
 The chain is traversed counterclockwise as seen from the interior side: at
 every smooth boundary point P with unit tangent T, the support pole of the
 body is P x T.  Under that convention polar duality maps pieces to pieces
@@ -44,7 +46,7 @@ involution that fixes no run), corner k with great-arc piece k + s, and
 edge pole i of an n-gon with vertex i + (n + 1) // 2.  The proved bounds on
 H(C, C*), ``selfdual_residual_bound`` for a polytope and
 ``pairing_residual_bound`` for a curved body, are read off those pairings;
-``residual_bound`` takes the one that applies.
+``ConvexBody.residual_bound`` takes the one that applies.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from .sphere import (
     GreatArc,
     Vec,
     acos_clamped_np,
-    arc_dot_range,
     arc_pieces,
     cross_rows,
     distance_to_piece,
@@ -146,6 +147,20 @@ class ConvexBody:
         """The ``_pair_runs`` of the ``_boundary_units`` of ``arcs``, built on first read: the body must
         not change afterwards.  Raises ``NotSelfDual``, on every read, when a run has no partner."""
         return _pair_runs(*_boundary_units(self.arcs))
+
+    @cached_property
+    def residual_bound(self) -> Optional[float]:
+        """The proved self-duality bound rho of a valid body, else None, measured on first read: the body
+        must not change afterwards.
+
+        ``selfdual_residual_bound`` for a body bounded by great arcs,
+        ``pairing_residual_bound`` (None when its run pairing or corner
+        matching fails) for a curved one.
+        """
+        if not self.is_polytope():
+            return pairing_residual_bound(self)
+        poly = to_polytope(self)
+        return selfdual_residual_bound(poly) if poly.validation.ok else None
 
 
 class Polytope(ConvexBody):
@@ -274,13 +289,15 @@ def validate(body: ConvexBody) -> ValidationReport:
     off ``body.arcs`` in closed form.  When the stack cannot be built (a
     ``Polytope`` with a repeated vertex) the report is edges-nondegenerate
     alone.  Otherwise: piece count; chain closure; hemisphericity, the
-    least x . k over each arc (``arc_dot_range``) for k the interior witness
-    or the mean support pole, the integral of K(t) over every arc (an
-    interior point of the polar dual certifies containment); support
-    orientation, the least w . K over the support poles of each arc
-    (``min_support_dot``), which must be positive so that every support
-    pole sees the witness w strictly inside, and which also forces
-    small-circle arcs to bulge outward; junction convexity and no cusp, from
+    least x . k over each arc for k the interior witness or the mean
+    support pole, the integral of K(t) over every arc (an interior point of
+    the polar dual certifies containment); support orientation, the least
+    w . K over the support poles of each arc, which must be positive so
+    that every support pole sees the witness w strictly inside, and which
+    also forces small-circle arcs to bulge outward, read off the same
+    product of the candidates with the arcs as the hemisphere check (each
+    least value at an end or at the sinusoid's extreme, as in
+    ``sphere.sinusoid_range``); junction convexity and no cusp, from
     the turn about the junction point P from the pole K_end to K_next
     (``ConvexBody.junction_poles``), which is the tangent turn as K = P x T;
     piece non-degeneracy; and no redundant vertices, two great arcs meeting
@@ -308,14 +325,22 @@ def validate(body: ConvexBody) -> ValidationReport:
     pole_sum = ((a.sin_r * a.span)[:, None] * a.z - a.cos_r[:, None] * ring).sum(axis=0)
     w = body.interior
     candidates = np.array([w, unit(pole_sum)]) if math.sqrt(pole_sum.dot(pole_sum)) > DOT_EPS else w[None]
-    lo = arc_dot_range(a, candidates[:, None])[0]
-    min_dot = float(lo.min(axis=1).max())
+    # one product of the candidates with every arc's frame, ends and end support poles: with
+    # s(t) = (u . k) cos t + (v . k) sin t, x . k = cos r (z . k) + sin r s(t) is least at an end or where s is
+    # least, and K . w = sin r (z . w) - cos r s(t) at an end or where s is greatest, both azimuths from one atan2
+    k_end, k_next, pole_gap, _ = body.junction_poles
+    k_start = np.concatenate((k_next[-1:], k_next[:-1]))  # row i: the pole at piece i's start
+    dots = np.stack((a.u, a.v, a.z, a.start, a.end, k_start, k_end)) @ candidates.T
+    ku, kv, kz, at_start, at_end, pole_start, pole_end = dots
+    amp, rel = np.hypot(ku, kv), np.arctan2(kv, ku) - a.t0[:, None]
+    inner = np.where(wrap_angle(rel + math.pi) <= a.span[:, None], a.cos_r[:, None] * kz - a.sin_r[:, None] * amp, np.inf)
+    min_dot = float(np.minimum(np.minimum(at_start, at_end), inner).min(axis=0).max())
     checks.append(ValidationCheck("hemispherical", min_dot >= -BOUNDARY_EPS, -min_dot))
 
-    worst_support = min(1.0, float(min_support_dot(w[None], a).min()))
+    inner = np.where(wrap_angle(rel[:, 0]) <= a.span, a.sin_r * kz[:, 0] - a.cos_r * amp[:, 0], np.inf)
+    worst_support = min(1.0, float(np.minimum(np.minimum(pole_start[:, 0], pole_end[:, 0]), inner).min()))
     checks.append(ValidationCheck("support-orientation", worst_support > DOT_EPS, -worst_support))
 
-    k_end, k_next, pole_gap, _ = body.junction_poles
     turns = np.arctan2((cross_rows(k_end, k_next) * a.end).sum(axis=1), (k_end * k_next).sum(axis=1))
     min_turn, max_turn = float(turns.min()), float(turns.max())
     checks.append(ValidationCheck("convex-turns", min_turn >= -BOUNDARY_EPS, -min_turn))
@@ -488,11 +513,12 @@ def selfdual_residual_bound(poly: Polytope) -> float:
     y -> d(k, y) is 1-Lipschitz, so |width(P, k) - pi/2| <= rho.  The
     bound holds up to the roundoff of its own evaluation.
     """
-    v = poly.vertices
-    w = poly.arcs.z
-    c = float(np.max(norm_rows(w - np.roll(v, -((len(v) + 1) // 2), axis=0))))
-    # cos(l/2) = |a + b| / 2 for the unit ends a, b of an edge of length l
-    half = 0.5 * min(float(np.min(norm_rows(x + np.roll(x, -1, axis=0)))) for x in (v, w))
+    v, w = poly.vertices, poly.arcs.z
+    s = (len(v) + 1) // 2
+    c = float(np.max(norm_rows(w - np.concatenate((v[s:], v[:s])))))
+    # cos(l/2) = |a + b| / 2 for the unit ends a, b of an edge of length l, over the edges of P and of P*
+    vw = np.stack((v, w))
+    half = 0.5 * float(np.min(norm_rows(vw + np.concatenate((vw[:, 1:], vw[:, :1]), axis=1))))
     return math.asin(c / half) if c < half else math.inf
 
 
@@ -742,19 +768,6 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
 
     rho = max(terms) + float(np.max(_closure(a) + np.where(corner, 0.0, gap)))
     return rho if rho < 0.5 * math.pi else None
-
-
-def residual_bound(body: ConvexBody) -> Optional[float]:
-    """The proved self-duality bound rho of a valid body, else None.
-
-    ``selfdual_residual_bound`` for a body bounded by great arcs,
-    ``pairing_residual_bound`` (None when its run pairing or corner
-    matching fails) for a curved one.
-    """
-    if not body.is_polytope():
-        return pairing_residual_bound(body)
-    poly = to_polytope(body)
-    return selfdual_residual_bound(poly) if poly.validation.ok else None
 
 
 # ------------------------------------------------------------------ support

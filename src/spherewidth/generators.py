@@ -8,11 +8,12 @@ residual Hausdorff gap to zero.
 
 The completion of a polytope stays a polygon: each hull insertion works on
 its vertex array and cached edge poles and returns a ``Polytope``, with no
-``GreatArc`` objects.  The completion stops on the O(n) bound rho of
-``body.residual_bound`` and runs the Hausdorff refinement only when rho
-does not settle the stop.  A body with small-circle arcs is grown on one
-table of segments of its stacked arcs, each arc split where the visibility
-from x flips; ``rotated`` also turns the stack rows, not piece objects.
+``GreatArc`` objects.  The completion stops on the O(n) bound rho each body
+measures once (``ConvexBody.residual_bound``) and runs the Hausdorff
+refinement only when rho does not settle the stop.  A body with
+small-circle arcs is grown on one table of segments of its stacked arcs,
+each arc split where the visibility from x flips; ``rotated`` also turns
+the stack rows, not piece objects.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from .body import (
     merge_flat,
     polar_dual,
     require_valid,
-    residual_bound,
-    selfdual_residual_bound,
     to_polytope,
     validate_polytope,
 )
@@ -270,18 +269,14 @@ def complete_selfdual(seed: ConvexBody, tol: float, rng_seed: int = 0) -> Convex
 
     The seed must satisfy seed inside seed-dual (equivalently diameter at
     most pi/2).  Each round returns the body when its proved bound
-    rho >= H(body, dual) (``body.residual_bound``) is within tolerance.
-    Otherwise it samples the dual boundary: when the largest gap to the body
-    is within tolerance, the refinement of the directed sup from the dual to
-    the body decides the stop, and a body that does not stop gets the
-    farthest sample inserted.  Raises ``BudgetExhausted`` with the partial
-    body if the insertion budget runs out.
+    rho >= H(body, dual) (``ConvexBody.residual_bound``, kept on the body)
+    is within tolerance.  Otherwise it samples the dual boundary: when the
+    largest gap to the body is within tolerance, the refinement of the
+    directed sup from the dual to the body decides the stop, and a body
+    that does not stop gets the farthest sample inserted.  Raises
+    ``BudgetExhausted`` with the partial body if the insertion budget runs
+    out.
     """
-    return _complete(seed, tol, rng_seed)[0]
-
-
-def _complete(seed: ConvexBody, tol: float, rng_seed: int) -> tuple[ConvexBody, Optional[float]]:
-    """``complete_selfdual``, and the bound rho it stopped on, or None when it stopped another way."""
     body = seed
     require_valid(body)
     if diameter(body) > 0.5 * math.pi + BOUNDARY_EPS:
@@ -290,9 +285,9 @@ def _complete(seed: ConvexBody, tol: float, rng_seed: int) -> tuple[ConvexBody, 
     for _ in range(MAX_INSERTIONS):
         # rho bounds H(body, dual), so every gap sampled below and the
         # directed sup the refinement measures: in O(n) for a polytope
-        rho = residual_bound(body)
+        rho = body.residual_bound
         if rho is not None and rho <= 0.9 * tol:
-            return body, rho
+            return body
         dual = polar_dual(body)
         arcs = dual.arcs
         counts = length_weighted_counts(arcs, COMPLETION_SWEEP)
@@ -305,9 +300,9 @@ def _complete(seed: ConvexBody, tol: float, rng_seed: int) -> tuple[ConvexBody, 
             # body is inside its dual, so the residual is one directed sup
             certified = boundary_sup_distance(dual, body, tol=0.1 * tol)
             if certified <= 0.9 * tol:
-                return body, None
+                return body
         if gaps[i] <= 1e-12:
-            return body, None
+            return body
         body = convex_hull_with_point(body, pts[i])
     raise BudgetExhausted(
         "completion did not reach tol %.1e in %d insertions" % (tol, MAX_INSERTIONS),
@@ -360,17 +355,15 @@ def random_selfdual_polytope(n_target: int, rng_seed: int = 0) -> Polytope:
 
     The completion of a polytope seed stays a polytope; it is validated once,
     by the completion, and its constant width re-checked against
-    ``SELF_DUAL_EPS`` on ``selfdual_residual_bound``: the bound the
-    completion stopped on, measured again only when it stopped another way.
+    ``SELF_DUAL_EPS`` on its ``residual_bound``: the bound the completion
+    stopped on, measured on this read only when it stopped another way.
     """
     seed = random_subdual_polytope_seed(n_target, rng_seed)
-    body, rho = _complete(seed, tol=1e-7, rng_seed=rng_seed)
-    poly = to_polytope(body)
+    poly = to_polytope(complete_selfdual(seed, tol=1e-7, rng_seed=rng_seed))
     rep = validate_polytope(poly)
     if not rep.ok:
         raise InvalidBody("completion produced an invalid polytope: %s" % rep)
-    if rho is None:
-        rho = selfdual_residual_bound(poly)
+    rho = poly.residual_bound
     if rho > SELF_DUAL_EPS:
         raise NotSelfDual("completion residual bound %.3g exceeds %.1e" % (rho, SELF_DUAL_EPS))
     return poly

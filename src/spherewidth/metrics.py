@@ -16,7 +16,9 @@ farthest-point ascent for all piece pairs at once.  For tau = pi/2,
 ``is_constant_width`` answers a valid body whose proved self-duality bound
 rho has 2 rho <= tol in closed form, widths pi/2 -+ rho and residual rho,
 with no dual and no ascent; its thickness and diameter are measured when
-read.  A polytope's rho is ``body.selfdual_residual_bound``, from its
+read.  The bound is the body's own ``ConvexBody.residual_bound``, measured
+on its first read, so a body gated again costs only its report: a
+polytope's rho is ``body.selfdual_residual_bound``, from its
 edge-pole/vertex pairing; a curved body's is
 ``body.pairing_residual_bound``, from the run pairing the chord
 construction uses.  Every other body is swept along its dual boundary.
@@ -75,7 +77,6 @@ from .body import (
     boundary_max_distance_many,
     polar_dual,
     require_valid,
-    residual_bound,
 )
 
 # Default certified accuracy of the Hausdorff refinement.
@@ -475,11 +476,12 @@ def self_duality_residual(body: ConvexBody, tol: float = HAUSDORFF_TOL) -> float
 class WidthReport:
     """Result of a constant-width verification.
 
-    For tau = pi/2 and a valid body whose self-duality bound rho
-    (``body.selfdual_residual_bound`` for a polytope or a body of great
-    arcs, ``body.pairing_residual_bound`` for a curved one) satisfies
-    2 rho <= tol, the widths are the proved ends pi/2 -+ rho and the
-    self-duality residual is rho (``residual_bound``); no dual is built
+    For tau = pi/2 and a valid body whose self-duality bound rho, the
+    body's ``ConvexBody.residual_bound`` (``body.selfdual_residual_bound``
+    for a polytope or a body of great arcs, ``body.pairing_residual_bound``
+    for a curved one, measured once per body), satisfies 2 rho <= tol, the
+    widths are the proved ends pi/2 -+ rho and the self-duality residual
+    is rho (``residual_bound``); no dual is built
     (``dual`` is None), and the thickness and diameter are measured on
     first read by ``thickness`` and ``diameter``.  Any other body is swept:
     the widths are sampled, the thickness is pi minus the dual's ascent
@@ -526,10 +528,12 @@ def is_constant_width(body: ConvexBody, tau: float, tol: float = 1e-6) -> WidthR
     """Compare the widths of the body against ``tau``, within ``tol``.
 
     For tau = pi/2, a valid body whose proved self-duality bound rho
-    (``body.residual_bound``) has 2 rho <= tol is answered in closed form:
-    every width lies in [pi/2 - rho, pi/2 + rho], so the sweep below would
-    pass too.  The report then holds pi/2 -+ rho and rho, and measures the
-    thickness and diameter only when they are read.
+    (``ConvexBody.residual_bound``, which the body measures on its first
+    read and keeps, so a body gated again pays only for this report) has
+    2 rho <= tol is answered in closed form: every width lies in
+    [pi/2 - rho, pi/2 + rho], so the sweep below would pass too.  The
+    report then holds pi/2 -+ rho and rho, and measures the thickness and
+    diameter only when they are read.
 
     Any other body is swept.  Poles are sampled along the dual boundary
     (where all supporting poles live) together with every piece endpoint;
@@ -538,7 +542,7 @@ def is_constant_width(body: ConvexBody, tau: float, tol: float = 1e-6) -> WidthR
     Hausdorff refinement.
     """
     if tau == 0.5 * math.pi:
-        rho = residual_bound(body)
+        rho = body.residual_bound
         if rho is not None:
             wmin, wmax = tau - rho, tau + rho
             if wmax - wmin <= tol:  # 2 rho <= tol, on the ends as rounded

@@ -74,7 +74,6 @@ from spherewidth.sphere import (
     TWO_PI,
     GreatArc,
     Vec,
-    _dots,
     SmallCircleArc,
     acos_clamped_np,
     arc_pole,
@@ -84,7 +83,6 @@ from spherewidth.sphere import (
     linspace_grid,
     norm_rows,
     sample_piece,
-    sinusoid_range,
     stack_arcs,
     tangent_basis,
     unit,
@@ -886,10 +884,12 @@ def junction_poles_per_end(body):
 def validate_three_rounds(body):
     """The checks of ``body.validate``, each reading its own cosines and sines of t0 and t1.
 
-    The pole integral, the hemisphere range, the support-orientation range
-    and the junction poles (``junction_poles_per_end``) each take a fresh
+    The pole integral and the junction poles (``junction_poles_per_end``),
+    whose end poles the support-orientation range reads, each take a fresh
     ``np.cos``/``np.sin`` round, as the stacked ``validate`` did before each
-    stack kept one (``ArcStack.end_trig``).
+    stack kept one (``ArcStack.end_trig``).  The hemisphere and support
+    ranges take their end values from one product of the candidates with
+    the arcs' ends and end poles, and their inner extremes from one atan2.
     """
     try:
         a = body.arcs
@@ -902,27 +902,22 @@ def validate_three_rounds(body):
     gap = float(np.linalg.norm(a.end - np.roll(a.start, -1, axis=0), axis=1).max())
     checks.append(ValidationCheck("closure", gap <= BOUNDARY_EPS, gap))
 
-    def trig():
-        return np.array([np.cos(a.t0), np.cos(a.t1)]), np.array([np.sin(a.t0), np.sin(a.t1)])
-
     ring = (np.sin(a.t1) - np.sin(a.t0))[:, None] * a.u + (np.cos(a.t0) - np.cos(a.t1))[:, None] * a.v
     pole_sum = ((a.sin_r * a.span)[:, None] * a.z - a.cos_r[:, None] * ring).sum(axis=0)
     w = body.interior
     candidates = np.array([w, unit(pole_sum)]) if np.linalg.norm(pole_sum) > DOT_EPS else w[None]
-    k = candidates[:, None]
-    lo = sinusoid_range((a.u * k).sum(axis=-1), (a.v * k).sum(axis=-1), a.t0, a.t1, *trig())[0]
-    lo = a.cos_r * (a.z * k).sum(axis=-1) + a.sin_r * lo
-    min_dot = float(lo.min(axis=1).max())
+    k_end, k_next = junction_poles_per_end(body)
+    dots = np.stack((a.u, a.v, a.z, a.start, a.end, np.roll(k_next, 1, axis=0), k_end)) @ candidates.T
+    ku, kv, kz = dots[:3]
+    amp, rel = np.hypot(ku, kv), np.arctan2(kv, ku) - a.t0[:, None]
+    lo = np.where(wrap_angle(rel + math.pi) <= a.span[:, None], a.cos_r[:, None] * kz - a.sin_r[:, None] * amp, np.inf)
+    min_dot = float(np.minimum(np.minimum(dots[3], dots[4]), lo).min(axis=0).max())
     checks.append(ValidationCheck("hemispherical", min_dot >= -BOUNDARY_EPS, -min_dot))
 
-    x = w[None]
-    support = a.sin_r * _dots(x, a.z)
-    if not a.great.all():
-        support = support - a.cos_r * sinusoid_range(_dots(x, a.u), _dots(x, a.v), a.t0, a.t1, *trig())[1]
-    worst_support = min(1.0, float(support.min()))
+    hi = np.where(wrap_angle(rel[:, 0]) <= a.span, a.sin_r * kz[:, 0] - a.cos_r * amp[:, 0], np.inf)
+    worst_support = min(1.0, float(np.minimum(np.minimum(dots[5, :, 0], dots[6, :, 0]), hi).min()))
     checks.append(ValidationCheck("support-orientation", worst_support > DOT_EPS, -worst_support))
 
-    k_end, k_next = junction_poles_per_end(body)
     turns = np.arctan2((cross_rows(k_end, k_next) * a.end).sum(axis=1), (k_end * k_next).sum(axis=1))
     min_turn, max_turn = float(turns.min()), float(turns.max())
     checks.append(ValidationCheck("convex-turns", min_turn >= -BOUNDARY_EPS, -min_turn))

@@ -20,6 +20,7 @@ from spherewidth.approx import (
 from spherewidth.body import (
     ConvexBody,
     Polytope,
+    chain_body,
     polar_dual,
     strictly_convex_arc_length,
     to_polytope,
@@ -43,7 +44,7 @@ from spherewidth.generators import (
     rotation_from_seed,
     rounded_reuleaux,
 )
-from spherewidth.formats import dumps_step, dumps_step_log
+from spherewidth.formats import dumps_certificate, dumps_step, dumps_step_log
 from spherewidth.metrics import HAUSDORFF_TOL, hausdorff_bounds, is_constant_width, self_duality_residual
 from spherewidth.sphere import GreatArc, SmallCircleArc, unit
 
@@ -445,6 +446,28 @@ def test_approximation_measures_each_body_once(monkeypatch):
         }
         assert calls["validate"][0] is body and calls["validate"][1] is poly
         assert calls["_boundary_units"][0] is body.arcs
+
+
+@pytest.mark.parametrize("name", ["reuleaux", "cap"])
+def test_an_epsilon_ladder_on_one_body_measures_its_rho_once(monkeypatch, name):
+    # the gate reads the input's rho from the body, which measures it at the
+    # first rung only; every certificate is that of a fresh copy of the body
+    body = rotated_reuleaux(9, 0.2) if name == "reuleaux" else rotated(cap(E3, PI / 4), rotation_from_seed(3))
+    measured, pairing = [], bd.pairing_residual_bound
+
+    def counted(b):
+        measured.append(b)
+        return pairing(b)
+
+    monkeypatch.setattr(bd, "pairing_residual_bound", counted)
+    ladder = (0.01, 0.002, 5e-4)
+    certs = [approximate_polytope(body, ApproximationConfig(e))[1] for e in ladder]
+    assert len(measured) == 1 and measured[0] is body
+    for e, cert in zip(ladder, certs):
+        fresh = chain_body(body.arcs, body.interior)
+        assert dumps_certificate(cert) == dumps_certificate(approximate_polytope(fresh, ApproximationConfig(e))[1])
+        assert measured[-1] is fresh
+    assert len(measured) == 1 + len(ladder)
 
 
 def test_approximating_great_arc_bodies_makes_no_great_arc_objects():

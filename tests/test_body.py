@@ -1,3 +1,4 @@
+import copy
 import functools
 import math
 import warnings
@@ -227,9 +228,10 @@ def test_validate_matches_per_piece_reference():
 
 
 def test_validate_reads_one_cos_sin_round_bit_for_bit():
-    # the pole integral, the hemisphere and support ranges and the junction
-    # poles all read the stack's one cos/sin round of (t0, t1): the reports
-    # and poles are, bit for bit, those of a fresh np.cos/np.sin round per use
+    # the pole integral and the junction poles, whose end poles the support
+    # range reads, all read the stack's one cos/sin round of (t0, t1): the
+    # reports and poles are, bit for bit, those of a fresh np.cos/np.sin
+    # round per use
     valid, failing = _validation_corpus()
     bodies = [b for _, b in acceptance_corpus().values()] + list(curved_bodies().values())
     bodies += list(curved_tampered().values()) + valid + [c for _, c in failing]
@@ -694,6 +696,36 @@ def test_residual_bound_covers_residual_and_sampled_widths(selfdual_polys):
             assert rep.width_max <= 0.5 * math.pi + rho + 1e-12, (name, amp)
             checked += 1
     assert checked >= 3 * len(selfdual_polys)
+
+
+def test_residual_bound_is_the_proved_bound_measured_once(monkeypatch, selfdual_polys):
+    # a body keeps the rho of its first read: bit for bit the uncached bound
+    # of its kind, None included, and a second read measures nothing
+    bodies = [b for _, b in acceptance_corpus().values()] + list(curved_bodies().values())
+    bodies += list(curved_tampered().values()) + list(selfdual_polys.values())
+    bodies += [perturbed(p, amp, seed=i) for i, p in enumerate(selfdual_polys.values()) for amp in (1e-5, 2e-2)]
+    bodies += [polar_dual(b) for b in bodies if b.validation.ok]
+    measured = []
+    uncached = {name: getattr(bd, name) for name in ("pairing_residual_bound", "selfdual_residual_bound")}
+    for name, fn in uncached.items():
+        monkeypatch.setattr(bd, name, lambda b, _fn=fn: measured.append(b) or _fn(b))
+    kinds = set()
+    for body in bodies:
+        if not body.is_polytope():
+            want = uncached["pairing_residual_bound"](body)
+        else:
+            poly = to_polytope(body)
+            want = uncached["selfdual_residual_bound"](poly) if validate_polytope(poly).ok else None
+        # repr tells every float apart, -0.0 and inf too
+        assert repr(body.residual_bound) == repr(want), (body, body.residual_bound, want)
+        fresh = copy.copy(body)  # the generators read rho already: a copy without it
+        vars(fresh).pop("residual_bound", None)
+        measured.clear()
+        got = fresh.residual_bound
+        assert repr(got) == repr(want) and fresh.residual_bound is got
+        assert len(measured) == (want is not None or not body.is_polytope())
+        kinds.add((body.is_polytope(), want is None))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_run_pairing_table_matches_the_per_run_reference():

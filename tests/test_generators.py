@@ -305,7 +305,8 @@ def test_completion_stop_falls_back_to_the_refinement(monkeypatch, bound):
         certified.append(sup(*args, **kwargs))
         return certified[-1]
 
-    monkeypatch.setattr(generators, "residual_bound", lambda body: bound)
+    # the seed keeps the rho it measured above; a class property outranks it
+    monkeypatch.setattr(bd.ConvexBody, "residual_bound", property(lambda body: bound))
     monkeypatch.setattr(generators, "boundary_sup_distance", counted_sup)
     got = complete_selfdual(seed, tol=1e-7, rng_seed=2)
     assert len(certified) == 1 and certified[0] <= 0.9e-7
@@ -314,10 +315,11 @@ def test_completion_stop_falls_back_to_the_refinement(monkeypatch, bound):
 
 def test_polytope_completion_measures_nothing_twice(monkeypatch):
     # a polytope completion stops on its O(n) bound: no refinement, no
-    # GreatArc pieces, and one validation of the seed and of the output
+    # GreatArc pieces, one validation of the seed and of the output, and
+    # one rho of each body it grows, the output's read again by the caller
     calls = {"boundary_sup_distance": 0, "pieces": 0}
-    validated = []
-    sup, validate_body = generators.boundary_sup_distance, bd.validate
+    validated, measured = [], []
+    sup, validate_body, rho = generators.boundary_sup_distance, bd.validate, bd.selfdual_residual_bound
     make_pieces = bd.Polytope.pieces.func
 
     def pieces(body):
@@ -332,17 +334,25 @@ def test_polytope_completion_measures_nothing_twice(monkeypatch):
         calls["boundary_sup_distance"] += 1
         return sup(*args, **kwargs)
 
+    def counted_rho(poly):
+        measured.append(poly)  # the list keeps each body alive, so ids stay distinct
+        return rho(poly)
+
     prop = cached_property(pieces)
     prop.__set_name__(bd.Polytope, "pieces")
     monkeypatch.setattr(bd.Polytope, "pieces", prop)
     monkeypatch.setattr(bd, "validate", validate)
     monkeypatch.setattr(generators, "boundary_sup_distance", counted_sup)
+    monkeypatch.setattr(bd, "selfdual_residual_bound", counted_rho)
     for s in (1, 2, 3, 4):
         validated.clear()
+        measured.clear()
         poly = random_selfdual_polytope(30, s)
         assert calls == {"boundary_sup_distance": 0, "pieces": 0}
         assert len(validated) == 2 and validated[-1] is poly
         assert all(isinstance(b, Polytope) for b in validated)
+        assert len(measured) > 1 and measured[-1] is poly
+        assert len({id(b) for b in measured}) == len(measured)
 
 
 def test_completion_rejects_superdual_seed():
