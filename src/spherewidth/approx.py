@@ -54,7 +54,7 @@ proved upper-bound ends from its edge-pole/vertex pairing (its
 ``residual_bound``, ``body.selfdual_residual_bound``), in O(n); a curved
 result takes them from ``metrics.is_constant_width``, in closed form from
 its run pairing (``body.pairing_residual_bound``) when that is within
-tolerance.
+tolerance, else from the width sweep and the upper end of the refinement.
 """
 
 from __future__ import annotations
@@ -161,8 +161,10 @@ class Certificate:
     distance to its polar dual from the edge-pole/vertex pairing; a curved
     output takes all three from ``metrics.is_constant_width``: the same
     ends from its run pairing when 2 rho is within tolerance, else the
-    sampled width sweep.  ``steps`` and ``rounds`` count the chords and
-    build rounds of ``approximate_polytope``, 0 from ``certify`` alone.
+    sampled width sweep and, as the residual, the upper end of
+    ``metrics.hausdorff_bounds`` against its dual.  ``steps`` and
+    ``rounds`` count the chords and build rounds of
+    ``approximate_polytope``, 0 from ``certify`` alone.
     """
 
     epsilon: float
@@ -632,7 +634,7 @@ def approximate_polytope(
     # the gate validates the input through its rho (``residual_bound``),
     # and through polar_dual when it sweeps; a body gated before reads
     # both from its caches
-    gate = is_constant_width(body, 0.5 * math.pi, config.self_dual_tol)
+    gate = is_constant_width(body, tol=config.self_dual_tol)
     if not gate.passed:
         raise NotConstantWidth(
             "input width range [%.9f, %.9f] is not pi/2 within %.1e"
@@ -666,7 +668,7 @@ def certify(original: ConvexBody, result: ConvexBody, config: ApproximationConfi
     else:
         # is_constant_width validates the result, in the closed form or,
         # when it sweeps, through polar_dual
-        rep = is_constant_width(result, 0.5 * math.pi, config.self_dual_tol)
+        rep = is_constant_width(result, tol=config.self_dual_tol)
         wmin, wmax, residual = rep.width_min, rep.width_max, rep.self_duality_residual
     tol = config.self_dual_tol
     if not (abs(wmin - 0.5 * math.pi) <= tol and abs(wmax - 0.5 * math.pi) <= tol):

@@ -65,7 +65,6 @@ from .sphere import (
     TWO_PI,
     ArcStack,
     CircleArc,
-    GreatArc,
     Vec,
     acos_clamped_np,
     arc_pieces,
@@ -85,7 +84,7 @@ from .sphere import (
 )
 
 # Junction poles closer than this chord distance are treated as one smooth
-# support pole.  Must sit above the GreatArc degeneracy floor (~1.4e-6, from
+# support pole.  Must sit above the great-arc degeneracy floor (~1.4e-6, from
 # the 1e-12 dot-product guard) so skipped junctions can never demand an arc
 # too short to represent.
 POLE_MERGE_EPS = 1e-5
@@ -777,18 +776,19 @@ def pairing_residual_bound(body: ConvexBody) -> Optional[float]:
 class SupportSet:
     """Support poles of the body at one boundary point.
 
-    ``poles`` is a single pole at smooth points and a great arc of poles at
-    vertices; every pole K satisfies K . at = 0 with the body inside H(K).
+    ``poles`` is a single pole at smooth points and, at vertices, the great
+    arc of poles as a one-row ``ArcStack``; every pole K satisfies
+    K . at = 0 with the body inside H(K).
     """
 
     at: Vec
-    poles: Union[Vec, GreatArc]
+    poles: Union[Vec, ArcStack]
     is_vertex: bool
 
     def representative(self) -> Vec:
         if not self.is_vertex:
             return self.poles
-        return self.poles.point_at(0.5 * self.poles.length)[0]
+        return self.poles.point_at(0.5 * self.poles.span)[0]
 
 
 def support_poles_at(body: ConvexBody, p, tol: float = BOUNDARY_EPS) -> SupportSet:
@@ -804,7 +804,7 @@ def support_poles_at(body: ConvexBody, p, tol: float = BOUNDARY_EPS) -> SupportS
     i = next(iter(np.flatnonzero(norm_rows(a.end - p) <= tol)), None)  # the first junction at p
     if i is not None:
         if corner[i]:
-            return SupportSet(at=p, poles=GreatArc(k_end[i], k_next[i]), is_vertex=True)
+            return SupportSet(at=p, poles=great_arc_stack(k_end[i : i + 1], k_next[i : i + 1]), is_vertex=True)
         return SupportSet(at=p, poles=k_end[i], is_vertex=False)
     dists = distance_to_piece(p[None, :], a)[0]
     i = int(np.argmin(dists))

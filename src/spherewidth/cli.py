@@ -72,7 +72,7 @@ def cmd_dual(args) -> int:
 
 def cmd_metrics(args) -> int:
     body = _read_body(args.input)
-    rep = is_constant_width(body, 0.5 * math.pi, tol=args.tol)
+    rep = is_constant_width(body, tol=args.tol)
     print(
         '{"thickness":%.17g,"diameter":%.17g,"width_min":%.17g,'
         '"width_max":%.17g,"self_duality_residual":%.17g}'

@@ -12,16 +12,21 @@ Farthest distances to a whole boundary are one batched closed-form query
 largest vertex-pair distance M is at most pi/2 has diameter M (the lemma of
 ``_polygon_diameter``), and its thickness is the same formula on its edge
 poles, the dual's vertices; any other body runs one alternating
-farthest-point ascent for all piece pairs at once.  For tau = pi/2,
-``is_constant_width`` answers a valid body whose proved self-duality bound
-rho has 2 rho <= tol in closed form, widths pi/2 -+ rho and residual rho,
-with no dual and no ascent; its thickness and diameter are measured when
-read.  The bound is the body's own ``ConvexBody.residual_bound``, measured
-on its first read, so a body gated again costs only its report: a
-polytope's rho is ``body.selfdual_residual_bound``, from its
-edge-pole/vertex pairing; a curved body's is
-``body.pairing_residual_bound``, from the run pairing the chord
-construction uses.  Every other body is swept along its dual boundary.
+farthest-point ascent for all piece pairs at once.
+
+The library knows one width, pi/2, the case the chord construction keeps,
+and ``is_constant_width`` checks a body against it.  A valid body whose
+proved self-duality bound rho has 2 rho <= tol is answered in closed form,
+widths pi/2 -+ rho and residual rho, with no dual and no ascent.  The
+bound is the body's own ``ConvexBody.residual_bound``, measured on its
+first read, so a body gated again costs only its report: a polytope's rho
+is ``body.selfdual_residual_bound``, from its edge-pole/vertex pairing; a
+curved body's is ``body.pairing_residual_bound``, from the run pairing the
+chord construction uses.  Every other body is swept along its dual
+boundary.  Either way the report takes each quantity from one source
+here: the diameter from ``diameter``, the thickness from ``thickness`` (or,
+swept, pi - ``diameter`` of the dual it built), and the residual, an upper
+end on both paths, from rho or the upper end of ``hausdorff_bounds``.
 
 The Hausdorff distance runs a Lipschitz branch-and-bound (the signed
 distance to a convex body, negative inside, is 1-Lipschitz along the
@@ -474,30 +479,27 @@ def self_duality_residual(body: ConvexBody, tol: float = HAUSDORFF_TOL) -> float
 
 @dataclass(frozen=True)
 class WidthReport:
-    """Result of a constant-width verification.
+    """Result of a constant-width-pi/2 verification.
 
-    For tau = pi/2 and a valid body whose self-duality bound rho, the
-    body's ``ConvexBody.residual_bound`` (``body.selfdual_residual_bound``
-    for a polytope or a body of great arcs, ``body.pairing_residual_bound``
-    for a curved one, measured once per body), satisfies 2 rho <= tol, the
-    widths are the proved ends pi/2 -+ rho and the self-duality residual
-    is rho (``residual_bound``); no dual is built
-    (``dual`` is None), and the thickness and diameter are measured on
-    first read by ``thickness`` and ``diameter``.  Any other body is swept:
-    the widths are sampled, the thickness is pi minus the dual's ascent
-    diameter, and the diameter and the Hausdorff residual are measured on
-    first read, so a caller that reads only the widths pays for the sweep
-    alone.
+    Each quantity has one source.  A valid body whose self-duality bound
+    rho, the body's ``ConvexBody.residual_bound`` (measured once per body),
+    satisfies 2 rho <= tol takes the closed form: the widths are the proved
+    ends pi/2 -+ rho, no dual is built (``dual`` is None), and the
+    thickness is ``thickness(body)``, measured on first read.  Any other
+    body is swept: the widths are sampled along the dual's boundary and the
+    thickness is pi - ``diameter(dual)``.  On both paths the diameter is
+    ``diameter(body)`` and the self-duality residual an upper end on the
+    distance of the body to its dual: rho in closed form, the upper end of
+    ``hausdorff_bounds(body, dual)`` when swept.  Both are measured on first
+    read, so a caller that reads only the widths pays for the gate alone.
     """
 
-    tau: float
     tol: float
     width_min: float
     width_max: float
     passed: bool
     body: ConvexBody = field(repr=False, compare=False)
     dual: Optional[ConvexBody] = field(repr=False, compare=False)
-    residual_bound: Optional[float] = field(default=None, repr=False, compare=False)
     swept_thickness: Optional[float] = field(default=None, repr=False, compare=False)
 
     @property
@@ -511,48 +513,41 @@ class WidthReport:
 
     @cached_property
     def diameter(self) -> float:
-        # a swept body keeps the ascent's answer
-        return diameter(self.body) if self.dual is None else _ascent_diameter(self.body)
+        return diameter(self.body)
 
     @cached_property
-    def self_duality_residual(self) -> Optional[float]:
-        """Distance of the body to its dual, for tau = pi/2 only."""
-        if abs(self.tau - 0.5 * math.pi) >= 1e-9:
-            return None
-        if self.residual_bound is not None:
-            return self.residual_bound
-        return hausdorff(self.body, self.dual)
+    def self_duality_residual(self) -> float:
+        """Upper end on the Hausdorff distance of the body to its dual."""
+        if self.dual is None:
+            return self.body.residual_bound
+        return hausdorff_bounds(self.body, self.dual)[1]
 
 
-def is_constant_width(body: ConvexBody, tau: float, tol: float = 1e-6) -> WidthReport:
-    """Compare the widths of the body against ``tau``, within ``tol``.
+def is_constant_width(body: ConvexBody, *, tol: float = 1e-6) -> WidthReport:
+    """Compare the widths of the body against pi/2, within ``tol``.
 
-    For tau = pi/2, a valid body whose proved self-duality bound rho
+    A valid body whose proved self-duality bound rho
     (``ConvexBody.residual_bound``, which the body measures on its first
     read and keeps, so a body gated again pays only for this report) has
     2 rho <= tol is answered in closed form: every width lies in
-    [pi/2 - rho, pi/2 + rho], so the sweep below would pass too.  The
-    report then holds pi/2 -+ rho and rho, and measures the thickness and
-    diameter only when they are read.
+    [pi/2 - rho, pi/2 + rho], so the sweep below would pass too.
 
     Any other body is swept.  Poles are sampled along the dual boundary
     (where all supporting poles live) together with every piece endpoint;
-    the minimum width is pinned by pi minus the dual's ascent diameter.  For
-    tau = pi/2 the self-duality residual is reported as well, by the
-    Hausdorff refinement.
+    the minimum width is pinned by pi minus the dual's diameter.
+    ``WidthReport`` says where each quantity of the report comes from.
     """
-    if tau == 0.5 * math.pi:
-        rho = body.residual_bound
-        if rho is not None:
-            wmin, wmax = tau - rho, tau + rho
-            if wmax - wmin <= tol:  # 2 rho <= tol, on the ends as rounded
-                return WidthReport(tau, tol, wmin, wmax, True, body, None, rho)
+    rho = body.residual_bound
+    if rho is not None:
+        wmin, wmax = 0.5 * math.pi - rho, 0.5 * math.pi + rho
+        if wmax - wmin <= tol:  # 2 rho <= tol, on the ends as rounded
+            return WidthReport(tol, wmin, wmax, True, body, None)
     dual = polar_dual(body)
     idx, ts = linspace_grid(dual.arcs.t0, dual.arcs.t1, length_weighted_counts(dual.arcs, WIDTH_SWEEP))
     k = dual.arcs.point_at(ts, idx)
     widths = math.pi - boundary_max_distance_many(dual, k)
-    thick = math.pi - _ascent_diameter(dual)
+    thick = math.pi - diameter(dual)
     wmin = min(float(widths.min()), thick)
     wmax = float(widths.max())
-    passed = (wmax - wmin <= tol) and abs(wmin - tau) <= tol
-    return WidthReport(tau, tol, wmin, wmax, passed, body, dual, swept_thickness=thick)
+    passed = (wmax - wmin <= tol) and abs(wmin - 0.5 * math.pi) <= tol
+    return WidthReport(tol, wmin, wmax, passed, body, dual, swept_thickness=thick)

@@ -5,22 +5,23 @@ spherical circle becomes an ellipse segment (written as an SVG arc command
 with semi-axes from the projected conjugate radii), and under stereographic
 projection it becomes a circular arc through three exactly projected points.
 Each piece is split into segments of at most ``MAX_SEG_SPAN``.  The bodies'
-stacked arrays (``ConvexBody.arcs``) are joined into one stack, so the
-front check, the frame and the segments of all bodies are each computed in
-one pass, with no piece objects and no numpy call per segment or per body:
-one batched SVD gives every ellipse's axes.  The scalar ``math.cos``,
-``math.sin``, ``math.atan2``, ``math.hypot`` and ``**``, whose values numpy
-could round differently, are mapped over whole columns at C level
-(``sphere.math_each``), and each path command is one ``%.9g`` format
-mapped over the segment rows (``formats.format_rows_by``), so no Python
-code runs per value or per segment.  Output is deterministic for fixed
-inputs: fixed 1000 x 1000 viewBox, y down, bodies scaled to 90 percent of
-the frame.  The frame is the exact box of the projected arcs, in closed
-form for both projections (``projected_box``: each plane coordinate along
-an arc is a ratio of two sinusoids, extreme at the ends or at the two
-roots of its derivative), and the front-hemisphere checks take the exact
-least x . v along each arc (``sphere.arc_dot_range``), so nothing is
-sampled.
+stacked arrays (``ConvexBody.arcs``) are joined into one stack, so the front
+check, the frame and the segments of all bodies are each computed in one
+pass, with no piece objects and no numpy call per segment or per body: one
+batched SVD gives every ellipse's axes.  The orthographic path's scalar
+``math.cos``, ``math.sin`` and ``math.atan2``, whose values numpy could
+round differently, are mapped over whole columns at C level
+(``sphere.math_each``); the stereographic circles' squares and radii are
+numpy's, whose last bits the ``%.9g`` format hides.  Each path command is
+one ``%.9g`` format mapped over the segment rows
+(``formats.format_rows_by``), so no Python code runs per value or per
+segment.  Output is deterministic for fixed inputs: fixed 1000 x 1000
+viewBox, y down, bodies scaled to 90 percent of the frame.  The frame is the
+exact box of the projected arcs, in closed form for both projections
+(``projected_box``: each plane coordinate along an arc is a ratio of two
+sinusoids, extreme at the ends or at the two roots of its derivative), and
+the front-hemisphere checks take the exact least x . v along each arc
+(``sphere.arc_dot_range``), so nothing is sampled.
 """
 
 from __future__ import annotations
@@ -167,15 +168,13 @@ def _stereo_commands(arcs: ArcStack, j, t, v, a, b, frame: _Frame) -> list[str]:
     q = _stereo_px(arcs.point_at(t, j), v, a, b, frame)
     px = q.reshape(3, -1, 2)
     (ax, ay), (bx, by), (cx, cy) = (p.T for p in px)
-    # ``**`` is the C pow(), which rounds some squares unlike x * x
-    two = np.full(len(j), 2.0)
-    a2, b2, c2 = (math_each(pow, q[:, 0], two) + math_each(pow, q[:, 1], two)).reshape(3, -1)
+    a2, b2, c2 = (q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1]).reshape(3, -1)
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     with np.errstate(divide="ignore", invalid="ignore"):
         ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
         uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
         dx, dy = ax - ux, ay - uy
-    r = math_each(math.hypot, dx, dy)
+    r = np.hypot(dx, dy)
     flat = (np.abs(d) < 1e-9) | (r > 1e7)
     return _commands(flat, "A %.9g %.9g 0 0 %d %.9g %.9g", np.column_stack([r, r, _sweep_flags(*px)]), px[2])
 

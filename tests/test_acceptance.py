@@ -104,7 +104,7 @@ def test_criterion_01_end_to_end_approximation(approx_runs):
         measured = hausdorff(body, poly)
         if measured > 2 * eps:
             problems.append("eps %g: h = %.6g > %.6g" % (eps, measured, 2 * eps))
-        rep = is_constant_width(poly, PI / 2, 1e-6)
+        rep = is_constant_width(poly, tol=1e-6)
         if not rep.passed:
             problems.append(
                 "eps %g: width range [%.9f, %.9f]" % (eps, rep.width_min, rep.width_max)
@@ -115,13 +115,13 @@ def test_criterion_01_end_to_end_approximation(approx_runs):
 def test_criterion_02_selfdual_iff_constant_width(corpus):
     problems = []
     for s, (kind, body) in corpus.items():
-        rep = is_constant_width(body, PI / 2, tol=1e-5)
+        rep = is_constant_width(body, tol=1e-5)
         lhs = rep.self_duality_residual <= 1e-6
         rhs = abs(thickness(body) - PI / 2) <= 1e-5 and rep.spread <= 1e-5
         if lhs != rhs or not lhs:
             problems.append("seed %d (%s): lhs=%s rhs=%s" % (s, kind, lhs, rhs))
     for name, bad in (("cap(pi/6)", cap(E3, PI / 6)), ("cap(pi/3)", cap(E3, PI / 3))):
-        rep = is_constant_width(bad, PI / 2, tol=1e-5)
+        rep = is_constant_width(bad, tol=1e-5)
         if rep.self_duality_residual <= 1e-6:
             problems.append("%s residual too small" % name)
         if abs(thickness(bad) - PI / 2) <= 1e-5:

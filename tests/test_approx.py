@@ -206,7 +206,7 @@ def test_fine_epsilon_run():
     poly, cert, steps = approximate_polytope(cap(E3, PI / 4), cfg)
     assert cert.hausdorff_bound <= 0.02
     assert len(poly) > 20
-    rep = is_constant_width(poly, PI / 2, 1e-6)
+    rep = is_constant_width(poly, tol=1e-6)
     assert rep.passed
 
 
@@ -250,7 +250,7 @@ def test_cap_approximation_certified():
     assert cert.self_duality_residual <= 1e-6
     assert len(steps) >= 1
     assert to_polytope  # output type is enforced by the return annotation
-    rep = is_constant_width(poly, PI / 2, 1e-6)
+    rep = is_constant_width(poly, tol=1e-6)
     assert rep.passed
 
 
@@ -355,7 +355,7 @@ def test_certify_fails_closed_on_a_nan_measure(monkeypatch, nan_in, bound):
     else:
         rep = dict(width_min=PI / 2, width_max=PI / 2, self_duality_residual=0.0)
         rep[nan_in] = math.nan
-        monkeypatch.setattr(approx, "is_constant_width", lambda *args: SimpleNamespace(**rep))
+        monkeypatch.setattr(approx, "is_constant_width", lambda *args, **kwargs: SimpleNamespace(**rep))
     with pytest.raises(CertificationFailed) as err:
         certify(body, body, ApproximationConfig(0.01))
     assert err.value.bound == bound

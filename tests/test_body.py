@@ -131,7 +131,7 @@ def test_tampered_polytopes_raise_invalid_body(kind, check):
     config = ApproximationConfig(0.01)
     calls = [
         polar_dual,
-        lambda p: is_constant_width(p, math.pi / 2),
+        is_constant_width,
         lambda p: certify(p, good, config),
         lambda p: certify(good, p, config),
     ]
@@ -690,7 +690,7 @@ def test_residual_bound_covers_residual_and_sampled_widths(selfdual_polys):
             if not validate_polytope(q).ok:
                 continue  # large moves can fold a fine polytope
             rho = selfdual_residual_bound(q)
-            rep = is_constant_width(q, 0.5 * math.pi)
+            rep = is_constant_width(q)
             assert rho >= rep.self_duality_residual - HAUSDORFF_TOL, (name, amp)
             assert 0.5 * math.pi - rho <= rep.width_min + 1e-12, (name, amp)
             assert rep.width_max <= 0.5 * math.pi + rho + 1e-12, (name, amp)
@@ -832,8 +832,8 @@ def test_support_pole_on_cap():
 def test_support_at_octant_vertex_is_pole_arc():
     b = octant()
     sup = support_poles_at(b, E2)
-    assert sup.is_vertex
-    ends = {tuple(np.round(sup.poles.start, 9)), tuple(np.round(sup.poles.end, 9))}
+    assert sup.is_vertex and len(sup.poles) == 1  # the pole arc, a one-row stack
+    ends = {tuple(np.round(sup.poles.start[0], 9)), tuple(np.round(sup.poles.end[0], 9))}
     assert ends == {tuple(E3), tuple(E1)}
 
 

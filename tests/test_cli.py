@@ -250,6 +250,25 @@ def test_certify_pairs_without_arc_runs_keep_the_refined_distance(tmp_path, caps
     assert metrics.hausdorff(loads_body(a.read_text()), result) == lb <= hi <= lb + metrics.HAUSDORFF_TOL
 
 
+def test_certify_and_metrics_print_the_upper_end_of_a_swept_residual(tmp_path, capsys):
+    # a curved result whose run pairing does not cover it is swept: both
+    # verbs print the upper end of the refinement against its dual as the
+    # self-duality residual, above its lower end, 0 on this trimmed body
+    from fixtures import curved_tampered, rotated_reuleaux
+
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(dumps_body(rotated_reuleaux(3, 1e-4)))
+    b.write_text(dumps_body(curved_tampered()["trimmed-1e-6"]))
+    result = loads_body(b.read_text())
+    assert result.residual_bound is None
+    lo, hi = metrics.hausdorff_bounds(result, bd.polar_dual(result))
+    assert lo == 0.0 < hi
+    for argv in (("certify", str(a), str(b), "--epsilon", "0.01"), ("metrics", str(b))):
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(stdout)["self_duality_residual"] == hi, argv
+
+
 def test_nan_epsilon_exits_one_and_writes_nothing(tmp_path, capsys):
     src, out, cert = (tmp_path / n for n in ("cap.json", "p.json", "c.json"))
     run(capsys, "generate", "cap", "-o", str(src))

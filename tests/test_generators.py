@@ -100,7 +100,7 @@ def test_completion_of_thin_polytope():
     out = complete_selfdual(seed, tol=1e-6, rng_seed=1)
     assert out.is_polytope()
     assert self_duality_residual(out) <= 1e-6
-    rep = is_constant_width(out, PI / 2, 1e-5)
+    rep = is_constant_width(out, tol=1e-5)
     assert rep.passed
     assert thickness(out) == pytest.approx(PI / 2, abs=1e-6)
     assert diameter(out) == pytest.approx(PI / 2, abs=1e-6)
@@ -311,6 +311,13 @@ def test_completion_stop_falls_back_to_the_refinement(monkeypatch, bound):
     got = complete_selfdual(seed, tol=1e-7, rng_seed=2)
     assert len(certified) == 1 and certified[0] <= 0.9e-7
     assert np.array_equal(got.vertices, want.vertices)
+    # that body's sampled gaps are within 1e-12, where the next stop returns
+    # it too; a cap 1e-9 short of pi/4 is sub-dual with gaps of 2e-9, so
+    # only the refinement's stop returns it unchanged
+    short = cap(unit([1.0, 2.0, 3.0]), PI / 4 - 1e-9)
+    certified.clear()
+    assert complete_selfdual(short, tol=1e-7, rng_seed=2) is short
+    assert len(certified) == 1 and 1e-12 < certified[0] <= 0.9e-7
 
 
 def test_polytope_completion_measures_nothing_twice(monkeypatch):
@@ -391,7 +398,7 @@ def test_completion_produces_mixed_body_from_chopped_cap():
 def test_rounded_reuleaux_has_constant_width_and_partner_arcs(k, delta):
     body = rounded_reuleaux(k, delta, unit([1.0, -2.0, 0.5]))
     assert validate(body).ok
-    rep = is_constant_width(body, PI / 2, 1e-10)
+    rep = is_constant_width(body, tol=1e-10)
     assert abs(rep.width_min - PI / 2) <= 1e-10 and abs(rep.width_max - PI / 2) <= 1e-10
     # corner arcs of radius delta alternate with sides of radius pi/2 - delta,
     # and every arc's partner (same centre, azimuths shifted by pi) is present
@@ -467,6 +474,6 @@ def test_random_polytope_seed_needs_no_gate_or_certificate(n):
 def test_random_polytope_constant_width(seed):
     p = random_selfdual_polytope(5 + seed % 4, seed)
     assert validate_polytope(p).ok
-    rep = is_constant_width(p, PI / 2, 1e-5)
+    rep = is_constant_width(p, tol=1e-5)
     assert rep.passed
     assert diameter(p) <= PI / 2 + 1e-9

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,10 +33,12 @@ from spherewidth.generators import (
 )
 from spherewidth.metrics import (
     HAUSDORFF_TOL,
+    WidthReport,
     _structural_caps,
     boundary_sup_distance,
     diameter,
     hausdorff,
+    hausdorff_bounds,
     is_constant_width,
     self_duality_residual,
     thickness,
@@ -86,7 +89,7 @@ def test_width_selfdual_cap_any_support_pole(monkeypatch):
     poly, _, _ = approximate_polytope(cap(unit([1, 2, 3]), PI / 4), ApproximationConfig(0.01))
     for k in poly.vertices:
         assert width_wrt(poly, k) == pytest.approx(PI / 2, abs=1e-9)
-    rep = is_constant_width(poly, PI / 2)
+    rep = is_constant_width(poly)
     assert rep.dual is None
     assert rep.width_min == pytest.approx(PI / 2, abs=1e-9)
     assert rep.width_max == pytest.approx(PI / 2, abs=1e-9)
@@ -94,8 +97,8 @@ def test_width_selfdual_cap_any_support_pole(monkeypatch):
     # pairing; swept, its width sweep spans many piece blocks of the
     # batched farthest-distance kernel
     body = rounded_reuleaux(9, 0.2, unit([1, 2, 3]))
-    assert is_constant_width(body, PI / 2).dual is None
-    rep = swept(body, PI / 2, 1e-6, monkeypatch)
+    assert is_constant_width(body).dual is None
+    rep = swept(body, 1e-6, monkeypatch)
     assert rep.dual is not None
     assert len(rep.dual.pieces) * 4096 > 8 * BLOCK_ELEMENTS
     assert rep.width_min == pytest.approx(PI / 2, abs=1e-9)
@@ -272,32 +275,66 @@ def test_diameter_inside_an_edge_takes_the_ascent():
 
 
 def test_octant_is_constant_width():
-    rep = is_constant_width(octant(), PI / 2, tol=1e-9)
+    rep = is_constant_width(octant(), tol=1e-9)
     assert rep.passed
     assert rep.self_duality_residual < 1e-10
     assert abs(rep.diameter - PI / 2) < 1e-9
 
 
 def test_cap_third_pi_fails_constant_width_check():
-    rep = is_constant_width(cap(E3, PI / 3), PI / 2, tol=1e-6)
+    rep = is_constant_width(cap(E3, PI / 3), tol=1e-6)
     assert not rep.passed
     assert rep.width_min == pytest.approx(2 * PI / 3, abs=1e-9)
 
 
 def test_truncated_octant_not_constant_width():
-    rep = is_constant_width(truncated_octant(), PI / 2, tol=1e-6)
+    rep = is_constant_width(truncated_octant(), tol=1e-6)
     assert not rep.passed
     assert rep.spread > 1e-3
 
 
-def swept(body, tau, tol, monkeypatch):
+def test_the_report_has_one_width_and_one_source_per_quantity(monkeypatch):
+    # pi/2 is the only width: the old positional tau is refused, not read
+    # as a tolerance
+    body = octant()
+    for args in ((PI / 2,), (PI / 2, 1e-6)):
+        with pytest.raises(TypeError):
+            is_constant_width(body, *args)
+    assert [f.name for f in fields(WidthReport)] == [
+        "tol", "width_min", "width_max", "passed", "body", "dual", "swept_thickness"
+    ]
+    # in closed form the residual is the body's own rho; swept, as the
+    # closed form switched off makes it, the diameter is still ``diameter``'s
+    for poly in (body, random_selfdual_polytope(30, 1)):
+        rep = is_constant_width(poly)
+        assert rep.dual is None and rep.self_duality_residual == poly.residual_bound
+        ref = swept(poly, 1e-6, monkeypatch)
+        assert ref.dual is not None and ref.passed
+        assert ref.diameter == rep.diameter == diameter(poly)
+        assert ref.thickness == PI - diameter(ref.dual)
+
+
+def test_the_swept_residual_is_the_upper_end_of_the_refinement(cap_polytopes):
+    # a body the closed form does not cover reports the upper end of
+    # hausdorff_bounds against its dual, never its lower end: 0 on the
+    # trimmed body, about 1e-7 below the upper end on the moved vertex
+    from fixtures import curved_tampered
+
+    for body in (curved_tampered()["trimmed-1e-6"], tampered(cap_polytopes[1][1])[0][1]):
+        rep = is_constant_width(body)
+        assert rep.dual is not None
+        lo, hi = hausdorff_bounds(body, rep.dual)
+        assert rep.self_duality_residual == hi > lo
+
+
+def swept(body, tol, monkeypatch):
     """``is_constant_width`` with the closed form switched off: the sweep alone.
 
     A property on the class outranks the value a body keeps from an earlier
     read, so a body gated before is swept too."""
     with monkeypatch.context() as m:
         m.setattr(bd.ConvexBody, "residual_bound", property(lambda b: None))
-        return is_constant_width(body, tau, tol)
+        return is_constant_width(body, tol=tol)
 
 
 def tampered(poly):
@@ -326,8 +363,8 @@ def test_closed_form_verdict_equals_the_sweep(monkeypatch):
     closed = curved = swept_fails = 0
     for body in bodies:
         for tol in (0.0, 1e-9, 1e-6, 1e-5, 1e-2):
-            rep = is_constant_width(body, PI / 2, tol)
-            ref = swept(body, PI / 2, tol, monkeypatch)
+            rep = is_constant_width(body, tol=tol)
+            ref = swept(body, tol, monkeypatch)
             assert rep.passed == ref.passed, (body, tol)
             closed += rep.dual is None
             curved += rep.dual is None and not body.is_polytope()
@@ -360,7 +397,7 @@ def test_pairing_bound_covers_the_residual_and_the_swept_widths(monkeypatch):
         h = max(float(body_distance_many(x, oracles.boundary_samples(y, 64)).max()) for x, y in ((body, dual), (dual, body)))
         if name != "corner-moved-1e-7":  # its refinement takes seconds on near-flat plateaus
             h = max(h, hausdorff(body, dual))
-        ref = swept(body, PI / 2, 1e-6, monkeypatch)
+        ref = swept(body, 1e-6, monkeypatch)
         assert h <= rho, name
         assert PI / 2 - rho - 1e-15 <= ref.width_min <= ref.width_max <= PI / 2 + rho + 1e-15, name
     assert all(rhos[name] <= 1e-10 for name in selfdual)
@@ -395,7 +432,7 @@ def test_curved_gate_builds_no_dual_and_runs_no_ascent(monkeypatch):
 
     bodies = list(curved_selfdual_bodies().values())
     calls = counted_calls(monkeypatch, ("_ascent_diameter",) + SWEEP_WORK)
-    reports = [is_constant_width(body, PI / 2) for body in bodies]
+    reports = [is_constant_width(body) for body in bodies]
     assert all(rep.passed and rep.dual is None for rep in reports)
     assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, 0)
     # thickness and diameter are measured when read, as the sweep measured them
@@ -408,19 +445,21 @@ def test_tampered_polytopes_fall_back_to_the_sweep(monkeypatch, cap_polytopes):
     poly = cap_polytopes[1][1]
     for name, bad in tampered(poly):
         assert validate_polytope(bad).ok, name
-        rep = is_constant_width(bad, PI / 2, 1e-6)
-        ref = swept(bad, PI / 2, 1e-6, monkeypatch)
-        # swept as before: the dual's ascent, the body's ascent, and the
-        # residual left to the refinement
-        assert rep.dual is not None and rep.residual_bound is None, name
+        rep = is_constant_width(bad, tol=1e-6)
+        ref = swept(bad, 1e-6, monkeypatch)
+        # swept as before, each quantity from its one source: the dual's
+        # diameter, the body's, and the refinement's upper end
+        assert rep.dual is not None, name
         assert rep.passed == ref.passed
         assert (rep.width_min, rep.width_max, rep.thickness) == (ref.width_min, ref.width_max, ref.thickness)
-        assert rep.diameter == ref.diameter == metrics._ascent_diameter(bad)
+        assert rep.thickness == PI - diameter(rep.dual), name
+        assert rep.diameter == ref.diameter == diameter(bad)
+        assert rep.self_duality_residual == hausdorff_bounds(bad, rep.dual)[1], name
     # the verdicts stay the sweep's: the deleted vertex fails; the even
     # count, its new vertex 1e-8 off an edge, passes although rho is large;
     # so does the moved vertex, whose widths the sweep samples (``certify``
     # rejects it by rho)
-    verdicts = {name: is_constant_width(bad, PI / 2, 1e-6).passed for name, bad in tampered(poly)}
+    verdicts = {name: is_constant_width(bad, tol=1e-6).passed for name, bad in tampered(poly)}
     assert verdicts == {"moved-1e-6": True, "deleted": False, "even-count": True}
 
 
@@ -453,7 +492,7 @@ def test_selfdual_polytope_report_sweeps_nothing(monkeypatch):
     fresh = [Polytope(polys[k].vertices.copy()) for k in ("octant", "cap-1", "random-30-2")]
     calls = counted_calls(monkeypatch, SWEEP_WORK + ("validate",))
     for poly in fresh:
-        rep = is_constant_width(poly, PI / 2)
+        rep = is_constant_width(poly)
         assert rep.passed
         rho = selfdual_residual_bound(poly)
         assert rep.self_duality_residual == rho
