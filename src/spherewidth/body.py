@@ -369,7 +369,14 @@ def require_valid(body: ConvexBody):
 
 
 def _blocks(rows: int, pieces: int) -> list[tuple[slice, slice]]:
-    """(rows, pieces) blocks of at most ``BLOCK_ELEMENTS`` elements, widest in pieces."""
+    """(rows, pieces) blocks of at most ``BLOCK_ELEMENTS`` elements, tallest in rows.
+
+    A block takes min(rows, ``BLOCK_ELEMENTS``) rows and as many pieces as
+    fit beside them, at least one.  So up to ``BLOCK_ELEMENTS`` rows are
+    read as one slice from row 0, and longer inputs in slices starting at
+    multiples of it: a matrix-vector product (``sphere._dots``) can give a
+    row other bits at another offset within its slice.
+    """
     r = max(1, min(rows, BLOCK_ELEMENTS))
     k = max(1, BLOCK_ELEMENTS // r)
     return [

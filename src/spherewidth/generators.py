@@ -4,7 +4,11 @@ The completion generator grows a body C with C inside its polar dual toward
 a self-dual (constant width pi/2) body: adding a point x of the dual keeps
 the invariant, because the hull of C and x is contained in the dual of that
 hull.  Greedily inserting the farthest dual boundary point drives the
-residual Hausdorff gap to zero.
+residual Hausdorff gap to zero.  Each round samples only the dual rows that
+can hold a point outside the body: a great-arc row whose two ends lie
+inside, by half the membership tolerance shrunk by cos(l/2), lies inside
+all along (the shift lemma of ``approx.pairing_bound``), so every sample
+on it would have a gap of exactly 0 and could never be the farthest.
 
 The completion of a polytope stays a polygon: each hull insertion works on
 its vertex array and cached edge poles and returns a ``Polytope``, with no
@@ -34,6 +38,7 @@ from .sphere import (
     length_weighted_counts,
     linspace_grid,
     math_each,
+    min_support_dot,
     row_dots,
     small_arc_stack,
     tangent_frames,
@@ -44,6 +49,7 @@ from .body import (
     SELF_DUAL_EPS,
     ConvexBody,
     Polytope,
+    _reduce_pieces,
     body_distance_many,
     chain_body,
     drop_flat_vertices,
@@ -56,7 +62,9 @@ from .body import (
 from .metrics import boundary_sup_distance, diameter
 from .approx import SUBDIVISION_SAFETY, chord_core
 
-# Dual boundary points sampled per completion round.
+# Dual boundary points per completion round, shared over all dual rows by
+# length; only the rows that may leave the body are sampled
+# (``_live_rows``), the others' gaps being exactly 0.
 COMPLETION_SWEEP = 2048
 # Farthest-point insertions before the completion gives up.
 MAX_INSERTIONS = 10_000
@@ -270,12 +278,15 @@ def complete_selfdual(seed: ConvexBody, tol: float, rng_seed: int = 0) -> Convex
     The seed must satisfy seed inside seed-dual (equivalently diameter at
     most pi/2).  Each round returns the body when its proved bound
     rho >= H(body, dual) (``ConvexBody.residual_bound``, kept on the body)
-    is within tolerance.  Otherwise it samples the dual boundary: when the
-    largest gap to the body is within tolerance, the refinement of the
-    directed sup from the dual to the body decides the stop, and a body
-    that does not stop gets the farthest sample inserted.  Raises
-    ``BudgetExhausted`` with the partial body if the insertion budget runs
-    out.
+    is within tolerance.  Otherwise it samples the dual boundary
+    (``_farthest_sample``): when the largest gap to the body is within
+    tolerance, the refinement of the directed sup from the dual to the body
+    decides the stop, and a body that does not stop gets the farthest
+    sample inserted.  The sample skips the dual rows ``_live_rows`` proves
+    inside the body, whose gaps are all exactly 0, so the largest gap and
+    the farthest point, hence every body grown, are those of sampling every
+    row.  Raises ``BudgetExhausted`` with the partial body if the insertion
+    budget runs out.
     """
     body = seed
     require_valid(body)
@@ -289,25 +300,64 @@ def complete_selfdual(seed: ConvexBody, tol: float, rng_seed: int = 0) -> Convex
         if rho is not None and rho <= 0.9 * tol:
             return body
         dual = polar_dual(body)
-        arcs = dual.arcs
-        counts = length_weighted_counts(arcs, COMPLETION_SWEEP)
-        idx, ts = linspace_grid(arcs.t0, arcs.t1, counts)
-        jitter = rng.uniform(0, arcs.span / counts)[idx]
-        pts = arcs.point_at(np.clip(ts + jitter, arcs.t0[idx], arcs.t1[idx]), idx)
-        gaps = body_distance_many(body, pts)
-        i = int(np.argmax(gaps))
-        if gaps[i] <= 0.9 * tol:
+        gap, far = _farthest_sample(body, dual.arcs, rng)
+        if gap <= 0.9 * tol:
             # body is inside its dual, so the residual is one directed sup
             certified = boundary_sup_distance(dual, body, tol=0.1 * tol)
             if certified <= 0.9 * tol:
                 return body
-        if gaps[i] <= 1e-12:
+        if gap <= 1e-12:
             return body
-        body = convex_hull_with_point(body, pts[i])
+        body = convex_hull_with_point(body, far)
     raise BudgetExhausted(
         "completion did not reach tol %.1e in %d insertions" % (tol, MAX_INSERTIONS),
         partial=body,
     )
+
+
+def _farthest_sample(body: ConvexBody, arcs: ArcStack, rng: np.random.Generator) -> tuple[float, Optional[np.ndarray]]:
+    """The largest gap to ``body`` over a jittered grid of the dual rows ``arcs``, and its sample.
+
+    Row i gets ``length_weighted_counts`` points of ``COMPLETION_SWEEP``,
+    each shifted by one uniform draw in [0, span / count) for the row; the
+    draw is made for every row, so the random stream does not depend on
+    which rows are sampled.  Only the ``_live_rows`` are sampled; with none
+    the gap is 0 and there is no sample.  A positive largest gap lies on a
+    live row, and the live rows keep their order, so its first sample is
+    the one the all-rows grid would pick; a gap of 0 stops the completion.
+    """
+    counts = length_weighted_counts(arcs, COMPLETION_SWEEP)
+    shift = rng.uniform(0, arcs.span / counts)
+    live = _live_rows(body, arcs)
+    if not len(live):
+        return 0.0, None
+    row, ts = linspace_grid(arcs.t0[live], arcs.t1[live], counts[live])
+    idx = live[row]
+    pts = arcs.point_at(np.clip(ts + shift[idx], arcs.t0[idx], arcs.t1[idx]), idx)
+    gaps = body_distance_many(body, pts)
+    i = int(np.argmax(gaps))
+    return float(gaps[i]), pts[i]
+
+
+def _live_rows(body: ConvexBody, arcs: ArcStack) -> np.ndarray:
+    """The rows of ``arcs`` that may hold a point with a gap to ``body``, in order.
+
+    A great-arc row of length l is skipped when the least support dot
+    m = min_K x . K of the body is >= -BOUNDARY_EPS cos(l/2) / 2 at both
+    of its ends a and b; small-circle rows are always kept.
+
+    Proof.  A point of the row is x = (alpha a + beta b) / |alpha a + beta b|
+    with alpha, beta >= 0, and |alpha a + beta b| >= (alpha + beta) cos(l/2)
+    (the shift lemma of ``approx.pairing_bound``).  For every support pole
+    K, alpha a . K + beta b . K >= -(alpha + beta) BOUNDARY_EPS cos(l/2) / 2,
+    so x . K >= -BOUNDARY_EPS / 2 when that sum is negative, and x . K >= 0
+    otherwise.  Every sample on the row, made from a parameter clipped to
+    its span, so has m >= -BOUNDARY_EPS / 2 up to roundoff, far above
+    ``body_distance_many``'s cut at -BOUNDARY_EPS: its gap is exactly 0.
+    """
+    ends = _reduce_pieces(body, np.concatenate([arcs.start, arcs.end]), min_support_dot, np.minimum, np.inf)
+    inside = np.minimum(*ends.reshape(2, -1)) >= -0.5 * BOUNDARY_EPS * np.cos(0.5 * arcs.span)
+    return np.flatnonzero(~(arcs.great & inside))
 
 
 # --------------------------------------------------------------- randomized

@@ -61,17 +61,21 @@ def lens(z1, z2, r1, r2):
     return body
 
 
-def two_arc_completion(r):
-    """Completion of the hull of the arcs of (e3, r) and (e3, pi/2 - r) on opposite azimuths.
+def two_arc_seed(r):
+    """Hull of the arcs of (e3, r) and (e3, pi/2 - r) on opposite azimuths.
 
     Every point of one arc is pi/2 from the opposite point of the other, so
-    both arcs stay on the boundary of the self-dual completion.
+    both arcs stay on the boundary of its self-dual completion.
     """
     e3 = np.array([0.0, 0.0, 1.0])
     arc = SmallCircleArc(e3, r, -0.5, 0.5)
     dual = SmallCircleArc(e3, 0.5 * math.pi - r, math.pi - 0.5, math.pi + 0.5)
-    seed = chain_body(stack_arcs([arc, GreatArc(arc.end, dual.start), dual, GreatArc(dual.end, arc.start)]))
-    return complete_selfdual(seed, tol=1e-7)
+    return chain_body(stack_arcs([arc, GreatArc(arc.end, dual.start), dual, GreatArc(dual.end, arc.start)]))
+
+
+def two_arc_completion(r):
+    """Completion of ``two_arc_seed(r)``."""
+    return complete_selfdual(two_arc_seed(r), tol=1e-7)
 
 
 def truncated_octant(s=0.25):

@@ -33,7 +33,10 @@ and ``generators.convex_hull_with_point`` to roundoff, and
 counts and budget error ``approx._chord_counts`` must reproduce for every
 run, and ``pairing_bound_per_unit`` the certificate walk with one start
 search and one pass of checks per unit, whose verdicts the one-pass
-``approx.pairing_bound`` must reproduce, and its bounds to roundoff.
+``approx.pairing_bound`` must reproduce, and its bounds to roundoff, and
+``complete_selfdual_all_rows`` the completion that samples and measures
+every dual row each round, whose bodies the live-row sampling of
+``generators.complete_selfdual`` must reproduce bit for bit.
 """
 
 import json
@@ -60,13 +63,24 @@ from spherewidth.body import (
     Polytope,
     ValidationCheck,
     body_distance,
+    body_distance_many,
     chain_body,
+    polar_dual,
     run_pairing_or_none,
     to_polytope,
 )
 from spherewidth.errors import BudgetExhausted, DegenerateArc, DualOverlap
 from spherewidth.formats import dumps_step
-from spherewidth.generators import cap, complete_selfdual, rotated, rotation_from_seed
+from spherewidth.generators import (
+    COMPLETION_SWEEP,
+    MAX_INSERTIONS,
+    cap,
+    complete_selfdual,
+    convex_hull_with_point,
+    rotated,
+    rotation_from_seed,
+)
+from spherewidth.metrics import boundary_sup_distance
 from spherewidth.render import MAX_SEG_SPAN, STROKES, _Frame, projected_box
 from spherewidth.sphere import (
     BOUNDARY_EPS,
@@ -80,6 +94,7 @@ from spherewidth.sphere import (
     cross,
     cross_rows,
     dot,
+    length_weighted_counts,
     linspace_grid,
     norm_rows,
     sample_piece,
@@ -538,6 +553,34 @@ def random_selfdual_polytope_reference(n_target, rng_seed):
             drop = int(np.random.default_rng(rng_seed).integers(len(seed)))
             seed = Polytope(np.delete(seed.vertices, drop, axis=0))
     return to_polytope(complete_selfdual(seed, tol=1e-7, rng_seed=rng_seed))
+
+
+def complete_selfdual_all_rows(seed, tol, rng_seed=0):
+    """``generators.complete_selfdual`` sampling and measuring every dual row each round.
+
+    The same stops, jitter draw and insertions; the seed is assumed valid
+    and sub-dual, and the budget running out returns None.
+    """
+    body = seed
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(MAX_INSERTIONS):
+        rho = body.residual_bound
+        if rho is not None and rho <= 0.9 * tol:
+            return body
+        dual = polar_dual(body)
+        arcs = dual.arcs
+        counts = length_weighted_counts(arcs, COMPLETION_SWEEP)
+        idx, ts = linspace_grid(arcs.t0, arcs.t1, counts)
+        jitter = rng.uniform(0, arcs.span / counts)[idx]
+        pts = arcs.point_at(np.clip(ts + jitter, arcs.t0[idx], arcs.t1[idx]), idx)
+        gaps = body_distance_many(body, pts)
+        i = int(np.argmax(gaps))
+        if gaps[i] <= 0.9 * tol and boundary_sup_distance(dual, body, tol=0.1 * tol) <= 0.9 * tol:
+            return body
+        if gaps[i] <= 1e-12:
+            return body
+        body = convex_hull_with_point(body, pts[i])
+    return None
 
 
 # ------------------------------------------------------ scalar piece rules

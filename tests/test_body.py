@@ -511,6 +511,23 @@ def test_body_distance_zero_inside_positive_outside():
     assert d == pytest.approx(math.pi / 2 - 0.6, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rows,pieces",
+    [(0, 5), (1, 1), (1, 9000), (3, 9000), (7, 26), (2048, 26), (8191, 3), (8192, 2), (8193, 1), (20000, 5)],
+)
+def test_blocks_tile_rows_by_pieces_once(rows, pieces):
+    # the blocks are tallest in rows: all rows up to BLOCK_ELEMENTS, beside
+    # them the pieces that fit
+    cover = np.zeros((rows, pieces), dtype=int)
+    blocks = bd._blocks(rows, pieces)
+    for r, c in blocks:
+        cover[r, c] += 1
+        assert 0 < cover[r, c].size <= bd.BLOCK_ELEMENTS
+    assert np.all(cover == 1)
+    if blocks:
+        assert blocks[0][0] == slice(0, min(rows, bd.BLOCK_ELEMENTS))
+
+
 # ------------------------------------------------------------------ duality
 
 

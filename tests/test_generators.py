@@ -5,7 +5,7 @@ from functools import cached_property
 import numpy as np
 import oracles
 import pytest
-from fixtures import two_arc_completion
+from fixtures import two_arc_completion, two_arc_seed
 
 from spherewidth import body as bd
 from spherewidth import generators
@@ -34,7 +34,19 @@ from spherewidth.metrics import (
     self_duality_residual,
     thickness,
 )
-from spherewidth.sphere import TWO_PI, ArcStack, SmallCircleArc, sample_piece, unit
+from spherewidth.formats import dumps_body
+from spherewidth.sphere import (
+    BOUNDARY_EPS,
+    TWO_PI,
+    ArcStack,
+    SmallCircleArc,
+    great_arc_stack,
+    length_weighted_counts,
+    linspace_grid,
+    min_support_dot,
+    sample_piece,
+    unit,
+)
 
 E1, E2, E3 = np.eye(3)
 PI = math.pi
@@ -360,6 +372,93 @@ def test_polytope_completion_measures_nothing_twice(monkeypatch):
         assert all(isinstance(b, Polytope) for b in validated)
         assert len(measured) > 1 and measured[-1] is poly
         assert len({id(b) for b in measured}) == len(measured)
+
+
+# ------------------------------------------------------------- live rows
+
+
+def live_row_seeds():
+    """(label, seed, rng_seed): random sub-dual polytope seeds, caps of radius 0.55-0.75, the
+    chopped cap and the two-arc seed."""
+    for n in (4, 5, 7, 9, 12, 30, 60):
+        for s in range(1, 17):
+            yield (n, s), generators.random_subdual_polytope_seed(n, s), s
+    for i, r in enumerate(np.linspace(0.55, 0.75, 5)):
+        yield ("cap", r), cap(unit([1.0, 2.0 - i, 3.0]), r), i
+    yield "chopped", chopped_cap(), 2
+    yield "two-arc", two_arc_seed(0.3), 0
+
+
+def test_completion_of_live_rows_is_the_all_rows_completion():
+    # a skipped row's gaps are all 0, so the farthest sample, every stop and
+    # every body grown are those of sampling every row, bit for bit
+    for label, seed, s in live_row_seeds():
+        got = complete_selfdual(seed, tol=1e-7, rng_seed=s)
+        want = oracles.complete_selfdual_all_rows(seed, tol=1e-7, rng_seed=s)
+        if isinstance(want, Polytope):
+            assert isinstance(got, Polytope) and np.array_equal(got.vertices, want.vertices), label
+        else:
+            assert dumps_body(got) == dumps_body(want), label
+
+
+def test_completion_measures_fewer_than_half_the_sweep_per_round(monkeypatch):
+    measure, seen = generators.body_distance_many, []
+
+    def counted(body, points, *args, **kwargs):
+        seen.append(len(points))
+        return measure(body, points, *args, **kwargs)
+
+    monkeypatch.setattr(generators, "body_distance_many", counted)
+    for s in (1, 2, 3, 4):
+        seen.clear()
+        random_selfdual_polytope(30, s)
+        assert seen and max(seen) < generators.COMPLETION_SWEEP // 2, (s, seen)
+
+
+def test_skipped_dual_rows_hold_no_gap(monkeypatch):
+    # every round's dual rows sampled in full, on the grid and jittered: each
+    # sample on a skipped row is within BOUNDARY_EPS / 2 of the body's
+    # supporting hemispheres, so its gap is exactly 0; the thin seeds' long
+    # dual edges have small cos(l/2)
+    live_rows, rounds = generators._live_rows, []
+
+    def recorded(body, arcs):
+        rounds.append((body, arcs, live_rows(body, arcs)))
+        return rounds[-1][2]
+
+    monkeypatch.setattr(generators, "_live_rows", recorded)
+    seeds = list(live_row_seeds())
+    seeds += [(("thin", c), Polytope(np.array([E1, E2, unit(E1 + E2 + c * E3)])), 1) for c in (0.4, 0.05)]
+    rng = np.random.default_rng(0)
+    skipped_samples = 0
+    for label, seed, s in seeds:
+        rounds.clear()
+        complete_selfdual(seed, tol=1e-7, rng_seed=s)
+        for body, arcs, live in rounds:
+            counts = length_weighted_counts(arcs, generators.COMPLETION_SWEEP)
+            idx, ts = linspace_grid(arcs.t0, arcs.t1, counts)
+            skipped = ~np.isin(idx, live)
+            for shift in (0.0, rng.uniform(0, arcs.span / counts)[idx]):
+                pts = arcs.point_at(np.clip(ts + shift, arcs.t0[idx], arcs.t1[idx]), idx)[skipped]
+                dots = bd._reduce_pieces(body, pts, min_support_dot, np.minimum, np.inf)
+                assert np.all(dots >= -0.5 * BOUNDARY_EPS - 1e-15), label
+                assert np.all(body_distance_many(body, pts) == 0.0), label
+                skipped_samples += len(pts)
+    assert skipped_samples > 0
+
+
+def test_live_rows_margin_shrinks_with_the_row_length():
+    # a dual row of length 2.88 just below the long edge of a triangle: its
+    # midpoint dips 1 / cos(1.44), about 7.7 times, further than its ends, so
+    # ends 0.4 BOUNDARY_EPS out keep the row (its middle has gaps) and ends
+    # 0.05 BOUNDARY_EPS out skip it (every point is inside)
+    body = Polytope(np.array([[math.cos(1.45), -math.sin(1.45), 0.0], [math.cos(1.45), math.sin(1.45), 0.0], unit([1.0, 0.0, 1.0])]))
+    for depth, live in ((0.4, [0]), (0.05, [])):
+        ends = [unit([math.cos(t), math.sin(t), -depth * BOUNDARY_EPS]) for t in (-1.44, 1.44)]
+        arcs = great_arc_stack(*np.array(ends)[:, None])
+        assert generators._live_rows(body, arcs).tolist() == live
+        gaps = body_distance_many(body, arcs.point_at(np.linspace(arcs.t0[0], arcs.t1[0], 65), np.zeros(65, int)))
+        assert (gaps.max() > 0.0) == bool(live), depth
 
 
 def test_completion_rejects_superdual_seed():
