@@ -49,9 +49,10 @@ def cmd_generate(args) -> int:
     elif args.kind == "cap":
         body = cap(_parse_vec(args.center), args.radius)
     elif args.kind == "completion":
-        body = complete_selfdual(
-            cap(_parse_vec(args.center), args.radius), tol=args.tol, rng_seed=args.seed
-        )
+        # the completion of a cap is unique up to a turn about its centre, so
+        # the seed picks that turn: the azimuth the cap's circle starts at
+        azimuth = 2.0 * math.pi * np.random.default_rng(args.seed).random()
+        body = complete_selfdual(cap(_parse_vec(args.center), args.radius, azimuth), tol=args.tol)
     elif args.kind == "reuleaux":
         body = rounded_reuleaux(args.k, args.delta, _parse_vec(args.center))
     else:
@@ -143,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int, default=3, help="Reuleaux polygon vertex count (odd)")
     g.add_argument("--delta", type=float, default=0.1,
                    help="rounding radius of the Reuleaux polygon, in (0, pi/4)")
-    g.add_argument("--seed", type=int, default=0, help="random seed of completion and random-polytope")
+    g.add_argument("--seed", type=int, default=0, help="random seed of random-polytope; for "
+                   "completion, the turn of the seed cap about its centre")
     g.add_argument("-o", "--out", required=True)
 
     d = sub.add_parser("dual", help="write the polar dual of a body")

@@ -3,21 +3,19 @@
 The completion generator grows a body C with C inside its polar dual toward
 a self-dual (constant width pi/2) body: adding a point x of the dual keeps
 the invariant, because the hull of C and x is contained in the dual of that
-hull.  Greedily inserting the farthest dual boundary point drives the
-residual Hausdorff gap to zero.  Each round samples only the dual rows that
-can hold a point outside the body: a great-arc row whose two ends lie
-inside, by half the membership tolerance shrunk by cos(l/2), lies inside
-all along (the shift lemma of ``approx.pairing_bound``), so every sample
-on it would have a gap of exactly 0 and could never be the farthest.
+hull.  The dual points farthest from C are the ends of the dual's diametral
+pairs, at distance diam C* - pi/2, which is also H(C, C*); so each round
+inserts an end of the dual's diameter (``metrics.farthest_pair``), exactly,
+with nothing sampled and no random number drawn, and the residual gap is
+known exactly at every stop.
 
 The completion of a polytope stays a polygon: each hull insertion works on
 its vertex array and cached edge poles and returns a ``Polytope``, with no
 ``GreatArc`` objects.  The completion stops on the O(n) bound rho each body
-measures once (``ConvexBody.residual_bound``) and runs the Hausdorff
-refinement only when rho does not settle the stop.  A body with
-small-circle arcs is grown on one table of segments of its stacked arcs,
-each arc split where the visibility from x flips; ``rotated`` also turns
-the stack rows, not piece objects.
+measures once (``ConvexBody.residual_bound``), or on the dual's diameter.  A
+body with small-circle arcs is grown on one table of segments of its
+stacked arcs, each arc split where the visibility from x flips; ``rotated``
+also turns the stack rows, not piece objects.
 """
 
 from __future__ import annotations
@@ -35,10 +33,7 @@ from .sphere import (
     Vec,
     great_arc_stack,
     join_stacks,
-    length_weighted_counts,
-    linspace_grid,
     math_each,
-    min_support_dot,
     row_dots,
     small_arc_stack,
     tangent_frames,
@@ -49,8 +44,6 @@ from .body import (
     SELF_DUAL_EPS,
     ConvexBody,
     Polytope,
-    _reduce_pieces,
-    body_distance_many,
     chain_body,
     drop_flat_vertices,
     merge_flat,
@@ -59,14 +52,11 @@ from .body import (
     to_polytope,
     validate_polytope,
 )
-from .metrics import boundary_sup_distance, diameter
+from .metrics import diameter, farthest_pair
 from .approx import SUBDIVISION_SAFETY, chord_core
 
-# Dual boundary points per completion round, shared over all dual rows by
-# length; only the rows that may leave the body are sampled
-# (``_live_rows``), the others' gaps being exactly 0.
-COMPLETION_SWEEP = 2048
-# Farthest-point insertions before the completion gives up.
+# Insertions before the completion gives up; each inserts an end of the
+# dual's diameter, a point of the dual farthest from the body.
 MAX_INSERTIONS = 10_000
 
 
@@ -75,15 +65,15 @@ def octant() -> Polytope:
     return Polytope(np.eye(3))
 
 
-def cap(center: Vec, radius: float) -> ConvexBody:
-    """Spherical cap as a single full-circle boundary piece.
+def cap(center: Vec, radius: float, azimuth: float = 0.0) -> ConvexBody:
+    """Spherical cap as a single full-circle boundary piece, starting at ``azimuth`` of its centre's frame.
 
     Self-dual exactly when radius is pi/4.
     """
     if not (0.0 < radius < 0.5 * math.pi):
         raise BadRadius("cap radius must lie in (0, pi/2)")
     z = unit(center)
-    return chain_body(small_arc_stack(z, [radius], [0.0], [TWO_PI]), z)
+    return chain_body(small_arc_stack(z, [radius], [azimuth], [azimuth + TWO_PI]), z)
 
 
 def rotation_from_seed(seed: int) -> np.ndarray:
@@ -272,92 +262,45 @@ def _arc_hull(body: ConvexBody, x: Vec) -> ConvexBody:
 # ------------------------------------------------------------- completion
 
 
-def complete_selfdual(seed: ConvexBody, tol: float, rng_seed: int = 0) -> ConvexBody:
-    """Grow a sub-dual body into a self-dual one by farthest-point insertion.
+def complete_selfdual(seed: ConvexBody, tol: float) -> ConvexBody:
+    """Grow a sub-dual body into a self-dual one by inserting an end of its dual's diameter.
 
     The seed must satisfy seed inside seed-dual (equivalently diameter at
     most pi/2).  Each round returns the body when its proved bound
     rho >= H(body, dual) (``ConvexBody.residual_bound``, kept on the body)
-    is within tolerance.  Otherwise it samples the dual boundary
-    (``_farthest_sample``): when the largest gap to the body is within
-    tolerance, the refinement of the directed sup from the dual to the body
-    decides the stop, and a body that does not stop gets the farthest
-    sample inserted.  The sample skips the dual rows ``_live_rows`` proves
-    inside the body, whose gaps are all exactly 0, so the largest gap and
-    the farthest point, hence every body grown, are those of sampling every
-    row.  Raises ``BudgetExhausted`` with the partial body if the insertion
-    budget runs out.
+    is within tolerance.  Otherwise it takes the diameter D of the dual P*
+    and a pair attaining it (``metrics.farthest_pair``): for P inside P*
+    the points of P* farthest from P are the ends of such pairs, at
+    D - pi/2 = H(P, P*).  The round returns the body when that is within
+    tolerance, else inserts one end: an arc end of P* before a point inside
+    a dual arc, whose circle would stay on both sides of the cut (cap seeds
+    of radius 0.5-0.75 take 3-7 insertions; the nearer end alone left gaps
+    of about 1e-4 after 60), then the end nearer the body's witness, then
+    the first.  Nothing is sampled and no random number is drawn.  Raises
+    ``BudgetExhausted`` with the partial body if the budget runs out.
     """
     body = seed
     require_valid(body)
     if diameter(body) > 0.5 * math.pi + BOUNDARY_EPS:
         raise SeedNotSubdual("seed diameter exceeds pi/2; seed is not inside its dual")
-    rng = np.random.default_rng(rng_seed)
     for _ in range(MAX_INSERTIONS):
-        # rho bounds H(body, dual), so every gap sampled below and the
-        # directed sup the refinement measures: in O(n) for a polytope
+        # rho bounds H(body, dual): in O(n) for a polytope
         rho = body.residual_bound
         if rho is not None and rho <= 0.9 * tol:
             return body
         dual = polar_dual(body)
-        gap, far = _farthest_sample(body, dual.arcs, rng)
-        if gap <= 0.9 * tol:
-            # body is inside its dual, so the residual is one directed sup
-            certified = boundary_sup_distance(dual, body, tol=0.1 * tol)
-            if certified <= 0.9 * tol:
-                return body
-        if gap <= 1e-12:
+        d, x, y = farthest_pair(dual)
+        # below 1e-12 the gap is roundoff, and no insertion can close it
+        if d - 0.5 * math.pi <= max(0.9 * tol, 1e-12):
             return body
-        body = convex_hull_with_point(body, far)
+        ends = np.concatenate([dual.arcs.start, dual.arcs.end])
+        w = body.interior
+        rank = [(bool((ends == p).all(axis=1).any()), float(p @ w)) for p in (x, y)]
+        body = convex_hull_with_point(body, x if rank[0] >= rank[1] else y)
     raise BudgetExhausted(
         "completion did not reach tol %.1e in %d insertions" % (tol, MAX_INSERTIONS),
         partial=body,
     )
-
-
-def _farthest_sample(body: ConvexBody, arcs: ArcStack, rng: np.random.Generator) -> tuple[float, Optional[np.ndarray]]:
-    """The largest gap to ``body`` over a jittered grid of the dual rows ``arcs``, and its sample.
-
-    Row i gets ``length_weighted_counts`` points of ``COMPLETION_SWEEP``,
-    each shifted by one uniform draw in [0, span / count) for the row; the
-    draw is made for every row, so the random stream does not depend on
-    which rows are sampled.  Only the ``_live_rows`` are sampled; with none
-    the gap is 0 and there is no sample.  A positive largest gap lies on a
-    live row, and the live rows keep their order, so its first sample is
-    the one the all-rows grid would pick; a gap of 0 stops the completion.
-    """
-    counts = length_weighted_counts(arcs, COMPLETION_SWEEP)
-    shift = rng.uniform(0, arcs.span / counts)
-    live = _live_rows(body, arcs)
-    if not len(live):
-        return 0.0, None
-    row, ts = linspace_grid(arcs.t0[live], arcs.t1[live], counts[live])
-    idx = live[row]
-    pts = arcs.point_at(np.clip(ts + shift[idx], arcs.t0[idx], arcs.t1[idx]), idx)
-    gaps = body_distance_many(body, pts)
-    i = int(np.argmax(gaps))
-    return float(gaps[i]), pts[i]
-
-
-def _live_rows(body: ConvexBody, arcs: ArcStack) -> np.ndarray:
-    """The rows of ``arcs`` that may hold a point with a gap to ``body``, in order.
-
-    A great-arc row of length l is skipped when the least support dot
-    m = min_K x . K of the body is >= -BOUNDARY_EPS cos(l/2) / 2 at both
-    of its ends a and b; small-circle rows are always kept.
-
-    Proof.  A point of the row is x = (alpha a + beta b) / |alpha a + beta b|
-    with alpha, beta >= 0, and |alpha a + beta b| >= (alpha + beta) cos(l/2)
-    (the shift lemma of ``approx.pairing_bound``).  For every support pole
-    K, alpha a . K + beta b . K >= -(alpha + beta) BOUNDARY_EPS cos(l/2) / 2,
-    so x . K >= -BOUNDARY_EPS / 2 when that sum is negative, and x . K >= 0
-    otherwise.  Every sample on the row, made from a parameter clipped to
-    its span, so has m >= -BOUNDARY_EPS / 2 up to roundoff, far above
-    ``body_distance_many``'s cut at -BOUNDARY_EPS: its gap is exactly 0.
-    """
-    ends = _reduce_pieces(body, np.concatenate([arcs.start, arcs.end]), min_support_dot, np.minimum, np.inf)
-    inside = np.minimum(*ends.reshape(2, -1)) >= -0.5 * BOUNDARY_EPS * np.cos(0.5 * arcs.span)
-    return np.flatnonzero(~(arcs.great & inside))
 
 
 # --------------------------------------------------------------- randomized
@@ -403,13 +346,15 @@ def random_subdual_polytope_seed(n_target: int, rng_seed: int) -> Polytope:
 def random_selfdual_polytope(n_target: int, rng_seed: int = 0) -> Polytope:
     """Random polytope of constant width pi/2, deterministic in the seed.
 
-    The completion of a polytope seed stays a polytope; it is validated once,
+    The seed (``random_subdual_polytope_seed``) is the one random draw; the
+    completion inserts ends of the dual's diameter and draws nothing.  The
+    completion of a polytope seed stays a polytope; it is validated once,
     by the completion, and its constant width re-checked against
     ``SELF_DUAL_EPS`` on its ``residual_bound``: the bound the completion
     stopped on, measured on this read only when it stopped another way.
     """
     seed = random_subdual_polytope_seed(n_target, rng_seed)
-    poly = to_polytope(complete_selfdual(seed, tol=1e-7, rng_seed=rng_seed))
+    poly = to_polytope(complete_selfdual(seed, tol=1e-7))
     rep = validate_polytope(poly)
     if not rep.ok:
         raise InvalidBody("completion produced an invalid polytope: %s" % rep)

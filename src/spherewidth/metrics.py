@@ -11,13 +11,15 @@ Farthest distances to a whole boundary are one batched closed-form query
 (``boundary_max_distance_many``).  A body bounded by great arcs whose
 largest vertex-pair distance M is at most pi/2 has diameter M (the lemma of
 ``_polygon_diameter``), and its thickness is the same formula on its edge
-poles, the dual's vertices; any other body runs one alternating
-farthest-point ascent for all piece pairs at once.
+poles, the dual's vertices.  Any other body takes its exact diameter, and
+a pair attaining it, from ``farthest_pair``: closed-form candidates over
+every pair of pieces (each arc end against each arc, and the centre-line
+pair of two arcs when one is a small arc), with nothing sampled.
 
 The library knows one width, pi/2, the case the chord construction keeps,
 and ``is_constant_width`` checks a body against it.  A valid body whose
 proved self-duality bound rho has 2 rho <= tol is answered in closed form,
-widths pi/2 -+ rho and residual rho, with no dual and no ascent.  The
+widths pi/2 -+ rho and residual rho, with no dual and no diameter.  The
 bound is the body's own ``ConvexBody.residual_bound``, measured on its
 first read, so a body gated again costs only its report: a polytope's rho
 is ``body.selfdual_residual_bound``, from its edge-pole/vertex pairing; a
@@ -72,8 +74,10 @@ from .sphere import (
     farthest_on_piece,
     length_weighted_counts,
     linspace_grid,
+    max_distance_to_piece,
     unit,
     unit_each,
+    wrap_angle,
 )
 from .body import (
     BLOCK_ELEMENTS,
@@ -97,7 +101,7 @@ WIDTH_SWEEP = 4096
 TOUCH_TOL = 1e-6
 # Largest excess over pi/2 of a polygon's vertex-pair diameter that
 # ``diameter`` and ``thickness`` report as the diameter (``_polygon_diameter``);
-# above it they run the ascent.  Self-dual polygons sit a few ulps above pi/2.
+# above it they take ``farthest_pair``.  Self-dual polygons sit a few ulps above pi/2.
 VERTEX_DIAMETER_SLACK = 1e-12
 
 
@@ -137,35 +141,83 @@ def _polygon_diameter(vertices: np.ndarray) -> Optional[float]:
     return m if m <= 0.5 * math.pi + VERTEX_DIAMETER_SLACK else None
 
 
-def _ascent_diameter(body: ConvexBody) -> float:
-    """Largest distance found by an alternating farthest-point ascent.
+def _centre_line_pairs(a: ArcStack, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The farthest point pair of arcs ``i[k]`` and ``j[k]`` on the great circle through their centres: its
+    distance (-1 for none) and its points x, y.
 
-    Nine seeds on every piece pair i <= j, a block of pairs at once; a pair
-    stops after 80 rounds or once its maximum grows by at most 1e-14.  A
-    lower estimate: an ascent can stop at a local maximum.
+    Each arc meets that circle where its azimuth is the one of the other
+    centre w, or the opposite one: at cos r z -+ sin r e, with e the unit
+    (u, v)-part of w.  A point counts when that azimuth lies in the arc's
+    span.  Centres within ``DOT_EPS`` of +-w count as concentric, whose
+    maxima the arc ends attain (``farthest_pair``): their arcs give none.
     """
-    arcs = body.arcs
-    seeds = np.linspace(arcs.t0, arcs.t1, 9, axis=-1)
-    ia, ja = np.triu_indices(len(arcs))
-    per = BLOCK_ELEMENTS // (3 * 9)  # (pairs, 9, 3) arrays of BLOCK_ELEMENTS values
-    best = 0.0
-    for lo in range(0, len(ia), per):
-        i, j = ia[lo : lo + per], ja[lo : lo + per]
-        pa, pb = arcs[i[:, None]], arcs[j[:, None]]
-        x = pa.point_at(seeds[i])
-        top = np.zeros(len(i))
-        live = np.arange(len(i))
-        for _ in range(80):
-            y = farthest_on_piece(x[live], pb[live])[0]
-            x[live], dx = farthest_on_piece(y, pa[live])
-            got = dx.max(axis=1)
-            stop = got <= top[live] + 1e-14
-            top[live] = np.where(stop, np.maximum(top[live], got), got)
-            live = live[~stop]
-            if not len(live):
-                break
-        best = max(best, float(top.max()))
-    return best
+    p, q = np.concatenate([i, j]), np.concatenate([j, i])
+    w, u, v = a.z[q], a.u[p], a.v[p]
+    wu, wv = np.sum(w * u, axis=1), np.sum(w * v, axis=1)
+    h = np.sqrt(wu * wu + wv * wv)
+    on = wrap_angle(np.arctan2(wv, wu)[:, None] + np.array([0.0, math.pi]) - a.t0[p, None]) <= a.span[p, None]
+    on &= (h > DOT_EPS)[:, None]
+    e = (wu[:, None] * u + wv[:, None] * v) * (a.sin_r[p] / np.where(h > DOT_EPS, h, 1.0))[:, None]
+    pts = (a.cos_r[p, None] * a.z[p])[:, None] + np.array([1.0, -1.0])[:, None] * e[:, None]
+    k = len(i)
+    d = np.where(on[:k, :, None] & on[k:, None, :], acos_clamped_np(np.matmul(pts[:k], pts[k:].swapaxes(1, 2))), -1.0)
+    best = d.reshape(k, 4).argmax(axis=1)
+    rows = np.arange(k)
+    return d.reshape(k, 4)[rows, best], pts[rows, best // 2], pts[k + rows, best % 2]
+
+
+def farthest_pair(body: ConvexBody) -> tuple[float, np.ndarray, np.ndarray]:
+    """The diameter of the body, the largest distance between two of its boundary points, and two points
+    at that distance.
+
+    Over arcs i and j the largest d(x, y) has x or y at an arc end, or both
+    inside their arcs.  The end candidates, every arc end against every
+    arc, are ``max_distance_to_piece``'s; their best, L, is realised.
+    Inside both arcs, moving either point along its circle cannot lengthen
+    xy, so the great circle through x and y passes through both centres
+    (``_centre_line_pairs``).  Two cases need no such pair:
+
+    - concentric arcs: the opposite-azimuth pairs, all maxima, form one
+      azimuth interval bounded by an end of one of the arcs;
+    - two great arcs: both circles pass through the pole N of the great
+      circle xy, so x(t) . y(s) = cos t cos s cos D + sin t sin s with
+      D = d(x, y), whose Hessian [[-cos D, 1], [1, -cos D]] has the
+      eigenvalue -cos D - 1 < 0: a saddle for D < pi, and at D = pi the
+      antipodal pairs run to an end.
+
+    So a polygon takes the end candidates alone.  Arc i lies within l/2 of
+    its midpoint m (l its length), so a pair with a small arc has
+    d(x, y) <= max d(m, arc j) + l/2; only the pairs whose bound exceeds L
+    get the centre-line pass.  Ends and midpoints go in blocks of at most
+    ``BLOCK_ELEMENTS`` rows x pieces.
+    """
+    a = body.arcs
+    n = len(a)
+    mid = np.empty((0, 3)) if a.great.all() else a.point_at(0.5 * (a.t0 + a.t1))
+    per = max(1, BLOCK_ELEMENTS // (3 * n))
+    best, at, pairs = -1.0, None, []
+    for lo in range(0, n, per):
+        hi = min(lo + per, n)
+        b = hi - lo
+        x = np.concatenate([a.start[lo:hi], a.end[lo:hi], mid[lo:hi]])
+        far = max_distance_to_piece(x, a)  # rows x pieces
+        k = int(np.argmax(far[: 2 * b]))
+        if far.flat[k] > best:
+            best, at = float(far.flat[k]), (x[k // n], k % n)
+        if len(mid):
+            bound = far[2 * b :] + 0.5 * (a.span * a.sin_r)[lo:hi, None]
+            r, j = np.nonzero((bound > best) & ~(a.great[lo:hi, None] & a.great))
+            pairs.append((r + lo, j, bound[r, j]))
+    x, j = at
+    y = farthest_on_piece(x[None], a[j])[0][0]
+    if pairs:
+        i, j, bound = (np.concatenate(c) for c in zip(*pairs))
+        if np.any(bound > best):
+            d, xs, ys = _centre_line_pairs(a, i[bound > best], j[bound > best])
+            k = int(np.argmax(d))
+            if d[k] > best:
+                best, x, y = float(d[k]), xs[k], ys[k]
+    return best, x, y
 
 
 def diameter(body: ConvexBody) -> float:
@@ -175,7 +227,7 @@ def diameter(body: ConvexBody) -> float:
     pi/2 (up to ``VERTEX_DIAMETER_SLACK``) has diameter M, by the lemma of
     ``_polygon_diameter``: one Gram matrix of the arc starts and of each
     end that is not bit for bit the next start (on a ``Polytope``, none).
-    Any other body runs the farthest-point ascent (``_ascent_diameter``).
+    Any other body takes the exact farthest pair (``farthest_pair``).
     """
     if body.is_polytope():
         a = body.arcs
@@ -183,7 +235,7 @@ def diameter(body: ConvexBody) -> float:
         m = _polygon_diameter(np.concatenate([a.start, ends]))
         if m is not None:
             return m
-    return _ascent_diameter(body)
+    return farthest_pair(body)[0]
 
 
 # ------------------------------------------------------------------- widths
@@ -215,7 +267,7 @@ def thickness(body: ConvexBody) -> float:
     (``unit_each``), as ``polar_dual``'s great-arc stack normalises its ends,
     so where that dual merges no junction the answer is
     pi - diameter(polar_dual(body)) bit for bit.  Any other body, or poles
-    whose vertex-pair diameter is above the slack, takes the ascent on
+    whose vertex-pair diameter is above the slack, takes ``farthest_pair`` of
     ``polar_dual``.
     """
     if body.is_polytope():

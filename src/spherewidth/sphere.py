@@ -21,8 +21,8 @@ stack's rows as objects).  Where a value must be ``math``'s rather than
 numpy's, ``math_each`` maps the ``math`` function over a whole column at C
 level, so no builder runs Python code per row.  The distance kernels and
 the least support-pole dot take a stack for one column per piece,
-``farthest_on_piece`` one with a piece per block of points, the Hausdorff
-structural caps one per body.
+``farthest_on_piece`` one piece, the Hausdorff structural caps one stack
+per body.
 Everything here is a pure function over immutable values and is safe to call
 concurrently.
 """
@@ -535,13 +535,10 @@ def _dots(x: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """``x @ vecs.T`` as one matrix-vector product per row of ``vecs``.
 
     Each column then equals ``x @ vec`` bit for bit, so a piece gets the
-    same values alone as inside a stack of any size.  Vectors of shape
-    (pieces, 1, 3) pair piece i with the rows ``x[i]`` of x (pieces, m, 3).
+    same values alone as inside a stack of any size.
     """
     if vecs.ndim == 1:
         return x @ vecs
-    if vecs.ndim == 3:
-        return np.matmul(x, np.swapaxes(vecs, 1, 2))[..., 0]
     return np.matmul(x, vecs[:, :, None])[..., 0].T
 
 
@@ -638,10 +635,9 @@ def min_support_dot(points: np.ndarray, arcs: ArcStack) -> np.ndarray:
 def farthest_on_piece(points: np.ndarray, piece):
     """Vectorized farthest point of the piece from each row, with its distance.
 
-    ``piece`` is one piece for (rows, 3) points, or ``arcs[idx[:, None]]`` for
-    (pieces, m, 3) points.  The candidates are the point at the opposite
-    azimuth (when inside the span) and the endpoints; ties go to that point,
-    then to the start.
+    ``piece`` is one piece (an object or a stack row) for (rows, 3) points.
+    The candidates are the point at the opposite azimuth (when inside the
+    span) and the endpoints; ties go to that point, then to the start.
     """
     x = np.asarray(points, dtype=float)
     far = _far_param(_dots(x, piece.u), _dots(x, piece.v), piece)

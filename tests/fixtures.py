@@ -73,9 +73,50 @@ def two_arc_seed(r):
     return chain_body(stack_arcs([arc, GreatArc(arc.end, dual.start), dual, GreatArc(dual.end, arc.start)]))
 
 
+def chopped_cap(gap=math.pi / 2, center=(0.0, 0.0, 1.0), radius=math.pi / 4, start=0.0):
+    """A cap truncated by the hemisphere of one chord pole: the chord from
+    azimuth ``start`` of its circle to ``start + gap``."""
+    z = unit(center)
+    circle = SmallCircleArc(z, radius, start, start + 2 * math.pi)
+    p1, p2 = circle.point_at(np.array([start, start + gap]))
+    return ConvexBody([GreatArc(p1, p2), SmallCircleArc(z, radius, start + gap, start + 2 * math.pi)], z)
+
+
 def two_arc_completion(r):
     """Completion of ``two_arc_seed(r)``."""
     return complete_selfdual(two_arc_seed(r), tol=1e-7)
+
+
+def stadium(a=0.5, r=0.3, ends=None):
+    """The hull of the caps of radius ``r`` about the equator points at
+    longitudes -``a`` and ``a``: their outer halves joined by the two common
+    tangent great arcs.  Its diameter, 2 a + 2 r along the equator, joins
+    points inside both small arcs, so no arc end attains it.  With
+    ``ends = (before, after)`` each small arc keeps only the azimuths from
+    ``before`` ahead of the equator to ``after`` past it, and chords join it
+    to the tangent points.
+    """
+    c1, c2 = np.array([math.cos(a), -math.sin(a), 0.0]), np.array([math.cos(a), math.sin(a), 0.0])
+    cos_b = math.sin(r) / math.cos(a)  # a tangent pole p has p . c = sin r
+    sin_b = math.sqrt(1.0 - cos_b * cos_b)
+    # the feet of the centres on the upper and on the lower tangent
+    (t1u, t2u), (t1l, t2l) = [
+        [unit(c - dot(c, p) * p) for c in (c1, c2)] for p in (np.array([cos_b, 0.0, -sin_b]), np.array([cos_b, 0.0, sin_b]))
+    ]
+
+    def side(c, p, q, tip):
+        # the arc about c, counterclockwise from p to q, or about ``tip`` with chords to p and q
+        probe = SmallCircleArc(c, r, 0.0, 2 * math.pi)
+        if ends is None:
+            a0 = float(probe.azimuth_of(p))
+            return [SmallCircleArc(c, r, a0, a0 + (float(probe.azimuth_of(q)) - a0) % (2 * math.pi))]
+        t = float(probe.azimuth_of(tip))
+        arc = SmallCircleArc(c, r, t - ends[0], t + ends[1])
+        return [GreatArc(p, arc.start), arc, GreatArc(arc.end, q)]
+
+    tips = np.array([[math.cos(a + r), s * math.sin(a + r), 0.0] for s in (-1.0, 1.0)])
+    pieces = [GreatArc(t2u, t1u), *side(c1, t1u, t1l, tips[0]), GreatArc(t1l, t2l), *side(c2, t2l, t2u, tips[1])]
+    return ConvexBody(pieces, np.array([1.0, 0.0, 0.0]))
 
 
 def truncated_octant(s=0.25):
@@ -101,7 +142,12 @@ def selfdual_polytopes():
 
 def acceptance_corpus():
     """Caps, rotated octants, random self-dual polytopes and completions for
-    seeds 1..50, keyed by seed as (kind, body)."""
+    seeds 1..50, keyed by seed as (kind, body).
+
+    A completion's seed is a cap of radius 0.55-0.75 chopped by a chord at a
+    seeded place and of a seeded length: the completions of whole caps of
+    one radius are congruent.
+    """
     bodies = {}
     for s in range(1, 51):
         rng = np.random.default_rng(s)
@@ -111,10 +157,12 @@ def acceptance_corpus():
         elif kind == 1:
             bodies[s] = ("octant", rotated(octant(), rotation_from_seed(s)))
         elif kind == 2:
-            bodies[s] = ("random-polytope", random_selfdual_polytope(4 + s % 6, s))
+            # n_target 4, 7 and 10 give 3, 5 and 7 vertices
+            bodies[s] = ("random-polytope", random_selfdual_polytope((4, 7, 10)[s % 6 // 2], s))
         else:
-            seed_cap = cap(unit(rng.normal(size=3)), 0.55 + 0.1 * (s % 3))
-            bodies[s] = ("completion", complete_selfdual(seed_cap, tol=1e-7, rng_seed=s))
+            center, gap, start = rng.normal(size=3), rng.uniform(0.5, 2.0), rng.uniform(0.0, 2 * math.pi)
+            seed = chopped_cap(gap, center, 0.55 + 0.1 * (s % 3), start)
+            bodies[s] = ("completion", complete_selfdual(seed, tol=1e-7))
     return bodies
 
 
@@ -139,13 +187,11 @@ def curved_selfdual_bodies():
     """Self-dual bodies with circle arcs, keyed by name: the acceptance-corpus
     caps, the rotated rounded Reuleaux bodies and the mixed completion of a
     chopped cap."""
-    from test_generators import chopped_cap
-
     # the caps of ``acceptance_corpus``, without building the rest of it
     bodies = {"cap-%d" % s: cap(unit(np.random.default_rng(s).normal(size=3)), math.pi / 4) for s in range(4, 51, 4)}
     for k, delta in REULEAUX_CASES:
         bodies["reuleaux-%d-%g" % (k, delta)] = rotated_reuleaux(k, delta)
-    bodies["mixed"] = complete_selfdual(chopped_cap(), tol=1e-7, rng_seed=0)
+    bodies["mixed"] = complete_selfdual(chopped_cap(), tol=1e-7)
     return bodies
 
 
@@ -153,8 +199,6 @@ def curved_bodies():
     """Bodies with small-circle arcs, self-dual or not, keyed by name: ``curved_selfdual_bodies``,
     caps of other radii, a lens, and the bodies that mix small and great arcs (the chopped cap and
     a cap after two chord cuts)."""
-    from test_generators import chopped_cap
-
     bodies = curved_selfdual_bodies()
     for r in (0.3, 0.6, 1.2):
         bodies["cap-r%g" % r] = cap(unit([0.4, -1.0, 0.7]), r)

@@ -34,9 +34,9 @@ counts and budget error ``approx._chord_counts`` must reproduce for every
 run, and ``pairing_bound_per_unit`` the certificate walk with one start
 search and one pass of checks per unit, whose verdicts the one-pass
 ``approx.pairing_bound`` must reproduce, and its bounds to roundoff, and
-``complete_selfdual_all_rows`` the completion that samples and measures
-every dual row each round, whose bodies the live-row sampling of
-``generators.complete_selfdual`` must reproduce bit for bit.
+``farthest_pair_oracle`` the diameter from dense chord-form samples,
+polished by a bounded local search, which the closed-form
+``metrics.farthest_pair`` must reproduce to 1e-12.
 """
 
 import json
@@ -44,6 +44,7 @@ import math
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from spherewidth.approx import (
@@ -63,7 +64,6 @@ from spherewidth.body import (
     Polytope,
     ValidationCheck,
     body_distance,
-    body_distance_many,
     chain_body,
     polar_dual,
     run_pairing_or_none,
@@ -72,15 +72,12 @@ from spherewidth.body import (
 from spherewidth.errors import BudgetExhausted, DegenerateArc, DualOverlap
 from spherewidth.formats import dumps_step
 from spherewidth.generators import (
-    COMPLETION_SWEEP,
-    MAX_INSERTIONS,
     cap,
     complete_selfdual,
     convex_hull_with_point,
     rotated,
     rotation_from_seed,
 )
-from spherewidth.metrics import boundary_sup_distance
 from spherewidth.render import MAX_SEG_SPAN, STROKES, _Frame, projected_box
 from spherewidth.sphere import (
     BOUNDARY_EPS,
@@ -94,7 +91,6 @@ from spherewidth.sphere import (
     cross,
     cross_rows,
     dot,
-    length_weighted_counts,
     linspace_grid,
     norm_rows,
     sample_piece,
@@ -166,6 +162,60 @@ def diameter_oracle(body, per_piece=1500):
         d = acos_clamped_np(chunk @ pts.T)
         best = max(best, float(d.max()))
     return best
+
+
+def farthest_pair_oracle(body, per_piece=2048, block=64, near=1e-4):
+    """The diameter of ``body`` from ``per_piece`` samples of each piece, and that value polished.
+
+    Distances are in chord form, 2 asin(|x - y| / 2).  The samples of each
+    piece go in runs of ``block``; a run lies within r of its middle
+    sample m (r its largest chord to m), so two runs hold no pair farther
+    apart than |m - m'| + r + r'.  Only the pairs of runs whose bound
+    reaches the largest middle-sample chord are compared in full, so the
+    sampled maximum is that of all sample pairs.  Then, from the best
+    sample pair of each pair of pieces within ``near`` of it, a bounded
+    quasi-Newton search (L-BFGS-B with the exact gradient) maximises
+    |x(t) - y(s)| over the two pieces' parameter ranges.  Returns the
+    sampled maximum and the polished one, which is at least as large.
+    """
+    a = body.arcs
+    n = len(a)
+    idx, ts = linspace_grid(a.t0, a.t1, np.full(n, per_piece))
+    cloud = a.point_at(ts, idx).reshape(-1, block, 3)
+    mids = cloud[:, block // 2]
+    radius = np.linalg.norm(cloud - mids[:, None], axis=2).max(axis=1)
+    gap = np.linalg.norm(mids[:, None] - mids[None], axis=2)
+    p, q = np.nonzero(np.triu(gap + radius[:, None] + radius[None]) >= gap.max())
+    best = np.zeros(len(p))
+    where = np.zeros(len(p), dtype=int)
+    for lo in range(0, len(p), 256):
+        sl = slice(lo, lo + 256)
+        dots = np.matmul(cloud[p[sl]], cloud[q[sl]].swapaxes(1, 2)).reshape(len(best[sl]), -1)
+        where[sl] = dots.argmin(axis=1)
+        best[sl] = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots.min(axis=1)))
+    sampled = 2.0 * math.asin(min(1.0, best.max() / 2.0))
+    rows = (p * block + where // block, q * block + where % block)
+    pieces = idx[rows[0]] * n + idx[rows[1]]
+    polished = sampled
+    for key in np.unique(pieces):
+        k = np.flatnonzero(pieces == key)
+        k = k[np.argmax(best[k])]
+        if 2.0 * math.asin(min(1.0, best[k] / 2.0)) < sampled - near:
+            continue
+        i, j = divmod(int(key), n)
+
+        def dot_and_grad(ts, i=i, j=j):
+            x, y = (a.point_at(t, r) for t, r in zip(ts, (i, j)))
+            dx, dy = (a.sin_r[r] * (np.cos(t) * a.v[r] - np.sin(t) * a.u[r]) for t, r in zip(ts, (i, j)))
+            return float(x @ y), np.array([dx @ y, x @ dy])
+
+        start = [ts[rows[0][k]], ts[rows[1][k]]]
+        bounds = [(a.t0[i], a.t1[i]), (a.t0[j], a.t1[j])]
+        res = minimize(dot_and_grad, start, jac=True, method="L-BFGS-B", bounds=bounds,
+                       options={"ftol": 0.0, "gtol": 1e-15, "maxiter": 500})
+        x, y = a.point_at(res.x[0], i), a.point_at(res.x[1], j)
+        polished = max(polished, 2.0 * math.asin(min(1.0, float(np.linalg.norm(x - y)) / 2.0)))
+    return sampled, polished
 
 
 def width_oracle(body, k, per_piece=2000):
@@ -552,35 +602,7 @@ def random_selfdual_polytope_reference(n_target, rng_seed):
         if len(seed) > 3:
             drop = int(np.random.default_rng(rng_seed).integers(len(seed)))
             seed = Polytope(np.delete(seed.vertices, drop, axis=0))
-    return to_polytope(complete_selfdual(seed, tol=1e-7, rng_seed=rng_seed))
-
-
-def complete_selfdual_all_rows(seed, tol, rng_seed=0):
-    """``generators.complete_selfdual`` sampling and measuring every dual row each round.
-
-    The same stops, jitter draw and insertions; the seed is assumed valid
-    and sub-dual, and the budget running out returns None.
-    """
-    body = seed
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(MAX_INSERTIONS):
-        rho = body.residual_bound
-        if rho is not None and rho <= 0.9 * tol:
-            return body
-        dual = polar_dual(body)
-        arcs = dual.arcs
-        counts = length_weighted_counts(arcs, COMPLETION_SWEEP)
-        idx, ts = linspace_grid(arcs.t0, arcs.t1, counts)
-        jitter = rng.uniform(0, arcs.span / counts)[idx]
-        pts = arcs.point_at(np.clip(ts + jitter, arcs.t0[idx], arcs.t1[idx]), idx)
-        gaps = body_distance_many(body, pts)
-        i = int(np.argmax(gaps))
-        if gaps[i] <= 0.9 * tol and boundary_sup_distance(dual, body, tol=0.1 * tol) <= 0.9 * tol:
-            return body
-        if gaps[i] <= 1e-12:
-            return body
-        body = convex_hull_with_point(body, pts[i])
-    return None
+    return to_polytope(complete_selfdual(seed, tol=1e-7))
 
 
 # ------------------------------------------------------ scalar piece rules

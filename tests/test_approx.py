@@ -262,9 +262,9 @@ def test_gate_rejects_wrong_width():
 def test_mixed_arc_input_certified():
     # constant-width body mixing great arcs and circle arcs
     from spherewidth.generators import complete_selfdual
-    from test_generators import chopped_cap
+    from fixtures import chopped_cap
 
-    body = complete_selfdual(chopped_cap(), tol=1e-7, rng_seed=0)
+    body = complete_selfdual(chopped_cap(), tol=1e-7)
     kinds = {type(p).__name__ for p in body.pieces}
     assert kinds == {"GreatArc", "SmallCircleArc"}
     poly, cert, steps = approximate_polytope(body, ApproximationConfig(epsilon=0.05))
@@ -405,7 +405,7 @@ def test_pairing_bound_builds_no_pairing_for_an_input_of_great_arcs(monkeypatch)
 
 def test_approximation_measures_each_body_once(monkeypatch):
     # the gate reads only the input's widths, which the run pairing gives
-    # in closed form: no dual, no ascent;
+    # in closed form: no dual, no farthest pair;
     # the certificate refines nothing: the output's distance to the input
     # comes from the chord/tangent pairing, its widths and residual from
     # the pole/vertex pairing; the input and the output are validated once
@@ -414,13 +414,13 @@ def test_approximation_measures_each_body_once(monkeypatch):
     # and the certificate sharing it; the construction measures nothing,
     # each chord's d(s) being closed form
     calls = {
-        "hausdorff_bounds": [], "diameter": [], "_ascent_diameter": [], "validate": [], "body_distance": [],
+        "hausdorff_bounds": [], "diameter": [], "farthest_pair": [], "validate": [], "body_distance": [],
         "_boundary_units": [],
     }
     homes = {
         "hausdorff_bounds": metrics,
         "diameter": metrics,
-        "_ascent_diameter": metrics,
+        "farthest_pair": metrics,
         "validate": bd,
         "body_distance": bd,
         "_boundary_units": bd,
@@ -441,7 +441,7 @@ def test_approximation_measures_each_body_once(monkeypatch):
         poly, _, steps = approximate_polytope(body, ApproximationConfig(0.05))
         assert len(steps) > 0
         assert {k: len(v) for k, v in calls.items()} == {
-            "hausdorff_bounds": 0, "diameter": 0, "_ascent_diameter": 0, "validate": 2, "body_distance": 0,
+            "hausdorff_bounds": 0, "diameter": 0, "farthest_pair": 0, "validate": 2, "body_distance": 0,
             "_boundary_units": 1,
         }
         assert calls["validate"][0] is body and calls["validate"][1] is poly
@@ -481,7 +481,7 @@ def test_approximating_great_arc_bodies_makes_no_great_arc_objects():
 
 def test_an_unpaired_run_fails_every_read_of_the_pairing():
     # a chopped cap: the chord took away the partner of its one arc run
-    from test_generators import chopped_cap
+    from fixtures import chopped_cap
 
     body = chopped_cap()
     assert body.validation.ok
@@ -505,7 +505,7 @@ ORACLE_CASES = (
 
 
 def _oracle_body(kind, arg):
-    from test_generators import chopped_cap
+    from fixtures import chopped_cap
 
     if kind == "cap":
         return rotated(cap(E3, PI / 4), rotation_from_seed(arg))
@@ -513,7 +513,7 @@ def _oracle_body(kind, arg):
         return two_arc_completion(arg)
     if kind == "reuleaux":
         return rotated_reuleaux(*arg)
-    return complete_selfdual(chopped_cap(), tol=1e-7, rng_seed=arg)
+    return complete_selfdual(chopped_cap(), tol=1e-7)
 
 
 @pytest.mark.parametrize("kind,arg,eps", ORACLE_CASES)
@@ -778,9 +778,9 @@ def test_pairing_bound_agrees_on_a_file_pair():
 def test_mixed_arc_input_takes_the_pairing_path():
     # great-arc pieces of the input map to edges of the output, each arc run
     # to a chorded or circumscribed run: no refinement
-    from test_generators import chopped_cap
+    from fixtures import chopped_cap
 
-    _assert_pairing_agrees(complete_selfdual(chopped_cap(), tol=1e-7, rng_seed=0), 0.05)
+    _assert_pairing_agrees(complete_selfdual(chopped_cap(), tol=1e-7), 0.05)
 
 
 @pytest.mark.parametrize(

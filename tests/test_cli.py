@@ -101,16 +101,37 @@ def test_generate_and_approximate_rounded_reuleaux(tmp_path, capsys):
 
 def test_generate_completion(tmp_path, capsys):
     out = tmp_path / "completion.json"
-    code, _, _ = run(
+    code, stdout, _ = run(
         capsys, "generate", "completion", "--radius", "0.6", "--seed", "3",
         "-o", str(out),
     )
     assert code == 0
+    assert stdout.strip() == "wrote %s (completion, 3 pieces)" % out
     code, stdout, _ = run(capsys, "metrics", str(out))
     assert code == 0
     rec = json.loads(stdout.strip().splitlines()[-1])
-    assert rec["thickness"] == pytest.approx(math.pi / 2, abs=1e-5)
-    assert rec["self_duality_residual"] <= 1e-6
+    assert rec["thickness"] == pytest.approx(math.pi / 2, abs=1e-12)
+    assert rec["self_duality_residual"] <= 1e-12
+
+
+def test_generate_completion_seeds_give_congruent_bodies(tmp_path, capsys):
+    # the seed turns the cap about its centre, and the completion with it:
+    # the same pieces, widths and residual, at other places
+    recs, bodies = [], []
+    for seed in ("1", "2", "7"):
+        out = tmp_path / ("completion-%s.json" % seed)
+        code, stdout, _ = run(capsys, "generate", "completion", "--radius", "0.7", "--seed", seed, "-o", str(out))
+        assert code == 0 and stdout.strip() == "wrote %s (completion, 5 pieces)" % out
+        code, stdout, _ = run(capsys, "metrics", str(out))
+        assert code == 0
+        recs.append(json.loads(stdout))
+        bodies.append(loads_body(out.read_text()))
+    for rec in recs[1:]:
+        for key in ("thickness", "diameter", "width_min", "width_max", "self_duality_residual"):
+            assert abs(rec[key] - recs[0][key]) <= 1e-12, key
+    lengths = [np.sort(b.arcs.span * b.arcs.sin_r) for b in bodies]
+    assert all(np.abs(x - lengths[0]).max() <= 1e-12 for x in lengths)
+    assert np.abs(bodies[0].arcs.start[0] - bodies[1].arcs.start[0]).max() > 1e-3
 
 
 def test_metrics_of_approximation_output(tmp_path, capsys):

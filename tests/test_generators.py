@@ -5,7 +5,7 @@ from functools import cached_property
 import numpy as np
 import oracles
 import pytest
-from fixtures import two_arc_completion, two_arc_seed
+from fixtures import chopped_cap, two_arc_completion, two_arc_seed
 
 from spherewidth import body as bd
 from spherewidth import generators
@@ -36,14 +36,9 @@ from spherewidth.metrics import (
 )
 from spherewidth.formats import dumps_body
 from spherewidth.sphere import (
-    BOUNDARY_EPS,
     TWO_PI,
     ArcStack,
     SmallCircleArc,
-    great_arc_stack,
-    length_weighted_counts,
-    linspace_grid,
-    min_support_dot,
     sample_piece,
     unit,
 )
@@ -109,7 +104,7 @@ def test_completion_fixed_point_on_selfdual_cap():
 
 def test_completion_of_thin_polytope():
     seed = Polytope(np.array([E1, E2, unit(E1 + E2 + 0.4 * E3)]))
-    out = complete_selfdual(seed, tol=1e-6, rng_seed=1)
+    out = complete_selfdual(seed, tol=1e-6)
     assert out.is_polytope()
     assert self_duality_residual(out) <= 1e-6
     rep = is_constant_width(out, tol=1e-5)
@@ -304,41 +299,14 @@ def test_stacked_rotation_matches_the_per_piece_reference(curved):
 # ---------------------------------------------------------------- stop rule
 
 
-@pytest.mark.parametrize("bound", [math.inf, None])
-def test_completion_stop_falls_back_to_the_refinement(monkeypatch, bound):
-    # with no usable closed-form bound the refinement certifies the stop,
-    # at the same body
-    seed = generators.random_subdual_polytope_seed(30, 2)
-    want = complete_selfdual(seed, tol=1e-7, rng_seed=2)
-    sup = generators.boundary_sup_distance
-    certified = []
-
-    def counted_sup(*args, **kwargs):
-        certified.append(sup(*args, **kwargs))
-        return certified[-1]
-
-    # the seed keeps the rho it measured above; a class property outranks it
-    monkeypatch.setattr(bd.ConvexBody, "residual_bound", property(lambda body: bound))
-    monkeypatch.setattr(generators, "boundary_sup_distance", counted_sup)
-    got = complete_selfdual(seed, tol=1e-7, rng_seed=2)
-    assert len(certified) == 1 and certified[0] <= 0.9e-7
-    assert np.array_equal(got.vertices, want.vertices)
-    # that body's sampled gaps are within 1e-12, where the next stop returns
-    # it too; a cap 1e-9 short of pi/4 is sub-dual with gaps of 2e-9, so
-    # only the refinement's stop returns it unchanged
-    short = cap(unit([1.0, 2.0, 3.0]), PI / 4 - 1e-9)
-    certified.clear()
-    assert complete_selfdual(short, tol=1e-7, rng_seed=2) is short
-    assert len(certified) == 1 and 1e-12 < certified[0] <= 0.9e-7
-
-
 def test_polytope_completion_measures_nothing_twice(monkeypatch):
-    # a polytope completion stops on its O(n) bound: no refinement, no
-    # GreatArc pieces, one validation of the seed and of the output, and
-    # one rho of each body it grows, the output's read again by the caller
-    calls = {"boundary_sup_distance": 0, "pieces": 0}
+    # a polytope completion stops on its O(n) bound: no GreatArc pieces, one
+    # validation of the seed and of the output, one rho of each body it
+    # grows, the output's read again by the caller, and one farthest pair
+    # of the dual of each body that does not stop
+    calls = {"farthest_pair": 0, "pieces": 0}
     validated, measured = [], []
-    sup, validate_body, rho = generators.boundary_sup_distance, bd.validate, bd.selfdual_residual_bound
+    pair, validate_body, rho = generators.farthest_pair, bd.validate, bd.selfdual_residual_bound
     make_pieces = bd.Polytope.pieces.func
 
     def pieces(body):
@@ -349,9 +317,9 @@ def test_polytope_completion_measures_nothing_twice(monkeypatch):
         validated.append(body)
         return validate_body(body)
 
-    def counted_sup(*args, **kwargs):
-        calls["boundary_sup_distance"] += 1
-        return sup(*args, **kwargs)
+    def counted_pair(body):
+        calls["farthest_pair"] += 1
+        return pair(body)
 
     def counted_rho(poly):
         measured.append(poly)  # the list keeps each body alive, so ids stay distinct
@@ -361,104 +329,101 @@ def test_polytope_completion_measures_nothing_twice(monkeypatch):
     prop.__set_name__(bd.Polytope, "pieces")
     monkeypatch.setattr(bd.Polytope, "pieces", prop)
     monkeypatch.setattr(bd, "validate", validate)
-    monkeypatch.setattr(generators, "boundary_sup_distance", counted_sup)
+    monkeypatch.setattr(generators, "farthest_pair", counted_pair)
     monkeypatch.setattr(bd, "selfdual_residual_bound", counted_rho)
     for s in (1, 2, 3, 4):
         validated.clear()
         measured.clear()
+        calls["farthest_pair"] = 0
         poly = random_selfdual_polytope(30, s)
-        assert calls == {"boundary_sup_distance": 0, "pieces": 0}
+        assert calls == {"farthest_pair": len(measured) - 1, "pieces": 0}
         assert len(validated) == 2 and validated[-1] is poly
         assert all(isinstance(b, Polytope) for b in validated)
         assert len(measured) > 1 and measured[-1] is poly
         assert len({id(b) for b in measured}) == len(measured)
 
 
-# ------------------------------------------------------------- live rows
+# ------------------------------------------------------- exact insertion
 
 
-def live_row_seeds():
-    """(label, seed, rng_seed): random sub-dual polytope seeds, caps of radius 0.55-0.75, the
-    chopped cap and the two-arc seed."""
+def completion_seeds():
+    """(label, seed): random sub-dual polytope seeds, caps of radius 0.5-0.75, chopped caps,
+    two-arc seeds and thin triangles."""
     for n in (4, 5, 7, 9, 12, 30, 60):
-        for s in range(1, 17):
-            yield (n, s), generators.random_subdual_polytope_seed(n, s), s
-    for i, r in enumerate(np.linspace(0.55, 0.75, 5)):
-        yield ("cap", r), cap(unit([1.0, 2.0 - i, 3.0]), r), i
-    yield "chopped", chopped_cap(), 2
-    yield "two-arc", two_arc_seed(0.3), 0
+        for s in range(1, 9):
+            yield (n, s), generators.random_subdual_polytope_seed(n, s)
+    for i, r in enumerate(np.linspace(0.5, 0.75, 6)):
+        yield ("cap", r), cap(unit([1.0, 2.0 - i, 3.0]), r, 0.7 * i)
+        yield ("chopped", r), chopped_cap(0.4 + 0.3 * i, [1.0, 2.0 - i, 3.0], r, 0.9 * i)
+    yield "chopped", chopped_cap()
+    for r in (0.3, 0.5, 0.7):
+        yield ("two-arc", r), two_arc_seed(r)
+    for c in (0.4, 0.05):
+        yield ("thin", c), Polytope(np.array([E1, E2, unit(E1 + E2 + c * E3)]))
 
 
-def test_completion_of_live_rows_is_the_all_rows_completion():
-    # a skipped row's gaps are all 0, so the farthest sample, every stop and
-    # every body grown are those of sampling every row, bit for bit
-    for label, seed, s in live_row_seeds():
-        got = complete_selfdual(seed, tol=1e-7, rng_seed=s)
-        want = oracles.complete_selfdual_all_rows(seed, tol=1e-7, rng_seed=s)
-        if isinstance(want, Polytope):
-            assert isinstance(got, Polytope) and np.array_equal(got.vertices, want.vertices), label
-        else:
-            assert dumps_body(got) == dumps_body(want), label
+def test_completion_inserts_an_end_of_the_duals_diameter(monkeypatch):
+    # every round inserts a point of the dual whose distance to the body is
+    # the dual's diameter less pi/2: the largest distance of any dual point
+    rounds = []
+    pair, hull = generators.farthest_pair, generators.convex_hull_with_point
 
+    def recorded_pair(dual):
+        rounds.append(pair(dual))
+        return rounds[-1]
 
-def test_completion_measures_fewer_than_half_the_sweep_per_round(monkeypatch):
-    measure, seen = generators.body_distance_many, []
+    def recorded_hull(body, x):
+        d, p, q = rounds[-1]
+        gap = float(body_distance_many(body, np.asarray(x)[None])[0])
+        assert any(np.array_equal(x, e) for e in (p, q))
+        assert abs(gap - (d - 0.5 * PI)) <= 1e-12, (gap, d - 0.5 * PI)
+        inserted.append(gap)
+        return hull(body, x)
 
-    def counted(body, points, *args, **kwargs):
-        seen.append(len(points))
-        return measure(body, points, *args, **kwargs)
-
-    monkeypatch.setattr(generators, "body_distance_many", counted)
-    for s in (1, 2, 3, 4):
-        seen.clear()
-        random_selfdual_polytope(30, s)
-        assert seen and max(seen) < generators.COMPLETION_SWEEP // 2, (s, seen)
-
-
-def test_skipped_dual_rows_hold_no_gap(monkeypatch):
-    # every round's dual rows sampled in full, on the grid and jittered: each
-    # sample on a skipped row is within BOUNDARY_EPS / 2 of the body's
-    # supporting hemispheres, so its gap is exactly 0; the thin seeds' long
-    # dual edges have small cos(l/2)
-    live_rows, rounds = generators._live_rows, []
-
-    def recorded(body, arcs):
-        rounds.append((body, arcs, live_rows(body, arcs)))
-        return rounds[-1][2]
-
-    monkeypatch.setattr(generators, "_live_rows", recorded)
-    seeds = list(live_row_seeds())
-    seeds += [(("thin", c), Polytope(np.array([E1, E2, unit(E1 + E2 + c * E3)])), 1) for c in (0.4, 0.05)]
-    rng = np.random.default_rng(0)
-    skipped_samples = 0
-    for label, seed, s in seeds:
+    monkeypatch.setattr(generators, "farthest_pair", recorded_pair)
+    monkeypatch.setattr(generators, "convex_hull_with_point", recorded_hull)
+    inserted = []
+    for label, seed in completion_seeds():
         rounds.clear()
-        complete_selfdual(seed, tol=1e-7, rng_seed=s)
-        for body, arcs, live in rounds:
-            counts = length_weighted_counts(arcs, generators.COMPLETION_SWEEP)
-            idx, ts = linspace_grid(arcs.t0, arcs.t1, counts)
-            skipped = ~np.isin(idx, live)
-            for shift in (0.0, rng.uniform(0, arcs.span / counts)[idx]):
-                pts = arcs.point_at(np.clip(ts + shift, arcs.t0[idx], arcs.t1[idx]), idx)[skipped]
-                dots = bd._reduce_pieces(body, pts, min_support_dot, np.minimum, np.inf)
-                assert np.all(dots >= -0.5 * BOUNDARY_EPS - 1e-15), label
-                assert np.all(body_distance_many(body, pts) == 0.0), label
-                skipped_samples += len(pts)
-    assert skipped_samples > 0
+        out = complete_selfdual(seed, tol=1e-7)
+        # the last pair measured is the stop's, or rho stopped the body
+        assert len(rounds) in (len(inserted), len(inserted) + 1), label
+        assert out.residual_bound is not None and out.residual_bound <= 0.9e-7, label
+        inserted.clear()
 
 
-def test_live_rows_margin_shrinks_with_the_row_length():
-    # a dual row of length 2.88 just below the long edge of a triangle: its
-    # midpoint dips 1 / cos(1.44), about 7.7 times, further than its ends, so
-    # ends 0.4 BOUNDARY_EPS out keep the row (its middle has gaps) and ends
-    # 0.05 BOUNDARY_EPS out skip it (every point is inside)
-    body = Polytope(np.array([[math.cos(1.45), -math.sin(1.45), 0.0], [math.cos(1.45), math.sin(1.45), 0.0], unit([1.0, 0.0, 1.0])]))
-    for depth, live in ((0.4, [0]), (0.05, [])):
-        ends = [unit([math.cos(t), math.sin(t), -depth * BOUNDARY_EPS]) for t in (-1.44, 1.44)]
-        arcs = great_arc_stack(*np.array(ends)[:, None])
-        assert generators._live_rows(body, arcs).tolist() == live
-        gaps = body_distance_many(body, arcs.point_at(np.linspace(arcs.t0[0], arcs.t1[0], 65), np.zeros(65, int)))
-        assert (gaps.max() > 0.0) == bool(live), depth
+def test_completion_draws_no_random_numbers(monkeypatch):
+    seeds = list(completion_seeds())
+    want = [complete_selfdual(seed, tol=1e-7) for _, seed in seeds]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the completion drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    for (label, seed), w in zip(seeds, want):
+        got = complete_selfdual(seed, tol=1e-7)
+        assert dumps_body(got) == dumps_body(w), label
+
+
+def test_completions_are_selfdual_to_roundoff():
+    # rho, the proved bound on H(C, C*), within 1e-12 on the benchmark pool
+    # of random polytopes and on curved completions
+    for s in range(1, 65):
+        assert random_selfdual_polytope(30, s).residual_bound <= 1e-12, s
+    seeds = [cap(unit([0.3, -0.2, 1.0]), r) for r in np.linspace(0.5, 0.75, 11)] + [chopped_cap()]
+    for seed in seeds:
+        out = complete_selfdual(seed, tol=1e-7)
+        assert out.residual_bound <= 1e-12, seed
+
+
+def test_turned_cap_completions_are_congruent():
+    # the completion of a cap is unique up to a turn about its centre: the
+    # circle's start azimuth moves every insertion with it
+    for r in (0.5, 0.6, 0.7, 0.75):
+        bodies = [complete_selfdual(cap(unit([0.3, -0.2, 1.0]), r, az), tol=1e-7) for az in np.linspace(0.0, 6.0, 7)]
+        lengths = [np.sort(b.arcs.span * b.arcs.sin_r) for b in bodies]
+        assert len({len(x) for x in lengths}) == 1, r
+        assert max(float(np.abs(x - lengths[0]).max()) for x in lengths) <= 1e-12, r
 
 
 def test_completion_rejects_superdual_seed():
@@ -466,22 +431,10 @@ def test_completion_rejects_superdual_seed():
         complete_selfdual(cap(E3, PI / 3), tol=1e-3)
 
 
-def chopped_cap(gap=PI / 2):
-    """Quarter-pi cap truncated by the hemisphere of one chord pole."""
-    from spherewidth.body import ConvexBody
-    from spherewidth.sphere import GreatArc
-
-    circle = cap(E3, PI / 4).pieces[0]
-    p1 = circle.point_at(0.0)[0]
-    p2 = circle.point_at(gap)[0]
-    arc = SmallCircleArc(E3, PI / 4, gap, 2 * PI)
-    return ConvexBody([GreatArc(p1, p2), arc], E3)
-
-
 def test_completion_produces_mixed_body_from_chopped_cap():
     seed = chopped_cap()
     assert validate(seed).ok
-    out = complete_selfdual(seed, tol=1e-7, rng_seed=2)
+    out = complete_selfdual(seed, tol=1e-7)
     assert self_duality_residual(out) <= 1e-7
     kinds = {type(p).__name__ for p in out.pieces}
     assert kinds == {"GreatArc", "SmallCircleArc"}

@@ -13,6 +13,7 @@ from spherewidth.body import (
     BLOCK_ELEMENTS,
     Polytope,
     body_distance_many,
+    boundary_distance_many,
     pairing_residual_bound,
     polar_dual,
     selfdual_residual_bound,
@@ -24,6 +25,7 @@ from spherewidth import metrics
 from spherewidth.errors import NotSupporting, RefinementStalled
 from spherewidth.generators import (
     cap,
+    complete_selfdual,
     octant,
     random_selfdual_polytope,
     random_subdual_polytope_seed,
@@ -175,8 +177,8 @@ def ring_hulls():
 def test_diameter_octant():
     assert diameter(octant()) == pytest.approx(PI / 2, abs=1e-12)
     # random hulls of 40 points on a circle of radius 0.7 (diameter < pi/2)
-    # attain their diameter at a vertex pair; rotating the vertex order moves
-    # that pair through the blocks of piece pairs of the ascent
+    # attain their diameter at a vertex pair, which the Gram matrix and the
+    # farthest-pair kernel both find, whatever the vertex order
     for verts in ring_hulls():
         want = float(np.max(acos_clamped_np(verts @ verts.T)))
         assert want < PI / 2
@@ -184,7 +186,7 @@ def test_diameter_octant():
             poly = Polytope(np.roll(verts, shift, axis=0))
             assert validate_polytope(poly).ok
             assert diameter(poly) == pytest.approx(want, abs=1e-12)
-            assert metrics._ascent_diameter(poly) == pytest.approx(want, abs=1e-12)
+            assert metrics.farthest_pair(poly)[0] == pytest.approx(want, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -207,11 +209,10 @@ def lemma_polygons():
 def test_vertex_pair_diameter_and_thickness_match_the_ascent(lemma_polygons):
     # every primal polygon takes the closed form (vertex-pair diameter at
     # most pi/2 + slack), and so does every dual whose poles allow it; the
-    # ascent stays the reference.  On a self-dual polygon each vertex is
-    # pi/2 from all of its opposite edge, a tie the ascent breaks by
-    # roundoff, so it may stop one ulp off the largest vertex pair; on the
-    # cap polytopes, the files of the verify-cli benchmark, it agrees bit
-    # for bit
+    # farthest-pair kernel, which the others take, is the reference.  On a
+    # self-dual polygon each vertex is pi/2 from all of its opposite edge,
+    # so the two may part by an ulp of pi/2; on the cap polytopes, the files
+    # of the verify-cli benchmark, they agree bit for bit
     ulp = math.ulp(PI / 2)
     closed = 0
     for name, body in lemma_polygons:
@@ -219,8 +220,8 @@ def test_vertex_pair_diameter_and_thickness_match_the_ascent(lemma_polygons):
         assert took or name.endswith("-dual"), name
         closed += took
         pairs = [
-            (diameter(body), metrics._ascent_diameter(body)),
-            (thickness(body), PI - metrics._ascent_diameter(polar_dual(body))),
+            (diameter(body), metrics.farthest_pair(body)[0]),
+            (thickness(body), PI - metrics.farthest_pair(polar_dual(body))[0]),
         ]
         for got, want in pairs:
             if name.startswith("cap-"):
@@ -267,8 +268,70 @@ def test_diameter_inside_an_edge_takes_the_ascent():
     assert m == pytest.approx(math.acos(math.cos(1.7) * math.cos(0.5)), abs=1e-12)
     assert m > PI / 2
     assert metrics._polygon_diameter(poly.vertices) is None
-    assert diameter(poly) == pytest.approx(1.7, abs=1e-9)
+    # the farthest-pair kernel finds the apex against the inside of the base
+    assert diameter(poly) == pytest.approx(1.7, abs=1e-12)
     assert diameter(poly) > m + 0.01
+
+
+# ------------------------------------------------------------ farthest pair
+
+
+@pytest.fixture(scope="module")
+def kernel_corpus():
+    """The acceptance, curved and tampered corpora, two stadiums and the
+    polar duals of sub-dual random polytope seeds (diameter above pi/2)."""
+    from fixtures import acceptance_corpus, curved_bodies, curved_tampered, stadium
+
+    bodies = {"acceptance-%d" % s: b for s, (_, b) in acceptance_corpus().items()}
+    bodies.update(curved_bodies())
+    bodies.update({"tampered-" + k: b for k, b in curved_tampered().items()})
+    bodies.update({"stadium-%g-%g-%s" % arc: stadium(*arc) for arc in ((0.5, 0.3, None), (0.8, 0.2, (1.0, 0.1)))})
+    bodies.update({"subdual-dual-%d" % s: polar_dual(random_subdual_polytope_seed(30, s)) for s in range(1, 17)})
+    return bodies
+
+
+def test_farthest_pair_matches_dense_chord_sampling(kernel_corpus):
+    # never below a sample pair of 2048 a piece, within 1e-12 of that
+    # maximum polished by a local search, and realised by two boundary
+    # points at that chord-form distance
+    above = 0
+    for name, body in kernel_corpus.items():
+        d, x, y = metrics.farthest_pair(body)
+        sampled, polished = oracles.farthest_pair_oracle(body)
+        assert d >= sampled - 1e-12, (name, d - sampled)
+        assert abs(d - polished) <= 1e-12, (name, d - polished)
+        assert np.all(boundary_distance_many(body, np.array([x, y])) <= 1e-12), name
+        assert abs(2.0 * math.asin(np.linalg.norm(x - y) / 2.0) - d) <= 1e-12, name
+        above += d > PI / 2 + 1e-3
+    assert above >= 20
+
+
+def test_farthest_pair_of_a_cap_is_an_opposite_pair():
+    # a full circle against itself: the start and the point opposite it
+    for r in (0.3, PI / 4, 1.2):
+        d, x, y = metrics.farthest_pair(cap(unit([0.4, -1.0, 0.7]), r, 0.9))
+        assert d == pytest.approx(2 * r, abs=1e-12)
+        assert abs(float(x @ y) - math.cos(2 * r)) <= 1e-12
+
+
+def test_farthest_pair_of_a_stadium_joins_its_small_arcs_inside():
+    # the largest distance, along the equator, has no arc end: only the
+    # centre-line pair of the two small arcs finds it
+    from fixtures import stadium
+
+    # cut short past the equator, the small arcs' midpoints leave it, and
+    # the midpoint bound keeps the pair on its l/2 term alone; cut short on
+    # both sides, that bound exceeds the ends' best by as little as 0.005
+    cases = [(0.5, 0.3, None), (0.3, 0.6, None), (0.8, 0.2, None), (0.5, 0.3, (1.0, 0.2)), (0.3, 0.6, (1.0, 0.3))]
+    cases += [(0.5, 0.3, (0.1, 0.1)), (0.8, 0.2, (0.05, 0.08)), (0.8, 0.2, (0.02, 0.03))]
+    for a, r, ends in cases:
+        body = stadium(a, r, ends)
+        d, x, y = metrics.farthest_pair(body)
+        assert d == pytest.approx(2 * (a + r), abs=1e-12)
+        assert abs(x[2]) <= 1e-12 and abs(y[2]) <= 1e-12
+        corners = np.concatenate([body.arcs.start, body.arcs.end])
+        assert np.linalg.norm(corners - x, axis=1).min() > 1e-3
+        assert float(acos_clamped_np(corners @ corners.T).max()) < d - 1e-5
 
 
 # ------------------------------------------------------------ width reports
@@ -431,14 +494,14 @@ def test_curved_gate_builds_no_dual_and_runs_no_ascent(monkeypatch):
     from fixtures import curved_selfdual_bodies
 
     bodies = list(curved_selfdual_bodies().values())
-    calls = counted_calls(monkeypatch, ("_ascent_diameter",) + SWEEP_WORK)
+    calls = counted_calls(monkeypatch, ("farthest_pair",) + SWEEP_WORK)
     reports = [is_constant_width(body) for body in bodies]
     assert all(rep.passed and rep.dual is None for rep in reports)
     assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, 0)
     # thickness and diameter are measured when read, as the sweep measured them
     rep, body = reports[0], bodies[0]
-    assert rep.thickness == PI - metrics._ascent_diameter(polar_dual(body))
-    assert rep.diameter == metrics._ascent_diameter(body)
+    assert rep.thickness == PI - metrics.farthest_pair(polar_dual(body))[0]
+    assert rep.diameter == metrics.farthest_pair(body)[0]
 
 
 def test_tampered_polytopes_fall_back_to_the_sweep(monkeypatch, cap_polytopes):
@@ -525,13 +588,16 @@ def test_metrics_verb_sweeps_nothing_on_polytope_files(monkeypatch, tmp_path, ca
 
 def test_polytope_gate_and_seed_check_run_no_ascent(monkeypatch):
     # the approximation gate on a polytope input and the completion's
-    # sub-duality check of its seed both take the closed form
+    # sub-duality check of its seed both take the closed form: the
+    # farthest-pair kernel measures only the duals the completion grows into
     poly = selfdual_polytopes()["random-30-1"]
-    calls = counted_calls(monkeypatch, ("_ascent_diameter",) + SWEEP_WORK)
+    seed = random_subdual_polytope_seed(30, 4)
+    calls = counted_calls(monkeypatch, ("farthest_pair",) + SWEEP_WORK)
     out, cert, steps = approximate_polytope(poly, ApproximationConfig(0.01))
     assert len(steps) == 0 and np.array_equal(out.vertices, poly.vertices)
-    random_selfdual_polytope(30, 4)
-    assert calls["_ascent_diameter"] == []
+    assert calls["farthest_pair"] == []
+    complete_selfdual(seed, tol=1e-7)
+    assert len(calls["farthest_pair"]) == 1 and calls["farthest_pair"][0] is not seed
     assert calls["boundary_max_distance_many"] == []
 
 

@@ -319,7 +319,7 @@ def _great_arc_ends(body):
 
 def test_great_arc_stack_is_stack_arcs_of_the_objects_bit_for_bit():
     bodies = [b for _, b in acceptance_corpus().values()]
-    bodies += [random_selfdual_polytope(n, s) for n in (3, 8, 30, 60) for s in (1, 2, 3)]
+    bodies += [random_selfdual_polytope(n, s) for n in (3, 8, 30, 60, 90) for s in (1, 2, 3)]
     checked = 0
     for body in bodies + [polar_dual(b) for b in bodies]:
         starts, ends = _great_arc_ends(body)
