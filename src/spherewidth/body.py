@@ -72,7 +72,7 @@ from .sphere import (
     distance_to_piece,
     great_arc_stack,
     join_stacks,
-    max_distance_to_piece,
+    min_dot_to_piece,
     min_support_dot,
     norm_rows,
     row_dots,
@@ -430,8 +430,15 @@ def boundary_distance_many(body: ConvexBody, points: np.ndarray) -> np.ndarray:
     return _reduce_pieces(body, points, distance_to_piece, np.minimum, np.inf)
 
 
+def boundary_min_dot_many(body: ConvexBody, points: np.ndarray) -> np.ndarray:
+    """Least x . y over the boundary points y, per row x: one blocked minimum of ``min_dot_to_piece``."""
+    return _reduce_pieces(body, points, min_dot_to_piece, np.minimum, 1.0)
+
+
 def boundary_max_distance_many(body: ConvexBody, points: np.ndarray) -> np.ndarray:
-    return _reduce_pieces(body, points, max_distance_to_piece, np.maximum, 0.0)
+    """Farthest distance to the boundary, per row, the width sweep's query: the cosines are reduced with
+    ``np.minimum`` from 1.0 (``boundary_min_dot_many``), then one arccos is taken per row."""
+    return acos_clamped_np(boundary_min_dot_many(body, points))
 
 
 def body_distance_many(

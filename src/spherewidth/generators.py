@@ -109,10 +109,16 @@ def rotated(b: ConvexBody, rot: np.ndarray) -> ConvexBody:
 
 def _turned_circles(z: np.ndarray, start: np.ndarray, radius, span) -> ArcStack:
     """The small-circle rows of ``rotated``: about each turned centre ``z``, from the azimuth of its turned
-    ``start`` in the ``tangent_basis`` frame of the normalised centre, over ``span``."""
-    u, v = tangent_frames(unit_each(z))
-    a0 = np.mod(np.arctan2(row_dots(start, v), row_dots(start, u)), TWO_PI)
+    ``start`` (``_turned_azimuths``), over ``span``."""
+    a0 = _turned_azimuths(z, start)[1]
     return small_arc_stack(z, radius, a0, a0 + span)
+
+
+def _turned_azimuths(z: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each centre ``z`` normalised, and the azimuth in [0, 2 pi] of ``start`` in that centre's ``tangent_basis`` frame."""
+    z = unit_each(z)
+    u, v = tangent_frames(z)
+    return z, np.mod(np.arctan2(row_dots(start, v), row_dots(start, u)), TWO_PI)
 
 
 def rounded_reuleaux(k: int, delta: float, center: Vec = (0.0, 0.0, 1.0)) -> ConvexBody:
@@ -316,9 +322,10 @@ def random_subdual_polytope_seed(n_target: int, rng_seed: int) -> Polytope:
     ``approx.chord_core`` on the cap circle's two half runs, the rows
     ``ConvexBody.run_pairing`` makes for a full circle, the first chorded
     and the second carrying the poles, so a seed builds no run pairing and
-    no steps.  The halves start at the turned cap's row, the row
-    ``rotated`` makes (``_turned_circles``), with no cap body built.  The
-    cut polytope goes uncertified: ``complete_selfdual`` checks the seed.
+    no steps.  The halves start where the turned cap's row would, the
+    row ``rotated`` makes (``_turned_azimuths``), with no cap row or cap
+    body built.  The cut polytope goes uncertified: ``complete_selfdual``
+    checks the seed.
     """
     if n_target < 3:
         raise ValueError("n_target must be at least 3")
@@ -330,9 +337,11 @@ def random_subdual_polytope_seed(n_target: int, rng_seed: int) -> Polytope:
     # the pi/4 cap about e3 and its start, at azimuth 0 of its frame (e1, e2), turned as ``rotated`` turns them
     r = 0.25 * math.pi
     z, start = np.matmul(rot, np.array([[[0.0, 0.0, 1.0]], [[math.sin(r), 0.0, math.cos(r)]]])[..., None])[..., 0]
-    a = _turned_circles(z, start, [r], [TWO_PI])
-    lo = np.array([a.t0[0], a.t0[0] + math.pi])  # each half ends at lo + pi, as in the pairing's rows
-    halves = small_arc_stack(a.z[[0, 0]], a.radius[[0, 0]], lo, lo + math.pi)
+    z, a0 = _turned_azimuths(z, start)
+    # the start the turned cap's row takes: ``small_arc_stack`` reduces a0 by fmod, so an np.mod rounded up to 2 pi is 0
+    t0 = float(np.fmod(a0[0], TWO_PI))
+    lo = np.array([t0, t0 + math.pi])  # each half ends at lo + pi, as in the pairing's rows
+    halves = small_arc_stack(z[[0, 0]], [r, r], lo, lo + math.pi)
     chords = chord_core(halves, np.array([True, False]), np.array([1, 0]), eps * SUBDIVISION_SAFETY)
     poly = Polytope(drop_flat_vertices(chords.vertices))
     if len(poly) <= 3:

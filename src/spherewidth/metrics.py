@@ -14,7 +14,11 @@ largest vertex-pair distance M is at most pi/2 has diameter M (the lemma of
 poles, the dual's vertices.  Any other body takes its exact diameter, and
 a pair attaining it, from ``farthest_pair``: closed-form candidates over
 every pair of pieces (each arc end against each arc, and the centre-line
-pair of two arcs when one is a small arc), with nothing sampled.
+pair of two arcs when one is a small arc), with nothing sampled.  Both
+share one kernel, ``sphere.min_dot_to_piece``, and work on cosines: they
+reduce the least dots and take one arccos per distance they report, a row
+of the sweep or the diameter; ``width_wrt`` reads its touching gap as the
+least dot itself.
 
 The library knows one width, pi/2, the case the chord construction keeps,
 and ``is_constant_width`` checks a body against it.  A valid body whose
@@ -71,10 +75,10 @@ from .sphere import (
     Vec,
     acos_clamped_np,
     arc_dot_range,
-    farthest_on_piece,
+    farthest_on_arc,
     length_weighted_counts,
     linspace_grid,
-    max_distance_to_piece,
+    min_dot_to_piece,
     unit,
     unit_each,
     wrap_angle,
@@ -84,6 +88,7 @@ from .body import (
     ConvexBody,
     body_distance_many,
     boundary_max_distance_many,
+    boundary_min_dot_many,
     polar_dual,
     require_valid,
 )
@@ -143,7 +148,7 @@ def _polygon_diameter(vertices: np.ndarray) -> Optional[float]:
 
 def _centre_line_pairs(a: ArcStack, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The farthest point pair of arcs ``i[k]`` and ``j[k]`` on the great circle through their centres: its
-    distance (-1 for none) and its points x, y.
+    dot x . y (inf for none) and its points x, y.
 
     Each arc meets that circle where its azimuth is the one of the other
     centre w, or the opposite one: at cos r z -+ sin r e, with e the unit
@@ -160,10 +165,15 @@ def _centre_line_pairs(a: ArcStack, i: np.ndarray, j: np.ndarray) -> tuple[np.nd
     e = (wu[:, None] * u + wv[:, None] * v) * (a.sin_r[p] / np.where(h > DOT_EPS, h, 1.0))[:, None]
     pts = (a.cos_r[p, None] * a.z[p])[:, None] + np.array([1.0, -1.0])[:, None] * e[:, None]
     k = len(i)
-    d = np.where(on[:k, :, None] & on[k:, None, :], acos_clamped_np(np.matmul(pts[:k], pts[k:].swapaxes(1, 2))), -1.0)
-    best = d.reshape(k, 4).argmax(axis=1)
+    c = np.where(on[:k, :, None] & on[k:, None, :], np.matmul(pts[:k], pts[k:].swapaxes(1, 2)), np.inf).reshape(k, 4)
+    best = c.argmin(axis=1)
     rows = np.arange(k)
-    return d.reshape(k, 4)[rows, best], pts[rows, best // 2], pts[k + rows, best % 2]
+    return c[rows, best], pts[rows, best // 2], pts[k + rows, best % 2]
+
+
+def _chain_points(a: ArcStack) -> np.ndarray:
+    """Every arc start, and each arc end that is not bit for bit the next start (on a ``Polytope``, none)."""
+    return np.concatenate([a.start, a.end[(a.end != np.concatenate((a.start[1:], a.start[:1]))).any(axis=1)]])
 
 
 def farthest_pair(body: ConvexBody) -> tuple[float, np.ndarray, np.ndarray]:
@@ -172,9 +182,10 @@ def farthest_pair(body: ConvexBody) -> tuple[float, np.ndarray, np.ndarray]:
 
     Over arcs i and j the largest d(x, y) has x or y at an arc end, or both
     inside their arcs.  The end candidates, every arc end against every
-    arc, are ``max_distance_to_piece``'s; their best, L, is realised.
-    Inside both arcs, moving either point along its circle cannot lengthen
-    xy, so the great circle through x and y passes through both centres
+    arc, are ``min_dot_to_piece``'s least dots, each end once
+    (``_chain_points``); their least, cos L, is realised.  Inside both
+    arcs, moving either point along its circle cannot lengthen xy, so the
+    great circle through x and y passes through both centres
     (``_centre_line_pairs``).  Two cases need no such pair:
 
     - concentric arcs: the opposite-azimuth pairs, all maxima, form one
@@ -189,35 +200,38 @@ def farthest_pair(body: ConvexBody) -> tuple[float, np.ndarray, np.ndarray]:
     its midpoint m (l its length), so a pair with a small arc has
     d(x, y) <= max d(m, arc j) + l/2; only the pairs whose bound exceeds L
     get the centre-line pass.  Ends and midpoints go in blocks of at most
-    ``BLOCK_ELEMENTS`` rows x pieces.
+    ``BLOCK_ELEMENTS`` rows x pieces.  The pair is read off the winning
+    row and piece (``farthest_on_arc``), and the diameter is one arccos of
+    the least dot; only the midpoint bounds take an arccos a row.
     """
     a = body.arcs
     n = len(a)
-    mid = np.empty((0, 3)) if a.great.all() else a.point_at(0.5 * (a.t0 + a.t1))
-    per = max(1, BLOCK_ELEMENTS // (3 * n))
-    best, at, pairs = -1.0, None, []
-    for lo in range(0, n, per):
-        hi = min(lo + per, n)
-        b = hi - lo
-        x = np.concatenate([a.start[lo:hi], a.end[lo:hi], mid[lo:hi]])
-        far = max_distance_to_piece(x, a)  # rows x pieces
-        k = int(np.argmax(far[: 2 * b]))
-        if far.flat[k] > best:
-            best, at = float(far.flat[k]), (x[k // n], k % n)
-        if len(mid):
-            bound = far[2 * b :] + 0.5 * (a.span * a.sin_r)[lo:hi, None]
-            r, j = np.nonzero((bound > best) & ~(a.great[lo:hi, None] & a.great))
-            pairs.append((r + lo, j, bound[r, j]))
-    x, j = at
-    y = farthest_on_piece(x[None], a[j])[0][0]
-    if pairs:
-        i, j, bound = (np.concatenate(c) for c in zip(*pairs))
-        if np.any(bound > best):
-            d, xs, ys = _centre_line_pairs(a, i[bound > best], j[bound > best])
-            k = int(np.argmax(d))
-            if d[k] > best:
-                best, x, y = float(d[k]), xs[k], ys[k]
-    return best, x, y
+    ends = _chain_points(a)
+    per = max(1, BLOCK_ELEMENTS // n)
+    least, at = math.inf, None
+    for lo in range(0, len(ends), per):
+        c = min_dot_to_piece(ends[lo : lo + per], a)  # rows x pieces
+        k = int(np.argmin(c))
+        if c.flat[k] < least:
+            least, at = float(c.flat[k]), (lo + k // n, k % n)
+    x = ends[at[0]]
+    y = farthest_on_arc(x, a, at[1])
+    if not a.great.all():
+        best = float(acos_clamped_np(least))
+        mid = a.point_at(0.5 * (a.t0 + a.t1))
+        half = 0.5 * (a.span * a.sin_r)
+        pairs = []
+        for lo in range(0, n, per):
+            bound = acos_clamped_np(min_dot_to_piece(mid[lo : lo + per], a)) + half[lo : lo + per, None]
+            r, j = np.nonzero((bound > best) & ~(a.great[lo : lo + per, None] & a.great))
+            pairs.append((r + lo, j))
+        i, j = (np.concatenate(c) for c in zip(*pairs))
+        if len(i):
+            c, xs, ys = _centre_line_pairs(a, i, j)
+            k = int(np.argmin(c))
+            if c[k] < least:
+                least, x, y = float(c[k]), xs[k], ys[k]
+    return float(acos_clamped_np(least)), x, y
 
 
 def diameter(body: ConvexBody) -> float:
@@ -226,13 +240,12 @@ def diameter(body: ConvexBody) -> float:
     A body bounded by great arcs whose vertex-pair diameter M is at most
     pi/2 (up to ``VERTEX_DIAMETER_SLACK``) has diameter M, by the lemma of
     ``_polygon_diameter``: one Gram matrix of the arc starts and of each
-    end that is not bit for bit the next start (on a ``Polytope``, none).
-    Any other body takes the exact farthest pair (``farthest_pair``).
+    end that is not bit for bit the next start (``_chain_points``; on a
+    ``Polytope``, none).  Any other body takes the exact farthest pair
+    (``farthest_pair``).
     """
     if body.is_polytope():
-        a = body.arcs
-        ends = a.end[(a.end != np.concatenate((a.start[1:], a.start[:1]))).any(axis=1)]
-        m = _polygon_diameter(np.concatenate([a.start, ends]))
+        m = _polygon_diameter(_chain_points(body.arcs))
         if m is not None:
             return m
     return farthest_pair(body)[0]
@@ -250,7 +263,7 @@ def width_wrt(body: ConvexBody, k: Vec) -> float:
     """
     k = unit(k)[None, :]
     # min over the boundary of k . x, the cosine of the farthest distance
-    gap = math.cos(float(boundary_max_distance_many(body, k)[0]))
+    gap = float(boundary_min_dot_many(body, k)[0])
     if gap < -BOUNDARY_EPS:
         raise NotSupporting("hemisphere cuts into the body (min dot %.3e)" % gap)
     if gap > TOUCH_TOL:

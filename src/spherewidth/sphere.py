@@ -13,7 +13,11 @@ distance and farthest-point queries are therefore one closed form for both,
 and so is ``arc_dot_range``, the exact range of x . w along stacked arcs,
 which validation and the Hausdorff structural caps share; each stack takes
 the cosines and sines of its ends once (``ArcStack.end_trig``), and a part
-of its arcs is ``ArcStack.part``.
+of its arcs is ``ArcStack.part``.  The farthest kernel works on cosines:
+``min_dot_to_piece`` gives the least x . y over each piece and takes no
+arccos, so a caller reduces the cosines and takes one arccos per distance
+it reports (``max_distance_to_piece`` is the arccos of each), and
+``farthest_on_arc`` reads the farthest point off the same candidates.
 ``stack_arcs`` lays out a whole boundary as arrays; ``great_arc_stack`` and
 ``small_arc_stack`` build them from ends, or centres, radii and azimuths, in
 one pass, each piece object being the one-row case (``arc_pieces`` gives a
@@ -21,8 +25,8 @@ stack's rows as objects).  Where a value must be ``math``'s rather than
 numpy's, ``math_each`` maps the ``math`` function over a whole column at C
 level, so no builder runs Python code per row.  The distance kernels and
 the least support-pole dot take a stack for one column per piece,
-``farthest_on_piece`` one piece, the Hausdorff structural caps one stack
-per body.
+``farthest_on_arc`` one row of a stack, the Hausdorff structural caps one
+stack per body.
 Everything here is a pure function over immutable values and is safe to call
 concurrently.
 """
@@ -576,9 +580,9 @@ def arc_dot_range(arcs: ArcStack, w: np.ndarray):
     return g + s * lo, g + s * hi, rho
 
 
-def _far_param(xu: np.ndarray, xv: np.ndarray, piece: CircleArc) -> np.ndarray:
-    """How far past t0, in [0, 2*pi), lies the azimuth opposite atan2(xv, xu)."""
-    return np.mod(np.arctan2(xv, xu) + math.pi - piece.t0, TWO_PI)
+def _opposite_param(xu: np.ndarray, xv: np.ndarray, t0) -> np.ndarray:
+    """How far past t0, in [0, 2*pi], lies the azimuth opposite atan2(xv, xu) (``wrap_angle``)."""
+    return wrap_angle(np.arctan2(xv, xu) + math.pi - t0)
 
 
 def distance_to_piece(points: np.ndarray, piece) -> np.ndarray:
@@ -600,20 +604,27 @@ def distance_to_piece(points: np.ndarray, piece) -> np.ndarray:
     return np.where(on, circ, d_ends)
 
 
-def max_distance_to_piece(points: np.ndarray, piece) -> np.ndarray:
-    """Vectorized maximum geodesic distance from each row of ``points``.
+def min_dot_to_piece(points: np.ndarray, piece) -> np.ndarray:
+    """Vectorized least x . y over the points y of the piece, for each row x of ``points``.
 
     ``piece`` is one piece, or an ``ArcStack`` for one column per piece.
-    The maximum over a circular arc is attained either at the azimuth
-    opposite the query point (when inside the span), at distance
-    arccos(cos d(x, z) cos r - sin d(x, z) sin r), or at an endpoint.
+    The least dot, the cosine of the farthest distance, is taken at an
+    endpoint or, when it lies in the span, at the azimuth opposite the
+    query point, where it is (x . z) cos r - sqrt(x_u^2 + x_v^2) sin r.
+    No arccos is taken: a caller reduces the cosines and takes one arccos
+    per distance it reports.
     """
     x = np.asarray(points, dtype=float)
-    d_ends = np.maximum(acos_clamped_np(_dots(x, piece.start)), acos_clamped_np(_dots(x, piece.end)))
+    least = np.minimum(_dots(x, piece.start), _dots(x, piece.end))
     xu, xv = _dots(x, piece.u), _dots(x, piece.v)
-    on = _far_param(xu, xv, piece) <= piece.span + BOUNDARY_EPS
-    d_far = acos_clamped_np(_dots(x, piece.z) * piece.cos_r - np.hypot(xu, xv) * piece.sin_r)
-    return np.where(on, np.maximum(d_far, d_ends), d_ends)
+    on = _opposite_param(xu, xv, piece.t0) <= piece.span + BOUNDARY_EPS
+    far = _dots(x, piece.z) * piece.cos_r - np.sqrt(xu * xu + xv * xv) * piece.sin_r
+    return np.where(on, np.minimum(far, least), least)
+
+
+def max_distance_to_piece(points: np.ndarray, piece) -> np.ndarray:
+    """Vectorized maximum geodesic distance from each row of ``points``: the arccos of ``min_dot_to_piece``."""
+    return acos_clamped_np(min_dot_to_piece(points, piece))
 
 
 def min_support_dot(points: np.ndarray, arcs: ArcStack) -> np.ndarray:
@@ -632,24 +643,17 @@ def min_support_dot(points: np.ndarray, arcs: ArcStack) -> np.ndarray:
     return arcs.sin_r * _dots(x, arcs.z) - arcs.cos_r * hi
 
 
-def farthest_on_piece(points: np.ndarray, piece):
-    """Vectorized farthest point of the piece from each row, with its distance.
-
-    ``piece`` is one piece (an object or a stack row) for (rows, 3) points.
-    The candidates are the point at the opposite azimuth (when inside the
-    span) and the endpoints; ties go to that point, then to the start.
-    """
-    x = np.asarray(points, dtype=float)
-    far = _far_param(_dots(x, piece.u), _dots(x, piece.v), piece)
-    cand = piece.point_at(piece.t0 + np.minimum(far, piece.span))
-    d_cand = np.where(
-        far <= piece.span + BOUNDARY_EPS, acos_clamped_np(np.sum(x * cand, axis=-1)), -1.0
-    )
-    d_start = acos_clamped_np(_dots(x, piece.start))
-    d_end = acos_clamped_np(_dots(x, piece.end))
-    take = (d_cand >= d_start) & (d_cand >= d_end)
-    end = np.where((d_start >= d_end)[..., None], piece.start, piece.end)
-    return np.where(take[..., None], cand, end), np.where(take, d_cand, np.maximum(d_start, d_end))
+def farthest_on_arc(x: Vec, arcs: ArcStack, j: int) -> Vec:
+    """The point of arc ``j`` of the stack farthest from the point ``x``, read off the candidates of
+    ``min_dot_to_piece``: the opposite-azimuth point when it lies in the span and x . y is no greater there
+    than at either end, else the end of the lesser x . y, the start on a tie."""
+    cs, ce, xu, xv, xz = _dots(x[None], np.stack([arcs.start[j], arcs.end[j], arcs.u[j], arcs.v[j], arcs.z[j]]))[0]
+    far = float(_opposite_param(xu, xv, arcs.t0[j]))
+    if far <= arcs.span[j] + BOUNDARY_EPS:
+        c = xz * arcs.cos_r[j] - math.sqrt(xu * xu + xv * xv) * arcs.sin_r[j]
+        if c <= cs and c <= ce:
+            return arcs.point_at(arcs.t0[j] + min(far, arcs.span[j]), j)
+    return arcs.start[j] if cs <= ce else arcs.end[j]
 
 
 def arcs_intersect(a: GreatArc, b: GreatArc, tol: float = BOUNDARY_EPS) -> bool:

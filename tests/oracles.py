@@ -36,7 +36,12 @@ search and one pass of checks per unit, whose verdicts the one-pass
 ``approx.pairing_bound`` must reproduce, and its bounds to roundoff, and
 ``farthest_pair_oracle`` the diameter from dense chord-form samples,
 polished by a bounded local search, which the closed-form
-``metrics.farthest_pair`` must reproduce to 1e-12.
+``metrics.farthest_pair`` must reproduce to 1e-12, and
+``max_distance_to_piece_arccos`` and ``farthest_pair_arccos`` the
+farthest-distance kernel with an arccos per candidate (``np.hypot`` and
+``np.mod`` in it), and the diameter it gives unpruned, which the cosine
+kernel ``sphere.min_dot_to_piece`` and ``metrics.farthest_pair`` must
+reproduce to 4e-16.
 """
 
 import json
@@ -86,6 +91,7 @@ from spherewidth.sphere import (
     GreatArc,
     Vec,
     SmallCircleArc,
+    _dots,
     acos_clamped_np,
     arc_pole,
     cross,
@@ -216,6 +222,39 @@ def farthest_pair_oracle(body, per_piece=2048, block=64, near=1e-4):
         x, y = a.point_at(res.x[0], i), a.point_at(res.x[1], j)
         polished = max(polished, 2.0 * math.asin(min(1.0, float(np.linalg.norm(x - y)) / 2.0)))
     return sampled, polished
+
+
+def max_distance_to_piece_arccos(points, piece):
+    """The farthest distance from each row of ``points`` to the piece (or to each row of a stack), as the
+    largest of three arccos: both ends, and the azimuth opposite the point when ``np.mod`` puts it in the
+    span, at arccos((x . z) cos r - hypot(x_u, x_v) sin r)."""
+    x = np.asarray(points, dtype=float)
+    d_ends = np.maximum(acos_clamped_np(_dots(x, piece.start)), acos_clamped_np(_dots(x, piece.end)))
+    xu, xv = _dots(x, piece.u), _dots(x, piece.v)
+    on = np.mod(np.arctan2(xv, xu) + math.pi - piece.t0, TWO_PI) <= piece.span + BOUNDARY_EPS
+    d_far = acos_clamped_np(_dots(x, piece.z) * piece.cos_r - np.hypot(xu, xv) * piece.sin_r)
+    return np.where(on, np.maximum(d_far, d_ends), d_ends)
+
+
+def farthest_pair_arccos(body):
+    """The diameter from ``max_distance_to_piece_arccos``: every arc start and end against every arc, and
+    for every pair of arcs with a small arc, unpruned, the arccos of each pair of the points where the two
+    meet the great circle through their centres, toward or away from the other centre, within their spans."""
+    a = body.arcs
+    best = float(max_distance_to_piece_arccos(np.concatenate([a.start, a.end]), a).max())
+    small = ~a.great
+    i, j = np.nonzero(small[:, None] | small[None, :])
+    p, q = np.concatenate([i, j]), np.concatenate([j, i])
+    w, u, v = a.z[q], a.u[p], a.v[p]
+    wu, wv = np.sum(w * u, axis=1), np.sum(w * v, axis=1)
+    h = np.sqrt(wu * wu + wv * wv)
+    az = np.arctan2(wv, wu)[:, None] + np.array([0.0, math.pi])
+    on = (wrap_angle(az - a.t0[p, None]) <= a.span[p, None]) & (h > DOT_EPS)[:, None]
+    e = (wu[:, None] * u + wv[:, None] * v) * (a.sin_r[p] / np.where(h > DOT_EPS, h, 1.0))[:, None]
+    pts = (a.cos_r[p, None] * a.z[p])[:, None] + np.array([1.0, -1.0])[:, None] * e[:, None]
+    k = len(i)
+    d = np.where(on[:k, :, None] & on[k:, None, :], acos_clamped_np(np.matmul(pts[:k], pts[k:].swapaxes(1, 2))), -1.0)
+    return max(best, float(d.max(initial=-1.0)))
 
 
 def width_oracle(body, k, per_piece=2000):

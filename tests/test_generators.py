@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import fields
 from functools import cached_property
@@ -360,6 +361,15 @@ def completion_seeds():
         yield ("two-arc", r), two_arc_seed(r)
     for c in (0.4, 0.05):
         yield ("thin", c), Polytope(np.array([E1, E2, unit(E1 + E2 + c * E3)]))
+
+
+def test_random_selfdual_polytope_pool_is_pinned_bytewise():
+    # the random-polytope benchmark's inputs, seeds 1-64, as files: a faster
+    # completion or seed must give the same polytopes, byte for byte
+    h = hashlib.sha256()
+    for s in range(1, 65):
+        h.update(dumps_body(random_selfdual_polytope(30, s)).encode())
+    assert h.hexdigest() == "367cacbb5c182a55887e4446538e3cd78a01e98c65189d6d761fcd718d6b1cd9"
 
 
 def test_completion_inserts_an_end_of_the_duals_diameter(monkeypatch):

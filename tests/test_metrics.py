@@ -14,6 +14,7 @@ from spherewidth.body import (
     Polytope,
     body_distance_many,
     boundary_distance_many,
+    boundary_max_distance_many,
     pairing_residual_bound,
     polar_dual,
     selfdual_residual_bound,
@@ -46,7 +47,17 @@ from spherewidth.metrics import (
     thickness,
     width_wrt,
 )
-from spherewidth.sphere import acos_clamped_np, great_arc_stack, lune_thickness, sample_piece, unit, unit_rows
+from spherewidth.sphere import (
+    acos_clamped_np,
+    great_arc_stack,
+    length_weighted_counts,
+    linspace_grid,
+    lune_thickness,
+    max_distance_to_piece,
+    sample_piece,
+    unit,
+    unit_rows,
+)
 
 E1, E2, E3 = np.eye(3)
 PI = math.pi
@@ -306,6 +317,55 @@ def test_farthest_pair_matches_dense_chord_sampling(kernel_corpus):
     assert above >= 20
 
 
+def test_cosine_kernel_matches_the_arccos_reference(kernel_corpus):
+    # one arccos of the least dot where the reference takes one a
+    # candidate, with np.hypot and np.mod: the kernel's distances, the
+    # diameter and the sweep's farthest distances agree to 4e-16, or to one
+    # ulp above 2, where an ulp is 4.4e-16; each pair lies on the boundary,
+    # at its distance
+    def close(got, ref):
+        return np.all(np.abs(got - ref) <= np.maximum(4e-16, np.spacing(ref)))
+
+    for name, body in kernel_corpus.items():
+        a = body.arcs
+        x = np.concatenate([a.start, a.end, a.point_at(0.5 * (a.t0 + a.t1))])
+        assert close(max_distance_to_piece(x, a), oracles.max_distance_to_piece_arccos(x, a)), name
+        d, p, q = metrics.farthest_pair(body)
+        assert close(d, oracles.farthest_pair_arccos(body)), name
+        assert np.all(boundary_distance_many(body, np.array([p, q])) <= 4e-16), name
+        assert abs(acos_clamped_np(p @ q) - d) <= 4e-16, name
+        idx, ts = linspace_grid(a.t0, a.t1, length_weighted_counts(a, 512))
+        k = a.point_at(ts, idx)
+        assert close(boundary_max_distance_many(body, k), oracles.max_distance_to_piece_arccos(k, a).max(axis=1)), name
+
+
+def test_farthest_pair_puts_each_shared_end_in_the_kernel_once(monkeypatch):
+    # every end of a Polytope is bit for bit the next start, so the kernel
+    # gets n end rows, not 2n, and the least dot of all 2n; an end that
+    # misses the next start, on a chain of great arcs, stays in
+    rows = []
+    kernel = metrics.min_dot_to_piece
+    monkeypatch.setattr(metrics, "min_dot_to_piece", lambda x, a: rows.append(len(x)) or kernel(x, a))
+
+    def least_of_all_ends(body):
+        a = body.arcs
+        return float(acos_clamped_np(kernel(np.concatenate([a.start, a.end]), a).min()))
+
+    for s in (1, 2, 3):
+        dual = polar_dual(random_subdual_polytope_seed(30, s))
+        assert isinstance(dual, Polytope)
+        rows.clear()
+        assert metrics.farthest_pair(dual)[0] == least_of_all_ends(dual)
+        assert rows == [len(dual.arcs)]
+    a = dual.arcs
+    end = a.end.copy()
+    end[4] = unit(end[4] + 1e-13 * E3)
+    chain = bd.chain_body(great_arc_stack(a.start, end))
+    rows.clear()
+    assert metrics.farthest_pair(chain)[0] == least_of_all_ends(chain)
+    assert rows == [len(a) + 1]
+
+
 def test_farthest_pair_of_a_cap_is_an_opposite_pair():
     # a full circle against itself: the start and the point opposite it
     for r in (0.3, PI / 4, 1.2):
@@ -547,7 +607,7 @@ def counted_calls(monkeypatch, names):
     return calls
 
 
-SWEEP_WORK = ("boundary_max_distance_many", "farthest_on_piece", "hausdorff", "polar_dual")
+SWEEP_WORK = ("boundary_max_distance_many", "min_dot_to_piece", "hausdorff", "polar_dual")
 
 
 def test_selfdual_polytope_report_sweeps_nothing(monkeypatch):
