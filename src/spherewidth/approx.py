@@ -48,13 +48,14 @@ units: a walk that checks the output is inscribed in every chorded arc
 run of the input, circumscribed about every partner run and has an edge
 on every great-arc piece.  Any pair the walk does not cover (a curved
 result, an input without arc runs, an arbitrary file pair) is re-measured
-by the refinement ``metrics.hausdorff_bounds``, whose upper end it takes.
-For a polytope output the width range and the self-duality residual are
-proved upper-bound ends from its edge-pole/vertex pairing (its
-``residual_bound``, ``body.selfdual_residual_bound``), in O(n); a curved
-result takes them from ``metrics.is_constant_width``, in closed form from
-its run pairing (``body.pairing_residual_bound``) when that is within
-tolerance, else from the width sweep and the upper end of the refinement.
+by ``metrics.hausdorff``, the exact distance from the farthest pairs of
+each body against the other's dual.  For a polytope output the width range
+and the self-duality residual are proved upper-bound ends from its
+edge-pole/vertex pairing (its ``residual_bound``,
+``body.selfdual_residual_bound``), in O(n); a curved result takes them from
+``metrics.is_constant_width``, in closed form from its run pairing
+(``body.pairing_residual_bound``) when that is within tolerance, else from
+the width sweep and the exact residual max(0, diam - pi/2, pi/2 - thickness).
 """
 
 from __future__ import annotations
@@ -106,9 +107,7 @@ from .body import (
     run_pairing_or_none,
     to_polytope,
 )
-# ``hausdorff`` is not on certify's path, which takes ``hausdorff_bounds``' upper end: a test that must see the
-# refinement patches ``hausdorff_bounds``.  The name stays because the benchmark's self-test reads it here.
-from .metrics import hausdorff, hausdorff_bounds, is_constant_width  # noqa: F401
+from .metrics import hausdorff, is_constant_width
 
 
 SUBDIVISION_SAFETY = 0.5  # share of the budget epsilon the sagitta d(s) may use
@@ -153,16 +152,15 @@ class Certificate:
 
     ``hausdorff_bound`` bounds the Hausdorff distance to the input: the
     proved upper bound of ``pairing_bound`` for a polytope the walk covers,
-    as the chord construction's outputs are, else the refinement's upper
-    end (``metrics.hausdorff_bounds``), within ``metrics.HAUSDORFF_TOL``
-    above its lower end.  For a polytope output,
+    as the chord construction's outputs are, else the exact distance
+    ``metrics.hausdorff``, up to its roundoff.  For a polytope output,
     ``width_min`` and ``width_max`` are the proved ends
     pi/2 -+ rho and ``self_duality_residual`` is rho, the upper bound on its
     distance to its polar dual from the edge-pole/vertex pairing; a curved
     output takes all three from ``metrics.is_constant_width``: the same
     ends from its run pairing when 2 rho is within tolerance, else the
-    sampled width sweep and, as the residual, the upper end of
-    ``metrics.hausdorff_bounds`` against its dual.  ``steps`` and
+    sampled width sweep and, as the residual, its exact distance to its
+    dual (``metrics.WidthReport``).  ``steps`` and
     ``rounds`` count the chords and build rounds of
     ``approximate_polytope``, 0 from ``certify`` alone.
     """
@@ -654,10 +652,11 @@ def certify(original: ConvexBody, result: ConvexBody, config: ApproximationConfi
     ``is_constant_width``: its run pairing's closed form, or the sweep.
     Both are checked first, in O(n) for a polytope result, so a result
     that fails them is refused before its Hausdorff term is measured:
-    ``pairing_bound`` when that walk covers the pair, else the upper end of
-    the ``hausdorff_bounds`` refinement.  Raises ``CertificationFailed``
-    naming the violated bound, a NaN one too.  Never reads the construction, so the
-    certificate counts no steps or rounds.
+    ``pairing_bound`` when that walk covers the pair, else ``hausdorff``,
+    which raises ``FarPair`` on bodies pi/2 or more apart.  Raises
+    ``CertificationFailed`` naming the violated bound, a NaN one too.
+    Never reads the construction, so the certificate counts no steps or
+    rounds.
     """
     require_valid(original)
     if result.is_polytope():
@@ -685,7 +684,7 @@ def certify(original: ConvexBody, result: ConvexBody, config: ApproximationConfi
     # is a Polytope by now
     h = pairing_bound(original, result) if result.is_polytope() else None
     if h is None:
-        h = hausdorff_bounds(original, result)[1]
+        h = hausdorff(original, result)
     if not h <= 2.0 * config.epsilon:
         raise CertificationFailed(
             "hausdorff %.6g exceeds 2*epsilon = %.6g" % (h, 2 * config.epsilon),

@@ -441,20 +441,12 @@ def boundary_max_distance_many(body: ConvexBody, points: np.ndarray) -> np.ndarr
     return acos_clamped_np(boundary_min_dot_many(body, points))
 
 
-def body_distance_many(
-    body: ConvexBody, points: np.ndarray, tol: float = BOUNDARY_EPS, signed: bool = False
-) -> np.ndarray:
-    """Geodesic distance to the body: zero inside, or with ``signed`` minus the distance to the boundary.
-
-    Inside and outside are those of ``contains_many``, from one pass of its
-    least x . K.  Inside, a corner's sinusoid is least at an end, so that
-    dot is the sine of the distance to the boundary; the signed value,
-    clipped to 0 in the band, is 1-Lipschitz and at most the distance.
-    """
+def body_distance_many(body: ConvexBody, points: np.ndarray, tol: float = BOUNDARY_EPS) -> np.ndarray:
+    """Geodesic distance to the body, zero inside; inside and outside are those of ``contains_many``, from
+    one pass of its least x . K."""
     x = np.asarray(points, dtype=float)
-    m = _reduce_pieces(body, x, min_support_dot, np.minimum, np.inf)
-    out = ~(m >= -tol)
-    d = np.minimum(0.0, -np.arcsin(np.minimum(1.0, m))) if signed else np.zeros(len(x))
+    out = ~(_reduce_pieces(body, x, min_support_dot, np.minimum, np.inf) >= -tol)
+    d = np.zeros(len(x))
     d[out] = boundary_distance_many(body, x[out])
     return d
 

@@ -295,9 +295,10 @@ def complete_selfdual(seed: ConvexBody, tol: float) -> ConvexBody:
         if rho is not None and rho <= 0.9 * tol:
             return body
         dual = polar_dual(body)
-        d, x, y = farthest_pair(dual)
-        # below 1e-12 the gap is roundoff, and no insertion can close it
-        if d - 0.5 * math.pi <= max(0.9 * tol, 1e-12):
+        c, x, y = farthest_pair(dual, dual)
+        # the gap D - pi/2 is asin(-cos D); below 1e-12 it is roundoff, and
+        # no insertion can close it
+        if -c <= math.sin(max(0.9 * tol, 1e-12)):
             return body
         ends = np.concatenate([dual.arcs.start, dual.arcs.end])
         w = body.interior

@@ -12,13 +12,13 @@ Farthest distances to a whole boundary are one batched closed-form query
 largest vertex-pair distance M is at most pi/2 has diameter M (the lemma of
 ``_polygon_diameter``), and its thickness is the same formula on its edge
 poles, the dual's vertices.  Any other body takes its exact diameter, and
-a pair attaining it, from ``farthest_pair``: closed-form candidates over
-every pair of pieces (each arc end against each arc, and the centre-line
-pair of two arcs when one is a small arc), with nothing sampled.  Both
-share one kernel, ``sphere.min_dot_to_piece``, and work on cosines: they
-reduce the least dots and take one arccos per distance they report, a row
-of the sweep or the diameter; ``width_wrt`` reads its touching gap as the
-least dot itself.
+a pair attaining it, from ``farthest_pair(body, body)``: closed-form
+candidates over every pair of pieces (each arc end against each arc, and
+the centre-line pair of two arcs when one is a small arc), with nothing
+sampled.  Both share one kernel, ``sphere.min_dot_to_piece``, and work on
+cosines: they reduce the least dots and take one arccos per distance they
+report, a row of the sweep or the diameter; ``width_wrt`` reads its
+touching gap as the least dot itself.
 
 The library knows one width, pi/2, the case the chord construction keeps,
 and ``is_constant_width`` checks a body against it.  A valid body whose
@@ -31,30 +31,23 @@ curved body's is ``body.pairing_residual_bound``, from the run pairing the
 chord construction uses.  Every other body is swept along its dual
 boundary.  Either way the report takes each quantity from one source
 here: the diameter from ``diameter``, the thickness from ``thickness`` (or,
-swept, pi - ``diameter`` of the dual it built), and the residual, an upper
-end on both paths, from rho or the upper end of ``hausdorff_bounds``.
+swept, pi - ``diameter`` of the dual it built), and the residual from rho
+or, swept, from those two: max(0, diameter - pi/2, pi/2 - thickness).
 
-The Hausdorff distance runs a Lipschitz branch-and-bound (the signed
-distance to a convex body, negative inside, is 1-Lipschitz along the
-boundary, so an interval deep inside is pruned at once) over one flat
-table of parameter intervals per direction, all pieces together, refined
-until the bounds meet within ``tol``; each level is one prune and one
-evaluator call over the whole table, and the largest upper bound of the
-rows it prunes is kept, so it ends with [lb, hi] (``hausdorff_bounds``).  A
-refinement still open after ``REFINE_LEVELS`` levels, or with more than
-``REFINE_ROWS`` live rows, raises ``RefinementStalled``.  Each interval
-also carries a closed-form structural cap, the least over the pieces of
-the other body of a vertex, full-circle, concentric-arc,
-coplanar-great-arc or nearby-edge bound.  The caps are windowed: every cap of an (interval, piece) pair is at
-least d(m, c) - rho, with m the interval's midpoint, c the piece's
-mid-parameter point and rho half the piece's length, so a pair whose lower
-bound exceeds the largest live upper bound is skipped.  A row's upper bound
-never grows once it is split, so a skipped cap could never prune a row: the
-prune decisions, and the result, are those of capping against all pieces.
-One elementwise numpy kernel caps the kept pairs.
+Every such extremum is a farthest pair.  For a point x less than pi/2 from
+a body B, d(x, B) = max(0, asin(-min x . K)) over K on the boundary of B*,
+so the directed distance from A to B is asin(max(0, -m)), m the least dot
+between the boundaries of A and B* (``boundary_sup_distance``), and the
+Hausdorff distance is the larger direction (``hausdorff``): two calls of
+the same two-body kernel, ``farthest_pair``, which adds the antipodal
+crossings of two arcs to its candidates.  The identity fails exactly when
+A meets -B*, a point of A pi/2 or more from B; three checks detect that
+case and raise ``FarPair``.  With B = A*, B* = A and the distance needs no
+kernel call beyond the diameters: H(A, A*) = max(0, diam A - pi/2,
+pi/2 - thickness A) (``self_duality_residual``).
 
 Everything here is pure and safe to call concurrently; all reductions are
-max/min over samples and independent of evaluation order.
+max/min over candidates and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -66,15 +59,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotSupporting, RefinementStalled
+from .errors import FarPair, NotSupporting
 from .sphere import (
     BOUNDARY_EPS,
     DOT_EPS,
-    TWO_PI,
     ArcStack,
     Vec,
     acos_clamped_np,
-    arc_dot_range,
+    cross_rows,
     farthest_on_arc,
     length_weighted_counts,
     linspace_grid,
@@ -89,17 +81,11 @@ from .body import (
     body_distance_many,
     boundary_max_distance_many,
     boundary_min_dot_many,
+    contains_many,
     polar_dual,
     require_valid,
 )
 
-# Default certified accuracy of the Hausdorff refinement.
-HAUSDORFF_TOL = 1e-7
-# Split levels after which a refinement with live intervals is an error.
-REFINE_LEVELS = 64
-# Most live rows, all directions together, a refinement may split; past it
-# the refinement is an error, so no table grows past twice as many rows.
-REFINE_ROWS = 1 << 22
 # Poles sampled along the dual boundary by the constant-width sweep.
 WIDTH_SWEEP = 4096
 # Largest min over the body of k . x at which H(k) still touches it, for ``width_wrt``.
@@ -146,29 +132,72 @@ def _polygon_diameter(vertices: np.ndarray) -> Optional[float]:
     return m if m <= 0.5 * math.pi + VERTEX_DIAMETER_SLACK else None
 
 
-def _centre_line_pairs(a: ArcStack, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The farthest point pair of arcs ``i[k]`` and ``j[k]`` on the great circle through their centres: its
-    dot x . y (inf for none) and its points x, y.
+def _centre_line_points(s: ArcStack, p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the circle of arc ``s[p[k]]`` meets the great circle through its centre and ``w[k]``: the two
+    points (k, 2, 3) and whether each lies on the arc.
 
-    Each arc meets that circle where its azimuth is the one of the other
-    centre w, or the opposite one: at cos r z -+ sin r e, with e the unit
-    (u, v)-part of w.  A point counts when that azimuth lies in the arc's
-    span.  Centres within ``DOT_EPS`` of +-w count as concentric, whose
-    maxima the arc ends attain (``farthest_pair``): their arcs give none.
+    The points sit at the azimuth of w and the opposite one: at
+    cos r z -+ sin r e, with e the unit (u, v)-part of w.  A centre within
+    ``DOT_EPS`` of +-w (concentric) gives none.
     """
-    p, q = np.concatenate([i, j]), np.concatenate([j, i])
-    w, u, v = a.z[q], a.u[p], a.v[p]
+    u, v = s.u[p], s.v[p]
     wu, wv = np.sum(w * u, axis=1), np.sum(w * v, axis=1)
     h = np.sqrt(wu * wu + wv * wv)
-    on = wrap_angle(np.arctan2(wv, wu)[:, None] + np.array([0.0, math.pi]) - a.t0[p, None]) <= a.span[p, None]
+    on = wrap_angle(np.arctan2(wv, wu)[:, None] + np.array([0.0, math.pi]) - s.t0[p, None]) <= s.span[p, None]
     on &= (h > DOT_EPS)[:, None]
-    e = (wu[:, None] * u + wv[:, None] * v) * (a.sin_r[p] / np.where(h > DOT_EPS, h, 1.0))[:, None]
-    pts = (a.cos_r[p, None] * a.z[p])[:, None] + np.array([1.0, -1.0])[:, None] * e[:, None]
+    e = (wu[:, None] * u + wv[:, None] * v) * (s.sin_r[p] / np.where(h > DOT_EPS, h, 1.0))[:, None]
+    pts = (s.cos_r[p, None] * s.z[p])[:, None] + np.array([1.0, -1.0])[:, None] * e[:, None]
+    return pts, on
+
+
+def _centre_line_pairs(a: ArcStack, i: np.ndarray, b: ArcStack, j: np.ndarray):
+    """The farthest point pair of arcs ``a[i[k]]`` and ``b[j[k]]`` on the great circle through their centres:
+    its dot x . y (inf for none) and its points x, y.
+
+    Concentric arcs give none: their maxima, opposite azimuths, form one
+    azimuth interval bounded by an end of one of the arcs.
+    """
+    pa, on_a = _centre_line_points(a, i, b.z[j])
+    pb, on_b = _centre_line_points(b, j, a.z[i])
     k = len(i)
-    c = np.where(on[:k, :, None] & on[k:, None, :], np.matmul(pts[:k], pts[k:].swapaxes(1, 2)), np.inf).reshape(k, 4)
+    c = np.where(on_a[:, :, None] & on_b[:, None, :], np.matmul(pa, pb.swapaxes(1, 2)), np.inf).reshape(k, 4)
     best = c.argmin(axis=1)
     rows = np.arange(k)
-    return c[rows, best], pts[rows, best // 2], pts[k + rows, best % 2]
+    return c[rows, best], pa[rows, best // 2], pb[rows, best % 2]
+
+
+def _on_arc(s: ArcStack, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whether the points x (k, 2, 3), on the circles of the arcs ``s[p[k]]``, lie within their spans."""
+    xu, xv = np.sum(x * s.u[p, None], axis=2), np.sum(x * s.v[p, None], axis=2)
+    return wrap_angle(np.arctan2(xv, xu) - s.t0[p, None]) <= s.span[p, None]
+
+
+def _antipodal_pairs(a: ArcStack, i: np.ndarray, b: ArcStack, j: np.ndarray):
+    """A point x of arc ``a[i[k]]`` whose antipode lies on arc ``b[j[k]]``: the dot -1 (inf for none) and
+    the points x, -x.
+
+    x lies on both circle (z_i, r_i) and circle (-z_j, r_j), so
+    x = alpha z_i + beta z_j +- gamma (z_i x z_j), with x . z_i = cos r_i
+    and x . z_j = -cos r_j.  Concentric circles, |z_i . z_j| within
+    ``DOT_EPS`` of 1, give none: when they coincide the antipodal pairs form
+    an interval bounded by an arc end.  A crossing at an arc end, which
+    roundoff may put just outside the span, is an end candidate too.
+    """
+    zi, zj = a.z[i], b.z[j]
+    ci, cj = a.cos_r[i], -b.cos_r[j]
+    g = np.sum(zi * zj, axis=1)
+    det = 1.0 - g * g
+    ok = det > DOT_EPS
+    det = np.where(ok, det, 1.0)
+    alpha, beta = (ci - g * cj) / det, (cj - g * ci) / det
+    gamma2 = (1.0 - alpha * ci - beta * cj) / det  # |alpha z_i + beta z_j|^2 = alpha ci + beta cj
+    ok &= gamma2 >= 0.0
+    n = cross_rows(zi, zj) * np.sqrt(np.maximum(gamma2, 0.0))[:, None]
+    x = (alpha[:, None] * zi + beta[:, None] * zj)[:, None] + np.array([1.0, -1.0])[:, None] * n[:, None]
+    on = ok[:, None] & _on_arc(a, i, x) & _on_arc(b, j, -x)
+    first = np.argmax(on, axis=1)
+    rows = np.arange(len(i))
+    return np.where(on.any(axis=1), -1.0, np.inf), x[rows, first], -x[rows, first]
 
 
 def _chain_points(a: ArcStack) -> np.ndarray:
@@ -176,62 +205,81 @@ def _chain_points(a: ArcStack) -> np.ndarray:
     return np.concatenate([a.start, a.end[(a.end != np.concatenate((a.start[1:], a.start[:1]))).any(axis=1)]])
 
 
-def farthest_pair(body: ConvexBody) -> tuple[float, np.ndarray, np.ndarray]:
-    """The diameter of the body, the largest distance between two of its boundary points, and two points
-    at that distance.
+def _end_pairs(ends: np.ndarray, arcs: ArcStack) -> tuple[float, np.ndarray, np.ndarray]:
+    """The least x . y over the rows x of ``ends`` and the points y of ``arcs``, and a pair attaining it.
 
-    Over arcs i and j the largest d(x, y) has x or y at an arc end, or both
-    inside their arcs.  The end candidates, every arc end against every
-    arc, are ``min_dot_to_piece``'s least dots, each end once
-    (``_chain_points``); their least, cos L, is realised.  Inside both
-    arcs, moving either point along its circle cannot lengthen xy, so the
-    great circle through x and y passes through both centres
-    (``_centre_line_pairs``).  Two cases need no such pair:
+    ``min_dot_to_piece`` in blocks of at most ``BLOCK_ELEMENTS`` rows x
+    pieces; the pair is read off the winning row and piece
+    (``farthest_on_arc``).
+    """
+    n = len(arcs)
+    per = max(1, BLOCK_ELEMENTS // n)
+    least, at = math.inf, None
+    for lo in range(0, len(ends), per):
+        c = min_dot_to_piece(ends[lo : lo + per], arcs)  # rows x pieces
+        k = int(np.argmin(c))
+        if c.flat[k] < least:
+            least, at = float(c.flat[k]), (lo + k // n, k % n)
+    x = ends[at[0]]
+    return least, x, farthest_on_arc(x, arcs, at[1])
+
+
+def farthest_pair(a: ConvexBody, b: ConvexBody) -> tuple[float, np.ndarray, np.ndarray]:
+    """The least x . y over x on the boundary of ``a`` and y on that of ``b``, the cosine of the largest
+    distance between them, and a pair x, y attaining it; ``farthest_pair(c, c)`` gives the diameter.
+
+    Over arcs i of a and j of b the largest d(x, y) has x or y at an arc
+    end, or both inside their arcs.  The end candidates, every arc end of
+    either body against every arc of the other, are ``min_dot_to_piece``'s
+    least dots, each end once (``_chain_points``; one pass when a is b).
+    Inside both arcs, at a distance below pi, moving either point along its
+    circle cannot lengthen xy, so the great circle through x and y passes
+    through both centres (``_centre_line_pairs``).  Two cases need no such
+    pair:
 
     - concentric arcs: the opposite-azimuth pairs, all maxima, form one
       azimuth interval bounded by an end of one of the arcs;
     - two great arcs: both circles pass through the pole N of the great
       circle xy, so x(t) . y(s) = cos t cos s cos D + sin t sin s with
       D = d(x, y), whose Hessian [[-cos D, 1], [1, -cos D]] has the
-      eigenvalue -cos D - 1 < 0: a saddle for D < pi, and at D = pi the
-      antipodal pairs run to an end.
+      eigenvalue -cos D - 1 < 0: a saddle for D < pi.
 
-    So a polygon takes the end candidates alone.  Arc i lies within l/2 of
-    its midpoint m (l its length), so a pair with a small arc has
-    d(x, y) <= max d(m, arc j) + l/2; only the pairs whose bound exceeds L
-    get the centre-line pass.  Ends and midpoints go in blocks of at most
-    ``BLOCK_ELEMENTS`` rows x pieces.  The pair is read off the winning
-    row and piece (``farthest_on_arc``), and the diameter is one arccos of
-    the least dot; only the midpoint bounds take an arccos a row.
+    At D = pi the great circle xy is not unique, and a maximum may sit
+    inside both arcs wherever x on arc i has -x on arc j: the antipodal
+    crossings of circle i with the image of circle j (``_antipodal_pairs``),
+    which give x . y = -1.  A valid body lies in an open hemisphere, so it
+    has none against itself, and a body bounded by great arcs takes the
+    end candidates alone against itself.  Arc i lies within l/2 of its
+    midpoint m (l its length), so d(x, y) <= max d(m, arc j) + l/2 over
+    the pair; only the pairs whose bound exceeds the ends' best get the
+    other candidates.
+    Ends and midpoints go in blocks of at most ``BLOCK_ELEMENTS`` rows x
+    pieces.  No arccos is taken but for the midpoint bounds.
     """
-    a = body.arcs
-    n = len(a)
-    ends = _chain_points(a)
-    per = max(1, BLOCK_ELEMENTS // n)
-    least, at = math.inf, None
-    for lo in range(0, len(ends), per):
-        c = min_dot_to_piece(ends[lo : lo + per], a)  # rows x pieces
-        k = int(np.argmin(c))
-        if c.flat[k] < least:
-            least, at = float(c.flat[k]), (lo + k // n, k % n)
-    x = ends[at[0]]
-    y = farthest_on_arc(x, a, at[1])
-    if not a.great.all():
+    p, q = a.arcs, b.arcs
+    least, x, y = _end_pairs(_chain_points(p), q)
+    if q is not p:
+        c, y2, x2 = _end_pairs(_chain_points(q), p)
+        if c < least:
+            least, x, y = c, x2, y2
+    if q is not p or not p.great.all():
         best = float(acos_clamped_np(least))
-        mid = a.point_at(0.5 * (a.t0 + a.t1))
-        half = 0.5 * (a.span * a.sin_r)
+        mid = p.point_at(0.5 * (p.t0 + p.t1))
+        half = 0.5 * (p.span * p.sin_r)
+        per = max(1, BLOCK_ELEMENTS // len(q))
         pairs = []
-        for lo in range(0, n, per):
-            bound = acos_clamped_np(min_dot_to_piece(mid[lo : lo + per], a)) + half[lo : lo + per, None]
-            r, j = np.nonzero((bound > best) & ~(a.great[lo : lo + per, None] & a.great))
+        for lo in range(0, len(p), per):
+            bound = acos_clamped_np(min_dot_to_piece(mid[lo : lo + per], q)) + half[lo : lo + per, None]
+            r, j = np.nonzero(bound > best)
             pairs.append((r + lo, j))
         i, j = (np.concatenate(c) for c in zip(*pairs))
-        if len(i):
-            c, xs, ys = _centre_line_pairs(a, i, j)
-            k = int(np.argmin(c))
-            if c[k] < least:
-                least, x, y = float(c[k]), xs[k], ys[k]
-    return float(acos_clamped_np(least)), x, y
+        line = ~(p.great[i] & q.great[j])
+        for c, xs, ys in (_centre_line_pairs(p, i[line], q, j[line]), _antipodal_pairs(p, i, q, j)):
+            if len(c):
+                k = int(np.argmin(c))
+                if c[k] < least:
+                    least, x, y = float(c[k]), xs[k], ys[k]
+    return least, x, y
 
 
 def diameter(body: ConvexBody) -> float:
@@ -248,7 +296,7 @@ def diameter(body: ConvexBody) -> float:
         m = _polygon_diameter(_chain_points(body.arcs))
         if m is not None:
             return m
-    return farthest_pair(body)[0]
+    return float(acos_clamped_np(farthest_pair(body, body)[0]))
 
 
 # ------------------------------------------------------------------- widths
@@ -294,249 +342,68 @@ def thickness(body: ConvexBody) -> float:
 # ---------------------------------------------------------------- Hausdorff
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.sum(x * y, axis=1)
+def boundary_sup_distance(a: ConvexBody, b: ConvexBody) -> float:
+    """sup over the boundary of ``a`` of the distance to ``b``: asin(max(0, -m)), m the least x . K over x on
+    the boundary of ``a`` and K on that of b* (``farthest_pair``).
 
+    Identity.  For x less than pi/2 from b, d(x, b) = max(0, max over K in
+    the boundary of b* of d(x, K) - pi/2): the great circle through x's
+    nearest point p, perpendicular to xp, supports b, and its pole K on b's
+    side has d(x, K) = pi/2 + d(x, p); every other K gives at most d(x, b),
+    and a point of b has every K within pi/2.  With d(x, K) - pi/2 =
+    asin(-x . K), the sup over x swaps with the max over K.  So the value
+    holds when every point of ``a`` lies less than pi/2 from b, that is,
+    when a misses -b*, the points pi/2 or more from b; then the sup over a
+    is the sup over its boundary, since d(., b) grows along the geodesic
+    away from the nearest point until it leaves a.  asin(-m) is exact near
+    0, where acos(m) - pi/2 cancels.
 
-def _pair_caps(pa: ArcStack, tl, tr, b: ArcStack) -> np.ndarray:
-    """Structural caps of pairs: the arc of ``pa[k]`` over [tl[k], tr[k]] against piece ``b[k]``."""
-    part = pa.part(tl, tr)
-    span = part.span
-    length = span * pa.sin_r
-    great_a = pa.great
-    great_b = b.great
-    full_b = b.span >= TWO_PI - DOT_EPS
-    # any single boundary point v gives sup dist(., b) <= sup d(., v), exact
-    # on plateaus where a vertex is the nearest feature
-    caps = [acos_clamped_np(arc_dot_range(part, v)[0]) for v in (b.start, b.end)]
+    Domain.  a meets -b* if and only if one of these holds, and each raises
+    ``FarPair``:
 
-    # the distance to a full circle is |d(x, z) - r|, whose range over the
-    # arc is closed form; it also serves concentric small arcs below
-    cmin, cmax, rho = arc_dot_range(part, b.z)
-    ring = np.maximum(
-        np.abs(acos_clamped_np(cmax) - b.radius), np.abs(acos_clamped_np(cmin) - b.radius)
-    )
-    caps.append(np.where(full_b, ring, np.inf))
+    - (a) m reaches -1 (within ``DOT_EPS``): x = -K lies in a and in -b*;
+    - (b) the pair's point x of a lies pi/2 or more from b
+      (``body_distance_many``);
+    - (c) the antipode -K of the pair's point of b* lies in a
+      (``contains_many``).
 
-    # small arcs about near-bit-identical centres share the canonical frame,
-    # so the azimuth containment is meaningful; the centre mismatch enters
-    # the bound as the chord gamma
-    cc = _dot(pa.z, b.z)
-    off = np.fmod(tl - b.t0, TWO_PI)
-    off = np.where(off < 0.0, off + TWO_PI, off)
-    off = np.where(off >= TWO_PI - 1e-6, 0.0, off)
-    overhang = np.maximum(0.0, off + span - b.span)
-    gamma = np.sqrt(np.maximum(0.0, 2.0 * (1.0 - cc)))
-    ok = ~great_a & ~great_b & ~full_b & (cc >= 1.0 - 1e-15) & (overhang <= 1e-6)
-    caps.append(np.where(ok, ring + overhang * b.sin_r + 2.0 * gamma, np.inf))
-
-    # foot parameters of the arc's start, middle and end on each great circle
-    ends = [part.start, pa.point_at(0.5 * (tl + tr)), part.end]
-    ts, tm, te = (np.arctan2(_dot(x, b.v), _dot(x, b.u)) for x in ends)
-    length_b = b.span * b.sin_r
-
-    # a great arc on pb's great circle: rho is the exact sup of |x . pole|
-    # over its circle; every point is that close to pb's full circle, and
-    # its foot drifts by at most the same angle
-    coplanar = great_a & great_b & (np.abs(cc) >= 1.0 - 1e-9)
-    amp = np.arcsin(np.minimum(1.0, rho))
-    overhang = np.maximum.reduce(
-        [-np.minimum(ts, te), np.maximum(ts, te) - length_b, np.abs(np.abs(te - ts) - length)]
-    ).clip(min=0.0)
-    ok = coplanar & (overhang <= 1e-3 + 2.0 * amp)
-    caps.append(np.where(ok, 1.01 * amp + overhang + 1e-12, np.inf))
-
-    # a short arc against one edge: the sup of |asin(x . pole)| is closed
-    # form and tight at the peak of a chord sliver; the foot map onto the
-    # supporting circle stretches arc length by at most 1/cos(amp) < 1.1
-    amp = np.arcsin(np.minimum(1.0, np.maximum(np.abs(cmin), np.abs(cmax))))
-    reach = 1.1 * length
-    lo = np.minimum(np.minimum(ts, tm), te) - reach
-    hi = np.maximum(np.maximum(ts, tm), te) + reach
-    overhang = np.maximum(-lo, hi - length_b).clip(min=0.0)
-    ok = great_b & ~coplanar & (amp < 0.3)
-    caps.append(np.where(ok, amp + overhang, np.inf))
-
-    # arcs too short to stand alone get no cap: spans of 1e-9 or less, and
-    # great arcs whose ends are equal or antipodal
-    short = (span <= 1e-9) | (great_a & (np.abs(_dot(ends[0], ends[2])) >= 1.0 - DOT_EPS))
-    return np.where(short, np.inf, np.minimum.reduce(caps))
-
-
-def _window(mid: np.ndarray, b: ArcStack, bound: float):
-    """Chunks of at most ``BLOCK_ELEMENTS`` (row, piece) pairs whose caps may be <= ``bound``.
-
-    Every cap of a pair bounds the sup over the arc of the distance to that
-    one piece from above, so it is at least the distance from the arc's
-    midpoint m (row ``mid``) to the piece, and that is at least
-    LB = d(m, c) - rho, with c the piece's mid-parameter point and rho half
-    its length.  Pairs with LB > ``bound`` are dropped.  The dot m . c is
-    raised by ``DOT_EPS``, above its rounding error, before the arccos, so
-    roundoff cannot lift LB over the true distance.
+    Each of them puts a point in a and -b*.  Conversely, let a meet -b*.
+    If the boundary of a does too, d(., b) along that closed curve either
+    stays at pi/2 or more, and (b) holds, or takes the value pi/2 at some x,
+    where -x lies on the boundary of b*, and (a) holds.  Otherwise the
+    convex set -b* lies inside a, and so does -K: (c).
     """
-    c = b.point_at(0.5 * (b.t0 + b.t1))
-    half = 0.5 * b.span * b.sin_r
-    per = max(1, BLOCK_ELEMENTS // len(half))
-    rows, cols = [], []
-    for lo in range(0, len(mid), per):
-        i, j = np.nonzero(acos_clamped_np(mid[lo : lo + per] @ c.T + DOT_EPS) - half <= bound)
-        if rows and sum(map(len, rows)) + len(i) > BLOCK_ELEMENTS:
-            yield np.concatenate(rows), np.concatenate(cols)
-            rows, cols = [], []
-        rows.append(i + lo)
-        cols.append(j)
-    if rows:
-        yield np.concatenate(rows), np.concatenate(cols)
+    require_valid(a)
+    m, x, k = farthest_pair(a, polar_dual(b))
+    if m <= -1.0 + DOT_EPS:
+        why = "(a) a boundary point of the first body is antipodal to one of the second's dual"
+    elif body_distance_many(b, x[None, :])[0] >= 0.5 * math.pi:
+        why = "(b) a boundary point of the first body lies pi/2 or more from the second"
+    elif contains_many(a, -k[None, :])[0]:
+        why = "(c) the first body holds the antipode of a boundary point of the second's dual"
+    else:
+        return math.asin(max(0.0, -m))
+    raise FarPair("%s, so the Hausdorff distance is pi/2 or more (least x . K %.17g)" % (why, m))
 
 
-def _structural_caps(
-    arcs: ArcStack, idx, tl, tr, b: ConvexBody, bound: float = math.inf
-) -> np.ndarray:
-    """Closed-form upper bound on the sup over each arc of the distance to ``b``.
+def hausdorff(a: ConvexBody, b: ConvexBody) -> float:
+    """Geodesic Hausdorff distance between two convex bodies: the larger ``boundary_sup_distance``.
 
-    Row i is the arc of piece ``arcs[idx[i]]`` over the parameters
-    [tl[i], tr[i]] in its own frame.  Its cap is the least, over the pieces
-    of ``b`` in its window, of a vertex cap for each piece endpoint and of
-    caps against a full-circle piece (the distance to a full circle is
-    |d(x, Z) - r|), a small arc about the same centre with a covering span,
-    a great arc on the same great circle, and an edge near a short arc.
-    Everything else is left to the Lipschitz refinement (cap inf).  These
-    caps collapse the plateau landscapes, e.g. concentric caps, a polytope
-    edge equidistant from a cap, or a body compared against its own double
-    dual.
-
-    The window (``_window``) skips each pair of a row and a piece whose
-    caps all provably exceed ``bound``.  So a row whose cap against all
-    pieces is at most ``bound`` gets that cap bit for bit, and any other row
-    a cap above ``bound``; a caller whose rows' upper bounds stay at most
-    ``bound`` prunes exactly as with all pieces.  One elementwise kernel
-    caps the kept pairs, at most ``BLOCK_ELEMENTS`` at a time, and each row
-    takes the least of its pairs.
+    Raises ``FarPair`` when it is pi/2 or more, where the closed form does not hold.
     """
-    pa = arcs[idx]
-    caps = np.full(len(tl), np.inf)
-    for i, j in _window(pa.point_at(0.5 * (tl + tr)), b.arcs, bound):
-        np.minimum.at(caps, i, _pair_caps(pa[i], tl[i], tr[i], b.arcs[j]))
-    return caps
+    return max(boundary_sup_distance(a, b), boundary_sup_distance(b, a))
 
 
-class _Direction:
-    """Refinement state for sup over the boundary of ``a`` of dist(., b).
+def self_duality_residual(body: ConvexBody) -> float:
+    """Hausdorff distance between the body and its polar dual: max(0, diam - pi/2, pi/2 - thickness).
 
-    One flat table of parameter intervals over all pieces of ``a``: six
-    parallel arrays with one row per interval, the piece index ``idx``, the
-    ends ``tl`` and ``tr``, the signed distances ``fl`` and ``fr`` there
-    (negative inside ``b``, so a row deep inside is pruned below the lower
-    bound 0), and a structural cap ``cap``, which bounds the distance and
-    so the signed one too.  A row's upper bound is the least of its cap and
-    its Lipschitz bound (the signed distance moves by at most sin r per
-    unit of the parameter).  Each level prunes the table once, recaps all
-    surviving rows every few levels, so plateaus straddling a feature of
-    ``b`` still collapse, and evaluates all midpoints in one
-    ``body_distance_many`` call.
-    Each capping passes ``_structural_caps`` a window bound: the largest
-    upper bound of the rows the new caps serve (at set-up, the largest
-    Lipschitz bound of the grid), plus ``tol`` for roundoff.
+    By the identity of ``boundary_sup_distance`` with b = a* (b* = a), the
+    boundary of a lies max(0, diam a - pi/2) from a*, and that of a*
+    max(0, diam a* - pi/2) from a, with diam a* = pi - thickness.  A valid
+    body lies in an open hemisphere, so it misses its antipode -a = -(a*)*,
+    and so does a*: no far check is needed.
     """
-
-    RECAP_LEVELS = frozenset({6, 10, 14, 18, 22})
-
-    def __init__(self, a: ConvexBody, b: ConvexBody, tol: float):
-        self.b = b
-        self.arcs = arcs = a.arcs
-        self.level = 0
-        n = np.clip(np.ceil(arcs.span * arcs.sin_r / 0.05), 4, 512).astype(int)
-        idx, ts = linspace_grid(arcs.t0, arcs.t1, n + 1)
-        fs = body_distance_many(b, arcs.point_at(ts, idx), signed=True)
-        self.lb = float(fs.max())
-        # left ends are all rows but each piece's last, right ends all but its first
-        last = np.cumsum(n + 1) - 1
-        self.idx, self.tl, self.tr = np.delete(idx, last), np.delete(ts, last), np.delete(ts, last - n)
-        self.fl, self.fr = np.delete(fs, last), np.delete(fs, last - n)
-        self.pruned = -math.inf  # the largest upper bound of the rows pruned so far
-        bound = float(self._lips().max()) + tol
-        self.cap = _structural_caps(arcs, np.arange(len(n)), arcs.t0, arcs.t1, b, bound)[self.idx]
-
-    def _lips(self) -> np.ndarray:
-        return 0.5 * (self.fl + self.fr) + 0.5 * self.arcs.sin_r[self.idx] * (self.tr - self.tl)
-
-    def _ubs(self) -> np.ndarray:
-        return np.minimum(self._lips(), self.cap)
-
-    def refine_once(self, lb: float, tol: float) -> float:
-        """One split level; returns the updated global lower bound."""
-        self.level += 1
-        ubs = self._ubs()
-        keep = ubs > lb + tol
-        if not np.any(keep):  # lb only grows, so these rows stay dead
-            return lb
-        self.pruned = max(self.pruned, float(ubs[~keep].max(initial=-math.inf)))
-        idx, tl, tr = self.idx[keep], self.tl[keep], self.tr[keep]
-        fl, fr, cap = self.fl[keep], self.fr[keep], self.cap[keep]
-        if self.level in self.RECAP_LEVELS and len(tl) <= 65536:
-            bound = float(ubs[keep].max()) + tol
-            cap = np.minimum(cap, _structural_caps(self.arcs, idx, tl, tr, self.b, bound))
-        tm = 0.5 * (tl + tr)
-        fm = body_distance_many(self.b, self.arcs.point_at(tm, idx), signed=True)
-        lb = max(lb, float(fm.max()))
-        self.idx = np.concatenate([idx, idx])
-        self.tl, self.tr = np.concatenate([tl, tm]), np.concatenate([tm, tr])
-        self.fl, self.fr = np.concatenate([fl, fm]), np.concatenate([fm, fr])
-        self.cap = np.concatenate([cap, cap])
-        return lb
-
-    def live(self, lb: float, tol: float) -> int:
-        """The rows the next split keeps."""
-        return int(np.count_nonzero(self._ubs() > lb + tol))
-
-
-def _refine(directions: list[_Direction], tol: float) -> tuple[float, float]:
-    """Refine the directed suprema against one shared lower bound, in order, to [lb, hi].
-
-    lb is the largest distance found; hi, at least lb, the largest upper
-    bound of every row, pruned or left, which together cover the
-    boundaries.  Raises ``RefinementStalled`` when rows are still alive
-    after ``REFINE_LEVELS`` levels, or more than ``REFINE_ROWS`` at once.
-    """
-    lb = max(0.0, *(d.lb for d in directions))  # a distance, though the rows are signed
-    for _ in range(REFINE_LEVELS):
-        live = [d.live(lb, tol) for d in directions]
-        if not any(live) or sum(live) > REFINE_ROWS:
-            break
-        for d, n in zip(directions, live):
-            if n:
-                lb = d.refine_once(lb, tol)
-    hi = max(lb, *(max(d.pruned, float(d._ubs().max())) for d in directions))
-    if hi <= lb + tol:
-        return lb, hi
-    msg = "Hausdorff refinement open at %d levels or %d rows: [%.17g, %.17g]" % (REFINE_LEVELS, REFINE_ROWS, lb, hi)
-    raise RefinementStalled(msg, lo=lb, hi=hi)
-
-
-def boundary_sup_distance(a: ConvexBody, b: ConvexBody, tol: float = HAUSDORFF_TOL) -> float:
-    """sup over the boundary of ``a`` of the distance to ``b``, within ``tol``: the refinement's lower end."""
-    return _refine([_Direction(a, b, tol)], tol)[0]
-
-
-def hausdorff_bounds(a: ConvexBody, b: ConvexBody, tol: float = HAUSDORFF_TOL) -> tuple[float, float]:
-    """[lb, hi] about the geodesic Hausdorff distance between two convex bodies, hi <= lb + ``tol``.
-
-    Both directed suprema are refined against a shared lower bound, so the
-    smaller direction collapses immediately.  lb is a distance attained; hi
-    is an upper end as sound as the rows' Lipschitz bounds and caps, up to
-    the roundoff of its own evaluation.
-    """
-    return _refine([_Direction(a, b, tol), _Direction(b, a, tol)], tol)
-
-
-def hausdorff(a: ConvexBody, b: ConvexBody, tol: float = HAUSDORFF_TOL) -> float:
-    """Geodesic Hausdorff distance between two convex bodies, within ``tol`` below: ``hausdorff_bounds``' lb."""
-    return hausdorff_bounds(a, b, tol)[0]
-
-
-def self_duality_residual(body: ConvexBody, tol: float = HAUSDORFF_TOL) -> float:
-    """Hausdorff distance between the body and its polar dual."""
-    return hausdorff(body, polar_dual(body), tol=tol)
+    return max(0.0, diameter(body) - 0.5 * math.pi, 0.5 * math.pi - thickness(body))
 
 
 # ------------------------------------------------------------- width report
@@ -553,10 +420,12 @@ class WidthReport:
     thickness is ``thickness(body)``, measured on first read.  Any other
     body is swept: the widths are sampled along the dual's boundary and the
     thickness is pi - ``diameter(dual)``.  On both paths the diameter is
-    ``diameter(body)`` and the self-duality residual an upper end on the
-    distance of the body to its dual: rho in closed form, the upper end of
-    ``hausdorff_bounds(body, dual)`` when swept.  Both are measured on first
-    read, so a caller that reads only the widths pays for the gate alone.
+    ``diameter(body)``.  The self-duality residual is rho, an upper end on
+    the distance of the body to its dual, in closed form; swept, it is that
+    distance itself, max(0, diameter - pi/2, pi/2 - thickness)
+    (``self_duality_residual``), from the two values the report already
+    has.  All three are measured on first read, so a caller that reads only
+    the widths pays for the gate alone.
     """
 
     tol: float
@@ -582,10 +451,10 @@ class WidthReport:
 
     @cached_property
     def self_duality_residual(self) -> float:
-        """Upper end on the Hausdorff distance of the body to its dual."""
+        """rho in closed form; swept, the Hausdorff distance of the body to its dual."""
         if self.dual is None:
             return self.body.residual_bound
-        return hausdorff_bounds(self.body, self.dual)[1]
+        return max(0.0, self.diameter - 0.5 * math.pi, 0.5 * math.pi - self.thickness)
 
 
 def is_constant_width(body: ConvexBody, *, tol: float = 1e-6) -> WidthReport:

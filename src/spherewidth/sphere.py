@@ -11,9 +11,8 @@ A ``SmallCircleArc`` has r < pi/2 and the canonical ``tangent_basis`` frame; a
 the one test that tells the two apart on a stack.  Sampling, support poles,
 distance and farthest-point queries are therefore one closed form for both,
 and so is ``arc_dot_range``, the exact range of x . w along stacked arcs,
-which validation and the Hausdorff structural caps share; each stack takes
-the cosines and sines of its ends once (``ArcStack.end_trig``), and a part
-of its arcs is ``ArcStack.part``.  The farthest kernel works on cosines:
+which validation and rendering share; each stack takes the cosines and
+sines of its ends once (``ArcStack.end_trig``).  The farthest kernel works on cosines:
 ``min_dot_to_piece`` gives the least x . y over each piece and takes no
 arccos, so a caller reduces the cosines and takes one arccos per distance
 it reports (``max_distance_to_piece`` is the arccos of each), and
@@ -24,9 +23,8 @@ one pass, each piece object being the one-row case (``arc_pieces`` gives a
 stack's rows as objects).  Where a value must be ``math``'s rather than
 numpy's, ``math_each`` maps the ``math`` function over a whole column at C
 level, so no builder runs Python code per row.  The distance kernels and
-the least support-pole dot take a stack for one column per piece,
-``farthest_on_arc`` one row of a stack, the Hausdorff structural caps one
-stack per body.
+the least support-pole dot take a stack for one column per piece and
+``farthest_on_arc`` one row of a stack.
 Everything here is a pure function over immutable values and is safe to call
 concurrently.
 """
@@ -349,16 +347,10 @@ class ArcStack:
 
         Validation's pole integral and hemisphere range (``arc_dot_range``),
         ``min_support_dot`` and ``ConvexBody.junction_poles`` all read these
-        values; ``small_arc_stack`` and ``part`` keep the ones they made
-        their ends from.
+        values; ``small_arc_stack`` keeps the ones it made its ends from.
         """
         t = np.array([self.t0, self.t1])
         return np.cos(t), np.sin(t)
-
-    def part(self, tl, tr) -> ArcStack:
-        """The rows' arcs over the parameters [tl[i], tr[i]] of their own frames; start and end are
-        ``point_at(tl)`` and ``point_at(tr)`` bit for bit."""
-        return _arcs_over(self.z, self.u, self.v, self.radius, self.cos_r, self.sin_r, tl, tr)
 
     def _terms(self, t, rows):
         """cos r, sin r, z and the ring cos t u + sin t v of the rows ``rows`` (all rows for None)."""
@@ -570,7 +562,7 @@ def arc_dot_range(arcs: ArcStack, w: np.ndarray):
 
     Along arc i, x(t) . w = cos r (z . w) + sin r (au cos t + av sin t), whose
     sinusoid ``sinusoid_range`` bounds over [t0, t1] from the stack's
-    ``end_trig`` (a part of an arc is a row of ``ArcStack.part``).  Arc
+    ``end_trig``.  Arc
     i takes the vector w[i], or every arc one w; vectors w of shape
     (m, 1, 3) give (m, n) ranges, each vector against every arc.  Returns
     the minimum, the maximum and the sinusoid's amplitude rho = hypot(au, av).

@@ -39,9 +39,12 @@ polished by a bounded local search, which the closed-form
 ``metrics.farthest_pair`` must reproduce to 1e-12, and
 ``max_distance_to_piece_arccos`` and ``farthest_pair_arccos`` the
 farthest-distance kernel with an arccos per candidate (``np.hypot`` and
-``np.mod`` in it), and the diameter it gives unpruned, which the cosine
-kernel ``sphere.min_dot_to_piece`` and ``metrics.farthest_pair`` must
-reproduce to 4e-16.
+``np.mod`` in it), and the largest distance between two boundaries it
+gives unpruned, which the cosine kernel ``sphere.min_dot_to_piece`` and
+``metrics.farthest_pair`` must reproduce to 4e-16, and
+``directed_chord_oracle`` the directed distance between two bodies from
+dense chord-form samples, polished by a golden-section search, which
+``metrics.hausdorff`` must reproduce to 1e-12.
 """
 
 import json
@@ -70,6 +73,7 @@ from spherewidth.body import (
     ValidationCheck,
     body_distance,
     chain_body,
+    contains_many,
     polar_dual,
     run_pairing_or_none,
     to_polytope,
@@ -236,25 +240,88 @@ def max_distance_to_piece_arccos(points, piece):
     return np.where(on, np.maximum(d_far, d_ends), d_ends)
 
 
-def farthest_pair_arccos(body):
-    """The diameter from ``max_distance_to_piece_arccos``: every arc start and end against every arc, and
-    for every pair of arcs with a small arc, unpruned, the arccos of each pair of the points where the two
-    meet the great circle through their centres, toward or away from the other centre, within their spans."""
-    a = body.arcs
-    best = float(max_distance_to_piece_arccos(np.concatenate([a.start, a.end]), a).max())
-    small = ~a.great
-    i, j = np.nonzero(small[:, None] | small[None, :])
-    p, q = np.concatenate([i, j]), np.concatenate([j, i])
-    w, u, v = a.z[q], a.u[p], a.v[p]
+def _centre_line_meets(s, p, w):
+    """Where the circle of arc ``s[p[k]]`` meets the great circle through its centre and ``w[k]``, toward and
+    away from w, and whether each point lies within the span."""
+    u, v = s.u[p], s.v[p]
     wu, wv = np.sum(w * u, axis=1), np.sum(w * v, axis=1)
     h = np.sqrt(wu * wu + wv * wv)
     az = np.arctan2(wv, wu)[:, None] + np.array([0.0, math.pi])
-    on = (wrap_angle(az - a.t0[p, None]) <= a.span[p, None]) & (h > DOT_EPS)[:, None]
-    e = (wu[:, None] * u + wv[:, None] * v) * (a.sin_r[p] / np.where(h > DOT_EPS, h, 1.0))[:, None]
-    pts = (a.cos_r[p, None] * a.z[p])[:, None] + np.array([1.0, -1.0])[:, None] * e[:, None]
-    k = len(i)
-    d = np.where(on[:k, :, None] & on[k:, None, :], acos_clamped_np(np.matmul(pts[:k], pts[k:].swapaxes(1, 2))), -1.0)
+    on = (wrap_angle(az - s.t0[p, None]) <= s.span[p, None]) & (h > DOT_EPS)[:, None]
+    e = (wu[:, None] * u + wv[:, None] * v) * (s.sin_r[p] / np.where(h > DOT_EPS, h, 1.0))[:, None]
+    return (s.cos_r[p, None] * s.z[p])[:, None] + np.array([1.0, -1.0])[:, None] * e[:, None], on
+
+
+def farthest_pair_arccos(first, second):
+    """The largest distance between the boundaries of two bodies from ``max_distance_to_piece_arccos``: every
+    arc start and end of either against every arc of the other, and for every pair of arcs with a small arc,
+    unpruned, the arccos of each pair of the points where the two meet the great circle through their
+    centres, toward or away from the other centre, within their spans.  No antipodal crossings: the pairs
+    it serves lie less than pi apart."""
+    a, b = first.arcs, second.arcs
+    best = max(
+        float(max_distance_to_piece_arccos(np.concatenate([a.start, a.end]), b).max()),
+        float(max_distance_to_piece_arccos(np.concatenate([b.start, b.end]), a).max()),
+    )
+    i, j = np.nonzero(~a.great[:, None] | ~b.great[None, :])
+    pa, on_a = _centre_line_meets(a, i, b.z[j])
+    pb, on_b = _centre_line_meets(b, j, a.z[i])
+    d = np.where(on_a[:, :, None] & on_b[:, None, :], acos_clamped_np(np.matmul(pa, pb.swapaxes(1, 2))), -1.0)
     return max(best, float(d.max(initial=-1.0)))
+
+
+def _chord_to_arcs(x, arcs):
+    """The least chord |x - y| over the points y of each arc, and of the straight segment from its end to the
+    next start, rows x arcs: on the arc, the circle's point at x's azimuth when the span holds it, else the
+    nearer end.  The segments close the roundoff gaps a chain keeps at its junctions (about 8e-12 on the
+    dual of ``rotated_reuleaux(3, 1e-5)``), which would otherwise read as distance."""
+    rel = wrap_angle(np.arctan2(x @ arcs.v.T, x @ arcs.u.T) - arcs.t0)
+    foot = arcs.point_at(arcs.t0 + np.minimum(rel, arcs.span))
+    chord = np.where(rel <= arcs.span, np.linalg.norm(foot - x[:, None], axis=2), np.inf)
+    ends = np.minimum(np.linalg.norm(arcs.start - x[:, None], axis=2), np.linalg.norm(arcs.end - x[:, None], axis=2))
+    gap = np.roll(arcs.start, -1, axis=0) - arcs.end
+    t = np.clip(np.sum((x[:, None] - arcs.end) * gap, axis=2) / np.maximum(np.sum(gap * gap, axis=1), 1e-300), 0.0, 1.0)
+    across = np.linalg.norm(arcs.end + t[..., None] * gap - x[:, None], axis=2)
+    return np.minimum(np.minimum(chord, ends), across)
+
+
+def directed_chord_oracle(a, b, per_edge=8, peaks=16, steps=60):
+    """sup over the boundary of ``a`` of the distance to ``b`` from dense samples, and that value polished.
+
+    Distances are in chord form, 2 asin(|x - y| / 2) to the nearest point
+    of b's boundary, and 0 inside b (``contains_many``), so they stay exact
+    near 0.  Each piece of a takes ``per_edge`` samples for every piece of
+    b, at least 64, ends included; the ``peaks`` largest samples that are
+    local maxima along their piece are polished by a golden-section search
+    over the sample spacing on either side.  Returns the sampled maximum
+    and the polished one.
+    """
+    arcs = a.arcs
+    per_piece = max(64, per_edge * len(b.arcs))
+
+    def distance(idx, t):
+        x = arcs.point_at(t, idx)
+        chord = np.zeros(len(x))
+        for rows in np.array_split(np.flatnonzero(~contains_many(b, x, 0.0)), 1 + len(x) // 512):
+            chord[rows] = _chord_to_arcs(x[rows], b.arcs).min(axis=1)
+        return 2.0 * np.arcsin(np.minimum(1.0, chord / 2.0))
+
+    idx, ts = linspace_grid(arcs.t0, arcs.t1, np.full(len(arcs), per_piece))
+    d = distance(idx, ts)
+    grid = d.reshape(len(arcs), per_piece)
+    pad = np.pad(grid, ((0, 0), (1, 1)), constant_values=-1.0)
+    k = np.flatnonzero(((grid >= pad[:, :-2]) & (grid >= pad[:, 2:])).ravel())
+    k = k[np.argsort(d[k])[-peaks:]]
+    rows = idx[k]
+    h = (arcs.span / (per_piece - 1))[rows]
+    lo, hi = np.maximum(ts[k] - h, arcs.t0[rows]), np.minimum(ts[k] + h, arcs.t1[rows])
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(steps):
+        p, q = hi - g * (hi - lo), lo + g * (hi - lo)
+        dp, dq = np.split(distance(np.concatenate([rows, rows]), np.concatenate([p, q])), 2)
+        left = dp >= dq
+        lo, hi = np.where(left, lo, p), np.where(left, q, hi)
+    return float(d.max()), max(float(d.max()), float(distance(rows, 0.5 * (lo + hi)).max()))
 
 
 def width_oracle(body, k, per_piece=2000):

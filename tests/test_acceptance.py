@@ -28,6 +28,7 @@ from spherewidth.body import (
     strictly_convex_arc_length,
     support_poles_at,
 )
+from spherewidth.errors import FarPair
 from spherewidth.generators import (
     cap,
     octant,
@@ -261,7 +262,18 @@ def test_criterion_09_involution_and_oracle(corpus):
         (cap(unit([1, -1, 1]), 0.8), oct_body, oracles.cap_inside(unit([1, -1, 1]), 0.8), oracles.polytope_inside(octant().vertices)),
         (poly_b, cap(E3, PI / 4), oracles.polytope_inside(poly_b.vertices), oracles.cap_inside(E3, PI / 4)),
     ]
+    # poly_b holds points pi/2 or more from poly_a and from the cap (the old
+    # refinement read 1.947 and 1.910), where no closed form holds: those
+    # pairs must raise the typed error, never return a number
+    far = {5, 9}
     for i, (a, b, ia, ib) in enumerate(pairs):
+        if i in far:
+            try:
+                got = hausdorff(a, b)
+            except FarPair:
+                continue
+            problems.append("pair %d: far pair returned %.6f" % (i, got))
+            continue
         per_piece = max(2000, 100_000 // (len(a.pieces) + len(b.pieces)))
         want = oracles.hausdorff_oracle(a, b, ia, ib, per_piece=per_piece)
         got = hausdorff(a, b)

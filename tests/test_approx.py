@@ -30,6 +30,7 @@ from spherewidth.errors import (
     BudgetExhausted,
     CertificationFailed,
     DualOverlap,
+    FarPair,
     InvalidBody,
     NotConstantWidth,
     NotSelfDual,
@@ -45,7 +46,7 @@ from spherewidth.generators import (
     rounded_reuleaux,
 )
 from spherewidth.formats import dumps_certificate, dumps_step, dumps_step_log
-from spherewidth.metrics import HAUSDORFF_TOL, hausdorff_bounds, is_constant_width, self_duality_residual
+from spherewidth.metrics import hausdorff, is_constant_width, self_duality_residual
 from spherewidth.sphere import GreatArc, SmallCircleArc, unit
 
 E1, E2, E3 = np.eye(3)
@@ -297,13 +298,13 @@ def test_certify_rejects_a_one_micro_radian_vertex_move():
 
 def test_certify_curved_result_takes_the_run_pairing(monkeypatch):
     # a curved result's widths and residual come from its run pairing in
-    # closed form: no dual is built, so no sweep runs
+    # closed form, so no sweep runs
     body = cap(E3, PI / 4)
 
     def sweep(*args, **kwargs):
         raise AssertionError("the width sweep ran")
 
-    monkeypatch.setattr(metrics, "polar_dual", sweep)
+    monkeypatch.setattr(metrics, "boundary_max_distance_many", sweep)
     cert = certify(body, body, ApproximationConfig(0.01))
     assert cert.hausdorff_bound == 0.0
     assert abs(cert.width_min - PI / 2) <= 1e-9 and abs(cert.width_max - PI / 2) <= 1e-9
@@ -351,7 +352,7 @@ def test_config_rejects_nan_and_out_of_range_values(kwargs):
 def test_certify_fails_closed_on_a_nan_measure(monkeypatch, nan_in, bound):
     body = cap(E3, PI / 4)
     if nan_in == "hausdorff":
-        monkeypatch.setattr(approx, "hausdorff_bounds", lambda a, b: (0.0, math.nan))  # a NaN upper end
+        monkeypatch.setattr(approx, "hausdorff", lambda a, b: math.nan)
     else:
         rep = dict(width_min=PI / 2, width_max=PI / 2, self_duality_residual=0.0)
         rep[nan_in] = math.nan
@@ -366,11 +367,11 @@ def test_certify_octant_pair_zero():
     assert cert.hausdorff_bound <= 1e-12
 
 
-def test_certify_fallback_bound_is_the_refinements_upper_end(monkeypatch):
+def test_certify_fallback_bound_is_the_exact_distance(monkeypatch):
     # pairs the walk does not cover (a polytope and its dual, a cap and
     # itself, a curved body and its dual, and a cap and its chord polytope
-    # with the walk switched off) certify the refinement's upper end, which
-    # lies within its tolerance above the refined distance
+    # with the walk switched off) certify the exact Hausdorff distance,
+    # which the walk's proved bound covers
     from spherewidth.generators import random_selfdual_polytope
 
     rp, rr = random_selfdual_polytope(12, 3), rotated_reuleaux(3, 0.1)
@@ -378,13 +379,12 @@ def test_certify_fallback_bound_is_the_refinements_upper_end(monkeypatch):
     poly, walked, _ = approximate_polytope(body, ApproximationConfig(0.05))
     pairs = [(rp, polar_dual(rp)), (octant(), polar_dual(octant())), (body, body), (rr, polar_dual(rr))]
     for original, result in pairs:
-        lb, hi = hausdorff_bounds(original, result)
-        assert certify(original, result, ApproximationConfig(0.01)).hausdorff_bound == hi
-        assert lb <= hi <= lb + HAUSDORFF_TOL
+        h = hausdorff(original, result)
+        assert certify(original, result, ApproximationConfig(0.01)).hausdorff_bound == h <= 1e-12
     monkeypatch.setattr(approx, "pairing_bound", lambda *args: None)
-    lb, hi = hausdorff_bounds(body, poly)
-    assert certify(body, poly, ApproximationConfig(0.05)).hausdorff_bound == hi
-    assert 0.001 < lb <= hi <= lb + HAUSDORFF_TOL and lb <= walked.hausdorff_bound
+    h = hausdorff(body, poly)
+    assert certify(body, poly, ApproximationConfig(0.05)).hausdorff_bound == h
+    assert 0.001 < h <= walked.hausdorff_bound <= h + 1e-10
 
 
 def test_pairing_bound_builds_no_pairing_for_an_input_of_great_arcs(monkeypatch):
@@ -414,11 +414,11 @@ def test_approximation_measures_each_body_once(monkeypatch):
     # and the certificate sharing it; the construction measures nothing,
     # each chord's d(s) being closed form
     calls = {
-        "hausdorff_bounds": [], "diameter": [], "farthest_pair": [], "validate": [], "body_distance": [],
+        "hausdorff": [], "diameter": [], "farthest_pair": [], "validate": [], "body_distance": [],
         "_boundary_units": [],
     }
     homes = {
-        "hausdorff_bounds": metrics,
+        "hausdorff": metrics,
         "diameter": metrics,
         "farthest_pair": metrics,
         "validate": bd,
@@ -441,7 +441,7 @@ def test_approximation_measures_each_body_once(monkeypatch):
         poly, _, steps = approximate_polytope(body, ApproximationConfig(0.05))
         assert len(steps) > 0
         assert {k: len(v) for k, v in calls.items()} == {
-            "hausdorff_bounds": 0, "diameter": 0, "farthest_pair": 0, "validate": 2, "body_distance": 0,
+            "hausdorff": 0, "diameter": 0, "farthest_pair": 0, "validate": 2, "body_distance": 0,
             "_boundary_units": 1,
         }
         assert calls["validate"][0] is body and calls["validate"][1] is poly
@@ -706,10 +706,8 @@ def test_idempotent_on_random_selfdual_polytope():
     out, cert, steps = approximate_polytope(poly, ApproximationConfig(epsilon=0.05))
     assert len(steps) == 0
     assert np.array_equal(out.vertices, poly.vertices)
-    # the input has no arc runs: the bound is the refinement's upper end,
-    # whose caps on coplanar great arcs carry a 1e-12 slack
-    lb, hi = hausdorff_bounds(poly, out)
-    assert lb <= 1e-12 and cert.hausdorff_bound == hi <= 1.01e-12
+    # the input has no arc runs: the bound is the exact distance, 0 up to roundoff
+    assert cert.hausdorff_bound == hausdorff(poly, out) <= 1e-15
 
 
 def test_pentagon_from_coarse_cap():
@@ -743,8 +741,8 @@ for _k, _delta in [(3, 0.1), (5, 0.15), (7, 0.05), (9, 0.2), (3, 0.78), (3, 1e-3
 
 
 def _assert_pairing_agrees(body, eps):
-    # the bound is an upper end of H, the refinement a lower one within
-    # 1e-7; on the construction's output both sit at the largest d(s)
+    # the bound is an upper end of H, which ``hausdorff`` measures exactly;
+    # on the construction's output both sit at the largest d(s)
     poly, cert, _ = approximate_polytope(body, ApproximationConfig(eps))
     h = metrics.hausdorff(body, poly)
     assert approx.pairing_bound(body, poly) == cert.hausdorff_bound
@@ -794,12 +792,12 @@ def test_mixed_arc_input_takes_the_pairing_path():
     ids=["cap-0.002", "cap-5e-5", "reuleaux-3-1e-5", "reuleaux-5-0.15"],
 )
 def test_chord_outputs_certify_without_the_refinement(monkeypatch, body, eps):
-    # the (3, 1e-5) body took about a second in the refinement, which slows
-    # as an arc shrinks toward a vertex; the pairing walk is O(n)
-    def refinement(*args, **kwargs):
-        raise AssertionError("the Hausdorff refinement ran")
+    # the chord outputs are covered by the O(n) pairing walk, so the
+    # certificate never falls back to the two-body kernel
+    def fallback(*args, **kwargs):
+        raise AssertionError("the Hausdorff fallback ran")
 
-    monkeypatch.setattr(approx, "hausdorff_bounds", refinement)
+    monkeypatch.setattr(approx, "hausdorff", fallback)
     poly, cert, steps = approximate_polytope(body, ApproximationConfig(eps))
     assert cert.steps == len(steps) > 0
     assert cert.hausdorff_bound <= 2 * eps
@@ -840,13 +838,13 @@ def _tampered(kind):
 def test_certify_checks_the_widths_before_the_hausdorff_term(monkeypatch):
     # the walk does not cover the pole-deleted polytope, and its width
     # range is off by about 0.09: the O(n) checks refuse it before the
-    # refinement would measure anything
+    # Hausdorff fallback would measure anything
     body, poly = _tampered("pole-vertex-deleted")
 
-    def refine(*args, **kwargs):
-        raise AssertionError("the Hausdorff refinement ran")
+    def fallback(*args, **kwargs):
+        raise AssertionError("the Hausdorff fallback ran")
 
-    monkeypatch.setattr(approx, "hausdorff_bounds", refine)
+    monkeypatch.setattr(approx, "hausdorff", fallback)
     with pytest.raises(CertificationFailed) as err:
         certify(body, poly, ApproximationConfig(0.002))
     assert err.value.bound in ("width_range", "self_duality_residual")
@@ -865,9 +863,18 @@ def test_tampered_polytope_falls_back_or_fails(kind):
         with pytest.raises(InvalidBody):
             certify(body, poly, config)
         return
+    if kind == "rotated-cap":
+        # the other seed's polytope holds points pi/2 or more from the cap
+        # (the old refinement read 1.966): no distance is returned, and the
+        # certificate refuses the pair with the same typed error
+        assert bound is None
+        for measure in (metrics.hausdorff, lambda a, b: certify(a, b, config)):
+            with pytest.raises(FarPair):
+                measure(body, poly)
+        return
     h = metrics.hausdorff(body, poly)
     assert bound is None or bound >= h
-    if kind in ("moved-1e-9", "pole-vertex-deleted", "rotated-cap"):
+    if kind in ("moved-1e-9", "pole-vertex-deleted"):
         assert bound is None
     try:
         cert = certify(body, poly, config)

@@ -186,20 +186,29 @@ def test_certify_failure_exit_code(tmp_path, capsys):
     assert "hausdorff_bound" in err
 
 
-def test_stalled_refinement_exits_one(tmp_path, capsys, monkeypatch):
-    # the eps = 0.002 polytope against the cap needs six levels; in this
-    # order the result is curved, so no chord/tangent pairing covers it and
-    # the certificate refines
-    src = tmp_path / "cap.json"
-    poly = tmp_path / "poly.json"
-    run(capsys, "generate", "cap", "-o", str(src))
-    run(capsys, "approximate", str(src), "--epsilon", "0.002", "-o", str(poly))
-    monkeypatch.setattr(metrics, "REFINE_LEVELS", 1)
-    code, _, err = run(
-        capsys, "certify", str(poly), str(src), "--epsilon", "0.002"
-    )
-    assert code == 1
-    assert "RefinementStalled" in err
+def test_certify_of_a_far_pair_exits_one(tmp_path, capsys):
+    # the result, a pi/4 cap about N, is of constant width, so certify
+    # reaches the Hausdorff term; no pairing covers a curved result, and
+    # the cap of radius 0.5 about S lies inside -C*, every point of it pi/2
+    # or more from the result: the distance has no closed form there
+    src, cap = tmp_path / "south.json", tmp_path / "cap.json"
+    run(capsys, "generate", "cap", "--center", "0,0,-1", "--radius", "0.5", "-o", str(src))
+    run(capsys, "generate", "cap", "-o", str(cap))
+    code, stdout, err = run(capsys, "certify", str(src), str(cap), "--epsilon", "0.01")
+    assert code == 1 and stdout == ""
+    assert err.startswith("FarPair: (b) ")
+
+
+def test_metrics_of_the_frame_jump_body_exits_zero(tmp_path, capsys):
+    # a valid pi/4 cap whose frame turns a quarter between two pieces of one
+    # circle is swept; its residual is 0 up to roundoff
+    from fixtures import frame_jump_cap
+
+    f = tmp_path / "frame-jump.json"
+    f.write_text(dumps_body(frame_jump_cap()))
+    code, stdout, _ = run(capsys, "metrics", str(f))
+    assert code == 0
+    assert json.loads(stdout)["self_duality_residual"] <= 1e-12
 
 
 def test_certify_octant_pair(tmp_path, capsys):
@@ -244,8 +253,7 @@ def test_certify_dual_file_takes_the_polytope_certificate(tmp_path, capsys, monk
 def test_certify_pairs_without_arc_runs_keep_the_refined_distance(tmp_path, capsys, monkeypatch, kind):
     # no chord/tangent pairing covers a polytope against its dual (the input
     # has no arc runs) or a body against itself (the result is curved), so
-    # the certificate prints the refinement's upper end, at most its
-    # tolerance above the refined distance
+    # the certificate prints the exact distance, 0 up to roundoff
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "generate", kind, "-o", str(a))
     if kind == "cap":
@@ -266,15 +274,14 @@ def test_certify_pairs_without_arc_runs_keep_the_refined_distance(tmp_path, caps
     result = loads_body(b.read_text())
     if result.is_polytope():
         result = bd.to_polytope(result)
-    lb, hi = metrics.hausdorff_bounds(loads_body(a.read_text()), result)
-    assert json.loads(stdout)["hausdorff_bound"] == hi
-    assert metrics.hausdorff(loads_body(a.read_text()), result) == lb <= hi <= lb + metrics.HAUSDORFF_TOL
+    assert json.loads(stdout)["hausdorff_bound"] == metrics.hausdorff(loads_body(a.read_text()), result) <= 1e-12
 
 
 def test_certify_and_metrics_print_the_upper_end_of_a_swept_residual(tmp_path, capsys):
     # a curved result whose run pairing does not cover it is swept: both
-    # verbs print the upper end of the refinement against its dual as the
-    # self-duality residual, above its lower end, 0 on this trimmed body
+    # verbs print its exact distance to its dual,
+    # max(0, diameter - pi/2, pi/2 - thickness), 0 up to roundoff on this
+    # trimmed body
     from fixtures import curved_tampered, rotated_reuleaux
 
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -282,12 +289,13 @@ def test_certify_and_metrics_print_the_upper_end_of_a_swept_residual(tmp_path, c
     b.write_text(dumps_body(curved_tampered()["trimmed-1e-6"]))
     result = loads_body(b.read_text())
     assert result.residual_bound is None
-    lo, hi = metrics.hausdorff_bounds(result, bd.polar_dual(result))
-    assert lo == 0.0 < hi
+    h = metrics.self_duality_residual(result)
+    assert h == max(0.0, metrics.diameter(result) - math.pi / 2, metrics.diameter(bd.polar_dual(result)) - math.pi / 2)
+    assert h <= 1e-12
     for argv in (("certify", str(a), str(b), "--epsilon", "0.01"), ("metrics", str(b))):
         code, stdout, _ = run(capsys, *argv)
         assert code == 0
-        assert json.loads(stdout)["self_duality_residual"] == hi, argv
+        assert json.loads(stdout)["self_duality_residual"] == h, argv
 
 
 def test_nan_epsilon_exits_one_and_writes_nothing(tmp_path, capsys):

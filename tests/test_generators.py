@@ -318,9 +318,9 @@ def test_polytope_completion_measures_nothing_twice(monkeypatch):
         validated.append(body)
         return validate_body(body)
 
-    def counted_pair(body):
+    def counted_pair(a, b):
         calls["farthest_pair"] += 1
-        return pair(body)
+        return pair(a, b)
 
     def counted_rho(poly):
         measured.append(poly)  # the list keeps each body alive, so ids stay distinct
@@ -378,15 +378,16 @@ def test_completion_inserts_an_end_of_the_duals_diameter(monkeypatch):
     rounds = []
     pair, hull = generators.farthest_pair, generators.convex_hull_with_point
 
-    def recorded_pair(dual):
-        rounds.append(pair(dual))
+    def recorded_pair(a, b):
+        assert a is b
+        rounds.append(pair(a, b))
         return rounds[-1]
 
     def recorded_hull(body, x):
-        d, p, q = rounds[-1]
+        c, p, q = rounds[-1]
         gap = float(body_distance_many(body, np.asarray(x)[None])[0])
         assert any(np.array_equal(x, e) for e in (p, q))
-        assert abs(gap - (d - 0.5 * PI)) <= 1e-12, (gap, d - 0.5 * PI)
+        assert abs(gap - math.asin(-c)) <= 1e-12, (gap, math.asin(-c))
         inserted.append(gap)
         return hull(body, x)
 

@@ -1,7 +1,6 @@
 import json
 import math
 from dataclasses import fields
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from spherewidth.body import (
 )
 from spherewidth import body as bd
 from spherewidth import metrics
-from spherewidth.errors import NotSupporting, RefinementStalled
+from spherewidth.errors import FarPair, InvalidBody, NotSupporting
 from spherewidth.generators import (
     cap,
     complete_selfdual,
@@ -35,13 +34,10 @@ from spherewidth.generators import (
     rounded_reuleaux,
 )
 from spherewidth.metrics import (
-    HAUSDORFF_TOL,
     WidthReport,
-    _structural_caps,
     boundary_sup_distance,
     diameter,
     hausdorff,
-    hausdorff_bounds,
     is_constant_width,
     self_duality_residual,
     thickness,
@@ -54,6 +50,7 @@ from spherewidth.sphere import (
     linspace_grid,
     lune_thickness,
     max_distance_to_piece,
+    min_dot_to_piece,
     sample_piece,
     unit,
     unit_rows,
@@ -75,13 +72,10 @@ def cap_polytopes():
     return c, [approximate_polytope(c, ApproximationConfig(eps))[0] for eps in (0.01, 0.002)]
 
 
-def sub_arcs(body, per_piece, rng):
-    """``per_piece`` random parameter ranges on every piece, of 1e-6 to 1 of its span."""
-    arcs = body.arcs
-    idx = np.repeat(np.arange(len(body.pieces)), per_piece)
-    frac = 10.0 ** rng.uniform(-6.0, 0.0, len(idx))
-    tl = arcs.t0[idx] + rng.uniform(0.0, 1.0 - frac) * arcs.span[idx]
-    return idx, tl, tl + frac * arcs.span[idx]
+def farthest(body):
+    """``farthest_pair`` of the body against itself, its least dot read as the diameter."""
+    c, x, y = metrics.farthest_pair(body, body)
+    return float(acos_clamped_np(c)), x, y
 
 
 # ------------------------------------------------------------------- widths
@@ -197,7 +191,7 @@ def test_diameter_octant():
             poly = Polytope(np.roll(verts, shift, axis=0))
             assert validate_polytope(poly).ok
             assert diameter(poly) == pytest.approx(want, abs=1e-12)
-            assert metrics.farthest_pair(poly)[0] == pytest.approx(want, abs=1e-12)
+            assert farthest(poly)[0] == pytest.approx(want, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -231,8 +225,8 @@ def test_vertex_pair_diameter_and_thickness_match_the_ascent(lemma_polygons):
         assert took or name.endswith("-dual"), name
         closed += took
         pairs = [
-            (diameter(body), metrics.farthest_pair(body)[0]),
-            (thickness(body), PI - metrics.farthest_pair(polar_dual(body))[0]),
+            (diameter(body), farthest(body)[0]),
+            (thickness(body), PI - farthest(polar_dual(body))[0]),
         ]
         for got, want in pairs:
             if name.startswith("cap-"):
@@ -307,7 +301,7 @@ def test_farthest_pair_matches_dense_chord_sampling(kernel_corpus):
     # points at that chord-form distance
     above = 0
     for name, body in kernel_corpus.items():
-        d, x, y = metrics.farthest_pair(body)
+        d, x, y = farthest(body)
         sampled, polished = oracles.farthest_pair_oracle(body)
         assert d >= sampled - 1e-12, (name, d - sampled)
         assert abs(d - polished) <= 1e-12, (name, d - polished)
@@ -330,8 +324,8 @@ def test_cosine_kernel_matches_the_arccos_reference(kernel_corpus):
         a = body.arcs
         x = np.concatenate([a.start, a.end, a.point_at(0.5 * (a.t0 + a.t1))])
         assert close(max_distance_to_piece(x, a), oracles.max_distance_to_piece_arccos(x, a)), name
-        d, p, q = metrics.farthest_pair(body)
-        assert close(d, oracles.farthest_pair_arccos(body)), name
+        d, p, q = farthest(body)
+        assert close(d, oracles.farthest_pair_arccos(body, body)), name
         assert np.all(boundary_distance_many(body, np.array([p, q])) <= 4e-16), name
         assert abs(acos_clamped_np(p @ q) - d) <= 4e-16, name
         idx, ts = linspace_grid(a.t0, a.t1, length_weighted_counts(a, 512))
@@ -355,21 +349,21 @@ def test_farthest_pair_puts_each_shared_end_in_the_kernel_once(monkeypatch):
         dual = polar_dual(random_subdual_polytope_seed(30, s))
         assert isinstance(dual, Polytope)
         rows.clear()
-        assert metrics.farthest_pair(dual)[0] == least_of_all_ends(dual)
+        assert farthest(dual)[0] == least_of_all_ends(dual)
         assert rows == [len(dual.arcs)]
     a = dual.arcs
     end = a.end.copy()
     end[4] = unit(end[4] + 1e-13 * E3)
     chain = bd.chain_body(great_arc_stack(a.start, end))
     rows.clear()
-    assert metrics.farthest_pair(chain)[0] == least_of_all_ends(chain)
+    assert farthest(chain)[0] == least_of_all_ends(chain)
     assert rows == [len(a) + 1]
 
 
 def test_farthest_pair_of_a_cap_is_an_opposite_pair():
     # a full circle against itself: the start and the point opposite it
     for r in (0.3, PI / 4, 1.2):
-        d, x, y = metrics.farthest_pair(cap(unit([0.4, -1.0, 0.7]), r, 0.9))
+        d, x, y = farthest(cap(unit([0.4, -1.0, 0.7]), r, 0.9))
         assert d == pytest.approx(2 * r, abs=1e-12)
         assert abs(float(x @ y) - math.cos(2 * r)) <= 1e-12
 
@@ -386,7 +380,7 @@ def test_farthest_pair_of_a_stadium_joins_its_small_arcs_inside():
     cases += [(0.5, 0.3, (0.1, 0.1)), (0.8, 0.2, (0.05, 0.08)), (0.8, 0.2, (0.02, 0.03))]
     for a, r, ends in cases:
         body = stadium(a, r, ends)
-        d, x, y = metrics.farthest_pair(body)
+        d, x, y = farthest(body)
         assert d == pytest.approx(2 * (a + r), abs=1e-12)
         assert abs(x[2]) <= 1e-12 and abs(y[2]) <= 1e-12
         corners = np.concatenate([body.arcs.start, body.arcs.end])
@@ -437,17 +431,26 @@ def test_the_report_has_one_width_and_one_source_per_quantity(monkeypatch):
         assert ref.thickness == PI - diameter(ref.dual)
 
 
-def test_the_swept_residual_is_the_upper_end_of_the_refinement(cap_polytopes):
-    # a body the closed form does not cover reports the upper end of
-    # hausdorff_bounds against its dual, never its lower end: 0 on the
-    # trimmed body, about 1e-7 below the upper end on the moved vertex
-    from fixtures import curved_tampered
-
-    for body in (curved_tampered()["trimmed-1e-6"], tampered(cap_polytopes[1][1])[0][1]):
-        rep = is_constant_width(body)
+def test_the_swept_residual_is_the_diameter_formula(monkeypatch):
+    # a body the closed form does not cover reports its exact distance to
+    # its dual, max(0, diameter - pi/2, pi/2 - thickness), from the two
+    # values of its own report, on every body of the swept corpus; the
+    # public ``self_duality_residual`` is the same formula on ``diameter``
+    # and ``thickness``, which may read a polygon's poles an ulp apart
+    reports = 0
+    for body in swept_corpus():
+        rep = swept(body, 1e-6, monkeypatch)
+        want = max(0.0, rep.diameter - PI / 2, PI / 2 - rep.thickness)
+        assert rep.self_duality_residual == want, body
+        assert abs(want - self_duality_residual(body)) <= 1e-15, body
+        reports += 1
+    assert reports > 100
+    # a cap of radius 1 lies 2 - pi/2 from its dual, one of radius pi/3 pi/6
+    for r, want in ((1.0, 2.0 - PI / 2), (PI / 3, PI / 6)):
+        rep = is_constant_width(cap(E3, r))
         assert rep.dual is not None
-        lo, hi = hausdorff_bounds(body, rep.dual)
-        assert rep.self_duality_residual == hi > lo
+        assert abs(rep.self_duality_residual - want) <= 1e-15
+        assert abs(self_duality_residual(cap(E3, r)) - want) <= 1e-15
 
 
 def swept(body, tol, monkeypatch):
@@ -473,18 +476,23 @@ def tampered(poly):
     ]
 
 
-def test_closed_form_verdict_equals_the_sweep(monkeypatch):
-    # the closed form answers only when 2 rho <= tol, where the sweep's
-    # widths lie within rho of pi/2 and it passes too; everything else is
-    # swept, so ``passed`` never changes
+def swept_corpus():
+    """The acceptance corpus, each of its polytopes of 5+ vertices tampered three ways, the truncated octant
+    and the curved self-dual and curved tampered corpora: 110 bodies."""
     from fixtures import acceptance_corpus, curved_selfdual_bodies, curved_tampered
 
     bodies = [body for _, body in acceptance_corpus().values()]
     polys = [b for b in bodies if isinstance(b, Polytope)]
     bodies += [truncated_octant(), *(t for p in polys if len(p) >= 5 for _, t in tampered(p))]
-    bodies += [*curved_selfdual_bodies().values(), *curved_tampered().values()]
+    return bodies + [*curved_selfdual_bodies().values(), *curved_tampered().values()]
+
+
+def test_closed_form_verdict_equals_the_sweep(monkeypatch):
+    # the closed form answers only when 2 rho <= tol, where the sweep's
+    # widths lie within rho of pi/2 and it passes too; everything else is
+    # swept, so ``passed`` never changes
     closed = curved = swept_fails = 0
-    for body in bodies:
+    for body in swept_corpus():
         for tol in (0.0, 1e-9, 1e-6, 1e-5, 1e-2):
             rep = is_constant_width(body, tol=tol)
             ref = swept(body, tol, monkeypatch)
@@ -505,8 +513,8 @@ def test_closed_form_verdict_equals_the_sweep(monkeypatch):
 
 
 def test_pairing_bound_covers_the_residual_and_the_swept_widths(monkeypatch):
-    # rho is a proved upper end of H(C, C*), the refinement and sampled
-    # distances lower ones; the sampled widths lie within rho of pi/2
+    # rho is a proved upper end of H(C, C*), which ``hausdorff`` measures
+    # exactly; the sampled widths lie within rho of pi/2
     from fixtures import curved_selfdual_bodies, curved_tampered
 
     selfdual = curved_selfdual_bodies()
@@ -518,8 +526,7 @@ def test_pairing_bound_covers_the_residual_and_the_swept_widths(monkeypatch):
             continue
         dual = polar_dual(body)
         h = max(float(body_distance_many(x, oracles.boundary_samples(y, 64)).max()) for x, y in ((body, dual), (dual, body)))
-        if name != "corner-moved-1e-7":  # its refinement takes seconds on near-flat plateaus
-            h = max(h, hausdorff(body, dual))
+        h = max(h, hausdorff(body, dual))
         ref = swept(body, 1e-6, monkeypatch)
         assert h <= rho, name
         assert PI / 2 - rho - 1e-15 <= ref.width_min <= ref.width_max <= PI / 2 + rho + 1e-15, name
@@ -560,8 +567,8 @@ def test_curved_gate_builds_no_dual_and_runs_no_ascent(monkeypatch):
     assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, 0)
     # thickness and diameter are measured when read, as the sweep measured them
     rep, body = reports[0], bodies[0]
-    assert rep.thickness == PI - metrics.farthest_pair(polar_dual(body))[0]
-    assert rep.diameter == metrics.farthest_pair(body)[0]
+    assert rep.thickness == PI - farthest(polar_dual(body))[0]
+    assert rep.diameter == farthest(body)[0]
 
 
 def test_tampered_polytopes_fall_back_to_the_sweep(monkeypatch, cap_polytopes):
@@ -571,13 +578,13 @@ def test_tampered_polytopes_fall_back_to_the_sweep(monkeypatch, cap_polytopes):
         rep = is_constant_width(bad, tol=1e-6)
         ref = swept(bad, 1e-6, monkeypatch)
         # swept as before, each quantity from its one source: the dual's
-        # diameter, the body's, and the refinement's upper end
+        # diameter, the body's, and the residual formula on both
         assert rep.dual is not None, name
         assert rep.passed == ref.passed
         assert (rep.width_min, rep.width_max, rep.thickness) == (ref.width_min, ref.width_max, ref.thickness)
         assert rep.thickness == PI - diameter(rep.dual), name
         assert rep.diameter == ref.diameter == diameter(bad)
-        assert rep.self_duality_residual == hausdorff_bounds(bad, rep.dual)[1], name
+        assert rep.self_duality_residual == max(0.0, rep.diameter - PI / 2, PI / 2 - rep.thickness), name
     # the verdicts stay the sweep's: the deleted vertex fails; the even
     # count, its new vertex 1e-8 off an edge, passes although rho is large;
     # so does the moved vertex, whose widths the sweep samples (``certify``
@@ -649,13 +656,16 @@ def test_metrics_verb_sweeps_nothing_on_polytope_files(monkeypatch, tmp_path, ca
 def test_polytope_gate_and_seed_check_run_no_ascent(monkeypatch):
     # the approximation gate on a polytope input and the completion's
     # sub-duality check of its seed both take the closed form: the
-    # farthest-pair kernel measures only the duals the completion grows into
+    # farthest-pair kernel measures only the certificate's Hausdorff
+    # fallback, one call a direction (a polytope input has no arc run for
+    # the pairing walk), and the duals the completion grows into
     poly = selfdual_polytopes()["random-30-1"]
     seed = random_subdual_polytope_seed(30, 4)
     calls = counted_calls(monkeypatch, ("farthest_pair",) + SWEEP_WORK)
     out, cert, steps = approximate_polytope(poly, ApproximationConfig(0.01))
     assert len(steps) == 0 and np.array_equal(out.vertices, poly.vertices)
-    assert calls["farthest_pair"] == []
+    assert calls["hausdorff"] == [poly] and calls["farthest_pair"] == [poly, out]
+    calls["farthest_pair"].clear()
     complete_selfdual(seed, tol=1e-7)
     assert len(calls["farthest_pair"]) == 1 and calls["farthest_pair"][0] is not seed
     assert calls["boundary_max_distance_many"] == []
@@ -702,8 +712,7 @@ def test_hausdorff_octant_vs_cap_matches_oracle(cap_polytopes):
         per_piece=30000,
     )
     assert got == pytest.approx(want, abs=1e-4)
-    # a cap against its 51-vertex polytope: one recap caps over 1000
-    # intervals against the 51 edges, several blocks of the structural caps
+    # a cap against its 51-vertex polytope
     c, polys = cap_polytopes
     poly = polys[1]
     got = hausdorff(c, poly)
@@ -718,121 +727,204 @@ def test_hausdorff_octant_vs_cap_matches_oracle(cap_polytopes):
 
 
 def test_hausdorff_symmetry_and_triangle():
+    # caps 1 and 2 of seed 11 and a cap between them lie less than pi/2
+    # apart; cap 0 holds points pi/2 or more from caps 1 and 2 (the old
+    # refinement read 1.651 and 1.983), so those pairs raise in either order
     rng = np.random.default_rng(11)
     bodies = [
         cap(unit(rng.normal(size=3)), rng.uniform(0.4, 1.0)) for _ in range(3)
     ]
-    h01 = hausdorff(bodies[0], bodies[1])
-    h10 = hausdorff(bodies[1], bodies[0])
-    assert h01 == pytest.approx(h10, abs=1e-9)
+    mid = cap(unit(bodies[1].pieces[0].center + bodies[2].pieces[0].center), 0.6)
     h12 = hausdorff(bodies[1], bodies[2])
-    h02 = hausdorff(bodies[0], bodies[2])
-    assert h02 <= h01 + h12 + 1e-7
+    assert h12 == hausdorff(bodies[2], bodies[1])
+    assert h12 <= hausdorff(bodies[1], mid) + hausdorff(mid, bodies[2]) + 1e-12
+    for other in bodies[1:]:
+        for a, b in ((bodies[0], other), (other, bodies[0])):
+            with pytest.raises(FarPair):
+                hausdorff(a, b)
 
 
-def test_hausdorff_evaluates_each_level_in_one_call(monkeypatch, cap_polytopes):
-    # the cap against its 51-vertex polytope: every direction evaluates its
-    # whole set-up grid in one call and every level's midpoints in one more,
-    # over the same rows as one call per piece and level; rows deep inside
-    # the other body are pruned by their signed distance
+@pytest.fixture(scope="module")
+def hausdorff_corpus():
+    """(name, a, b) pairs: the acceptance, curved and tampered corpora against their duals, rotated caps
+    against their eps = 0.01 and 0.002 polytopes, and rounded Reuleaux bodies against their eps = 0.01
+    polytopes.  ``trimmed-1e-6`` is left out: its dual's dual fails validation on closure."""
+    from fixtures import acceptance_corpus, curved_bodies, curved_tampered
+
+    bodies = {"acceptance-%d" % s: b for s, (_, b) in acceptance_corpus().items()}
+    bodies.update(curved_bodies())
+    bodies.update({"tampered-" + k: b for k, b in curved_tampered().items() if k != "trimmed-1e-6"})
+    pairs = [(name, b, polar_dual(b)) for name, b in bodies.items()]
+    for seed in (1, 2, 3):
+        c = rotated(cap(E3, PI / 4), rotation_from_seed(seed))
+        pairs += [("cap-%d-%g" % (seed, eps), c, approximate_polytope(c, ApproximationConfig(eps))[0]) for eps in (0.01, 0.002)]
+    for k, delta in ((3, 0.05), (5, 0.15), (9, 0.2)):
+        body = rounded_reuleaux(k, delta)
+        pairs.append(("reuleaux-%d-%g" % (k, delta), body, approximate_polytope(body, ApproximationConfig(0.01))[0]))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def chord_samples(hausdorff_corpus):
+    """(name, hausdorff, sampled sup, polished sup) for each corpus pair; the sups are the larger direction's."""
+    rows = []
+    for name, a, b in hausdorff_corpus:
+        (s1, p1), (s2, p2) = oracles.directed_chord_oracle(a, b), oracles.directed_chord_oracle(b, a)
+        rows.append((name, hausdorff(a, b), max(s1, s2), max(p1, p2)))
+    return rows
+
+
+def test_hausdorff_bounds_the_chord_samples(chord_samples):
+    # never below a chord-form sample of either boundary: every sampled
+    # point's distance to the other body is a lower bound of the value
+    for name, h, sampled, _ in chord_samples:
+        assert h >= sampled - 1e-14, (name, h, sampled)
+
+
+def test_hausdorff_matches_dense_chord_sampling(chord_samples):
+    # within 1e-12 of the sampled maximum polished by a golden-section
+    # search; the moved corner lies 7.0711e-8 from its dual, where the old
+    # refinement's arccos distances read 7.146e-8, and the trimmed body's
+    # dual has no valid dual
+    from fixtures import curved_tampered
+
+    for name, h, _, polished in chord_samples:
+        assert abs(h - polished) <= 1e-12, (name, h, polished)
+    assert sum(h > 1e-9 for _, h, _, _ in chord_samples) >= 15
+    moved = curved_tampered()["corner-moved-1e-7"]
+    assert hausdorff(moved, polar_dual(moved)) == pytest.approx(7.0711e-8, abs=1e-12)
+    trimmed = curved_tampered()["trimmed-1e-6"]
+    with pytest.raises(InvalidBody):
+        hausdorff(trimmed, polar_dual(trimmed))
+
+
+@pytest.fixture(scope="module")
+def kernel_pairs(hausdorff_corpus):
+    """What ``hausdorff`` hands the kernel for each corpus pair, each body against the other's dual, and
+    those pairs in the other order."""
+    pairs = [(x, polar_dual(y)) for _, a, b in hausdorff_corpus for x, y in ((a, b), (b, a))]
+    return pairs + [(b, a) for a, b in pairs]
+
+
+def test_two_body_kernel_matches_the_unpruned_reference(kernel_pairs):
+    # the kernel's largest distance is the unpruned reference's to 4e-16,
+    # or to one ulp above 2
+    for a, b in kernel_pairs:
+        got, ref = float(acos_clamped_np(metrics.farthest_pair(a, b)[0])), oracles.farthest_pair_arccos(a, b)
+        assert abs(got - ref) <= max(4e-16, float(np.spacing(ref))), (got, ref)
+
+
+def test_two_body_kernel_blocks_match_one_block(monkeypatch, kernel_pairs):
+    # blocks of a few rows move the least dot by roundoff alone (BLAS
+    # rounds a dot of another block shape differently), and the pair read
+    # off the winning block attains it
+    full = [metrics.farthest_pair(a, b)[0] for a, b in kernel_pairs]
+    monkeypatch.setattr(metrics, "BLOCK_ELEMENTS", 7)
+    for (a, b), c in zip(kernel_pairs, full):
+        c2, x2, y2 = metrics.farthest_pair(a, b)
+        assert abs(c2 - c) <= 4.5e-16 and abs(float(x2 @ y2) - c2) <= 4.5e-16
+
+
+def test_midpoint_prune_drops_only_pairs_its_bound_puts_below_the_ends(monkeypatch, kernel_pairs):
+    # sampled at 33 points an arc, every arc pair lies within its midpoint
+    # bound, and every pair the kernel drops (it hands the kept ones to
+    # _antipodal_pairs) lies within the ends' best
+    kept = []
+    antipodal = metrics._antipodal_pairs
+    monkeypatch.setattr(metrics, "_antipodal_pairs", lambda p, i, q, j: kept.append((i, j)) or antipodal(p, i, q, j))
+    dropped = 0
+    for a, b in kernel_pairs:
+        kept.clear()
+        metrics.farthest_pair(a, b)
+        p, q = a.arcs, b.arcs
+        drop = np.ones((len(p), len(q)), dtype=bool)
+        drop[kept[0]] = False
+        ends = min(metrics._end_pairs(metrics._chain_points(p), q)[0], metrics._end_pairs(metrics._chain_points(q), p)[0])
+        best = float(acos_clamped_np(ends))
+        mid = p.point_at(0.5 * (p.t0 + p.t1))
+        bound = acos_clamped_np(min_dot_to_piece(mid, q)) + 0.5 * (p.span * p.sin_r)[:, None]
+        xs, ys = p.point_at(np.linspace(p.t0, p.t1, 33)), q.point_at(np.linspace(q.t0, q.t1, 33))
+        for i in range(len(p)):
+            far = acos_clamped_np(np.einsum("ka,lja->klj", xs[:, i], ys).min(axis=(0, 1)))  # one per arc of q
+            assert (far <= bound[i] + 1e-12).all(), (i, float((far - bound[i]).max()))
+            assert (far[drop[i]] <= best + 1e-12).all(), (i, float(far[drop[i]].max()), best)
+        dropped += int(drop.sum())
+    assert dropped > 0
+
+
+def test_hausdorff_without_the_midpoint_prune_changes_no_bit(monkeypatch, hausdorff_corpus):
+    # every midpoint bound read as infinite keeps every arc pair: each
+    # value is the pruned kernel's bit for bit
+    pruned = [hausdorff(a, b) for _, a, b in hausdorff_corpus]
+    acos = metrics.acos_clamped_np
+    monkeypatch.setattr(metrics, "acos_clamped_np", lambda c: np.full(np.shape(c), np.inf) if np.ndim(c) else acos(c))
+    assert [hausdorff(a, b) for _, a, b in hausdorff_corpus] == pruned
+
+
+def test_hausdorff_is_one_kernel_call_a_direction(monkeypatch, cap_polytopes):
+    # the cap against its 51-vertex polytope: each direction is one
+    # farthest pair against the other body's dual and one row for each of
+    # the two far checks that reach a membership query
     c, polys = cap_polytopes
-    n = {"calls": 0, "rows": 0, "levels": 0}
-
-    def counted(b, x, *args, **kwargs):
-        n["calls"] += 1
-        n["rows"] += len(x)
-        return body_distance_many(b, x, *args, **kwargs)
-
-    refine_once = metrics._Direction.refine_once
-
-    def level(self, *args):
-        n["levels"] += 1
-        return refine_once(self, *args)
-
-    monkeypatch.setattr(metrics, "body_distance_many", counted)
-    monkeypatch.setattr(metrics._Direction, "refine_once", level)
-    hausdorff(c, polys[1])
-    assert n["levels"] == 6
-    assert n["calls"] <= 2 * 2 + n["levels"]
-    assert n["rows"] == 4200
+    calls = counted_calls(monkeypatch, ("farthest_pair", "body_distance_many", "contains_many", "polar_dual"))
+    h = hausdorff(c, polys[1])
+    assert 0.0 < h <= 0.004
+    assert {k: len(v) for k, v in calls.items()} == {
+        "farthest_pair": 2, "body_distance_many": 2, "contains_many": 2, "polar_dual": 2
+    }
+    assert calls["farthest_pair"] == [c, polys[1]] and calls["polar_dual"] == [polys[1], c]
 
 
 @pytest.mark.parametrize("inner", [cap(E3, 0.6), cap(unit([0.0, 0.1, 1.0]), 0.5)])
-def test_sup_distance_of_a_body_inside_another_is_zero_at_once(monkeypatch, inner):
-    # every point of the inner cap is inside the outer one: its signed
-    # distance is negative, so the set-up grid prunes every row, where an
-    # unsigned distance of 0 left each row's Lipschitz bound to halve level
-    # after level until the rows ran out
-    levels = []
-    refine_once = metrics._Direction.refine_once
-
-    def level(self, *args):
-        levels.append(self)
-        return refine_once(self, *args)
-
-    monkeypatch.setattr(metrics._Direction, "refine_once", level)
-    monkeypatch.setattr(metrics, "REFINE_LEVELS", 2)
-    assert boundary_sup_distance(inner, cap(E3, PI / 4)) == 0.0
-    assert levels == []
+def test_sup_distance_of_a_body_inside_another_is_zero_at_once(inner):
+    # every point of the inner cap is inside the outer one, so every x . K
+    # is positive and the directed distance is 0 exactly; the other
+    # direction is the outer cap's reach beyond the inner one
+    outer = cap(E3, PI / 4)
+    assert boundary_sup_distance(inner, outer) == 0.0
+    assert boundary_sup_distance(outer, inner) == pytest.approx(
+        PI / 4 - inner.pieces[0].radius + math.acos(float(inner.pieces[0].center @ E3)), abs=1e-12
+    )
 
 
-def test_stalled_refinement_raises_with_its_bracket(monkeypatch, cap_polytopes):
-    # the cap against its eps = 0.002 polytope needs six levels
-    c, polys = cap_polytopes
-    h = hausdorff(c, polys[1])
-    monkeypatch.setattr(metrics, "REFINE_LEVELS", 1)
-    with pytest.raises(RefinementStalled) as err:
-        hausdorff(c, polys[1])
-    assert err.value.lo <= h <= err.value.hi
-    assert err.value.hi - err.value.lo > HAUSDORFF_TOL
+S, N = -E3, E3
+# (a, b, check): octant pairs with antipodal boundary points, where the old
+# refinement read 1.988; a cap inside -b*, every point pi/2 or more from b;
+# and a cap holding -b* inside it (the old refinement read 1.34 from the
+# boundaries, while S lies pi - 0.5 from the other cap)
+FAR_PAIRS = [
+    (octant(), rotated(octant(), rotation_from_seed(3)), "(a)"),
+    (cap(S, 0.5), cap(N, 0.1), "(b)"),
+    (cap(S, 1.3), cap(N, 0.5), "(c)"),
+]
 
 
-def test_refinement_upper_end_counts_the_pruned_rows(monkeypatch):
-    # the rows left at the end and those pruned on the way cover both
-    # boundaries; hi is the largest upper bound among them, here one of a
-    # pruned row, and the lower end is hausdorff's
-    from fixtures import rotated_reuleaux
-
-    body = rotated_reuleaux(3, 0.1)
-    poly = approximate_polytope(body, ApproximationConfig(0.05))[0]
-    pruned = []
-    split = metrics._Direction.refine_once
-
-    def recorded(self, lb, tol):
-        ubs = self._ubs()
-        pruned.extend(ubs[ubs <= lb + tol].tolist())
-        return split(self, lb, tol)
-
-    monkeypatch.setattr(metrics._Direction, "refine_once", recorded)
-    directions = [metrics._Direction(body, poly, HAUSDORFF_TOL), metrics._Direction(poly, body, HAUSDORFF_TOL)]
-    lb, hi = metrics._refine(directions, HAUSDORFF_TOL)
-    left = max(float(d._ubs().max()) for d in directions)
-    assert hi == max(lb, left, *pruned) > max(lb, left)
-    assert (lb, hi) == metrics.hausdorff_bounds(body, poly) and lb == hausdorff(body, poly)
-    assert hi <= lb + HAUSDORFF_TOL
+@pytest.mark.parametrize("a, b, check", FAR_PAIRS, ids=["antipodal", "outside", "inside"])
+def test_far_pairs_raise_the_typed_error(a, b, check):
+    # each far check is what refuses its pair, in both orders, and a far
+    # pair never returns a number
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(FarPair) as err:
+            hausdorff(x, y)
+        assert str(err.value).startswith(check)
+    with pytest.raises(FarPair) as err:
+        boundary_sup_distance(a, b)
+    assert str(err.value).startswith(check)
 
 
-def test_refinement_tables_stop_at_their_row_bound(monkeypatch):
-    # near-flat plateaus: the moved corner keeps the tables growing long
-    # before they close, so a small row bound is reached first
-    from fixtures import two_cut_cap
+def test_near_flat_bodies_take_the_closed_form():
+    # near-flat plateaus, which grew the old refinement's tables past their
+    # row bound or stalled it at its level limit: the moved corner of the
+    # two-cut cap and the frame that turns a quarter between two pieces of
+    # one circle; their distance to their dual is the residual formula
+    from fixtures import frame_jump_cap, two_cut_cap
 
-    body = two_cut_cap(1e-7)
-    sizes = []
-    split = metrics._Direction.refine_once
-
-    def recorded(self, lb, tol):
-        lb = split(self, lb, tol)
-        sizes.append(len(self.tl))
-        return lb
-
-    monkeypatch.setattr(metrics._Direction, "refine_once", recorded)
-    monkeypatch.setattr(metrics, "REFINE_ROWS", 1 << 14)
-    with pytest.raises(RefinementStalled) as err:
-        hausdorff(body, polar_dual(body))
-    assert 0.0 < err.value.lo <= err.value.hi
-    # stopped by the rows, long before the levels, with no table past twice the bound
-    assert len(sizes) < metrics.REFINE_LEVELS and max(sizes) <= 2 << 14
+    for body, rho in ((two_cut_cap(1e-7), 5.1e-7), (frame_jump_cap(), 1e-15)):
+        dual = polar_dual(body)
+        h = hausdorff(body, dual)
+        assert abs(h - self_duality_residual(body)) <= 1e-15
+        assert h <= rho
+    assert is_constant_width(frame_jump_cap()).self_duality_residual <= 1e-15
 
 
 # ----------------------------------------------------------------- residual
@@ -854,129 +946,3 @@ def test_residual_shifted_cap():
 def test_polar_involution_small():
     for b in [cap(unit([1, 2, -1]), 0.6), octant()]:
         assert hausdorff(polar_dual(polar_dual(b)), b) <= 1e-9
-
-
-# ------------------------------------------------------------ structural caps
-
-
-def test_structural_caps_bound_sampled_sup(cap_polytopes):
-    # every cap is an upper bound on the sup over its arc of the distance to
-    # b: cap against polytope, polytope against cap, polytope against its dual
-    c, polys = cap_polytopes
-    rng = np.random.default_rng(2)
-    checked = 0
-    for p in polys:
-        dual = polar_dual(p)
-        for a, b in ((c, p), (p, c), (p, dual), (dual, p)):
-            idx, tl, tr = sub_arcs(a, 20, rng)
-            caps = _structural_caps(a.arcs, idx, tl, tr, b)
-            ts = np.linspace(tl, tr, 400, axis=-1)
-            x = a.arcs[idx[:, None]].point_at(ts).reshape(-1, 3)
-            sup = body_distance_many(b, x).reshape(len(tl), -1).max(axis=1)
-            assert np.all(caps >= sup - 1e-12), float(np.max(sup - caps))
-            checked += int(np.isfinite(caps).sum())
-    # great sub-arcs too short to stand alone get no cap (inf); the rest do
-    assert checked > 3000
-
-
-@pytest.fixture
-def kernel_pairs(monkeypatch):
-    """The number of (row, piece) pairs of each structural-cap kernel call."""
-    pairs = []
-    pair_caps = metrics._pair_caps
-
-    def counted(pa, *args):
-        pairs.append(len(pa.z))
-        return pair_caps(pa, *args)
-
-    monkeypatch.setattr(metrics, "_pair_caps", counted)
-    return pairs
-
-
-def test_structural_caps_blocks_match_single_arcs(kernel_pairs, cap_polytopes):
-    # with no bound the window keeps every (row, piece) pair, over 2 blocks
-    # of them; each kernel call takes at most one block
-    c, polys = cap_polytopes
-    b = polys[1]
-    idx, tl, tr = sub_arcs(c, 400, np.random.default_rng(4))
-    assert len(tl) * len(b.pieces) > 2 * BLOCK_ELEMENTS
-    caps = _structural_caps(c.arcs, idx, tl, tr, b)
-    assert sum(kernel_pairs) == len(tl) * len(b.pieces)
-    assert len(kernel_pairs) >= 3 and max(kernel_pairs) <= BLOCK_ELEMENTS
-    one = [_structural_caps(c.arcs, idx[[i]], tl[[i]], tr[[i]], b)[0] for i in range(len(tl))]
-    # numpy may round a transcendental in the last bit differently in a
-    # long and a one-element array
-    np.testing.assert_allclose(caps, one, rtol=0, atol=1e-12)
-
-
-def cap_pairs(cap_polytopes):
-    """(a, b) pairs: cap vs P, P vs cap, P vs dual and dual vs P, for both polytopes."""
-    c, polys = cap_polytopes
-    for p in polys:
-        dual = polar_dual(p)
-        yield from ((c, p), (p, c), (p, dual), (dual, p))
-
-
-def test_windowed_caps_match_dense_caps_up_to_the_bound(kernel_pairs, cap_polytopes):
-    rng = np.random.default_rng(5)
-    kept = dense_pairs = 0
-    for a, b in cap_pairs(cap_polytopes):
-        idx, tl, tr = sub_arcs(a, max(20, 400 // len(a.pieces)), rng)
-        dense = _structural_caps(a.arcs, idx, tl, tr, b)
-        for bound in np.quantile(dense[np.isfinite(dense)], [0.0, 0.1, 0.5, 0.9]):
-            kernel_pairs.clear()
-            caps = _structural_caps(a.arcs, idx, tl, tr, b, bound)
-            below = dense <= bound
-            np.testing.assert_array_equal(caps[below], dense[below])
-            assert np.all(caps[~below] >= dense[~below])
-            kept += sum(kernel_pairs)
-            dense_pairs += len(tl) * len(b.pieces)
-    # the window skips most pairs
-    assert kept < 0.2 * dense_pairs
-
-
-def test_window_drops_only_pairs_whose_caps_exceed_their_lower_bound(cap_polytopes):
-    # every cap of a (row, piece) pair is at least LB, so the window, which
-    # drops pairs with LB above the bound, never drops a cap at most the bound
-    rng = np.random.default_rng(6)
-    positive = 0
-    for a, b in cap_pairs(cap_polytopes):
-        idx, tl, tr = sub_arcs(a, max(20, 400 // len(a.pieces)), rng)
-        # LB = d(m, c) - rho: m the arc's midpoint, c the piece's
-        # mid-parameter point, rho half the piece's length
-        m = a.arcs[idx].point_at(0.5 * (tl + tr))
-        c = b.arcs.point_at(0.5 * (b.arcs.t0 + b.arcs.t1))
-        lb = acos_clamped_np(m @ c.T) - 0.5 * b.arcs.span * b.arcs.sin_r
-        single = np.column_stack(
-            [
-                _structural_caps(a.arcs, idx, tl, tr, SimpleNamespace(arcs=b.arcs[[j]]))
-                for j in range(len(b.pieces))
-            ]
-        )
-        assert np.all(single >= lb - 1e-12), float(np.max(lb - single))
-        positive += int(np.sum(lb > 0.0))
-    assert positive > 10000
-
-
-def test_hausdorff_window_changes_no_bit(monkeypatch):
-    # the same answers, float for float, with the window and with every
-    # (row, piece) pair capped
-    polys = selfdual_polytopes()
-    pairs = []
-    for seed in (1, 2, 3):
-        c = rotated(cap(E3, PI / 4), rotation_from_seed(seed))
-        p = polys["cap-%d" % seed]
-        pairs += [(c, p), (c, polar_dual(p)), (p, polar_dual(p))]
-        q = polys["random-30-%d" % seed]
-        pairs.append((q, polar_dual(q)))
-    windowed = [hausdorff(a, b).hex() for a, b in pairs]
-    bounds = []
-    dense_caps = metrics._structural_caps
-
-    def dense(arcs, idx, tl, tr, b, bound):
-        bounds.append(bound)
-        return dense_caps(arcs, idx, tl, tr, b)
-
-    monkeypatch.setattr(metrics, "_structural_caps", dense)
-    assert [hausdorff(a, b).hex() for a, b in pairs] == windowed
-    assert bounds and all(math.isfinite(x) for x in bounds)

@@ -232,15 +232,17 @@ def test_stacked_support_poles_are_per_piece_bit_for_bit():
 
 
 def test_arc_parts_and_end_trigonometry_are_bit_for_bit():
-    # a part of each arc keeps the cos/sin round its ends were made from;
-    # both equal point_at and a fresh np.cos/np.sin of the parameters
+    # the stack of the arcs over other parameters keeps the cos/sin round
+    # its ends were made from (``_arcs_over``, which ``small_arc_stack``
+    # builds with); both equal point_at and a fresh np.cos/np.sin of the
+    # parameters
     rng = np.random.default_rng(8)
     pieces = [GreatArc(unit(rng.normal(size=3)), unit(rng.normal(size=3))) for _ in range(4)]
     pieces += [SmallCircleArc(unit(rng.normal(size=3)), r, a, a + 2.0) for r, a in rng.uniform(0.1, 1.4, (5, 2))]
     arcs = stack_arcs(pieces)
     tl = arcs.t0 + rng.uniform(0.0, 0.5, len(arcs)) * arcs.span
     tr = tl + rng.uniform(0.0, 0.5, len(arcs)) * arcs.span
-    part = arcs.part(tl, tr)
+    part = sphere._arcs_over(arcs.z, arcs.u, arcs.v, arcs.radius, arcs.cos_r, arcs.sin_r, tl, tr)
     assert part.start.tobytes() == arcs.point_at(tl).tobytes() and part.end.tobytes() == arcs.point_at(tr).tobytes()
     for a, lo, hi in ((arcs, arcs.t0, arcs.t1), (part, tl, tr)):
         cos, sin = a.end_trig
