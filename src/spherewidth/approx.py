@@ -33,9 +33,9 @@ the one-pass output.
 ``approximate_polytope`` runs the gate (``is_constant_width``: the closed
 form of the input's self-duality bound rho, ``ConvexBody.residual_bound``,
 from its edge-pole/vertex pairing on a polytope or from its run pairing
-(``body.pairing_residual_bound``) on a curved body, and the width sweep
-only when that bound is not within tolerance), the build
-(``chord_polytope``, which checks nothing) and the certificate once each,
+(``body.pairing_residual_bound``) on a curved body, and the exact
+thickness and diameter only when that bound is not within tolerance), the
+build (``chord_polytope``, which checks nothing) and the certificate once each,
 all reading each body's one cached validation (``ConvexBody.validation``),
 its one cached run pairing (``ConvexBody.run_pairing``), which the gate
 reads, the build chords and the certificate walks, and its one cached rho.
@@ -55,7 +55,8 @@ edge-pole/vertex pairing (its ``residual_bound``,
 ``body.selfdual_residual_bound``), in O(n); a curved result takes them from
 ``metrics.is_constant_width``, in closed form from its run pairing
 (``body.pairing_residual_bound``) when that is within tolerance, else from
-the width sweep and the exact residual max(0, diam - pi/2, pi/2 - thickness).
+its exact residual r = max(0, diam - pi/2, pi/2 - thickness): the widths
+[thickness, pi/2 + r].
 """
 
 from __future__ import annotations
@@ -158,9 +159,9 @@ class Certificate:
     pi/2 -+ rho and ``self_duality_residual`` is rho, the upper bound on its
     distance to its polar dual from the edge-pole/vertex pairing; a curved
     output takes all three from ``metrics.is_constant_width``: the same
-    ends from its run pairing when 2 rho is within tolerance, else the
-    sampled width sweep and, as the residual, its exact distance to its
-    dual (``metrics.WidthReport``).  ``steps`` and
+    ends from its run pairing when 2 rho is within tolerance, else its
+    exact distance r to its dual as the residual and the widths
+    [thickness, pi/2 + r] (``metrics.WidthReport``).  ``steps`` and
     ``rounds`` count the chords and build rounds of
     ``approximate_polytope``, 0 from ``certify`` alone.
     """
@@ -630,8 +631,8 @@ def approximate_polytope(
     whose records are made when read.
     """
     # the gate validates the input through its rho (``residual_bound``),
-    # and through polar_dual when it sweeps; a body gated before reads
-    # both from its caches
+    # or through its thickness when rho is not within tolerance; a body
+    # gated before reads both from its caches
     gate = is_constant_width(body, tol=config.self_dual_tol)
     if not gate.passed:
         raise NotConstantWidth(
@@ -649,7 +650,8 @@ def certify(original: ConvexBody, result: ConvexBody, config: ApproximationConfi
     A result bounded by great arcs, read as a ``Polytope`` (``to_polytope``)
     and validated as one, takes its width range and residual from its
     ``residual_bound`` (``selfdual_residual_bound``), any other from
-    ``is_constant_width``: its run pairing's closed form, or the sweep.
+    ``is_constant_width``: its run pairing's closed form, or its exact
+    thickness and residual.
     Both are checked first, in O(n) for a polytope result, so a result
     that fails them is refused before its Hausdorff term is measured:
     ``pairing_bound`` when that walk covers the pair, else ``hausdorff``,
@@ -665,8 +667,8 @@ def certify(original: ConvexBody, result: ConvexBody, config: ApproximationConfi
         residual = result.residual_bound
         wmin, wmax = 0.5 * math.pi - residual, 0.5 * math.pi + residual
     else:
-        # is_constant_width validates the result, in the closed form or,
-        # when it sweeps, through polar_dual
+        # is_constant_width validates the result, in the closed form or
+        # through its thickness
         rep = is_constant_width(result, tol=config.self_dual_tol)
         wmin, wmax, residual = rep.width_min, rep.width_max, rep.self_duality_residual
     tol = config.self_dual_tol

@@ -435,12 +435,6 @@ def boundary_min_dot_many(body: ConvexBody, points: np.ndarray) -> np.ndarray:
     return _reduce_pieces(body, points, min_dot_to_piece, np.minimum, 1.0)
 
 
-def boundary_max_distance_many(body: ConvexBody, points: np.ndarray) -> np.ndarray:
-    """Farthest distance to the boundary, per row, the width sweep's query: the cosines are reduced with
-    ``np.minimum`` from 1.0 (``boundary_min_dot_many``), then one arccos is taken per row."""
-    return acos_clamped_np(boundary_min_dot_many(body, points))
-
-
 def body_distance_many(body: ConvexBody, points: np.ndarray, tol: float = BOUNDARY_EPS) -> np.ndarray:
     """Geodesic distance to the body, zero inside; inside and outside are those of ``contains_many``, from
     one pass of its least x . K."""

@@ -52,7 +52,7 @@ from .body import (
     to_polytope,
     validate_polytope,
 )
-from .metrics import diameter, farthest_pair
+from .metrics import diameter, farthest_pair, require_tol
 from .approx import SUBDIVISION_SAFETY, chord_core
 
 # Insertions before the completion gives up; each inserts an end of the
@@ -283,8 +283,10 @@ def complete_selfdual(seed: ConvexBody, tol: float) -> ConvexBody:
     of radius 0.5-0.75 take 3-7 insertions; the nearer end alone left gaps
     of about 1e-4 after 60), then the end nearer the body's witness, then
     the first.  Nothing is sampled and no random number is drawn.  Raises
+    ``ValueError`` unless ``tol`` is finite and >= 0, and
     ``BudgetExhausted`` with the partial body if the budget runs out.
     """
+    require_tol(tol)
     body = seed
     require_valid(body)
     if diameter(body) > 0.5 * math.pi + BOUNDARY_EPS:

@@ -7,18 +7,18 @@ the dual boundary:
     width_wrt(C, K) = pi - max { dist(K, K') : K' on boundary of dual(C) }
     thickness(C)    = pi - diameter(dual(C))
 
-Farthest distances to a whole boundary are one batched closed-form query
-(``boundary_max_distance_many``).  A body bounded by great arcs whose
-largest vertex-pair distance M is at most pi/2 has diameter M (the lemma of
-``_polygon_diameter``), and its thickness is the same formula on its edge
-poles, the dual's vertices.  Any other body takes its exact diameter, and
-a pair attaining it, from ``farthest_pair(body, body)``: closed-form
-candidates over every pair of pieces (each arc end against each arc, and
-the centre-line pair of two arcs when one is a small arc), with nothing
-sampled.  Both share one kernel, ``sphere.min_dot_to_piece``, and work on
-cosines: they reduce the least dots and take one arccos per distance they
-report, a row of the sweep or the diameter; ``width_wrt`` reads its
-touching gap as the least dot itself.
+The farthest distance from one pole to a whole boundary is one batched
+closed-form query (``boundary_min_dot_many``).  A body bounded by great
+arcs whose largest vertex-pair distance M is at most pi/2 has diameter M
+(the lemma of ``_polygon_diameter``), and its thickness is the same formula
+on its edge poles, the dual's vertices.  Any other body takes its exact
+diameter, and a pair attaining it, from ``farthest_pair(body, body)``:
+closed-form candidates over every pair of pieces (each arc end against
+each arc, and the centre-line pair of two arcs when one is a small arc),
+with nothing sampled.  Both share one kernel, ``sphere.min_dot_to_piece``,
+and work on cosines: they reduce the least dots and take one arccos per
+distance they report; ``width_wrt`` reads its touching gap as the least
+dot itself.
 
 The library knows one width, pi/2, the case the chord construction keeps,
 and ``is_constant_width`` checks a body against it.  A valid body whose
@@ -28,11 +28,10 @@ bound is the body's own ``ConvexBody.residual_bound``, measured on its
 first read, so a body gated again costs only its report: a polytope's rho
 is ``body.selfdual_residual_bound``, from its edge-pole/vertex pairing; a
 curved body's is ``body.pairing_residual_bound``, from the run pairing the
-chord construction uses.  Every other body is swept along its dual
-boundary.  Either way the report takes each quantity from one source
-here: the diameter from ``diameter``, the thickness from ``thickness`` (or,
-swept, pi - ``diameter`` of the dual it built), and the residual from rho
-or, swept, from those two: max(0, diameter - pi/2, pi/2 - thickness).
+chord construction uses.  Every other body reports what it measures
+exactly: the least width is ``thickness``, the residual r is its distance
+to its dual, max(0, diameter - pi/2, pi/2 - thickness), and every width is
+at most pi/2 + r (``is_constant_width``).
 
 Every such extremum is a farthest pair.  For a point x less than pi/2 from
 a body B, d(x, B) = max(0, asin(-min x . K)) over K on the boundary of B*,
@@ -68,8 +67,6 @@ from .sphere import (
     acos_clamped_np,
     cross_rows,
     farthest_on_arc,
-    length_weighted_counts,
-    linspace_grid,
     min_dot_to_piece,
     unit,
     unit_each,
@@ -79,15 +76,12 @@ from .body import (
     BLOCK_ELEMENTS,
     ConvexBody,
     body_distance_many,
-    boundary_max_distance_many,
     boundary_min_dot_many,
     contains_many,
     polar_dual,
     require_valid,
 )
 
-# Poles sampled along the dual boundary by the constant-width sweep.
-WIDTH_SWEEP = 4096
 # Largest min over the body of k . x at which H(k) still touches it, for ``width_wrt``.
 TOUCH_TOL = 1e-6
 # Largest excess over pi/2 of a polygon's vertex-pair diameter that
@@ -316,7 +310,7 @@ def width_wrt(body: ConvexBody, k: Vec) -> float:
         raise NotSupporting("hemisphere cuts into the body (min dot %.3e)" % gap)
     if gap > TOUCH_TOL:
         raise NotSupporting("hemisphere does not touch the body (min dot %.3e)" % gap)
-    return math.pi - float(boundary_max_distance_many(polar_dual(body), k)[0])
+    return math.pi - float(acos_clamped_np(boundary_min_dot_many(polar_dual(body), k))[0])
 
 
 def thickness(body: ConvexBody) -> float:
@@ -403,7 +397,11 @@ def self_duality_residual(body: ConvexBody) -> float:
     body lies in an open hemisphere, so it misses its antipode -a = -(a*)*,
     and so does a*: no far check is needed.
     """
-    return max(0.0, diameter(body) - 0.5 * math.pi, 0.5 * math.pi - thickness(body))
+    return _residual(diameter(body), thickness(body))
+
+
+def _residual(diam: float, thick: float) -> float:
+    return max(0.0, diam - 0.5 * math.pi, 0.5 * math.pi - thick)
 
 
 # ------------------------------------------------------------- width report
@@ -416,16 +414,15 @@ class WidthReport:
     Each quantity has one source.  A valid body whose self-duality bound
     rho, the body's ``ConvexBody.residual_bound`` (measured once per body),
     satisfies 2 rho <= tol takes the closed form: the widths are the proved
-    ends pi/2 -+ rho, no dual is built (``dual`` is None), and the
-    thickness is ``thickness(body)``, measured on first read.  Any other
-    body is swept: the widths are sampled along the dual's boundary and the
-    thickness is pi - ``diameter(dual)``.  On both paths the diameter is
-    ``diameter(body)``.  The self-duality residual is rho, an upper end on
-    the distance of the body to its dual, in closed form; swept, it is that
-    distance itself, max(0, diameter - pi/2, pi/2 - thickness)
-    (``self_duality_residual``), from the two values the report already
-    has.  All three are measured on first read, so a caller that reads only
-    the widths pays for the gate alone.
+    ends pi/2 -+ rho, the residual is rho, an upper end on the distance of
+    the body to its dual, and the diameter and thickness are
+    ``diameter(body)`` and ``thickness(body)``, measured on first read, so a
+    caller that reads only the widths pays for the gate alone.  Any other
+    body measures both once, keeps them (``measured_diameter``,
+    ``measured_thickness``), and reports from them alone: ``width_min`` is
+    the thickness, the residual r is the body's distance to its dual,
+    max(0, diameter - pi/2, pi/2 - thickness) (``self_duality_residual``),
+    and ``width_max`` is pi/2 + r, a proved upper end (``is_constant_width``).
     """
 
     tol: float
@@ -433,8 +430,8 @@ class WidthReport:
     width_max: float
     passed: bool
     body: ConvexBody = field(repr=False, compare=False)
-    dual: Optional[ConvexBody] = field(repr=False, compare=False)
-    swept_thickness: Optional[float] = field(default=None, repr=False, compare=False)
+    measured_diameter: Optional[float] = field(default=None, repr=False, compare=False)
+    measured_thickness: Optional[float] = field(default=None, repr=False, compare=False)
 
     @property
     def spread(self) -> float:
@@ -442,46 +439,56 @@ class WidthReport:
 
     @cached_property
     def thickness(self) -> float:
-        # a swept body keeps the sweep's answer
-        return thickness(self.body) if self.swept_thickness is None else self.swept_thickness
+        return thickness(self.body) if self.measured_thickness is None else self.measured_thickness
 
     @cached_property
     def diameter(self) -> float:
-        return diameter(self.body)
+        return diameter(self.body) if self.measured_diameter is None else self.measured_diameter
 
     @cached_property
     def self_duality_residual(self) -> float:
-        """rho in closed form; swept, the Hausdorff distance of the body to its dual."""
-        if self.dual is None:
+        """rho in closed form; else the Hausdorff distance of the body to its dual."""
+        if self.measured_thickness is None:
             return self.body.residual_bound
-        return max(0.0, self.diameter - 0.5 * math.pi, 0.5 * math.pi - self.thickness)
+        return _residual(self.diameter, self.thickness)
+
+
+def require_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless ``tol`` is finite and >= 0 (a NaN fails every comparison)."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 0, got %r" % tol)
 
 
 def is_constant_width(body: ConvexBody, *, tol: float = 1e-6) -> WidthReport:
-    """Compare the widths of the body against pi/2, within ``tol``.
+    """Compare the widths of the body against pi/2, within ``tol`` (finite, >= 0).
 
     A valid body whose proved self-duality bound rho
     (``ConvexBody.residual_bound``, which the body measures on its first
     read and keeps, so a body gated again pays only for this report) has
     2 rho <= tol is answered in closed form: every width lies in
-    [pi/2 - rho, pi/2 + rho], so the sweep below would pass too.
+    [pi/2 - rho, pi/2 + rho].
 
-    Any other body is swept.  Poles are sampled along the dual boundary
-    (where all supporting poles live) together with every piece endpoint;
-    the minimum width is pinned by pi minus the dual's diameter.
-    ``WidthReport`` says where each quantity of the report comes from.
+    Any other body measures its thickness, the least width, and its
+    diameter, and from them r = H(C, C*) = max(0, diameter - pi/2,
+    pi/2 - thickness) (``self_duality_residual``).  Every width is at most
+    pi/2 + r.  Take K on the boundary of C*: H(K) supports C at a touching
+    point x0, so d(K, x0) = pi/2, and x0 lies within r of some K' in C*.
+    Then d(K, K') >= pi/2 - r, and the width of C with respect to H(K),
+    pi - max d(K, .) over C*, is at most pi/2 + r.  So the report's widths
+    are [thickness, pi/2 + r], each end exact or proved, with nothing
+    sampled; where roundoff puts the thickness above pi/2 + r (an ulp, on
+    self-dual bodies), ``width_max`` is the thickness, so the range is never
+    empty.  ``WidthReport`` says where each quantity comes from.
     """
+    require_tol(tol)
     rho = body.residual_bound
     if rho is not None:
         wmin, wmax = 0.5 * math.pi - rho, 0.5 * math.pi + rho
         if wmax - wmin <= tol:  # 2 rho <= tol, on the ends as rounded
-            return WidthReport(tol, wmin, wmax, True, body, None)
-    dual = polar_dual(body)
-    idx, ts = linspace_grid(dual.arcs.t0, dual.arcs.t1, length_weighted_counts(dual.arcs, WIDTH_SWEEP))
-    k = dual.arcs.point_at(ts, idx)
-    widths = math.pi - boundary_max_distance_many(dual, k)
-    thick = math.pi - diameter(dual)
-    wmin = min(float(widths.min()), thick)
-    wmax = float(widths.max())
-    passed = (wmax - wmin <= tol) and abs(wmin - 0.5 * math.pi) <= tol
-    return WidthReport(tol, wmin, wmax, passed, body, dual, swept_thickness=thick)
+            return WidthReport(tol, wmin, wmax, True, body)
+    # thickness validates the body first
+    thick = thickness(body)
+    diam = diameter(body)
+    wmax = max(0.5 * math.pi + _residual(diam, thick), thick)
+    passed = (wmax - thick <= tol) and abs(thick - 0.5 * math.pi) <= tol
+    return WidthReport(tol, thick, wmax, passed, body, diam, thick)

@@ -494,18 +494,6 @@ def sample_piece(piece: CircleArc, n: int) -> np.ndarray:
     return piece.point_at(np.linspace(piece.t0, piece.t1, n))
 
 
-def length_weighted_counts(arcs: ArcStack, count: int) -> np.ndarray:
-    """Sample counts per piece of the stack, about ``count`` in all.
-
-    Each piece gets a share proportional to its length, rounded half to
-    even (``np.rint``, as ``round`` does), and at least four; the lengths
-    are summed in chain order, as Python floats.
-    """
-    lengths = arcs.span * arcs.sin_r
-    total = max(sum(lengths.tolist()), 1e-12)
-    return np.maximum(4, np.rint(count * lengths / total).astype(int))
-
-
 def linspace_grid(t0, t1, counts) -> tuple[np.ndarray, np.ndarray]:
     """``np.linspace(t0[i], t1[i], counts[i])`` for every piece i, stacked.
 

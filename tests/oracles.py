@@ -123,6 +123,11 @@ def chord_distance(p: Vec, q: Vec) -> float:
     return math.sqrt(d.dot(d))
 
 
+def chord_angle(x, y):
+    """Geodesic distance between the rows of ``x`` and ``y`` (broadcast) in chord form, 2 asin(|x - y| / 2)."""
+    return 2.0 * np.arcsin(np.minimum(1.0, np.linalg.norm(x - y, axis=-1) / 2.0))
+
+
 def boundary_cloud(body, per_piece=2000):
     return np.vstack([sample_piece(p, per_piece) for p in body.pieces])
 
@@ -325,9 +330,9 @@ def directed_chord_oracle(a, b, per_edge=8, peaks=16, steps=60):
 
 
 def width_oracle(body, k, per_piece=2000):
-    """pi minus the farthest sampled support pole of the body from k."""
+    """pi minus the farthest sampled support pole of the body from k, or from each row of k."""
     poles = polyline_support_poles(body, per_piece)
-    return math.pi - float(acos_clamped_np(poles @ k).max())
+    return math.pi - acos_clamped_np(np.asarray(k) @ poles.T).max(axis=-1)
 
 
 def thickness_oracle(body, n_poles=400, per_piece=1200):
@@ -998,13 +1003,6 @@ def render_svg_per_segment(bodies, projection="orthographic", view=None):
 def math_each_per_row(f, *columns):
     """``sphere.math_each`` as a Python loop: ``f`` called on the Python floats of one row at a time."""
     return np.array([f(*row) for row in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))], dtype=float)
-
-
-def length_weighted_counts_per_row(arcs, count):
-    """``sphere.length_weighted_counts`` one piece at a time: Python's ``round`` of each share, at least four."""
-    lengths = (arcs.span * arcs.sin_r).tolist()
-    total = max(sum(lengths), 1e-12)
-    return np.array([max(4, int(round(count * x / total))) for x in lengths])
 
 
 def _num(x):

@@ -298,14 +298,19 @@ def test_certify_rejects_a_one_micro_radian_vertex_move():
 
 def test_certify_curved_result_takes_the_run_pairing(monkeypatch):
     # a curved result's widths and residual come from its run pairing in
-    # closed form, so no sweep runs
+    # closed form, so no dual is built and no farthest pair measured but
+    # the Hausdorff term's, one of each a direction
     body = cap(E3, PI / 4)
+    calls = {"farthest_pair": 0, "polar_dual": 0}
+    for name in calls:
 
-    def sweep(*args, **kwargs):
-        raise AssertionError("the width sweep ran")
+        def counted(*args, _fn=getattr(metrics, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
 
-    monkeypatch.setattr(metrics, "boundary_max_distance_many", sweep)
+        monkeypatch.setattr(metrics, name, counted)
     cert = certify(body, body, ApproximationConfig(0.01))
+    assert calls == {"farthest_pair": 2, "polar_dual": 2}
     assert cert.hausdorff_bound == 0.0
     assert abs(cert.width_min - PI / 2) <= 1e-9 and abs(cert.width_max - PI / 2) <= 1e-9
     assert cert.self_duality_residual <= 1e-9
@@ -314,13 +319,13 @@ def test_certify_curved_result_takes_the_run_pairing(monkeypatch):
 @pytest.mark.parametrize("make", [octant, lambda: random_selfdual_polytope(9, 1)], ids=["octant", "random"])
 def test_certify_great_arc_body_takes_the_polytope_certificate(monkeypatch, make):
     # the dual of a polytope is a ConvexBody of great arcs; certify reads it
-    # as a polytope, so the width sweep never runs
+    # as a polytope, so ``is_constant_width`` never runs
     poly = make()
 
-    def sweep(*args, **kwargs):
-        raise AssertionError("the width sweep ran")
+    def report(*args, **kwargs):
+        raise AssertionError("the width report ran")
 
-    monkeypatch.setattr(approx, "is_constant_width", sweep)
+    monkeypatch.setattr(approx, "is_constant_width", report)
     cert = certify(poly, polar_dual(poly), ApproximationConfig(1e-9))
     assert cert.self_duality_residual < 1e-12
 

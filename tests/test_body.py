@@ -649,7 +649,7 @@ def test_membership_refuses_a_body_without_pieces():
         lambda: contains_many(empty, pts),
         lambda: bd.body_distance_many(empty, pts),
         lambda: bd.boundary_distance_many(empty, pts),
-        lambda: bd.boundary_max_distance_many(empty, pts),
+        lambda: bd.boundary_min_dot_many(empty, pts),
     ):
         with pytest.raises(InvalidBody, match="no pieces"):
             call()
@@ -708,7 +708,7 @@ def test_residual_bound_covers_residual_and_sampled_widths(selfdual_polys):
                 continue  # large moves can fold a fine polytope
             rho = selfdual_residual_bound(q)
             rep = is_constant_width(q)
-            # the swept residual is exact, so only its roundoff is allowed
+            # off the closed form the residual is exact, so only its roundoff is allowed
             assert rho >= rep.self_duality_residual - 1e-15, (name, amp)
             assert 0.5 * math.pi - rho <= rep.width_min + 1e-12, (name, amp)
             assert rep.width_max <= 0.5 * math.pi + rho + 1e-12, (name, amp)

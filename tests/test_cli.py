@@ -201,7 +201,7 @@ def test_certify_of_a_far_pair_exits_one(tmp_path, capsys):
 
 def test_metrics_of_the_frame_jump_body_exits_zero(tmp_path, capsys):
     # a valid pi/4 cap whose frame turns a quarter between two pieces of one
-    # circle is swept; its residual is 0 up to roundoff
+    # circle takes the exact report; its residual is 0 up to roundoff
     from fixtures import frame_jump_cap
 
     f = tmp_path / "frame-jump.json"
@@ -226,7 +226,7 @@ def test_certify_octant_pair(tmp_path, capsys):
 def test_certify_dual_file_takes_the_polytope_certificate(tmp_path, capsys, monkeypatch, kind):
     # ``dual`` writes a polytope file, and a pc-body of great arcs, the
     # format it wrote before, is read as a polytope too: certify takes the
-    # polytope certificate on both, so the width sweep (``is_constant_width``)
+    # polytope certificate on both, so the width report (``is_constant_width``)
     # never runs
     body, dual, old = tmp_path / "body.json", tmp_path / "dual.json", tmp_path / "old.json"
     run(capsys, "generate", kind, "-o", str(body))
@@ -277,9 +277,9 @@ def test_certify_pairs_without_arc_runs_keep_the_refined_distance(tmp_path, caps
     assert json.loads(stdout)["hausdorff_bound"] == metrics.hausdorff(loads_body(a.read_text()), result) <= 1e-12
 
 
-def test_certify_and_metrics_print_the_upper_end_of_a_swept_residual(tmp_path, capsys):
-    # a curved result whose run pairing does not cover it is swept: both
-    # verbs print its exact distance to its dual,
+def test_certify_and_metrics_print_the_exact_residual_off_the_closed_form(tmp_path, capsys):
+    # a curved result whose run pairing does not cover it takes the exact
+    # report: both verbs print its exact distance to its dual,
     # max(0, diameter - pi/2, pi/2 - thickness), 0 up to roundoff on this
     # trimmed body
     from fixtures import curved_tampered, rotated_reuleaux
@@ -317,6 +317,21 @@ def test_nan_tol_cannot_certify_a_wrong_width(tmp_path, capsys):
     code, stdout, err = run(capsys, "certify", str(src), str(small), "--epsilon", "1", "--tol", "nan")
     assert code == 1
     assert "ValueError" in err and stdout == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_a_bad_tol_is_refused_at_once(tmp_path, capsys, tol):
+    # the completion and the width report take a tol only when it is
+    # finite and >= 0: a NaN one would run the completion to its insertion
+    # budget, an infinite one fail in math.sin; refused before any work,
+    # each names tol and exits 1
+    src = tmp_path / "cap.json"
+    run(capsys, "generate", "cap", "-o", str(src))
+    for argv in (("generate", "completion", "--radius", "0.6", "-o", str(tmp_path / "c.json")), ("metrics", str(src))):
+        code, stdout, err = run(capsys, *argv, "--tol", tol)
+        assert code == 1 and stdout == "", argv
+        assert err.startswith("ValueError: tol must be finite and >= 0"), (argv, err)
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_each_verb_validates_each_body_once(tmp_path, capsys, monkeypatch):

@@ -9,11 +9,9 @@ import oracles
 from fixtures import lens, selfdual_polytopes, truncated_octant
 from spherewidth.approx import ApproximationConfig, approximate_polytope
 from spherewidth.body import (
-    BLOCK_ELEMENTS,
     Polytope,
     body_distance_many,
     boundary_distance_many,
-    boundary_max_distance_many,
     pairing_residual_bound,
     polar_dual,
     selfdual_residual_bound,
@@ -46,13 +44,12 @@ from spherewidth.metrics import (
 from spherewidth.sphere import (
     acos_clamped_np,
     great_arc_stack,
-    length_weighted_counts,
-    linspace_grid,
     lune_thickness,
     max_distance_to_piece,
     min_dot_to_piece,
     sample_piece,
     unit,
+    unit_each,
     unit_rows,
 )
 
@@ -92,22 +89,20 @@ def test_width_selfdual_cap_any_support_pole(monkeypatch):
         k = piece.support_pole_at(az)[0]
         assert width_wrt(b, k) == pytest.approx(PI / 2, abs=1e-9)
     # a self-dual polytope: every vertex is a support pole; its report is
-    # the closed form, so it sweeps nothing
+    # the closed form, so it measures nothing
     poly, _, _ = approximate_polytope(cap(unit([1, 2, 3]), PI / 4), ApproximationConfig(0.01))
     for k in poly.vertices:
         assert width_wrt(poly, k) == pytest.approx(PI / 2, abs=1e-9)
     rep = is_constant_width(poly)
-    assert rep.dual is None
+    assert closed_form(rep)
     assert rep.width_min == pytest.approx(PI / 2, abs=1e-9)
     assert rep.width_max == pytest.approx(PI / 2, abs=1e-9)
     # a curved body of constant width takes the closed form of its run
-    # pairing; swept, its width sweep spans many piece blocks of the
-    # batched farthest-distance kernel
+    # pairing; off it, the exact report gives the same widths
     body = rounded_reuleaux(9, 0.2, unit([1, 2, 3]))
-    assert is_constant_width(body).dual is None
-    rep = swept(body, 1e-6, monkeypatch)
-    assert rep.dual is not None
-    assert len(rep.dual.pieces) * 4096 > 8 * BLOCK_ELEMENTS
+    assert closed_form(is_constant_width(body))
+    rep = exact(body, 1e-6, monkeypatch)
+    assert not closed_form(rep)
     assert rep.width_min == pytest.approx(PI / 2, abs=1e-9)
     assert rep.width_max == pytest.approx(PI / 2, abs=1e-9)
 
@@ -314,9 +309,9 @@ def test_farthest_pair_matches_dense_chord_sampling(kernel_corpus):
 def test_cosine_kernel_matches_the_arccos_reference(kernel_corpus):
     # one arccos of the least dot where the reference takes one a
     # candidate, with np.hypot and np.mod: the kernel's distances, the
-    # diameter and the sweep's farthest distances agree to 4e-16, or to one
-    # ulp above 2, where an ulp is 4.4e-16; each pair lies on the boundary,
-    # at its distance
+    # diameter and the farthest distances ``width_wrt`` reads agree to
+    # 4e-16, or to one ulp above 2, where an ulp is 4.4e-16; each pair lies
+    # on the boundary, at its distance
     def close(got, ref):
         return np.all(np.abs(got - ref) <= np.maximum(4e-16, np.spacing(ref)))
 
@@ -328,9 +323,9 @@ def test_cosine_kernel_matches_the_arccos_reference(kernel_corpus):
         assert close(d, oracles.farthest_pair_arccos(body, body)), name
         assert np.all(boundary_distance_many(body, np.array([p, q])) <= 4e-16), name
         assert abs(acos_clamped_np(p @ q) - d) <= 4e-16, name
-        idx, ts = linspace_grid(a.t0, a.t1, length_weighted_counts(a, 512))
-        k = a.point_at(ts, idx)
-        assert close(boundary_max_distance_many(body, k), oracles.max_distance_to_piece_arccos(k, a).max(axis=1)), name
+        k = oracles.boundary_samples(body, 16)
+        far = acos_clamped_np(bd.boundary_min_dot_many(body, k))
+        assert close(far, oracles.max_distance_to_piece_arccos(k, a).max(axis=1)), name
 
 
 def test_farthest_pair_puts_each_shared_end_in_the_kernel_once(monkeypatch):
@@ -418,46 +413,55 @@ def test_the_report_has_one_width_and_one_source_per_quantity(monkeypatch):
         with pytest.raises(TypeError):
             is_constant_width(body, *args)
     assert [f.name for f in fields(WidthReport)] == [
-        "tol", "width_min", "width_max", "passed", "body", "dual", "swept_thickness"
+        "tol", "width_min", "width_max", "passed", "body", "measured_diameter", "measured_thickness"
     ]
-    # in closed form the residual is the body's own rho; swept, as the
-    # closed form switched off makes it, the diameter is still ``diameter``'s
+    # in closed form the residual is the body's own rho and nothing is
+    # measured; off it, as the closed form switched off makes it, the
+    # report keeps the diameter and thickness it measured, once each
     for poly in (body, random_selfdual_polytope(30, 1)):
         rep = is_constant_width(poly)
-        assert rep.dual is None and rep.self_duality_residual == poly.residual_bound
-        ref = swept(poly, 1e-6, monkeypatch)
-        assert ref.dual is not None and ref.passed
+        assert closed_form(rep) and rep.measured_diameter is None
+        assert rep.self_duality_residual == poly.residual_bound
+        with monkeypatch.context() as m:
+            calls = counted_calls(m, ("diameter", "thickness"))
+            ref = exact(poly, 1e-6, m)
+            assert ref.passed and ref.width_min == ref.thickness
+            assert (ref.diameter, ref.thickness) == (ref.measured_diameter, ref.measured_thickness)
+            assert {k: len(v) for k, v in calls.items()} == {"diameter": 1, "thickness": 1}
         assert ref.diameter == rep.diameter == diameter(poly)
-        assert ref.thickness == PI - diameter(ref.dual)
+        assert ref.thickness == rep.thickness == thickness(poly)
 
 
-def test_the_swept_residual_is_the_diameter_formula(monkeypatch):
+def test_the_exact_residual_is_the_diameter_formula(monkeypatch):
     # a body the closed form does not cover reports its exact distance to
     # its dual, max(0, diameter - pi/2, pi/2 - thickness), from the two
-    # values of its own report, on every body of the swept corpus; the
-    # public ``self_duality_residual`` is the same formula on ``diameter``
-    # and ``thickness``, which may read a polygon's poles an ulp apart
+    # values of its own report, on every body of the width corpus: the
+    # public ``self_duality_residual`` bit for bit
     reports = 0
-    for body in swept_corpus():
-        rep = swept(body, 1e-6, monkeypatch)
+    for body in width_corpus():
+        rep = exact(body, 1e-6, monkeypatch)
         want = max(0.0, rep.diameter - PI / 2, PI / 2 - rep.thickness)
-        assert rep.self_duality_residual == want, body
-        assert abs(want - self_duality_residual(body)) <= 1e-15, body
+        assert rep.self_duality_residual == want == self_duality_residual(body), body
         reports += 1
     assert reports > 100
     # a cap of radius 1 lies 2 - pi/2 from its dual, one of radius pi/3 pi/6
     for r, want in ((1.0, 2.0 - PI / 2), (PI / 3, PI / 6)):
         rep = is_constant_width(cap(E3, r))
-        assert rep.dual is not None
+        assert not closed_form(rep)
         assert abs(rep.self_duality_residual - want) <= 1e-15
         assert abs(self_duality_residual(cap(E3, r)) - want) <= 1e-15
 
 
-def swept(body, tol, monkeypatch):
-    """``is_constant_width`` with the closed form switched off: the sweep alone.
+def closed_form(rep):
+    """Whether the report took the closed form: it then keeps no measured thickness."""
+    return rep.measured_thickness is None
+
+
+def exact(body, tol, monkeypatch):
+    """``is_constant_width`` with the closed form switched off: the exact report alone.
 
     A property on the class outranks the value a body keeps from an earlier
-    read, so a body gated before is swept too."""
+    read, so a body gated before takes the exact report too."""
     with monkeypatch.context() as m:
         m.setattr(bd.ConvexBody, "residual_bound", property(lambda b: None))
         return is_constant_width(body, tol=tol)
@@ -476,7 +480,7 @@ def tampered(poly):
     ]
 
 
-def swept_corpus():
+def width_corpus():
     """The acceptance corpus, each of its polytopes of 5+ vertices tampered three ways, the truncated octant
     and the curved self-dual and curved tampered corpora: 110 bodies."""
     from fixtures import acceptance_corpus, curved_selfdual_bodies, curved_tampered
@@ -487,34 +491,94 @@ def swept_corpus():
     return bodies + [*curved_selfdual_bodies().values(), *curved_tampered().values()]
 
 
-def test_closed_form_verdict_equals_the_sweep(monkeypatch):
-    # the closed form answers only when 2 rho <= tol, where the sweep's
-    # widths lie within rho of pi/2 and it passes too; everything else is
-    # swept, so ``passed`` never changes
-    closed = curved = swept_fails = 0
-    for body in swept_corpus():
-        for tol in (0.0, 1e-9, 1e-6, 1e-5, 1e-2):
+TOLS = (0.0, 1e-9, 1e-6, 1e-5, 1e-2)
+
+
+def pole_polygon(poles, per_edge):
+    """``per_edge`` points of each great arc from a pole to the next, ends included, edge after edge."""
+    s = np.linspace(0.0, 1.0, per_edge)[:, None, None]
+    return unit_rows(((1.0 - s) * poles + s * np.roll(poles, -1, axis=0)).swapaxes(0, 1).reshape(-1, 3))
+
+
+def sampled_widths(body):
+    """Widths of the body at sampled poles K on its dual's boundary, none read through ``polar_dual``, each
+    as an interval [lo, hi] that holds the exact width.
+
+    hi is pi minus the farthest sampled point of the dual's boundary from
+    K, so the width is at most hi, up to roundoff.  A polytope's dual is
+    the polygon of its edge poles, ``unit_each(arcs.z)`` (a body of great
+    arcs read as its ``Polytope``): K runs over 17 points of each of its
+    edges, poles included, against 1025 points of each, at most h apart,
+    in chord form.  Along an edge K . y = A cos(t - phi) with A <= 1, so the
+    least K . y lies at most h^2 / 8 below the least sampled one, which
+    gives lo.  A curved body's K are the finite-difference support poles of
+    ``oracles.width_oracle``, exact for a circle by symmetry up to the
+    roundoff of their short differences (about 1e-13); every boundary point
+    of C* lies within g / 2 along the boundary of one of them, g the
+    largest step between consecutive poles (with 1 % for a step's path
+    over its chord), which gives lo.
+    """
+    if body.is_polytope():
+        poles = unit_each(to_polytope(body).arcs.z)
+        fine = pole_polygon(poles, 1025)
+        h = float(oracles.chord_angle(fine[:-1], fine[1:]).max())
+        k = pole_polygon(poles, 17)
+        far = np.concatenate([oracles.chord_angle(x[:, None], fine).max(axis=1) for x in np.array_split(k, len(poles))])
+        return PI - acos_clamped_np(np.maximum(-1.0, np.cos(far) - h * h / 8.0)), PI - far
+    poles = oracles.polyline_support_poles(body, per_piece=400)
+    hi = oracles.width_oracle(body, poles[:: max(1, len(poles) // 200)], per_piece=400)
+    g = 1.01 * float(oracles.chord_angle(poles, np.roll(poles, -1, axis=0)).max())
+    return hi - 0.5 * g - 1e-12, hi + 1e-12
+
+
+def test_off_the_closed_form_the_report_is_exact(monkeypatch):
+    # with the closed form off, on every body of the width corpus at every
+    # tol, the least width is the thickness and the largest pi/2 plus the
+    # exact distance to the dual (or the thickness, an ulp above that on a
+    # few self-dual bodies), bit for bit; every width sampled without
+    # ``polar_dual`` lies in that range, up to the sampling's error
+    polytopes = 0
+    for body in width_corpus():
+        want_min = thickness(body)
+        want_max = max(PI / 2 + self_duality_residual(body), want_min)
+        for tol in TOLS:
+            rep = exact(body, tol, monkeypatch)
+            assert (rep.width_min, rep.width_max) == (want_min, want_max), (body, tol)
+        lo, hi = sampled_widths(body)
+        assert hi.min() >= want_min - 1e-14, (body, hi.min() - want_min)
+        assert lo.max() <= want_max + 1e-14, (body, lo.max() - want_max)
+        polytopes += isinstance(body, Polytope)
+    assert polytopes > 50
+
+
+def test_closed_form_verdict_equals_the_exact_report(monkeypatch):
+    # the closed form answers only when 2 rho <= tol, where the exact
+    # widths lie within rho of pi/2 and pass too; everything else takes
+    # the exact report, so ``passed`` never changes
+    closed = curved = exact_fails = 0
+    for body in width_corpus():
+        for tol in TOLS:
             rep = is_constant_width(body, tol=tol)
-            ref = swept(body, tol, monkeypatch)
+            ref = exact(body, tol, monkeypatch)
             assert rep.passed == ref.passed, (body, tol)
-            closed += rep.dual is None
-            curved += rep.dual is None and not body.is_polytope()
-            swept_fails += not ref.passed
-            if rep.dual is None:
+            closed += closed_form(rep)
+            curved += closed_form(rep) and not body.is_polytope()
+            exact_fails += not ref.passed
+            if closed_form(rep):
                 rho = body.residual_bound
                 assert (rep.width_min, rep.width_max) == (PI / 2 - rho, PI / 2 + rho)
                 assert rep.self_duality_residual == rho
                 assert ref.width_min >= rep.width_min - 1e-15 and ref.width_max <= rep.width_max + 1e-15
-                if not body.is_polytope():  # measured when read, as the sweep measures it
+                if not body.is_polytope():  # measured when read, as the exact report measures it
                     assert rep.thickness == ref.thickness
             else:
                 assert (rep.width_min, rep.width_max, rep.thickness) == (ref.width_min, ref.width_max, ref.thickness)
-    assert closed > 200 and curved > 80 and swept_fails > 40
+    assert closed > 200 and curved > 80 and exact_fails > 40
 
 
-def test_pairing_bound_covers_the_residual_and_the_swept_widths(monkeypatch):
+def test_pairing_bound_covers_the_residual_and_the_exact_widths(monkeypatch):
     # rho is a proved upper end of H(C, C*), which ``hausdorff`` measures
-    # exactly; the sampled widths lie within rho of pi/2
+    # exactly; the exact report's widths lie within rho of pi/2
     from fixtures import curved_selfdual_bodies, curved_tampered
 
     selfdual = curved_selfdual_bodies()
@@ -527,7 +591,7 @@ def test_pairing_bound_covers_the_residual_and_the_swept_widths(monkeypatch):
         dual = polar_dual(body)
         h = max(float(body_distance_many(x, oracles.boundary_samples(y, 64)).max()) for x, y in ((body, dual), (dual, body)))
         h = max(h, hausdorff(body, dual))
-        ref = swept(body, 1e-6, monkeypatch)
+        ref = exact(body, 1e-6, monkeypatch)
         assert h <= rho, name
         assert PI / 2 - rho - 1e-15 <= ref.width_min <= ref.width_max <= PI / 2 + rho + 1e-15, name
     assert all(rhos[name] <= 1e-10 for name in selfdual)
@@ -541,7 +605,7 @@ def test_pairing_bound_covers_the_residual_and_the_swept_widths(monkeypatch):
     assert 1e-7 <= rhos["corner-moved-1e-7"] <= 1e-6
     # a frame that turns a quarter between two pieces of one circle never
     # lowers rho: the offset of the second piece from the run's arc is of
-    # order 1, and the body is swept
+    # order 1, and the body takes the exact report
     assert tampered_bodies["frame-jump"].validation.ok and rhos["frame-jump"] is None
 
 
@@ -561,34 +625,34 @@ def test_curved_gate_builds_no_dual_and_runs_no_ascent(monkeypatch):
     from fixtures import curved_selfdual_bodies
 
     bodies = list(curved_selfdual_bodies().values())
-    calls = counted_calls(monkeypatch, ("farthest_pair",) + SWEEP_WORK)
+    calls = counted_calls(monkeypatch, EXACT_WORK)
     reports = [is_constant_width(body) for body in bodies]
-    assert all(rep.passed and rep.dual is None for rep in reports)
+    assert all(rep.passed and closed_form(rep) for rep in reports)
     assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, 0)
-    # thickness and diameter are measured when read, as the sweep measured them
+    # thickness and diameter are measured when read, as the exact report measures them
     rep, body = reports[0], bodies[0]
     assert rep.thickness == PI - farthest(polar_dual(body))[0]
     assert rep.diameter == farthest(body)[0]
 
 
-def test_tampered_polytopes_fall_back_to_the_sweep(monkeypatch, cap_polytopes):
+def test_tampered_polytopes_take_the_exact_report(monkeypatch, cap_polytopes):
     poly = cap_polytopes[1][1]
     for name, bad in tampered(poly):
         assert validate_polytope(bad).ok, name
         rep = is_constant_width(bad, tol=1e-6)
-        ref = swept(bad, 1e-6, monkeypatch)
-        # swept as before, each quantity from its one source: the dual's
-        # diameter, the body's, and the residual formula on both
-        assert rep.dual is not None, name
+        ref = exact(bad, 1e-6, monkeypatch)
+        # each quantity from its one source: the body's thickness and
+        # diameter, and the residual formula on both
+        assert not closed_form(rep), name
         assert rep.passed == ref.passed
         assert (rep.width_min, rep.width_max, rep.thickness) == (ref.width_min, ref.width_max, ref.thickness)
-        assert rep.thickness == PI - diameter(rep.dual), name
+        assert rep.width_min == rep.thickness == thickness(bad), name
         assert rep.diameter == ref.diameter == diameter(bad)
         assert rep.self_duality_residual == max(0.0, rep.diameter - PI / 2, PI / 2 - rep.thickness), name
-    # the verdicts stay the sweep's: the deleted vertex fails; the even
-    # count, its new vertex 1e-8 off an edge, passes although rho is large;
-    # so does the moved vertex, whose widths the sweep samples (``certify``
-    # rejects it by rho)
+        assert rep.width_max == PI / 2 + rep.self_duality_residual, name
+    # the deleted vertex fails; the even count, its new vertex 1e-8 off an
+    # edge, passes although rho is large; so does the moved vertex, whose
+    # exact residual is within tol (``certify`` rejects it by rho)
     verdicts = {name: is_constant_width(bad, tol=1e-6).passed for name, bad in tampered(poly)}
     assert verdicts == {"moved-1e-6": True, "deleted": False, "even-count": True}
 
@@ -614,25 +678,27 @@ def counted_calls(monkeypatch, names):
     return calls
 
 
-SWEEP_WORK = ("boundary_max_distance_many", "min_dot_to_piece", "hausdorff", "polar_dual")
+# What the exact report measures and the closed form does not: none runs in a closed-form report.
+EXACT_WORK = ("farthest_pair", "polar_dual", "thickness", "min_dot_to_piece", "hausdorff")
 
 
 def test_selfdual_polytope_report_sweeps_nothing(monkeypatch):
     polys = selfdual_polytopes()
     fresh = [Polytope(polys[k].vertices.copy()) for k in ("octant", "cap-1", "random-30-2")]
-    calls = counted_calls(monkeypatch, SWEEP_WORK + ("validate",))
-    for poly in fresh:
-        rep = is_constant_width(poly)
-        assert rep.passed
+    calls = counted_calls(monkeypatch, EXACT_WORK + ("validate",))
+    reports = [is_constant_width(poly) for poly in fresh]
+    assert {k: len(calls[k]) for k in EXACT_WORK} == dict.fromkeys(EXACT_WORK, 0)
+    assert calls["validate"] == fresh
+    for poly, rep in zip(fresh, reports):
+        assert rep.passed and closed_form(rep)
         rho = selfdual_residual_bound(poly)
         assert rep.self_duality_residual == rho
         assert rep.width_min <= rep.thickness <= rep.width_max
         assert rep.diameter == pytest.approx(PI / 2, abs=1e-12)
-    assert {k: len(calls[k]) for k in SWEEP_WORK} == dict.fromkeys(SWEEP_WORK, 0)
-    assert calls["validate"] == fresh
 
 
 def test_metrics_verb_sweeps_nothing_on_polytope_files(monkeypatch, tmp_path, capsys):
+    from spherewidth import cli
     from spherewidth.cli import main
     from spherewidth.formats import dumps_body
 
@@ -640,35 +706,47 @@ def test_metrics_verb_sweeps_nothing_on_polytope_files(monkeypatch, tmp_path, ca
     files = {"poly": poly, "dual": polar_dual(poly)}
     for name, b in files.items():
         (tmp_path / name).write_text(dumps_body(b))
-    calls = counted_calls(monkeypatch, SWEEP_WORK + ("validate",))
+    calls = counted_calls(monkeypatch, EXACT_WORK + ("validate",))
+    reports = []
+
+    def recorded(body, **kwargs):
+        reports.append(is_constant_width(body, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "is_constant_width", recorded)
     for name in files:
         assert main(["metrics", str(tmp_path / name)]) == 0
         rec = json.loads(capsys.readouterr().out)
         assert rec["width_min"] <= rec["thickness"] <= rec["width_max"]
         assert rec["self_duality_residual"] <= 1e-12
-    assert {k: len(calls[k]) for k in SWEEP_WORK} == dict.fromkeys(SWEEP_WORK, 0)
+    # each report takes the closed form; the verb prints the thickness, which
+    # it then measures on the body's poles
+    assert len(reports) == 2 and all(closed_form(rep) for rep in reports)
+    assert len(calls.pop("thickness")) == 2
+    validated = calls.pop("validate")
+    assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, 0)
     # the polytope and its dual, a polytope file too, are one body each,
     # each validated once
-    validated = calls["validate"]
     assert len(validated) == 2 and len({id(b) for b in validated}) == 2
 
 
 def test_polytope_gate_and_seed_check_run_no_ascent(monkeypatch):
     # the approximation gate on a polytope input and the completion's
-    # sub-duality check of its seed both take the closed form: the
-    # farthest-pair kernel measures only the certificate's Hausdorff
-    # fallback, one call a direction (a polytope input has no arc run for
-    # the pairing walk), and the duals the completion grows into
+    # sub-duality check of its seed both take the closed form, so no
+    # thickness is measured: the farthest-pair kernel measures only the
+    # certificate's Hausdorff fallback, one call a direction (a polytope
+    # input has no arc run for the pairing walk), and the duals the
+    # completion grows into
     poly = selfdual_polytopes()["random-30-1"]
     seed = random_subdual_polytope_seed(30, 4)
-    calls = counted_calls(monkeypatch, ("farthest_pair",) + SWEEP_WORK)
+    calls = counted_calls(monkeypatch, EXACT_WORK)
     out, cert, steps = approximate_polytope(poly, ApproximationConfig(0.01))
     assert len(steps) == 0 and np.array_equal(out.vertices, poly.vertices)
     assert calls["hausdorff"] == [poly] and calls["farthest_pair"] == [poly, out]
     calls["farthest_pair"].clear()
     complete_selfdual(seed, tol=1e-7)
     assert len(calls["farthest_pair"]) == 1 and calls["farthest_pair"][0] is not seed
-    assert calls["boundary_max_distance_many"] == []
+    assert calls["thickness"] == []
 
 
 # ---------------------------------------------------------------- Hausdorff

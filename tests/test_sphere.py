@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import oracles
@@ -295,20 +294,6 @@ def test_great_arc_lengths_are_acos_clamped_of_each_cosine():
     got = great_arc_stack(*ends)
     assert np.array_equal(got.t1, [0.5 * math.pi, math.pi]) and np.array_equal(got.span, got.t1)
     assert np.array_equal(got.t1, [oracles.great_arc_fields(s, e)["t1"] for s, e in zip(*ends)])
-
-
-def test_length_weighted_counts_are_the_list_form():
-    # shares of exactly k + 0.5 round half to even, as Python's round does:
-    # with count = 57 = the total length, each share is its length
-    lengths = np.array([4.5, 5.5, 6.5, 7.5, 0.5, 1.5, 2.5, 8.5, 9.5, 10.5])
-    ties = replace(stack_arcs([GreatArc(E1, E2)] * len(lengths)), span=lengths, sin_r=np.ones(len(lengths)))
-    got = sphere.length_weighted_counts(ties, 57)
-    assert got.tolist() == [4, 6, 6, 8, 4, 4, 4, 8, 10, 10]
-    bodies = [random_selfdual_polytope(30, 1), polar_dual(lens(E3, unit([0.5, 0.0, 1.0]), 0.7, 0.6))]
-    for arcs in [ties] + [b.arcs for b in bodies]:
-        for count in (57, 114, 4096, 3):
-            got, want = sphere.length_weighted_counts(arcs, count), oracles.length_weighted_counts_per_row(arcs, count)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _great_arc_ends(body):
