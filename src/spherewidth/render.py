@@ -21,7 +21,7 @@ exact box of the projected arcs, in closed form for both projections
 (``projected_box``: each plane coordinate along an arc is a ratio of two
 sinusoids, extreme at the ends or at the two roots of its derivative), and
 the front-hemisphere checks take the exact least x . v along each arc
-(``sphere.arc_dot_range``), so nothing is sampled.
+(``sphere.min_dot_to_piece``), so nothing is sampled.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from .body import ConvexBody
 from .formats import format_rows_by
 from .sphere import (
     ArcStack,
-    arc_dot_range,
     join_stacks,
     linspace_grid,
     math_each,
+    min_dot_to_piece,
     row_dots,
     tangent_basis,
     unit,
@@ -204,7 +204,7 @@ def render_svg(bodies: Sequence[ConvexBody], projection: str = "orthographic", v
     arcs = join_stacks(*(body.arcs for body in bodies))
     first = np.cumsum([0] + counts[:-1])
     stereographic = projection == "stereographic"
-    front = np.minimum.reduceat(arc_dot_range(arcs, v)[0], first)
+    front = np.minimum.reduceat(min_dot_to_piece(v[None], arcs)[0], first)
     if not stereographic and (front <= 0.0).any():
         raise ValueError("body is not contained in the front hemisphere")
     if stereographic and (front <= -1.0 + 1e-6).any():

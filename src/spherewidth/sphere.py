@@ -9,22 +9,26 @@ with centre z, angular radius r in (0, pi/2] and a tangent frame (u, v) at z.
 A ``SmallCircleArc`` has r < pi/2 and the canonical ``tangent_basis`` frame; a
 ``GreatArc`` is the r = pi/2 case about its pole, and ``ArcStack.great`` is
 the one test that tells the two apart on a stack.  Sampling, support poles,
-distance and farthest-point queries are therefore one closed form for both,
-and so is ``arc_dot_range``, the exact range of x . w along stacked arcs,
-which validation and rendering share; each stack takes the cosines and
-sines of its ends once (``ArcStack.end_trig``).  The farthest kernel works on cosines:
-``min_dot_to_piece`` gives the least x . y over each piece and takes no
-arccos, so a caller reduces the cosines and takes one arccos per distance
-it reports (``max_distance_to_piece`` is the arccos of each), and
-``farthest_on_arc`` reads the farthest point off the same candidates.
+distance and farthest-point queries are therefore one closed form for both.
+Two kernels give the least dot along an arc:
+``min_dot_to_piece``, the least x . y over the points y of each piece, and
+``min_support_dot``, the least x . K over its support poles K, which reads
+the cosines and sines of the ends that each stack takes once
+(``ArcStack.end_trig``).  Membership, rendering and the farthest-pair
+queries read these two, and validation their closed forms, fused in one
+product (``body.validate``).  ``min_dot_to_piece`` works on
+cosines and takes no arccos, so a caller reduces the cosines and takes one
+arccos per distance it reports (``max_distance_to_piece`` is the arccos of
+each), and ``farthest_on_arc`` reads the farthest point off the same
+candidates.
 ``stack_arcs`` lays out a whole boundary as arrays; ``great_arc_stack`` and
 ``small_arc_stack`` build them from ends, or centres, radii and azimuths, in
 one pass, each piece object being the one-row case (``arc_pieces`` gives a
 stack's rows as objects).  Where a value must be ``math``'s rather than
 numpy's, ``math_each`` maps the ``math`` function over a whole column at C
 level, so no builder runs Python code per row.  The distance kernels and
-the least support-pole dot take a stack for one column per piece and
-``farthest_on_arc`` one row of a stack.
+the least-dot kernels take a stack only, rows x pieces, a single piece
+being a one-row stack, and ``farthest_on_arc`` one row of a stack.
 Everything here is a pure function over immutable values and is safe to call
 concurrently.
 """
@@ -50,14 +54,20 @@ Vec = np.ndarray
 
 
 def unit(v) -> Vec:
-    """Normalize ``v`` to a unit 3-vector."""
+    """Normalize ``v`` to a unit 3-vector; raises ``ValueError``, naming ``v``, unless its norm is finite and at
+    least ``DOT_EPS``."""
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError("expected a 3-vector, got shape %s" % (a.shape,))
-    n = math.sqrt(a.dot(a))  # np.linalg.norm of a vector, without its dispatch
-    if n < DOT_EPS:
-        raise ValueError("cannot normalize a near-zero vector")
-    return a / n
+    s, (x, y, z) = a, a.tolist()
+    if not x * x + y * y + z * z < 1e300:
+        # scaled by the power of two that puts its largest |component| in [0.5, 1), as in ``unit_rows``: exact,
+        # so that a finite vector's squared norm does not overflow (a NaN or infinite one stays non-finite)
+        s = np.ldexp(a, -math.frexp(max(abs(x), abs(y), abs(z)))[1])
+    n = math.sqrt(s.dot(s))  # np.linalg.norm of a vector, without its dispatch
+    if not DOT_EPS <= n < math.inf:  # a NaN norm fails too
+        raise ValueError("cannot normalize %s: its norm must be finite and >= %g" % (a.tolist(), DOT_EPS))
+    return s / n
 
 
 def unit_rows(m) -> np.ndarray:
@@ -308,9 +318,9 @@ class SmallCircleArc(CircleArc):
 class ArcStack:
     """The pieces of one boundary as stacked arrays, row i for piece i.
 
-    The field names match the ``CircleArc`` attributes, so
-    ``distance_to_piece`` takes either one piece (one distance per row) or a
-    stack (rows x pieces); slicing gives the stack of a run of pieces.  The
+    The field names match the ``CircleArc`` attributes, so ``stack_arcs``
+    of piece objects is a stack, which every kernel takes (rows x pieces);
+    slicing gives the stack of a run of pieces.  The
     methods are the ``CircleArc`` formulas elementwise (bit for bit per row);
     ``t`` broadcasts, so ``np.linspace(t0, t1, k)`` gives k values a piece.
     ``point_at`` and ``support_pole_at`` take an optional row index and
@@ -345,12 +355,18 @@ class ArcStack:
     def end_trig(self) -> tuple[np.ndarray, np.ndarray]:
         """cos and sin of (t0, t1), each (2, rows), taken once per stack.
 
-        Validation's pole integral and hemisphere range (``arc_dot_range``),
-        ``min_support_dot`` and ``ConvexBody.junction_poles`` all read these
-        values; ``small_arc_stack`` keeps the ones it made its ends from.
+        Validation's pole integral, ``min_support_dot`` and
+        ``ConvexBody.junction_poles`` all read these values;
+        ``small_arc_stack`` keeps the ones it made its ends from.
         """
         t = np.array([self.t0, self.t1])
         return np.cos(t), np.sin(t)
+
+    @cached_property
+    def dot_rows(self) -> np.ndarray:
+        """u, v, z, start and end, each (rows, 3), one after the other, joined once per stack: the vectors
+        the kernels take their products with (``_dots``), u, v and z first for ``min_support_dot``."""
+        return np.concatenate([self.u, self.v, self.z, self.start, self.end])
 
     def _terms(self, t, rows):
         """cos r, sin r, z and the ring cos t u + sin t v of the rows ``rows`` (all rows for None)."""
@@ -511,53 +527,19 @@ def linspace_grid(t0, t1, counts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def point_to_piece_distance(p: Vec, piece: CircleArc) -> float:
-    """Minimum geodesic distance from ``p`` to any point of the piece."""
-    return float(distance_to_piece(np.asarray(p, dtype=float)[None, :], piece)[0])
+    """Minimum geodesic distance from ``p`` to any point of the piece, as a one-row stack."""
+    return float(distance_to_piece(np.asarray(p, dtype=float)[None, :], stack_arcs([piece]))[0, 0])
 
 
-def _dots(x: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``x @ vecs.T`` as one matrix-vector product per row of ``vecs``.
+def _dots(x: np.ndarray, vecs: np.ndarray, k: int) -> np.ndarray:
+    """``x @ vecs.T`` as one matrix-vector product per row of ``vecs``, split into its k blocks of equal
+    length: (k, rows, len(vecs) // k).
 
     Each column then equals ``x @ vec`` bit for bit, so a piece gets the
-    same values alone as inside a stack of any size.
+    same values alone as inside a stack of any size, and the blocks of
+    several vectors a piece (``ArcStack.dot_rows``) cost one call.
     """
-    if vecs.ndim == 1:
-        return x @ vecs
-    return np.matmul(x, vecs[:, :, None])[..., 0].T
-
-
-def sinusoid_range(a, b, tl, tr, cos, sin):
-    """Exact range of a cos t + b sin t over t in [tl, tr], elementwise.
-
-    ``cos`` and ``sin`` hold the cosines and sines of tl and tr, stacked
-    (an ``ArcStack.end_trig``).  The sinusoid has amplitude rho = hypot(a, b)
-    and is extreme at the ends, and at t = atan2(b, a) (value rho) or
-    t + pi (value -rho) when those lie inside the range.  The arguments
-    broadcast; returns the minimum, the maximum and rho.
-    """
-    rho = np.hypot(a, b)
-    rel = np.arctan2(b, a) - tl
-    e0 = a * cos[0] + b * sin[0]
-    e1 = a * cos[1] + b * sin[1]
-    lo, hi = np.minimum(e0, e1), np.maximum(e0, e1)
-    hi = np.where(wrap_angle(rel) <= tr - tl, np.maximum(hi, rho), hi)
-    lo = np.where(wrap_angle(rel + math.pi) <= tr - tl, np.minimum(lo, -rho), lo)
-    return lo, hi, rho
-
-
-def arc_dot_range(arcs: ArcStack, w: np.ndarray):
-    """Exact range of x . w over arcs, elementwise.
-
-    Along arc i, x(t) . w = cos r (z . w) + sin r (au cos t + av sin t), whose
-    sinusoid ``sinusoid_range`` bounds over [t0, t1] from the stack's
-    ``end_trig``.  Arc
-    i takes the vector w[i], or every arc one w; vectors w of shape
-    (m, 1, 3) give (m, n) ranges, each vector against every arc.  Returns
-    the minimum, the maximum and the sinusoid's amplitude rho = hypot(au, av).
-    """
-    lo, hi, rho = sinusoid_range((arcs.u * w).sum(axis=-1), (arcs.v * w).sum(axis=-1), arcs.t0, arcs.t1, *arcs.end_trig)
-    g, s = arcs.cos_r * (arcs.z * w).sum(axis=-1), arcs.sin_r
-    return g + s * lo, g + s * hi, rho
+    return np.matmul(x, vecs[:, :, None]).reshape(k, -1, len(x)).swapaxes(1, 2)
 
 
 def _opposite_param(xu: np.ndarray, xv: np.ndarray, t0) -> np.ndarray:
@@ -565,69 +547,72 @@ def _opposite_param(xu: np.ndarray, xv: np.ndarray, t0) -> np.ndarray:
     return wrap_angle(np.arctan2(xv, xu) + math.pi - t0)
 
 
-def distance_to_piece(points: np.ndarray, piece) -> np.ndarray:
-    """Vectorized minimum geodesic distance from each row of ``points``.
+def distance_to_piece(points: np.ndarray, arcs: ArcStack) -> np.ndarray:
+    """Vectorized minimum geodesic distance from each row of ``points`` to each arc of the stack, rows x pieces.
 
-    ``piece`` is one piece, or an ``ArcStack`` for one column per piece.
     When the azimuth lies in the span the distance is |d(x, z) - r| to the
     supporting circle, whose sine is |rho cos r - (x . z) sin r| with
     rho = sin d(x, z); the endpoints take over when it falls outside.
     """
     x = np.asarray(points, dtype=float)
-    xu, xv, xz = _dots(x, piece.u), _dots(x, piece.v), _dots(x, piece.z)
+    xu, xv, xz, cs, ce = _dots(x, arcs.dot_rows, 5)
     rho = np.sqrt(xu * xu + xv * xv)
-    rel = wrap_angle(np.arctan2(xv, xu) - piece.t0)
-    on = (rel <= piece.span + BOUNDARY_EPS) | (rel >= TWO_PI - BOUNDARY_EPS)
-    circ = np.arcsin(np.clip(np.abs(rho * piece.cos_r - xz * piece.sin_r), 0.0, 1.0))
-    circ = np.where(xz * piece.cos_r + rho * piece.sin_r < 0.0, math.pi - circ, circ)
-    d_ends = np.minimum(acos_clamped_np(_dots(x, piece.start)), acos_clamped_np(_dots(x, piece.end)))
-    return np.where(on, circ, d_ends)
+    rel = wrap_angle(np.arctan2(xv, xu) - arcs.t0)
+    on = (rel <= arcs.span + BOUNDARY_EPS) | (rel >= TWO_PI - BOUNDARY_EPS)
+    circ = np.arcsin(np.clip(np.abs(rho * arcs.cos_r - xz * arcs.sin_r), 0.0, 1.0))
+    circ = np.where(xz * arcs.cos_r + rho * arcs.sin_r < 0.0, math.pi - circ, circ)
+    return np.where(on, circ, np.minimum(acos_clamped_np(cs), acos_clamped_np(ce)))
 
 
-def min_dot_to_piece(points: np.ndarray, piece) -> np.ndarray:
-    """Vectorized least x . y over the points y of the piece, for each row x of ``points``.
+def min_dot_to_piece(points: np.ndarray, arcs: ArcStack) -> np.ndarray:
+    """Vectorized least x . y over the points y of each arc of the stack, per row x of ``points``: rows x pieces.
 
-    ``piece`` is one piece, or an ``ArcStack`` for one column per piece.
     The least dot, the cosine of the farthest distance, is taken at an
     endpoint or, when it lies in the span, at the azimuth opposite the
-    query point, where it is (x . z) cos r - sqrt(x_u^2 + x_v^2) sin r.
+    query point, where it is (x . z) cos r - sqrt(x_u^2 + x_v^2) sin r; the
+    five products come from one ``_dots`` call (``ArcStack.dot_rows``).
     No arccos is taken: a caller reduces the cosines and takes one arccos
     per distance it reports.
     """
     x = np.asarray(points, dtype=float)
-    least = np.minimum(_dots(x, piece.start), _dots(x, piece.end))
-    xu, xv = _dots(x, piece.u), _dots(x, piece.v)
-    on = _opposite_param(xu, xv, piece.t0) <= piece.span + BOUNDARY_EPS
-    far = _dots(x, piece.z) * piece.cos_r - np.sqrt(xu * xu + xv * xv) * piece.sin_r
-    return np.where(on, np.minimum(far, least), least)
+    d = _dots(x, arcs.dot_rows, 5)  # u, v, z, start, end
+    least = np.minimum(d[3], d[4])
+    on = _opposite_param(d[0], d[1], arcs.t0) <= arcs.span + BOUNDARY_EPS
+    far = d[2] * arcs.cos_r - np.sqrt(d[0] * d[0] + d[1] * d[1]) * arcs.sin_r
+    return np.minimum(far, least, out=least, where=on)
 
 
-def max_distance_to_piece(points: np.ndarray, piece) -> np.ndarray:
+def max_distance_to_piece(points: np.ndarray, arcs: ArcStack) -> np.ndarray:
     """Vectorized maximum geodesic distance from each row of ``points``: the arccos of ``min_dot_to_piece``."""
-    return acos_clamped_np(min_dot_to_piece(points, piece))
+    return acos_clamped_np(min_dot_to_piece(points, arcs))
 
 
 def min_support_dot(points: np.ndarray, arcs: ArcStack) -> np.ndarray:
     """Vectorized least x . K over the support poles K of each piece of the stack, rows x pieces.
 
-    Along a piece K(t) = sin r z - cos r (cos t u + sin t v), so
-    x . K(t) = sin r (x . z) - cos r (x_u cos t + x_v sin t) is least where
-    the sinusoid is greatest (``sinusoid_range``); on a great arc cos r = 0
-    and it is the constant x . pole.
+    Along a piece K(t) = sin r z - cos r s(t), s(t) = x_u cos t + x_v sin t,
+    so x . K(t) = sin r (x . z) - cos r s(t) is least where s is greatest:
+    at an end, from the stack's ``end_trig``, or at t = atan2(x_v, x_u),
+    where s is hypot(x_u, x_v), when that lies in [t0, t1].  On a great arc
+    cos r = 0 and it is the constant x . pole.
     """
     x = np.asarray(points, dtype=float)
     if arcs.great.all():
-        # great arcs only: the sinusoid's term is 0 * hi, with hi finite
-        return arcs.sin_r * _dots(x, arcs.z)
-    _, hi, _ = sinusoid_range(_dots(x, arcs.u), _dots(x, arcs.v), arcs.t0, arcs.t1, *arcs.end_trig)
-    return arcs.sin_r * _dots(x, arcs.z) - arcs.cos_r * hi
+        # great arcs only: the sinusoid's term is 0 * s, with s finite
+        return arcs.sin_r * _dots(x, arcs.z, 1)[0]
+    xu, xv, xz = _dots(x, arcs.dot_rows[: 3 * len(arcs)], 3)
+    cos, sin = arcs.end_trig
+    hi = np.maximum(*(xu * cos[:, None] + xv * sin[:, None]))  # the greater end value
+    inside = wrap_angle(np.arctan2(xv, xu) - arcs.t0) <= arcs.span
+    np.maximum(hi, np.hypot(xu, xv), out=hi, where=inside)
+    return arcs.sin_r * xz - arcs.cos_r * hi
 
 
 def farthest_on_arc(x: Vec, arcs: ArcStack, j: int) -> Vec:
     """The point of arc ``j`` of the stack farthest from the point ``x``, read off the candidates of
     ``min_dot_to_piece``: the opposite-azimuth point when it lies in the span and x . y is no greater there
     than at either end, else the end of the lesser x . y, the start on a tie."""
-    cs, ce, xu, xv, xz = _dots(x[None], np.stack([arcs.start[j], arcs.end[j], arcs.u[j], arcs.v[j], arcs.z[j]]))[0]
+    xu, xv, xz, cs, ce = _dots(x[None], arcs.dot_rows[j :: len(arcs)], 5)[:, 0, 0]
     far = float(_opposite_param(xu, xv, arcs.t0[j]))
     if far <= arcs.span[j] + BOUNDARY_EPS:
         c = xz * arcs.cos_r[j] - math.sqrt(xu * xu + xv * xv) * arcs.sin_r[j]

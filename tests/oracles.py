@@ -95,7 +95,6 @@ from spherewidth.sphere import (
     GreatArc,
     Vec,
     SmallCircleArc,
-    _dots,
     acos_clamped_np,
     arc_pole,
     cross,
@@ -233,15 +232,21 @@ def farthest_pair_oracle(body, per_piece=2048, block=64, near=1e-4):
     return sampled, polished
 
 
+def _each_dot(x, vecs):
+    """``x @ v`` for each row v of ``vecs``, one column each: a matrix-vector product per vector, whose bits
+    the kernels give each column (``x @ vecs.T``, one matrix product, can round a column otherwise)."""
+    return np.stack([x @ v for v in vecs], axis=-1)
+
+
 def max_distance_to_piece_arccos(points, piece):
-    """The farthest distance from each row of ``points`` to the piece (or to each row of a stack), as the
-    largest of three arccos: both ends, and the azimuth opposite the point when ``np.mod`` puts it in the
-    span, at arccos((x . z) cos r - hypot(x_u, x_v) sin r)."""
+    """The farthest distance from each row of ``points`` to each arc of the stack ``piece``, as the largest of
+    three arccos: both ends, and the azimuth opposite the point when ``np.mod`` puts it in the span, at
+    arccos((x . z) cos r - hypot(x_u, x_v) sin r)."""
     x = np.asarray(points, dtype=float)
-    d_ends = np.maximum(acos_clamped_np(_dots(x, piece.start)), acos_clamped_np(_dots(x, piece.end)))
-    xu, xv = _dots(x, piece.u), _dots(x, piece.v)
+    d_ends = np.maximum(acos_clamped_np(_each_dot(x, piece.start)), acos_clamped_np(_each_dot(x, piece.end)))
+    xu, xv = _each_dot(x, piece.u), _each_dot(x, piece.v)
     on = np.mod(np.arctan2(xv, xu) + math.pi - piece.t0, TWO_PI) <= piece.span + BOUNDARY_EPS
-    d_far = acos_clamped_np(_dots(x, piece.z) * piece.cos_r - np.hypot(xu, xv) * piece.sin_r)
+    d_far = acos_clamped_np(_each_dot(x, piece.z) * piece.cos_r - np.hypot(xu, xv) * piece.sin_r)
     return np.where(on, np.maximum(d_far, d_ends), d_ends)
 
 
@@ -731,15 +736,26 @@ def _ends(z, cos_r, sin_r, u, v, t0, t1):
     return [cos_r * z + sin_r * (np.outer(np.cos(t), u) + np.outer(np.sin(t), v))[0] for t in (t0, t1)]
 
 
+def _over_norm(v):
+    """``v`` divided by its norm, as ``unit_each`` divides each row: a near-zero norm raises ``ValueError``, a
+    NaN one passes on (``unit`` refuses both)."""
+    a = np.asarray(v, dtype=float)
+    n = math.sqrt(a.dot(a))
+    if n < DOT_EPS:
+        raise ValueError("cannot normalize a near-zero vector")
+    return a / n
+
+
 def great_arc_fields(start, end):
-    """The ``ArcStack`` row of the great arc from ``start`` to ``end``, in scalar Python."""
-    s, e = unit(start), unit(end)
+    """The ``ArcStack`` row of the great arc from ``start`` to ``end``, in scalar Python; its vectors are
+    normalised as ``great_arc_stack`` normalises them (``_over_norm``)."""
+    s, e = _over_norm(start), _over_norm(end)
     c = dot(s, e)
     if abs(c) >= 1.0 - DOT_EPS:
         raise DegenerateArc("great arc endpoints equal or antipodal")
     length = math.acos(min(1.0, max(-1.0, c)))
     return dict(
-        z=unit(cross(s, e)), u=s, v=unit(e - c * s), start=s, end=e,
+        z=_over_norm(cross(s, e)), u=s, v=_over_norm(e - c * s), start=s, end=e,
         radius=0.5 * math.pi, cos_r=0.0, sin_r=1.0, t0=0.0, t1=length, span=length - 0.0,
     )
 

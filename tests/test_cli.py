@@ -334,6 +334,32 @@ def test_a_bad_tol_is_refused_at_once(tmp_path, capsys, tol):
     assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize("vec", ["nan,0,1", "inf,0,1", "0,-inf,1", "0,0,1e200"])
+def test_a_non_finite_vector_is_refused(tmp_path, capsys, vec):
+    # a NaN or infinite --center or --view has no direction: refused naming
+    # the vector, exit 1 and nothing written (a NaN centre was written out
+    # as [nan, nan, nan], which no JSON reader takes back, and a NaN view
+    # failed in the SVD); a finite one whose squared norm overflows is
+    # normalised and taken
+    src = tmp_path / "cap.json"
+    run(capsys, "generate", "cap", "-o", str(src))
+    cases = [
+        (("generate", "cap", "--center", vec), "cap-out.json"),
+        (("generate", "reuleaux", "--center", vec), "rr.json"),
+        (("render", str(src), "--view", vec), "view.svg"),
+    ]
+    finite = all(math.isfinite(float(c)) for c in vec.split(","))
+    for argv, out in cases:
+        code, stdout, err = run(capsys, *argv, "-o", str(tmp_path / out))
+        if finite:
+            assert code == 0 and err == "" and (tmp_path / out).exists(), (argv, err)
+            continue
+        assert code == 1 and stdout == "", argv
+        want = "ValueError: cannot normalize %s: its norm must be finite" % [float(c) for c in vec.split(",")]
+        assert err.startswith(want), (argv, err)
+        assert not (tmp_path / out).exists(), argv
+
+
 def test_each_verb_validates_each_body_once(tmp_path, capsys, monkeypatch):
     files = {n: tmp_path / n for n in ("cap.json", "poly.json", "dual.json", "old.json", "fig.svg", "p2.json")}
     run(capsys, "generate", "cap", "-o", str(files["cap.json"]))

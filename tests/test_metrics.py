@@ -897,7 +897,7 @@ def test_two_body_kernel_blocks_match_one_block(monkeypatch, kernel_pairs):
     # rounds a dot of another block shape differently), and the pair read
     # off the winning block attains it
     full = [metrics.farthest_pair(a, b)[0] for a, b in kernel_pairs]
-    monkeypatch.setattr(metrics, "BLOCK_ELEMENTS", 7)
+    monkeypatch.setattr(bd, "BLOCK_ELEMENTS", 7)
     for (a, b), c in zip(kernel_pairs, full):
         c2, x2, y2 = metrics.farthest_pair(a, b)
         assert abs(c2 - c) <= 4.5e-16 and abs(float(x2 @ y2) - c2) <= 4.5e-16

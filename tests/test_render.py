@@ -10,7 +10,7 @@ from spherewidth.approx import ApproximationConfig, approximate_polytope
 from spherewidth.body import ConvexBody, Polytope, polar_dual
 from spherewidth.generators import cap, octant, rotated, rotation_from_seed
 from spherewidth.render import projected_box, render_svg
-from spherewidth.sphere import arc_dot_range, sample_piece, tangent_basis, unit, unit_rows
+from spherewidth.sphere import min_dot_to_piece, sample_piece, tangent_basis, unit, unit_rows
 
 E3 = np.array([0.0, 0.0, 1.0])
 VIEW = unit([1.0, 1.0, 1.0])
@@ -128,7 +128,8 @@ def test_front_check_is_exact_between_samples(projection):
     c = cap(unit([0.2, -0.4, 1.0]), 0.6)
     v = _dipping_view(c, limit - dip)
     assert float(np.min(boundary_samples(c, 256) @ v)) > limit + 1e-5
-    assert float(arc_dot_range(c.arcs, v)[0].min()) < limit
+    # the rim's exact least x . v, cos(r + d(z, v)), is on the bad side
+    assert math.cos(c.arcs.radius[0] + math.acos(float(c.arcs.z[0] @ v))) < limit
     with pytest.raises(ValueError):
         render_svg([c], projection, view=v)
     # the same rim as far on the other side of the limit renders
@@ -147,7 +148,7 @@ def _box_scenes():
         views = []
         while len(views) < count:
             v = unit(body.interior + 0.5 * rng.normal(size=3))
-            if float(arc_dot_range(a, v)[0].min()) >= 0.05:
+            if float(min_dot_to_piece(v[None], a).min()) >= 0.05:
                 views.append(v)
         yield body, views
 

@@ -250,6 +250,18 @@ def test_arc_parts_and_end_trigonometry_are_bit_for_bit():
         assert np.array_equal(a.span, hi - lo) and np.array_equal(a.z, arcs.z)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 40])
+def test_dots_give_each_column_the_bits_of_its_own_product(rows):
+    # one call for the k blocks of a stack's vectors: column j is still
+    # x @ vecs[j] bit for bit, at every stack size
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(rows, 3))
+    for m in (1, 2, 40):
+        vecs = rng.normal(size=(5 * m, 3))
+        want = np.stack([x @ v for v in vecs], axis=-1).reshape(rows, 5, m).swapaxes(0, 1)
+        assert np.array_equal(sphere._dots(x, vecs, 5), want), m
+
+
 def test_row_dots_and_unit_each_are_per_row_bit_for_bit():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-6, 6, size=(500, 1))
@@ -405,7 +417,7 @@ def test_piece_distance_matches_dense_sampling(seed):
             brute = float(np.min(sphere.acos_clamped_np(dense @ p)))
             assert point_to_piece_distance(p, piece) == pytest.approx(brute, abs=1e-4)
             far = float(np.max(sphere.acos_clamped_np(dense @ p)))
-            got = float(max_distance_to_piece(p[None, :], piece)[0])
+            got = float(max_distance_to_piece(p[None, :], stack_arcs([piece]))[0, 0])
             assert got == pytest.approx(far, abs=1e-4)
             fp = sphere.farthest_on_arc(p, stack_arcs([piece]), 0)
             assert sphere.geodesic_distance(p, fp) == pytest.approx(far, abs=1e-4)
